@@ -30,10 +30,10 @@ const chaosRecvTimeout = 2 * time.Second
 
 // requireCompleteOrRankError asserts the hard chaos contract: success
 // with verified buffers, or exactly one structured root-cause error.
-func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, results interface{ validate() error }, err error) {
+func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, res *cluster.RealResult, err error) {
 	t.Helper()
 	if err == nil {
-		if verr := results.validate(); verr != nil {
+		if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
 			t.Fatalf("run completed but results are wrong: %v", verr)
 		}
 		return
@@ -44,22 +44,22 @@ func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, results interfa
 	}
 }
 
-type tcpOutcome struct {
-	spec cluster.Spec
-	res  *cluster.TCPResult
-}
-
-func (o tcpOutcome) validate() error {
-	return cluster.ValidateGather(o.spec, chaosMsgSize, o.res.Results, true)
-}
-
-type realOutcome struct {
-	spec cluster.Spec
-	res  *cluster.RealResult
-}
-
-func (o realOutcome) validate() error {
-	return cluster.ValidateGather(o.spec, chaosMsgSize, o.res.Results, true)
+// runFaulty runs one collective under a fault plan on a single-use
+// session and folds the end-of-run gather validation into the error:
+// corruption that lands on unauthenticated bytes (plaintext intra-node
+// traffic, header fields that still parse) is a structured failure,
+// never a silent success.
+func runFaulty(engine cluster.EngineKind, spec cluster.Spec, algo cluster.Algorithm, plan *fault.Plan) (*cluster.RealResult, error) {
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: engine},
+		cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
+	if err != nil {
+		return nil, err
+	}
+	if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+		return nil, &cluster.RankError{Rank: -1, Peer: -1, Op: "validate",
+			Err: fmt.Errorf("fault corrupted the gathered result: %w", verr)}
+	}
+	return res, nil
 }
 
 // Transient plans (drops, stalls, read delays, partial writes) are all
@@ -82,7 +82,7 @@ func TestChaosTCPTransientPlansComplete(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Transient(seed, spec.P, 6)
-					res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+					res, err := runFaulty(cluster.EngineTCP, spec, algo, plan)
 					if err != nil {
 						t.Fatalf("transient plan must be recoverable, got: %v\nplan: %v", err, plan)
 					}
@@ -116,8 +116,8 @@ func TestChaosTCPRandomPlansCompleteOrFailClosed(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Random(seed, spec.P, 6)
-					res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
-					requireCompleteOrRankError(t, spec, tcpOutcome{spec, res}, err)
+					res, err := runFaulty(cluster.EngineTCP, spec, algo, plan)
+					requireCompleteOrRankError(t, spec, res, err)
 				})
 			}
 		}
@@ -144,8 +144,8 @@ func TestChaosRealPlansCompleteOrFailClosed(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
 					t.Parallel()
 					plan := fault.Random(seed, spec.P, 4)
-					res, err := cluster.RunRealFaulty(spec, chaosMsgSize, algo, plan)
-					requireCompleteOrRankError(t, spec, realOutcome{spec, res}, err)
+					res, err := runFaulty(cluster.EngineChan, spec, algo, plan)
+					requireCompleteOrRankError(t, spec, res, err)
 				})
 			}
 		}
@@ -170,7 +170,7 @@ func TestChaosDeterministicVerdict(t *testing.T) {
 	}}
 	var verdicts []string
 	for i := 0; i < 3; i++ {
-		_, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+		_, err := runFaulty(cluster.EngineTCP, spec, algo, plan)
 		switch {
 		case err == nil:
 			verdicts = append(verdicts, "ok")
@@ -211,7 +211,7 @@ func TestChaosCorruptionNeverDeliversWrongBytes(t *testing.T) {
 			plan := &fault.Plan{Rules: []fault.Rule{
 				{Src: 0, Dst: 2, Frame: -1, Kind: fault.Corrupt, Offset: 80, Times: -1},
 			}}
-			res, err := cluster.RunTCPFaulty(spec, chaosMsgSize, algo, plan)
+			res, err := runFaulty(cluster.EngineTCP, spec, algo, plan)
 			if err != nil {
 				var re *cluster.RankError
 				if !errors.As(err, &re) {

@@ -72,7 +72,7 @@ func TestSpecValidate(t *testing.T) {
 
 func TestRealRingAllgather(t *testing.T) {
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	res, err := RunReal(spec, 64, ringPlain)
+	res, err := RunOnce(spec, SessionConfig{}, Op{Algo: ringPlain, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 		pt := p.DecryptAll(in)
 		return block.Concat(mine, pt)
 	}
-	res, err := RunReal(spec, 128, algo)
+	res, err := RunOnce(spec, SessionConfig{}, Op{Algo: algo, MsgSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +226,17 @@ func TestShmAndNodeBarrier(t *testing.T) {
 		remote := p.ShmGet("remote")
 		return block.Concat(node, remote)
 	}
-	res, err := RunReal(spec, 32, algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, 32, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.Clean() {
-		t.Fatalf("violations: %v", res.Audit.Violations)
+	for _, engine := range opEngines {
+		res, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: algo, MsgSize: 32})
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		if err := ValidateGather(spec, 32, res.Results, true); err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		if !res.Audit.Clean() {
+			t.Fatalf("%v: violations: %v", engine, res.Audit.Violations)
+		}
 	}
 	// The same algorithm must run in the sim engine.
 	sres, err := RunSim(spec, cost.Noleland(), 32, algo)
@@ -248,10 +250,10 @@ func TestShmAndNodeBarrier(t *testing.T) {
 
 func TestShmMissingKeyPanics(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
-	_, err := RunReal(spec, 8, func(p *Proc, mine block.Message) block.Message {
+	_, err := RunOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		p.ShmGet("never-put")
 		return mine
-	})
+	}, MsgSize: 8})
 	if err == nil {
 		t.Fatal("expected error for missing shm key")
 	}
@@ -272,7 +274,7 @@ func TestSimDeadlockSurfacesAsError(t *testing.T) {
 
 func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	_, err := RunReal(spec, 64, func(p *Proc, mine block.Message) block.Message {
+	_, err := RunOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
 		ct := p.Encrypt(mine.Chunks...)
 		if p.Rank() == 0 {
@@ -283,7 +285,7 @@ func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 		}
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
 		return block.Concat(mine, p.DecryptAll(in))
-	})
+	}, MsgSize: 64})
 	if err == nil {
 		t.Fatal("tampered ciphertext must fail authentication")
 	}

@@ -35,7 +35,7 @@ func encRing(p *Proc, mine block.Message) block.Message {
 func TestTCPEngineEncryptedRing(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
 	const m = 128
-	res, err := RunTCP(spec, m, encRing)
+	res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: encRing, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestTCPEngineEncryptedRing(t *testing.T) {
 func TestTCPSnifferPositiveControl(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	const m = 128
-	res, err := RunTCP(spec, m, Plain(encRing))
+	res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: Plain(encRing), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,36 +75,6 @@ func TestTCPSnifferPositiveControl(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("control failed: plaintext ring left no plaintext on the wire (sniffer broken?)")
-	}
-}
-
-func TestTCPEngineShmAndBarrier(t *testing.T) {
-	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	algo := func(p *Proc, mine block.Message) block.Message {
-		p.ShmPut(shmKey("tcp", p.Rank()), mine)
-		p.NodeBarrier()
-		var node block.Message
-		for _, r := range p.Spec().RanksOnNode(p.Node()) {
-			node = block.Concat(node, p.ShmGet(shmKey("tcp", r)))
-		}
-		if p.IsLeader() {
-			ct := p.Encrypt(node.Chunks...)
-			other := p.Spec().Leader(1 - p.Node())
-			in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-			p.ShmPut("tcp-remote", p.DecryptAll(in))
-		}
-		p.NodeBarrier()
-		return block.Concat(node, p.ShmGet("tcp-remote"))
-	}
-	res, err := RunTCP(spec, 64, algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, 64, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.Clean() {
-		t.Fatal("audit flagged the leader exchange")
 	}
 }
 

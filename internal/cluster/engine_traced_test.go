@@ -75,30 +75,19 @@ func checkTracedRun(t *testing.T, spec Spec, res *RealResult, tr *lockedTrace) {
 	}
 }
 
-func TestRealEngineTraced(t *testing.T) {
+func TestEngineTraced(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
-	tr := &lockedTrace{}
-	res, err := RunRealTraced(spec, 256, encRing, tr)
-	if err != nil {
-		t.Fatal(err)
+	for _, engine := range opEngines {
+		tr := &lockedTrace{}
+		res, err := RunOnce(spec, SessionConfig{Engine: engine, Tracer: tr}, Op{Algo: encRing, MsgSize: 256})
+		if err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		if err := ValidateGather(spec, 256, res.Results, true); err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
+		checkTracedRun(t, spec, res, tr)
 	}
-	if err := ValidateGather(spec, 256, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	checkTracedRun(t, spec, res, tr)
-}
-
-func TestTCPEngineTraced(t *testing.T) {
-	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
-	tr := &lockedTrace{}
-	res, err := RunTCPTraced(spec, 256, encRing, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, 256, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	checkTracedRun(t, spec, &res.RealResult, tr)
 }
 
 // Barriers and copies must show up in wall-clock traces from algorithms
@@ -123,7 +112,7 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 		return block.Concat(node, p.ShmGet("trc-remote"))
 	}
 	tr := &lockedTrace{}
-	res, err := RunRealTraced(spec, 64, algo, tr)
+	res, err := RunOnce(spec, SessionConfig{Tracer: tr}, Op{Algo: algo, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +131,9 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 // A nil tracer must keep both engines on their zero-overhead path.
 func TestUntracedRunsStillWork(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	if _, err := RunReal(spec, 128, encRing); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunTCP(spec, 128, encRing); err != nil {
-		t.Fatal(err)
+	for _, engine := range opEngines {
+		if _, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: encRing, MsgSize: 128}); err != nil {
+			t.Fatalf("%v: %v", engine, err)
+		}
 	}
 }

@@ -55,10 +55,14 @@ func ringStep(p *Proc, msg block.Message, rounds int) block.Message {
 	return msg
 }
 
+// opEngines are the session engines that run real payload bytes: the
+// one op runtime over each of its two links.
+var opEngines = []EngineKind{EngineChan, EngineTCP}
+
 // A rank panic must surface as that rank's structured error — not as the
 // "use of closed network connection" cascade the teardown provokes on
 // every other rank.
-func TestTCPRankFailureSurfacesRootCause(t *testing.T) {
+func TestRankFailureSurfacesRootCause(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	boom := func(p *Proc, mine block.Message) block.Message {
 		mine = ringStep(p, mine, 1)
@@ -67,47 +71,30 @@ func TestTCPRankFailureSurfacesRootCause(t *testing.T) {
 		}
 		return ringStep(p, mine, 6)
 	}
-	_, err := RunTCP(spec, 512, boom)
-	if err == nil {
-		t.Fatal("run with a panicking rank reported success")
-	}
-	var re *RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is %T, want *RankError: %v", err, err)
-	}
-	if re.Rank != 2 {
-		t.Fatalf("root cause attributed to rank %d, want 2: %v", re.Rank, err)
-	}
-	if !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("root cause lost: %v", err)
-	}
-	if strings.Contains(err.Error(), "closed network connection") {
-		t.Fatalf("secondary teardown error masked the root cause: %v", err)
-	}
-}
-
-func TestRealRankFailureSurfacesRootCause(t *testing.T) {
-	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	boom := func(p *Proc, mine block.Message) block.Message {
-		mine = ringStep(p, mine, 1)
-		if p.Rank() == 1 {
-			panic("boom: injected test failure")
+	for _, engine := range opEngines {
+		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: boom, MsgSize: 512})
+		if err == nil {
+			t.Fatalf("%v: run with a panicking rank reported success", engine)
 		}
-		return ringStep(p, mine, 6)
-	}
-	_, err := RunReal(spec, 512, boom)
-	var re *RankError
-	if err == nil || !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RankError", err)
-	}
-	if re.Rank != 1 || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("root cause lost: %v", err)
+		var re *RankError
+		if !errors.As(err, &re) {
+			t.Fatalf("%v: error is %T, want *RankError: %v", engine, err, err)
+		}
+		if re.Rank != 2 {
+			t.Fatalf("%v: root cause attributed to rank %d, want 2: %v", engine, re.Rank, err)
+		}
+		if !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("%v: root cause lost: %v", engine, err)
+		}
+		if strings.Contains(err.Error(), "closed network connection") {
+			t.Fatalf("%v: secondary teardown error masked the root cause: %v", engine, err)
+		}
 	}
 }
 
 // A message that never arrives must fail the starved rank with a bounded
 // structured recv error, not hang until the run-level timeout.
-func TestTCPRecvDeadline(t *testing.T) {
+func TestRecvDeadline(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: 200 * time.Millisecond}
 	silent := func(p *Proc, mine block.Message) block.Message {
 		if p.Rank() == 0 {
@@ -115,36 +102,20 @@ func TestTCPRecvDeadline(t *testing.T) {
 		}
 		return mine
 	}
-	start := time.Now()
-	_, err := RunTCP(spec, 64, silent)
-	elapsed := time.Since(start)
-	var re *RankError
-	if err == nil || !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RankError", err)
-	}
-	if re.Rank != 0 || re.Peer != 1 || re.Op != "recv" {
-		t.Fatalf("recv deadline misattributed: %+v", re)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("recv deadline took %v, want ~200ms", elapsed)
-	}
-}
-
-func TestRealRecvDeadline(t *testing.T) {
-	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: 200 * time.Millisecond}
-	silent := func(p *Proc, mine block.Message) block.Message {
-		if p.Rank() == 0 {
-			p.Recv(1)
+	for _, engine := range opEngines {
+		start := time.Now()
+		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: silent, MsgSize: 64})
+		elapsed := time.Since(start)
+		var re *RankError
+		if err == nil || !errors.As(err, &re) {
+			t.Fatalf("%v: err = %v, want *RankError", engine, err)
 		}
-		return mine
-	}
-	_, err := RunReal(spec, 64, silent)
-	var re *RankError
-	if err == nil || !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RankError", err)
-	}
-	if re.Rank != 0 || re.Peer != 1 || re.Op != "recv" {
-		t.Fatalf("recv deadline misattributed: %+v", re)
+		if re.Rank != 0 || re.Peer != 1 || re.Op != "recv" {
+			t.Fatalf("%v: recv deadline misattributed: %+v", engine, re)
+		}
+		if elapsed > 5*time.Second {
+			t.Fatalf("%v: recv deadline took %v, want ~200ms", engine, elapsed)
+		}
 	}
 }
 
@@ -169,15 +140,15 @@ func TestTimeoutPathDrainsGoroutines(t *testing.T) {
 		return mine
 	}
 
-	for name, run := range map[string]func() error{
-		"real": func() error { _, err := RunReal(spec, 64, stuck); return err },
-		"tcp":  func() error { _, err := RunTCP(spec, 64, stuck); return err },
-	} {
+	for _, engine := range opEngines {
 		before := runtime.NumGoroutine()
-		err := run()
+		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: stuck, MsgSize: 64})
 		var re *RankError
 		if err == nil || !errors.As(err, &re) || re.Op != "timeout" {
-			t.Fatalf("%s: err = %v, want *RankError with Op timeout", name, err)
+			t.Fatalf("%v: err = %v, want *RankError with Op timeout", engine, err)
+		}
+		if want := engine.String() + " run exceeded"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("timeout error %q does not name its engine (%q)", err, want)
 		}
 		// Rank goroutines, readers and the done-waiter must be gone; poll
 		// briefly for the crypto pool's idle workers to wind down.
@@ -186,8 +157,8 @@ func TestTimeoutPathDrainsGoroutines(t *testing.T) {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				buf = buf[:runtime.Stack(buf, true)]
-				t.Fatalf("%s: %d goroutines before run, %d after\n%s",
-					name, before, runtime.NumGoroutine(), buf)
+				t.Fatalf("%v: %d goroutines before run, %d after\n%s",
+					engine, before, runtime.NumGoroutine(), buf)
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
@@ -239,8 +210,11 @@ func TestSnifferCountsOnlyWrittenBytes(t *testing.T) {
 func TestFaultyRunWithEmptyPlanIsClean(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, plan := range []*fault.Plan{nil, {}} {
-		res, err := RunTCPFaulty(spec, 1024, ringPlain, plan)
+		res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: ringPlain, MsgSize: 1024, Plan: plan})
 		if err != nil {
+			t.Fatalf("plan %v: %v", plan, err)
+		}
+		if err := ValidateGather(spec, 1024, res.Results, true); err != nil {
 			t.Fatalf("plan %v: %v", plan, err)
 		}
 		if res.Sniffer == nil {

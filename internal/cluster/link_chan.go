@@ -1,0 +1,284 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+
+	"encag/internal/block"
+)
+
+// SecurityAudit records what the transport observed, so tests can prove
+// the paper's security property: plaintext never crosses a node boundary.
+type SecurityAudit struct {
+	mu                 sync.Mutex
+	InterMsgs          int
+	IntraMsgs          int
+	PlaintextInterMsgs int
+	Violations         []string
+}
+
+func (a *SecurityAudit) record(spec Spec, src, dst int, msg block.Message) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if spec.SameNode(src, dst) {
+		a.IntraMsgs++
+		return
+	}
+	a.InterMsgs++
+	for _, c := range msg.Chunks {
+		if !c.Enc && c.PlainLen() > 0 {
+			a.PlaintextInterMsgs++
+			if len(a.Violations) < 32 {
+				a.Violations = append(a.Violations,
+					fmt.Sprintf("plaintext chunk (%d bytes) sent %d -> %d across nodes", c.PlainLen(), src, dst))
+			}
+			break
+		}
+	}
+}
+
+// Clean reports whether no plaintext crossed node boundaries.
+func (a *SecurityAudit) Clean() bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.PlaintextInterMsgs == 0
+}
+
+// Adversary intercepts inter-node messages on the chan link, modelling
+// the paper's threat: a network attacker who can observe and modify
+// traffic between nodes. It returns the (possibly tampered) message to
+// deliver. Intra-node messages never pass through it — they never leave
+// the trusted node.
+type Adversary func(src, dst int, msg block.Message) block.Message
+
+// chanLink is the in-memory link: it has no connections, so the demux
+// is the delivery path itself. Every job carries its operation, the
+// link checks the operation is still registered at delivery time, and
+// messages of retired operations are dropped — the same straggler
+// semantics as the TCP demux.
+type chanLink struct {
+	lm        *liveMetrics
+	reg       *opRegistry
+	adversary Adversary // nil: nobody on the inter-node path
+}
+
+// live reports whether o is still registered, counting a straggler
+// when it is not: messages of a retired operation are dropped, never
+// misrouted.
+func (l *chanLink) live(o *opRuntime) bool {
+	if _, ok := l.reg.get(o.id); !ok {
+		l.lm.stragglers.Inc()
+		return false
+	}
+	return true
+}
+
+// send applies the owning operation's fault verdicts (message-level: a
+// dropped or partially written frame is simply lost in transit) and
+// delivers into the operation's unbounded inbox.
+func (l *chanLink) send(src int, job sendJob) {
+	if job.plan != nil {
+		l.sendStream(src, job)
+		return
+	}
+	o := job.op
+	msg := job.msg
+	if l.adversary != nil && !o.spec.SameNode(src, job.dst) {
+		msg = l.adversary(src, job.dst, msg)
+	}
+	if o.inj != nil {
+		v := o.inj.SendFrame(src, job.dst)
+		o.inj.Sleep(v.Stall)
+		if v.CorruptAt >= 0 {
+			msg = corruptMessage(msg, v.CorruptAt)
+		}
+		if v.Drop || v.PartialKeep >= 0 {
+			// The channel transport has no connection to re-establish:
+			// the message is lost in transit and the receiver's bounded
+			// recv deadline turns the loss into a structured error. A
+			// dropped message reserves no delivery number, so later
+			// messages of the pair still deliver — the loss starves
+			// exactly the receive that waited for it.
+			return
+		}
+	}
+	if !l.live(o) {
+		return
+	}
+	var start float64
+	if o.wt.active() {
+		start = o.wt.now()
+	}
+	// Send and delivery coincide on the channel transport, so one
+	// point charges both directions of the transport counters.
+	l.lm.countSent(src, job.dst, msg.WireLen())
+	l.lm.countRecv(src, job.dst, msg.WireLen())
+	o.deliver(src, job.dst, msg)
+	if o.wt.active() {
+		o.wt.emit(src, TraceSend, start, msg.WireLen(), job.dst)
+	}
+}
+
+// sendStream delivers one pipelined message chunk by chunk: each
+// qualifying sealed chunk travels as a per-chunk segment stream —
+// segments sealed on demand, copied into the receive stream's slot (the
+// channel transport's "wire") and handed to the op-wide open window, so
+// AES-GCM sealing of segment i+1 overlaps authenticating segment i —
+// while the remaining chunks are delivered whole into their assembly
+// slots. Fault verdicts apply per segment (and per inline chunk): a
+// stalled one delays the stream, a corrupted one flips a byte in the
+// receiver's copy (the sender's blob stays intact, as with a real
+// wire), and a dropped one leaves its slot unfilled — the message never
+// completes and the receiver's bounded recv deadline turns the loss
+// into a structured error, exactly like a dropped whole message.
+func (l *chanLink) sendStream(src int, job sendJob) {
+	o := job.op
+	if !l.live(o) {
+		return
+	}
+	l.lm.pipeMsgs.Inc()
+	mr := o.newMsgRecv(src, job.dst, len(job.plan.chunks), func() {})
+	for ci, cs := range job.plan.chunks {
+		if o.isAborted() {
+			return
+		}
+		if cs.stream == nil {
+			// Inline chunk: delivered whole into its assembly slot, under
+			// a chunk-level fault verdict.
+			c := cs.chunk
+			var start float64
+			if o.wt.active() {
+				start = o.wt.now()
+			}
+			payload := c.Payload
+			if o.inj != nil {
+				v := o.inj.SendFrame(src, job.dst)
+				o.inj.Sleep(v.Stall)
+				if v.Drop || v.PartialKeep >= 0 {
+					continue // lost in transit: the slot stays unfilled
+				}
+				if v.CorruptAt >= 0 && len(payload) > 0 {
+					payload = append([]byte(nil), payload...)
+					payload[v.CorruptAt%len(payload)] ^= 0x40
+				}
+			}
+			l.lm.countSent(src, job.dst, int64(len(payload)))
+			l.lm.countRecv(src, job.dst, int64(len(payload)))
+			l.lm.pipeInlineChunks.Inc()
+			mr.setChunk(uint32(ci), block.Chunk{Enc: c.Enc, Blocks: c.Blocks, Tag: c.Tag, Payload: payload})
+			if o.wt.active() {
+				o.wt.emit(src, TraceSend, start, int64(len(payload)), job.dst)
+			}
+			continue
+		}
+		st := cs.stream
+		k := st.K()
+		sr, err := o.newChunkStream(mr, uint32(ci), st.Header(), cs.chunk.Blocks, cs.chunk.Tag)
+		if err != nil {
+			o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
+			return
+		}
+		l.lm.pipeStreams.Inc()
+		for i := 0; i < k; i++ {
+			if o.isAborted() {
+				return
+			}
+			seg, err := st.Segment(i)
+			if err != nil {
+				o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
+				return
+			}
+			var start float64
+			if o.wt.active() {
+				start = o.wt.now()
+			}
+			corrupt := -1
+			if o.inj != nil {
+				v := o.inj.SendFrame(src, job.dst)
+				o.inj.Sleep(v.Stall)
+				if v.Drop || v.PartialKeep >= 0 {
+					continue // lost in transit: the slot stays unfilled
+				}
+				if v.CorruptAt >= 0 {
+					corrupt = v.CorruptAt % len(seg)
+				}
+			}
+			slot := sr.os.SegmentSlot(i)
+			copy(slot, seg)
+			if corrupt >= 0 {
+				slot[corrupt] ^= 0x40
+			}
+			l.lm.countSent(src, job.dst, int64(len(seg)))
+			l.lm.countRecv(src, job.dst, int64(len(seg)))
+			l.lm.pipeSegmentsSent.Inc()
+			l.lm.pipeSegmentsRecv.Inc()
+			sr.accept(i)
+			if o.wt.active() {
+				o.wt.emit(src, TraceSend, start, int64(len(seg)), job.dst)
+			}
+		}
+	}
+}
+
+// The chan link has no wire to break, desync or capture, and no
+// goroutines of its own.
+func (l *chanLink) brokenErr() error      { return nil }
+func (l *chanLink) desynced() error       { return nil }
+func (l *chanLink) sniffer() *WireSniffer { return nil }
+func (l *chanLink) close()                {}
+
+// corruptMessage returns msg with one payload byte flipped at the given
+// offset into the concatenation of its chunk payloads (modulo total
+// payload length). The affected chunk is cloned so the sender's own
+// buffers stay intact.
+func corruptMessage(msg block.Message, offset int) block.Message {
+	var total int
+	for _, c := range msg.Chunks {
+		total += len(c.Payload)
+	}
+	if total == 0 {
+		return msg
+	}
+	offset %= total
+	out := block.Message{Chunks: append([]block.Chunk(nil), msg.Chunks...)}
+	for i := range out.Chunks {
+		n := len(out.Chunks[i].Payload)
+		if offset >= n {
+			offset -= n
+			continue
+		}
+		tampered := append([]byte(nil), out.Chunks[i].Payload...)
+		tampered[offset] ^= 0x40
+		out.Chunks[i].Payload = tampered
+		break
+	}
+	return out
+}
+
+// ValidateGather checks that every rank's result is a complete, correctly
+// ordered, fully decrypted all-gather of p blocks of msgSize bytes, with
+// payload pattern verification in real mode.
+func ValidateGather(spec Spec, msgSize int64, results []block.Message, checkPayload bool) error {
+	if len(results) != spec.P {
+		return fmt.Errorf("cluster: %d results for %d ranks", len(results), spec.P)
+	}
+	for r, msg := range results {
+		if _, err := block.Normalize(msg, spec.P, msgSize, checkPayload); err != nil {
+			return fmt.Errorf("cluster: rank %d result invalid: %w", r, err)
+		}
+	}
+	return nil
+}
+
+// ValidateGatherV is ValidateGather for variable block sizes.
+func ValidateGatherV(spec Spec, sizes []int64, results []block.Message, checkPayload bool) error {
+	if len(results) != spec.P {
+		return fmt.Errorf("cluster: %d results for %d ranks", len(results), spec.P)
+	}
+	for r, msg := range results {
+		if _, err := block.NormalizeV(msg, sizes, checkPayload); err != nil {
+			return fmt.Errorf("cluster: rank %d result invalid: %w", r, err)
+		}
+	}
+	return nil
+}

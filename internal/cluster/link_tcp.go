@@ -2,19 +2,17 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"syscall"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"encag/internal/block"
 	"encag/internal/fault"
-	"encag/internal/sched"
 	"encag/internal/seal"
 	"encag/internal/wire"
 )
@@ -106,12 +104,6 @@ const (
 	// attempt (2, 4, 8, 16 ms).
 	sendBackoffBase = 2 * time.Millisecond
 )
-
-// DefaultRecvTimeout bounds a single receive wait when Spec.RecvTimeout
-// is zero: a rank stuck waiting for a frame that will never arrive (lost
-// to a fault, or a peer that died) surfaces a structured recv error
-// instead of deadlocking until the run-level timeout.
-const DefaultRecvTimeout = 30 * time.Second
 
 // tcpLink is the sender-side state of one directed connection. The
 // owning rank's send scheduler goroutine is the only writer, but
@@ -209,28 +201,12 @@ func (g *seqGate) horizon() uint64 {
 	return g.next
 }
 
-// tcpJob is one frame awaiting its turn on a rank's send scheduler.
-// A pipelined send carries a per-message send plan instead of a
-// materialized message: the scheduler seals and writes one segment
-// sub-frame at a time — interleaving the message's per-chunk streams
-// with its inline chunks — overlapping crypto with transport.
-type tcpJob struct {
-	op  *tcpEngine
-	dst int
-	msg block.Message
-
-	plan *sendPlan // non-nil: stream the message's chunks
-	sid  uint32    // per-operation stream id
-}
-
-// tcpMesh is the persistent transport state of a TCP session: one
-// listener and accept loop per rank, a dedicated dialed connection per
-// ordered rank pair (hello handshake done once), per-pair sequence
-// gates, one send-scheduler goroutine per rank, a registry of in-flight
-// operations, and the session-lifetime wire sniffer. Collectives come
-// and go as per-operation tcpEngines, many of them concurrently; the
-// mesh outlives them all until the session closes or the transport
-// itself becomes unrecoverable (ErrMeshDown).
+// tcpMesh is the session's link over TCP: one listener and accept loop
+// per rank, a dedicated dialed connection (a tcpLink) per ordered rank
+// pair (hello handshake done once), per-pair sequence gates and the
+// session-lifetime wire sniffer. It outlives every collective until the
+// session closes or the transport itself becomes unrecoverable
+// (ErrMeshDown).
 type tcpMesh struct {
 	spec      Spec
 	lm        *liveMetrics
@@ -238,17 +214,11 @@ type tcpMesh struct {
 	addrs     []string     // listener address per rank, for reconnects
 	listeners []net.Listener
 	gates     [][]*seqGate // [dst][src]
-	sniffer   *WireSniffer
-	// reg maps live op-ids to their engines: connection readers demux
-	// each admitted frame to the engine registered under the frame's
+	sniff     *WireSniffer
+	// reg maps live op-ids to their runtimes: connection readers demux
+	// each admitted frame to the runtime registered under the frame's
 	// op-id and drop frames of retired operations (stragglers).
-	reg *opRegistry[*tcpEngine]
-	// sendQ[src] is rank src's fair send queue: one stream per in-flight
-	// operation, drained by a single scheduler goroutine per rank so
-	// frames of concurrent operations interleave fairly on the shared
-	// links while each link keeps exactly one writer.
-	sendQ     []*sched.FairQueue[tcpJob]
-	sendersWG sync.WaitGroup
+	reg       *opRegistry
 	readersWG sync.WaitGroup
 	downOnce  sync.Once
 	// scratch recycles buffers for segment payloads that must be read
@@ -293,10 +263,9 @@ func (m *tcpMesh) readerStalled() error {
 	return nil
 }
 
-// newTCPMesh listens, starts the accept loops, dials the full O(p^2)
-// connection mesh and starts the per-rank send schedulers — the setup
-// cost a session pays exactly once.
-func newTCPMesh(spec Spec, lm *liveMetrics) (*tcpMesh, error) {
+// newTCPMesh listens, starts the accept loops and dials the full O(p^2)
+// connection mesh — the setup cost a session pays exactly once.
+func newTCPMesh(spec Spec, lm *liveMetrics, reg *opRegistry) (*tcpMesh, error) {
 	m := &tcpMesh{
 		spec:      spec,
 		lm:        lm,
@@ -304,9 +273,8 @@ func newTCPMesh(spec Spec, lm *liveMetrics) (*tcpMesh, error) {
 		addrs:     make([]string, spec.P),
 		listeners: make([]net.Listener, spec.P),
 		gates:     make([][]*seqGate, spec.P),
-		sniffer:   &WireSniffer{},
-		reg:       newOpRegistry[*tcpEngine](),
-		sendQ:     make([]*sched.FairQueue[tcpJob], spec.P),
+		sniff:     &WireSniffer{},
+		reg:       reg,
 		tracked:   make(map[*readTracker]struct{}),
 		scratch:   newBufRing(4),
 	}
@@ -363,11 +331,6 @@ func newTCPMesh(spec Spec, lm *liveMetrics) (*tcpMesh, error) {
 			m.links[s][d].conn = conn
 		}
 	}
-	for r := 0; r < spec.P; r++ {
-		m.sendQ[r] = sched.NewFairQueue[tcpJob]()
-		m.sendersWG.Add(1)
-		go m.sendLoop(r)
-	}
 	return m, nil
 }
 
@@ -388,7 +351,7 @@ func (m *tcpMesh) connect(src, dst int, lnk *tcpLink) (net.Conn, error) {
 	}
 	c := net.Conn(conn)
 	if !m.spec.SameNode(src, dst) {
-		c = &sniffConn{Conn: c, sniffer: m.sniffer}
+		c = &sniffConn{Conn: c, sniffer: m.sniff}
 	}
 	return fault.WrapSendProvider(lnk.injProv, src, dst, c), nil
 }
@@ -425,8 +388,8 @@ func (m *tcpMesh) fail(cause error) {
 	err := m.err
 	m.errMu.Unlock()
 	m.teardown()
-	m.reg.each(func(e *tcpEngine) {
-		e.failAsync(&RankError{Rank: -1, Peer: -1, Op: "mesh", Err: err})
+	m.reg.each(func(o *opRuntime) {
+		o.failAsync(&RankError{Rank: -1, Peer: -1, Op: "mesh", Err: err})
 	})
 }
 
@@ -436,14 +399,6 @@ func (m *tcpMesh) brokenErr() error {
 	m.errMu.Lock()
 	defer m.errMu.Unlock()
 	return m.err
-}
-
-// abortLive aborts every registered operation with the given cause
-// (session close path).
-func (m *tcpMesh) abortLive(cause error) {
-	m.reg.each(func(e *tcpEngine) {
-		e.failAsync(&RankError{Rank: -1, Peer: -1, Op: "closed", Err: cause})
-	})
 }
 
 // gateDesync detects the one wire-corruption mode the mesh cannot
@@ -469,80 +424,70 @@ func (m *tcpMesh) gateDesync() error {
 	return nil
 }
 
-// close tears the mesh down and waits for every reader and send
-// scheduler goroutine.
-func (m *tcpMesh) close() {
-	m.teardown()
-	for _, q := range m.sendQ {
-		if q != nil {
-			q.Close()
-		}
+// desynced runs the two checks for damage no operation error reports —
+// a sequence gate inflated past its sender, a reader starved mid-frame
+// — and fails the mesh on the first hit.
+func (m *tcpMesh) desynced() error {
+	err := m.gateDesync()
+	if err == nil {
+		err = m.readerStalled()
 	}
-	m.readersWG.Wait()
-	m.sendersWG.Wait()
+	if err != nil {
+		m.fail(err)
+	}
+	return err
 }
 
-// sendLoop is rank src's send scheduler: the single writer for all of
-// src's links. It drains the rank's fair queue — round-robin across the
-// streams of concurrent operations, FIFO within each — assigns the
+func (m *tcpMesh) sniffer() *WireSniffer { return m.sniff }
+
+// close tears the mesh down and waits for every reader goroutine.
+func (m *tcpMesh) close() {
+	m.teardown()
+	m.readersWG.Wait()
+}
+
+// send is the single writer for all of src's links: it assigns the
 // link's next sequence number, arms the operation's fault injector on
 // the link, and writes the frame with reconnect-and-resend recovery.
 // Injected faults that exhaust the retries fail only the owning
 // operation; organic transport death fails the mesh.
-func (m *tcpMesh) sendLoop(src int) {
-	defer m.sendersWG.Done()
-	for {
-		job, ok := m.sendQ[src].Pop()
-		if !ok {
-			return
-		}
-		e := job.op
-		if e.isAborted() {
-			continue // the op is unwinding: its queued frames are moot
-		}
-		lnk := m.links[src][job.dst]
-		lnk.inj.Store(e.inj)
-		if job.plan != nil {
-			m.sendStream(e, src, lnk, job)
-			continue
-		}
-		seq := lnk.nextSeq()
-		var start float64
-		if e.wt.active() {
-			start = e.wt.now()
-		}
-		err := m.sendFrame(e, src, job.dst, lnk, seq, job.msg)
-		if err != nil {
-			if !m.noteSendErr(e, src, job.dst, err) {
-				continue
-			}
-		}
-		m.lm.countSent(src, job.dst, job.msg.WireLen())
-		if e.wt.active() {
-			e.wt.emit(src, TraceSend, start, job.msg.WireLen(), job.dst)
-		}
+func (m *tcpMesh) send(src int, job sendJob) {
+	o := job.op
+	lnk := m.links[src][job.dst]
+	lnk.inj.Store(o.inj)
+	if job.plan != nil {
+		m.sendStream(o, src, lnk, job)
+		return
+	}
+	seq := lnk.nextSeq()
+	var start float64
+	if o.wt.active() {
+		start = o.wt.now()
+	}
+	if err := m.sendFrame(o, src, job.dst, lnk, seq, job.msg); err != nil {
+		m.noteSendErr(o, src, job.dst, err)
+		return
+	}
+	m.lm.countSent(src, job.dst, job.msg.WireLen())
+	if o.wt.active() {
+		o.wt.emit(src, TraceSend, start, job.msg.WireLen(), job.dst)
 	}
 }
 
 // noteSendErr classifies a failed send, failing the op (fault plans) or
-// the mesh (organic transport death); it reports true when the send in
-// fact succeeded (err nil).
-func (m *tcpMesh) noteSendErr(e *tcpEngine, src, dst int, err error) bool {
-	if err == nil {
-		return true
-	}
-	if e.isAborted() {
-		return false // gave up because the op unwound mid-retry
+// the mesh (organic transport death).
+func (m *tcpMesh) noteSendErr(o *opRuntime, src, dst int, err error) {
+	if o.isAborted() {
+		return // gave up because the op unwound mid-retry
 	}
 	var fe *fault.Error
 	if errors.As(err, &fe) {
 		// The op's own fault plan exhausted the retries: fail the
 		// op, leave the mesh (and its other operations) alone.
-		e.failAsync(&RankError{Rank: src, Peer: dst, Op: "send", Err: err})
-		return false
+		o.failAsync(&RankError{Rank: src, Peer: dst, Op: "send", Err: err})
+		return
 	}
 	m.fail(fmt.Errorf("rank %d send to %d: %w", src, dst, err))
-	return false
 }
 
 // sendStream writes one pipelined message as a run of segment
@@ -555,7 +500,7 @@ func (m *tcpMesh) noteSendErr(e *tcpEngine, src, dst int, err error) bool {
 // count; each chunk's first sub-frame carries that chunk's metadata.
 // Every sub-frame takes its own link sequence number and rides the same
 // reconnect-and-resend recovery as whole-message frames.
-func (m *tcpMesh) sendStream(e *tcpEngine, src int, lnk *tcpLink, job tcpJob) {
+func (m *tcpMesh) sendStream(o *opRuntime, src int, lnk *tcpLink, job sendJob) {
 	m.lm.pipeMsgs.Inc()
 	total := uint32(len(job.plan.chunks))
 	first := true
@@ -566,21 +511,21 @@ func (m *tcpMesh) sendStream(e *tcpEngine, src int, lnk *tcpLink, job tcpJob) {
 		}
 		seq := lnk.nextSeq()
 		var start float64
-		if e.wt.active() {
-			start = e.wt.now()
+		if o.wt.active() {
+			start = o.wt.now()
 		}
-		if err := m.sendSegFrame(e, src, job.dst, lnk, seq, sf); err != nil {
-			m.noteSendErr(e, src, job.dst, err)
+		if err := m.sendSegFrame(o, src, job.dst, lnk, seq, sf); err != nil {
+			m.noteSendErr(o, src, job.dst, err)
 			return err
 		}
 		m.lm.countSent(src, job.dst, int64(len(sf.Payload)))
-		if e.wt.active() {
-			e.wt.emit(src, TraceSend, start, int64(len(sf.Payload)), job.dst)
+		if o.wt.active() {
+			o.wt.emit(src, TraceSend, start, int64(len(sf.Payload)), job.dst)
 		}
 		return nil
 	}
 	for ci, cs := range job.plan.chunks {
-		if e.isAborted() {
+		if o.isAborted() {
 			return
 		}
 		if cs.stream == nil {
@@ -588,7 +533,7 @@ func (m *tcpMesh) sendStream(e *tcpEngine, src int, lnk *tcpLink, job tcpJob) {
 			// whole inside the message's envelope sequence.
 			c := cs.chunk
 			sf := wire.SegFrame{
-				Stream: job.sid, Chunk: uint32(ci), Index: 0, Count: 1,
+				Stream: job.plan.sid, Chunk: uint32(ci), Index: 0, Count: 1,
 				Inline: true, Enc: c.Enc,
 				Meta:    &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks},
 				Payload: c.Payload,
@@ -603,15 +548,15 @@ func (m *tcpMesh) sendStream(e *tcpEngine, src int, lnk *tcpLink, job tcpJob) {
 		k := st.K()
 		m.lm.pipeStreams.Inc()
 		for i := 0; i < k; i++ {
-			if e.isAborted() {
+			if o.isAborted() {
 				return
 			}
 			seg, err := st.Segment(i)
 			if err != nil {
-				e.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
+				o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
 				return
 			}
-			sf := wire.SegFrame{Stream: job.sid, Chunk: uint32(ci), Index: uint32(i), Count: uint32(k), Payload: seg}
+			sf := wire.SegFrame{Stream: job.plan.sid, Chunk: uint32(ci), Index: uint32(i), Count: uint32(k), Payload: seg}
 			if i == 0 {
 				// The chunk's first sub-frame carries everything the
 				// receiver needs to set its per-chunk stream up: chunk
@@ -636,24 +581,24 @@ func (m *tcpMesh) sendStream(e *tcpEngine, src int, lnk *tcpLink, job tcpJob) {
 // and AES-GCM binds every ciphertext to its block header and op-id, so
 // replays, splices and cross-operation deliveries fail closed rather
 // than deliver wrong bytes.
-func (m *tcpMesh) sendFrame(e *tcpEngine, src, dst int, lnk *tcpLink, seq uint64, msg block.Message) error {
-	return m.sendWithRetry(e, src, dst, lnk, func(conn net.Conn) error {
-		return lnk.fw.WriteMsg(conn, src, e.id, seq, msg)
+func (m *tcpMesh) sendFrame(o *opRuntime, src, dst int, lnk *tcpLink, seq uint64, msg block.Message) error {
+	return m.sendWithRetry(o, src, dst, lnk, func(conn net.Conn) error {
+		return lnk.fw.WriteMsg(conn, src, o.id, seq, msg)
 	})
 }
 
 // sendSegFrame is sendFrame for one segment sub-frame of a pipelined
 // stream; the same dedup/resend argument applies, with the sub-frame's
 // own sequence number standing in for the frame's.
-func (m *tcpMesh) sendSegFrame(e *tcpEngine, src, dst int, lnk *tcpLink, seq uint64, sf wire.SegFrame) error {
-	return m.sendWithRetry(e, src, dst, lnk, func(conn net.Conn) error {
-		return lnk.fw.WriteSeg(conn, src, e.id, seq, sf)
+func (m *tcpMesh) sendSegFrame(o *opRuntime, src, dst int, lnk *tcpLink, seq uint64, sf wire.SegFrame) error {
+	return m.sendWithRetry(o, src, dst, lnk, func(conn net.Conn) error {
+		return lnk.fw.WriteSeg(conn, src, o.id, seq, sf)
 	})
 }
 
 // sendWithRetry runs one frame write under the reconnect-and-resend
 // recovery loop shared by whole-message frames and segment sub-frames.
-func (m *tcpMesh) sendWithRetry(e *tcpEngine, src, dst int, lnk *tcpLink, write func(net.Conn) error) error {
+func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, write func(net.Conn) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= sendRetries; attempt++ {
 		if attempt > 0 {
@@ -661,7 +606,7 @@ func (m *tcpMesh) sendWithRetry(e *tcpEngine, src, dst int, lnk *tcpLink, write 
 			backoff := time.NewTimer(sendBackoffBase << (attempt - 1))
 			select {
 			case <-backoff.C:
-			case <-e.aborted:
+			case <-o.aborted:
 				backoff.Stop()
 				return lastErr
 			}
@@ -815,16 +760,16 @@ func (m *tcpMesh) serveConn(dst int, conn net.Conn) {
 			m.lm.dedupDrops.Inc()
 			continue // duplicate of a frame resent over a newer conn
 		}
-		e, ok := m.reg.get(fr.Op)
+		o, ok := m.reg.get(fr.Op)
 		if !ok {
 			m.lm.stragglers.Inc()
 			continue // straggler from a retired operation: dropped
 		}
-		if d := e.inj.ReadDelay(src, dst); d > 0 {
-			e.inj.Sleep(d)
+		if d := o.inj.ReadDelay(src, dst); d > 0 {
+			o.inj.Sleep(d)
 		}
 		m.lm.countRecv(src, dst, fr.Msg.WireLen())
-		e.inboxes[dst].push(envelope{src: src, seq: e.nextEnvSeq(src, dst), msg: fr.Msg})
+		o.deliver(src, dst, fr.Msg)
 	}
 }
 
@@ -854,17 +799,17 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 		m.lm.dedupDrops.Inc()
 		return discard()
 	}
-	e, ok := m.reg.get(fr.Op)
+	o, ok := m.reg.get(fr.Op)
 	if !ok {
 		m.lm.stragglers.Inc()
 		return discard()
 	}
 	violate := func(err error) error {
-		e.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err})
+		o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err})
 		return discard()
 	}
 	key := streamKey{src: src, dst: dst, id: sf.Stream}
-	mr := e.streams.get(key)
+	mr := o.streams.get(key)
 	if mr == nil {
 		if sf.MsgChunks == 0 {
 			// The message's state is gone — it failed earlier, or its
@@ -873,7 +818,8 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 			m.lm.stragglers.Inc()
 			return discard()
 		}
-		mr = e.newMsgRecv(src, dst, key, int(sf.MsgChunks))
+		mr = o.newMsgRecv(src, dst, int(sf.MsgChunks), func() { o.streams.drop(key) })
+		o.streams.put(key, mr)
 	}
 	if sf.Inline {
 		if sf.Meta == nil {
@@ -884,24 +830,24 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 			return err
 		}
 		tc.frameDone()
-		if d := e.inj.ReadDelay(src, dst); d > 0 {
-			e.inj.Sleep(d)
+		if d := o.inj.ReadDelay(src, dst); d > 0 {
+			o.inj.Sleep(d)
 		}
 		m.lm.countRecv(src, dst, int64(sf.PayloadLen))
 		if c.Enc {
 			if err := seal.CheckSegmented(c.Payload); err != nil {
-				e.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
+				o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
 					Err: fmt.Errorf("inline chunk %d of stream %d malformed: %w", sf.Chunk, sf.Stream, err)})
 				return nil
 			}
 		} else if int64(len(c.Payload)) != c.PlainLen() {
-			e.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
+			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
 				Err: fmt.Errorf("inline chunk %d of stream %d: payload %d bytes, header says %d",
 					sf.Chunk, sf.Stream, len(c.Payload), c.PlainLen())})
 			return nil
 		}
 		if !mr.setChunk(sf.Chunk, c) {
-			e.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
+			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
 				Err: fmt.Errorf("inline chunk %d of stream %d duplicated or out of range", sf.Chunk, sf.Stream)})
 		}
 		return nil
@@ -915,7 +861,7 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 			return discard()
 		}
 		var err error
-		if sr, err = e.newChunkStream(mr, sf); err != nil {
+		if sr, err = newChunkStream(o, mr, sf); err != nil {
 			return violate(err)
 		}
 	}
@@ -929,8 +875,8 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 		return err
 	}
 	tc.frameDone()
-	if d := e.inj.ReadDelay(src, dst); d > 0 {
-		e.inj.Sleep(d)
+	if d := o.inj.ReadDelay(src, dst); d > 0 {
+		o.inj.Sleep(d)
 	}
 	m.lm.countRecv(src, dst, int64(sf.PayloadLen))
 	m.lm.pipeSegmentsRecv.Inc()
@@ -938,387 +884,23 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 	return nil
 }
 
-// tcpEngine is the per-operation execution state layered over a
-// persistent tcpMesh: fresh unbounded inboxes, pending buffers, shared
-// memory, barriers, audit, fault injector and failure state for one
-// collective, keyed by the operation id carried in every frame. Many
-// tcpEngines run concurrently over one mesh; aborting one leaves the
-// mesh and its sibling operations untouched.
-type tcpEngine struct {
-	spec      Spec
-	slr       *seal.Sealer
-	mesh      *tcpMesh
-	id        uint32
-	inj       *fault.Injector
-	pipe      *pipeCfg // nil: pipelining off for this session
-	inboxes   []*opInbox
-	pend      [][]map[uint64]block.Message // [rank][src] out-of-order arrivals by delivery seq
-	next      [][]uint64                   // [rank][src] next delivery seq expected
-	shm       []*realShm
-	bars      []*realBarrier
-	audit     *SecurityAudit
-	recvTO    time.Duration
-	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
-	fails     failState
-	aborted   chan struct{}
-	abortOnce sync.Once
-
-	// streams tracks this operation's in-flight pipelined messages;
-	// streamSeq allocates sender-side stream ids; openWin is the op-wide
-	// budget of concurrently-opening segments shared by all of the op's
-	// per-chunk receive streams; arrSeq[src*P+dst] numbers deliveries
-	// per directed pair so that a pipelined message — which completes
-	// asynchronously, once every chunk has assembled — keeps its place
-	// in the pair's arrival order.
-	streams   *streamTable
-	streamSeq atomic.Uint32
-	openWin   *openWindow
-	arrSeq    []atomic.Uint64
-}
-
-// nextEnvSeq reserves the next delivery-order number of the src->dst
-// pair within this operation.
-func (e *tcpEngine) nextEnvSeq(src, dst int) uint64 {
-	return e.arrSeq[src*e.spec.P+dst].Add(1) - 1
-}
-
-// newOp builds the engine for one collective and registers it as a live
-// operation, making its op-id routable by the demux.
-func (m *tcpMesh) newOp(id uint32, slr *seal.Sealer, recvTO time.Duration, tracer Tracer, inj *fault.Injector, pipe *pipeCfg) *tcpEngine {
-	e := &tcpEngine{
-		spec:    m.spec,
-		slr:     slr,
-		mesh:    m,
-		id:      id,
-		inj:     inj,
-		pipe:    pipe,
-		inboxes: make([]*opInbox, m.spec.P),
-		pend:    make([][]map[uint64]block.Message, m.spec.P),
-		next:    make([][]uint64, m.spec.P),
-		shm:     make([]*realShm, m.spec.N),
-		bars:    make([]*realBarrier, m.spec.N),
-		audit:   &SecurityAudit{},
-		recvTO:  recvTO,
-		wt:      wallTrace{tracer: tracer, op: id},
-		aborted: make(chan struct{}),
-		streams: newStreamTable(),
-		arrSeq:  make([]atomic.Uint64, m.spec.P*m.spec.P),
-	}
-	window := DefaultSegmentWindow
-	if pipe != nil {
-		window = pipe.window
-	}
-	e.openWin = newOpenWindow(window)
-	for r := 0; r < m.spec.P; r++ {
-		e.inboxes[r] = newOpInbox()
-		e.pend[r] = make([]map[uint64]block.Message, m.spec.P)
-		e.next[r] = make([]uint64, m.spec.P)
-	}
-	for n := 0; n < m.spec.N; n++ {
-		e.shm[n] = &realShm{m: make(map[string]block.Message)}
-		e.bars[n] = newRealBarrier(m.spec.Ell())
-	}
-	m.reg.register(id, e)
-	return e
-}
-
-// newMsgRecv sets up the receive side of an incoming pipelined message
-// from its first sub-frame's message metadata: the chunk assembly
-// slots, the delivery-order slot the finished message will occupy, and
-// the completion/failure hooks. The message delivers into the
-// operation's inbox only when every chunk has assembled; one bad chunk
-// fails the operation closed and the mesh lives on.
-func (e *tcpEngine) newMsgRecv(src, dst int, key streamKey, total int) *msgRecv {
-	// Reserve the delivery slot now: later whole-message frames from the
-	// same sender take later numbers, so the asynchronously completing
-	// message cannot be overtaken in the receiver's arrival order.
-	seq := e.nextEnvSeq(src, dst)
-	mr := newMsgRecv(total,
-		func(msg block.Message) {
-			e.streams.drop(key)
-			e.inboxes[dst].push(envelope{src: src, seq: seq, msg: msg})
-		},
-		func(err error) {
-			e.streams.drop(key)
-			e.failAsync(&RankError{Rank: dst, Peer: src, Op: "open", Err: err})
-		})
-	e.streams.put(key, mr)
-	return mr
-}
-
-// newChunkStream sets up one per-chunk receive stream of a pipelined
-// message from the chunk's first sub-frame metadata: the open stream
-// (blob and plaintext allocated once), drawing on the operation's
-// shared open window, delivering the assembled chunk into its message
-// slot. An authentication failure on any segment fails the whole
-// message — and so the operation — exactly once.
-func (e *tcpEngine) newChunkStream(mr *msgRecv, sf wire.SegFrame) (*streamRecv, error) {
+// newChunkStream sets up the per-chunk receive stream a chunk's first
+// sub-frame announces, checking the sub-frame against the seal header
+// it carries and registering the stream under its chunk index.
+func newChunkStream(o *opRuntime, mr *msgRecv, sf wire.SegFrame) (*streamRecv, error) {
 	if len(sf.Meta.Header) == 0 {
 		return nil, fmt.Errorf("stream %d chunk %d metadata carries no seal header", sf.Stream, sf.Chunk)
 	}
-	os, err := e.slr.NewOpenStream(sf.Meta.Header, e.aad(block.EncodeHeader(sf.Meta.Blocks)))
+	sr, err := o.newChunkStream(mr, sf.Chunk, sf.Meta.Header, sf.Meta.Blocks, sf.Meta.Tag)
 	if err != nil {
 		return nil, err
 	}
-	if os.K() != int(sf.Count) {
+	if sr.os.K() != int(sf.Count) {
 		return nil, fmt.Errorf("stream %d chunk %d header declares %d segments, sub-frame says %d",
-			sf.Stream, sf.Chunk, os.K(), sf.Count)
+			sf.Stream, sf.Chunk, sr.os.K(), sf.Count)
 	}
-	ci := sf.Chunk
-	sr := newStreamRecv(os, sf.Meta.Blocks, sf.Meta.Tag, e.openWin, e.mesh.lm,
-		func(c block.Chunk) { mr.setChunk(ci, c) },
-		func(err error) { mr.failOnce(err) })
-	if !mr.addStream(ci, sr) {
+	if !mr.addStream(sf.Chunk, sr) {
 		return nil, fmt.Errorf("stream %d chunk %d duplicated or out of range", sf.Stream, sf.Chunk)
 	}
 	return sr, nil
-}
-
-// abort unwinds this operation only: ranks blocked in receives,
-// barriers and send backoffs observe it and drain. The mesh — and any
-// sibling operation in flight on it — is untouched; frames of this op
-// still in the queues or on the wire are dropped by the send scheduler
-// and the demux.
-func (e *tcpEngine) abort() {
-	e.abortOnce.Do(func() {
-		close(e.aborted)
-		for _, b := range e.bars {
-			b.abort()
-		}
-	})
-}
-
-func (e *tcpEngine) isAborted() bool {
-	select {
-	case <-e.aborted:
-		return true
-	default:
-		return false
-	}
-}
-
-// fail records the run's first root-cause error, unblocks every other
-// rank of this operation, and unwinds this one. Called on rank
-// goroutines only (it panics); the send scheduler uses failAsync.
-func (e *tcpEngine) fail(re *RankError) {
-	e.fails.record(re)
-	e.abort()
-	panic(re)
-}
-
-// failAsync is fail for non-rank goroutines (send scheduler, mesh):
-// record the root cause and abort, without a panic.
-func (e *tcpEngine) failAsync(re *RankError) {
-	e.fails.record(re)
-	e.abort()
-}
-
-type tcpSendReq struct{}
-
-func (tcpSendReq) isRequest() {}
-
-// isend enqueues the frame on the rank's send scheduler and returns
-// immediately — sends of concurrent operations interleave fairly on the
-// shared links, and a blocked link never stalls the rank goroutine. A
-// message with at least one sealed chunk that qualifies for pipelining
-// (enough segments) is enqueued as a per-message stream plan; anything
-// else is materialized and travels as a whole-message frame.
-func (e *tcpEngine) isend(p *Proc, dst int, msg block.Message) Request {
-	e.audit.record(e.spec, p.rank, dst, msg)
-	if e.isAborted() {
-		panic(errRunAborted)
-	}
-	if plan := e.pipe.streamsForSend(msg); plan != nil {
-		e.mesh.sendQ[p.rank].Push(e.id, tcpJob{op: e, dst: dst, plan: plan, sid: e.streamSeq.Add(1)})
-		return tcpSendReq{}
-	}
-	msg, err := materializeMessage(msg)
-	if err != nil {
-		e.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
-	}
-	e.mesh.sendQ[p.rank].Push(e.id, tcpJob{op: e, dst: dst, msg: msg})
-	return tcpSendReq{}
-}
-
-func (e *tcpEngine) irecv(p *Proc, src int) Request {
-	return realRecvReq{src: src}
-}
-
-func (e *tcpEngine) wait(p *Proc, reqs []Request) []block.Message {
-	out := make([]block.Message, len(reqs))
-	for i, r := range reqs {
-		rr, ok := r.(realRecvReq)
-		if !ok {
-			continue
-		}
-		var start float64
-		if e.wt.active() {
-			start = e.wt.now()
-		}
-		out[i] = e.recvFrom(p.rank, rr.src)
-		if e.wt.active() {
-			e.wt.emit(p.rank, TraceRecv, start, out[i].WireLen(), rr.src)
-		}
-	}
-	return out
-}
-
-// recvFrom returns the next message from src to rank, buffering messages
-// from other sources (or later deliveries from src) that arrive in
-// between. Deliveries of each directed pair are consumed strictly in
-// their reserved order: a pipelined stream completes asynchronously,
-// so a later whole-message frame can land in the inbox first — it is
-// stashed until the stream's slot is filled. The wait is bounded: a
-// frame that never arrives (lost to a fault, peer death) surfaces as a
-// structured recv error after the configured deadline instead of
-// deadlocking.
-func (e *tcpEngine) recvFrom(rank, src int) block.Message {
-	pend := e.pend[rank]
-	next := e.next[rank]
-	box := e.inboxes[rank]
-	deadline := time.NewTimer(e.recvTO)
-	defer deadline.Stop()
-	for {
-		if msg, ok := pend[src][next[src]]; ok {
-			delete(pend[src], next[src])
-			next[src]++
-			return msg
-		}
-		if env, ok := box.pop(); ok {
-			if env.src == src && env.seq == next[src] {
-				next[src]++
-				return env.msg
-			}
-			if pend[env.src] == nil {
-				pend[env.src] = make(map[uint64]block.Message)
-			}
-			pend[env.src][env.seq] = env.msg
-			continue
-		}
-		select {
-		case <-box.sig:
-		case <-e.aborted:
-			panic(errRunAborted)
-		case <-deadline.C:
-			e.mesh.lm.recvTimeouts.Inc()
-			e.fail(&RankError{Rank: rank, Peer: src, Op: "recv",
-				Err: fmt.Errorf("no frame within %v", e.recvTO)})
-		}
-	}
-}
-
-func (e *tcpEngine) span(p *Proc, kind TraceKind, n int64) func() {
-	return e.wt.span(p.rank, kind, n)
-}
-
-func (e *tcpEngine) shmPut(p *Proc, key string, msg block.Message) {
-	msg, err := materializeMessage(msg)
-	if err != nil {
-		e.fail(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-	}
-	s := e.shm[p.Node()]
-	s.mu.Lock()
-	s.m[key] = msg
-	s.mu.Unlock()
-}
-
-func (e *tcpEngine) shmGet(p *Proc, key string) (block.Message, bool) {
-	s := e.shm[p.Node()]
-	s.mu.RLock()
-	msg, ok := s.m[key]
-	s.mu.RUnlock()
-	return msg, ok
-}
-
-func (e *tcpEngine) nodeBarrier(p *Proc) {
-	if !e.wt.active() {
-		e.bars[p.Node()].await()
-		return
-	}
-	start := e.wt.now()
-	e.bars[p.Node()].await()
-	e.wt.emit(p.rank, TraceBarrier, start, 0, -1)
-}
-
-func (e *tcpEngine) sealer() *seal.Sealer { return e.slr }
-
-func (e *tcpEngine) pipeline() *pipeCfg { return e.pipe }
-
-// aad binds this operation's id into the AEAD associated data, so a
-// frame whose op-id was corrupted on the wire into another live
-// operation's id fails authentication there instead of being accepted —
-// misrouting fails closed even though all operations share the session
-// key.
-func (e *tcpEngine) aad(h []byte) []byte { return appendOpID(h, e.id) }
-
-// TCPResult extends the real-engine result with the wire capture.
-type TCPResult struct {
-	RealResult
-	Sniffer *WireSniffer
-}
-
-// RunTCP executes the algorithm over real loopback TCP sockets: every
-// rank is a goroutine with its own listener, every ordered rank pair has
-// a dedicated connection, and messages travel through the wire codec.
-// Inter-node connections are tapped by a WireSniffer so tests can verify
-// — at the byte level an eavesdropper sees — that only ciphertext leaves
-// a node.
-//
-// Deprecated: RunTCP opens and closes a one-shot Session per call,
-// re-paying the full mesh setup each time. Use OpenSession with
-// EngineTCP and Session.Collective to amortize it across collectives.
-func RunTCP(spec Spec, msgSize int64, algo Algorithm) (*TCPResult, error) {
-	return runTCP(spec, msgSize, algo, nil, nil)
-}
-
-// RunTCPTraced is RunTCP with a wall-clock activity tracer: every send,
-// receive-wait, encryption, decryption, copy and barrier interval of
-// every rank is reported in seconds since the collective started (see
-// RunRealTraced). The tracer must be goroutine-safe.
-//
-// Deprecated: use OpenSession with EngineTCP and a SessionConfig.Tracer
-// (or a per-Op tracer) instead.
-func RunTCPTraced(spec Spec, msgSize int64, algo Algorithm, tracer Tracer) (*TCPResult, error) {
-	return runTCP(spec, msgSize, algo, tracer, nil)
-}
-
-// RunTCPFaulty is RunTCP under a fault-injection plan: connection drops,
-// stalls, partial writes and frame corruption are applied per the plan's
-// per-rank-pair schedule. Transient faults (drops, stalls, partial
-// writes) are absorbed by reconnect-and-resend; non-recoverable ones
-// (corruption the authenticated encryption rejects, permanently lost
-// frames) surface as a single *RankError naming the first faulting
-// rank, peer and operation — never a panic, deadlock or goroutine leak.
-// A completed run is additionally verified end to end: corruption that
-// lands on unauthenticated bytes (plaintext intra-node frames, header
-// fields that still parse) is caught by gather validation and reported
-// as a structured error rather than silently delivered.
-//
-// Deprecated: use OpenSession with EngineTCP and a per-Op fault Plan
-// (validate with ValidateGather as needed).
-func RunTCPFaulty(spec Spec, msgSize int64, algo Algorithm, plan *fault.Plan) (*TCPResult, error) {
-	res, err := runTCP(spec, msgSize, algo, nil, plan)
-	if err != nil {
-		return nil, err
-	}
-	if verr := ValidateGather(spec, msgSize, res.Results, true); verr != nil {
-		return nil, &RankError{Rank: -1, Peer: -1, Op: "validate",
-			Err: fmt.Errorf("fault corrupted the gathered result: %w", verr)}
-	}
-	return res, nil
-}
-
-// runTCP is the legacy one-shot path: open a TCP session, run a single
-// collective, close the session.
-func runTCP(spec Spec, msgSize int64, algo Algorithm, tracer Tracer, plan *fault.Plan) (*TCPResult, error) {
-	s, err := OpenSession(spec, SessionConfig{Engine: EngineTCP})
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: msgSize, Tracer: tracer, Plan: plan})
-	if err != nil {
-		return nil, err
-	}
-	return &TCPResult{RealResult: *res, Sniffer: s.Sniffer()}, nil
 }

@@ -288,7 +288,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.Rekeys = lm.rekeys.Value()
 	snap.Poisonings = lm.poisonings.Value()
 	snap.OpLatency = lm.opLatency.Snapshot()
-	snap.QueueDepth = int(s.queueDepth())
+	snap.QueueDepth = int(s.tr.queueDepth())
 	slr := s.Sealer()
 	sealed, opened := slr.Counts()
 	s.mu.Lock()
@@ -321,26 +321,10 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
 	snap.PipelineWindow = int(lm.pipeWindow.Value())
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
-	if s.mesh != nil {
-		snap.WireBytes = s.mesh.sniffer.Total()
+	if sn := s.tr.sniffer(); sn != nil {
+		snap.WireBytes = sn.Total()
 	}
 	return snap
-}
-
-// queueDepth sums the send schedulers' queued frames across ranks.
-func (s *Session) queueDepth() int64 {
-	var total int64
-	switch {
-	case s.mesh != nil:
-		for _, q := range s.mesh.sendQ {
-			total += int64(q.Len())
-		}
-	case s.cmesh != nil:
-		for _, q := range s.cmesh.sendQ {
-			total += int64(q.Len())
-		}
-	}
-	return total
 }
 
 // registerRuntimeMetrics wires the callback-backed families that read
@@ -352,7 +336,7 @@ func (s *Session) registerRuntimeMetrics() {
 	reg.GaugeFunc(MetricInflight, "Collectives currently in flight on the session.",
 		func() int64 { return int64(s.InFlight()) })
 	reg.GaugeFunc(MetricQueueDepth, "Frames queued on the per-rank send schedulers.",
-		func() int64 { return s.queueDepth() })
+		s.tr.queueDepth)
 	reg.CounterFunc(MetricSegmentsSealed, "AES-GCM segments sealed over the session lifetime.",
 		func() int64 {
 			slr := s.Sealer()
@@ -377,8 +361,8 @@ func (s *Session) registerRuntimeMetrics() {
 		func() int64 { return int64(s.Sealer().Pool().Stats().Busy) })
 	reg.CounterFunc(MetricPoolSaturated, "Segmented operations that degraded to serial on a saturated pool.",
 		func() int64 { return s.Sealer().Pool().Stats().Saturated })
-	if s.mesh != nil {
+	if sn := s.tr.sniffer(); sn != nil {
 		reg.CounterFunc(MetricWireBytes, "Cumulative inter-node bytes observed on the wire.",
-			s.mesh.sniffer.Total)
+			sn.Total)
 	}
 }

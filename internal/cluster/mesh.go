@@ -3,6 +3,9 @@ package cluster
 import (
 	"errors"
 	"sync"
+
+	"encag/internal/block"
+	"encag/internal/sched"
 )
 
 // ErrMeshDown marks transport-level failures that leave a session's
@@ -15,8 +18,116 @@ import (
 // poison it.
 var ErrMeshDown = errors.New("cluster: transport mesh is down")
 
+// sendJob is one message awaiting its turn on a rank's send scheduler.
+// A pipelined send carries a per-message send plan instead of a
+// materialized message: the link seals and ships one segment at a time
+// — interleaving the message's per-chunk streams with its inline chunks
+// — overlapping crypto with transport.
+type sendJob struct {
+	op  *opRuntime
+	dst int
+	msg block.Message
+
+	plan *sendPlan // non-nil: stream the message's chunks
+}
+
+// link is the engine-specific remainder of a session's transport: how
+// one queued message gets from its sending rank to the destination's
+// opRuntime, and whether the wire underneath is still sound.
+type link interface {
+	// send moves one queued message of a live operation from rank src to
+	// job.dst's runtime. Only src's send scheduler goroutine calls it.
+	send(src int, job sendJob)
+	// brokenErr returns the ErrMeshDown-wrapped cause once the link has
+	// become unrecoverable, nil while it is healthy.
+	brokenErr() error
+	// desynced looks for wire-level damage a failed operation can leave
+	// behind without any error reaching it. Finding some, it declares
+	// the link down and returns the cause.
+	desynced() error
+	// sniffer returns the inter-node wire capture; nil without a wire.
+	sniffer() *WireSniffer
+	// close releases the wire and waits for the link's own goroutines.
+	close()
+}
+
+// transport is the persistent state of a chan or tcp session: one fair
+// send queue — one stream per in-flight operation — and one send
+// scheduler goroutine per rank, the registry of in-flight operations,
+// and the link the schedulers drain into. Collectives come and go as
+// per-operation opRuntimes, many of them concurrently; the transport
+// outlives them all until the session closes.
+type transport struct {
+	link
+	spec    Spec
+	lm      *liveMetrics
+	reg     *opRegistry
+	sendQ   []*sched.FairQueue[sendJob]
+	senders sync.WaitGroup
+}
+
+// newTransport starts the per-rank send schedulers over lnk, which must
+// route by the same registry.
+func newTransport(spec Spec, lm *liveMetrics, reg *opRegistry, lnk link) *transport {
+	t := &transport{link: lnk, spec: spec, lm: lm, reg: reg,
+		sendQ: make([]*sched.FairQueue[sendJob], spec.P)}
+	for r := range t.sendQ {
+		t.sendQ[r] = sched.NewFairQueue[sendJob]()
+		t.senders.Add(1)
+		go t.sendLoop(r)
+	}
+	return t
+}
+
+// sendLoop is rank src's send scheduler, the single sender for all of
+// src's pairs: it drains the rank's fair queue — round-robin across the
+// streams of concurrent operations, FIFO within each — into the link,
+// so a slow operation can never head-of-line-block a sibling's
+// messages.
+func (t *transport) sendLoop(src int) {
+	defer t.senders.Done()
+	for {
+		job, ok := t.sendQ[src].Pop()
+		if !ok {
+			return
+		}
+		if job.op.isAborted() {
+			continue // the op is unwinding: its queued messages are moot
+		}
+		t.send(src, job)
+	}
+}
+
+// abortLive aborts every registered operation with the given cause
+// (session close path).
+func (t *transport) abortLive(cause error) {
+	t.reg.each(func(o *opRuntime) {
+		o.failAsync(&RankError{Rank: -1, Peer: -1, Op: "closed", Err: cause})
+	})
+}
+
+// queueDepth sums the send schedulers' queued messages across ranks.
+func (t *transport) queueDepth() int64 {
+	var total int64
+	for _, q := range t.sendQ {
+		total += int64(q.Len())
+	}
+	return total
+}
+
+// close shuts the send schedulers and the link down and waits for
+// their goroutines; closing the link unblocks a scheduler stuck in a
+// write.
+func (t *transport) close() {
+	for _, q := range t.sendQ {
+		q.Close()
+	}
+	t.link.close()
+	t.senders.Wait()
+}
+
 // opInbox is one rank's receive queue for one in-flight operation. The
-// demux side (TCP connection readers, chan-engine senders) pushes and
+// demux side (TCP connection readers, chan-link senders) pushes and
 // must never block — the queue is unbounded, so a slow consumer in one
 // operation cannot head-of-line-block frames belonging to another
 // operation on the same connection. The single consumer (the rank's
@@ -53,57 +164,51 @@ func (b *opInbox) pop() (envelope, bool) {
 	return env, true
 }
 
-// opRegistry maps live operation ids to their per-op engines: the demux
-// routes each arriving frame to the engine registered under the frame's
-// op-id and drops frames whose operation is no longer (or not yet)
-// live — stragglers from completed or aborted collectives.
-type opRegistry[E any] struct {
+// opRegistry maps live operation ids to their runtimes: the link routes
+// each arriving message to the runtime registered under its op-id and
+// drops messages whose operation is no longer (or not yet) live —
+// stragglers from completed or aborted collectives.
+type opRegistry struct {
 	mu  sync.RWMutex
-	ops map[uint32]E
+	ops map[uint32]*opRuntime
 }
 
-func newOpRegistry[E any]() *opRegistry[E] {
-	return &opRegistry[E]{ops: make(map[uint32]E)}
+func newOpRegistry() *opRegistry {
+	return &opRegistry{ops: make(map[uint32]*opRuntime)}
 }
 
-func (r *opRegistry[E]) register(id uint32, e E) {
+func (r *opRegistry) register(id uint32, o *opRuntime) {
 	r.mu.Lock()
-	r.ops[id] = e
+	r.ops[id] = o
 	r.mu.Unlock()
 }
 
-func (r *opRegistry[E]) deregister(id uint32) {
+func (r *opRegistry) deregister(id uint32) {
 	r.mu.Lock()
 	delete(r.ops, id)
 	r.mu.Unlock()
 }
 
-func (r *opRegistry[E]) get(id uint32) (E, bool) {
+func (r *opRegistry) get(id uint32) (*opRuntime, bool) {
 	r.mu.RLock()
-	e, ok := r.ops[id]
+	o, ok := r.ops[id]
 	r.mu.RUnlock()
-	return e, ok
+	return o, ok
 }
 
 // each snapshots the live operations and calls fn for every one —
 // outside the lock, so fn may abort ops (which deregister themselves
 // later) without deadlocking.
-func (r *opRegistry[E]) each(fn func(E)) {
+func (r *opRegistry) each(fn func(*opRuntime)) {
 	r.mu.RLock()
-	snap := make([]E, 0, len(r.ops))
-	for _, e := range r.ops {
-		snap = append(snap, e)
+	snap := make([]*opRuntime, 0, len(r.ops))
+	for _, o := range r.ops {
+		snap = append(snap, o)
 	}
 	r.mu.RUnlock()
-	for _, e := range snap {
-		fn(e)
+	for _, o := range snap {
+		fn(o)
 	}
-}
-
-func (r *opRegistry[E]) live() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ops)
 }
 
 // appendOpID binds an operation id into AEAD associated data: all

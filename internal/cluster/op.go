@@ -1,0 +1,395 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"encag/internal/block"
+	"encag/internal/fault"
+	"encag/internal/sched"
+	"encag/internal/seal"
+)
+
+// errRunAborted marks the secondary panics of ranks unblocked by abort;
+// the run reports the primary failure instead of these.
+const errRunAborted = "cluster: run aborted by failure on another rank"
+
+// envelope is one delivered message in a rank's inbox. seq is the
+// message's delivery-order number within its (operation, src->dst)
+// pair, reserved at delivery (TCP: frame admission; chan: the
+// scheduler's delivery decision). Pipelined streams reserve their
+// number when the stream starts but push only once every segment has
+// opened, so recvFrom consumes each pair's messages in reserved order
+// and an asynchronously completing stream is never overtaken.
+type envelope struct {
+	src int
+	seq uint64
+	msg block.Message
+}
+
+// opRuntime is the per-operation execution state of one collective on a
+// chan or tcp session, and the only non-sim engine: fresh unbounded
+// inboxes, delivery reordering, shared memory, barriers, audit, fault
+// injector and failure state, keyed by the operation id every message
+// carries. It decides how a rank's receives are ordered, failed and
+// unblocked; the session's link only moves jobs from a rank's send
+// queue to the destination's runtime (deliver, newMsgRecv). Many
+// runtimes run concurrently over one transport; aborting one leaves the
+// transport and its sibling operations untouched.
+type opRuntime struct {
+	spec  Spec
+	slr   *seal.Sealer
+	id    uint32
+	pipe  *pipeCfg // nil: pipelining off (or the link's adversary taps messages)
+	lm    *liveMetrics
+	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
+
+	inboxes []*opInbox                   // one unbounded inbox per rank
+	pend    [][]map[uint64]block.Message // [rank][src] out-of-order arrivals by delivery seq
+	next    [][]uint64                   // [rank][src] next delivery seq expected
+	arrSeq  []atomic.Uint64              // [src*P+dst] delivery-order allocator
+	shm     []*opShm
+	bars    []*opBarrier
+
+	audit     *SecurityAudit
+	inj       *fault.Injector
+	recvTO    time.Duration
+	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
+	fails     failState
+	aborted   chan struct{} // closed when any rank fails: unblocks peers
+	abortOnce sync.Once
+
+	// streamSeq allocates sender-side stream ids; streams is the demux
+	// table a wire-based link keeps of this operation's in-flight
+	// pipelined messages; openWin is the op-wide budget of
+	// concurrently-opening segments shared by all of the op's per-chunk
+	// receive streams.
+	streamSeq atomic.Uint32
+	streams   streamTable
+	openWin   *openWindow
+}
+
+// newOp builds the runtime for one collective — over a (possibly
+// session-shared) sealer — and registers it as a live operation, making
+// its op-id routable by the link.
+func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe *pipeCfg) *opRuntime {
+	spec := t.spec
+	o := &opRuntime{
+		spec:    spec,
+		slr:     slr,
+		id:      id,
+		pipe:    pipe,
+		lm:      t.lm,
+		sendQ:   t.sendQ,
+		inboxes: make([]*opInbox, spec.P),
+		pend:    make([][]map[uint64]block.Message, spec.P),
+		next:    make([][]uint64, spec.P),
+		arrSeq:  make([]atomic.Uint64, spec.P*spec.P),
+		shm:     make([]*opShm, spec.N),
+		bars:    make([]*opBarrier, spec.N),
+		audit:   &SecurityAudit{},
+		inj:     inj,
+		recvTO:  recvTO,
+		wt:      wallTrace{tracer: tracer, op: id},
+		aborted: make(chan struct{}),
+	}
+	window := DefaultSegmentWindow
+	if pipe != nil {
+		window = pipe.window
+	}
+	o.openWin = newOpenWindow(window)
+	for r := 0; r < spec.P; r++ {
+		o.inboxes[r] = newOpInbox()
+		o.pend[r] = make([]map[uint64]block.Message, spec.P)
+		o.next[r] = make([]uint64, spec.P)
+	}
+	for n := 0; n < spec.N; n++ {
+		o.shm[n] = &opShm{m: make(map[string]block.Message)}
+		o.bars[n] = newOpBarrier(spec.Ell())
+	}
+	t.reg.register(id, o)
+	return o
+}
+
+// nextEnvSeq reserves the next delivery-order number of the src->dst
+// pair within this operation.
+func (o *opRuntime) nextEnvSeq(src, dst int) uint64 {
+	return o.arrSeq[src*o.spec.P+dst].Add(1) - 1
+}
+
+// deliver hands a whole message that arrived from src to dst's inbox,
+// at the pair's next delivery-order number.
+func (o *opRuntime) deliver(src, dst int, msg block.Message) {
+	o.inboxes[dst].push(envelope{src: src, seq: o.nextEnvSeq(src, dst), msg: msg})
+}
+
+// newMsgRecv sets up the receive side of an incoming pipelined message
+// of total chunks: the chunk assembly slots, the delivery-order slot
+// the finished message will occupy, and the completion/failure hooks;
+// retire runs first on either outcome. The slot is reserved now — later
+// whole messages from the same sender take later numbers, so the
+// asynchronously completing message cannot be overtaken in the
+// receiver's arrival order. The message delivers into the operation's
+// inbox only when every chunk has assembled; one bad chunk fails the
+// operation closed and the transport lives on.
+func (o *opRuntime) newMsgRecv(src, dst, total int, retire func()) *msgRecv {
+	seq := o.nextEnvSeq(src, dst)
+	return newMsgRecv(total,
+		func(msg block.Message) {
+			retire()
+			o.inboxes[dst].push(envelope{src: src, seq: seq, msg: msg})
+		},
+		func(err error) {
+			retire()
+			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "open", Err: err})
+		})
+}
+
+// newChunkStream sets up one per-chunk receive stream of a pipelined
+// message from the chunk's seal header and metadata: the open stream
+// (blob and plaintext allocated once), drawing on the operation's
+// shared open window, delivering the assembled chunk into slot ci of
+// its message. An authentication failure on any segment fails the whole
+// message — and so the operation — exactly once.
+func (o *opRuntime) newChunkStream(mr *msgRecv, ci uint32, header []byte, blocks []block.Block, tag int) (*streamRecv, error) {
+	os, err := o.slr.NewOpenStream(header, o.aad(block.EncodeHeader(blocks)))
+	if err != nil {
+		return nil, err
+	}
+	return newStreamRecv(os, blocks, tag, o.openWin, o.lm,
+		func(c block.Chunk) { mr.setChunk(ci, c) },
+		func(err error) { mr.failOnce(err) }), nil
+}
+
+// abort unwinds this operation only: ranks blocked in receives,
+// barriers and send backoffs observe it and drain. The transport — and
+// any sibling operation in flight on it — is untouched; messages of
+// this op still in the queues or on the wire are dropped by the send
+// scheduler and the demux.
+func (o *opRuntime) abort() {
+	o.abortOnce.Do(func() {
+		close(o.aborted)
+		for _, b := range o.bars {
+			b.abort()
+		}
+	})
+}
+
+func (o *opRuntime) isAborted() bool {
+	select {
+	case <-o.aborted:
+		return true
+	default:
+		return false
+	}
+}
+
+// fail records the run's first root-cause error, unblocks every other
+// rank of this operation, and unwinds this one. Called on rank
+// goroutines only (it panics); everything else uses failAsync.
+func (o *opRuntime) fail(re *RankError) {
+	o.failAsync(re)
+	panic(re)
+}
+
+// failAsync is fail for non-rank goroutines (send scheduler, link
+// readers, session close): record the root cause and abort, without a
+// panic.
+func (o *opRuntime) failAsync(re *RankError) {
+	o.fails.record(re)
+	o.abort()
+}
+
+type opShm struct {
+	mu sync.RWMutex
+	m  map[string]block.Message
+}
+
+type opBarrier struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	n       int
+	arrived int
+	gen     int
+	dead    bool
+}
+
+func newOpBarrier(n int) *opBarrier {
+	b := &opBarrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *opBarrier) abort() {
+	b.mu.Lock()
+	b.dead = true
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+func (b *opBarrier) await() {
+	b.mu.Lock()
+	if b.dead {
+		b.mu.Unlock()
+		panic(errRunAborted)
+	}
+	gen := b.gen
+	b.arrived++
+	if b.arrived == b.n {
+		b.arrived = 0
+		b.gen++
+		b.cond.Broadcast()
+	} else {
+		for b.gen == gen && !b.dead {
+			b.cond.Wait()
+		}
+	}
+	dead := b.dead
+	b.mu.Unlock()
+	if dead {
+		panic(errRunAborted)
+	}
+}
+
+type sendReq struct{}
+type recvReq struct{ src int }
+
+func (sendReq) isRequest() {}
+func (recvReq) isRequest() {}
+
+// isend enqueues the message on the rank's send scheduler and returns
+// immediately — the scheduler interleaves the streams of concurrent
+// operations fairly, applies this operation's fault verdicts in the
+// rank's program order per pair (keeping plans deterministic), and a
+// blocked link never stalls the rank goroutine. A message with at least
+// one sealed chunk that qualifies for pipelining (enough segments) is
+// enqueued as a per-message stream plan; anything else is materialized
+// and travels whole.
+func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
+	o.audit.record(o.spec, p.rank, dst, msg)
+	if o.isAborted() {
+		panic(errRunAborted)
+	}
+	if plan := o.pipe.streamsForSend(msg); plan != nil {
+		plan.sid = o.streamSeq.Add(1)
+		o.sendQ[p.rank].Push(o.id, sendJob{op: o, dst: dst, plan: plan})
+		return sendReq{}
+	}
+	msg, err := materializeMessage(msg)
+	if err != nil {
+		o.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
+	}
+	o.sendQ[p.rank].Push(o.id, sendJob{op: o, dst: dst, msg: msg})
+	return sendReq{}
+}
+
+func (o *opRuntime) irecv(p *Proc, src int) Request {
+	return recvReq{src: src}
+}
+
+func (o *opRuntime) wait(p *Proc, reqs []Request) []block.Message {
+	out := make([]block.Message, len(reqs))
+	for i, r := range reqs {
+		rr, ok := r.(recvReq)
+		if !ok {
+			continue // sends are already enqueued
+		}
+		var start float64
+		if o.wt.active() {
+			start = o.wt.now()
+		}
+		out[i] = o.recvFrom(p.rank, rr.src)
+		if o.wt.active() {
+			o.wt.emit(p.rank, TraceRecv, start, out[i].WireLen(), rr.src)
+		}
+	}
+	return out
+}
+
+// recvFrom returns the next message from src to rank, buffering messages
+// from other sources (or later deliveries from src) that arrive in
+// between. Deliveries of each directed pair are consumed strictly in
+// their reserved order: a pipelined stream completes asynchronously, so
+// a later whole message can land in the inbox first — it is stashed
+// until the stream's slot is filled. The wait is bounded by the recv
+// deadline: a message that never arrives (lost to a fault, peer death)
+// surfaces as a structured recv error instead of a deadlock.
+func (o *opRuntime) recvFrom(rank, src int) block.Message {
+	pend := o.pend[rank]
+	next := o.next[rank]
+	box := o.inboxes[rank]
+	deadline := time.NewTimer(o.recvTO)
+	defer deadline.Stop()
+	for {
+		if msg, ok := pend[src][next[src]]; ok {
+			delete(pend[src], next[src])
+			next[src]++
+			return msg
+		}
+		if env, ok := box.pop(); ok {
+			if env.src == src && env.seq == next[src] {
+				next[src]++
+				return env.msg
+			}
+			if pend[env.src] == nil {
+				pend[env.src] = make(map[uint64]block.Message)
+			}
+			pend[env.src][env.seq] = env.msg
+			continue
+		}
+		select {
+		case <-box.sig:
+		case <-o.aborted:
+			panic(errRunAborted)
+		case <-deadline.C:
+			o.lm.recvTimeouts.Inc()
+			o.fail(&RankError{Rank: rank, Peer: src, Op: "recv",
+				Err: fmt.Errorf("no message within %v", o.recvTO)})
+		}
+	}
+}
+
+func (o *opRuntime) span(p *Proc, kind TraceKind, n int64) func() {
+	return o.wt.span(p.rank, kind, n)
+}
+
+func (o *opRuntime) shmPut(p *Proc, key string, msg block.Message) {
+	msg, err := materializeMessage(msg)
+	if err != nil {
+		o.fail(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
+	}
+	s := o.shm[p.Node()]
+	s.mu.Lock()
+	s.m[key] = msg
+	s.mu.Unlock()
+}
+
+func (o *opRuntime) shmGet(p *Proc, key string) (block.Message, bool) {
+	s := o.shm[p.Node()]
+	s.mu.RLock()
+	msg, ok := s.m[key]
+	s.mu.RUnlock()
+	return msg, ok
+}
+
+func (o *opRuntime) nodeBarrier(p *Proc) {
+	if !o.wt.active() {
+		o.bars[p.Node()].await()
+		return
+	}
+	start := o.wt.now()
+	o.bars[p.Node()].await()
+	o.wt.emit(p.rank, TraceBarrier, start, 0, -1)
+}
+
+func (o *opRuntime) sealer() *seal.Sealer { return o.slr }
+
+func (o *opRuntime) pipeline() *pipeCfg { return o.pipe }
+
+// aad binds this operation's id into the AEAD associated data (see
+// appendOpID): concurrent operations share the session key, so a frame
+// whose op-id was corrupted on the wire into another live operation's
+// id fails authentication there instead of being accepted.
+func (o *opRuntime) aad(h []byte) []byte { return appendOpID(h, o.id) }

@@ -1,0 +1,121 @@
+package cluster
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+	"time"
+
+	"encag/internal/block"
+	"encag/internal/metrics"
+)
+
+// newBareOp builds an opRuntime over a transport with no link and no
+// send schedulers: everything a rank's receive side does — ordering,
+// failing, unblocking — is the runtime's own and needs no wire.
+func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
+	tr := &transport{
+		spec: spec,
+		lm:   newLiveMetrics(metrics.NewRegistry(), spec, EngineChan),
+		reg:  newOpRegistry(),
+	}
+	return tr.newOp(1, nil, nil, recvTO, nil, nil)
+}
+
+// recovered runs fn and returns what it panicked with (nil if it
+// returned), the way recoverRank sees a rank goroutine unwind.
+func recovered(fn func()) <-chan any {
+	out := make(chan any, 1)
+	go func() {
+		defer func() { out <- recover() }()
+		fn()
+	}()
+	return out
+}
+
+func plainMsg(rank int, fill byte) block.Message {
+	return block.NewPlain(rank, bytes.Repeat([]byte{fill}, 8))
+}
+
+func payloadOf(msg block.Message) byte { return msg.Chunks[0].Payload[0] }
+
+// A pipelined message reserves its delivery slot when it starts and
+// lands when its last chunk assembles; whole messages that arrive in
+// between — from the same sender or another — must not overtake it.
+func TestOpRuntimeReceivesInReservedOrder(t *testing.T) {
+	o := newBareOp(Spec{P: 3, N: 1}, time.Second)
+	stream := o.newMsgRecv(1, 0, 1, func() {}) // reserves 1->0 slot 0
+	o.deliver(1, 0, plainMsg(1, 'B'))          // 1->0 slot 1, pushed first
+	o.deliver(2, 0, plainMsg(2, 'C'))
+	got := recovered(func() {
+		if b := payloadOf(o.recvFrom(0, 1)); b != 'A' {
+			t.Errorf("first receive from 1 = %q, want the reserved stream 'A'", b)
+		}
+	})
+	stream.setChunk(0, plainMsg(1, 'A').Chunks[0])
+	if rec := <-got; rec != nil {
+		t.Fatalf("recvFrom panicked: %v", rec)
+	}
+	if b := payloadOf(o.recvFrom(0, 1)); b != 'B' {
+		t.Fatalf("second receive from 1 = %q, want 'B'", b)
+	}
+	if b := payloadOf(o.recvFrom(0, 2)); b != 'C' {
+		t.Fatalf("receive from 2 = %q, want 'C' (stashed while waiting on 1)", b)
+	}
+}
+
+// An abort must unwind a rank parked in a receive and one parked in a
+// node barrier with the secondary-failure sentinel, leaving the
+// recorded root cause intact.
+func TestOpRuntimeAbortUnblocksRecvAndBarrier(t *testing.T) {
+	o := newBareOp(Spec{P: 2, N: 1}, time.Hour)
+	recv := recovered(func() { o.recvFrom(0, 1) })
+	bar := recovered(func() { o.bars[0].await() })
+	// The barrier's arrival is observable; the receive parks on its
+	// select either before or after the abort, with the same outcome.
+	for b := o.bars[0]; ; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		arrived := b.arrived
+		b.mu.Unlock()
+		if arrived == 1 {
+			break
+		}
+	}
+	cause := &RankError{Rank: 1, Peer: -1, Op: "run", Err: errors.New("boom")}
+	o.failAsync(cause)
+	for name, ch := range map[string]<-chan any{"recvFrom": recv, "barrier": bar} {
+		select {
+		case rec := <-ch:
+			if rec != errRunAborted {
+				t.Errorf("%s unwound with %v, want errRunAborted", name, rec)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s still blocked after abort", name)
+		}
+	}
+	if err := o.fails.err(); err != cause {
+		t.Fatalf("root cause = %v, want %v", err, cause)
+	}
+}
+
+// A receive nothing ever satisfies fails its own rank with a structured
+// recv error after the deadline, aborts the operation, and counts one
+// timeout.
+func TestOpRuntimeUnmetRecvTimesOutOnce(t *testing.T) {
+	o := newBareOp(Spec{P: 2, N: 1}, 20*time.Millisecond)
+	rec := <-recovered(func() { o.recvFrom(0, 1) })
+	re, ok := rec.(*RankError)
+	if !ok || re.Rank != 0 || re.Peer != 1 || re.Op != "recv" {
+		t.Fatalf("unmet receive unwound with %v, want RankError{Rank:0 Peer:1 Op:recv}", rec)
+	}
+	if !o.isAborted() || o.fails.err() != error(re) {
+		t.Fatalf("timeout did not fail the operation: aborted=%v err=%v", o.isAborted(), o.fails.err())
+	}
+	// The peer unblocked by that abort must not count a second timeout.
+	if rec := <-recovered(func() { o.recvFrom(1, 0) }); rec != errRunAborted {
+		t.Fatalf("peer unwound with %v, want errRunAborted", rec)
+	}
+	if n := o.lm.recvTimeouts.Value(); n != 1 {
+		t.Fatalf("recvTimeouts = %d, want 1", n)
+	}
+}

@@ -72,7 +72,8 @@ type chunkSend struct {
 // order, each either streamed segment-by-segment or sent inline.
 type sendPlan struct {
 	chunks  []chunkSend
-	streams int // chunks with a non-nil stream
+	streams int    // chunks with a non-nil stream
+	sid     uint32 // per-operation stream id, stamped by isend
 }
 
 // streamsForSend builds msg's pipelined send plan, or returns nil when
@@ -182,22 +183,19 @@ func (w *openWindow) release() {
 }
 
 // streamKey identifies one in-flight receive message on the TCP demux:
-// stream ids are allocated per sending engine, so the (src, dst, id)
-// triple is unique among live pipelined messages; the chunk index in
-// each sub-frame selects the per-chunk stream within the message.
+// stream ids are allocated per operation, so the (src, dst, id) triple
+// is unique among its live pipelined messages; the chunk index in each
+// sub-frame selects the per-chunk stream within the message.
 type streamKey struct {
 	src, dst int
 	id       uint32
 }
 
-// streamTable tracks the in-flight pipelined messages of a TCP mesh.
+// streamTable tracks the in-flight pipelined messages the TCP demux is
+// assembling for one operation. The zero value is an empty table.
 type streamTable struct {
 	mu sync.Mutex
 	m  map[streamKey]*msgRecv
-}
-
-func newStreamTable() *streamTable {
-	return &streamTable{m: make(map[streamKey]*msgRecv)}
 }
 
 func (t *streamTable) get(k streamKey) *msgRecv {
@@ -208,6 +206,9 @@ func (t *streamTable) get(k streamKey) *msgRecv {
 
 func (t *streamTable) put(k streamKey, mr *msgRecv) {
 	t.mu.Lock()
+	if t.m == nil {
+		t.m = make(map[streamKey]*msgRecv)
+	}
 	t.m[k] = mr
 	t.mu.Unlock()
 }

@@ -77,6 +77,10 @@ func TestPipelineTCPByteExact(t *testing.T) {
 			t.Fatalf("iteration %d: audit violations %v", i, res.Audit.Violations)
 		}
 	}
+	// A TCP sender counts a sub-frame after its write returns, which can
+	// be after the receiver has finished the collective: drain the send
+	// schedulers (Close waits for them) before reading sender-side counts.
+	s.Close()
 	if n := s.lm.pipeStreams.Value(); n == 0 {
 		t.Fatal("no segment streams started: pipelined session fell back to whole-message frames")
 	}
@@ -225,6 +229,7 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
+		s.Close() // drains the send schedulers: sender-side counts are final
 		msgs := s.lm.pipeMsgs.Value()
 		if msgs == 0 {
 			t.Fatalf("%v: no pipelined messages", kind)
@@ -245,7 +250,6 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 				}
 			}
 		}
-		s.Close()
 	}
 }
 

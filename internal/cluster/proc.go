@@ -10,8 +10,8 @@ import (
 // Request is a handle for a non-blocking operation, completed by Wait.
 type Request interface{ isRequest() }
 
-// engine abstracts the execution backend (real goroutines or discrete-
-// event simulation) behind the rank-level API.
+// engine abstracts the execution backend (opRuntime's real goroutines
+// or discrete-event simulation) behind the rank-level API.
 type engine interface {
 	isend(p *Proc, dst int, msg block.Message) Request
 	irecv(p *Proc, src int) Request
@@ -20,8 +20,8 @@ type engine interface {
 	// span opens a compute-phase interval (encrypt, decrypt or copy) of n
 	// bytes and returns its closer, called when the work is done. The sim
 	// engine charges the modelled cost up front and returns a no-op; the
-	// real and TCP engines measure the wall-clock interval and emit a
-	// TraceEvent when a tracer is attached.
+	// op runtime measures the wall-clock interval and emits a TraceEvent
+	// when a tracer is attached.
 	span(p *Proc, kind TraceKind, n int64) func()
 
 	shmPut(p *Proc, key string, msg block.Message)
@@ -39,12 +39,17 @@ type engine interface {
 	pipeline() *pipeCfg
 
 	// aad derives the AEAD associated data from the encoded block
-	// header. The real and TCP engines append the operation id so that
+	// header. The op runtime appends the operation id so that
 	// ciphertexts of concurrent operations sharing one session key
 	// cannot authenticate across operations (a misrouted frame fails
 	// closed); the sim engine returns the header unchanged.
 	aad(h []byte) []byte
 }
+
+// Algorithm is an all-gather implementation: given a rank handle and the
+// rank's own contribution, it returns the gathered result (all p blocks,
+// fully decrypted).
+type Algorithm func(p *Proc, mine block.Message) block.Message
 
 // Proc is the per-rank handle the algorithms program against — the moral
 // equivalent of an MPI communicator plus rank.

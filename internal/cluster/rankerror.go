@@ -7,8 +7,8 @@ import (
 
 // RankError is the structured failure report of a run: the first rank
 // that hit a root-cause error, the peer involved (or -1), the transport
-// operation that failed, and the underlying error. Every failure of
-// RunReal/RunTCP (and their variants) surfaces as exactly one RankError:
+// operation that failed, and the underlying error. Every failure of a
+// chan or tcp collective surfaces as exactly one RankError:
 // secondary failures of ranks unblocked by the abort machinery are
 // discarded, so callers always see the first root cause rather than a
 // cascade of closed-connection noise.

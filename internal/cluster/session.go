@@ -133,6 +133,46 @@ var (
 	ErrSessionBroken = errors.New("cluster: session broken by an earlier failure")
 )
 
+// DefaultRecvTimeout bounds a single receive wait when Spec.RecvTimeout
+// is zero: a rank stuck waiting for a message that will never arrive
+// (lost to a fault, or a peer that died) surfaces a structured recv
+// error instead of deadlocking until the run-level timeout.
+const DefaultRecvTimeout = 30 * time.Second
+
+// RealTimeout bounds one collective's wall-clock execution; a
+// deadlocked algorithm surfaces as an error instead of a hung process.
+var RealTimeout = 60 * time.Second
+
+// RealResult is the outcome of one Collective.
+type RealResult struct {
+	Results  []block.Message // per-rank gathered result
+	PerRank  []Metrics
+	Critical Critical
+	Audit    *SecurityAudit
+	Sealer   *seal.Sealer
+	// Sniffer is the session-lifetime capture of the inter-node wire
+	// (cumulative over every collective run on the session); nil on
+	// EngineChan, which has no wire.
+	Sniffer *WireSniffer
+	Elapsed time.Duration
+	// OpID is the session-unique operation id the collective's frames
+	// carried; ids start at 1, so 0 means "no id" (zero-valued result).
+	OpID uint32
+}
+
+// RunOnce opens a session, runs the one operation on it and closes it
+// again, re-paying the full setup (for EngineTCP the O(p^2) mesh) on
+// every call — for tests and one-off checks; anything that runs more
+// than one collective should hold a Session.
+func RunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
+	s, err := OpenSession(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Collective(context.Background(), op)
+}
+
 // Session is a persistent collective runtime: open once, run many
 // collectives over long-lived engine state, close once. For EngineTCP
 // the listeners, dialed links, hello handshakes, sequence gates and
@@ -164,8 +204,7 @@ type Session struct {
 	broken   error
 	inflight int
 	slr      *seal.Sealer
-	cmesh    *chanMesh
-	mesh     *tcpMesh
+	tr       *transport // nil for EngineSim
 	// sealedBase/openedBase accumulate retired sealers' segment counts
 	// across rekeys, keeping the session-lifetime totals monotone.
 	sealedBase int64
@@ -197,23 +236,24 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	}
 	s.slr = slr
 	s.pipe = resolvePipe(cfg.Pipeline)
-	if cfg.Engine == EngineChan && cfg.Adversary != nil {
-		// The adversary taps whole inter-node messages; streaming would
-		// route segments around it, so pipelining yields to the tap.
-		s.pipe = nil
+	ops := newOpRegistry()
+	var lnk link
+	if cfg.Engine == EngineTCP {
+		if lnk, err = newTCPMesh(spec, s.lm, ops); err != nil {
+			return nil, err
+		}
+	} else {
+		lnk = &chanLink{lm: s.lm, reg: ops, adversary: cfg.Adversary}
+		if cfg.Adversary != nil {
+			// The adversary taps whole inter-node messages; streaming would
+			// route segments around it, so pipelining yields to the tap.
+			s.pipe = nil
+		}
 	}
 	if s.pipe != nil {
 		s.lm.pipeWindow.Set(int64(s.pipe.window))
 	}
-	if cfg.Engine == EngineTCP {
-		mesh, err := newTCPMesh(spec, s.lm)
-		if err != nil {
-			return nil, err
-		}
-		s.mesh = mesh
-	} else {
-		s.cmesh = newChanMesh(spec, s.lm)
-	}
+	s.tr = newTransport(spec, s.lm, ops, lnk)
 	s.registerRuntimeMetrics()
 	return s, nil
 }
@@ -242,10 +282,10 @@ func (s *Session) Engine() EngineKind { return s.cfg.Engine }
 // Sniffer returns the session-lifetime wire capture of an EngineTCP
 // session (cumulative across collectives), or nil for other engines.
 func (s *Session) Sniffer() *WireSniffer {
-	if s.mesh == nil {
+	if s.tr == nil {
 		return nil
 	}
-	return s.mesh.sniffer
+	return s.tr.sniffer()
 }
 
 // Sealer returns the session's current AES-GCM sealer (nil for
@@ -318,25 +358,11 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.mesh != nil {
-		s.mesh.abortLive(ErrSessionClosed)
-		s.mesh.close()
-	}
-	if s.cmesh != nil {
-		s.cmesh.abortLive(ErrSessionClosed)
-		s.cmesh.close()
+	if s.tr != nil {
+		s.tr.abortLive(ErrSessionClosed)
+		s.tr.close()
 	}
 	return nil
-}
-
-// opRun is the per-collective view the coordinator drives, uniform over
-// the chan and tcp engines.
-type opRun struct {
-	eng   engine
-	abort func()
-	fails *failState
-	audit *SecurityAudit
-	wt    *wallTrace
 }
 
 // resolve turns an Op into per-rank sizes and payload bytes.
@@ -398,16 +424,14 @@ func (s *Session) admit(ctx context.Context) (*seal.Sealer, error) {
 	case s.cfg.Engine == EngineSim:
 		return nil, errors.New("cluster: Collective needs a chan or tcp session; use Sim")
 	}
-	if s.mesh != nil {
-		if merr := s.mesh.brokenErr(); merr != nil {
-			// The mesh died under an operation whose first-recorded root
-			// cause predated the transport failure; surface it now.
-			if s.broken == nil {
-				s.broken = merr
-				s.lm.poisonings.Inc()
-			}
-			return nil, fmt.Errorf("%w: %v", ErrSessionBroken, merr)
+	if merr := s.tr.brokenErr(); merr != nil {
+		// The link died under an operation whose first-recorded root
+		// cause predated the transport failure; surface it now.
+		if s.broken == nil {
+			s.broken = merr
+			s.lm.poisonings.Inc()
 		}
+		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, merr)
 	}
 	if ctx.Err() != nil {
 		// Fail fast without touching the engine or the session state.
@@ -425,22 +449,17 @@ func (s *Session) release() {
 
 // noteFailure decides whether a failed collective poisons the session.
 // Only transport-level unrecoverability does: an error wrapping
-// ErrMeshDown, a sequence-gate desync left behind by wire-level
-// corruption (detected by comparing every receive gate against its
-// sender's issued counter), or a frame-stream reader starved mid-frame
-// by a corrupted length field. Everything else — cancellation,
-// fault-plan outcomes, GCM rejections, panics, recv timeouts — is
-// scoped to the operation, and the mesh keeps serving its siblings.
+// ErrMeshDown, or wire-level damage the link finds in its own state
+// afterwards (TCP: a sequence gate desynced by corruption, a
+// frame-stream reader starved mid-frame by a corrupted length field).
+// Everything else — cancellation, fault-plan outcomes, GCM rejections,
+// panics, recv timeouts — is scoped to the operation, and the transport
+// keeps serving its siblings.
 func (s *Session) noteFailure(err error) {
 	poison := errors.Is(err, ErrMeshDown)
-	if !poison && s.mesh != nil {
-		derr := s.mesh.gateDesync()
-		if derr == nil {
-			derr = s.mesh.readerStalled()
-		}
-		if derr != nil {
+	if !poison {
+		if derr := s.tr.desynced(); derr != nil {
 			poison = true
-			s.mesh.fail(derr)
 			err = fmt.Errorf("%w (and %v)", err, derr)
 		}
 	}
@@ -495,22 +514,15 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	var run opRun
-	if s.cfg.Engine == EngineTCP {
-		e := s.mesh.newOp(id, slr, s.recvTO, tracer, inj, s.pipe)
-		defer s.mesh.reg.deregister(id)
-		run = opRun{eng: e, abort: e.abort, fails: &e.fails, audit: e.audit, wt: &e.wt}
-	} else {
-		e := s.cmesh.newOp(id, slr, s.cfg.Adversary, inj, s.recvTO, tracer, s.pipe)
-		defer s.cmesh.reg.deregister(id)
-		run = opRun{eng: e, abort: e.abort, fails: &e.fails, audit: e.audit, wt: &e.wt}
-	}
+	run := s.tr.newOp(id, slr, inj, s.recvTO, tracer, s.pipe)
+	defer s.tr.reg.deregister(id)
 
 	res := &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
 		Audit:   run.audit,
 		Sealer:  slr,
+		Sniffer: s.tr.sniffer(),
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -520,14 +532,19 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { recoverRank(recover(), run.fails, run.abort, r) }()
-			p := &Proc{rank: r, spec: s.spec, met: &res.PerRank[r], eng: run.eng, sizes: sizes}
+			defer func() { recoverRank(recover(), &run.fails, run.abort, r) }()
+			p := &Proc{rank: r, spec: s.spec, met: &res.PerRank[r], eng: run, sizes: sizes}
 			mine := block.NewPlain(r, payloads[r])
 			res.Results[r] = op.Algo(p, mine)
 		}()
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	// An explicit timer, stopped on return: under this module's go 1.22
+	// timer semantics a time.After would stay live in the heap for the
+	// full RealTimeout after every completed operation.
+	timeout := time.NewTimer(RealTimeout)
+	defer timeout.Stop()
 	select {
 	case <-done:
 	case <-ctx.Done():
@@ -537,13 +554,9 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		// observes the abort, so the ranks unwind promptly; wait for them
 		// instead of leaking goroutines into the caller's process.
 		<-done
-	case <-time.After(RealTimeout):
-		format := "real run exceeded %v (algorithm deadlock?) on %v"
-		if s.cfg.Engine == EngineTCP {
-			format = "tcp run exceeded %v on %v"
-		}
+	case <-timeout.C:
 		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
-			Err: fmt.Errorf(format, RealTimeout, s.spec)})
+			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
 		run.abort()
 		<-done
 	}

@@ -4,18 +4,19 @@
 // per-node shared memory, node barriers, AES-GCM encryption hooks and
 // per-rank cost metrics.
 //
-// Three engines execute the same algorithm code:
+// The same algorithm code executes on a Session in three ways:
 //
-//   - the real engine (RunReal) runs every rank as a goroutine with
-//     channel transport and real AES-GCM over real payload bytes — used
-//     for correctness, property and security tests;
+//   - EngineChan and EngineTCP share one per-operation runtime (opRuntime:
+//     every rank a goroutine, real AES-GCM over real payload bytes,
+//     receive ordering, failure and abort) over two links. The chan link
+//     delivers in memory — used for correctness, property and security
+//     tests; the TCP link runs over real loopback sockets through the
+//     wire codec, with a byte-level sniffer on inter-node connections —
+//     used to demonstrate the security property at the level an actual
+//     network eavesdropper sees;
 //   - the sim engine (RunSim) runs ranks as deterministic discrete-event
 //     processes over the flow-level network model in internal/netsim —
-//     used to regenerate the paper's tables and figures at full scale;
-//   - the TCP engine (RunTCP) runs over real loopback sockets through
-//     the wire codec, with a byte-level sniffer on inter-node
-//     connections — used to demonstrate the security property at the
-//     level an actual network eavesdropper sees.
+//     used to regenerate the paper's tables and figures at full scale.
 package cluster
 
 import (

@@ -41,7 +41,7 @@ func specs() []cluster.Spec {
 func TestAllAlgorithmsCorrectReal(t *testing.T) {
 	for _, spec := range specs() {
 		for name, alg := range allAlgs {
-			res, err := cluster.RunReal(spec, 48, AsAlgorithm(alg))
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 48})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -193,7 +193,7 @@ func TestGatherBcastRoundTrip(t *testing.T) {
 		}
 		return Bcast(p, g, 5, full)
 	}
-	res, err := cluster.RunReal(spec, 32, algo)
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSubGroupAllgather(t *testing.T) {
 		}
 		return out
 	}
-	res, err := cluster.RunReal(spec, 16, algo)
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 		}
 		spec := cluster.Spec{P: p, N: n, Mapping: mapping}
 		for _, alg := range allAlgs {
-			res, err := cluster.RunReal(spec, m, AsAlgorithm(alg))
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
 			if err != nil {
 				return false
 			}
@@ -326,7 +326,7 @@ func TestGatherBcastNonzeroRootsAllEngines(t *testing.T) {
 			}
 			return Bcast(p, g, root, full)
 		}
-		res, err := cluster.RunReal(spec, 24, algo)
+		res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 24})
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}

@@ -37,7 +37,7 @@ func TestBitFlipDetectedByAllAlgorithms(t *testing.T) {
 			}
 			return out
 		}
-		_, err = cluster.RunRealAdversarial(spec, 64, alg, adv)
+		_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: 64})
 		if tampered.Load() == 0 {
 			t.Errorf("%s: adversary never saw a ciphertext to tamper with", name)
 			continue
@@ -79,7 +79,7 @@ func TestHeaderSpliceDetected(t *testing.T) {
 			}
 			return out
 		}
-		_, err = cluster.RunRealAdversarial(spec, 48, alg, adv)
+		_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: 48})
 		if spliced.Load() == 0 {
 			t.Errorf("%s: adversary found nothing to splice", name)
 			continue
@@ -111,7 +111,7 @@ func TestPassiveObserverSeesOnlyCiphertext(t *testing.T) {
 			}
 			return msg
 		}
-		res, err := cluster.RunRealAdversarial(spec, m, alg, adv)
+		res, err := cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

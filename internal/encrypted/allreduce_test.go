@@ -50,7 +50,7 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 		{P: 6, N: 1, Mapping: cluster.BlockMapping},  // single node: no crypto at all
 	} {
 		for _, m := range []int64{1, 13, 64, 1000} {
-			res, err := cluster.RunReal(spec, m, AllreduceHS(XOR))
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
 			if err != nil {
 				t.Fatalf("%v m=%d: %v", spec, m, err)
 			}
@@ -68,7 +68,7 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 func TestAllreduceNaiveCorrect(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
 	const m = 256
-	res, err := cluster.RunReal(spec, m, AllreduceNaive(XOR))
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAllreduceTamperDetected(t *testing.T) {
 		}
 		return out
 	}
-	_, err := cluster.RunRealAdversarial(spec, 64, AllreduceHS(XOR), adv)
+	_, err := cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: 64})
 	if !flipped.Load() {
 		t.Fatal("no ciphertext crossed the adversary")
 	}
@@ -144,7 +144,7 @@ func TestQuickAllreduce(t *testing.T) {
 		}
 		want := expectedXOR(spec.P, m)
 		for _, alg := range []cluster.Algorithm{AllreduceHS(XOR), AllreduceNaive(XOR)} {
-			res, err := cluster.RunReal(spec, m, alg)
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil || !res.Audit.Clean() {
 				return false
 			}

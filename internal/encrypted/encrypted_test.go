@@ -34,7 +34,7 @@ func TestAllEncryptedCorrectAndSecure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunReal(spec, 40, alg)
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 40})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -199,7 +199,7 @@ func TestQuickEncryptedCorrect(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := cluster.RunReal(spec, m, alg)
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil {
 				return false
 			}
@@ -313,7 +313,7 @@ func TestAutoDispatch(t *testing.T) {
 		}
 	}
 	// Correct and secure in the real engine too.
-	res, err := cluster.RunReal(cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, 48, auto)
+	res, err := cluster.RunOnce(cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, cluster.SessionConfig{}, cluster.Op{Algo: auto, MsgSize: 48})
 	if err != nil {
 		t.Fatal(err)
 	}

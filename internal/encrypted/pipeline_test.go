@@ -71,7 +71,7 @@ func TestPipelinedCorrectReal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunReal(spec, 64, alg)
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 64})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}

@@ -25,7 +25,7 @@ func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunReal(spec, m, alg)
+			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -67,7 +67,7 @@ func TestSegmentationKeepsRoundSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.RunReal(spec, m, alg)
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSegmentedTCPWireClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.RunTCP(spec, m, alg)
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP}, cluster.Op{Algo: alg, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSegmentedTamperDetectedEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	_, err = cluster.RunRealAdversarial(spec, m, alg, adv)
+	_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: m})
 	if tampered.Load() == 0 {
 		t.Fatal("adversary never saw a ciphertext to tamper with")
 	}

@@ -63,8 +63,15 @@ func checkGather(id string, data [][]byte, res *encag.RunResult) error {
 //  5. the per-tenant metrics rollup reflecting all of it.
 func TestAcceptanceMultiTenantHost(t *testing.T) {
 	const tenants = 64
+	// The steps below move 1–2 KiB per rank. Under the default 64 KiB
+	// segment size every seal is a single segment, which the sealer runs
+	// on the calling goroutine without ever offering it to the pool — so
+	// the shared-pool assertion at the end could not hold on any host,
+	// however well WithCryptoPool is wired. A 1 KiB segment size makes
+	// the 2 KiB steps seal as two segments, so the run exercises the
+	// claim it asserts.
 	cfg := Config{
-		Spec:         encag.Spec{Procs: 4, Nodes: 2},
+		Spec:         encag.Spec{Procs: 4, Nodes: 2, SegmentSize: 1 << 10},
 		MaxSteps:     16,
 		MaxQueue:     8,
 		QueueTimeout: 30 * time.Second,
