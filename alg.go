@@ -105,36 +105,36 @@ func ParseAlg(name string) (Alg, error) {
 	if a == "mvapich" {
 		a = AlgMPI
 	}
-	if algSet()[a] {
+	if algSet[a] {
 		return a, nil
 	}
 	return "", &UnknownAlgorithmError{Name: name, Valid: Algorithms()}
 }
 
-// algSet returns the set of every selectable algorithm name.
-func algSet() map[Alg]bool {
+// algList is every selectable algorithm name, sorted, and algSet the
+// same as a set; both are fixed once the encrypted registry is.
+var algList, algSet = func() ([]Alg, map[Alg]bool) {
 	set := make(map[Alg]bool)
 	for _, n := range encrypted.Names() {
 		set[Alg(n)] = true
-		set["plain-"+Alg(n)] = true
+		set[PlainOf(Alg(n))] = true
 	}
 	for _, a := range []Alg{AlgMPI, AlgPlainRing, AlgPlainRingRO, AlgPlainRD,
 		AlgPlainBruck, AlgPlainHier, AlgPlainNeighbor} {
 		set[a] = true
 	}
-	return set
-}
-
-// Algorithms lists every selectable algorithm. Every entry runs on
-// every engine.
-func Algorithms() []Alg {
-	set := algSet()
-	out := make([]Alg, 0, len(set))
+	list := make([]Alg, 0, len(set))
 	for a := range set {
-		out = append(out, a)
+		list = append(list, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+	return list, set
+}()
+
+// Algorithms lists every selectable algorithm, sorted. Every entry runs
+// on every engine. The caller owns the returned slice.
+func Algorithms() []Alg {
+	return append([]Alg(nil), algList...)
 }
 
 // PaperAlgorithms lists the paper's eight encrypted algorithms in Table

@@ -237,18 +237,46 @@ func FillPattern(origin int, n int64) []byte {
 	return buf
 }
 
+// patternPeriod is the period of Pattern in its index: 7·256 ≡ 0 (mod 256).
+const patternPeriod = 256
+
+// CheckPattern reports whether pl is byte for byte FillPattern(origin,
+// len(pl)), without building that reference: the first period is compared
+// with Pattern, and every later byte with the one a period before it —
+// one pass over pl itself, no allocation, independent of any other buffer.
+func CheckPattern(origin int, pl []byte) bool {
+	head := pl
+	if len(head) > patternPeriod {
+		head = head[:patternPeriod]
+	}
+	for i, b := range head {
+		if b != Pattern(origin, int64(i)) {
+			return false
+		}
+	}
+	return bytes.Equal(pl[len(head):], pl[:len(pl)-len(head)])
+}
+
 // Normalize validates that msg is a complete plaintext all-gather result
 // for p ranks of size m each and returns per-origin payloads (real mode)
-// or nil payloads (sim mode). It fails if any chunk is still encrypted,
+// or nil payloads (sim mode): views into the message's own chunk
+// payloads, nothing is copied. It fails if any chunk is still encrypted,
 // any origin is missing or duplicated, a length is wrong, or (real mode)
 // a payload does not match the deterministic pattern when checkPattern is
-// set.
+// set. The structural checks cost O(p); checkPattern adds one CheckPattern
+// pass over every gathered byte.
 func Normalize(msg Message, p int, m int64, checkPattern bool) ([][]byte, error) {
+	return NormalizeV(msg, UniformSizes(p, m), checkPattern)
+}
+
+// UniformSizes is the per-rank size list of an all-gather of p equal
+// blocks of m bytes.
+func UniformSizes(p int, m int64) []int64 {
 	sizes := make([]int64, p)
 	for i := range sizes {
 		sizes[i] = m
 	}
-	return NormalizeV(msg, sizes, checkPattern)
+	return sizes
 }
 
 // NormalizeV is Normalize for variable block sizes (the all-gatherv
@@ -296,7 +324,7 @@ func NormalizeV(msg Message, sizes []int64, checkPattern bool) ([][]byte, error)
 			if pl == nil {
 				return nil, fmt.Errorf("block: origin %d has no payload in real mode", origin)
 			}
-			if !bytes.Equal(pl, FillPattern(origin, sizes[origin])) {
+			if !CheckPattern(origin, pl) {
 				return nil, fmt.Errorf("block: origin %d payload corrupted", origin)
 			}
 		}

@@ -1,6 +1,8 @@
 package block
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -199,5 +201,59 @@ func TestPatternDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("patterns for different origins identical")
+	}
+}
+
+// TestCheckPattern pins CheckPattern to the expression it replaced,
+// bytes.Equal(pl, FillPattern(origin, len(pl))), around the pattern's
+// 256-byte period: clean patterns pass, any single corrupted byte fails
+// (every position up to 1 KiB, 200 seeded positions above), and so do
+// another origin's pattern and the origin's own pattern off by one byte
+// (what a mis-sliced or aliased view would hold).
+func TestCheckPattern(t *testing.T) {
+	lengths := []int{0, 1, 255, 256, 257, 511, 512, 513, 1 << 10, 64<<10 + 1, 1<<20 + 13}
+	origins := []int{0, 1, 3, 127, 500}
+	rng := rand.New(rand.NewSource(22))
+	for _, n := range lengths {
+		for _, origin := range origins {
+			want := FillPattern(origin, int64(n))
+			pl := append([]byte(nil), want...)
+			check := func(what string, o int, b []byte, accept bool) {
+				t.Helper()
+				got := CheckPattern(o, b)
+				if old := bytes.Equal(b, FillPattern(o, int64(len(b)))); got != old {
+					t.Fatalf("n=%d origin=%d %s: CheckPattern = %v, regenerate-and-compare = %v", n, o, what, got, old)
+				}
+				if got != accept {
+					t.Fatalf("n=%d origin=%d %s: CheckPattern = %v, want %v", n, o, what, got, accept)
+				}
+			}
+			check("clean", origin, pl, true)
+			if n == 0 {
+				continue
+			}
+			flip := func(i int) {
+				t.Helper()
+				pl[i] ^= byte(1 + rng.Intn(255))
+				if CheckPattern(origin, pl) {
+					t.Fatalf("n=%d origin=%d: corrupted byte %d accepted", n, origin, i)
+				}
+				pl[i] = want[i]
+			}
+			if n <= 1<<10 {
+				for i := range pl {
+					flip(i)
+				}
+			} else {
+				flip(0)
+				flip(n - 1)
+				for k := 0; k < 200; k++ {
+					flip(rng.Intn(n))
+				}
+			}
+			check("restored", origin, pl, true)
+			check("wrong origin", origin+1, pl, false)
+			check("off by one", origin, FillPattern(origin, int64(n)+1)[1:], false)
+		}
 	}
 }

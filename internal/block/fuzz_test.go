@@ -1,6 +1,9 @@
 package block
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzDecodeHeader: arbitrary byte strings must never panic the header
 // parser, and valid headers must round-trip through it.
@@ -23,6 +26,29 @@ func FuzzDecodeHeader(f *testing.F) {
 			if re[i] != data[i] {
 				t.Fatalf("round trip differs at byte %d", i)
 			}
+		}
+	})
+}
+
+// FuzzCheckPattern: the in-place check must agree with regenerating the
+// pattern and comparing, on every (origin, bytes) whatsoever.
+func FuzzCheckPattern(f *testing.F) {
+	f.Add(0, []byte{})
+	f.Add(3, FillPattern(3, 1))
+	f.Add(1, FillPattern(1, 256))
+	f.Add(127, FillPattern(127, 257))
+	f.Add(500, FillPattern(244, 700)) // origins 256 apart share a pattern
+	late := FillPattern(2, 1000)
+	late[999] ^= 0x10
+	f.Add(2, late)
+	early := FillPattern(2, 1000)
+	early[5] ^= 0x01
+	f.Add(2, early)
+	f.Add(4, bytes.Repeat([]byte{7}, 600))
+	f.Fuzz(func(t *testing.T, origin int, pl []byte) {
+		want := bytes.Equal(pl, FillPattern(origin, int64(len(pl))))
+		if got := CheckPattern(origin, pl); got != want {
+			t.Fatalf("CheckPattern(%d, %d bytes) = %v, regenerate-and-compare = %v", origin, len(pl), got, want)
 		}
 	})
 }

@@ -20,8 +20,8 @@ type Metrics struct {
 	// counters expose that fan-out. In sim mode they stay zero.
 	EncSegments int
 	DecSegments int
-	Copies     int   // explicit local copies
-	CopyBytes  int64 // bytes copied locally
+	Copies      int   // explicit local copies
+	CopyBytes   int64 // bytes copied locally
 
 	InterBytesSent int64 // wire bytes sent across node boundaries
 	IntraBytesSent int64 // wire bytes sent within the node

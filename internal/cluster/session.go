@@ -370,6 +370,9 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 	if op.Algo == nil {
 		return nil, nil, errors.New("cluster: Op.Algo is nil")
 	}
+	if op.Payloads != nil && len(op.Payloads) != spec.P {
+		return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
+	}
 	sizes = make([]int64, spec.P)
 	switch {
 	case op.Sizes != nil:
@@ -378,9 +381,6 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 		}
 		copy(sizes, op.Sizes)
 	case op.Payloads != nil:
-		if len(op.Payloads) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
-		}
 		for r := range sizes {
 			sizes[r] = int64(len(op.Payloads[r]))
 		}
@@ -393,9 +393,6 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 		}
 	}
 	if op.Payloads != nil {
-		if len(op.Payloads) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
-		}
 		for r, pl := range op.Payloads {
 			if int64(len(pl)) != sizes[r] {
 				return nil, nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(pl), sizes[r])

@@ -98,7 +98,7 @@ var (
 // entry is one metric instance: a family member identified by its
 // rendered label string. Exactly one of counter/gauge/hist/fn is set.
 type entry struct {
-	labels string // rendered `{k="v",...}`, "" for the unlabelled member
+	labels  string // rendered `{k="v",...}`, "" for the unlabelled member
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram

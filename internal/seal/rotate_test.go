@@ -84,14 +84,19 @@ func TestRotatingTamperAndEpochForgery(t *testing.T) {
 }
 
 func TestRotatingConcurrentUse(t *testing.T) {
-	rs, err := NewRotatingSealer(50, 4)
+	const goroutines, sealsEach, budget = 8, 100, 50
+	// A goroutine descheduled between its Seal and its Open can be outrun
+	// by every rotation its siblings cause, so the window covers all of
+	// them; expiry is TestRotationHappensAtBudget's business, not this
+	// test's.
+	rs, err := NewRotatingSealer(budget, goroutines*sealsEach/budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
+	done := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
 		go func() {
-			for i := 0; i < 100; i++ {
+			for i := 0; i < sealsEach; i++ {
 				b, err := rs.Seal([]byte("payload"), nil)
 				if err != nil {
 					done <- err
@@ -105,7 +110,7 @@ func TestRotatingConcurrentUse(t *testing.T) {
 			done <- nil
 		}()
 	}
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}

@@ -167,11 +167,11 @@ func TestSegmentedReorderDetected(t *testing.T) {
 func TestSegmentedSpliceAcrossBlobsDetected(t *testing.T) {
 	const segSize = 256
 	s := segSealer(t, segSize, 1)
-	a, _, err := s.SealSegmented([][]byte{randBytes(t, 2 * segSize)}, []byte("hdr A"))
+	a, _, err := s.SealSegmented([][]byte{randBytes(t, 2*segSize)}, []byte("hdr A"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := s.SealSegmented([][]byte{randBytes(t, 2 * segSize)}, []byte("hdr B"))
+	b, _, err := s.SealSegmented([][]byte{randBytes(t, 2*segSize)}, []byte("hdr B"))
 	if err != nil {
 		t.Fatal(err)
 	}

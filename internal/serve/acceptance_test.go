@@ -222,6 +222,7 @@ func TestAcceptanceMultiTenantHost(t *testing.T) {
 	running.Wait()
 
 	// Phase 5: the rollup tells the whole story.
+	checkAtRest(t, m)
 	snap := m.Snapshot()
 	if snap.Resident < tenants {
 		t.Fatalf("final resident = %d, want >= %d", snap.Resident, tenants)

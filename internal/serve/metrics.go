@@ -139,9 +139,6 @@ func (m *Manager) Snapshot() Snapshot {
 	for reason, c := range m.lm.rejects {
 		snap.Rejected[reason] = c.Value()
 	}
-	for reason, c := range m.lm.reaps {
-		snap.Reaps[reason] = c.Value()
-	}
 	type resident struct {
 		idx  int
 		sess *encag.Session
@@ -150,6 +147,11 @@ func (m *Manager) Snapshot() Snapshot {
 	m.mu.Lock()
 	snap.Known = len(m.tenants)
 	snap.Resident = m.resident
+	// Reaps are counted under m.mu as a session leaves residency, so
+	// read here they balance: Σ SessionsOpened ≤ Resident + Σ Reaps.
+	for reason, c := range m.lm.reaps {
+		snap.Reaps[reason] = c.Value()
+	}
 	for _, tn := range m.tenants {
 		st := TenantStatus{
 			ID:             tn.id,

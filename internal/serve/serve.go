@@ -362,7 +362,6 @@ func (m *Manager) lease(ctx context.Context, id string) (*tenant, *encag.Session
 		m.mu.Unlock()
 		if victim != nil {
 			victim.Close()
-			m.lm.reaped(ReapLRU)
 		}
 		s, err := encag.OpenSession(ctx, tn.spec, m.sessionOpts(tn)...)
 		m.mu.Lock()
@@ -400,15 +399,24 @@ func (m *Manager) unlease(tn *tenant, s *encag.Session, stepErr error) {
 	tn.lastUsed = time.Now()
 	var victim *encag.Session
 	if reason != "" && tn.sess == s {
-		victim = tn.sess
-		tn.sess = nil
-		m.resident--
+		victim = m.detachLocked(tn, reason)
 	}
 	m.mu.Unlock()
 	if victim != nil {
 		victim.Close()
-		m.lm.reaped(reason)
 	}
+}
+
+// detachLocked takes a resident tenant's session out of residency and
+// counts the reap in the same critical section, so no observer sees the
+// tenant gone and the reap missing. The caller closes the returned
+// session outside the lock.
+func (m *Manager) detachLocked(tn *tenant, reason string) *encag.Session {
+	s := tn.sess
+	tn.sess = nil
+	m.resident--
+	m.lm.reaped(reason)
+	return s
 }
 
 // isCancel reports whether a step failed because its context was
@@ -419,8 +427,9 @@ func isCancel(err error) bool {
 }
 
 // evictLRULocked picks the least-recently-used resident tenant with no
-// step in flight, detaches its session and returns it for the caller to
-// close outside the lock. Nil when every resident tenant is busy.
+// step in flight, detaches its session (reason "lru") and returns it for
+// the caller to close outside the lock. Nil when every resident tenant
+// is busy.
 func (m *Manager) evictLRULocked() *encag.Session {
 	var lru *tenant
 	for _, tn := range m.tenants {
@@ -434,10 +443,7 @@ func (m *Manager) evictLRULocked() *encag.Session {
 	if lru == nil {
 		return nil
 	}
-	s := lru.sess
-	lru.sess = nil
-	m.resident--
-	return s
+	return m.detachLocked(lru, ReapLRU)
 }
 
 // Evict closes the tenant's resident session now (reason "evicted");
@@ -448,16 +454,13 @@ func (m *Manager) Evict(id string) bool {
 	tn := m.tenants[id]
 	var victim *encag.Session
 	if tn != nil && tn.sess != nil {
-		victim = tn.sess
-		tn.sess = nil
-		m.resident--
+		victim = m.detachLocked(tn, ReapEvicted)
 	}
 	m.mu.Unlock()
 	if victim == nil {
 		return false
 	}
 	victim.Close()
-	m.lm.reaped(ReapEvicted)
 	return true
 }
 
@@ -485,9 +488,7 @@ func (m *Manager) sweep(now time.Time) {
 			continue
 		}
 		if m.cfg.IdleTTL > 0 && now.Sub(tn.lastUsed) >= m.cfg.IdleTTL {
-			idle = append(idle, tn.sess)
-			tn.sess = nil
-			m.resident--
+			idle = append(idle, m.detachLocked(tn, ReapIdle))
 			continue
 		}
 		if m.cfg.RekeyEvery > 0 && now.Sub(tn.lastRekey) >= m.cfg.RekeyEvery {
@@ -502,7 +503,6 @@ func (m *Manager) sweep(now time.Time) {
 	m.mu.Unlock()
 	for _, s := range idle {
 		s.Close()
-		m.lm.reaped(ReapIdle)
 	}
 }
 
@@ -519,9 +519,7 @@ func (m *Manager) Close() error {
 	var victims []*encag.Session
 	for _, tn := range m.tenants {
 		if tn.sess != nil {
-			victims = append(victims, tn.sess)
-			tn.sess = nil
-			m.resident--
+			victims = append(victims, m.detachLocked(tn, ReapShutdown))
 		}
 	}
 	m.cond.Broadcast()
@@ -532,7 +530,6 @@ func (m *Manager) Close() error {
 	}
 	for _, s := range victims {
 		s.Close()
-		m.lm.reaped(ReapShutdown)
 	}
 	if m.ownsPool {
 		m.pool.Close()

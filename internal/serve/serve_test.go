@@ -25,6 +25,93 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// reapBalance returns the two sides of the residency conservation law
+// of one Snapshot: every session ever opened is either still resident or
+// was reaped, so opened <= accounted always, with equality whenever no
+// session is being dialed.
+func reapBalance(snap Snapshot) (opened, accounted int64) {
+	for _, ts := range snap.Tenants {
+		opened += ts.SessionsOpened
+	}
+	accounted = int64(snap.Resident)
+	for _, n := range snap.Reaps {
+		accounted += n
+	}
+	return opened, accounted
+}
+
+// checkAtRest asserts the law with equality: nothing is in flight.
+func checkAtRest(t *testing.T, m *Manager) {
+	t.Helper()
+	if opened, accounted := reapBalance(m.Snapshot()); opened != accounted {
+		t.Fatalf("at rest: %d sessions opened, resident + reaps = %d", opened, accounted)
+	}
+}
+
+// TestManagerReapsBalanceResidency churns tenants through every
+// lock-side reap path a healthy host takes (lru, idle, evicted,
+// shutdown) while a second goroutine snapshots continuously: no
+// snapshot may show a session gone from residency without its reap.
+func TestManagerReapsBalanceResidency(t *testing.T) {
+	// An hour's IdleTTL keeps the real janitor out of it; the test drives
+	// sweep itself with a clock past the TTL, so which path reaps which
+	// session does not depend on how fast the host steps.
+	m, err := Open(Config{Capacity: 2, IdleTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sweepIdle := func() { m.sweep(time.Now().Add(2 * time.Hour)) }
+	stop := make(chan struct{})
+	watched := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				watched <- nil
+				return
+			default:
+			}
+			if opened, accounted := reapBalance(m.Snapshot()); opened > accounted {
+				watched <- errors.New("snapshot shows a session that left residency uncounted")
+				return
+			}
+		}
+	}()
+	ids := []string{"a", "b", "c"}
+	for i := 0; i < 30; i++ {
+		if _, err := m.Step(context.Background(), ids[i%len(ids)], encag.AlgORing, 256); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		switch i % 10 {
+		case 4:
+			m.Evict(ids[i%len(ids)])
+		case 9:
+			sweepIdle()
+		}
+	}
+	close(stop)
+	if err := <-watched; err != nil {
+		t.Fatal(err)
+	}
+	sweepIdle()
+	checkAtRest(t, m)
+	snap := m.Snapshot()
+	if snap.Resident != 0 {
+		t.Fatalf("resident = %d after an idle sweep, want 0", snap.Resident)
+	}
+	for _, reason := range []string{ReapLRU, ReapIdle, ReapEvicted} {
+		if snap.Reaps[reason] < 1 {
+			t.Fatalf("%s reaps = %d, want >= 1 (the churn must take this path)", reason, snap.Reaps[reason])
+		}
+	}
+	if _, err := m.Step(context.Background(), "a", encag.AlgORing, 256); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	checkAtRest(t, m)
+}
+
 func TestManagerStepAndReuse(t *testing.T) {
 	m, err := Open(Config{})
 	if err != nil {

@@ -302,11 +302,11 @@ func legacyPR4Frame(src uint32, epoch uint32, seq uint64, payload []byte) []byte
 	be(src)
 	be64(seq)
 	be(epoch)
-	be(1)               // one chunk
-	buf.WriteByte(0)    // flags: plaintext
-	be(0)               // tag
-	be(1)               // one block
-	be(src)             // origin
+	be(1)            // one chunk
+	buf.WriteByte(0) // flags: plaintext
+	be(0)            // tag
+	be(1)            // one block
+	be(src)          // origin
 	be64(uint64(len(payload)))
 	be(uint32(len(payload)))
 	buf.Write(payload)

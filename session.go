@@ -446,12 +446,18 @@ func buildOp(alg cluster.Algorithm, o *sessionOptions) cluster.Op {
 	return op
 }
 
-// runResult converts a cluster result into the public RunResult,
-// normalizing every rank's gathered view. sizes is nil for uniform
-// blocks of msgSize bytes.
-func (s *Session) runResult(res *cluster.RealResult, sizes []int64, msgSize int64) (*RunResult, error) {
-	out := &RunResult{
-		Gathered:      make([][][]byte, s.cs.P),
+// runResult validates a cluster result and converts it into the public
+// RunResult in one pass per rank: every rank's message must be a
+// complete plaintext gather of sizes, and with checkPayload every
+// gathered byte must also match its origin's deterministic pattern.
+// Gathered holds views into the result messages, not copies.
+func (s *Session) runResult(res *cluster.RealResult, sizes []int64, checkPayload bool) (*RunResult, error) {
+	views, err := cluster.GatherViews(s.cs, sizes, res.Results, checkPayload)
+	if err != nil {
+		return nil, err
+	}
+	return &RunResult{
+		Gathered:      views,
 		Metrics:       res.Critical,
 		SecurityOK:    res.Audit.Clean() && !res.Sealer.DuplicateNonceSeen(),
 		InterMessages: res.Audit.InterMsgs,
@@ -459,31 +465,12 @@ func (s *Session) runResult(res *cluster.RealResult, sizes []int64, msgSize int6
 		Violations:    append([]string(nil), res.Audit.Violations...),
 		Elapsed:       res.Elapsed,
 		OpID:          res.OpID,
-	}
-	for r, msg := range res.Results {
-		var payloads [][]byte
-		var err error
-		if sizes != nil {
-			payloads, err = block.NormalizeV(msg, sizes, false)
-		} else {
-			payloads, err = block.Normalize(msg, s.cs.P, msgSize, false)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("encag: rank %d: %w", r, err)
-		}
-		out.Gathered[r] = payloads
-	}
-	return out, nil
+	}, nil
 }
 
-// validateUniform applies the engine-appropriate end-of-run gather
-// validation for self-generated (deterministic-pattern) payloads.
-func (s *Session) validateUniform(algorithm Alg, msgSize int64, res *cluster.RealResult, o *sessionOptions) error {
-	checkPayload := s.engine == EngineTCP || s.planActive(o)
-	err := cluster.ValidateGather(s.cs, msgSize, res.Results, checkPayload)
-	if err == nil {
-		return nil
-	}
+// invalidPatternGather shapes the end-of-run validation failure of a
+// self-generated (deterministic-pattern) run for its engine.
+func (s *Session) invalidPatternGather(algorithm Alg, o *sessionOptions, err error) error {
 	if s.planActive(o) {
 		// Corruption that survived transport (unauthenticated bytes the
 		// plan hit) must fail closed as a structured error, never be
@@ -515,12 +502,11 @@ func (s *Session) Run(ctx context.Context, algorithm Alg, msgSize int64, opts ..
 	if err != nil {
 		return nil, err
 	}
-	if err := s.validateUniform(used, msgSize, res, o); err != nil {
-		return nil, err
-	}
-	out, err := s.runResult(res, nil, msgSize)
+	// Self-generated payloads: every gathered byte is checked against its
+	// origin's pattern over TCP and under any fault plan.
+	out, err := s.runResult(res, block.UniformSizes(s.cs.P, msgSize), s.engine == EngineTCP || s.planActive(o))
 	if err != nil {
-		return nil, err
+		return nil, s.invalidPatternGather(used, o, err)
 	}
 	out.Algorithm = used
 	s.observeLatency(o, msgSize, used, out)
@@ -545,21 +531,15 @@ func (s *Session) Allgather(ctx context.Context, algorithm Alg, data [][]byte, o
 	}
 	op := buildOp(alg, o)
 	op.Payloads = data
-	op.Sizes = make([]int64, s.cs.P)
-	for r := range op.Sizes {
-		op.Sizes[r] = msgSize
-	}
+	op.Sizes = block.UniformSizes(s.cs.P, msgSize)
 	res, err := s.inner.Collective(ctx, op)
 	if err != nil {
 		return nil, err
 	}
 	// User-supplied bytes: validate structure only, never pattern content.
-	if err := cluster.ValidateGather(s.cs, msgSize, res.Results, false); err != nil {
-		return nil, fmt.Errorf("encag: %s produced an invalid gather: %w", used, err)
-	}
-	out, err := s.runResult(res, nil, msgSize)
+	out, err := s.runResult(res, op.Sizes, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("encag: %s produced an invalid gather: %w", used, err)
 	}
 	out.Algorithm = used
 	s.observeLatency(o, msgSize, used, out)
@@ -600,12 +580,9 @@ func (s *Session) AllgatherV(ctx context.Context, algorithm Alg, data [][]byte, 
 	for r := range sizes {
 		sizes[r] = int64(len(data[r]))
 	}
-	if err := cluster.ValidateGatherV(s.cs, sizes, res.Results, false); err != nil {
-		return nil, fmt.Errorf("encag: %s produced an invalid gatherv: %w", used, err)
-	}
-	out, err := s.runResult(res, sizes, 0)
+	out, err := s.runResult(res, sizes, false)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("encag: %s produced an invalid gatherv: %w", used, err)
 	}
 	out.Algorithm = used
 	s.observeLatency(o, maxSize, used, out)
@@ -629,10 +606,7 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 	m := int64(len(data[0]))
 	cop := buildOp(encrypted.AllreduceHS(op), o)
 	cop.Payloads = data
-	cop.Sizes = make([]int64, s.cs.P)
-	for r := range cop.Sizes {
-		cop.Sizes[r] = m
-	}
+	cop.Sizes = block.UniformSizes(s.cs.P, m)
 	res, err := s.inner.Collective(ctx, cop)
 	if err != nil {
 		return nil, err

@@ -1,0 +1,114 @@
+package encag
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"encag/internal/block"
+	"encag/internal/cluster"
+)
+
+// End-of-run validation on the facade: one corrupted byte anywhere in
+// any rank's gathered view of any origin must fail the run — as the
+// structured RankError (Op "validate") under a fault plan, as the
+// engine's invalid-gather error otherwise — and the untouched result
+// must pass. The result is a real EngineTCP one, tampered with between
+// the collective and the facade's validating pass.
+func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
+	const m = 700 // more than two pattern periods
+	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2}, WithEngine(EngineTCP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	impl, used, err := s.resolveAlg(AlgCRing, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.inner.Collective(context.Background(), cluster.Op{Algo: impl, MsgSize: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := block.UniformSizes(s.cs.P, m)
+	clean, err := s.runResult(res, sizes, true)
+	if err != nil {
+		t.Fatalf("clean TCP result rejected: %v", err)
+	}
+	planned := &sessionOptions{plan: &FaultPlan{}}
+	for r, view := range clean.Gathered {
+		for origin, blk := range view {
+			// Positions in the first period, at its edge and beyond it.
+			for _, at := range []int{(r*5 + origin) % 256, 255, 256, m - 1 - r} {
+				blk[at] ^= 0x20
+				_, err := s.runResult(res, sizes, true)
+				blk[at] ^= 0x20
+				if err == nil {
+					t.Fatalf("rank %d origin %d byte %d corrupted: accepted", r, origin, at)
+				}
+				// Ranks of one node may share a payload, so the first
+				// rank to trip may not be r; the origin is exact.
+				if want := fmt.Sprintf("origin %d payload corrupted", origin); !strings.Contains(err.Error(), want) {
+					t.Fatalf("rank %d origin %d byte %d: error %q does not name %q", r, origin, at, err, want)
+				}
+				var re *RankError
+				if verr := s.invalidPatternGather(used, planned, err); !errors.As(verr, &re) || re.Op != "validate" {
+					t.Fatalf("under a fault plan: %v, want a *RankError with Op validate", verr)
+				}
+				if verr := s.invalidPatternGather(used, &sessionOptions{}, err); !strings.Contains(verr.Error(), "invalid gather over TCP") {
+					t.Fatalf("without a plan: %v, want the TCP invalid-gather error", verr)
+				}
+			}
+		}
+	}
+	if _, err := s.runResult(res, sizes, true); err != nil {
+		t.Fatalf("restored result rejected: %v", err)
+	}
+}
+
+// Allocation gate for the bandwidth-bound shape the benchmark calls
+// tcp-large-pipe (EngineTCP, 4 ranks on 2 nodes, c-ring, 1 MiB,
+// pipelined). Bytes allocated per operation repeat to a fraction of a
+// percent, so a ceiling is safe where a latency bound would not be. In
+// the benchmark's unit (alloc_KB_per_op, KB = 1024 B): 41 075 while
+// validation regenerated every origin's pattern for every rank, about
+// 24 700 since it checks the gathered bytes in place; the gate is 27 000.
+func TestTCPLargePipeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		msgSize = 1 << 20
+		ops     = 8
+		budget  = 27000 << 10
+	)
+	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2},
+		WithEngine(EngineTCP), WithPipelining(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	run := func() {
+		t.Helper()
+		if _, err := s.Run(context.Background(), AlgCRing, msgSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run() // mesh setup and first-use buffers are not per-op cost
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < ops; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
+	t.Logf("%d KB allocated per 1 MiB pipelined TCP c-ring op (budget %d)", perOp>>10, budget>>10)
+	if perOp >= budget {
+		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
+	}
+}
