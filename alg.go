@@ -119,7 +119,7 @@ var algList, algSet = func() ([]Alg, map[Alg]bool) {
 		set[Alg(n)] = true
 		set[PlainOf(Alg(n))] = true
 	}
-	for _, a := range []Alg{AlgMPI, AlgPlainRing, AlgPlainRingRO, AlgPlainRD,
+	for _, a := range []Alg{AlgAuto, AlgMPI, AlgPlainRing, AlgPlainRingRO, AlgPlainRD,
 		AlgPlainBruck, AlgPlainHier, AlgPlainNeighbor} {
 		set[a] = true
 	}
@@ -148,17 +148,13 @@ func PaperAlgorithms() []Alg {
 	return out
 }
 
-// lookup resolves an algorithm to an implementation. Encrypted
-// algorithms use the paper's names; "plain-<name>" selects the
-// unencrypted counterpart of an encrypted algorithm; "mpi" is the
-// MVAPICH-style unencrypted baseline; plain classics are available as
-// "plain-ring"/"plain-rd"/"plain-bruck"/"plain-hier". Unknown names
-// fail with a structured *UnknownAlgorithmError.
-func lookup(alg Alg) (cluster.Algorithm, error) {
-	a, err := ParseAlg(string(alg))
-	if err != nil {
-		return nil, err
-	}
+// lookup resolves a parsed, concrete algorithm (ParseAlg's output, with
+// AlgAuto already resolved) to an implementation. Encrypted algorithms
+// use the paper's names; "plain-<name>" selects the unencrypted
+// counterpart of an encrypted algorithm; "mpi" is the MVAPICH-style
+// unencrypted baseline; plain classics are available as
+// "plain-ring"/"plain-rd"/"plain-bruck"/"plain-hier".
+func lookup(a Alg) (cluster.Algorithm, error) {
 	switch a {
 	case AlgMPI:
 		return collective.AsAlgorithm(collective.MVAPICH(0)), nil

@@ -19,8 +19,9 @@ func TestAllgatherVBasic(t *testing.T) {
 		[]byte("x"),
 		bytes.Repeat([]byte{1}, 2000),
 	}
+	s := openTest(t, spec)
 	for _, alg := range append(PaperAlgorithms(), "auto") {
-		res, err := AllgatherV(spec, alg, data)
+		res, err := s.AllgatherV(bg, alg, data)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -39,13 +40,13 @@ func TestAllgatherVBasic(t *testing.T) {
 }
 
 func TestSimulateVSkewedSizes(t *testing.T) {
-	spec := Spec{Procs: 16, Nodes: 4}
+	s := openTest(t, Spec{Procs: 16, Nodes: 4}, simOpts...)
 	sizes := make([]int64, 16)
 	for i := range sizes {
 		sizes[i] = int64(i) * 4096 // heavily skewed, rank 0 empty
 	}
 	for _, alg := range []Alg{AlgNaive, AlgCRing, AlgHS2} {
-		res, err := SimulateV(spec, Noleland(), alg, sizes)
+		res, err := s.SimulateV(bg, alg, sizes)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -59,16 +60,17 @@ func TestSimulateVSkewedSizes(t *testing.T) {
 	for i := range uniform {
 		uniform[i] = 30 << 10
 	}
-	if _, err := SimulateV(spec, Noleland(), "hs2", uniform); err != nil {
+	if _, err := s.SimulateV(bg, "hs2", uniform); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAllgatherVCountMismatch(t *testing.T) {
-	if _, err := AllgatherV(Spec{Procs: 4, Nodes: 2}, "hs2", make([][]byte, 3)); err == nil {
+	spec := Spec{Procs: 4, Nodes: 2}
+	if _, err := openTest(t, spec).AllgatherV(bg, "hs2", make([][]byte, 3)); err == nil {
 		t.Fatal("wrong contribution count accepted")
 	}
-	if _, err := SimulateV(Spec{Procs: 4, Nodes: 2}, Noleland(), "hs2", []int64{1, 2}); err == nil {
+	if _, err := openTest(t, spec, simOpts...).SimulateV(bg, "hs2", []int64{1, 2}); err == nil {
 		t.Fatal("wrong size count accepted")
 	}
 }
@@ -97,7 +99,12 @@ func TestQuickAllgatherV(t *testing.T) {
 		}
 		algs := PaperAlgorithms()
 		alg := algs[rng.Intn(len(algs))]
-		res, err := AllgatherV(spec, alg, data)
+		s, err := OpenSession(bg, spec)
+		if err != nil {
+			return false
+		}
+		defer s.Close()
+		res, err := s.AllgatherV(bg, alg, data)
 		if err != nil || !res.SecurityOK {
 			return false
 		}
@@ -127,7 +134,7 @@ func TestAllreduceFacade(t *testing.T) {
 			want[i] ^= data[r][i]
 		}
 	}
-	res, err := Allreduce(spec, data, XORCombine)
+	res, err := openTest(t, spec).Allreduce(bg, data, XORCombine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +150,7 @@ func TestAllreduceFacade(t *testing.T) {
 }
 
 func TestAllreduceFacadeErrors(t *testing.T) {
-	if _, err := Allreduce(Spec{Procs: 4, Nodes: 2}, make([][]byte, 3), XORCombine); err == nil {
+	if _, err := openTest(t, Spec{Procs: 4, Nodes: 2}).Allreduce(bg, make([][]byte, 3), XORCombine); err == nil {
 		t.Fatal("wrong count accepted")
 	}
 }

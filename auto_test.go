@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"encag/internal/tune"
@@ -321,50 +322,57 @@ func TestTuningRefinementObservation(t *testing.T) {
 	}
 }
 
+// entryPoints is every public collective entry point of a chan session
+// and a sim session, callable with an algorithm and per-operation
+// options (Allreduce takes no algorithm and ignores the argument).
+func entryPoints(t *testing.T) map[string]func(Alg, ...Option) error {
+	real := openTest(t, Spec{Procs: 4, Nodes: 2})
+	sim := openTest(t, Spec{Procs: 4, Nodes: 2}, simOpts...)
+	data := [][]byte{{1}, {2}, {3}, {4}}
+	return map[string]func(Alg, ...Option) error{
+		"Run": func(a Alg, opts ...Option) error {
+			_, err := real.Run(bg, a, 64, opts...)
+			return err
+		},
+		"Allgather": func(a Alg, opts ...Option) error {
+			_, err := real.Allgather(bg, a, data, opts...)
+			return err
+		},
+		"AllgatherV": func(a Alg, opts ...Option) error {
+			_, err := real.AllgatherV(bg, a, data, opts...)
+			return err
+		},
+		"Allreduce": func(_ Alg, opts ...Option) error {
+			_, err := real.Allreduce(bg, data, XORCombine, opts...)
+			return err
+		},
+		"Start": func(a Alg, opts ...Option) error {
+			h, err := real.Start(bg, a, 64, opts...)
+			if err != nil {
+				return err
+			}
+			return h.Err()
+		},
+		"Simulate": func(a Alg, opts ...Option) error {
+			_, err := sim.Simulate(bg, a, 64, opts...)
+			return err
+		},
+		"SimulateV": func(a Alg, opts ...Option) error {
+			_, err := sim.SimulateV(bg, a, []int64{64, 0, 64, 8}, opts...)
+			return err
+		},
+	}
+}
+
 // Unknown algorithm names fail identically — a structured
 // *UnknownAlgorithmError naming the input and listing valid names —
 // across the blocking, nonblocking and simulated entry points.
 func TestUnknownAlgorithmConsistency(t *testing.T) {
-	real, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer real.Close()
-	sim, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2},
-		WithEngine(EngineSim), WithProfile(Noleland()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-
-	checks := map[string]func() error{
-		"Run": func() error {
-			_, err := real.Run(context.Background(), "bogus", 64)
-			return err
-		},
-		"Allgather": func() error {
-			_, err := real.Allgather(context.Background(), "bogus", [][]byte{{1}, {2}, {3}, {4}})
-			return err
-		},
-		"AllgatherV": func() error {
-			_, err := real.AllgatherV(context.Background(), "bogus", [][]byte{{1}, {2}, {3}, {4}})
-			return err
-		},
-		"Start": func() error {
-			_, err := real.Start(context.Background(), "bogus", 64)
-			return err
-		},
-		"Simulate": func() error {
-			_, err := sim.Simulate(context.Background(), "bogus", 64)
-			return err
-		},
-		"package Simulate": func() error {
-			_, err := Simulate(Spec{Procs: 4, Nodes: 2}, Noleland(), "bogus", 64)
-			return err
-		},
-	}
-	for name, call := range checks {
-		err := call()
+	for name, call := range entryPoints(t) {
+		if name == "Allreduce" {
+			continue // takes no algorithm
+		}
+		err := call("bogus")
 		var ue *UnknownAlgorithmError
 		if !errors.As(err, &ue) {
 			t.Errorf("%s(bogus): error %v is not *UnknownAlgorithmError", name, err)
@@ -372,6 +380,77 @@ func TestUnknownAlgorithmConsistency(t *testing.T) {
 		}
 		if ue.Name != "bogus" || len(ue.Valid) == 0 {
 			t.Errorf("%s(bogus): malformed error %+v", name, ue)
+		}
+	}
+}
+
+// Every session-level option is refused by every collective entry point
+// with an error naming it; when several are passed, the first one is
+// named. The same calls succeed with the per-operation options.
+func TestSessionLevelOptionRefusedPerOperation(t *testing.T) {
+	sessionLevel := map[string]Option{
+		"WithEngine":           WithEngine(EngineTCP),
+		"WithProfile":          WithProfile(Noleland()),
+		"WithMaxInFlight":      WithMaxInFlight(2),
+		"WithPipelining":       WithPipelining(true),
+		"WithSegmentWindow":    WithSegmentWindow(2),
+		"WithDebugServer":      WithDebugServer(""),
+		"WithTuningTable":      WithTuningTable(nil),
+		"WithTuningRefinement": WithTuningRefinement(false),
+		"WithCryptoPool":       WithCryptoPool(nil),
+	}
+	refusal := func(opt string) string {
+		return "encag: " + opt + " is a session-level option; pass it to OpenSession"
+	}
+	for entry, call := range entryPoints(t) {
+		for opt, o := range sessionLevel {
+			if err := call(AlgHS2, WithTracer(&TraceCollector{}), o); err == nil || err.Error() != refusal(opt) {
+				t.Errorf("%s(%s): error %v, want %q", entry, opt, err, refusal(opt))
+			}
+		}
+		err := call(AlgHS2, WithSegmentWindow(2), WithEngine(EngineTCP))
+		if err == nil || err.Error() != refusal("WithSegmentWindow") {
+			t.Errorf("%s: error %v, want the first option named", entry, err)
+		}
+		if err := call(AlgHS2, WithTracer(&TraceCollector{}), WithFaultPlan(&FaultPlan{})); err != nil {
+			t.Errorf("%s with per-operation options: %v", entry, err)
+		}
+	}
+}
+
+// Start enters the same path as Run with what it has already validated:
+// for AlgAuto both report the concrete algorithm the tuner picked, carry
+// their own operation ids, and agree on everything deterministic.
+func TestStartMatchesRunForAuto(t *testing.T) {
+	for _, engine := range []Engine{EngineChan, EngineTCP} {
+		s := openTest(t, Spec{Procs: 4, Nodes: 2}, WithEngine(engine), WithTuningRefinement(false))
+		for _, size := range []int64{64, 4 << 10, 64 << 10} {
+			ran, err := s.Run(bg, AlgAuto, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.Start(bg, AlgAuto, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			started, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran.Algorithm == AlgAuto || started.Algorithm != ran.Algorithm {
+				t.Errorf("%s @%d: Run ran %q, Start ran %q", engine, size, ran.Algorithm, started.Algorithm)
+			}
+			if ran.OpID == 0 || started.OpID != ran.OpID+1 {
+				t.Errorf("%s @%d: op ids %d then %d, want consecutive", engine, size, ran.OpID, started.OpID)
+			}
+			if started.Metrics != ran.Metrics || started.SecurityOK != ran.SecurityOK ||
+				started.InterMessages != ran.InterMessages || started.IntraMessages != ran.IntraMessages ||
+				!reflect.DeepEqual(started.Gathered, ran.Gathered) {
+				t.Errorf("%s @%d: Start's result differs from Run's: %+v vs %+v", engine, size, started.Metrics, ran.Metrics)
+			}
+		}
+		if got := s.AutoSelected(); len(got) == 0 {
+			t.Errorf("%s: no auto selections counted", engine)
 		}
 	}
 }

@@ -88,12 +88,12 @@ func BenchmarkAblationRankOrderedRing(b *testing.B)  { runExperiment(b, "ablatio
 // BenchmarkSimulate measures raw simulator throughput for one mid-size
 // configuration per algorithm.
 func BenchmarkSimulate(b *testing.B) {
-	spec := encag.Spec{Procs: 128, Nodes: 8}
+	s := open(b, encag.Spec{Procs: 128, Nodes: 8}, encag.WithEngine(encag.EngineSim), encag.WithProfile(encag.Noleland()))
 	for _, alg := range append([]encag.Alg{encag.AlgMPI}, encag.PaperAlgorithms()...) {
 		alg := alg
 		b.Run(string(alg), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := encag.Simulate(spec, encag.Noleland(), alg, 16<<10); err != nil {
+				if _, err := s.Simulate(bg, alg, 16<<10); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -141,13 +141,13 @@ func BenchmarkSessionSteadyState(b *testing.B) {
 // BenchmarkRealAllgather measures the real execution engine (goroutines
 // + channels + real AES-GCM) for each algorithm.
 func BenchmarkRealAllgather(b *testing.B) {
-	spec := encag.Spec{Procs: 32, Nodes: 4}
+	s := open(b, encag.Spec{Procs: 32, Nodes: 4})
 	for _, alg := range encag.PaperAlgorithms() {
 		alg := alg
 		b.Run(string(alg), func(b *testing.B) {
 			b.SetBytes(32 * 4096)
 			for i := 0; i < b.N; i++ {
-				res, err := encag.Run(spec, alg, 4096)
+				res, err := s.Run(bg, alg, 4096)
 				if err != nil {
 					b.Fatal(err)
 				}

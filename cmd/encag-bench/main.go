@@ -10,7 +10,6 @@
 //	encag-bench -exp fig5 -jsonl # emit JSONL run summaries (one object per row)
 //	encag-bench -quick           # trimmed sizes for a fast smoke run
 //	encag-bench -list            # list experiment IDs
-//	encag-bench -session -iters 20 -jsonl   # session-amortization study only
 //	encag-bench -overlap -iters 12 -jsonl   # nonblocking-scheduler overlap study only
 package main
 
@@ -73,7 +72,6 @@ func main() {
 	quick := flag.Bool("quick", false, "trim large sizes for a fast run")
 	outDir := flag.String("out", "", "also write each table as CSV into this directory")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	session := flag.Bool("session", false, "shortcut for -exp session (per-call dial vs session reuse)")
 	overlap := flag.Bool("overlap", false, "shortcut for -exp overlap (serialized vs multiplexed in-flight collectives)")
 	iters := flag.Int("iters", 0, "iteration count for host-measuring experiments (0 = default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -82,9 +80,6 @@ func main() {
 	stopCPU := startCPUProfile(*cpuProfile)
 	defer stopCPU()
 	defer writeMemProfile(*memProfile)
-	if *session {
-		*exp = "session"
-	}
 	if *overlap {
 		*exp = "overlap"
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,9 +45,16 @@ func main() {
 		name encag.Alg
 		res  encag.SimResult
 	}
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, spec, encag.WithEngine(encag.EngineSim), encag.WithProfile(prof))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	defer s.Close()
 	var rows []row
 	for _, alg := range append([]encag.Alg{encag.AlgMPI}, encag.PaperAlgorithms()...) {
-		res, err := encag.Simulate(spec, prof, alg, size)
+		res, err := s.Simulate(ctx, alg, size)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", alg, err)
 			os.Exit(1)

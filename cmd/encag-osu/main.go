@@ -1,8 +1,9 @@
-// Command encag-osu is the in-memory analogue of the OSU_Allgather
-// micro-benchmark the paper measures with: it runs the real execution
-// engine (goroutines, channel transport, real AES-GCM) repeatedly for a
-// range of message sizes and reports average / min / max wall-clock
-// latency per all-gather, plus the six cost metrics.
+// Command encag-osu is the analogue of the OSU_Allgather micro-benchmark
+// the paper measures with: it runs a real execution engine (in-memory
+// channels by default, loopback TCP with -engine tcp; real AES-GCM on
+// both) repeatedly for a range of message sizes and reports average /
+// min / max wall-clock latency per all-gather, plus the six cost
+// metrics.
 //
 // Wall times here measure this host's goroutine scheduler and AES-NI
 // throughput, not an InfiniBand fabric — use encag-bench for the
@@ -12,14 +13,12 @@
 // Example:
 //
 //	encag-osu -p 32 -nodes 4 -algs naive,hs2 -sizes 1KB,64KB -iters 20
-//	encag-osu -session -engine tcp -iters 50   # persistent-session mode
-//	encag-osu -session -engine tcp -window 4   # nonblocking: pipelined Start
+//	encag-osu -engine tcp -iters 50   # over loopback TCP
+//	encag-osu -engine tcp -window 4   # nonblocking: pipelined Start
 //
-// With -session, all iterations of all configurations run over ONE
-// persistent encag.Session (mesh dialed once); without it, every
-// iteration is an independent one-shot run — the difference is the
-// setup amortization the session runtime provides. With -window n (>1,
-// requires -session), the timed iterations are issued through the
+// All iterations of all configurations run over one encag.Session (for
+// tcp the mesh is dialed once, before anything is timed). With
+// -window n (>1), the timed iterations are issued through the
 // nonblocking Session.Start under an in-flight window of n: the avg
 // column then reports batch wall clock per collective (pipelined
 // throughput), while min/max/stddev remain per-operation and overlap.
@@ -68,16 +67,11 @@ func main() {
 	asCSV := flag.Bool("csv", false, "emit CSV")
 	cryptoWorkers := flag.Int("crypto-workers", 0, "AES-GCM worker pool size (0 = shared GOMAXPROCS pool)")
 	segmentStr := flag.String("segment-size", "", "AES-GCM segmentation split size, e.g. 64KB (empty = default)")
-	useSession := flag.Bool("session", false, "run all iterations over one persistent Session instead of per-call runs")
-	window := flag.Int("window", 1, "pipeline iterations through Session.Start with this in-flight window (>1 requires -session)")
+	window := flag.Int("window", 1, "pipeline iterations through Session.Start with this in-flight window")
 	engineStr := flag.String("engine", "chan", "execution engine: chan or tcp")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-	if *window > 1 && !*useSession {
-		fmt.Fprintln(os.Stderr, "-window requires -session (nonblocking Start multiplexes one session's mesh)")
-		os.Exit(2)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -143,38 +137,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -engine %q (want chan or tcp)\n", *engineStr)
 		os.Exit(2)
 	}
-	var sess *encag.Session
-	if *useSession {
-		s, err := encag.OpenSession(context.Background(), spec,
-			encag.WithEngine(engine), encag.WithMaxInFlight(*window))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer s.Close()
-		sess = s
+	ctx := context.Background()
+	sess, err := encag.OpenSession(ctx, spec, encag.WithEngine(engine), encag.WithMaxInFlight(*window))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	// runOnce executes one collective in the selected mode: over the
-	// shared persistent session, or as an independent one-shot run.
-	runOnce := func(alg encag.Alg, m int64) (*encag.RunResult, error) {
-		if sess != nil {
-			return sess.Run(context.Background(), alg, m)
-		}
-		if engine == encag.EngineTCP {
-			res, err := encag.RunOverTCP(spec, alg, m)
-			if err != nil {
-				return nil, err
-			}
-			return &res.RunResult, nil
-		}
-		return encag.Run(spec, alg, m)
-	}
+	defer sess.Close()
 
 	if *asCSV {
 		fmt.Println("alg,size,avg_us,min_us,max_us,stddev_us,rd,sd")
 	} else {
-		fmt.Printf("# encag-osu  p=%d nodes=%d mapping=%s iters=%d engine=%s session=%v (wall clock, real AES-GCM)\n",
-			*p, *nodes, *mapping, *iters, engine, *useSession)
+		fmt.Printf("# encag-osu  p=%d nodes=%d mapping=%s iters=%d engine=%s (wall clock, real AES-GCM)\n",
+			*p, *nodes, *mapping, *iters, engine)
 		fmt.Printf("%-8s %-8s %12s %12s %12s %12s %8s %12s\n",
 			"alg", "size", "avg", "min", "max", "stddev", "rd", "sd")
 	}
@@ -208,7 +183,7 @@ func main() {
 				// overlap, so the avg column reports batch wall clock per
 				// collective — the OSU-style pipelined throughput figure.
 				for i := 0; i < *warmup; i++ {
-					if _, err := runOnce(alg, m); err != nil {
+					if _, err := sess.Run(ctx, alg, m); err != nil {
 						fmt.Fprintf(os.Stderr, "%s @%s: %v\n", alg, bench.SizeName(m), err)
 						ok = false
 						break
@@ -217,7 +192,7 @@ func main() {
 				batch := time.Now()
 				var handles []*encag.Handle
 				for i := 0; ok && i < *iters; i++ {
-					h, err := sess.Start(context.Background(), alg, m)
+					h, err := sess.Start(ctx, alg, m)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "%s @%s: %v\n", alg, bench.SizeName(m), err)
 						ok = false
@@ -239,7 +214,7 @@ func main() {
 				total = time.Since(batch)
 			} else {
 				for i := 0; i < *warmup+*iters; i++ {
-					res, err := runOnce(alg, m)
+					res, err := sess.Run(ctx, alg, m)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "%s @%s: %v\n", alg, bench.SizeName(m), err)
 						ok = false

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +31,6 @@ import (
 	"encag/internal/bench"
 	"encag/internal/cluster"
 	"encag/internal/obs"
-	"encag/internal/trace"
 )
 
 func main() {
@@ -63,57 +63,59 @@ func main() {
 	// falling back to block.
 	spec := encag.Spec{Procs: *p, Nodes: *nodes, Mapping: *mapping}
 
-	var (
-		tr      *encag.Trace
-		summary obs.RunSummary
-		header  string
-	)
+	tr := &encag.TraceCollector{}
+	opts := []encag.Option{encag.WithTracer(tr)}
 	switch *engine {
 	case "sim":
 		prof, err := encag.ProfileByName(*profName)
 		if err != nil {
 			fatal(err)
 		}
-		res, t, err := encag.SimulateTraced(spec, prof, alg, size)
+		opts = append(opts, encag.WithEngine(encag.EngineSim), encag.WithProfile(prof))
+	case "real":
+		opts = append(opts, encag.WithEngine(encag.EngineChan))
+	case "tcp":
+		opts = append(opts, encag.WithEngine(encag.EngineTCP))
+	default:
+		fatal(fmt.Errorf("unknown engine %q (want sim, real or tcp)", *engine))
+	}
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, spec, opts...)
+	if err != nil {
+		fatal(err)
+	}
+	defer s.Close()
+
+	var (
+		summary obs.RunSummary
+		header  string
+	)
+	if *engine == "sim" {
+		res, err := s.Simulate(ctx, alg, size)
 		if err != nil {
 			fatal(err)
 		}
-		tr = t
 		summary = obs.Summarize("sim", string(alg), clusterSpec(spec), size,
 			res.Latency.Seconds(), res.Metrics, tr.Events).
 			WithSelected(string(res.Algorithm))
 		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [sim/%s]: predicted latency %v",
 			alg, *p, *nodes, *mapping, bench.SizeName(size), *profName, res.Latency)
-	case "real":
-		res, t, err := encag.RunTraced(spec, alg, size)
+	} else {
+		res, err := s.Run(ctx, alg, size)
 		if err != nil {
 			fatal(err)
 		}
-		tr = t
-		summary = obs.Summarize("real", string(alg), clusterSpec(spec), size,
+		summary = obs.Summarize(*engine, string(alg), clusterSpec(spec), size,
 			res.Elapsed.Seconds(), res.Metrics, tr.Events).
 			WithSecurity(res.SecurityOK).
 			WithSelected(string(res.Algorithm)).
 			WithOp(res.OpID, 1)
-		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [real]: elapsed %v, security ok=%v",
-			alg, *p, *nodes, *mapping, bench.SizeName(size), res.Elapsed, res.SecurityOK)
-	case "tcp":
-		res, t, err := encag.RunOverTCPTraced(spec, alg, size)
-		if err != nil {
-			fatal(err)
+		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [%s]: elapsed %v, security ok=%v",
+			alg, *p, *nodes, *mapping, bench.SizeName(size), *engine, res.Elapsed, res.SecurityOK)
+		if wire := s.Wire(); wire != nil {
+			summary = summary.WithWire(wire.Bytes, wire.Truncated)
+			header += fmt.Sprintf(", wire %d bytes (truncated=%v)", wire.Bytes, wire.Truncated)
 		}
-		tr = t
-		summary = obs.Summarize("tcp", string(alg), clusterSpec(spec), size,
-			res.Elapsed.Seconds(), res.Metrics, tr.Events).
-			WithSecurity(res.SecurityOK).
-			WithWire(res.WireBytes, res.WireTruncated).
-			WithSelected(string(res.Algorithm)).
-			WithOp(res.OpID, 1)
-		header = fmt.Sprintf("%s on p=%d nodes=%d %s, %s blocks [tcp]: elapsed %v, security ok=%v, wire %d bytes (truncated=%v)",
-			alg, *p, *nodes, *mapping, bench.SizeName(size), res.Elapsed, res.SecurityOK,
-			res.WireBytes, res.WireTruncated)
-	default:
-		fatal(fmt.Errorf("unknown engine %q (want sim, real or tcp)", *engine))
 	}
 
 	out := io.Writer(os.Stdout)
@@ -133,12 +135,11 @@ func main() {
 	switch *format {
 	case "text":
 		fmt.Fprintf(out, "%s\n\n", header)
-		col := &trace.Collector{Events: tr.Events}
-		if err := col.Gantt(out, *p, *width); err != nil {
+		if err := tr.Gantt(out, *p, *width); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintln(out)
-		if err := col.WriteBreakdown(out, *p); err != nil {
+		if err := tr.WriteBreakdown(out, *p); err != nil {
 			fatal(err)
 		}
 	case "chrome":

@@ -169,9 +169,6 @@ func runLookup(tablePath, enginesStr, pStr, nodesStr, sizeStr, pipeline string) 
 	// Mirror the session's auto-candidate filter: only encrypted
 	// algorithms may be selected, whatever the table claims.
 	valid := func(name string) bool {
-		if name == "auto" {
-			return false
-		}
 		_, err := encrypted.Get(name)
 		return err == nil
 	}

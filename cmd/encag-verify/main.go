@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,6 +27,19 @@ import (
 
 	"encag"
 )
+
+var ctx = context.Background()
+
+// open opens the session a sweep holds while it stays on one spec; the
+// specs are this program's own, so a refusal is a bug, not a test case.
+func open(spec encag.Spec, opts ...encag.Option) *encag.Session {
+	s, err := encag.OpenSession(ctx, spec, opts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	return s
+}
 
 func main() {
 	sizeList := flag.String("sizes", "1,17,256,4096", "comma-separated message sizes in bytes")
@@ -70,10 +84,11 @@ func main() {
 	start := time.Now()
 	cases, failures := 0, 0
 	for _, spec := range specs {
+		s := open(spec)
 		for _, alg := range encag.PaperAlgorithms() {
 			for _, m := range sizes {
 				cases++
-				res, err := encag.Run(spec, alg, m)
+				res, err := s.Run(ctx, alg, m)
 				status := "ok"
 				switch {
 				case err != nil:
@@ -91,29 +106,39 @@ func main() {
 				}
 			}
 		}
+		s.Close()
 	}
 	if *overTCP {
 		for _, spec := range specs[:6] { // keep the socket matrix modest
+			s := open(spec, encag.WithEngine(encag.EngineTCP))
+			var seen int64 // the wire capture is cumulative over the session
 			for _, alg := range encag.PaperAlgorithms() {
 				cases++
-				res, err := encag.RunOverTCP(spec, alg, 64)
+				res, err := s.Run(ctx, alg, 64)
 				status := "ok"
 				switch {
 				case err != nil:
 					status = "FAIL: " + err.Error()
 				case !res.SecurityOK:
 					status = "INSECURE (audit)"
-				case !res.WireClean:
+				case !s.WireClean(64):
 					status = "INSECURE (plaintext on the wire)"
 				}
+				wire := s.Wire().Bytes
 				if status != "ok" {
 					failures++
 					fmt.Printf("tcp %-8s p=%-4d N=%-2d %s\n", alg, spec.Procs, spec.Nodes, status)
+					// A leak stays in the capture and a failure may have
+					// broken the mesh: judge the next algorithm on a new one.
+					s.Close()
+					s, wire = open(spec, encag.WithEngine(encag.EngineTCP)), 0
 				} else if *verbose {
 					fmt.Printf("tcp %-8s p=%-4d N=%-2d ok (%d wire bytes, all ciphertext)\n",
-						alg, spec.Procs, spec.Nodes, res.WireBytes)
+						alg, spec.Procs, spec.Nodes, wire-seen)
 				}
+				seen = wire
 			}
+			s.Close()
 		}
 	}
 
@@ -148,16 +173,21 @@ func chaosSweep(seeds int, verbose bool) (int, int) {
 				kind, alg, spec.Procs, spec.Nodes, seed)
 		}
 	}
+	overTCP := encag.WithEngine(encag.EngineTCP)
 	for _, spec := range specs {
+		tspec := spec
+		tspec.RecvTimeout = 10 * time.Second // stalls slow frames down legitimately
+		// Plans are armed per operation, so one session serves every
+		// transient plan (the mesh must survive them) and one every
+		// channel plan (there is no wire state to damage).
+		transient, ch := open(tspec, overTCP), open(spec)
 		for _, alg := range encag.PaperAlgorithms() {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				// Transient plans are recoverable by definition: the TCP
 				// transport must absorb every one and finish byte-exact.
 				cases++
-				tspec := spec
-				tspec.RecvTimeout = 10 * time.Second // stalls slow frames down legitimately
 				plan := encag.TransientFaultPlan(seed, spec.Procs, 6)
-				_, err := encag.RunTCPFaulty(tspec, alg, 2048, plan)
+				_, err := transient.Run(ctx, alg, 2048, encag.WithFaultPlan(plan))
 				status := "ok"
 				if err != nil {
 					status = fmt.Sprintf("FAIL (transient plan must recover): %v [%v]", err, plan)
@@ -166,17 +196,24 @@ func chaosSweep(seeds int, verbose bool) (int, int) {
 
 				// Random plans include corruption: verified completion or a
 				// single structured RankError are the only legal outcomes.
+				// Each gets its own mesh: a corrupted sequence field can
+				// desync a link's gate without failing the operation that
+				// carried it, and the next operation would pay for it.
 				cases++
 				plan = encag.RandomFaultPlan(seed, spec.Procs, 6)
-				_, err = encag.RunTCPFaulty(spec, alg, 2048, plan)
+				tcp := open(spec, overTCP)
+				_, err = tcp.Run(ctx, alg, 2048, encag.WithFaultPlan(plan))
+				tcp.Close()
 				report("random-tcp", alg, spec, seed, chaosStatus(err, plan))
 
 				cases++
 				plan = encag.RandomFaultPlan(seed+1000, spec.Procs, 4)
-				_, err = encag.RunFaulty(spec, alg, 2048, plan)
+				_, err = ch.Run(ctx, alg, 2048, encag.WithFaultPlan(plan))
 				report("random-chan", alg, spec, seed, chaosStatus(err, plan))
 			}
 		}
+		transient.Close()
+		ch.Close()
 	}
 	return cases, failures
 }

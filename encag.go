@@ -4,8 +4,8 @@
 // MPI_Allgather algorithms that protect inter-node traffic while meeting
 // the theoretical lower bounds on encryption and decryption cost.
 //
-// The primary entry point is the Session runtime: OpenSession stands up
-// a persistent encrypted runtime once (for EngineTCP that means
+// The entry point is the Session runtime: OpenSession stands up a
+// persistent encrypted runtime once (for EngineTCP that means
 // listeners, the O(p²) dialed connection mesh, handshakes and per-pair
 // crypto state), then Session.Run / Session.Allgather /
 // Session.AllgatherV / Session.Allreduce / Session.Simulate execute any
@@ -14,27 +14,22 @@
 //
 // Three engines execute the same algorithm code:
 //
-//   - EngineChan (Allgather / AllgatherV / Run): every rank is a
-//     goroutine, payloads are real bytes, inter-node chunks are really
-//     AES-GCM sealed, and the transport audits that no plaintext ever
-//     crosses a node boundary. AllgatherV accepts unequal (even
-//     zero-length) contributions.
+//   - EngineChan (the default): every rank is a goroutine, payloads are
+//     real bytes, inter-node chunks are really AES-GCM sealed, and the
+//     transport audits that no plaintext ever crosses a node boundary.
+//     AllgatherV accepts unequal (even zero-length) contributions.
 //
-//   - EngineTCP (RunOverTCP): the same algorithms over real loopback TCP
-//     sockets, capturing every inter-node wire byte, so the result can
-//     state whether an eavesdropper saw any plaintext.
+//   - EngineTCP: the same algorithms over real loopback TCP sockets,
+//     capturing every inter-node wire byte, so Session.Wire and
+//     Session.WireClean can state whether an eavesdropper saw any
+//     plaintext.
 //
-//   - EngineSim (Simulate / SimulateV): a deterministic discrete-event
-//     cluster model (flow-level NIC contention, Hockney startup costs,
-//     modelled GCM throughput) reporting the projected latency plus the
-//     paper's six cost metrics — this is what regenerates the paper's
-//     tables and figures at p=1024 scale.
-//
-// The package-level functions (Run, Allgather, RunOverTCP, Simulate,
-// their traced and faulty variants, Allreduce) are one-shot wrappers
-// that open a Session, run a single collective and close it; they are
-// kept for compatibility and deprecated in favor of the Session API,
-// which amortizes setup across operations.
+//   - EngineSim (Session.Simulate / SimulateV, needs WithProfile): a
+//     deterministic discrete-event cluster model (flow-level NIC
+//     contention, Hockney startup costs, modelled GCM throughput)
+//     reporting the projected latency plus the paper's six cost metrics
+//     — this is what regenerates the paper's tables and figures at
+//     p=1024 scale.
 //
 //   - LowerBounds / Predict evaluate the paper's Table I bounds and
 //     Table II closed forms (pure analysis, no engine involved).
@@ -48,7 +43,6 @@
 package encag
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -89,16 +83,6 @@ type TraceEvent = cluster.TraceEvent
 
 // TraceKind labels a TraceEvent's activity category.
 type TraceKind = cluster.TraceKind
-
-// Trace is the collected activity timeline of a traced run. Event times
-// are seconds since the operation started: virtual seconds on EngineSim
-// (SimulateTraced), wall-clock seconds on EngineChan and EngineTCP
-// (RunTraced, RunOverTCPTraced) — the same stream in both cases, so a
-// predicted and a measured timeline can be compared directly (see
-// internal/obs for exporters).
-type Trace struct {
-	Events []TraceEvent
-}
 
 // BoundSet carries Table I / Table II style metric tuples (pure
 // analysis; no engine involved).
@@ -149,8 +133,8 @@ func (s Spec) toCluster() (cluster.Spec, error) {
 	return cs, cs.Validate()
 }
 
-// SimResult is the outcome of an EngineSim collective (Simulate,
-// Session.Simulate).
+// SimResult is the outcome of an EngineSim collective (Session.Simulate,
+// Session.SimulateV).
 type SimResult struct {
 	Latency    time.Duration // modelled completion time of the last rank
 	Metrics    Metrics       // six-metric critical path
@@ -161,24 +145,8 @@ type SimResult struct {
 	Algorithm Alg
 }
 
-// Simulate runs an algorithm on the modelled cluster (EngineSim) and
-// reports the projected latency and cost metrics. msgSize is the
-// per-rank block in bytes.
-//
-// Deprecated: use OpenSession with WithEngine(EngineSim) and
-// WithProfile, then Session.Simulate, to run many simulations over one
-// session.
-func Simulate(spec Spec, prof Profile, algorithm Alg, msgSize int64) (SimResult, error) {
-	s, err := OpenSession(context.Background(), spec, WithEngine(EngineSim), WithProfile(prof))
-	if err != nil {
-		return SimResult{}, err
-	}
-	defer s.Close()
-	return s.Simulate(context.Background(), algorithm, msgSize)
-}
-
 // RunResult is the outcome of a real-execution collective on the chan or
-// tcp engine (Run/Allgather and Session equivalents).
+// tcp engine (Session.Run, Allgather, AllgatherV, Start).
 type RunResult struct {
 	// Gathered[rank][origin] is origin's block as assembled at rank.
 	Gathered [][][]byte
@@ -199,97 +167,11 @@ type RunResult struct {
 	Algorithm Alg
 }
 
-// Allgather executes an encrypted all-gather for real over in-memory
-// transport (EngineChan): data[r] is rank r's contribution (all equal
-// length), and the result reports every rank's gathered view plus the
-// security audit.
-//
-// Deprecated: use OpenSession and Session.Allgather to run many
-// collectives over one session.
-func Allgather(spec Spec, algorithm Alg, data [][]byte) (*RunResult, error) {
-	return allgather(spec, algorithm, data, nil)
-}
-
-// allgather backs the deprecated one-shot chan-engine entry points with
-// a single-use Session.
-func allgather(spec Spec, algorithm Alg, data [][]byte, col *TraceCollector) (*RunResult, error) {
-	var opts []Option
-	if col != nil {
-		opts = append(opts, WithTracer(col))
-	}
-	s, err := OpenSession(context.Background(), spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Allgather(context.Background(), algorithm, data)
-}
-
-// AllgatherV is the variable-block-size (all-gatherv) extension on
-// EngineChan: each rank's contribution may have a different length,
-// including zero. The paper's algorithms generalize directly — blocks
-// are opaque units to every exchange schedule — and the same security
-// guarantees are enforced.
-//
-// Deprecated: use OpenSession and Session.AllgatherV to run many
-// collectives over one session.
-func AllgatherV(spec Spec, algorithm Alg, data [][]byte) (*RunResult, error) {
-	s, err := OpenSession(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.AllgatherV(context.Background(), algorithm, data)
-}
-
-// SimulateV is the all-gatherv variant of Simulate (EngineSim): sizes[r]
-// is rank r's contribution length in bytes.
-//
-// Deprecated: use OpenSession with WithEngine(EngineSim) and
-// WithProfile, then Session.SimulateV.
-func SimulateV(spec Spec, prof Profile, algorithm Alg, sizes []int64) (SimResult, error) {
-	s, err := OpenSession(context.Background(), spec, WithEngine(EngineSim), WithProfile(prof))
-	if err != nil {
-		return SimResult{}, err
-	}
-	defer s.Close()
-	return s.SimulateV(context.Background(), algorithm, sizes)
-}
-
-// TCPResult extends RunResult with the byte-level wire capture of the
-// TCP transport (EngineTCP only).
-type TCPResult struct {
-	RunResult
-	// WireBytes is the total volume an inter-node eavesdropper observed.
-	WireBytes int64
-	// WireClean reports that no rank's plaintext block appeared anywhere
-	// in the captured inter-node wire bytes.
-	WireClean bool
-	// WireTruncated reports that the sniffer's capture buffer hit its cap
-	// and dropped bytes: WireClean then only covers the captured prefix.
-	WireTruncated bool
-}
-
-// RunOverTCP executes the algorithm over real loopback TCP sockets
-// (EngineTCP) with the deterministic test payloads: every rank gets its
-// own listener, every rank pair a dedicated connection, and all
-// inter-node traffic is captured so the result can state — at the byte
-// level — whether any plaintext block was visible to an eavesdropper.
-//
-// Deprecated: use OpenSession with WithEngine(EngineTCP) and
-// Session.Run — a session dials the connection mesh once and reuses it
-// for every collective, while this wrapper re-pays the O(p²) setup on
-// every call.
-func RunOverTCP(spec Spec, algorithm Alg, msgSize int64) (*TCPResult, error) {
-	return runOverTCP(spec, algorithm, msgSize, nil, nil)
-}
-
 // FaultPlan is a deterministic, seedable fault-injection schedule for
 // the transport (chan and tcp engines): per-rank-pair rules injecting
 // connection drops, frame corruption, stalls, read delays and partial
 // writes. Build one by hand from FaultRules, or generate one with
-// RandomFaultPlan or TransientFaultPlan, and apply it with WithFaultPlan
-// (or the deprecated RunFaulty/RunTCPFaulty wrappers).
+// RandomFaultPlan or TransientFaultPlan, and apply it with WithFaultPlan.
 type FaultPlan = fault.Plan
 
 // FaultRule is one per-rank-pair fault of a FaultPlan.
@@ -323,162 +205,16 @@ func TransientFaultPlan(seed int64, procs, n int) *FaultPlan { return fault.Tran
 // errors.As. Cancelled session collectives report Op "cancel".
 type RankError = cluster.RankError
 
-// RunTCPFaulty is RunOverTCP under a fault-injection plan. The
-// transport absorbs transient faults (drops, stalls, partial writes) by
-// reconnecting and resending — frame sequence numbers keep the retry
-// idempotent, and AES-GCM's AAD binding makes replays and splices fail
-// closed — so the run either completes with verified, byte-exact
-// buffers or returns a single *RankError identifying the first faulting
-// rank, peer and operation. It never panics, deadlocks or leaks
-// goroutines, whatever the plan.
-//
-// Deprecated: use OpenSession with WithEngine(EngineTCP) and
-// WithFaultPlan (or a per-operation WithFaultPlan on Session.Run).
-func RunTCPFaulty(spec Spec, algorithm Alg, msgSize int64, plan *FaultPlan) (*TCPResult, error) {
-	return runOverTCP(spec, algorithm, msgSize, nil, plan)
-}
-
-// RunFaulty is Run under a fault-injection plan, applied at message
-// granularity on the in-memory channel transport (EngineChan):
-// corruption is caught by authenticated decryption, and a dropped
-// message surfaces as a bounded structured recv error at the starved
-// peer (the channel transport has no connection to re-establish). Same
-// invariant as RunTCPFaulty: verified completion or a single *RankError.
-//
-// Deprecated: use OpenSession with WithFaultPlan (or a per-operation
-// WithFaultPlan on Session.Run).
-func RunFaulty(spec Spec, algorithm Alg, msgSize int64, plan *FaultPlan) (*RunResult, error) {
-	if plan == nil {
-		plan = &FaultPlan{} // keep the strict faulty-path validation
-	}
-	s, err := OpenSession(context.Background(), spec, WithFaultPlan(plan))
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Run(context.Background(), algorithm, msgSize)
-}
-
-// runOverTCP backs the deprecated one-shot tcp-engine entry points with
-// a single-use Session.
-func runOverTCP(spec Spec, algorithm Alg, msgSize int64, col *TraceCollector, plan *FaultPlan) (*TCPResult, error) {
-	opts := []Option{WithEngine(EngineTCP)}
-	if col != nil {
-		opts = append(opts, WithTracer(col))
-	}
-	if plan != nil {
-		opts = append(opts, WithFaultPlan(plan))
-	}
-	s, err := OpenSession(context.Background(), spec, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	rr, err := s.Run(context.Background(), algorithm, msgSize)
-	if err != nil {
-		return nil, err
-	}
-	rr.Gathered = nil // the legacy TCP report never carried the payload view
-	wire := s.Wire()
-	return &TCPResult{
-		RunResult:     *rr,
-		WireBytes:     wire.Bytes,
-		WireClean:     s.WireClean(msgSize),
-		WireTruncated: wire.Truncated,
-	}, nil
-}
-
-// Run is Allgather with deterministic per-rank test payloads of msgSize
-// bytes on EngineChan — handy for demos and self-checks.
-//
-// Deprecated: use OpenSession and Session.Run to run many collectives
-// over one session.
-func Run(spec Spec, algorithm Alg, msgSize int64) (*RunResult, error) {
-	s, err := OpenSession(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Run(context.Background(), algorithm, msgSize)
-}
-
-// RunTraced is Run with wall-clock tracing: alongside the result it
-// returns the measured activity timeline of every rank — each send,
-// recv-wait, encrypt, decrypt, copy and barrier interval, in seconds
-// since the collective started.
-//
-// Deprecated: use OpenSession with WithTracer and Session.Run.
-func RunTraced(spec Spec, algorithm Alg, msgSize int64) (*RunResult, *Trace, error) {
-	col := &TraceCollector{}
-	s, err := OpenSession(context.Background(), spec, WithTracer(col))
-	if err != nil {
-		return nil, nil, err
-	}
-	defer s.Close()
-	res, err := s.Run(context.Background(), algorithm, msgSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// AllgatherTraced is Allgather with wall-clock tracing (see RunTraced).
-//
-// Deprecated: use OpenSession with WithTracer and Session.Allgather.
-func AllgatherTraced(spec Spec, algorithm Alg, data [][]byte) (*RunResult, *Trace, error) {
-	col := &TraceCollector{}
-	res, err := allgather(spec, algorithm, data, col)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// RunOverTCPTraced is RunOverTCP with wall-clock tracing (see
-// RunTraced): the timeline measures real socket sends, receive waits
-// and AES-GCM work.
-//
-// Deprecated: use OpenSession with WithEngine(EngineTCP) and WithTracer,
-// then Session.Run.
-func RunOverTCPTraced(spec Spec, algorithm Alg, msgSize int64) (*TCPResult, *Trace, error) {
-	col := &TraceCollector{}
-	res, err := runOverTCP(spec, algorithm, msgSize, col, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
-// SimulateTraced is Simulate with virtual-time tracing (EngineSim): the
-// returned timeline is the model's *predicted* schedule, directly
-// comparable to the measured one from RunTraced/RunOverTCPTraced.
-//
-// Deprecated: use OpenSession with WithEngine(EngineSim), WithProfile
-// and WithTracer, then Session.Simulate.
-func SimulateTraced(spec Spec, prof Profile, algorithm Alg, msgSize int64) (SimResult, *Trace, error) {
-	col := &TraceCollector{}
-	s, err := OpenSession(context.Background(), spec,
-		WithEngine(EngineSim), WithProfile(prof), WithTracer(col))
-	if err != nil {
-		return SimResult{}, nil, err
-	}
-	defer s.Close()
-	res, err := s.Simulate(context.Background(), algorithm, msgSize)
-	if err != nil {
-		return SimResult{}, nil, err
-	}
-	return res, &Trace{Events: col.Events}, nil
-}
-
 // CombineFunc is an all-reduce operator: it folds src into dst (equal
 // lengths). It must be associative and commutative, like an MPI_Op.
-// Used by Allreduce on the chan and tcp engines.
+// Used by Session.Allreduce on the chan and tcp engines.
 type CombineFunc = encrypted.Combine
 
 // XORCombine is a ready-made CombineFunc.
 func XORCombine(dst, src []byte) { encrypted.XOR(dst, src) }
 
-// ReduceResult is the outcome of an Allreduce on the chan or tcp engine.
+// ReduceResult is the outcome of a Session.Allreduce on the chan or tcp
+// engine.
 type ReduceResult struct {
 	// Result is the reduced vector (identical at every rank; verified).
 	Result     []byte
@@ -486,24 +222,6 @@ type ReduceResult struct {
 	SecurityOK bool
 	Violations []string
 	Elapsed    time.Duration
-}
-
-// Allreduce performs an encrypted all-reduce on EngineChan — the
-// generalization of the paper's approach that its conclusion calls for:
-// intra-node combining in shared memory, one rank per node per vector
-// slice on the wire, ciphertext-only across node boundaries, joint
-// decryption. data[r] is rank r's vector (all equal length); op combines
-// two vectors.
-//
-// Deprecated: use OpenSession and Session.Allreduce, which also permits
-// EngineTCP.
-func Allreduce(spec Spec, data [][]byte, op CombineFunc) (*ReduceResult, error) {
-	s, err := OpenSession(context.Background(), spec)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Allreduce(context.Background(), data, op)
 }
 
 // LowerBounds evaluates the paper's Table I bounds for p ranks over n

@@ -2,15 +2,32 @@ package encag
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"encag/internal/cluster"
 )
 
+var bg = context.Background()
+
+// simOpts opens an EngineSim session on the paper's local cluster.
+var simOpts = []Option{WithEngine(EngineSim), WithProfile(Noleland())}
+
+// openTest opens a session that lives as long as the test does.
+func openTest(t testing.TB, spec Spec, opts ...Option) *Session {
+	t.Helper()
+	s, err := OpenSession(bg, spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 func TestRunQuickstartPath(t *testing.T) {
 	spec := Spec{Procs: 8, Nodes: 2}
-	res, err := Run(spec, "hs2", 64)
+	res, err := openTest(t, spec).Run(bg, "hs2", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +47,7 @@ func TestAllgatherUserData(t *testing.T) {
 		[]byte("gamma-secret-22x"),
 		[]byte("delta-secret-333"),
 	}
-	res, err := Allgather(spec, "c-ring", data)
+	res, err := openTest(t, spec).Allgather(bg, "c-ring", data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +64,12 @@ func TestAllgatherUserData(t *testing.T) {
 }
 
 func TestSimulatePaperScale(t *testing.T) {
-	spec := Spec{Procs: 128, Nodes: 8}
-	naive, err := Simulate(spec, Noleland(), "naive", 16<<10)
+	s := openTest(t, Spec{Procs: 128, Nodes: 8}, simOpts...)
+	naive, err := s.Simulate(bg, "naive", 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs2, err := Simulate(spec, Noleland(), "hs2", 16<<10)
+	hs2, err := s.Simulate(bg, "hs2", 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +82,13 @@ func TestSimulatePaperScale(t *testing.T) {
 }
 
 func TestUnknownNames(t *testing.T) {
-	if _, err := Simulate(Spec{Procs: 4, Nodes: 2}, Noleland(), "nope", 64); err == nil {
+	if _, err := openTest(t, Spec{Procs: 4, Nodes: 2}, simOpts...).Simulate(bg, "nope", 64); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if _, err := Simulate(Spec{Procs: 4, Nodes: 2, Mapping: "weird"}, Noleland(), "hs1", 64); err == nil {
+	if _, err := OpenSession(bg, Spec{Procs: 4, Nodes: 2, Mapping: "weird"}, simOpts...); err == nil {
 		t.Fatal("unknown mapping accepted")
 	}
-	if _, err := Simulate(Spec{Procs: 5, Nodes: 2}, Noleland(), "hs1", 64); err == nil {
+	if _, err := OpenSession(bg, Spec{Procs: 5, Nodes: 2}, simOpts...); err == nil {
 		t.Fatal("unbalanced spec accepted")
 	}
 }
@@ -91,20 +108,21 @@ func TestAlgorithmsListComplete(t *testing.T) {
 		}
 	}
 	// Every listed algorithm must actually resolve and run.
+	s := openTest(t, Spec{Procs: 8, Nodes: 2}, simOpts...)
 	for _, n := range names {
-		if _, err := Simulate(Spec{Procs: 8, Nodes: 2}, Noleland(), n, 64); err != nil {
+		if _, err := s.Simulate(bg, n, 64); err != nil {
 			t.Errorf("listed algorithm %s failed: %v", n, err)
 		}
 	}
 }
 
 func TestPlainCounterpartsFree(t *testing.T) {
-	spec := Spec{Procs: 16, Nodes: 4}
-	enc, err := Simulate(spec, Noleland(), "c-ring", 4096)
+	s := openTest(t, Spec{Procs: 16, Nodes: 4}, simOpts...)
+	enc, err := s.Simulate(bg, "c-ring", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Simulate(spec, Noleland(), "plain-c-ring", 4096)
+	plain, err := s.Simulate(bg, "plain-c-ring", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +159,9 @@ func TestAlgorithmsListRealEngine(t *testing.T) {
 		t.Skip("short mode")
 	}
 	spec := Spec{Procs: 8, Nodes: 2}
+	s := openTest(t, spec)
 	for _, name := range Algorithms() {
-		res, err := Run(spec, name, 32)
+		res, err := s.Run(bg, name, 32)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -156,7 +175,7 @@ func TestAlgorithmsListRealEngine(t *testing.T) {
 }
 
 // kindTimes folds a trace into per-kind total seconds.
-func kindTimes(tr *Trace) map[TraceKind]float64 {
+func kindTimes(tr *TraceCollector) map[TraceKind]float64 {
 	out := make(map[TraceKind]float64)
 	for _, ev := range tr.Events {
 		out[ev.Kind] += ev.End - ev.Start
@@ -164,12 +183,12 @@ func kindTimes(tr *Trace) map[TraceKind]float64 {
 	return out
 }
 
-// RunTraced must produce a wall-clock timeline whose encrypt/decrypt
+// A traced Run must produce a wall-clock timeline whose encrypt/decrypt
 // byte totals agree with the six-metric summary and whose spans lie
 // within the elapsed window.
 func TestRunTracedTimeline(t *testing.T) {
-	spec := Spec{Procs: 8, Nodes: 2}
-	res, tr, err := RunTraced(spec, "hs2", 4096)
+	tr := &TraceCollector{}
+	res, err := openTest(t, Spec{Procs: 8, Nodes: 2}, WithTracer(tr)).Run(bg, "hs2", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,18 +235,20 @@ func TestRunTracedTimeline(t *testing.T) {
 // Untraced runs must stay trace-free and still succeed after the engine
 // hook refactor.
 func TestRunOverTCPTraced(t *testing.T) {
-	spec := Spec{Procs: 8, Nodes: 2}
-	res, tr, err := RunOverTCPTraced(spec, "hs2", 1024)
+	tr := &TraceCollector{}
+	s := openTest(t, Spec{Procs: 8, Nodes: 2}, WithEngine(EngineTCP), WithTracer(tr))
+	res, err := s.Run(bg, "hs2", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK || !res.WireClean {
+	if !res.SecurityOK || !s.WireClean(1024) {
 		t.Fatalf("security failed: %v", res.Violations)
 	}
-	if res.WireBytes == 0 {
+	wire := s.Wire()
+	if wire.Bytes == 0 {
 		t.Fatal("no wire bytes recorded")
 	}
-	if res.WireTruncated {
+	if wire.Truncated {
 		t.Fatal("small capture unexpectedly truncated")
 	}
 	if len(tr.Events) == 0 {
@@ -239,7 +260,7 @@ func TestRunOverTCPTraced(t *testing.T) {
 	}
 }
 
-func kindBytes(tr *Trace, k TraceKind) int64 {
+func kindBytes(tr *TraceCollector, k TraceKind) int64 {
 	var n int64
 	for _, ev := range tr.Events {
 		if ev.Kind == k {
@@ -249,15 +270,16 @@ func kindBytes(tr *Trace, k TraceKind) int64 {
 	return n
 }
 
-// SimulateTraced must agree with Simulate and return the virtual-time
-// timeline.
+// A traced Simulate must agree with an untraced one and return the
+// virtual-time timeline.
 func TestSimulateTraced(t *testing.T) {
-	spec := Spec{Procs: 16, Nodes: 4}
-	plainRes, err := Simulate(spec, Noleland(), "c-rd", 8192)
+	s := openTest(t, Spec{Procs: 16, Nodes: 4}, simOpts...)
+	plainRes, err := s.Simulate(bg, "c-rd", 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := SimulateTraced(spec, Noleland(), "c-rd", 8192)
+	tr := &TraceCollector{}
+	res, err := s.Simulate(bg, "c-rd", 8192, WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +297,14 @@ func TestSimulateTraced(t *testing.T) {
 // property that makes the tables reproducible.
 func TestSimulateDeterministic(t *testing.T) {
 	spec := Spec{Procs: 32, Nodes: 8, Mapping: "cyclic"}
-	a, err := Simulate(spec, Noleland(), "c-ring", 8<<10)
+	a, err := openTest(t, spec, simOpts...).Simulate(bg, "c-ring", 8<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		b, err := Simulate(spec, Noleland(), "c-ring", 8<<10)
+		// A fresh session each time: determinism must not lean on state
+		// a session carries between simulations.
+		b, err := openTest(t, spec, simOpts...).Simulate(bg, "c-ring", 8<<10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,12 +319,13 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestFacadeMetricsMatchPredict(t *testing.T) {
 	spec := Spec{Procs: 64, Nodes: 8}
 	const m = 2048
+	s := openTest(t, spec, simOpts...)
 	for _, alg := range PaperAlgorithms() {
 		pred, err := Predict(alg, spec.Procs, spec.Nodes, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Simulate(spec, Noleland(), alg, m)
+		res, err := s.Simulate(bg, alg, m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,26 @@
 package encag_test
 
 import (
+	"context"
 	"fmt"
 
 	"encag"
 )
 
-// ExampleAllgather runs a real encrypted all-gather: four ranks on two
-// simulated nodes exchange secrets; inter-node traffic is AES-GCM
+// ExampleSession_Allgather runs a real encrypted all-gather: four ranks
+// on two simulated nodes exchange secrets; inter-node traffic is AES-GCM
 // sealed.
-func ExampleAllgather() {
-	spec := encag.Spec{Procs: 4, Nodes: 2}
+func ExampleSession_Allgather() {
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, encag.Spec{Procs: 4, Nodes: 2})
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
 	data := [][]byte{
 		[]byte("alpha"), []byte("bravo"), []byte("charl"), []byte("delta"),
 	}
-	res, err := encag.Allgather(spec, "hs2", data)
+	res, err := s.Allgather(ctx, "hs2", data)
 	if err != nil {
 		panic(err)
 	}
@@ -25,11 +31,18 @@ func ExampleAllgather() {
 	// security ok: true
 }
 
-// ExampleSimulate prices an algorithm on the modelled Noleland cluster
-// without running any bytes: here the paper's six cost metrics for HS2.
-func ExampleSimulate() {
-	spec := encag.Spec{Procs: 128, Nodes: 8}
-	res, err := encag.Simulate(spec, encag.Noleland(), "hs2", 1024)
+// ExampleSession_Simulate prices an algorithm on the modelled Noleland
+// cluster without running any bytes: here the paper's six cost metrics
+// for HS2.
+func ExampleSession_Simulate() {
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, encag.Spec{Procs: 128, Nodes: 8},
+		encag.WithEngine(encag.EngineSim), encag.WithProfile(encag.Noleland()))
+	if err != nil {
+		panic(err)
+	}
+	defer s.Close()
+	res, err := s.Simulate(ctx, "hs2", 1024)
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,6 +41,12 @@ func main() {
 	}
 
 	spec := encag.Spec{Procs: 64, Nodes: 8}
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, spec, encag.WithEngine(encag.EngineSim), encag.WithProfile(cloud))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
 	sizes := []int64{64, 1 << 10, 16 << 10, 256 << 10, 1 << 20}
 	algs := append([]encag.Alg{encag.AlgMPI}, encag.PaperAlgorithms()...)
 
@@ -54,7 +61,7 @@ func main() {
 		fmt.Printf("%-8s", sizeName(m))
 		bestAlg, bestLat := encag.Alg(""), 0.0
 		for _, a := range algs {
-			res, err := encag.Simulate(spec, cloud, a, m)
+			res, err := s.Simulate(ctx, a, m)
 			if err != nil {
 				log.Fatalf("%s @%d: %v", a, m, err)
 			}

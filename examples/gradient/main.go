@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"log"
@@ -51,8 +52,14 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
+	sess, err := encag.OpenSession(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer sess.Close()
 	for _, alg := range []encag.Alg{encag.AlgNaive, encag.AlgORD, encag.AlgCRing, encag.AlgHS1, encag.AlgHS2, encag.AlgAuto} {
-		res, err := encag.Allgather(spec, alg, payloads)
+		res, err := sess.Allgather(ctx, alg, payloads)
 		if err != nil {
 			log.Fatalf("%s: %v", alg, err)
 		}

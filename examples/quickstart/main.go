@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,16 @@ func main() {
 		data[r] = []byte(fmt.Sprintf("secret-of-rank-%d", r))
 	}
 
-	res, err := encag.Allgather(spec, "hs2", data)
+	// A session is the runtime every collective runs on: open it once,
+	// run as many operations as you like, close it.
+	ctx := context.Background()
+	s, err := encag.OpenSession(ctx, spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer s.Close()
+
+	res, err := s.Allgather(ctx, "hs2", data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,7 +47,7 @@ func main() {
 	fmt.Printf("Cost metrics (critical path): %v\n", res.Metrics)
 
 	// The same call with the naive baseline decrypts l times more data.
-	naive, err := encag.Allgather(spec, "naive", data)
+	naive, err := s.Allgather(ctx, "naive", data)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -77,7 +77,12 @@ func main() {
 	// ---- Part 1: one consortium, one session ----
 	spec := encag.Spec{Procs: parties, Nodes: nodes}
 	data, want := tallies(0)
-	res, err := encag.Allreduce(spec, data, addU32)
+	sess, err := encag.OpenSession(context.Background(), spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := sess.Allreduce(context.Background(), data, addU32)
+	sess.Close()
 	if err != nil {
 		log.Fatal(err)
 	}

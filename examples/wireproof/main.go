@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,20 +21,28 @@ func main() {
 	spec := encag.Spec{Procs: 8, Nodes: 4}
 	const m = 256
 
+	ctx := context.Background()
 	for _, alg := range []encag.Alg{encag.PlainOf(encag.AlgHS2), encag.AlgHS2} {
-		res, err := encag.RunOverTCP(spec, alg, m)
+		// One mesh per run: the sniffer's capture is cumulative over a
+		// session, and the two runs must not share an eavesdropper.
+		s, err := encag.OpenSession(ctx, spec, encag.WithEngine(encag.EngineTCP))
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := s.Run(ctx, alg, m)
 		if err != nil {
 			log.Fatalf("%s: %v", alg, err)
 		}
 		verdict := "EXPOSED to the eavesdropper"
-		if res.WireClean {
+		if s.WireClean(m) {
 			verdict = "invisible to the eavesdropper"
 		}
 		fmt.Printf("%-10s %7d bytes crossed node boundaries; plaintext blocks %s\n",
-			alg, res.WireBytes, verdict)
+			alg, s.Wire().Bytes, verdict)
 		if alg == "hs2" && !res.SecurityOK {
 			log.Fatalf("audit violations: %v", res.Violations)
 		}
+		s.Close()
 	}
 
 	fmt.Println("\nBoth runs gathered identical data at every rank; only the")

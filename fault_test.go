@@ -1,6 +1,7 @@
 package encag_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -8,17 +9,31 @@ import (
 	"encag"
 )
 
+var bg = context.Background()
+
+// open opens a session that lives as long as the test does.
+func open(t testing.TB, spec encag.Spec, opts ...encag.Option) *encag.Session {
+	t.Helper()
+	s, err := encag.OpenSession(bg, spec, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // The public fault-injection surface: transient plans recover over TCP,
 // random plans complete or fail closed with a structured RankError, and
 // hand-built plans hit the exact frame they target.
 func TestRunTCPFaultyTransientRecovers(t *testing.T) {
 	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 10 * time.Second}
 	plan := encag.TransientFaultPlan(7, spec.Procs, 5)
-	res, err := encag.RunTCPFaulty(spec, "o-ring", 1024, plan)
+	s := open(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan))
+	res, err := s.Run(bg, "o-ring", 1024)
 	if err != nil {
 		t.Fatalf("transient plan must recover: %v\nplan: %v", err, plan)
 	}
-	if !res.SecurityOK || !res.WireClean {
+	if !res.SecurityOK || !s.WireClean(1024) {
 		t.Fatal("recovered run lost the security property")
 	}
 }
@@ -28,11 +43,11 @@ func TestRunTCPFaultyFailsClosed(t *testing.T) {
 	// Corrupt every frame 0->2 (inter-node under block mapping): the run
 	// must either absorb it (frame re-sent for another reason) or report
 	// one structured root cause — silent wrong buffers are the only
-	// forbidden outcome, and RunTCPFaulty validates against them.
+	// forbidden outcome, and a Run under a plan validates against them.
 	plan := &encag.FaultPlan{Rules: []encag.FaultRule{
 		{Src: 0, Dst: 2, Frame: -1, Kind: encag.FaultCorrupt, Offset: 90, Times: -1},
 	}}
-	_, err := encag.RunTCPFaulty(spec, "naive", 1024, plan)
+	_, err := open(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan)).Run(bg, "naive", 1024)
 	if err != nil {
 		var re *encag.RankError
 		if !errors.As(err, &re) {
@@ -50,7 +65,8 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 		{Src: 1, Dst: 0, Frame: 0, Kind: encag.FaultDrop},
 	}}
 	start := time.Now()
-	_, err := encag.RunFaulty(spec, "naive", 512, plan)
+	s := open(t, spec)
+	_, err := s.Run(bg, "naive", 512, encag.WithFaultPlan(plan))
 	if err == nil {
 		t.Fatal("dropped message went unnoticed")
 	}
@@ -65,7 +81,7 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 		t.Fatal("loss took the run-level timeout instead of the recv deadline")
 	}
 	// The same plan with no faults completes normally.
-	res, err := encag.RunFaulty(spec, "o-ring", 512, &encag.FaultPlan{})
+	res, err := s.Run(bg, "o-ring", 512, encag.WithFaultPlan(&encag.FaultPlan{}))
 	if err != nil {
 		t.Fatal(err)
 	}

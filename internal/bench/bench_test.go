@@ -70,7 +70,7 @@ func TestTableRenderAndCSV(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := IDs()
-	want := []string{"fig1", "table1", "table2", "table2c", "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "fig8", "crypto", "session", "overlap", "ablation", "sensitivity", "breakdown"}
+	want := []string{"fig1", "table1", "table2", "table2c", "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "fig8", "crypto", "overlap", "ablation", "sensitivity", "breakdown"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}
@@ -151,13 +151,17 @@ func TestBestSchemeBeatsMPIAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	spec := encag.Spec{Procs: 128, Nodes: 8}
 	const m = 256 << 10
-	mpi, err := encag.Simulate(spec, encag.Noleland(), "mpi", m)
+	s, err := openSim(encag.Spec{Procs: 128, Nodes: 8}, encag.Noleland())
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs2, err := encag.Simulate(spec, encag.Noleland(), "hs2", m)
+	defer s.Close()
+	mpi, err := s.Simulate(bg, "mpi", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2, err := s.Simulate(bg, "hs2", m)
 	if err != nil {
 		t.Fatal(err)
 	}

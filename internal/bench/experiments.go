@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -8,11 +9,16 @@ import (
 	"encag"
 	"encag/internal/bounds"
 	"encag/internal/cluster"
-	"encag/internal/cost"
-	"encag/internal/encrypted"
 	"encag/internal/seal"
-	"encag/internal/trace"
 )
+
+var bg = context.Background()
+
+// openSim opens the EngineSim session an experiment simulates on for as
+// long as it stays with one (spec, profile).
+func openSim(spec encag.Spec, prof encag.Profile) (*encag.Session, error) {
+	return encag.OpenSession(bg, spec, encag.WithEngine(encag.EngineSim), encag.WithProfile(prof))
+}
 
 // Options tunes experiment execution.
 type Options struct {
@@ -21,8 +27,7 @@ type Options struct {
 	// default) regenerate every published row.
 	Quick bool
 	// Iters overrides the iteration count of host-measuring experiments
-	// (currently the session-amortization study); 0 keeps each
-	// experiment's default.
+	// (currently the overlap study); 0 keeps each experiment's default.
 	Iters int
 }
 
@@ -49,7 +54,6 @@ func All() []Experiment {
 		{"fig7", "Encrypted algorithms, block mapping (Figure 7)", Figure7},
 		{"fig8", "Encrypted algorithms, cyclic mapping (Figure 8)", Figure8},
 		{"crypto", "Serial vs segmented-parallel AES-GCM seal/open (this host)", Crypto},
-		{"session", "Per-call TCP dial vs persistent session reuse (this host)", SessionAmortization},
 		{"overlap", "Serialized vs multiplexed in-flight all-gathers (this host)", Overlap},
 		{"ablation", "Design-choice ablations (DESIGN.md)", Ablations},
 		{"sensitivity", "Overheads vs crypto/network speed ratio (extension study)", Sensitivity},
@@ -203,12 +207,17 @@ func TableII(opts Options) ([]Table, error) {
 			"O-RD rd follows the paper's body text (N-1); its Table II cell p-l conflicts with the table's own sd column (DESIGN.md)",
 		},
 	}
+	s, err := openSim(spec, encag.Noleland())
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	for _, alg := range bounds.PredictNames() {
 		pred, err := bounds.Predict(alg, p, n, m)
 		if err != nil {
 			return nil, err
 		}
-		res, err := encag.Simulate(spec, encag.Noleland(), encag.Alg(alg), m)
+		res, err := s.Simulate(bg, encag.Alg(alg), m)
 		if err != nil {
 			return nil, err
 		}
@@ -246,12 +255,17 @@ func TableIICyclic(opts Options) ([]Table, error) {
 			"cyclic closed forms are this reproduction's derivation (DESIGN.md); the paper tabulates block mapping only",
 		},
 	}
+	s, err := openSim(spec, encag.Noleland())
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	for _, alg := range bounds.PredictNames() {
 		pred, err := bounds.PredictCyclic(alg, p, n, m)
 		if err != nil {
 			return nil, err
 		}
-		res, err := encag.Simulate(spec, encag.Noleland(), encag.Alg(alg), m)
+		res, err := s.Simulate(bg, encag.Alg(alg), m)
 		if err != nil {
 			return nil, err
 		}
@@ -296,18 +310,23 @@ func overheadTable(id, title string, spec encag.Spec, prof encag.Profile,
 	for _, r := range paper {
 		paperBySize[r.Size] = r
 	}
+	s, err := openSim(spec, prof)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	for _, m := range trimSizes(sizes, opts) {
-		mpi, err := encag.Simulate(spec, prof, "mpi", m)
+		mpi, err := s.Simulate(bg, "mpi", m)
 		if err != nil {
 			return nil, err
 		}
-		naive, err := encag.Simulate(spec, prof, "naive", m)
+		naive, err := s.Simulate(bg, "naive", m)
 		if err != nil {
 			return nil, err
 		}
 		bestName, bestLat := encag.Alg(""), math.Inf(1)
 		for _, cand := range bestCandidates() {
-			r, err := encag.Simulate(spec, prof, cand, m)
+			r, err := s.Simulate(bg, cand, m)
 			if err != nil {
 				return nil, err
 			}
@@ -378,7 +397,7 @@ func TableVI(opts Options) ([]Table, error) {
 }
 
 // figurePanel builds one latency-vs-size panel.
-func figurePanel(id, title string, spec encag.Spec, prof encag.Profile,
+func figurePanel(id, title string, s *encag.Session,
 	sizes []int64, series []encag.Alg, opts Options) (Table, error) {
 	hdr := []string{"size"}
 	for _, a := range series {
@@ -394,7 +413,7 @@ func figurePanel(id, title string, spec encag.Spec, prof encag.Profile,
 	for _, m := range trimSizes(sizes, opts) {
 		row := []string{SizeName(m)}
 		for _, alg := range series {
-			r, err := encag.Simulate(spec, prof, alg, m)
+			r, err := s.Simulate(bg, alg, m)
 			if err != nil {
 				return Table{}, fmt.Errorf("%s %s @%s: %w", id, alg, SizeName(m), err)
 			}
@@ -412,9 +431,14 @@ func figure(idPrefix string, spec encag.Spec, prof encag.Profile, opts Options,
 		sizes  []int64
 		series []encag.Alg
 	}) ([]Table, error) {
+	s, err := openSim(spec, prof)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	var out []Table
 	for _, pn := range panels {
-		t, err := figurePanel(idPrefix+pn.suffix, pn.title, spec, prof, pn.sizes, pn.series, opts)
+		t, err := figurePanel(idPrefix+pn.suffix, pn.title, s, pn.sizes, pn.series, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -519,7 +543,14 @@ func Sensitivity(opts Options) ([]Table, error) {
 			"crypto-GBps sets both EncBW and DecBW; overheads are vs unencrypted MPI at the same profile",
 		},
 	}
-	mpi, err := encag.Simulate(spec, base, "mpi", m)
+	// The profile is the variable of the sweep, so each point of it is a
+	// session of its own.
+	s, err := openSim(spec, base)
+	if err != nil {
+		return nil, err
+	}
+	mpi, err := s.Simulate(bg, encag.AlgMPI, m)
+	s.Close()
 	if err != nil {
 		return nil, err
 	}
@@ -532,13 +563,19 @@ func Sensitivity(opts Options) ([]Table, error) {
 			fmt.Sprintf("%.1f", gbps),
 			fmt.Sprintf("%.1f", base.CoreBW/1e9/gbps),
 		}
+		s, err := openSim(spec, prof)
+		if err != nil {
+			return nil, err
+		}
 		for _, alg := range []encag.Alg{encag.AlgNaive, encag.AlgHS2, encag.AlgCRing} {
-			r, err := encag.Simulate(spec, prof, alg, m)
+			r, err := s.Simulate(bg, alg, m)
 			if err != nil {
+				s.Close()
 				return nil, err
 			}
 			row = append(row, fmtPct(100*(r.Latency.Seconds()-mpiLat)/mpiLat))
 		}
+		s.Close()
 		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil
@@ -550,31 +587,32 @@ func Sensitivity(opts Options) ([]Table, error) {
 // wall, O-Ring's per-hop sealing, HS2's copy-dominated large-message
 // profile.
 func Breakdown(opts Options) ([]Table, error) {
-	spec := cluster.Spec{P: 64, N: 8, Mapping: cluster.BlockMapping}
+	spec := encag.Spec{Procs: 64, Nodes: 8}
 	if opts.Quick {
-		spec = cluster.Spec{P: 16, N: 4, Mapping: cluster.BlockMapping}
+		spec = encag.Spec{Procs: 16, Nodes: 4}
 	}
+	s, err := openSim(spec, encag.Noleland())
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
 	var out []Table
 	for _, m := range []int64{1 << 10, 256 << 10} {
 		t := Table{
 			ID:    fmt.Sprintf("breakdown-%s", SizeName(m)),
-			Title: fmt.Sprintf("Critical-rank time by activity (p=%d N=%d, %s)", spec.P, spec.N, SizeName(m)),
+			Title: fmt.Sprintf("Critical-rank time by activity (p=%d N=%d, %s)", spec.Procs, spec.Nodes, SizeName(m)),
 			Headers: []string{"algorithm", "total(us)", "send(us)", "recv-wait(us)",
 				"encrypt(us)", "decrypt(us)", "copy(us)", "barrier(us)"},
 			Notes: []string{"recv-wait includes time blocked waiting for data; send includes startup + transfer occupancy"},
 		}
 		for _, name := range encag.PaperAlgorithms() {
-			alg, err := encrypted.Get(string(name))
+			col := &encag.TraceCollector{}
+			res, err := s.Simulate(bg, name, m, encag.WithTracer(col))
 			if err != nil {
 				return nil, err
 			}
-			col := &trace.Collector{}
-			res, err := cluster.RunSimTraced(spec, cost.Noleland(), m, alg, col)
-			if err != nil {
-				return nil, err
-			}
-			crit := col.Critical(spec.P)
-			row := []string{string(name), fmtUS(res.Latency)}
+			crit := col.Critical(spec.Procs)
+			row := []string{string(name), fmtUS(res.Latency.Seconds())}
 			for _, k := range []cluster.TraceKind{cluster.TraceSend, cluster.TraceRecv,
 				cluster.TraceEncrypt, cluster.TraceDecrypt, cluster.TraceCopy, cluster.TraceBarrier} {
 				row = append(row, fmtUS(crit.Total[k]))
@@ -604,12 +642,22 @@ func Ablations(opts Options) ([]Table, error) {
 		Notes:   []string{"contention is what separates the concurrent/hierarchical schemes from naive at scale"},
 	}
 	const m1 = 256 << 10
+	s, err := openSim(spec, prof)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	free, err := openSim(spec, uncontended)
+	if err != nil {
+		return nil, err
+	}
+	defer free.Close()
 	for _, alg := range []encag.Alg{encag.AlgNaive, encag.AlgCRing, encag.AlgHS2} {
-		a, err := encag.Simulate(spec, prof, alg, m1)
+		a, err := s.Simulate(bg, alg, m1)
 		if err != nil {
 			return nil, err
 		}
-		b, err := encag.Simulate(spec, uncontended, alg, m1)
+		b, err := free.Simulate(bg, alg, m1)
 		if err != nil {
 			return nil, err
 		}
@@ -625,11 +673,11 @@ func Ablations(opts Options) ([]Table, error) {
 		Headers: []string{"size", "o-rd(us)", "o-rd2(us)", "winner"},
 	}
 	for _, m := range trimSizes(sizes("64B", "1KB", "8KB", "64KB", "512KB", "2MB"), opts) {
-		a, err := encag.Simulate(spec, prof, "o-rd", m)
+		a, err := s.Simulate(bg, "o-rd", m)
 		if err != nil {
 			return nil, err
 		}
-		b, err := encag.Simulate(spec, prof, "o-rd2", m)
+		b, err := s.Simulate(bg, "o-rd2", m)
 		if err != nil {
 			return nil, err
 		}
@@ -648,11 +696,11 @@ func Ablations(opts Options) ([]Table, error) {
 		Headers: []string{"size", "hs1(us)", "hs1-solo(us)", "speedup"},
 	}
 	for _, m := range trimSizes(sizes("1KB", "32KB", "512KB"), opts) {
-		a, err := encag.Simulate(spec, prof, "hs1", m)
+		a, err := s.Simulate(bg, "hs1", m)
 		if err != nil {
 			return nil, err
 		}
-		b, err := encag.Simulate(spec, prof, "hs1-solo", m)
+		b, err := s.Simulate(bg, "hs1-solo", m)
 		if err != nil {
 			return nil, err
 		}
@@ -662,18 +710,22 @@ func Ablations(opts Options) ([]Table, error) {
 	out = append(out, t3)
 
 	// (4) Rank-ordered ring under cyclic mapping.
-	cyc := encag.Spec{Procs: 64, Nodes: 8, Mapping: "cyclic"}
+	cyc, err := openSim(encag.Spec{Procs: 64, Nodes: 8, Mapping: "cyclic"}, prof)
+	if err != nil {
+		return nil, err
+	}
+	defer cyc.Close()
 	t4 := Table{
 		ID:      "ablation-ringorder",
 		Title:   "Natural vs rank-ordered ring under cyclic mapping (p=64 N=8, unencrypted)",
 		Headers: []string{"size", "plain-ring(us)", "plain-ring-ro(us)"},
 	}
 	for _, m := range trimSizes(sizes("4KB", "64KB", "512KB"), opts) {
-		a, err := encag.Simulate(cyc, prof, "plain-ring", m)
+		a, err := cyc.Simulate(bg, "plain-ring", m)
 		if err != nil {
 			return nil, err
 		}
-		b, err := encag.Simulate(cyc, prof, "plain-ring-ro", m)
+		b, err := cyc.Simulate(bg, "plain-ring-ro", m)
 		if err != nil {
 			return nil, err
 		}

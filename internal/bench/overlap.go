@@ -52,7 +52,7 @@ func Overlap(opts Options) ([]Table, error) {
 			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), then WaitAll",
 			"engine '+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
 			"hs1/hs2 rows send multi-chunk inter-node messages, so their '+pipe' rows interleave several per-chunk streams per envelope",
-			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization (see the session experiment)",
+			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization",
 			"wall clock on this host; loopback sockets, real AES-GCM",
 		},
 	}

@@ -97,7 +97,7 @@ func TestPredictMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunSim(spec, cost.Noleland(), m, a)
+			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", alg, spec, err)
 			}
@@ -130,7 +130,7 @@ func TestPredictCyclicMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunSim(spec, cost.Noleland(), m, a)
+			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", alg, spec, err)
 			}

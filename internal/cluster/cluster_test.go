@@ -107,7 +107,7 @@ func TestSimRingMatchesHockney(t *testing.T) {
 	}
 	const m = 1 << 20
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	res, err := RunSim(spec, prof, m, ringPlain)
+	res, err := SimOnce(spec, prof, Op{Algo: ringPlain, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,11 +125,11 @@ func TestSimRingMatchesHockney(t *testing.T) {
 
 func TestSimDeterministic(t *testing.T) {
 	spec := Spec{P: 16, N: 4, Mapping: CyclicMapping}
-	a, err := RunSim(spec, cost.Noleland(), 4096, ringPlain)
+	a, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSim(spec, cost.Noleland(), 4096, ringPlain)
+	b, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestSimCryptoCharges(t *testing.T) {
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
 		return block.Concat(mine, p.DecryptAll(in))
 	}
-	res, err := RunSim(spec, prof, m, algo)
+	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestShmAndNodeBarrier(t *testing.T) {
 		}
 	}
 	// The same algorithm must run in the sim engine.
-	sres, err := RunSim(spec, cost.Noleland(), 32, algo)
+	sres, err := SimOnce(spec, cost.Noleland(), Op{Algo: algo, MsgSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestShmMissingKeyPanics(t *testing.T) {
 
 func TestSimDeadlockSurfacesAsError(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	_, err := RunSim(spec, cost.Noleland(), 8, func(p *Proc, mine block.Message) block.Message {
+	_, err := SimOnce(spec, cost.Noleland(), Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		if p.Rank() == 0 {
 			p.Recv(1) // rank 1 never sends
 		}
 		return mine
-	})
+	}, MsgSize: 8})
 	if err == nil {
 		t.Fatal("expected deadlock error from sim engine")
 	}

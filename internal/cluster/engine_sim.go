@@ -75,7 +75,7 @@ type simEngine struct {
 	queues [][]*msgQueue // [dst][src], created lazily
 	shm    []map[string]block.Message
 	bars   []*simBarrier
-	tracer Tracer // nil unless RunSimTraced
+	tracer Tracer // nil unless the operation is traced
 }
 
 func (e *simEngine) trace(ev TraceEvent) {
@@ -227,7 +227,7 @@ func (e *simEngine) pipeline() *pipeCfg { return nil }
 // real keys, so there is no cross-operation authentication to bind.
 func (e *simEngine) aad(h []byte) []byte { return h }
 
-// SimResult is the outcome of RunSim.
+// SimResult is the outcome of one Session.Sim.
 type SimResult struct {
 	Latency    float64       // modelled completion time of the last rank, seconds
 	LatencyD   time.Duration // same, as a Duration
@@ -239,47 +239,11 @@ type SimResult struct {
 	IntraBytes float64
 }
 
-// RunSim executes algo on every rank inside the discrete-event simulator
+// runSim executes algo on every rank inside the discrete-event simulator
 // under the given machine profile and returns the modelled latency along
 // with the same metrics and logical results as the real engine (payloads
-// are symbolic).
-//
-// Deprecated: one-shot wrapper kept for compatibility and tests; use
-// OpenSession with EngineSim and Session.Sim to reuse one session.
-func RunSim(spec Spec, prof cost.Profile, msgSize int64, algo Algorithm) (*SimResult, error) {
-	return RunSimTraced(spec, prof, msgSize, algo, nil)
-}
-
-// RunSimTraced is RunSim with an activity tracer: every send, receive,
-// encryption, decryption, copy and barrier interval of every rank is
-// reported, in virtual time (see internal/trace for collection and
-// rendering).
-//
-// Deprecated: one-shot wrapper kept for compatibility and tests; use
-// OpenSession with EngineSim and Session.Sim to reuse one session.
-func RunSimTraced(spec Spec, prof cost.Profile, msgSize int64, algo Algorithm, tracer Tracer) (*SimResult, error) {
-	if spec.P <= 0 {
-		return nil, fmt.Errorf("cluster: invalid P=%d", spec.P)
-	}
-	sizes := make([]int64, spec.P)
-	for i := range sizes {
-		sizes[i] = msgSize
-	}
-	return runSim(spec, prof, sizes, algo, tracer)
-}
-
-// RunSimV is the all-gatherv variant of RunSim: sizes[r] is rank r's
-// contribution length.
-//
-// Deprecated: one-shot wrapper kept for compatibility and tests; use
-// OpenSession with EngineSim and Session.Sim to reuse one session.
-func RunSimV(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm) (*SimResult, error) {
-	if len(sizes) != spec.P {
-		return nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(sizes), spec.P)
-	}
-	return runSim(spec, prof, sizes, algo, nil)
-}
-
+// are symbolic). A tracer receives every send, receive, encryption,
+// decryption, copy and barrier interval of every rank, in virtual time.
 func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer Tracer) (*SimResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

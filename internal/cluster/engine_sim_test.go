@@ -45,11 +45,11 @@ func TestSimOverlapSemantics(t *testing.T) {
 		in := p.Wait(s, r)[1]
 		return block.Concat(mine, p.DecryptAll(in))
 	}
-	rs, err := RunSim(spec, prof, m, serial)
+	rs, err := SimOnce(spec, prof, Op{Algo: serial, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := RunSim(spec, prof, m, overlapped)
+	ro, err := SimOnce(spec, prof, Op{Algo: overlapped, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestSimIsendAlphaSerialization(t *testing.T) {
 		}
 		return block.Concat(block.NewSim(0, 64), mine)
 	}
-	res, err := RunSim(spec, prof, 64, algo)
+	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSimBarrierCostAndSync(t *testing.T) {
 		p.NodeBarrier()
 		return allBlocks(p, mine)
 	}
-	res, err := RunSim(spec, prof, 16, algo)
+	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSimInterIntraAccounting(t *testing.T) {
 	}
 	const m = 1000
 	block4 := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	res, err := RunSim(block4, prof, m, algo)
+	res, err := SimOnce(block4, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestSimInterIntraAccounting(t *testing.T) {
 		t.Fatalf("block intra bytes = %g, want %d", res.IntraBytes, 2*m)
 	}
 	cyc := Spec{P: 4, N: 2, Mapping: CyclicMapping}
-	res, err = RunSim(cyc, prof, m, algo)
+	res, err = SimOnce(cyc, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPlainModeDisablesCrypto(t *testing.T) {
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
 		return block.Concat(mine, p.DecryptAll(in))
 	})
-	res, err := RunSim(spec, prof, 1<<20, algo)
+	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

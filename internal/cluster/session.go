@@ -173,6 +173,18 @@ func RunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
 	return s.Collective(context.Background(), op)
 }
 
+// SimOnce is RunOnce on the discrete-event model: one EngineSim session
+// under prof, one Sim of op (op.Tracer traces it, op.Sizes makes it an
+// all-gatherv), closed again.
+func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
+	s, err := OpenSession(spec, SessionConfig{Engine: EngineSim, Profile: prof})
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	return s.Sim(context.Background(), op)
+}
+
 // Session is a persistent collective runtime: open once, run many
 // collectives over long-lived engine state, close once. For EngineTCP
 // the listeners, dialed links, hello handshakes, sequence gates and
@@ -365,19 +377,21 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// resolve turns an Op into per-rank sizes and payload bytes.
-func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
+// sizes validates the Op against the world and returns the per-rank
+// contribution lengths. It reads no payload byte and builds none, so a
+// simulation never pays for patterns it cannot carry.
+func (op Op) sizes(spec Spec) ([]int64, error) {
 	if op.Algo == nil {
-		return nil, nil, errors.New("cluster: Op.Algo is nil")
+		return nil, errors.New("cluster: Op.Algo is nil")
 	}
 	if op.Payloads != nil && len(op.Payloads) != spec.P {
-		return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
+		return nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
 	}
-	sizes = make([]int64, spec.P)
+	sizes := make([]int64, spec.P)
 	switch {
 	case op.Sizes != nil:
 		if len(op.Sizes) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
+			return nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
 		}
 		copy(sizes, op.Sizes)
 	case op.Payloads != nil:
@@ -385,27 +399,32 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 			sizes[r] = int64(len(op.Payloads[r]))
 		}
 	default:
-		if op.MsgSize < 0 {
-			return nil, nil, fmt.Errorf("cluster: negative message size %d", op.MsgSize)
-		}
 		for r := range sizes {
 			sizes[r] = op.MsgSize
 		}
 	}
-	if op.Payloads != nil {
-		for r, pl := range op.Payloads {
-			if int64(len(pl)) != sizes[r] {
-				return nil, nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(pl), sizes[r])
-			}
+	for r, sz := range sizes {
+		if sz < 0 {
+			return nil, fmt.Errorf("cluster: negative message size %d", sz)
 		}
-		payloads = op.Payloads
-		return sizes, payloads, nil
+		if op.Payloads != nil && int64(len(op.Payloads[r])) != sz {
+			return nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(op.Payloads[r]), sz)
+		}
 	}
-	payloads = make([][]byte, spec.P)
-	for r := range payloads {
-		payloads[r] = block.FillPattern(r, sizes[r])
+	return sizes, nil
+}
+
+// payloads returns the bytes each rank contributes to a Collective: the
+// caller's, or each rank's deterministic test pattern of its size.
+func (op Op) payloads(sizes []int64) [][]byte {
+	if op.Payloads != nil {
+		return op.Payloads
 	}
-	return sizes, payloads, nil
+	out := make([][]byte, len(sizes))
+	for r := range out {
+		out[r] = block.FillPattern(r, sizes[r])
+	}
+	return out
 }
 
 // admit runs the session-state checks that gate a new collective and
@@ -491,11 +510,12 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	}
 	defer s.release()
 	s.lm.opsStarted.Inc()
-	sizes, payloads, err := op.resolve(s.spec)
+	sizes, err := op.sizes(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
+	payloads := op.payloads(sizes)
 	tracer := op.Tracer
 	if tracer == nil {
 		tracer = s.cfg.Tracer
@@ -599,7 +619,7 @@ func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
 		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
 	}
 	s.lm.opsStarted.Inc()
-	sizes, _, err := op.resolve(s.spec)
+	sizes, err := op.sizes(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err

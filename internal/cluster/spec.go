@@ -14,7 +14,7 @@
 //     wire codec, with a byte-level sniffer on inter-node connections —
 //     used to demonstrate the security property at the level an actual
 //     network eavesdropper sees;
-//   - the sim engine (RunSim) runs ranks as deterministic discrete-event
+//   - the sim engine (Session.Sim) runs ranks as deterministic discrete-event
 //     processes over the flow-level network model in internal/netsim —
 //     used to regenerate the paper's tables and figures at full scale.
 package cluster

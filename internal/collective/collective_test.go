@@ -55,7 +55,7 @@ func TestAllAlgorithmsCorrectReal(t *testing.T) {
 func TestAllAlgorithmsCorrectSim(t *testing.T) {
 	for _, spec := range specs() {
 		for name, alg := range allAlgs {
-			res, err := cluster.RunSim(spec, cost.Noleland(), 4096, AsAlgorithm(alg))
+			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 4096})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -72,7 +72,7 @@ func TestAllAlgorithmsCorrectSim(t *testing.T) {
 func TestRingRoundsAndBytes(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
 	const m = 256
-	res, err := cluster.RunSim(spec, cost.Noleland(), m, AsAlgorithm(Ring))
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRingRoundsAndBytes(t *testing.T) {
 func TestRDRounds(t *testing.T) {
 	// Power of two: exactly lg(p) rounds.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.BlockMapping}
-	res, err := cluster.RunSim(spec, cost.Noleland(), 64, AsAlgorithm(RD))
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRDRounds(t *testing.T) {
 	}
 	// Non power of two: bounded by 2*lg(p).
 	spec = cluster.Spec{P: 12, N: 3, Mapping: cluster.BlockMapping}
-	res, err = cluster.RunSim(spec, cost.Noleland(), 64, AsAlgorithm(RD))
+	res, err = cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestRDRounds(t *testing.T) {
 func TestBruckRounds(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 12, 16} {
 		spec := cluster.Spec{P: p, N: 1, Mapping: cluster.BlockMapping}
-		res, err := cluster.RunSim(spec, cost.Noleland(), 64, AsAlgorithm(Bruck))
+		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Bruck), MsgSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestHierarchicalLeaderRounds(t *testing.T) {
 	// rank (leader) must stay within lg(l)+lg(N)+lg(l) rounds for powers
 	// of two.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.BlockMapping}
-	res, err := cluster.RunSim(spec, cost.Noleland(), 64, AsAlgorithm(Hierarchical))
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Hierarchical), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestRankOrderedRingCrossesOncePerNodePair(t *testing.T) {
 	// inter-node bytes.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.CyclicMapping}
 	const m = 1 << 10
-	natural, err := cluster.RunSim(spec, cost.Noleland(), m, AsAlgorithm(Ring))
+	natural, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := cluster.RunSim(spec, cost.Noleland(), m, AsAlgorithm(RankOrderedRing))
+	ordered, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RankOrderedRing), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestRankOrderedRingCrossesOncePerNodePair(t *testing.T) {
 
 func TestMVAPICHDispatch(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
-	small, err := cluster.RunSim(spec, cost.Noleland(), 64, AsAlgorithm(MVAPICH(0)))
+	small, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if small.Critical.Rc != 3 { // lg 8: recursive doubling
 		t.Errorf("small-message dispatch rc = %d, want 3 (RD)", small.Critical.Rc)
 	}
-	large, err := cluster.RunSim(spec, cost.Noleland(), 64<<10, AsAlgorithm(MVAPICH(0)))
+	large, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestQuickVolumeOptimal(t *testing.T) {
 		m := int64(m16) + 1
 		spec := cluster.Spec{P: n * l, N: n, Mapping: cluster.BlockMapping}
 		for _, alg := range []Allgather{Ring, RD} {
-			res, err := cluster.RunSim(spec, cost.Noleland(), m, AsAlgorithm(alg))
+			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
 			if err != nil {
 				return false
 			}
@@ -290,7 +290,7 @@ func TestNeighborExchangeRounds(t *testing.T) {
 	// Even group: n/2 rounds — half the ring's. Odd group: ring fallback.
 	for _, p := range []int{2, 4, 8, 16} {
 		spec := cluster.Spec{P: p, N: 1, Mapping: cluster.BlockMapping}
-		res, err := cluster.RunSim(spec, cost.Noleland(), 256, AsAlgorithm(NeighborExchange))
+		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestNeighborExchangeRounds(t *testing.T) {
 		}
 	}
 	spec := cluster.Spec{P: 5, N: 1, Mapping: cluster.BlockMapping}
-	res, err := cluster.RunSim(spec, cost.Noleland(), 256, AsAlgorithm(NeighborExchange))
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestGatherBcastNonzeroRootsAllEngines(t *testing.T) {
 		if err := cluster.ValidateGather(spec, 24, res.Results, true); err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
-		sres, err := cluster.RunSim(spec, cost.Noleland(), 24, algo)
+		sres, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 24})
 		if err != nil {
 			t.Fatalf("root %d sim: %v", root, err)
 		}

@@ -83,11 +83,11 @@ func TestAllreduceNaiveCorrect(t *testing.T) {
 func TestAllreduceDecryptionEconomics(t *testing.T) {
 	spec := cluster.Spec{P: 32, N: 4, Mapping: cluster.BlockMapping}
 	const m = 64 << 10
-	hs, err := cluster.RunSim(spec, cost.Noleland(), m, AllreduceHS(XOR))
+	hs, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := cluster.RunSim(spec, cost.Noleland(), m, AllreduceNaive(XOR))
+	naive, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}

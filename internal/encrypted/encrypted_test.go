@@ -61,7 +61,7 @@ func TestAllEncryptedCorrectSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunSim(spec, cost.Noleland(), 2048, alg)
+			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 2048})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -107,7 +107,7 @@ func TestTableIISignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cluster.RunSim(spec, cost.Noleland(), m, alg)
+		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -158,7 +158,7 @@ func TestLowerBoundsRespected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cluster.RunSim(spec, cost.Noleland(), m, alg)
+		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -258,69 +258,5 @@ func TestConcurrentGroupShape(t *testing.T) {
 				t.Fatalf("%v: rank %d in %d groups", spec, r, seen[r])
 			}
 		}
-	}
-}
-
-// Auto must dispatch to the expected scheme per size band and never be
-// far from the best hand-picked algorithm.
-func TestAutoDispatch(t *testing.T) {
-	spec := cluster.Spec{P: 64, N: 8, Mapping: cluster.BlockMapping}
-	auto, err := Get("auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		m    int64
-		like string
-	}{
-		{64, "o-rd2"},
-		{4 << 10, "c-rd"},
-		{256 << 10, "hs2"},
-	} {
-		ra, err := cluster.RunSim(spec, cost.Noleland(), tc.m, auto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Get(tc.like)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rr, err := cluster.RunSim(spec, cost.Noleland(), tc.m, ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Critical != rr.Critical {
-			t.Errorf("auto @%d dispatched differently from %s: %+v vs %+v",
-				tc.m, tc.like, ra.Critical, rr.Critical)
-		}
-		// Auto within 1.3x of the best paper algorithm at this size.
-		best := 1e18
-		for _, cand := range PaperNames() {
-			a, err := Get(cand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := cluster.RunSim(spec, cost.Noleland(), tc.m, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Latency < best {
-				best = r.Latency
-			}
-		}
-		if ra.Latency > best*1.3 {
-			t.Errorf("auto @%d is %.2fx the best algorithm", tc.m, ra.Latency/best)
-		}
-	}
-	// Correct and secure in the real engine too.
-	res, err := cluster.RunOnce(cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, cluster.SessionConfig{}, cluster.Op{Algo: auto, MsgSize: 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.ValidateGather(cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}, 48, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Audit.Clean() {
-		t.Fatal("auto leaked plaintext")
 	}
 }

@@ -48,7 +48,7 @@ func TestOrdStateCacheReuse(t *testing.T) {
 		}
 		return out
 	}
-	if _, err := cluster.RunSim(spec, cost.Noleland(), 512, algo); err != nil {
+	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 512}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -87,7 +87,7 @@ func TestOrdStateIntraSendsPlain(t *testing.T) {
 		}
 		return out
 	}
-	if _, err := cluster.RunSim(spec, cost.Noleland(), 256, algo); err != nil {
+	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 256}); err != nil {
 		t.Fatal(err)
 	}
 	if intraPayloadEnc {
@@ -115,7 +115,7 @@ func TestOrdStateMergePath(t *testing.T) {
 		}
 		return block.Concat(res...)
 	}
-	res, err := cluster.RunSim(spec, cost.Noleland(), 128, algo)
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +127,12 @@ func TestOrdStateMergePath(t *testing.T) {
 // finish must fail loudly when a contribution is missing.
 func TestOrdStateFinishIncomplete(t *testing.T) {
 	spec := cluster.Spec{P: 2, N: 2, Mapping: cluster.BlockMapping}
-	_, err := cluster.RunSim(spec, cost.Noleland(), 64,
-		func(p *cluster.Proc, mine block.Message) block.Message {
-			g := Group{Ranks: []int{0, 1}}
-			s := newOrdState(p, g, mine, false)
-			res := s.finish() // never exchanged: member missing
-			return block.Concat(res...)
-		})
+	_, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: func(p *cluster.Proc, mine block.Message) block.Message {
+		g := Group{Ranks: []int{0, 1}}
+		s := newOrdState(p, g, mine, false)
+		res := s.finish() // never exchanged: member missing
+		return block.Concat(res...)
+	}, MsgSize: 64})
 	if err == nil {
 		t.Fatal("finish on incomplete state must panic")
 	}

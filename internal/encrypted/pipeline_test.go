@@ -12,11 +12,11 @@ import (
 func TestPipelinedMetricsMatchBase(t *testing.T) {
 	spec := cluster.Spec{P: 16, N: 8, Mapping: cluster.BlockMapping}
 	const m = 32 << 10
-	base, err := cluster.RunSim(spec, cost.Noleland(), m, CRing())
+	base, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: CRing(), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := cluster.RunSim(spec, cost.Noleland(), m, CRingPipelined())
+	pipe, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: CRingPipelined(), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestPipelinedMetricsMatchBase(t *testing.T) {
 func TestPipelinedFasterWhenDecryptionOverlaps(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 8, Mapping: cluster.BlockMapping}
 	const m = 512 << 10
-	base, err := cluster.RunSim(spec, cost.Noleland(), m, asWorld(ORing))
+	base, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: asWorld(ORing), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := cluster.RunSim(spec, cost.Noleland(), m, asWorld(ORingPipelined))
+	pipe, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: asWorld(ORingPipelined), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}

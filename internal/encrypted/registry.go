@@ -23,7 +23,6 @@ func asWorld(sub func(*cluster.Proc, Group, block.Message) []block.Message) clus
 // underneath, exactly like the paper's baseline; "naive-rd"/"naive-ring"
 // pin the underlying collective for ablations.
 var builders = map[string]func() cluster.Algorithm{
-	"auto":        Auto,
 	"naive":       func() cluster.Algorithm { return Naive(collective.MVAPICH(0)) },
 	"naive-rd":    func() cluster.Algorithm { return Naive(collective.RD) },
 	"naive-ring":  func() cluster.Algorithm { return Naive(collective.Ring) },

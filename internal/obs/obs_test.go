@@ -235,7 +235,7 @@ func TestChromeTraceFromSimRun(t *testing.T) {
 	}
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
 	col := &trace.Collector{}
-	if _, err := cluster.RunSimTraced(spec, cost.Noleland(), 4096, alg, col); err != nil {
+	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 4096, Tracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -18,7 +18,7 @@ func runTraced(t *testing.T, alg string, spec cluster.Spec, m int64) (*Collector
 		t.Fatal(err)
 	}
 	col := &Collector{}
-	res, err := cluster.RunSimTraced(spec, cost.Noleland(), m, a, col)
+	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m, Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}

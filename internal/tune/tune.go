@@ -15,8 +15,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"encag/internal/encrypted"
 )
 
 // Version is the tuning-table schema version this package reads and
@@ -192,15 +190,16 @@ func log2Ratio(a, b int) float64 {
 }
 
 // DefaultPick is the built-in policy used when no table covers a key:
-// the paper-calibrated byte thresholds of internal/encrypted — O-RD2
-// for small messages, C-RD in the middle band, HS2 from 16KB up. It is
-// byte-identical to what the legacy in-algorithm "auto" dispatcher
-// chooses, so sessions without a table behave exactly as before.
+// byte thresholds calibrated from the reproduction's Tables III/IV —
+// round-frugal O-RD2 below 1KB, the concurrent C-RD in the middle band,
+// HS2 from 16KB up. All three are mapping-robust choices in both the
+// paper's and our measurements.
 func DefaultPick(m int64) string {
+	const small, large = 1 << 10, 16 << 10
 	switch {
-	case m < encrypted.AutoSmallThreshold:
+	case m < small:
 		return "o-rd2"
-	case m < encrypted.AutoLargeThreshold:
+	case m < large:
 		return "c-rd"
 	default:
 		return "hs2"

@@ -3,6 +3,7 @@ package encag
 import (
 	"context"
 
+	"encag/internal/block"
 	"encag/internal/sched"
 )
 
@@ -75,14 +76,13 @@ func (h *Handle) TryWait() (res *RunResult, err error, ok bool) {
 // *UnknownAlgorithmError — the same fail-fast validation as the
 // blocking methods — rather than deferring the failure to the handle.
 func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts ...Option) (*Handle, error) {
-	if _, err := opLevel(opts); err != nil {
+	o, a, err := checkOp(algorithm, opts)
+	if err != nil {
 		return nil, err
 	}
-	if _, err := ParseAlg(string(algorithm)); err != nil {
-		return nil, err
-	}
+	sizes := block.UniformSizes(s.cs.P, msgSize)
 	if s.engine == EngineSim {
-		res, err := s.Simulate(ctx, algorithm, msgSize, opts...)
+		res, err := s.simulate(ctx, o, a, sizes, "gather")
 		if err != nil {
 			return &Handle{h: sched.Completed[*RunResult](nil, err)}, nil
 		}
@@ -97,7 +97,7 @@ func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts 
 		return &Handle{h: sched.Completed(rr, nil)}, nil
 	}
 	h, err := s.nb.Start(ctx, func() (*RunResult, error) {
-		return s.Run(ctx, algorithm, msgSize, opts...)
+		return s.gather(ctx, o, a, sizes, nil, "gather")
 	})
 	if err != nil {
 		return nil, err

@@ -33,5 +33,5 @@ func NewCryptoPool(size int) *CryptoPool { return seal.NewPool(size) }
 // shares it across every tenant session so one crypto budget is
 // arbitrated process-wide.
 func WithCryptoPool(p *CryptoPool) Option {
-	return func(o *sessionOptions) { o.pool, o.poolSet = p, true }
+	return sessionLevel("WithCryptoPool", func(o *sessionOptions) { o.pool = p })
 }

@@ -22,16 +22,15 @@ type Engine string
 const (
 	// EngineChan (the default) runs every rank as a goroutine over
 	// in-memory channel transport with real payload bytes and real
-	// AES-GCM — the engine behind Allgather/Run.
+	// AES-GCM.
 	EngineChan Engine = "chan"
 	// EngineTCP runs over real loopback TCP sockets through the wire
-	// codec with a byte-level sniffer on inter-node connections — the
-	// engine behind RunOverTCP. A session dials the O(p²) connection
-	// mesh once and reuses it for every collective.
+	// codec with a byte-level sniffer on inter-node connections. A
+	// session dials the O(p²) connection mesh once and reuses it for
+	// every collective.
 	EngineTCP Engine = "tcp"
 	// EngineSim runs on the deterministic discrete-event cluster model
-	// in virtual time — the engine behind Simulate. Requires
-	// WithProfile.
+	// in virtual time. Requires WithProfile.
 	EngineSim Engine = "sim"
 )
 
@@ -72,37 +71,46 @@ var (
 // sessionOptions is the merged view of a call's functional options.
 type sessionOptions struct {
 	engine      Engine
-	engineSet   bool
 	tracer      *TraceCollector
 	plan        *FaultPlan
 	profile     Profile
 	profileSet  bool
 	maxInFlight int
-	maxSet      bool
 	debugAddr   string
 	debugSet    bool
 	pipelining  bool
-	pipeSet     bool
 	segWindow   int
-	segWinSet   bool
 	tuning      *tune.Table
 	tuningSet   bool
 	refine      bool
 	refineSet   bool
 	pool        *CryptoPool
-	poolSet     bool
+	// sessionOnly names the first session-level option applied; a
+	// per-operation option list must leave it empty (see opLevel).
+	sessionOnly string
 }
 
 // Option configures OpenSession or an individual Session operation.
-// WithEngine and WithProfile are session-level only; WithTracer and
-// WithFaultPlan are valid at both levels, the per-operation value
-// overriding the session default for that collective.
+// WithTracer and WithFaultPlan are valid at both levels, the
+// per-operation value overriding the session default for that
+// collective; every other option is session-level only.
 type Option func(*sessionOptions)
+
+// sessionLevel builds an option only OpenSession accepts: applying it
+// records its name, which is what a per-operation call refuses.
+func sessionLevel(name string, set func(*sessionOptions)) Option {
+	return func(o *sessionOptions) {
+		if o.sessionOnly == "" {
+			o.sessionOnly = name
+		}
+		set(o)
+	}
+}
 
 // WithEngine selects the execution backend (session-level only;
 // default EngineChan).
 func WithEngine(e Engine) Option {
-	return func(o *sessionOptions) { o.engine, o.engineSet = e, true }
+	return sessionLevel("WithEngine", func(o *sessionOptions) { o.engine = e })
 }
 
 // WithTracer attaches an activity-timeline collector: every send,
@@ -114,7 +122,13 @@ func WithTracer(col *TraceCollector) Option {
 
 // WithFaultPlan applies a deterministic fault-injection plan (chan and
 // tcp engines). A fresh injector is armed per collective, so the plan's
-// frame counters restart each operation.
+// frame counters restart each operation. The TCP transport absorbs
+// transient faults (drops, stalls, partial writes) by reconnecting and
+// resending; the chan transport has no connection to re-establish, so a
+// dropped message surfaces as a bounded recv error at the starved peer.
+// Either way a collective under a plan completes with verified,
+// byte-exact buffers or returns a single *RankError naming the first
+// faulting rank, peer and operation.
 func WithFaultPlan(plan *FaultPlan) Option {
 	return func(o *sessionOptions) { o.plan = plan }
 }
@@ -122,7 +136,7 @@ func WithFaultPlan(plan *FaultPlan) Option {
 // WithProfile sets the machine model for EngineSim (session-level only;
 // required for sim sessions, ignored by the real engines).
 func WithProfile(prof Profile) Option {
-	return func(o *sessionOptions) { o.profile, o.profileSet = prof, true }
+	return sessionLevel("WithProfile", func(o *sessionOptions) { o.profile, o.profileSet = prof, true })
 }
 
 // WithMaxInFlight bounds how many nonblocking collectives (Session.Start)
@@ -131,7 +145,7 @@ func WithProfile(prof Profile) Option {
 // chan and tcp engines; EngineSim runs Start synchronously, so the
 // window never fills there.
 func WithMaxInFlight(n int) Option {
-	return func(o *sessionOptions) { o.maxInFlight, o.maxSet = n, true }
+	return sessionLevel("WithMaxInFlight", func(o *sessionOptions) { o.maxInFlight = n })
 }
 
 // WithPipelining toggles intra-collective pipelining on the chan and
@@ -143,7 +157,7 @@ func WithMaxInFlight(n int) Option {
 // or splicing any individual segment fails that operation closed, as
 // with whole-message sealing. Ignored by EngineSim.
 func WithPipelining(on bool) Option {
-	return func(o *sessionOptions) { o.pipelining, o.pipeSet = on, true }
+	return sessionLevel("WithPipelining", func(o *sessionOptions) { o.pipelining = on })
 }
 
 // WithSegmentWindow bounds how many segments of one incoming pipelined
@@ -152,7 +166,7 @@ func WithPipelining(on bool) Option {
 // sender (session-level only; n <= 0 selects the default window).
 // Implies nothing unless WithPipelining(true) is also set.
 func WithSegmentWindow(n int) Option {
-	return func(o *sessionOptions) { o.segWindow, o.segWinSet = n, true }
+	return sessionLevel("WithSegmentWindow", func(o *sessionOptions) { o.segWindow = n })
 }
 
 // WithDebugServer starts an HTTP introspection server alongside the
@@ -163,7 +177,7 @@ func WithSegmentWindow(n int) Option {
 // empty selects an ephemeral loopback port — read the bound address
 // back with Session.DebugAddr. The server shuts down with the session.
 func WithDebugServer(addr string) Option {
-	return func(o *sessionOptions) { o.debugAddr, o.debugSet = addr, true }
+	return sessionLevel("WithDebugServer", func(o *sessionOptions) { o.debugAddr, o.debugSet = addr, true })
 }
 
 func applyOpts(opts []Option) *sessionOptions {
@@ -179,32 +193,8 @@ func applyOpts(opts []Option) *sessionOptions {
 // opLevel validates a per-operation option list.
 func opLevel(opts []Option) (*sessionOptions, error) {
 	o := applyOpts(opts)
-	if o.engineSet {
-		return nil, errors.New("encag: WithEngine is a session-level option; pass it to OpenSession")
-	}
-	if o.profileSet {
-		return nil, errors.New("encag: WithProfile is a session-level option; pass it to OpenSession")
-	}
-	if o.maxSet {
-		return nil, errors.New("encag: WithMaxInFlight is a session-level option; pass it to OpenSession")
-	}
-	if o.debugSet {
-		return nil, errors.New("encag: WithDebugServer is a session-level option; pass it to OpenSession")
-	}
-	if o.pipeSet {
-		return nil, errors.New("encag: WithPipelining is a session-level option; pass it to OpenSession")
-	}
-	if o.segWinSet {
-		return nil, errors.New("encag: WithSegmentWindow is a session-level option; pass it to OpenSession")
-	}
-	if o.tuningSet {
-		return nil, errors.New("encag: WithTuningTable is a session-level option; pass it to OpenSession")
-	}
-	if o.refineSet {
-		return nil, errors.New("encag: WithTuningRefinement is a session-level option; pass it to OpenSession")
-	}
-	if o.poolSet {
-		return nil, errors.New("encag: WithCryptoPool is a session-level option; pass it to OpenSession")
+	if o.sessionOnly != "" {
+		return nil, fmt.Errorf("encag: %s is a session-level option; pass it to OpenSession", o.sessionOnly)
 	}
 	return o, nil
 }
@@ -213,8 +203,7 @@ func opLevel(opts []Option) (*sessionOptions, error) {
 // collectives over long-lived engine state, close once. For EngineTCP
 // the listeners, dialed links, handshakes, sequence gates and per-rank
 // send schedulers survive across operations — only the first collective
-// pays the O(p²) mesh setup the per-call entry points (RunOverTCP et
-// al.) re-pay every time; every frame carries its operation's id, so
+// pays the O(p²) mesh setup; every frame carries its operation's id, so
 // the frames of concurrent collectives are demultiplexed to the right
 // operation and stragglers from retired ones are discarded. For
 // EngineChan the sealer and send schedulers persist. EngineSim sessions
@@ -274,10 +263,8 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 	if err != nil {
 		return nil, err
 	}
-	cfg := cluster.SessionConfig{Engine: kind, Plan: o.plan, Profile: o.profile, CryptoPool: o.pool}
-	if o.pipeSet {
-		cfg.Pipeline = cluster.PipelineConfig{Enabled: o.pipelining, SegmentWindow: o.segWindow}
-	}
+	cfg := cluster.SessionConfig{Engine: kind, Plan: o.plan, Profile: o.profile, CryptoPool: o.pool,
+		Pipeline: cluster.PipelineConfig{Enabled: o.pipelining, SegmentWindow: o.segWindow}}
 	if o.tracer != nil {
 		cfg.Tracer = o.tracer
 	}
@@ -298,7 +285,7 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		nb:        sched.New[*RunResult](o.maxInFlight),
 		tuner:     tune.NewTuner(tab, autoCandidate),
 		refine:    !o.refineSet || o.refine,
-		pipelined: o.pipeSet && o.pipelining,
+		pipelined: o.pipelining,
 		autoSel:   make(map[Alg]*metrics.Counter),
 	}
 	// The nonblocking window lives in this layer, so its metrics are
@@ -432,29 +419,102 @@ func (s *Session) WireClean(msgSize int64) bool {
 	return true
 }
 
-// planActive reports whether this operation runs under a fault plan.
-func (s *Session) planActive(o *sessionOptions) bool {
-	return o.plan != nil || s.plan != nil
+// checkOp validates what every collective entry point is handed before
+// anything runs: the per-operation options and the algorithm name.
+func checkOp(algorithm Alg, opts []Option) (*sessionOptions, Alg, error) {
+	o, err := opLevel(opts)
+	if err != nil {
+		return nil, "", err
+	}
+	a, err := ParseAlg(string(algorithm))
+	return o, a, err
 }
 
 // buildOp assembles the cluster-level operation from per-call options.
-func buildOp(alg cluster.Algorithm, o *sessionOptions) cluster.Op {
-	op := cluster.Op{Algo: alg, Plan: o.plan}
+func buildOp(alg cluster.Algorithm, sizes []int64, payloads [][]byte, o *sessionOptions) cluster.Op {
+	op := cluster.Op{Algo: alg, Sizes: sizes, Payloads: payloads, Plan: o.plan}
 	if o.tracer != nil {
 		op.Tracer = o.tracer
 	}
 	return op
 }
 
-// runResult validates a cluster result and converts it into the public
-// RunResult in one pass per rank: every rank's message must be a
-// complete plaintext gather of sizes, and with checkPayload every
-// gathered byte must also match its origin's deterministic pattern.
-// Gathered holds views into the result messages, not copies.
-func (s *Session) runResult(res *cluster.RealResult, sizes []int64, checkPayload bool) (*RunResult, error) {
-	views, err := cluster.GatherViews(s.cs, sizes, res.Results, checkPayload)
+// contributionSizes checks that data holds one contribution per rank
+// and returns their lengths. A uniform collective takes rank 0's length
+// for every rank, so ragged input fails the runtime's payload check
+// instead of quietly running as an all-gatherv.
+func (s *Session) contributionSizes(data [][]byte, uniform bool) ([]int64, error) {
+	if len(data) != s.cs.P {
+		return nil, fmt.Errorf("encag: %d contributions for %d ranks", len(data), s.cs.P)
+	}
+	if uniform {
+		return block.UniformSizes(s.cs.P, int64(len(data[0]))), nil
+	}
+	sizes := make([]int64, len(data))
+	for r, d := range data {
+		sizes[r] = int64(len(d))
+	}
+	return sizes, nil
+}
+
+// maxOf is the largest contribution of an operation: what AlgAuto
+// dispatch and the tuning cell key on. It mirrors Proc.MaxBlockSize —
+// the value every rank knows — so mixed contributions cannot make ranks
+// disagree on the selected algorithm.
+func maxOf(sizes []int64) int64 {
+	var m int64
+	for _, sz := range sizes {
+		if sz > m {
+			m = sz
+		}
+	}
+	return m
+}
+
+// gather is the one path of every all-gather on the chan and tcp
+// engines; Run, Allgather, AllgatherV and Start differ only in what they
+// hand it. o and a come from checkOp; sizes[r] is rank r's contribution
+// length; payloads is nil for the deterministic per-rank test patterns;
+// noun names the collective in a validation error.
+func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, payloads [][]byte, noun string) (*RunResult, error) {
+	largest := maxOf(sizes)
+	impl, used, err := s.resolveAlg(a, largest)
 	if err != nil {
 		return nil, err
+	}
+	res, err := s.inner.Collective(ctx, buildOp(impl, sizes, payloads, o))
+	if err != nil {
+		return nil, err
+	}
+	planned := o.plan != nil || s.plan != nil
+	out, err := s.result(res, used, sizes, payloads == nil, planned, noun)
+	if err != nil {
+		return nil, err
+	}
+	s.observeLatency(planned, largest, used, out.Elapsed)
+	return out, nil
+}
+
+// result validates a finished collective and converts it into the
+// public RunResult in one pass per rank: every rank's message must be a
+// complete plaintext gather of sizes. Self-generated patterns are also
+// checked byte for byte against their origin over TCP and under any
+// fault plan; user-supplied bytes are validated for structure only.
+// Gathered holds views into the result messages, not copies.
+func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patterns, planned bool, noun string) (*RunResult, error) {
+	views, err := cluster.GatherViews(s.cs, sizes, res.Results, patterns && (planned || s.engine == EngineTCP))
+	if err != nil {
+		switch {
+		case patterns && planned:
+			// Corruption that survived transport (unauthenticated bytes the
+			// plan hit) must fail closed as a structured error, never be
+			// silently delivered.
+			return nil, &RankError{Rank: -1, Peer: -1, Op: "validate",
+				Err: fmt.Errorf("fault corrupted the gathered result: %w", err)}
+		case patterns && s.engine == EngineTCP:
+			noun += " over TCP"
+		}
+		return nil, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
 	}
 	return &RunResult{
 		Gathered:      views,
@@ -465,128 +525,45 @@ func (s *Session) runResult(res *cluster.RealResult, sizes []int64, checkPayload
 		Violations:    append([]string(nil), res.Audit.Violations...),
 		Elapsed:       res.Elapsed,
 		OpID:          res.OpID,
+		Algorithm:     used,
 	}, nil
-}
-
-// invalidPatternGather shapes the end-of-run validation failure of a
-// self-generated (deterministic-pattern) run for its engine.
-func (s *Session) invalidPatternGather(algorithm Alg, o *sessionOptions, err error) error {
-	if s.planActive(o) {
-		// Corruption that survived transport (unauthenticated bytes the
-		// plan hit) must fail closed as a structured error, never be
-		// silently delivered.
-		return &RankError{Rank: -1, Peer: -1, Op: "validate",
-			Err: fmt.Errorf("fault corrupted the gathered result: %w", err)}
-	}
-	if s.engine == EngineTCP {
-		return fmt.Errorf("encag: %s produced an invalid gather over TCP: %w", algorithm, err)
-	}
-	return fmt.Errorf("encag: %s produced an invalid gather: %w", algorithm, err)
 }
 
 // Run executes one encrypted all-gather with deterministic per-rank test
 // payloads of msgSize bytes on the session's chan or tcp engine (use
 // Simulate on sim sessions). Per-op options: WithTracer, WithFaultPlan.
 func (s *Session) Run(ctx context.Context, algorithm Alg, msgSize int64, opts ...Option) (*RunResult, error) {
-	o, err := opLevel(opts)
+	o, a, err := checkOp(algorithm, opts)
 	if err != nil {
 		return nil, err
 	}
-	alg, used, err := s.resolveAlg(algorithm, msgSize)
-	if err != nil {
-		return nil, err
-	}
-	op := buildOp(alg, o)
-	op.MsgSize = msgSize
-	res, err := s.inner.Collective(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	// Self-generated payloads: every gathered byte is checked against its
-	// origin's pattern over TCP and under any fault plan.
-	out, err := s.runResult(res, block.UniformSizes(s.cs.P, msgSize), s.engine == EngineTCP || s.planActive(o))
-	if err != nil {
-		return nil, s.invalidPatternGather(used, o, err)
-	}
-	out.Algorithm = used
-	s.observeLatency(o, msgSize, used, out)
-	return out, nil
+	return s.gather(ctx, o, a, block.UniformSizes(s.cs.P, msgSize), nil, "gather")
 }
 
 // Allgather executes one encrypted all-gather with caller-supplied
 // contributions on the session's chan or tcp engine: data[r] is rank
 // r's block (all equal length).
 func (s *Session) Allgather(ctx context.Context, algorithm Alg, data [][]byte, opts ...Option) (*RunResult, error) {
-	o, err := opLevel(opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) != s.cs.P {
-		return nil, fmt.Errorf("encag: %d contributions for %d ranks", len(data), s.cs.P)
-	}
-	msgSize := int64(len(data[0]))
-	alg, used, err := s.resolveAlg(algorithm, msgSize)
-	if err != nil {
-		return nil, err
-	}
-	op := buildOp(alg, o)
-	op.Payloads = data
-	op.Sizes = block.UniformSizes(s.cs.P, msgSize)
-	res, err := s.inner.Collective(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	// User-supplied bytes: validate structure only, never pattern content.
-	out, err := s.runResult(res, op.Sizes, false)
-	if err != nil {
-		return nil, fmt.Errorf("encag: %s produced an invalid gather: %w", used, err)
-	}
-	out.Algorithm = used
-	s.observeLatency(o, msgSize, used, out)
-	return out, nil
+	return s.allgather(ctx, algorithm, data, true, "gather", opts)
 }
 
 // AllgatherV is the variable-block-size (all-gatherv) collective on the
 // session's chan or tcp engine: each rank's contribution may have a
 // different length, including zero.
 func (s *Session) AllgatherV(ctx context.Context, algorithm Alg, data [][]byte, opts ...Option) (*RunResult, error) {
-	o, err := opLevel(opts)
+	return s.allgather(ctx, algorithm, data, false, "gatherv", opts)
+}
+
+func (s *Session) allgather(ctx context.Context, algorithm Alg, data [][]byte, uniform bool, noun string, opts []Option) (*RunResult, error) {
+	o, a, err := checkOp(algorithm, opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) != s.cs.P {
-		return nil, fmt.Errorf("encag: %d contributions for %d ranks", len(data), s.cs.P)
-	}
-	// Auto dispatch keys on the maximum block size — the value every
-	// rank knows (Proc.MaxBlockSize) — so mixed contributions cannot
-	// make ranks disagree on the selected algorithm.
-	var maxSize int64
-	for _, d := range data {
-		if int64(len(d)) > maxSize {
-			maxSize = int64(len(d))
-		}
-	}
-	alg, used, err := s.resolveAlg(algorithm, maxSize)
+	sizes, err := s.contributionSizes(data, uniform)
 	if err != nil {
 		return nil, err
 	}
-	op := buildOp(alg, o)
-	op.Payloads = data
-	res, err := s.inner.Collective(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	sizes := make([]int64, s.cs.P)
-	for r := range sizes {
-		sizes[r] = int64(len(data[r]))
-	}
-	out, err := s.runResult(res, sizes, false)
-	if err != nil {
-		return nil, fmt.Errorf("encag: %s produced an invalid gatherv: %w", used, err)
-	}
-	out.Algorithm = used
-	s.observeLatency(o, maxSize, used, out)
-	return out, nil
+	return s.gather(ctx, o, a, sizes, data, noun)
 }
 
 // Allreduce performs one encrypted all-reduce on the session's chan or
@@ -600,14 +577,12 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 	if s.engine == EngineSim {
 		return nil, errors.New("encag: Allreduce needs a chan or tcp session")
 	}
-	if len(data) != s.cs.P {
-		return nil, fmt.Errorf("encag: %d contributions for %d ranks", len(data), s.cs.P)
+	sizes, err := s.contributionSizes(data, true)
+	if err != nil {
+		return nil, err
 	}
-	m := int64(len(data[0]))
-	cop := buildOp(encrypted.AllreduceHS(op), o)
-	cop.Payloads = data
-	cop.Sizes = block.UniformSizes(s.cs.P, m)
-	res, err := s.inner.Collective(ctx, cop)
+	m := sizes[0]
+	res, err := s.inner.Collective(ctx, buildOp(encrypted.AllreduceHS(op), sizes, data, o))
 	if err != nil {
 		return nil, err
 	}
@@ -643,57 +618,37 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 // is checked on entry only: sim runs execute in virtual time and are not
 // cancellable mid-flight.
 func (s *Session) Simulate(ctx context.Context, algorithm Alg, msgSize int64, opts ...Option) (SimResult, error) {
-	o, err := opLevel(opts)
+	o, a, err := checkOp(algorithm, opts)
 	if err != nil {
 		return SimResult{}, err
 	}
-	alg, used, err := s.resolveAlg(algorithm, msgSize)
-	if err != nil {
-		return SimResult{}, err
-	}
-	op := buildOp(alg, o)
-	op.MsgSize = msgSize
-	res, err := s.inner.Sim(ctx, op)
-	if err != nil {
-		return SimResult{}, err
-	}
-	if err := cluster.ValidateGather(s.cs, msgSize, res.Results, false); err != nil {
-		return SimResult{}, fmt.Errorf("encag: %s produced an invalid gather: %w", used, err)
-	}
-	return SimResult{
-		Latency:    res.LatencyD,
-		Metrics:    res.Critical,
-		InterBytes: res.InterBytes,
-		IntraBytes: res.IntraBytes,
-		Algorithm:  used,
-	}, nil
+	return s.simulate(ctx, o, a, block.UniformSizes(s.cs.P, msgSize), "gather")
 }
 
 // SimulateV is the all-gatherv variant of Simulate: sizes[r] is rank
 // r's contribution length in bytes.
 func (s *Session) SimulateV(ctx context.Context, algorithm Alg, sizes []int64, opts ...Option) (SimResult, error) {
-	o, err := opLevel(opts)
+	o, a, err := checkOp(algorithm, opts)
 	if err != nil {
 		return SimResult{}, err
 	}
-	var maxSize int64
-	for _, sz := range sizes {
-		if sz > maxSize {
-			maxSize = sz
-		}
-	}
-	alg, used, err := s.resolveAlg(algorithm, maxSize)
+	return s.simulate(ctx, o, a, sizes, "gatherv")
+}
+
+// simulate is the one path of every simulation; o and a come from
+// checkOp, and Simulate, SimulateV and Start on a sim session differ
+// only in sizes.
+func (s *Session) simulate(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, noun string) (SimResult, error) {
+	impl, used, err := s.resolveAlg(a, maxOf(sizes))
 	if err != nil {
 		return SimResult{}, err
 	}
-	op := buildOp(alg, o)
-	op.Sizes = sizes
-	res, err := s.inner.Sim(ctx, op)
+	res, err := s.inner.Sim(ctx, buildOp(impl, sizes, nil, o))
 	if err != nil {
 		return SimResult{}, err
 	}
 	if err := cluster.ValidateGatherV(s.cs, sizes, res.Results, false); err != nil {
-		return SimResult{}, fmt.Errorf("encag: %s produced an invalid gatherv: %w", used, err)
+		return SimResult{}, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
 	}
 	return SimResult{
 		Latency:    res.LatencyD,

@@ -74,8 +74,8 @@ func TestSessionSimulateReuse(t *testing.T) {
 			t.Fatalf("%s: latency %v", algo, res.Latency)
 		}
 	}
-	// Cross-check one algorithm against the deprecated one-shot path.
-	want, err := Simulate(Spec{Procs: 64, Nodes: 4}, Noleland(), "hs1", 1<<16)
+	// A session that has run eight simulations answers like a fresh one.
+	want, err := openTest(t, s.Spec(), simOpts...).Simulate(context.Background(), "hs1", 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSessionSimulateReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Latency != want.Latency || got.Metrics != want.Metrics {
-		t.Fatalf("session sim diverges from one-shot: %+v vs %+v", got, want)
+		t.Fatalf("reused sim session diverges from a fresh one: %+v vs %+v", got, want)
 	}
 }
 

@@ -11,19 +11,23 @@ func TestAllAlgorithmsOverTCP(t *testing.T) {
 	}
 	spec := Spec{Procs: 8, Nodes: 4}
 	const m = 96
+	s := openTest(t, spec, WithEngine(EngineTCP))
+	var seen int64 // the capture is cumulative over the session
 	for _, alg := range PaperAlgorithms() {
-		res, err := RunOverTCP(spec, alg, m)
+		res, err := s.Run(bg, alg, m)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
 		if !res.SecurityOK {
 			t.Errorf("%s: audit violations: %v", alg, res.Violations)
 		}
-		if !res.WireClean {
-			t.Errorf("%s: plaintext visible on the TCP wire", alg)
+		if !s.WireClean(m) {
+			t.Fatalf("%s: plaintext visible on the TCP wire", alg)
 		}
-		if res.WireBytes == 0 {
+		if now := s.Wire().Bytes; now == seen {
 			t.Errorf("%s: no inter-node wire traffic captured", alg)
+		} else {
+			seen = now
 		}
 	}
 }
@@ -31,21 +35,22 @@ func TestAllAlgorithmsOverTCP(t *testing.T) {
 // The plaintext counterpart is the positive control: the same TCP path
 // with crypto disabled must expose plaintext to the wire sniffer.
 func TestTCPPlaintextControl(t *testing.T) {
-	res, err := RunOverTCP(Spec{Procs: 4, Nodes: 2}, "plain-c-ring", 96)
-	if err != nil {
+	s := openTest(t, Spec{Procs: 4, Nodes: 2}, WithEngine(EngineTCP))
+	if _, err := s.Run(bg, "plain-c-ring", 96); err != nil {
 		t.Fatal(err)
 	}
-	if res.WireClean {
+	if s.WireClean(96) {
 		t.Fatal("plaintext algorithm left no plaintext on the wire — sniffer broken")
 	}
 }
 
 func TestTCPCyclicMapping(t *testing.T) {
-	res, err := RunOverTCP(Spec{Procs: 8, Nodes: 4, Mapping: "cyclic"}, "hs2", 64)
+	s := openTest(t, Spec{Procs: 8, Nodes: 4, Mapping: "cyclic"}, WithEngine(EngineTCP))
+	res, err := s.Run(bg, "hs2", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK || !res.WireClean {
+	if !res.SecurityOK || !s.WireClean(64) {
 		t.Fatal("hs2 over TCP with cyclic mapping failed the security checks")
 	}
 }

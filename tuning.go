@@ -3,6 +3,7 @@ package encag
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"encag/internal/cluster"
 	"encag/internal/encrypted"
@@ -37,7 +38,7 @@ func LoadTuningTable(path string) (*TuningTable, error) {
 // then to the built-in thresholds. Pass nil to force built-ins even
 // when ENCAG_TUNING_TABLE is set.
 func WithTuningTable(t *TuningTable) Option {
-	return func(o *sessionOptions) { o.tuning, o.tuningSet = t, true }
+	return sessionLevel("WithTuningTable", func(o *sessionOptions) { o.tuning, o.tuningSet = t, true })
 }
 
 // WithTuningRefinement toggles online refinement of AlgAuto estimates
@@ -49,7 +50,7 @@ func WithTuningTable(t *TuningTable) Option {
 // under a fault plan are never folded in (their latency measures the
 // faults, not the algorithm).
 func WithTuningRefinement(on bool) Option {
-	return func(o *sessionOptions) { o.refine, o.refineSet = on, true }
+	return sessionLevel("WithTuningRefinement", func(o *sessionOptions) { o.refine, o.refineSet = on, true })
 }
 
 // sessionTuning resolves the session's tuning table: the explicit
@@ -75,9 +76,6 @@ func sessionTuning(o *sessionOptions) (*tune.Table, error) {
 // algorithm name this build no longer has falls back instead of
 // erroring mid-operation.
 func autoCandidate(name string) bool {
-	if name == string(AlgAuto) {
-		return false
-	}
 	_, err := encrypted.Get(name)
 	return err == nil
 }
@@ -93,26 +91,17 @@ func (s *Session) tuneKey(maxSize int64) tune.Key {
 	}
 }
 
-// resolveAlg validates the requested algorithm and, for AlgAuto,
-// resolves it to the tuner's concrete choice for an operation whose
-// maximum block size is maxSize. maxSize mirrors Proc.MaxBlockSize —
-// the globally-known maximum — so every rank of an all-gatherv agrees
-// on the selection. Returns the implementation and the algorithm that
-// will actually run.
-func (s *Session) resolveAlg(algorithm Alg, maxSize int64) (cluster.Algorithm, Alg, error) {
-	a, err := ParseAlg(string(algorithm))
-	if err != nil {
-		return nil, "", err
-	}
+// resolveAlg turns an already-parsed algorithm into its implementation
+// and, for AlgAuto, first resolves it to the tuner's concrete choice for
+// an operation whose maximum block size is maxSize. Returns the
+// implementation and the algorithm that will actually run.
+func (s *Session) resolveAlg(a Alg, maxSize int64) (cluster.Algorithm, Alg, error) {
 	if a == AlgAuto {
 		a = Alg(s.tuner.Pick(s.tuneKey(maxSize), maxSize))
 		s.countAutoSelected(a)
 	}
 	impl, err := lookup(a)
-	if err != nil {
-		return nil, "", err
-	}
-	return impl, a, nil
+	return impl, a, err
 }
 
 // countAutoSelected charges one AlgAuto resolution to the
@@ -135,14 +124,11 @@ func (s *Session) countAutoSelected(a Alg) {
 // explicit hs2 op teaches the tuner about hs2 too). Skipped when
 // refinement is off and for fault-plan runs, whose latency measures the
 // injected faults rather than the algorithm.
-func (s *Session) observeLatency(o *sessionOptions, maxSize int64, used Alg, res *RunResult) {
-	if !s.refine || s.planActive(o) || res == nil || used == "" {
+func (s *Session) observeLatency(planned bool, maxSize int64, used Alg, elapsed time.Duration) {
+	if !s.refine || planned || !autoCandidate(string(used)) {
 		return
 	}
-	if !autoCandidate(string(used)) {
-		return
-	}
-	s.tuner.Observe(s.tuneKey(maxSize), string(used), res.Elapsed)
+	s.tuner.Observe(s.tuneKey(maxSize), string(used), elapsed)
 }
 
 // AutoSelected reports how many times each concrete algorithm has been

@@ -34,37 +34,43 @@ func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	sizes := block.UniformSizes(s.cs.P, m)
-	clean, err := s.runResult(res, sizes, true)
+	// validate is the facade's pass over a pattern run's result, with and
+	// without a fault plan on the operation.
+	validate := func(planned bool) (*RunResult, error) {
+		return s.result(res, used, sizes, true, planned, "gather")
+	}
+	clean, err := validate(false)
 	if err != nil {
 		t.Fatalf("clean TCP result rejected: %v", err)
 	}
-	planned := &sessionOptions{plan: &FaultPlan{}}
 	for r, view := range clean.Gathered {
 		for origin, blk := range view {
 			// Positions in the first period, at its edge and beyond it.
 			for _, at := range []int{(r*5 + origin) % 256, 255, 256, m - 1 - r} {
 				blk[at] ^= 0x20
-				_, err := s.runResult(res, sizes, true)
+				_, err := validate(false)
+				_, perr := validate(true)
 				blk[at] ^= 0x20
 				if err == nil {
 					t.Fatalf("rank %d origin %d byte %d corrupted: accepted", r, origin, at)
 				}
 				// Ranks of one node may share a payload, so the first
 				// rank to trip may not be r; the origin is exact.
-				if want := fmt.Sprintf("origin %d payload corrupted", origin); !strings.Contains(err.Error(), want) {
+				want := fmt.Sprintf("origin %d payload corrupted", origin)
+				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("rank %d origin %d byte %d: error %q does not name %q", r, origin, at, err, want)
 				}
 				var re *RankError
-				if verr := s.invalidPatternGather(used, planned, err); !errors.As(verr, &re) || re.Op != "validate" {
-					t.Fatalf("under a fault plan: %v, want a *RankError with Op validate", verr)
+				if !errors.As(perr, &re) || re.Op != "validate" || !strings.Contains(perr.Error(), want) {
+					t.Fatalf("under a fault plan: %v, want a *RankError with Op validate naming %q", perr, want)
 				}
-				if verr := s.invalidPatternGather(used, &sessionOptions{}, err); !strings.Contains(verr.Error(), "invalid gather over TCP") {
-					t.Fatalf("without a plan: %v, want the TCP invalid-gather error", verr)
+				if !strings.Contains(err.Error(), "invalid gather over TCP") {
+					t.Fatalf("without a plan: %v, want the TCP invalid-gather error", err)
 				}
 			}
 		}
 	}
-	if _, err := s.runResult(res, sizes, true); err != nil {
+	if _, err := validate(false); err != nil {
 		t.Fatalf("restored result rejected: %v", err)
 	}
 }
@@ -110,5 +116,25 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 	t.Logf("%d KB allocated per 1 MiB pipelined TCP c-ring op (budget %d)", perOp>>10, budget>>10)
 	if perOp >= budget {
 		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
+	}
+}
+
+// A simulation carries sizes, never bytes: one paper-scale Simulate
+// (128 ranks on 8 nodes, 1 MiB blocks) must not build the 128 MiB of
+// per-rank test patterns a real collective would send; the simulator's
+// own allocations for that run are about 8 MiB.
+func TestSimulateBuildsNoPayloads(t *testing.T) {
+	const budget = 64 << 20
+	s := openTest(t, Spec{Procs: 128, Nodes: 8}, simOpts...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Simulate(bg, AlgHS2, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d MiB allocated by one p=128 1 MiB simulation (budget %d)", got>>20, budget>>20)
+	if got >= budget {
+		t.Fatalf("%d MiB allocated by one simulation, budget %d MiB", got>>20, budget>>20)
 	}
 }
