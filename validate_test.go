@@ -118,23 +118,3 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
 	}
 }
-
-// A simulation carries sizes, never bytes: one paper-scale Simulate
-// (128 ranks on 8 nodes, 1 MiB blocks) must not build the 128 MiB of
-// per-rank test patterns a real collective would send; the simulator's
-// own allocations for that run are about 8 MiB.
-func TestSimulateBuildsNoPayloads(t *testing.T) {
-	const budget = 64 << 20
-	s := openTest(t, Spec{Procs: 128, Nodes: 8}, simOpts...)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := s.Simulate(bg, AlgHS2, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d MiB allocated by one p=128 1 MiB simulation (budget %d)", got>>20, budget>>20)
-	if got >= budget {
-		t.Fatalf("%d MiB allocated by one simulation, budget %d MiB", got>>20, budget>>20)
-	}
-}
