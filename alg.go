@@ -37,16 +37,12 @@ const (
 	// AlgORing is the opportunistic ring (encrypt only at node
 	// boundaries).
 	AlgORing Alg = "o-ring"
-	// AlgORingPipe is the ring with overlapped decryption (extension).
-	AlgORingPipe Alg = "o-ring-pipe"
 	// AlgORD is opportunistic recursive doubling, forwarding ciphertexts.
 	AlgORD Alg = "o-rd"
 	// AlgORD2 is recursive doubling with merged ciphertexts.
 	AlgORD2 Alg = "o-rd2"
 	// AlgCRing is the concurrent ring (one ciphertext per node).
 	AlgCRing Alg = "c-ring"
-	// AlgCRingPipe is the concurrent ring with overlapped decryption.
-	AlgCRingPipe Alg = "c-ring-pipe"
 	// AlgCRD is concurrent recursive doubling.
 	AlgCRD Alg = "c-rd"
 	// AlgHS1 and AlgHS2 are the hierarchical schemes.

@@ -4,9 +4,9 @@
 // Each BenchmarkTableN / BenchmarkFigureN runs the corresponding
 // experiment from internal/bench once per iteration and reports the
 // modelled latency columns via the experiment's own output; run the
-// encag-bench command for the rendered tables. Table VI (p=1024) runs in
+// encag bench command for the rendered tables. Table VI (p=1024) runs in
 // quick mode here — its full form takes minutes and lives behind
-// `encag-bench -exp table6`.
+// `encag bench -exp table6`.
 package encag_test
 
 import (
@@ -57,7 +57,7 @@ func BenchmarkTableIV(b *testing.B) { runExperiment(b, "table4", false) }
 func BenchmarkTableV(b *testing.B) { runExperiment(b, "table5", false) }
 
 // BenchmarkTableVI regenerates Table VI in quick mode (p=128 over 16
-// nodes, sizes to 32KB); the full p=1024 sweep is `encag-bench -exp
+// nodes, sizes to 32KB); the full p=1024 sweep is `encag bench -exp
 // table6`.
 func BenchmarkTableVI(b *testing.B) { runExperiment(b, "table6", true) }
 

@@ -1,19 +1,8 @@
-// Command encag-explore answers "which encrypted all-gather should my
-// cluster use?": it simulates every algorithm for a given cluster shape,
-// mapping, machine profile and message size, prints the ranking with the
-// six cost metrics, and shows how far the winner sits from the paper's
-// lower bounds.
-//
-// Example:
-//
-//	encag-explore -p 256 -nodes 16 -size 64KB -profile noleland -mapping cyclic
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -21,25 +10,33 @@ import (
 	"encag/internal/bench"
 )
 
-func main() {
-	p := flag.Int("p", 128, "number of processes")
-	nodes := flag.Int("nodes", 8, "number of nodes")
-	mapping := flag.String("mapping", "block", "process mapping: block or cyclic")
-	sizeStr := flag.String("size", "16KB", "message size per rank (e.g. 64, 4KB, 2MB)")
-	profName := flag.String("profile", "noleland", "machine profile: noleland or bridges2")
-	flag.Parse()
+// cmdExplore answers "which encrypted all-gather should my cluster
+// use?": it simulates every algorithm for a given cluster shape,
+// mapping, machine profile and message size, prints the ranking with the
+// six cost metrics, and shows how far the winner sits from the paper's
+// lower bounds.
+//
+//	encag explore -p 256 -nodes 16 -size 64KB -profile noleland -mapping cyclic
+func cmdExplore(args []string) error {
+	fs := newFlags("explore")
+	shape := specFlags{p: "128", nodes: "8"}
+	shape.register(fs, "p", "nodes", "mapping")
+	sizeStr := fs.String("size", "16KB", "message size per rank (e.g. 64, 4KB, 2MB)")
+	profName := fs.String("profile", "noleland", "machine profile: noleland or bridges2")
+	fs.Parse(args)
 
 	size, err := bench.ParseSize(*sizeStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
 	prof, err := encag.ProfileByName(*profName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return err
 	}
-	spec := encag.Spec{Procs: *p, Nodes: *nodes, Mapping: *mapping}
+	spec, err := shape.spec()
+	if err != nil {
+		return err
+	}
 
 	type row struct {
 		name encag.Alg
@@ -48,23 +45,21 @@ func main() {
 	ctx := context.Background()
 	s, err := encag.OpenSession(ctx, spec, encag.WithEngine(encag.EngineSim), encag.WithProfile(prof))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	defer s.Close()
 	var rows []row
 	for _, alg := range append([]encag.Alg{encag.AlgMPI}, encag.PaperAlgorithms()...) {
 		res, err := s.Simulate(ctx, alg, size)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", alg, err)
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", alg, err)
 		}
 		rows = append(rows, row{alg, res})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].res.Latency < rows[j].res.Latency })
 
 	fmt.Printf("Cluster: p=%d nodes=%d l=%d mapping=%s profile=%s msg=%s\n\n",
-		*p, *nodes, *p / *nodes, *mapping, prof.Name, bench.SizeName(size))
+		spec.Procs, spec.Nodes, spec.Procs/spec.Nodes, spec.Mapping, prof.Name, bench.SizeName(size))
 	fmt.Printf("%-8s %12s %6s %6s %12s %6s %12s\n", "scheme", "latency", "rc", "re", "se", "rd", "sd")
 	for _, r := range rows {
 		fmt.Printf("%-8s %12s %6d %6d %12d %6d %12d\n",
@@ -73,7 +68,7 @@ func main() {
 			r.res.Metrics.Rd, r.res.Metrics.Sd)
 	}
 
-	lb := encag.LowerBounds(*p, *nodes, size)
+	lb := encag.LowerBounds(spec.Procs, spec.Nodes, size)
 	fmt.Printf("\nLower bounds (Table I): rc>=%d sc>=%d re>=%d se>=%d rd>=%d sd>=%d\n",
 		lb.Rc, lb.Sc, lb.Re, lb.Se, lb.Rd, lb.Sd)
 
@@ -85,4 +80,5 @@ func main() {
 	} else {
 		fmt.Printf("\nRecommendation: %s — beats unencrypted MPI here\n", best.name)
 	}
+	return nil
 }

@@ -1,35 +1,20 @@
-// Command encag-load drives an encag-serve host the way a fleet of
-// clients would: cohorts of tenants issuing mixed all-gather/all-reduce
-// steps at a configurable arrival rate, over a size distribution, with
-// optional fault seeds — then reports client-observed per-tenant
-// latency quantiles next to the server's own admission/reap counters.
-//
-//	encag-serve -tenants 16 -addr 127.0.0.1:9191 &
-//	encag-load -addr 127.0.0.1:9191 -tenants 16 -clients 64 \
-//	    -rate 200 -mix 0.75 -sizes 1KB,16KB,64KB -duration 30s
-//
-// Closed-loop mode (-rate 0) lets each client issue its next step as
-// soon as the previous one answers — the shape that saturates admission
-// control and surfaces 429 backpressure rather than hangs.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/url"
 	"os"
-	"os/signal"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"encag/internal/bench"
 	"encag/internal/metrics"
+	"encag/internal/serve"
 )
 
 type tenantTally struct {
@@ -53,22 +38,39 @@ func (r *report) tally(id string) *tenantTally {
 	return t
 }
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:9191", "encag-serve host address")
-	tenants := flag.Int("tenants", 8, "tenant cohort size (steps spread over t0..tN-1)")
-	clients := flag.Int("clients", 32, "concurrent simulated clients")
-	rate := flag.Float64("rate", 0, "target arrivals/sec across all clients (0 = closed loop)")
-	mix := flag.Float64("mix", 1.0, "fraction of steps that are all-gather (rest all-reduce)")
-	sizesStr := flag.String("sizes", "4KB,16KB,64KB", "comma-separated step size distribution (uniform pick)")
-	algName := flag.String("alg", "o-ring", "all-gather algorithm name sent to the host")
-	faultRate := flag.Float64("faults", 0, "fraction of steps carrying a deterministic fault seed")
-	seed := flag.Int64("seed", 1, "RNG seed (fault seeds and pick order derive from it)")
-	duration := flag.Duration("duration", 10*time.Second, "how long to generate load")
-	flag.Parse()
+// cmdLoad drives an `encag serve` host the way a fleet of clients
+// would: cohorts of tenants issuing mixed all-gather/all-reduce steps at
+// a configurable arrival rate, over a size distribution, with optional
+// fault seeds — then reports client-observed per-tenant latency
+// quantiles next to the server's own admission/reap counters.
+//
+//	encag serve -tenants 16 -addr 127.0.0.1:9191 &
+//	encag load -addr 127.0.0.1:9191 -tenants 16 -clients 64 \
+//	    -rate 200 -mix 0.75 -sizes 1KB,16KB,64KB -duration 30s
+//
+// Closed-loop mode (-rate 0) lets each client issue its next step as
+// soon as the previous one answers — the shape that saturates admission
+// control and surfaces 429 backpressure rather than hangs.
+func cmdLoad(args []string) error {
+	fs := newFlags("load")
+	addr := fs.String("addr", "127.0.0.1:9191", "encag serve host address")
+	tenants := fs.Int("tenants", 8, "tenant cohort size (steps spread over t0..tN-1)")
+	clients := fs.Int("clients", 32, "concurrent simulated clients")
+	rate := fs.Float64("rate", 0, "target arrivals/sec across all clients (0 = closed loop)")
+	mix := fs.Float64("mix", 1.0, "fraction of steps that are all-gather (rest all-reduce)")
+	sizesStr := fs.String("sizes", "4KB,16KB,64KB", "comma-separated step size distribution (uniform pick)")
+	algName := fs.String("alg", "o-ring", "all-gather algorithm name sent to the host")
+	faultRate := fs.Float64("faults", 0, "fraction of steps carrying a deterministic fault seed")
+	seed := fs.Int64("seed", 1, "RNG seed (fault seeds and pick order derive from it)")
+	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
+	fs.Parse(args)
 
-	sizes, err := parseSizes(*sizesStr)
+	sizes, err := parseList(*sizesStr, bench.ParseSize)
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	if len(sizes) == 0 {
+		return fmt.Errorf("empty -sizes")
 	}
 	base := "http://" + *addr
 
@@ -89,9 +91,8 @@ func main() {
 		}()
 	}
 
-	stopCh := make(chan os.Signal, 1)
-	signal.Notify(stopCh, os.Interrupt)
-	deadline := time.Now().Add(*duration)
+	ctx, stop := runContext(*duration)
+	defer stop()
 	rep := &report{tenants: make(map[string]*tenantTally)}
 	client := &http.Client{Timeout: 60 * time.Second}
 
@@ -101,11 +102,11 @@ func main() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for time.Now().Before(deadline) {
+			for ctx.Err() == nil {
 				if tickets != nil {
 					select {
 					case <-tickets:
-					case <-time.After(time.Until(deadline)):
+					case <-ctx.Done():
 						return
 					}
 				}
@@ -143,17 +144,11 @@ func main() {
 			}
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-stopCh:
-		deadline = time.Now() // drain: clients exit at their next check
-		<-done
-	}
+	wg.Wait() // on SIGINT the clients exit at their next check
 
 	printReport(rep)
 	scrapeHost(base)
+	return nil
 }
 
 // printReport renders the client-side view: per-tenant quantiles and
@@ -192,38 +187,11 @@ func scrapeHost(base string) {
 		return
 	}
 	defer resp.Body.Close()
-	var snap struct {
-		Resident int              `json:"resident"`
-		Known    int              `json:"known"`
-		Admitted int64            `json:"admitted"`
-		Rejected map[string]int64 `json:"rejected"`
-		Reaps    map[string]int64 `json:"reaps"`
-		Rekeys   int64            `json:"rekeys"`
-	}
+	var snap serve.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		fmt.Fprintf(os.Stderr, "host rollup unreadable: %v\n", err)
 		return
 	}
 	fmt.Printf("host: known=%d resident=%d admitted=%d rejected=%v reaps=%v rekeys=%d\n",
 		snap.Known, snap.Resident, snap.Admitted, snap.Rejected, snap.Reaps, snap.Rekeys)
-}
-
-func parseSizes(s string) ([]int64, error) {
-	var out []int64
-	for _, part := range strings.Split(s, ",") {
-		n, err := bench.ParseSize(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -sizes")
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
 }

@@ -1,9 +1,21 @@
-// Command encag-mon runs a live encrypted all-gather workload on one
-// persistent Session with the debug HTTP server enabled, so the
-// session's metrics can be watched while collectives are actually in
-// flight:
+package main
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"os"
+	"time"
+
+	"encag"
+	"encag/internal/bench"
+)
+
+// cmdMon runs a live encrypted all-gather workload on one persistent
+// Session with the debug HTTP server enabled, so the session's metrics
+// can be watched while collectives are actually in flight:
 //
-//	encag-mon -engine tcp -p 8 -nodes 2 -window 4 -addr 127.0.0.1:9090
+//	encag mon -engine tcp -p 8 -nodes 2 -window 4 -addr 127.0.0.1:9090
 //	curl http://127.0.0.1:9090/metrics       # Prometheus text format
 //	curl http://127.0.0.1:9090/debug/vars    # expvar-style JSON
 //	go tool pprof http://127.0.0.1:9090/debug/pprof/profile?seconds=5
@@ -12,76 +24,52 @@
 // fast as the in-flight window admits them, for -duration (0 = until
 // interrupted). On exit it drains the window and prints a snapshot
 // summary of what the session observed.
-package main
-
-import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"time"
-
-	"encag"
-	"encag/internal/bench"
-)
-
-func main() {
-	p := flag.Int("p", 8, "number of processes")
-	nodes := flag.Int("nodes", 2, "number of nodes")
-	mapping := flag.String("mapping", "block", "process mapping: block or cyclic")
-	engineStr := flag.String("engine", "tcp", "execution engine: chan or tcp")
-	algName := flag.String("alg", "hs2", "algorithm name (see encag-explore); \"auto\" consults the tuning table")
-	tablePath := flag.String("table", "", "tuning table JSON for alg=auto (default: $ENCAG_TUNING_TABLE, else built-in thresholds)")
-	refine := flag.Bool("refine", true, "let alg=auto fold this session's own latencies back into its estimates")
-	sizeStr := flag.String("size", "64KB", "message size")
-	window := flag.Int("window", 4, "nonblocking in-flight window")
-	pipeline := flag.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
-	segWindow := flag.Int("segwindow", 0, "in-flight segment window per stream (0 = default; implies -pipeline)")
-	interval := flag.Duration("interval", 0, "pause between Start calls (0 = rely on window backpressure)")
-	duration := flag.Duration("duration", 0, "how long to run (0 = until SIGINT)")
-	addr := flag.String("addr", "", "debug server listen address (empty = ephemeral loopback port)")
-	flag.Parse()
+func cmdMon(args []string) error {
+	fs := newFlags("mon")
+	shape := specFlags{p: "8", nodes: "2"}
+	shape.register(fs, "p", "nodes", "mapping")
+	engineStr := fs.String("engine", "tcp", "execution engine: chan or tcp")
+	algName := fs.String("alg", "hs2", "algorithm name (see encag explore); \"auto\" consults the tuning table")
+	tablePath := fs.String("table", "", "tuning table JSON for alg=auto (default: $ENCAG_TUNING_TABLE, else built-in thresholds)")
+	refine := fs.Bool("refine", true, "let alg=auto fold this session's own latencies back into its estimates")
+	sizeStr := fs.String("size", "64KB", "message size")
+	window := fs.Int("window", 4, "nonblocking in-flight window")
+	pipeline := fs.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
+	interval := fs.Duration("interval", 0, "pause between Start calls (0 = rely on window backpressure)")
+	duration := fs.Duration("duration", 0, "how long to run (0 = until SIGINT)")
+	addr := fs.String("addr", "", "debug server listen address (empty = ephemeral loopback port)")
+	fs.Parse(args)
 
 	size, err := bench.ParseSize(*sizeStr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	alg, err := encag.ParseAlg(*algName)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	engine := encag.Engine(*engineStr)
-	if engine != encag.EngineChan && engine != encag.EngineTCP {
-		fatal(fmt.Errorf("unknown -engine %q (want chan or tcp)", *engineStr))
+	engine, err := realEngine(*engineStr)
+	if err != nil {
+		return err
+	}
+	spec, err := shape.spec()
+	if err != nil {
+		return err
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := runContext(*duration)
 	defer stop()
-	if *duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *duration)
-		defer cancel()
-	}
 
-	spec := encag.Spec{Procs: *p, Nodes: *nodes, Mapping: *mapping}
 	opts := []encag.Option{
 		encag.WithEngine(engine),
 		encag.WithMaxInFlight(*window),
 		encag.WithDebugServer(*addr),
-	}
-	if *pipeline || *segWindow > 0 {
-		*pipeline = true
-		opts = append(opts, encag.WithPipelining(true))
-		if *segWindow > 0 {
-			opts = append(opts, encag.WithSegmentWindow(*segWindow))
-		}
+		encag.WithPipelining(*pipeline),
 	}
 	if *tablePath != "" {
 		table, err := encag.LoadTuningTable(*tablePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		opts = append(opts, encag.WithTuningTable(table))
 	}
@@ -90,11 +78,11 @@ func main() {
 	}
 	sess, err := encag.OpenSession(context.Background(), spec, opts...)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer sess.Close()
 	fmt.Printf("encag-mon: %s %s p=%d nodes=%d window=%d pipeline=%v\n",
-		engine, alg, *p, *nodes, *window, *pipeline)
+		engine, alg, spec.Procs, spec.Nodes, *window, *pipeline)
 	fmt.Printf("metrics at http://%s/metrics (also /debug/vars, /debug/pprof/)\n", sess.DebugAddr())
 
 	// Issue collectives until the context ends; the in-flight window is
@@ -107,7 +95,7 @@ func main() {
 			if ctx.Err() != nil {
 				break
 			}
-			fatal(err)
+			return err
 		}
 		started++
 		go func() {
@@ -157,9 +145,5 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	return nil
 }

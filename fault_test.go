@@ -3,6 +3,7 @@ package encag_test
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,5 +88,50 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 	}
 	if !res.SecurityOK {
 		t.Fatal("clean faulty run lost the security property")
+	}
+}
+
+// A fault plan can inflate a TCP sequence gate in a frame whose operation
+// still completes. The session must find that as soon as the planned
+// operation ends — it stays successful, the session breaks — and refuse
+// the next operation at once instead of letting it starve for the whole
+// receive deadline. The chan link has no gates: nothing to find there.
+func TestPlannedSuccessCannotHideGateDesync(t *testing.T) {
+	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 2 * time.Second}
+	for _, c := range []struct {
+		engine encag.Engine
+		broken bool
+	}{
+		{encag.EngineChan, false},
+		{encag.EngineTCP, true},
+	} {
+		s := open(t, spec, encag.WithEngine(c.engine))
+		plan := encag.RandomFaultPlan(2, spec.Procs, 6)
+		_, err := s.Run(bg, "o-rd", 2048, encag.WithFaultPlan(plan))
+		var re *encag.RankError
+		if c.broken && err != nil || err != nil && !errors.As(err, &re) {
+			// Over TCP byte 14 of the corrupted frame is its sequence
+			// field and the operation completes; the chan link carries
+			// no frame header, so the same plan damages a payload there.
+			t.Fatalf("%s: planned operation: %v\nplan: %v", c.engine, err, plan)
+		}
+		broken := s.Err()
+		start := time.Now()
+		_, err = s.Run(bg, "o-rd", 2048)
+		if !c.broken {
+			if broken != nil || err != nil {
+				t.Errorf("%s: session Err %v, next run %v; want both nil", c.engine, broken, err)
+			}
+			continue
+		}
+		if broken == nil || !strings.Contains(broken.Error(), "seq gate 2->0 desynced") {
+			t.Errorf("%s: session Err after the planned run = %v, want the desynced gate named", c.engine, broken)
+		}
+		if !errors.Is(err, encag.ErrSessionBroken) {
+			t.Errorf("%s: next run: %v, want ErrSessionBroken", c.engine, err)
+		}
+		if d := time.Since(start); d > spec.RecvTimeout/4 {
+			t.Errorf("%s: next run took %v to fail; a broken session refuses at once", c.engine, d)
+		}
 	}
 }

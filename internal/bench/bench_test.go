@@ -70,7 +70,7 @@ func TestTableRenderAndCSV(t *testing.T) {
 
 func TestExperimentRegistry(t *testing.T) {
 	ids := IDs()
-	want := []string{"fig1", "table1", "table2", "table2c", "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "fig8", "crypto", "overlap", "ablation", "sensitivity", "breakdown"}
+	want := []string{"fig1", "table1", "table2", "table2c", "table3", "table4", "table5", "table6", "fig5", "fig6", "fig7", "fig8", "overlap", "ablation", "sensitivity", "breakdown"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}

@@ -53,7 +53,6 @@ func All() []Experiment {
 		{"fig6", "Unencrypted counterparts, cyclic mapping (Figure 6)", Figure6},
 		{"fig7", "Encrypted algorithms, block mapping (Figure 7)", Figure7},
 		{"fig8", "Encrypted algorithms, cyclic mapping (Figure 8)", Figure8},
-		{"crypto", "Serial vs segmented-parallel AES-GCM seal/open (this host)", Crypto},
 		{"overlap", "Serialized vs multiplexed in-flight all-gathers (this host)", Overlap},
 		{"ablation", "Design-choice ablations (DESIGN.md)", Ablations},
 		{"sensitivity", "Overheads vs crypto/network speed ratio (extension study)", Sensitivity},

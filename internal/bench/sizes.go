@@ -20,8 +20,8 @@ func SizeName(n int64) string {
 }
 
 // ParseSize parses "64", "64B", "4KB", "2MB".
-func ParseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+func ParseSize(in string) (int64, error) {
+	s := strings.TrimSpace(strings.ToUpper(in))
 	mult := int64(1)
 	switch {
 	case strings.HasSuffix(s, "MB"):
@@ -33,7 +33,7 @@ func ParseSize(s string) (int64, error) {
 	}
 	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bench: bad size %q: %w", s, err)
+		return 0, fmt.Errorf("bench: bad size %q: %w", in, err)
 	}
 	return v * mult, nil
 }

@@ -99,7 +99,7 @@ func (t Table) CSV(w io.Writer) error {
 // JSONL writes the table as JSON Lines: one object per row keyed by the
 // column headers, each carrying the experiment and table identity — the
 // structured-telemetry form of the bench output, greppable and easy to
-// load into pandas/jq alongside encag-trace's run summaries.
+// load into pandas/jq alongside encag trace's run summaries.
 func (t Table) JSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, row := range t.Rows {

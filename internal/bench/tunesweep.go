@@ -14,7 +14,7 @@ import (
 // TuneGrid describes one offline tuning sweep: the cross product of
 // engines, pipelining modes, cluster shapes and message sizes, each
 // cell measuring every candidate algorithm best-of-k. The grid is what
-// cmd/encag-tune drives; TuneSweep turns it into the tuning table
+// encag tune drives; TuneSweep turns it into the tuning table
 // alg=auto consumes plus human-readable crossover reports.
 type TuneGrid struct {
 	// Engines to measure on ("chan", "tcp"); each engine gets its own

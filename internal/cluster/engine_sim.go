@@ -219,9 +219,9 @@ func (e *simEngine) nodeBarrier(p *Proc) {
 
 func (e *simEngine) sealer() *seal.Sealer { return nil }
 
-// pipeline is always nil in sim mode: there are no real bytes to
+// pipeline is always off in sim mode: there are no real bytes to
 // stream, so the model keeps whole-message sends.
-func (e *simEngine) pipeline() *pipeCfg { return nil }
+func (e *simEngine) pipeline() bool { return false }
 
 // aad returns the header unchanged: the sim models crypto cost without
 // real keys, so there is no cross-operation authentication to bind.

@@ -42,7 +42,7 @@ type opRuntime struct {
 	spec  Spec
 	slr   *seal.Sealer
 	id    uint32
-	pipe  *pipeCfg // nil: pipelining off (or the link's adversary taps messages)
+	pipe  bool // segment streaming on (off: not enabled, or the link's adversary taps messages)
 	lm    *liveMetrics
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
@@ -74,7 +74,7 @@ type opRuntime struct {
 // newOp builds the runtime for one collective — over a (possibly
 // session-shared) sealer — and registers it as a live operation, making
 // its op-id routable by the link.
-func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe *pipeCfg) *opRuntime {
+func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
 	spec := t.spec
 	o := &opRuntime{
 		spec:    spec,
@@ -95,11 +95,7 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
 	}
-	window := DefaultSegmentWindow
-	if pipe != nil {
-		window = pipe.window
-	}
-	o.openWin = newOpenWindow(window)
+	o.openWin = newOpenWindow(DefaultSegmentWindow)
 	for r := 0; r < spec.P; r++ {
 		o.inboxes[r] = newOpInbox()
 		o.pend[r] = make([]map[uint64]block.Message, spec.P)
@@ -272,7 +268,7 @@ func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	if plan := o.pipe.streamsForSend(msg); plan != nil {
+	if plan := o.streamsForSend(msg); plan != nil {
 		plan.sid = o.streamSeq.Add(1)
 		o.sendQ[p.rank].Push(o.id, sendJob{op: o, dst: dst, plan: plan})
 		return sendReq{}
@@ -386,7 +382,7 @@ func (o *opRuntime) nodeBarrier(p *Proc) {
 
 func (o *opRuntime) sealer() *seal.Sealer { return o.slr }
 
-func (o *opRuntime) pipeline() *pipeCfg { return o.pipe }
+func (o *opRuntime) pipeline() bool { return o.pipe }
 
 // aad binds this operation's id into the AEAD associated data (see
 // appendOpID): concurrent operations share the session key, so a frame

@@ -19,7 +19,7 @@ func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
 		lm:   newLiveMetrics(metrics.NewRegistry(), spec, EngineChan),
 		reg:  newOpRegistry(),
 	}
-	return tr.newOp(1, nil, nil, recvTO, nil, nil)
+	return tr.newOp(1, nil, nil, recvTO, nil, false)
 }
 
 // recovered runs fn and returns what it panicked with (nil if it

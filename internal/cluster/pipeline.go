@@ -6,7 +6,7 @@
 // per-chunk segment stream for every qualifying sealed chunk, plus
 // inline sub-frames for the chunks too small to stream; the receiver
 // assembles the chunks back into the message in order. This file holds
-// the engine-shared pieces: the pipelining configuration, the
+// the engine-shared pieces: the pipelining constants, the
 // per-message send plan, the receive-side message and stream assembly
 // with the op-wide open window, the in-flight stream table of the TCP
 // demux, and the scratch-buffer ring that keeps discarded payloads from
@@ -27,7 +27,7 @@ const (
 	// goroutine — which stops it reading, exerting backpressure on the
 	// sender. The window is an op-wide budget: all concurrent per-chunk
 	// streams of an operation draw from the same window, so a
-	// many-chunk message cannot multiply the configured concurrency.
+	// many-chunk message cannot multiply that concurrency.
 	DefaultSegmentWindow = 4
 	// defaultMinStreamBytes is the smallest chunk plaintext worth
 	// streaming; below it the fixed per-sub-frame overhead outweighs the
@@ -36,29 +36,6 @@ const (
 	// qualification does not drift with seal framing overhead.
 	defaultMinStreamBytes = 16 << 10
 )
-
-// pipeCfg is an engine's resolved pipelining configuration; a nil
-// *pipeCfg means segment streaming is off.
-type pipeCfg struct {
-	window    int
-	minStream int64
-}
-
-// resolvePipe turns the public PipelineConfig into the engine's resolved
-// form, or nil when pipelining is off.
-func resolvePipe(pc PipelineConfig) *pipeCfg {
-	if !pc.Enabled {
-		return nil
-	}
-	cfg := &pipeCfg{window: pc.SegmentWindow, minStream: pc.MinStreamBytes}
-	if cfg.window <= 0 {
-		cfg.window = DefaultSegmentWindow
-	}
-	if cfg.minStream <= 0 {
-		cfg.minStream = defaultMinStreamBytes
-	}
-	return cfg
-}
 
 // chunkSend is one chunk's entry in a send plan: either a segment
 // stream (stream non-nil; chunk carries the metadata) or an inline
@@ -80,12 +57,12 @@ type sendPlan struct {
 // the message should travel the legacy whole-frame path. Each sealed
 // chunk qualifies for streaming if it carries a pending SealStream from
 // Encrypt, or is a forwarded segmented blob whose plaintext is at least
-// minStream and that splits into ≥2 segments along its recorded
+// defaultMinStreamBytes and that splits into ≥2 segments along its recorded
 // boundaries; every other chunk — plaintext, small, or unsplittable —
 // ships inline inside the same envelope sequence. A plan with zero
 // streams is pointless, so nil is returned and the caller materializes.
-func (pc *pipeCfg) streamsForSend(msg block.Message) *sendPlan {
-	if pc == nil || len(msg.Chunks) == 0 {
+func (o *opRuntime) streamsForSend(msg block.Message) *sendPlan {
+	if !o.pipe || len(msg.Chunks) == 0 {
 		return nil
 	}
 	plan := &sendPlan{chunks: make([]chunkSend, len(msg.Chunks))}
@@ -99,7 +76,7 @@ func (pc *pipeCfg) streamsForSend(msg block.Message) *sendPlan {
 			plan.streams++
 			continue
 		}
-		if c.Payload == nil || c.PlainLen() < pc.minStream {
+		if c.Payload == nil || c.PlainLen() < defaultMinStreamBytes {
 			continue
 		}
 		st, err := seal.StreamFromBlob(c.Payload)

@@ -48,8 +48,8 @@ func exchangeEncrypted(p *Proc, mine block.Message) block.Message {
 func openPipelined(t *testing.T, spec Spec, kind EngineKind) *Session {
 	t.Helper()
 	s, err := OpenSession(spec, SessionConfig{
-		Engine:   kind,
-		Pipeline: PipelineConfig{Enabled: true},
+		Engine:     kind,
+		Pipelining: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -422,21 +422,13 @@ func TestPipelineTCPRandomPlans(t *testing.T) {
 	}
 }
 
-// resolvePipe and streamsForSend gate which traffic streams: pipelining
-// must be off by default, apply defaults when enabled, and build a send
-// plan that streams every qualifying sealed chunk — multi-chunk
-// messages included — with the rest riding inline.
+// streamsForSend gates which traffic streams: nothing while pipelining
+// is off, and when on a send plan that streams every qualifying sealed
+// chunk — multi-chunk messages included — with the rest riding inline.
+// The window and the stream threshold are constants, not configuration.
 func TestPipelineQualification(t *testing.T) {
-	if resolvePipe(PipelineConfig{}) != nil {
-		t.Fatal("pipelining resolved on without being enabled")
-	}
-	pc := resolvePipe(PipelineConfig{Enabled: true})
-	if pc.window != DefaultSegmentWindow || pc.minStream != defaultMinStreamBytes {
-		t.Fatalf("defaults not applied: %+v", pc)
-	}
-	pc = resolvePipe(PipelineConfig{Enabled: true, SegmentWindow: 2, MinStreamBytes: 1 << 20})
-	if pc.window != 2 || pc.minStream != 1<<20 {
-		t.Fatalf("explicit config not honoured: %+v", pc)
+	if DefaultSegmentWindow != 4 || defaultMinStreamBytes != 16<<10 {
+		t.Fatalf("pipelining constants moved: window %d, min stream %d", DefaultSegmentWindow, defaultMinStreamBytes)
 	}
 
 	slr, err := seal.NewRandomSealer()
@@ -449,11 +441,11 @@ func TestPipelineQualification(t *testing.T) {
 		t.Fatal("seal stream refused a 64KiB payload")
 	}
 	enc := block.Chunk{Enc: true, Stream: st}
-	var nilPC *pipeCfg
-	if nilPC.streamsForSend(block.Message{Chunks: []block.Chunk{enc}}) != nil {
-		t.Fatal("nil config streamed")
+	off := &opRuntime{}
+	if off.streamsForSend(block.Message{Chunks: []block.Chunk{enc}}) != nil {
+		t.Fatal("streamed with pipelining off")
 	}
-	pc = resolvePipe(PipelineConfig{Enabled: true})
+	pc := &opRuntime{pipe: true}
 	plan := pc.streamsForSend(block.Message{Chunks: []block.Chunk{enc}})
 	if plan == nil || plan.streams != 1 || plan.chunks[0].stream != st {
 		t.Fatalf("pending seal stream not passed through: %+v", plan)

@@ -30,13 +30,12 @@ type engine interface {
 
 	sealer() *seal.Sealer // nil in sim mode
 
-	// pipeline returns the engine's intra-collective pipelining
-	// configuration, or nil when segment streaming is off (sim engine,
-	// pipelining not enabled, or an adversary tap needs whole
-	// messages). Every qualifying sealed chunk of a message streams —
-	// multi-chunk hierarchical sends included — with the rest riding
-	// inline in the same envelope sequence.
-	pipeline() *pipeCfg
+	// pipeline reports whether intra-collective segment streaming is on
+	// (off: sim engine, pipelining not enabled, or an adversary tap
+	// needs whole messages). Every qualifying sealed chunk of a message
+	// streams — multi-chunk hierarchical sends included — with the rest
+	// riding inline in the same envelope sequence.
+	pipeline() bool
 
 	// aad derives the AEAD associated data from the encoded block
 	// header. The op runtime appends the operation id so that
@@ -252,7 +251,7 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 	out := block.Chunk{Enc: true, Blocks: blocks}
 	if s := p.eng.sealer(); s != nil {
 		aad := p.eng.aad(block.EncodeHeader(blocks))
-		if pc := p.eng.pipeline(); pc != nil && plainLen >= pc.minStream {
+		if p.eng.pipeline() && plainLen >= defaultMinStreamBytes {
 			if st := s.NewSealStream(payloadSlices(chunks), aad); st != nil {
 				// Pipelined: sealing is deferred — the transport seals
 				// each segment right before putting it on the wire, so

@@ -75,28 +75,12 @@ type SessionConfig struct {
 	// (every replacement sealer is pointed at it), and is never closed
 	// by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
-	// Pipeline configures intra-collective pipelining: streaming a
+	// Pipelining turns on intra-collective pipelining: streaming a
 	// chunk's sealed segments onto the wire as they seal and opening
 	// them as they land, overlapping crypto with transport inside one
 	// operation. Ignored by EngineSim, and disabled on EngineChan
 	// sessions with an Adversary (the tap needs whole messages).
-	Pipeline PipelineConfig
-}
-
-// PipelineConfig selects intra-collective pipelining for a session's
-// chan and tcp engines.
-type PipelineConfig struct {
-	// Enabled turns segment streaming on.
-	Enabled bool
-	// SegmentWindow bounds how many segments of one receive stream may
-	// be authenticating/decrypting concurrently; arrivals beyond it are
-	// opened inline on the transport goroutine, backpressuring the
-	// sender. Zero means DefaultSegmentWindow.
-	SegmentWindow int
-	// MinStreamBytes is the smallest chunk plaintext worth streaming;
-	// smaller chunks travel as whole-message frames. Zero means the
-	// built-in default (16 KiB).
-	MinStreamBytes int64
+	Pipelining bool
 }
 
 // Op describes one collective executed on an open Session. Exactly one
@@ -209,7 +193,7 @@ type Session struct {
 
 	opSeq atomic.Uint32 // op-id allocator; ids start at 1
 	lm    *liveMetrics
-	pipe  *pipeCfg // resolved pipelining config; nil when off
+	pipe  bool // segment streaming on (cfg.Pipelining, unless an adversary taps messages)
 
 	mu       sync.Mutex
 	closed   bool
@@ -247,7 +231,7 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.slr = slr
-	s.pipe = resolvePipe(cfg.Pipeline)
+	s.pipe = cfg.Pipelining
 	ops := newOpRegistry()
 	var lnk link
 	if cfg.Engine == EngineTCP {
@@ -259,11 +243,11 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		if cfg.Adversary != nil {
 			// The adversary taps whole inter-node messages; streaming would
 			// route segments around it, so pipelining yields to the tap.
-			s.pipe = nil
+			s.pipe = false
 		}
 	}
-	if s.pipe != nil {
-		s.lm.pipeWindow.Set(int64(s.pipe.window))
+	if s.pipe {
+		s.lm.pipeWindow.Set(DefaultSegmentWindow)
 	}
 	s.tr = newTransport(spec, s.lm, ops, lnk)
 	s.registerRuntimeMetrics()
@@ -464,16 +448,19 @@ func (s *Session) release() {
 // panics, recv timeouts — is scoped to the operation, and the transport
 // keeps serving its siblings.
 func (s *Session) noteFailure(err error) {
-	poison := errors.Is(err, ErrMeshDown)
-	if !poison {
-		if derr := s.tr.desynced(); derr != nil {
-			poison = true
-			err = fmt.Errorf("%w (and %v)", err, derr)
+	if !errors.Is(err, ErrMeshDown) {
+		derr := s.tr.desynced()
+		if derr == nil {
+			return
 		}
+		err = fmt.Errorf("%w (and %v)", err, derr)
 	}
-	if !poison {
-		return
-	}
+	s.poison(err)
+}
+
+// poison breaks the session: err is what every later operation is
+// refused with (wrapped in ErrSessionBroken) and what Err returns.
+func (s *Session) poison(err error) {
 	s.mu.Lock()
 	if s.broken == nil {
 		s.broken = err
@@ -580,6 +567,17 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 			s.lm.opsFailed.Inc()
 		}
 		return nil, err
+	}
+	if plan != nil {
+		// A plan can corrupt a sequence field in a frame whose operation
+		// still completes; every later frame of that pair would then be
+		// dropped as a duplicate. Find it now, while the cause is known,
+		// instead of letting the next operation starve for its whole
+		// receive deadline. Unplanned operations have no injector to do
+		// this and skip the check.
+		if derr := s.tr.desynced(); derr != nil {
+			s.poison(fmt.Errorf("%w: %v", ErrMeshDown, derr))
+		}
 	}
 	s.lm.opsCompleted.Inc()
 	s.lm.opLatency.Observe(res.Elapsed.Nanoseconds())

@@ -23,19 +23,17 @@ func asWorld(sub func(*cluster.Proc, Group, block.Message) []block.Message) clus
 // underneath, exactly like the paper's baseline; "naive-rd"/"naive-ring"
 // pin the underlying collective for ablations.
 var builders = map[string]func() cluster.Algorithm{
-	"naive":       func() cluster.Algorithm { return Naive(collective.MVAPICH(0)) },
-	"naive-rd":    func() cluster.Algorithm { return Naive(collective.RD) },
-	"naive-ring":  func() cluster.Algorithm { return Naive(collective.Ring) },
-	"o-ring":      func() cluster.Algorithm { return asWorld(ORing) },
-	"o-ring-pipe": func() cluster.Algorithm { return asWorld(ORingPipelined) },
-	"o-rd":        func() cluster.Algorithm { return asWorld(ORD) },
-	"o-rd2":       func() cluster.Algorithm { return asWorld(ORD2) },
-	"c-ring":      CRing,
-	"c-ring-pipe": CRingPipelined, // extension: overlapped decryption
-	"c-rd":        CRD,
-	"hs1":         HS1,
-	"hs1-solo":    HS1SoloDecrypt, // ablation: leader-only decryption
-	"hs2":         HS2,
+	"naive":      func() cluster.Algorithm { return Naive(collective.MVAPICH(0)) },
+	"naive-rd":   func() cluster.Algorithm { return Naive(collective.RD) },
+	"naive-ring": func() cluster.Algorithm { return Naive(collective.Ring) },
+	"o-ring":     func() cluster.Algorithm { return asWorld(ORing) },
+	"o-rd":       func() cluster.Algorithm { return asWorld(ORD) },
+	"o-rd2":      func() cluster.Algorithm { return asWorld(ORD2) },
+	"c-ring":     CRing,
+	"c-rd":       CRD,
+	"hs1":        HS1,
+	"hs1-solo":   HS1SoloDecrypt, // ablation: leader-only decryption
+	"hs2":        HS2,
 }
 
 // Names returns every encrypted algorithm name, sorted.

@@ -1,5 +1,5 @@
 // Package plot renders latency-vs-size series as ASCII line charts, so
-// the paper's figures come out of encag-bench as actual figures, not
+// the paper's figures come out of encag bench as actual figures, not
 // just tables. Log-log axes (the paper's figures use log-scaled sizes),
 // one glyph per series, auto-scaled, with a legend and axis labels.
 package plot

@@ -140,9 +140,9 @@ func (s *Sealer) layout(total int64) segLayout {
 	if s.segSize <= 0 {
 		// Adaptive plan: cap the segment count at what the pool can
 		// actually run concurrently (plus the caller, with one round of
-		// lookahead). More segments than that is pure dispatch thrash —
-		// the BENCH_crypto 2MB row hit 0.42x from 32 segments on a
-		// single worker. With one schedulable CPU no two segments can
+		// lookahead). More segments than that is pure dispatch thrash: a
+		// 2 MB seal cut into 32 segments ran at 0.42x of the unsplit
+		// seal on a single worker. With one schedulable CPU no two segments can
 		// ever run concurrently, so the plan does not split at all.
 		maxK := 2*s.workerPool().Size() + 2
 		if runtime.GOMAXPROCS(0) == 1 {

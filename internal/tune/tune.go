@@ -1,6 +1,6 @@
 // Package tune holds the measured algorithm-selection policy behind
 // alg=auto: a versioned JSON tuning table produced by an offline sweep
-// (cmd/encag-tune), nearest-key fallback for configurations the sweep
+// (encag tune), nearest-key fallback for configurations the sweep
 // did not cover, the paper-calibrated byte thresholds as the built-in
 // default, and an online EWMA refinement hook that folds a session's
 // own per-op latencies back into the estimates so long-lived sessions
@@ -76,7 +76,7 @@ type Cell struct {
 	LatencyNS map[string]float64 `json:"latency_ns"`
 }
 
-// Table is the versioned tuning table emitted by cmd/encag-tune and
+// Table is the versioned tuning table emitted by encag tune and
 // consumed by Session via WithTuningTable or the ENCAG_TUNING_TABLE
 // environment variable.
 type Table struct {

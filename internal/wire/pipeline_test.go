@@ -257,7 +257,7 @@ func FuzzReadFrameStart(f *testing.F) {
 	_ = NewFrameWriter().WriteSeg(&inline, 3, 9, 102, sampleInline())
 	f.Add(inline.Bytes())
 	var msg bytes.Buffer
-	_ = WriteMessage(&msg, 3, block.NewPlain(0, []byte("seed")))
+	_ = WriteFrame(&msg, 3, 0, 0, block.NewPlain(0, []byte("seed")))
 	f.Add(msg.Bytes())
 	f.Add([]byte{})
 	// Bit flips across every segment sub-frame header field: stream id

@@ -12,10 +12,7 @@
 //	uint32 operation id (which collective of a persistent session the
 //	       frame belongs to; the receiver demultiplexes each frame to
 //	       the in-flight operation carrying that id and discards frames
-//	       whose operation has retired. Earlier revisions called this
-//	       field the "epoch" and used it as a monotone per-session
-//	       counter; the wire layout is unchanged, so frames from either
-//	       revision parse identically)
+//	       whose operation has retired)
 //	uint32 chunk count
 //	per chunk:
 //	  uint8  flags (bit0: encrypted)
@@ -61,28 +58,15 @@ const (
 	maxCount = 1 << 20
 )
 
-// WriteMessage encodes and writes one frame with sequence number 0 and
-// operation id 0.
-func WriteMessage(w io.Writer, src int, msg block.Message) error {
-	return WriteFrame(w, src, 0, 0, msg)
-}
-
-// WriteMessageSeq encodes and writes one frame carrying an explicit
-// sequence number (operation id 0). Senders number the frames of each
-// directed connection monotonically so that a frame resent after a
-// transient failure (reconnect + hello re-handshake) is recognized as a
-// duplicate by the receiver and dropped instead of delivered twice.
-func WriteMessageSeq(w io.Writer, src int, seq uint64, msg block.Message) error {
-	return WriteFrame(w, src, 0, seq, msg)
-}
-
 // WriteFrame encodes and writes one frame carrying an explicit sequence
-// number and operation id. A persistent session stamps every frame with
-// the id of the collective it belongs to, so a receiver can demultiplex
-// the interleaved frames of concurrent operations on one long-lived
-// connection and discard frames that straggle in from a retired
-// (possibly aborted) operation. The id travels in the wire position
-// earlier revisions called the epoch; the encoding is identical.
+// number and operation id. Senders number the frames of each directed
+// connection monotonically so that a frame resent after a transient
+// failure (reconnect + hello re-handshake) is recognized as a duplicate
+// by the receiver and dropped instead of delivered twice. A persistent
+// session stamps every frame with the id of the collective it belongs
+// to, so a receiver can demultiplex the interleaved frames of
+// concurrent operations on one long-lived connection and discard frames
+// that straggle in from a retired (possibly aborted) operation.
 func WriteFrame(w io.Writer, src int, op uint32, seq uint64, msg block.Message) error {
 	bw := bufio.NewWriter(w)
 	if err := writeMsgBody(bw, src, op, seq, msg); err != nil {
@@ -143,26 +127,11 @@ func writeMsgBody(bw *bufio.Writer, src int, op uint32, seq uint64, msg block.Me
 	return nil
 }
 
-// ReadMessage reads and decodes one frame, discarding the sequence
-// number and operation id.
-func ReadMessage(r io.Reader) (src int, msg block.Message, err error) {
-	src, _, msg, err = ReadMessageSeq(r)
-	return src, msg, err
-}
-
-// ReadMessageSeq reads and decodes one frame including its sequence
-// number, discarding the operation id.
-func ReadMessageSeq(r io.Reader) (src int, seq uint64, msg block.Message, err error) {
-	src, _, seq, msg, err = ReadFrame(r)
-	return src, seq, msg, err
-}
-
 // ReadFrame reads and decodes one frame including its sequence number
 // and operation id. Any uint32 is a valid id — routing (or dropping)
-// the frame by id is the transport's job, so a frame from a peer
-// speaking the earlier epoch-based dialect parses fine and is simply
-// dropped if no live operation carries its id: readable or rejected,
-// never misrouted.
+// the frame by id is the transport's job, and a frame no live
+// operation claims is simply dropped: readable or rejected, never
+// misrouted.
 func ReadFrame(r io.Reader) (src int, op uint32, seq uint64, msg block.Message, err error) {
 	var m uint32
 	if m, err = readU32(r); err != nil {

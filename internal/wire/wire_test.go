@@ -14,10 +14,10 @@ import (
 func roundTrip(t *testing.T, src int, msg block.Message) (int, block.Message) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, src, msg); err != nil {
+	if err := WriteFrame(&buf, src, 0, 0, msg); err != nil {
 		t.Fatal(err)
 	}
-	gotSrc, got, err := ReadMessage(&buf)
+	gotSrc, _, _, got, err := ReadFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,19 +71,19 @@ func TestHello(t *testing.T) {
 }
 
 func TestRejectsGarbage(t *testing.T) {
-	if _, _, err := ReadMessage(bytes.NewReader([]byte{0, 1, 2, 3})); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader([]byte{0, 1, 2, 3})); err == nil {
 		t.Fatal("short frame accepted")
 	}
-	if _, _, err := ReadMessage(bytes.NewReader(make([]byte, 64))); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Fatal("zero magic accepted")
 	}
 	// Absurd chunk count must be rejected before allocation. The count
 	// sits after magic (4), src (4), seq (8) and epoch (4).
 	var buf bytes.Buffer
-	_ = WriteMessage(&buf, 0, block.Message{})
+	_ = WriteFrame(&buf, 0, 0, 0, block.Message{})
 	raw := buf.Bytes()
 	raw[20], raw[21], raw[22], raw[23] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
+	if _, _, _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("absurd chunk count accepted")
 	}
 }
@@ -91,12 +91,12 @@ func TestRejectsGarbage(t *testing.T) {
 func TestTruncatedFrame(t *testing.T) {
 	msg := block.NewPlain(3, []byte("some payload data"))
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, 1, msg); err != nil {
+	if err := WriteFrame(&buf, 1, 0, 0, msg); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for cut := 1; cut < len(raw); cut += 5 {
-		if _, _, err := ReadMessage(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -121,10 +121,10 @@ func TestQuickRoundTrip(t *testing.T) {
 			msg.Append(c)
 		}
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, int(src), msg); err != nil {
+		if err := WriteFrame(&buf, int(src), 0, 0, msg); err != nil {
 			return false
 		}
-		gotSrc, got, err := ReadMessage(&buf)
+		gotSrc, _, _, got, err := ReadFrame(&buf)
 		if err != nil || gotSrc != int(src) || len(got.Chunks) != len(msg.Chunks) {
 			return false
 		}
@@ -154,7 +154,7 @@ func TestQuickRoundTrip(t *testing.T) {
 func oversizedLengthFrame(t testing.TB, plen uint32) []byte {
 	var buf bytes.Buffer
 	msg := block.NewPlain(0, []byte("tiny"))
-	if err := WriteMessage(&buf, 1, msg); err != nil {
+	if err := WriteFrame(&buf, 1, 0, 0, msg); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -171,7 +171,7 @@ func oversizedLengthFrame(t testing.TB, plen uint32) []byte {
 func TestOversizedPayloadLengthRejected(t *testing.T) {
 	for _, plen := range []uint32{MaxChunk + 1, 1 << 30, 0xFFFFFFFF} {
 		raw := oversizedLengthFrame(t, plen)
-		if _, _, err := ReadMessage(bytes.NewReader(raw)); err == nil {
+		if _, _, _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 			t.Fatalf("payload length %d accepted", plen)
 		}
 	}
@@ -181,7 +181,7 @@ func TestOversizedPayloadLengthRejected(t *testing.T) {
 		Payload: make([]byte, MaxChunk+1),
 	}}}
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, 0, huge); err == nil {
+	if err := WriteFrame(&buf, 0, 0, 0, huge); err == nil {
 		t.Fatal("oversized chunk written")
 	}
 }
@@ -189,7 +189,7 @@ func TestOversizedPayloadLengthRejected(t *testing.T) {
 // FuzzReadMessage: arbitrary bytes must never panic or over-allocate.
 func FuzzReadMessage(f *testing.F) {
 	var buf bytes.Buffer
-	_ = WriteMessage(&buf, 3, block.NewPlain(0, []byte("seed")))
+	_ = WriteFrame(&buf, 3, 0, 0, block.NewPlain(0, []byte("seed")))
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add(oversizedLengthFrame(f, 0xFFFFFFFF))
@@ -205,20 +205,20 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(bitFlip)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, _ = ReadMessage(bytes.NewReader(data))
+		_, _, _, _, _ = ReadFrame(bytes.NewReader(data))
 	})
 }
 
-// Sequence numbers survive the codec; WriteMessage defaults to seq 0.
+// Sequence numbers survive the codec.
 func TestSequenceNumberRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msg := block.NewPlain(2, []byte("payload"))
 	for _, seq := range []uint64{0, 1, 7, 1 << 40, ^uint64(0)} {
 		buf.Reset()
-		if err := WriteMessageSeq(&buf, 5, seq, msg); err != nil {
+		if err := WriteFrame(&buf, 5, 0, seq, msg); err != nil {
 			t.Fatal(err)
 		}
-		src, gotSeq, got, err := ReadMessageSeq(&buf)
+		src, _, gotSeq, got, err := ReadFrame(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,17 +226,9 @@ func TestSequenceNumberRoundTrip(t *testing.T) {
 			t.Fatalf("seq %d decoded as src=%d seq=%d chunks=%d", seq, src, gotSeq, len(got.Chunks))
 		}
 	}
-	buf.Reset()
-	if err := WriteMessage(&buf, 1, msg); err != nil {
-		t.Fatal(err)
-	}
-	if _, seq, _, err := ReadMessageSeq(&buf); err != nil || seq != 0 {
-		t.Fatalf("WriteMessage seq = %d, %v; want 0, nil", seq, err)
-	}
 }
 
-// Operation ids survive the codec across the full uint32 range; the
-// seq-only readers discard them.
+// Operation ids survive the codec across the full uint32 range.
 func TestOpIDRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msg := block.NewPlain(1, []byte("payload"))
@@ -253,13 +245,6 @@ func TestOpIDRoundTrip(t *testing.T) {
 			t.Fatalf("op %d decoded as src=%d op=%d seq=%d chunks=%d",
 				op, src, gotOp, seq, len(got.Chunks))
 		}
-	}
-	buf.Reset()
-	if err := WriteFrame(&buf, 0, 7, 0, msg); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadMessageSeq(&buf); err != nil {
-		t.Fatalf("ReadMessageSeq must tolerate a nonzero operation id: %v", err)
 	}
 }
 
@@ -390,13 +375,13 @@ func TestStructuredFormatErrors(t *testing.T) {
 func TestStreamOfFrames(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 10; i++ {
-		if err := WriteMessage(&buf, i, block.NewPlain(i, []byte{byte(i)})); err != nil {
+		if err := WriteFrame(&buf, i, 0, 0, block.NewPlain(i, []byte{byte(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	r := io.Reader(&buf)
 	for i := 0; i < 10; i++ {
-		src, msg, err := ReadMessage(r)
+		src, _, _, msg, err := ReadFrame(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,14 @@ func TestSessionMetricsConcurrent(t *testing.T) {
 			}
 			wg.Wait()
 
+			// A TCP sender counts a frame after its write returns, which
+			// can be after the receiver has counted it and finished the
+			// collective: give the last senders a moment to catch up.
 			snap := s.Snapshot()
+			for deadline := time.Now().Add(time.Second); snap.FramesRecv > snap.FramesSent && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+				snap = s.Snapshot()
+			}
 			if snap.OpsStarted != ops || snap.OpsCompleted != ops {
 				t.Errorf("started=%d completed=%d, want %d each", snap.OpsStarted, snap.OpsCompleted, ops)
 			}

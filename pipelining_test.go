@@ -18,7 +18,7 @@ func TestSessionPipelining(t *testing.T) {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		piped, err := OpenSession(context.Background(), spec, WithEngine(engine),
-			WithPipelining(true), WithSegmentWindow(2))
+			WithPipelining(true))
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -57,8 +57,8 @@ func TestSessionPipelining(t *testing.T) {
 			t.Fatalf("%s: %d per-chunk streams over %d pipelined messages; multi-chunk sends are not streaming",
 				engine, snap.PipelineStreams, snap.PipelineMsgs)
 		}
-		if snap.PipelineWindow != 2 {
-			t.Fatalf("%s: segment window gauge = %d, want 2", engine, snap.PipelineWindow)
+		if snap.PipelineWindow != 4 {
+			t.Fatalf("%s: segment window gauge = %d, want 4", engine, snap.PipelineWindow)
 		}
 		if snap.PipelineSegmentsSent == 0 || snap.PipelineSegmentsSent != snap.PipelineSegmentsRecv {
 			t.Fatalf("%s: segment counters sent=%d recv=%d", engine,
@@ -75,7 +75,7 @@ func TestSessionPipelining(t *testing.T) {
 	}
 }
 
-// Pipelining options are session-level: per-operation use is rejected.
+// Pipelining is session-level: per-operation use is rejected.
 func TestSessionPipeliningOptionErrors(t *testing.T) {
 	s, err := OpenSession(context.Background(), Spec{Procs: 2, Nodes: 1})
 	if err != nil {
@@ -84,8 +84,5 @@ func TestSessionPipeliningOptionErrors(t *testing.T) {
 	defer s.Close()
 	if _, err := s.Run(context.Background(), "hs1", 64, WithPipelining(true)); err == nil {
 		t.Fatal("per-op WithPipelining accepted")
-	}
-	if _, err := s.Run(context.Background(), "hs1", 64, WithSegmentWindow(8)); err == nil {
-		t.Fatal("per-op WithSegmentWindow accepted")
 	}
 }

@@ -79,7 +79,6 @@ type sessionOptions struct {
 	debugAddr   string
 	debugSet    bool
 	pipelining  bool
-	segWindow   int
 	tuning      *tune.Table
 	tuningSet   bool
 	refine      bool
@@ -158,15 +157,6 @@ func WithMaxInFlight(n int) Option {
 // with whole-message sealing. Ignored by EngineSim.
 func WithPipelining(on bool) Option {
 	return sessionLevel("WithPipelining", func(o *sessionOptions) { o.pipelining = on })
-}
-
-// WithSegmentWindow bounds how many segments of one incoming pipelined
-// stream may be authenticating concurrently before further arrivals
-// are processed inline on the transport goroutine, backpressuring the
-// sender (session-level only; n <= 0 selects the default window).
-// Implies nothing unless WithPipelining(true) is also set.
-func WithSegmentWindow(n int) Option {
-	return sessionLevel("WithSegmentWindow", func(o *sessionOptions) { o.segWindow = n })
 }
 
 // WithDebugServer starts an HTTP introspection server alongside the
@@ -264,7 +254,7 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		return nil, err
 	}
 	cfg := cluster.SessionConfig{Engine: kind, Plan: o.plan, Profile: o.profile, CryptoPool: o.pool,
-		Pipeline: cluster.PipelineConfig{Enabled: o.pipelining, SegmentWindow: o.segWindow}}
+		Pipelining: o.pipelining}
 	if o.tracer != nil {
 		cfg.Tracer = o.tracer
 	}

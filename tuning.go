@@ -14,7 +14,7 @@ import (
 // TuningTable is the measured selection policy behind AlgAuto: a
 // versioned table of per-algorithm latency estimates keyed on
 // (size-bucket, p, N, engine, pipelining), produced by an offline sweep
-// (cmd/encag-tune). Load one with LoadTuningTable and attach it with
+// (encag tune). Load one with LoadTuningTable and attach it with
 // WithTuningTable; without one, AlgAuto uses the paper-calibrated byte
 // thresholds.
 type TuningTable = tune.Table
