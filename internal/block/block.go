@@ -188,16 +188,22 @@ const headerMagic = 0x45414731 // "EAG1"
 // GCM additional authenticated data so that an adversary cannot re-route
 // or re-label an intercepted ciphertext without detection.
 func EncodeHeader(blocks []Block) []byte {
-	buf := make([]byte, 8+12*len(blocks))
-	binary.BigEndian.PutUint32(buf[0:], headerMagic)
-	binary.BigEndian.PutUint32(buf[4:], uint32(len(blocks)))
-	off := 8
+	return AppendHeader(make([]byte, 0, HeaderLen(len(blocks))), blocks)
+}
+
+// HeaderLen is the length of the encoded header of n blocks.
+func HeaderLen(n int) int { return 8 + 12*n }
+
+// AppendHeader appends EncodeHeader(blocks) to dst, so an encoder with a
+// reusable buffer serializes a block list without allocating.
+func AppendHeader(dst []byte, blocks []Block) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, headerMagic)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
 	for _, b := range blocks {
-		binary.BigEndian.PutUint32(buf[off:], uint32(b.Origin))
-		binary.BigEndian.PutUint64(buf[off+4:], uint64(b.Len))
-		off += 12
+		dst = binary.BigEndian.AppendUint32(dst, uint32(b.Origin))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Len))
 	}
-	return buf
+	return dst
 }
 
 // DecodeHeader parses a header produced by EncodeHeader.
@@ -209,7 +215,7 @@ func DecodeHeader(buf []byte) ([]Block, error) {
 		return nil, fmt.Errorf("block: bad header magic")
 	}
 	n := int(binary.BigEndian.Uint32(buf[4:]))
-	if len(buf) != 8+12*n {
+	if len(buf) != HeaderLen(n) {
 		return nil, fmt.Errorf("block: header length %d does not match count %d", len(buf), n)
 	}
 	blocks := make([]Block, n)

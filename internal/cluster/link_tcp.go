@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -221,9 +222,6 @@ type tcpMesh struct {
 	reg       *opRegistry
 	readersWG sync.WaitGroup
 	downOnce  sync.Once
-	// scratch recycles buffers for segment payloads that must be read
-	// off a connection but discarded (duplicates, stragglers).
-	scratch *bufRing
 
 	// tracked holds the live readers' progress trackers, so the mesh can
 	// diagnose a reader starved mid-frame by length-field corruption.
@@ -276,7 +274,6 @@ func newTCPMesh(spec Spec, lm *liveMetrics, reg *opRegistry) (*tcpMesh, error) {
 		sniff:     &WireSniffer{},
 		reg:       reg,
 		tracked:   make(map[*readTracker]struct{}),
-		scratch:   newBufRing(4),
 	}
 	for r := 0; r < spec.P; r++ {
 		m.links[r] = make([]*tcpLink, spec.P)
@@ -305,15 +302,30 @@ func newTCPMesh(spec Spec, lm *liveMetrics, reg *opRegistry) (*tcpMesh, error) {
 		m.readersWG.Add(1)
 		go func() {
 			defer m.readersWG.Done()
+			// last[src] is closed when the reader of src's latest conn
+			// exits. A sender closes a conn before it dials the next, so
+			// accept order is send order: each reader waits for its
+			// predecessor to drain, and the pair's sequence gate sees
+			// frames in the order they were sent. Otherwise a lagging
+			// reader of the replaced conn would find the gate already
+			// advanced by the resends and drop its frames as duplicates.
+			last := make([]chan struct{}, spec.P)
 			for {
 				conn, err := m.listeners[d].Accept()
 				if err != nil {
 					return // listener closed: teardown
 				}
+				src, err := wire.ReadHello(conn)
+				if err != nil || src < 0 || src >= spec.P || src == d {
+					conn.Close()
+					continue
+				}
+				done := make(chan struct{})
 				// The accept goroutine holds a readersWG slot, so this
 				// Add never races a Wait at zero.
 				m.readersWG.Add(1)
-				go m.serveConn(d, conn)
+				go m.serveConn(src, d, conn, last[src], done)
+				last[src] = done
 			}
 		}()
 	}
@@ -643,42 +655,50 @@ func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, write 
 // from one starved in the middle of a frame (corrupt: a flipped length
 // or count field made the decoder demand bytes the sender never wrote,
 // and every later frame on the stream is swallowed as phantom payload).
+//
+// It sits between the frame decoder and the connection's read buffer,
+// never below the buffer: progress means bytes the decoder consumed. A
+// tracker under the buffer would see a corrupted frame's header arrive
+// in the same read(2) as the frame before it — before that frame's
+// frameDone — and then report the starved decoder as idle.
 type readTracker struct {
-	net.Conn
+	r        io.Reader
 	src, dst int
-	mu       sync.Mutex
-	midFrame bool
-	last     time.Time
+	// mark is the monotonic time (trackClock) of the last byte consumed
+	// mid-frame, 0 between frames. Only the reader goroutine writes it.
+	mark atomic.Int64
 }
 
+// trackEpoch anchors trackClock's monotonic readings.
+var trackEpoch = time.Now()
+
+// trackClock is a monotonic nanosecond clock that never reads 0.
+func trackClock() int64 { return int64(time.Since(trackEpoch)) + 1 }
+
 func (t *readTracker) Read(p []byte) (int, error) {
-	n, err := t.Conn.Read(p)
+	n, err := t.r.Read(p)
 	if n > 0 {
-		t.mu.Lock()
-		t.midFrame = true
-		t.last = time.Now()
-		t.mu.Unlock()
+		t.mark.Store(trackClock())
 	}
 	return n, err
 }
 
 // frameDone marks a clean frame boundary: the reader is idle again.
-func (t *readTracker) frameDone() {
-	t.mu.Lock()
-	t.midFrame = false
-	t.mu.Unlock()
-}
+func (t *readTracker) frameDone() { t.mark.Store(0) }
 
 // starved reports how long the reader has been stuck mid-frame without
-// receiving a byte.
+// consuming a byte.
 func (t *readTracker) starved() (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.midFrame {
+	last := t.mark.Load()
+	if last == 0 {
 		return 0, false
 	}
-	return time.Since(t.last), true
+	return time.Duration(trackClock() - last), true
 }
+
+// connReadBuf is the read buffer under each accepted connection's
+// tracker: a small frame's header and payload arrive in one read(2).
+const connReadBuf = 8 << 10
 
 // readerStallAfter is how long a reader must sit mid-frame with zero
 // byte progress before the mesh calls it corrupted rather than slow. On
@@ -702,9 +722,10 @@ func connDied(err error) bool {
 		errors.Is(err, syscall.EPIPE)
 }
 
-// serveConn handles one accepted connection: it learns the dialing rank
-// from the hello frame, then demuxes sequence-deduplicated frames to the
-// in-flight operation each frame's op-id names, until the connection
+// serveConn handles one accepted connection from src, whose hello the
+// accept loop has read: once the reader of the pair's previous conn has
+// exited (after is closed), it demuxes sequence-deduplicated frames to
+// the in-flight operation each frame's op-id names, until the connection
 // dies (teardown, or a transient fault — the sender reconnects and a
 // fresh accepted conn takes over). Frames whose op-id is not registered
 // — stragglers resent from a completed or aborted collective, or frames
@@ -720,20 +741,21 @@ func connDied(err error) bool {
 // silently deaf pair no later operation could diagnose. That is exactly
 // the unrecoverable case, so it fails the mesh rather than just this
 // reader.
-func (m *tcpMesh) serveConn(dst int, conn net.Conn) {
+func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, done chan<- struct{}) {
 	defer m.readersWG.Done()
 	defer conn.Close()
-	src, err := wire.ReadHello(conn)
-	if err != nil || src < 0 || src >= m.spec.P || src == dst {
-		return
+	defer close(done)
+	if after != nil {
+		<-after
 	}
-	tc := &readTracker{Conn: conn, src: src, dst: dst}
-	tc.frameDone()
+	// decoder → tracker → read buffer → conn: see readTracker.
+	tc := &readTracker{r: bufio.NewReaderSize(conn, connReadBuf), src: src, dst: dst}
+	dec := wire.NewFrameReader(tc)
 	m.track(tc)
 	defer m.untrack(tc)
 	gate := m.gates[dst][src]
 	for {
-		fr, err := wire.ReadFrameStart(tc)
+		fr, err := dec.Next()
 		if err != nil {
 			if !connDied(err) {
 				m.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
@@ -783,15 +805,15 @@ func (m *tcpMesh) serveConn(dst int, conn net.Conn) {
 // are slotted into the message assembly directly. Protocol violations
 // inside a parseable sub-frame (unknown stream, out-of-range chunk,
 // duplicate or mis-sized segment, malformed inline blob) fail the
-// owning operation and discard the payload into recycled scratch,
-// leaving the connection and the mesh's other operations alone; only a
-// read failure (returned) is connection-fatal.
+// owning operation and discard the payload, leaving the connection and
+// the mesh's other operations alone; only a read failure (returned) is
+// connection-fatal.
 func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr wire.Frame) error {
 	sf := fr.Seg
 	discard := func() error {
-		b := m.scratch.get(sf.PayloadLen)
-		_, err := io.ReadFull(tc, b)
-		m.scratch.put(b)
+		// Through the tracker, so a long discard counts as progress;
+		// io.Discard copies through a pooled buffer, so it retains nothing.
+		_, err := io.CopyN(io.Discard, tc, int64(sf.PayloadLen))
 		tc.frameDone()
 		return err
 	}

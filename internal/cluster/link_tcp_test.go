@@ -1,0 +1,129 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"encag/internal/block"
+	"encag/internal/metrics"
+	"encag/internal/wire"
+)
+
+const rawPayload = 64
+
+// newRawMesh opens a TCP mesh for tests that play a sender by hand: the
+// mesh's own links from the given ranks are closed, as a reconnecting
+// sender would, so a hand-dialed conn from such a rank is read next.
+func newRawMesh(t *testing.T, spec Spec, handSenders ...int) *tcpMesh {
+	t.Helper()
+	m, err := newTCPMesh(spec, newLiveMetrics(metrics.NewRegistry(), spec, EngineTCP), newOpRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.close) // after the hand-dialed conns close: cleanups run last-in first-out
+	for _, src := range handSenders {
+		m.links[src][0].close()
+	}
+	return m
+}
+
+// rawFrame encodes one frame of an operation no one runs: the reader
+// drops it as a straggler after the sequence gate, at a clean frame
+// boundary.
+func rawFrame(t *testing.T, src int, seq uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.WriteFrame(&buf, src, 99, seq, block.NewPlain(src, make([]byte, rawPayload))); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// dialRaw connects to rank 0 as src and writes the frames in one write.
+func dialRaw(t *testing.T, m *tcpMesh, src int, frames ...[]byte) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", m.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() }) // m.close waits for this conn's reader
+	if err := wire.WriteHello(c, src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(bytes.Join(frames, nil)); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// The stall diagnosis survives the read buffer: a frame whose payload
+// length was inflated in flight starves its reader mid-frame even when
+// its header arrived in the same read(2) as the complete frame before it
+// — read ahead into the buffer before that frame was done — and only
+// that reader is reported; one idle between frames never is.
+func TestReaderStallDiagnosedBehindReadAhead(t *testing.T) {
+	m := newRawMesh(t, Spec{P: 3, N: 3, Mapping: BlockMapping}, 1, 2)
+	// The payload length field sits just before the payload.
+	inflated := rawFrame(t, 1, 1)
+	binary.BigEndian.PutUint32(inflated[len(inflated)-rawPayload-4:], rawPayload+4096)
+	dialRaw(t, m, 1, rawFrame(t, 1, 0), inflated, rawFrame(t, 1, 2)) // frame 2 becomes phantom payload
+	dialRaw(t, m, 2, rawFrame(t, 2, 0))
+
+	deadline := time.Now().Add(readerStallAfter + 5*time.Second)
+	for m.readerStalled() == nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("no stall reported %v after the inflated frame", readerStallAfter+5*time.Second)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if err := m.readerStalled(); !strings.Contains(err.Error(), "stream 1->0 starved mid-frame") {
+		t.Fatalf("stall report %q does not name the 1->0 stream", err)
+	}
+	m.trackMu.Lock()
+	defer m.trackMu.Unlock()
+	starved := 0
+	for tr := range m.tracked {
+		if _, mid := tr.starved(); mid {
+			starved++
+		}
+	}
+	if starved != 1 {
+		t.Fatalf("%d readers mid-frame, want only the starved one (%d tracked, all others idle between frames)",
+			starved, len(m.tracked))
+	}
+}
+
+// A pair's conns are read in the order they were accepted: the frames a
+// replaced conn still holds reach the sequence gate before the first
+// frame of the conn that replaced it, however late the old conn's
+// bytes are read. Otherwise the resends advance the gate first and the
+// old conn's frames are dropped as duplicates.
+func TestReconnectedPairReadInSendOrder(t *testing.T) {
+	m := newRawMesh(t, Spec{P: 2, N: 2, Mapping: BlockMapping}, 1)
+	gate := m.gates[0][1]
+	old := dialRaw(t, m, 1)
+	dialRaw(t, m, 1, rawFrame(t, 1, 1))
+	// Give a reader that does not wait for its predecessor time to
+	// admit the new conn's frame first.
+	for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end) && gate.horizon() == 0; {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := old.Write(rawFrame(t, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	old.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.lm.stragglers.Value()+m.lm.dedupDrops.Value() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("frames not read: %d stragglers, %d duplicates", m.lm.stragglers.Value(), m.lm.dedupDrops.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if d := m.lm.dedupDrops.Value(); d != 0 {
+		t.Fatalf("%d of the replaced conn's frames dropped as duplicates: the new conn was read first", d)
+	}
+}

@@ -56,7 +56,8 @@ type opRuntime struct {
 	audit     *SecurityAudit
 	inj       *fault.Injector
 	recvTO    time.Duration
-	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
+	recvTimer []*time.Timer // [rank] receive deadline; see armRecvDeadline
+	wt        wallTrace     // wall-clock tracing; inert unless a tracer is set
 	fails     failState
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
 	abortOnce sync.Once
@@ -96,6 +97,7 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		aborted: make(chan struct{}),
 	}
 	o.openWin = newOpenWindow(DefaultSegmentWindow)
+	o.recvTimer = make([]*time.Timer, spec.P)
 	for r := 0; r < spec.P; r++ {
 		o.inboxes[r] = newOpInbox()
 		o.pend[r] = make([]map[uint64]block.Message, spec.P)
@@ -316,8 +318,12 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 	pend := o.pend[rank]
 	next := o.next[rank]
 	box := o.inboxes[rank]
-	deadline := time.NewTimer(o.recvTO)
-	defer deadline.Stop()
+	var deadline <-chan time.Time // armed when the receive first has to wait
+	defer func() {
+		if deadline != nil {
+			o.disarmRecvDeadline(rank)
+		}
+	}()
 	for {
 		if msg, ok := pend[src][next[src]]; ok {
 			delete(pend[src], next[src])
@@ -335,14 +341,45 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 			pend[env.src][env.seq] = env.msg
 			continue
 		}
+		if deadline == nil {
+			deadline = o.armRecvDeadline(rank)
+		}
 		select {
 		case <-box.sig:
 		case <-o.aborted:
 			panic(errRunAborted)
-		case <-deadline.C:
+		case <-deadline:
 			o.lm.recvTimeouts.Inc()
 			o.fail(&RankError{Rank: rank, Peer: src, Op: "recv",
 				Err: fmt.Errorf("no message within %v", o.recvTO)})
+		}
+	}
+}
+
+// armRecvDeadline starts rank's receive deadline: one timer per rank,
+// made on first use and re-armed per receive, instead of a new timer per
+// receive. Only the rank goroutine touches it. Between receives the
+// timer is stopped and its channel empty (disarmRecvDeadline), which is
+// what Reset needs under go 1.22 timer semantics.
+func (o *opRuntime) armRecvDeadline(rank int) <-chan time.Time {
+	t := o.recvTimer[rank]
+	if t == nil {
+		t = time.NewTimer(o.recvTO)
+		o.recvTimer[rank] = t
+	} else {
+		t.Reset(o.recvTO)
+	}
+	return t.C
+}
+
+// disarmRecvDeadline stops rank's receive deadline and drains a tick
+// that fired but was not received.
+func (o *opRuntime) disarmRecvDeadline(rank int) {
+	t := o.recvTimer[rank]
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
 		}
 	}
 }

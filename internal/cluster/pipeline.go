@@ -8,9 +8,8 @@
 // assembles the chunks back into the message in order. This file holds
 // the engine-shared pieces: the pipelining constants, the
 // per-message send plan, the receive-side message and stream assembly
-// with the op-wide open window, the in-flight stream table of the TCP
-// demux, and the scratch-buffer ring that keeps discarded payloads from
-// allocating.
+// with the op-wide open window, and the in-flight stream table of the
+// TCP demux.
 package cluster
 
 import (
@@ -401,31 +400,4 @@ func (sr *streamRecv) open(i int, async bool) {
 		Payload: sr.os.Blob(),
 		Opened:  sr.os.Plaintext(),
 	})
-}
-
-// bufRing recycles scratch buffers for payload bytes that must be read
-// off a connection but discarded (duplicates, stragglers), so steady
-// junk costs no steady allocation.
-type bufRing struct {
-	ch chan []byte
-}
-
-func newBufRing(n int) *bufRing { return &bufRing{ch: make(chan []byte, n)} }
-
-func (r *bufRing) get(n int) []byte {
-	select {
-	case b := <-r.ch:
-		if cap(b) >= n {
-			return b[:n]
-		}
-	default:
-	}
-	return make([]byte, n)
-}
-
-func (r *bufRing) put(b []byte) {
-	select {
-	case r.ch <- b:
-	default:
-	}
 }

@@ -37,18 +37,12 @@
 //	uint32 payload length, payload bytes (one sealed segment
 //	       nonce || ciphertext || tag, or an inline chunk's payload)
 //
-// ReadFrameStart deliberately stops before the payload: the transport
+// FrameReader.Next deliberately stops before the payload: the transport
 // reads the payload bytes straight into the receive stream's in-blob
 // segment slot, so an arriving segment costs no staging copy.
 package wire
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-
-	"encag/internal/block"
-)
+import "encag/internal/block"
 
 const (
 	segFrameMagic = 0x45414750 // "EAGP"
@@ -96,252 +90,4 @@ type SegFrame struct {
 	Meta       *SegMeta
 	Payload    []byte
 	PayloadLen int
-}
-
-// FrameWriter writes frames through a reusable buffered writer, so a
-// long-lived link's steady-state sends allocate nothing (WriteFrame
-// allocates a fresh bufio.Writer per call). Not safe for concurrent
-// use: each sender goroutine owns its links' writer.
-type FrameWriter struct {
-	bw *bufio.Writer
-}
-
-// NewFrameWriter returns a writer with an empty reusable buffer.
-func NewFrameWriter() *FrameWriter {
-	return &FrameWriter{bw: bufio.NewWriter(io.Discard)}
-}
-
-// WriteMsg encodes and writes one message frame to w, reusing the
-// internal buffer. Semantics match WriteFrame.
-func (fw *FrameWriter) WriteMsg(w io.Writer, src int, op uint32, seq uint64, msg block.Message) error {
-	fw.bw.Reset(w)
-	if err := writeMsgBody(fw.bw, src, op, seq, msg); err != nil {
-		return err
-	}
-	return fw.bw.Flush()
-}
-
-// WriteSeg encodes and writes one segment sub-frame to w, reusing the
-// internal buffer.
-func (fw *FrameWriter) WriteSeg(w io.Writer, src int, op uint32, seq uint64, sf SegFrame) error {
-	bw := fw.bw
-	bw.Reset(w)
-	if len(sf.Payload) > MaxChunk {
-		return fmt.Errorf("wire: segment payload of %d bytes exceeds %d", len(sf.Payload), MaxChunk)
-	}
-	for _, v := range []uint32{segFrameMagic, uint32(src)} {
-		if err := writeU32(bw, v); err != nil {
-			return err
-		}
-	}
-	if err := writeU64(bw, seq); err != nil {
-		return err
-	}
-	for _, v := range []uint32{op, sf.Stream, sf.Chunk, sf.Index, sf.Count} {
-		if err := writeU32(bw, v); err != nil {
-			return err
-		}
-	}
-	var flags byte
-	if sf.Meta != nil {
-		flags |= flagChunkMeta
-	}
-	if sf.MsgChunks > 0 {
-		flags |= flagMsgMeta
-	}
-	if sf.Inline {
-		flags |= flagInline
-		if sf.Enc {
-			flags |= flagInlineEnc
-		}
-	}
-	if err := bw.WriteByte(flags); err != nil {
-		return err
-	}
-	if sf.MsgChunks > 0 {
-		if err := writeU32(bw, sf.MsgChunks); err != nil {
-			return err
-		}
-	}
-	if m := sf.Meta; m != nil {
-		hdr := block.EncodeHeader(m.Blocks)
-		if err := writeU32(bw, uint32(int32(m.Tag))); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(hdr))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(hdr); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(m.Header))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(m.Header); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(bw, uint32(len(sf.Payload))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(sf.Payload); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// FrameKind discriminates what ReadFrameStart found on the stream.
-type FrameKind int
-
-const (
-	// FrameMsg is a whole-message frame ("EAGM"); Frame.Msg holds the
-	// fully read message.
-	FrameMsg FrameKind = iota
-	// FrameSeg is a segment sub-frame ("EAGP"); Frame.Seg describes it
-	// and its payload is still unread on the stream.
-	FrameSeg
-)
-
-// Frame is the header-level view of one incoming frame.
-type Frame struct {
-	Kind FrameKind
-	Src  int
-	Op   uint32
-	Seq  uint64
-	Msg  block.Message // FrameMsg only
-	Seg  SegFrame      // FrameSeg only; Payload nil, PayloadLen set
-}
-
-// ReadFrameStart reads one frame of either kind. For a message frame it
-// behaves exactly like ReadFrame. For a segment sub-frame it reads and
-// validates everything up to — but not including — the payload: the
-// caller must consume exactly Seg.PayloadLen bytes from r next (into
-// whatever buffer it chooses) before reading another frame.
-func ReadFrameStart(r io.Reader) (Frame, error) {
-	m, err := readU32(r)
-	if err != nil {
-		return Frame{}, err
-	}
-	switch m {
-	case magic:
-		src, op, seq, msg, err := readMsgBody(r)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Kind: FrameMsg, Src: src, Op: op, Seq: seq, Msg: msg}, nil
-	case segFrameMagic:
-		return readSegBody(r)
-	}
-	return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrBadFrame, m)
-}
-
-// readSegBody decodes a segment sub-frame after its magic, stopping
-// before the payload.
-func readSegBody(r io.Reader) (Frame, error) {
-	fr := Frame{Kind: FrameSeg}
-	s, err := readU32(r)
-	if err != nil {
-		return fr, err
-	}
-	fr.Src = int(s)
-	if fr.Seq, err = readU64(r); err != nil {
-		return fr, err
-	}
-	if fr.Op, err = readU32(r); err != nil {
-		return fr, err
-	}
-	if fr.Seg.Stream, err = readU32(r); err != nil {
-		return fr, err
-	}
-	if fr.Seg.Chunk, err = readU32(r); err != nil {
-		return fr, err
-	}
-	if fr.Seg.Index, err = readU32(r); err != nil {
-		return fr, err
-	}
-	if fr.Seg.Count, err = readU32(r); err != nil {
-		return fr, err
-	}
-	if fr.Seg.Count == 0 || fr.Seg.Count > maxCount {
-		return fr, fmt.Errorf("%w: segment count %d out of range", ErrBadFrame, fr.Seg.Count)
-	}
-	if fr.Seg.Index >= fr.Seg.Count {
-		return fr, fmt.Errorf("%w: segment index %d of %d", ErrBadFrame, fr.Seg.Index, fr.Seg.Count)
-	}
-	var flags [1]byte
-	if _, err := io.ReadFull(r, flags[:]); err != nil {
-		return fr, err
-	}
-	if flags[0]&^byte(flagsKnown) != 0 {
-		return fr, fmt.Errorf("%w: unknown sub-frame flags %#x", ErrBadFrame, flags[0])
-	}
-	fr.Seg.Inline = flags[0]&flagInline != 0
-	fr.Seg.Enc = flags[0]&flagInlineEnc != 0
-	if fr.Seg.Enc && !fr.Seg.Inline {
-		return fr, fmt.Errorf("%w: inline-enc flag without inline", ErrBadFrame)
-	}
-	if fr.Seg.Inline && (fr.Seg.Index != 0 || fr.Seg.Count != 1) {
-		return fr, fmt.Errorf("%w: inline chunk numbered segment %d of %d", ErrBadFrame, fr.Seg.Index, fr.Seg.Count)
-	}
-	if flags[0]&flagMsgMeta != 0 {
-		if fr.Seg.MsgChunks, err = readU32(r); err != nil {
-			return fr, err
-		}
-		if fr.Seg.MsgChunks == 0 || fr.Seg.MsgChunks > maxCount {
-			return fr, fmt.Errorf("%w: message chunk count %d out of range", ErrBadFrame, fr.Seg.MsgChunks)
-		}
-	}
-	if fr.Seg.Chunk >= maxCount || (fr.Seg.MsgChunks > 0 && fr.Seg.Chunk >= fr.Seg.MsgChunks) {
-		return fr, fmt.Errorf("%w: chunk index %d out of range", ErrBadFrame, fr.Seg.Chunk)
-	}
-	if flags[0]&flagChunkMeta != 0 {
-		meta, err := readSegMeta(r)
-		if err != nil {
-			return fr, err
-		}
-		fr.Seg.Meta = meta
-	}
-	plen, err := readU32(r)
-	if err != nil {
-		return fr, err
-	}
-	if plen > MaxChunk {
-		return fr, fmt.Errorf("%w: segment payload of %d bytes exceeds %d", ErrBadFrame, plen, MaxChunk)
-	}
-	fr.Seg.PayloadLen = int(plen)
-	return fr, nil
-}
-
-func readSegMeta(r io.Reader) (*SegMeta, error) {
-	tag, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	bhLen, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if bhLen > maxSegMeta {
-		return nil, fmt.Errorf("%w: block header of %d bytes", ErrBadFrame, bhLen)
-	}
-	bh := make([]byte, bhLen)
-	if _, err := io.ReadFull(r, bh); err != nil {
-		return nil, err
-	}
-	blocks, err := block.DecodeHeader(bh)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	shLen, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if shLen > maxSegMeta {
-		return nil, fmt.Errorf("%w: segment header of %d bytes", ErrBadFrame, shLen)
-	}
-	sh := make([]byte, shLen)
-	if _, err := io.ReadFull(r, sh); err != nil {
-		return nil, err
-	}
-	return &SegMeta{Tag: int(int32(tag)), Blocks: blocks, Header: sh}, nil
 }

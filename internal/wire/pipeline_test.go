@@ -282,5 +282,6 @@ func FuzzReadFrameStart(f *testing.F) {
 			// Consume the payload the way the transport would.
 			io.CopyN(io.Discard, r, int64(fr.Seg.PayloadLen))
 		}
+		checkReaderShapes(t, data)
 	})
 }

@@ -24,11 +24,21 @@
 // The codec is defensive: it never allocates more than MaxFrame bytes
 // on the say-so of an untrusted length field, and every format
 // rejection wraps ErrBadFrame so transports can tell corruption from
-// connection lifecycle errors with errors.Is.
+// connection lifecycle errors with errors.Is; a stream that ends
+// mid-frame is io.ErrUnexpectedEOF, never ErrBadFrame.
+//
+// A link keeps one FrameWriter per sending connection and one
+// FrameReader per receiving one. The writer encodes a header into a
+// reusable buffer and flushes header and payload as one write. The
+// reader takes a header in fixed-width groups — the magic/src/seq/op
+// prefix, the sub-frame's fixed fields, each chunk's flags/tag/count,
+// each block entry — one io.ReadFull each into reusable scratch, and
+// buffers nothing itself: the TCP link reads through a bufio.Reader, so
+// a frame costs one read(2) in the steady state. WriteFrame, ReadFrame
+// and ReadFrameStart are one-shot wrappers over the two.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,155 +76,27 @@ const (
 // session stamps every frame with the id of the collective it belongs
 // to, so a receiver can demultiplex the interleaved frames of
 // concurrent operations on one long-lived connection and discard frames
-// that straggle in from a retired (possibly aborted) operation.
+// that straggle in from a retired (possibly aborted) operation. It uses
+// a one-shot FrameWriter.
 func WriteFrame(w io.Writer, src int, op uint32, seq uint64, msg block.Message) error {
-	bw := bufio.NewWriter(w)
-	if err := writeMsgBody(bw, src, op, seq, msg); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return NewFrameWriter().WriteMsg(w, src, op, seq, msg)
 }
 
-// writeMsgBody encodes one message frame into bw (no flush).
-func writeMsgBody(bw *bufio.Writer, src int, op uint32, seq uint64, msg block.Message) error {
-	if err := writeU32(bw, magic); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(src)); err != nil {
-		return err
-	}
-	if err := writeU64(bw, seq); err != nil {
-		return err
-	}
-	if err := writeU32(bw, op); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(msg.Chunks))); err != nil {
-		return err
-	}
-	for _, c := range msg.Chunks {
-		if len(c.Payload) > MaxChunk {
-			return fmt.Errorf("wire: chunk payload of %d bytes exceeds %d", len(c.Payload), MaxChunk)
-		}
-		var flags byte
-		if c.Enc {
-			flags |= 1
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(int32(c.Tag))); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(c.Blocks))); err != nil {
-			return err
-		}
-		for _, b := range c.Blocks {
-			if err := writeU32(bw, uint32(b.Origin)); err != nil {
-				return err
-			}
-			if err := writeU64(bw, uint64(b.Len)); err != nil {
-				return err
-			}
-		}
-		if err := writeU32(bw, uint32(len(c.Payload))); err != nil {
-			return err
-		}
-		if _, err := bw.Write(c.Payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadFrame reads and decodes one frame including its sequence number
-// and operation id. Any uint32 is a valid id — routing (or dropping)
-// the frame by id is the transport's job, and a frame no live
+// ReadFrame reads and decodes one message frame including its sequence
+// number and operation id, with a one-shot FrameReader; a segment
+// sub-frame is rejected. Any uint32 is a valid id — routing (or
+// dropping) the frame by id is the transport's job, and a frame no live
 // operation claims is simply dropped: readable or rejected, never
 // misrouted.
 func ReadFrame(r io.Reader) (src int, op uint32, seq uint64, msg block.Message, err error) {
-	var m uint32
-	if m, err = readU32(r); err != nil {
-		return 0, 0, 0, msg, err
+	f, err := NewFrameReader(r).Next()
+	if err == nil && f.Kind != FrameMsg {
+		err = fmt.Errorf("%w: bad magic %#x", ErrBadFrame, segFrameMagic)
 	}
-	if m != magic {
-		return 0, 0, 0, msg, fmt.Errorf("%w: bad magic %#x", ErrBadFrame, m)
-	}
-	return readMsgBody(r)
-}
-
-// readMsgBody decodes a message frame after its magic has been
-// consumed.
-func readMsgBody(r io.Reader) (src int, op uint32, seq uint64, msg block.Message, err error) {
-	s, err := readU32(r)
 	if err != nil {
-		return 0, 0, 0, msg, err
+		return 0, 0, 0, block.Message{}, err
 	}
-	src = int(s)
-	if seq, err = readU64(r); err != nil {
-		return 0, 0, 0, msg, err
-	}
-	if op, err = readU32(r); err != nil {
-		return 0, 0, 0, msg, err
-	}
-	nChunks, err := readU32(r)
-	if err != nil {
-		return 0, 0, 0, msg, err
-	}
-	if nChunks > maxCount {
-		return 0, 0, 0, msg, fmt.Errorf("%w: %d chunks exceeds limit", ErrBadFrame, nChunks)
-	}
-	var total uint64
-	msg.Chunks = make([]block.Chunk, 0, nChunks)
-	for i := uint32(0); i < nChunks; i++ {
-		var c block.Chunk
-		var flags [1]byte
-		if _, err := io.ReadFull(r, flags[:]); err != nil {
-			return 0, 0, 0, msg, err
-		}
-		c.Enc = flags[0]&1 != 0
-		tag, err := readU32(r)
-		if err != nil {
-			return 0, 0, 0, msg, err
-		}
-		c.Tag = int(int32(tag))
-		nBlocks, err := readU32(r)
-		if err != nil {
-			return 0, 0, 0, msg, err
-		}
-		if nBlocks > maxCount {
-			return 0, 0, 0, msg, fmt.Errorf("%w: %d blocks exceeds limit", ErrBadFrame, nBlocks)
-		}
-		c.Blocks = make([]block.Block, nBlocks)
-		for j := range c.Blocks {
-			o, err := readU32(r)
-			if err != nil {
-				return 0, 0, 0, msg, err
-			}
-			l, err := readU64(r)
-			if err != nil {
-				return 0, 0, 0, msg, err
-			}
-			c.Blocks[j] = block.Block{Origin: int(o), Len: int64(l)}
-		}
-		plen, err := readU32(r)
-		if err != nil {
-			return 0, 0, 0, msg, err
-		}
-		if plen > MaxChunk {
-			return 0, 0, 0, msg, fmt.Errorf("%w: chunk payload of %d bytes exceeds %d", ErrBadFrame, plen, MaxChunk)
-		}
-		total += uint64(plen)
-		if total > MaxFrame {
-			return 0, 0, 0, msg, fmt.Errorf("%w: frame exceeds %d bytes", ErrBadFrame, MaxFrame)
-		}
-		c.Payload = make([]byte, plen)
-		if _, err := io.ReadFull(r, c.Payload); err != nil {
-			return 0, 0, 0, msg, err
-		}
-		msg.Chunks = append(msg.Chunks, c)
-	}
-	return src, op, seq, msg, nil
+	return f.Src, f.Op, f.Seq, f.Msg, nil
 }
 
 // WriteHello identifies a dialing rank to the accepting side.
@@ -236,34 +118,4 @@ func ReadHello(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: bad hello magic", ErrBadFrame)
 	}
 	return int(binary.BigEndian.Uint32(buf[4:])), nil
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func writeU64(w io.Writer, v uint64) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	_, err := w.Write(buf[:])
-	return err
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var buf [4]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(buf[:]), nil
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(buf[:]), nil
 }

@@ -206,6 +206,7 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, _, _, _ = ReadFrame(bytes.NewReader(data))
+		checkReaderShapes(t, data)
 	})
 }
 

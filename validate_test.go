@@ -75,31 +75,20 @@ func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
 	}
 }
 
-// Allocation gate for the bandwidth-bound shape the benchmark calls
-// tcp-large-pipe (EngineTCP, 4 ranks on 2 nodes, c-ring, 1 MiB,
-// pipelined). Bytes allocated per operation repeat to a fraction of a
-// percent, so a ceiling is safe where a latency bound would not be. In
-// the benchmark's unit (alloc_KB_per_op, KB = 1024 B): 41 075 while
-// validation regenerated every origin's pattern for every rank, about
-// 24 700 since it checks the gathered bytes in place; the gate is 27 000.
-func TestTCPLargePipeAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const (
-		msgSize = 1 << 20
-		ops     = 8
-		budget  = 27000 << 10
-	)
-	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2},
-		WithEngine(EngineTCP), WithPipelining(true))
+// allocsPerRun runs warm blocking operations on an EngineTCP session
+// and returns the bytes and the heap objects allocated per operation.
+// Both repeat to a fraction of a percent, so a ceiling is safe where a
+// latency bound would not be.
+func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts ...Option) (bytes, objects uint64) {
+	t.Helper()
+	s, err := OpenSession(context.Background(), spec, append([]Option{WithEngine(EngineTCP)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	run := func() {
 		t.Helper()
-		if _, err := s.Run(context.Background(), AlgCRing, msgSize); err != nil {
+		if _, err := s.Run(context.Background(), alg, msgSize); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,9 +101,50 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perOp := (after.TotalAlloc - before.TotalAlloc) / ops
-	t.Logf("%d KB allocated per 1 MiB pipelined TCP c-ring op (budget %d)", perOp>>10, budget>>10)
+	n := uint64(ops)
+	return (after.TotalAlloc - before.TotalAlloc) / n, (after.Mallocs - before.Mallocs) / n
+}
+
+// Allocation gate for the bandwidth-bound shape the benchmark calls
+// tcp-large-pipe (EngineTCP, 4 ranks on 2 nodes, c-ring, 1 MiB,
+// pipelined). In the benchmark's unit (alloc_KB_per_op, KB = 1024 B):
+// 41 075 while validation regenerated every origin's pattern for every
+// rank, about 24 700 since it checks the gathered bytes in place; the
+// gate is 27 000. Heap objects: about 1 940 while the frame codec read
+// and wrote field by field through interfaces and discards went through
+// a scratch ring, about 545 since; the gate is 900.
+func TestTCPLargePipeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const (
+		budget        = 27000 << 10
+		objectsBudget = 900
+	)
+	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithPipelining(true))
+	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
+		perOp>>10, objects, budget>>10, objectsBudget)
 	if perOp >= budget {
 		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
+	}
+	if objects >= objectsBudget {
+		t.Fatalf("%d heap objects allocated per op, budget %d", objects, objectsBudget)
+	}
+}
+
+// Allocation gate for the latency-bound shape the benchmark calls
+// tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB): heap objects
+// per blocking operation. About 1 800 while the frame codec read and
+// wrote field by field through interfaces and every receive made its
+// own deadline timer, about 1 120 since; the gate is 1 300.
+func TestTCPSmallAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const objectsBudget = 1300
+	_, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50)
+	t.Logf("%d objects allocated per 1 KiB TCP o-rd2 op (budget %d)", objects, objectsBudget)
+	if objects >= objectsBudget {
+		t.Fatalf("%d heap objects allocated per op, budget %d", objects, objectsBudget)
 	}
 }
