@@ -102,39 +102,41 @@ func BenchmarkSimulate(b *testing.B) {
 }
 
 // BenchmarkSessionSteadyState measures steady-state collectives on a
-// persistent session — serial vs pipelined, both real engines — with
-// allocation counts (run with -benchmem): after warm-up, the mesh,
-// sealer pool and segment buffers are all reused, so allocs/op is the
-// per-collective footprint, not setup cost.
+// persistent session — both real engines serial, and tcp pipelined (chan
+// ignores pipelining) — with allocation counts (run with -benchmem):
+// after warm-up, the mesh, sealer pool and segment buffers are all
+// reused, so allocs/op is the per-collective footprint, not setup cost.
 func BenchmarkSessionSteadyState(b *testing.B) {
 	spec := encag.Spec{Procs: 4, Nodes: 2}
 	const msgSize = 64 << 10
-	for _, engine := range []encag.Engine{encag.EngineChan, encag.EngineTCP} {
-		for _, mode := range []string{"serial", "pipelined"} {
-			engine, mode := engine, mode
-			b.Run(string(engine)+"/"+mode, func(b *testing.B) {
-				opts := []encag.Option{encag.WithEngine(engine)}
-				if mode == "pipelined" {
-					opts = append(opts, encag.WithPipelining(true))
-				}
-				s, err := encag.OpenSession(context.Background(), spec, opts...)
-				if err != nil {
+	for _, c := range []struct {
+		engine encag.Engine
+		mode   string
+	}{
+		{encag.EngineChan, "serial"},
+		{encag.EngineTCP, "serial"},
+		{encag.EngineTCP, "pipelined"},
+	} {
+		c := c
+		b.Run(string(c.engine)+"/"+c.mode, func(b *testing.B) {
+			opts := []encag.Option{encag.WithEngine(c.engine), encag.WithPipelining(c.mode == "pipelined")}
+			s, err := encag.OpenSession(context.Background(), spec, opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.Run(context.Background(), "o-ring", msgSize); err != nil {
+				b.Fatal(err) // warm-up: dial the mesh, fill the pools
+			}
+			b.SetBytes(int64(spec.Procs) * msgSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Run(context.Background(), "o-ring", msgSize); err != nil {
 					b.Fatal(err)
 				}
-				defer s.Close()
-				if _, err := s.Run(context.Background(), "o-ring", msgSize); err != nil {
-					b.Fatal(err) // warm-up: dial the mesh, fill the pools
-				}
-				b.SetBytes(int64(spec.Procs) * msgSize)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Run(context.Background(), "o-ring", msgSize); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -34,7 +34,7 @@ func cmdMon(args []string) error {
 	refine := fs.Bool("refine", true, "let alg=auto fold this session's own latencies back into its estimates")
 	sizeStr := fs.String("size", "64KB", "message size")
 	window := fs.Int("window", 4, "nonblocking in-flight window")
-	pipeline := fs.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
+	pipeline := fs.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective (tcp engine only)")
 	interval := fs.Duration("interval", 0, "pause between Start calls (0 = rely on window backpressure)")
 	duration := fs.Duration("duration", 0, "how long to run (0 = until SIGINT)")
 	addr := fs.String("addr", "", "debug server listen address (empty = ephemeral loopback port)")
@@ -129,10 +129,9 @@ func cmdMon(args []string) error {
 	fmt.Printf("seal: segments sealed=%d opened=%d  pool saturated=%d\n",
 		snap.SegmentsSealed, snap.SegmentsOpened, snap.PoolSaturated)
 	if *pipeline {
-		fmt.Printf("pipeline: msgs=%d streams=%d inline chunks=%d segments sent=%d recv=%d inline opens=%d window=%d\n",
+		fmt.Printf("pipeline: msgs=%d streams=%d inline chunks=%d segments sent=%d recv=%d opened=%d\n",
 			snap.PipelineMsgs, snap.PipelineStreams, snap.PipelineInlineChunks,
-			snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv,
-			snap.PipelineInlineOpens, snap.PipelineWindow)
+			snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv, snap.PipelineInlineOpens)
 	}
 	if engine == encag.EngineTCP {
 		fmt.Printf("wire: %d bytes  reconnects=%d resends=%d dedup drops=%d\n",

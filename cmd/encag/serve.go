@@ -39,7 +39,7 @@ func cmdServe(args []string) error {
 	maxSteps := fs.Int("maxsteps", 0, "concurrent collectives across all tenants (0 = derive from pool size)")
 	maxQueue := fs.Int("maxqueue", 0, "callers allowed to wait for a step slot (0 = 4x maxsteps)")
 	queueTimeout := fs.Duration("queue-timeout", 0, "max wait for a step slot (0 = 2s)")
-	pipeline := fs.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective")
+	pipeline := fs.Bool("pipeline", false, "stream sealed segments onto the wire inside each collective (tcp engine only)")
 	warm := fs.Bool("warm", false, "open every registered tenant's session at startup")
 	addr := fs.String("addr", "", "HTTP listen address (empty = ephemeral loopback port)")
 	duration := fs.Duration("duration", 0, "how long to serve (0 = until SIGINT)")

@@ -2,21 +2,18 @@ package encag
 
 import (
 	"context"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"encag/internal/metrics"
 )
 
 // debugServer is the session's introspection HTTP server: /metrics in
-// Prometheus text format, /debug/vars as expvar-style JSON, and the
-// standard net/http/pprof endpoints. One server per session, torn down
-// with it.
+// Prometheus text format, /debug/vars as expvar-style JSON with the
+// session registry under "encag", and the standard net/http/pprof
+// endpoints. One server per session, torn down with it.
 type debugServer struct {
 	addr string
 	srv  *http.Server
@@ -33,17 +30,7 @@ func startDebugServer(addr string, reg *metrics.Registry) (*debugServer, error) 
 	if err != nil {
 		return nil, fmt.Errorf("encag: debug server listen: %w", err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/vars", debugVarsHandler(reg))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux := metrics.DebugMux(reg.WritePrometheus, "encag", func() any { return reg.Snapshot() })
 	d := &debugServer{
 		addr: ln.Addr().String(),
 		srv:  &http.Server{Handler: mux},
@@ -51,26 +38,6 @@ func startDebugServer(addr string, reg *metrics.Registry) (*debugServer, error) 
 	}
 	go d.srv.Serve(ln)
 	return d, nil
-}
-
-// debugVarsHandler renders the process's published expvars (memstats,
-// cmdline) plus the session registry under the "encag" key. The
-// registry is rendered per request rather than expvar.Publish'ed:
-// expvar has no unpublish, so publishing per-session state would leak
-// it past Close (and panic on duplicate names when sessions recycle).
-func debugVarsHandler(reg *metrics.Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		expvar.Do(func(kv expvar.KeyValue) {
-			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-		})
-		enc, err := json.Marshal(reg.Snapshot())
-		if err != nil {
-			enc = []byte("{}")
-		}
-		fmt.Fprintf(w, "%q: %s\n}\n", "encag", enc)
-	}
 }
 
 // close shuts the server down, waiting briefly for in-flight scrapes.

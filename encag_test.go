@@ -188,13 +188,17 @@ func kindTimes(tr *TraceCollector) map[TraceKind]float64 {
 // within the elapsed window.
 func TestRunTracedTimeline(t *testing.T) {
 	tr := &TraceCollector{}
-	res, err := openTest(t, Spec{Procs: 8, Nodes: 2}, WithTracer(tr)).Run(bg, "hs2", 4096)
+	s := openTest(t, Spec{Procs: 8, Nodes: 2}, WithTracer(tr))
+	res, err := s.Run(bg, "hs2", 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.SecurityOK {
 		t.Fatalf("violations: %v", res.Violations)
 	}
+	// A sender traces its send after delivering it, possibly after the
+	// receiver finished: Close drains the senders before the events are read.
+	s.Close()
 	if len(tr.Events) == 0 {
 		t.Fatal("no trace events from a traced real run")
 	}
@@ -251,6 +255,7 @@ func TestRunOverTCPTraced(t *testing.T) {
 	if wire.Truncated {
 		t.Fatal("small capture unexpectedly truncated")
 	}
+	s.Close() // drains the senders, which trace each send after its write returns
 	if len(tr.Events) == 0 {
 		t.Fatal("no trace events from a traced TCP run")
 	}

@@ -18,11 +18,12 @@ import (
 // serialized one clearly at 1KB and more modestly at 64KB, where the
 // links are already kept busy by a single op.
 //
-// The "+pipe" rows rerun the same batch on sessions opened with
+// The "tcp+pipe" rows rerun the same batch on TCP sessions opened with
 // WithPipelining(true), so sealed segments stream onto the wire inside
-// each collective. They only appear at sizes past the streaming
-// threshold; comparing a "+pipe" row against its plain counterpart is
-// the pipelined-vs-serial wall-clock study EXPERIMENTS.md documents.
+// each collective (chan sessions ignore the option). They only appear
+// at sizes past the streaming threshold; comparing a "+pipe" row against
+// its plain counterpart is the pipelined-vs-serial wall-clock study
+// EXPERIMENTS.md documents.
 //
 // Beyond the c-ring baseline, the table carries hierarchical rows
 // (hs1, hs2): their inter-node exchanges send multi-chunk messages, so
@@ -50,7 +51,7 @@ func Overlap(opts Options) ([]Table, error) {
 		Notes: []string{
 			"serialized: N back-to-back Session.Run calls on one session",
 			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), then WaitAll",
-			"engine '+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
+			"engine 'tcp+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
 			"hs1/hs2 rows send multi-chunk inter-node messages, so their '+pipe' rows interleave several per-chunk streams per envelope",
 			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization",
 			"wall clock on this host; loopback sockets, real AES-GCM",
@@ -63,15 +64,12 @@ func Overlap(opts Options) ([]Table, error) {
 		piped bool
 	}{
 		{"chan", encag.EngineChan, "c-ring", false},
-		{"chan+pipe", encag.EngineChan, "c-ring", true},
 		{"tcp", encag.EngineTCP, "c-ring", false},
 		{"tcp+pipe", encag.EngineTCP, "c-ring", true},
 		{"chan", encag.EngineChan, "hs1", false},
-		{"chan+pipe", encag.EngineChan, "hs1", true},
 		{"tcp", encag.EngineTCP, "hs1", false},
 		{"tcp+pipe", encag.EngineTCP, "hs1", true},
 		{"chan", encag.EngineChan, "hs2", false},
-		{"chan+pipe", encag.EngineChan, "hs2", true},
 		{"tcp", encag.EngineTCP, "hs2", false},
 		{"tcp+pipe", encag.EngineTCP, "hs2", true},
 	}

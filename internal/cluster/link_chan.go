@@ -55,7 +55,8 @@ type Adversary func(src, dst int, msg block.Message) block.Message
 // is the delivery path itself. Every job carries its operation, the
 // link checks the operation is still registered at delivery time, and
 // messages of retired operations are dropped — the same straggler
-// semantics as the TCP demux.
+// semantics as the TCP demux. Every message travels whole: the chan
+// link does not stream segments.
 type chanLink struct {
 	lm        *liveMetrics
 	reg       *opRegistry
@@ -77,10 +78,6 @@ func (l *chanLink) live(o *opRuntime) bool {
 // dropped or partially written frame is simply lost in transit) and
 // delivers into the operation's unbounded inbox.
 func (l *chanLink) send(src int, job sendJob) {
-	if job.plan != nil {
-		l.sendStream(src, job)
-		return
-	}
 	o := job.op
 	msg := job.msg
 	if l.adversary != nil && !o.spec.SameNode(src, job.dst) {
@@ -95,10 +92,7 @@ func (l *chanLink) send(src int, job sendJob) {
 		if v.Drop || v.PartialKeep >= 0 {
 			// The channel transport has no connection to re-establish:
 			// the message is lost in transit and the receiver's bounded
-			// recv deadline turns the loss into a structured error. A
-			// dropped message reserves no delivery number, so later
-			// messages of the pair still deliver — the loss starves
-			// exactly the receive that waited for it.
+			// recv deadline turns the loss into a structured error.
 			return
 		}
 	}
@@ -116,107 +110,6 @@ func (l *chanLink) send(src int, job sendJob) {
 	o.deliver(src, job.dst, msg)
 	if o.wt.active() {
 		o.wt.emit(src, TraceSend, start, msg.WireLen(), job.dst)
-	}
-}
-
-// sendStream delivers one pipelined message chunk by chunk: each
-// qualifying sealed chunk travels as a per-chunk segment stream —
-// segments sealed on demand, copied into the receive stream's slot (the
-// channel transport's "wire") and handed to the op-wide open window, so
-// AES-GCM sealing of segment i+1 overlaps authenticating segment i —
-// while the remaining chunks are delivered whole into their assembly
-// slots. Fault verdicts apply per segment (and per inline chunk): a
-// stalled one delays the stream, a corrupted one flips a byte in the
-// receiver's copy (the sender's blob stays intact, as with a real
-// wire), and a dropped one leaves its slot unfilled — the message never
-// completes and the receiver's bounded recv deadline turns the loss
-// into a structured error, exactly like a dropped whole message.
-func (l *chanLink) sendStream(src int, job sendJob) {
-	o := job.op
-	if !l.live(o) {
-		return
-	}
-	l.lm.pipeMsgs.Inc()
-	mr := o.newMsgRecv(src, job.dst, len(job.plan.chunks), func() {})
-	for ci, cs := range job.plan.chunks {
-		if o.isAborted() {
-			return
-		}
-		if cs.stream == nil {
-			// Inline chunk: delivered whole into its assembly slot, under
-			// a chunk-level fault verdict.
-			c := cs.chunk
-			var start float64
-			if o.wt.active() {
-				start = o.wt.now()
-			}
-			payload := c.Payload
-			if o.inj != nil {
-				v := o.inj.SendFrame(src, job.dst)
-				o.inj.Sleep(v.Stall)
-				if v.Drop || v.PartialKeep >= 0 {
-					continue // lost in transit: the slot stays unfilled
-				}
-				if v.CorruptAt >= 0 && len(payload) > 0 {
-					payload = append([]byte(nil), payload...)
-					payload[v.CorruptAt%len(payload)] ^= 0x40
-				}
-			}
-			l.lm.countSent(src, job.dst, int64(len(payload)))
-			l.lm.countRecv(src, job.dst, int64(len(payload)))
-			l.lm.pipeInlineChunks.Inc()
-			mr.setChunk(uint32(ci), block.Chunk{Enc: c.Enc, Blocks: c.Blocks, Tag: c.Tag, Payload: payload})
-			if o.wt.active() {
-				o.wt.emit(src, TraceSend, start, int64(len(payload)), job.dst)
-			}
-			continue
-		}
-		st := cs.stream
-		k := st.K()
-		sr, err := o.newChunkStream(mr, uint32(ci), st.Header(), cs.chunk.Blocks, cs.chunk.Tag)
-		if err != nil {
-			o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
-			return
-		}
-		l.lm.pipeStreams.Inc()
-		for i := 0; i < k; i++ {
-			if o.isAborted() {
-				return
-			}
-			seg, err := st.Segment(i)
-			if err != nil {
-				o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
-				return
-			}
-			var start float64
-			if o.wt.active() {
-				start = o.wt.now()
-			}
-			corrupt := -1
-			if o.inj != nil {
-				v := o.inj.SendFrame(src, job.dst)
-				o.inj.Sleep(v.Stall)
-				if v.Drop || v.PartialKeep >= 0 {
-					continue // lost in transit: the slot stays unfilled
-				}
-				if v.CorruptAt >= 0 {
-					corrupt = v.CorruptAt % len(seg)
-				}
-			}
-			slot := sr.os.SegmentSlot(i)
-			copy(slot, seg)
-			if corrupt >= 0 {
-				slot[corrupt] ^= 0x40
-			}
-			l.lm.countSent(src, job.dst, int64(len(seg)))
-			l.lm.countRecv(src, job.dst, int64(len(seg)))
-			l.lm.pipeSegmentsSent.Inc()
-			l.lm.pipeSegmentsRecv.Inc()
-			sr.accept(i)
-			if o.wt.active() {
-				o.wt.emit(src, TraceSend, start, int64(len(seg)), job.dst)
-			}
-		}
 	}
 }
 

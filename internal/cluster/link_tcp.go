@@ -115,9 +115,10 @@ const (
 // run-to-run, even with frames of concurrent operations interleaved on
 // the link.
 type tcpLink struct {
-	mu   sync.Mutex
-	conn net.Conn
-	seq  uint64 // next frame sequence number
+	mu     sync.Mutex
+	conn   net.Conn
+	closed bool   // set by close: a conn dialed after it is closed at once
+	seq    uint64 // next frame sequence number
 	// inj is the fault injector of the operation whose frame is being
 	// written right now. The send scheduler arms it before each frame;
 	// the link's fault.Conn wrapper re-resolves it per frame, so one
@@ -138,9 +139,17 @@ func (l *tcpLink) get() net.Conn {
 	return l.conn
 }
 
-// replace installs a freshly dialed conn, closing the previous one.
+// replace installs a freshly dialed conn, closing the previous one. A
+// sender can dial before teardown closes the listener and install the
+// conn after teardown closed the link; that conn is closed at once, or
+// its reader would wait on it forever and the mesh would never close.
 func (l *tcpLink) replace(c net.Conn) {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		c.Close()
+		return
+	}
 	old := l.conn
 	l.conn = c
 	l.mu.Unlock()
@@ -166,6 +175,7 @@ func (l *tcpLink) issued() uint64 {
 func (l *tcpLink) close() {
 	l.mu.Lock()
 	c := l.conn
+	l.closed = true
 	l.mu.Unlock()
 	if c != nil {
 		c.Close()
@@ -800,8 +810,8 @@ func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, 
 // first sub-frame's message metadata), then to the per-chunk receive
 // stream the sub-frame's chunk index selects (created from that chunk's
 // first-frame metadata), reads the payload directly into the stream's
-// in-blob slot — no staging copy — and hands the filled segment to the
-// op-wide open window. Inline sub-frames carry a whole small chunk and
+// in-blob slot — no staging copy — and opens the filled segment on this
+// reader goroutine. Inline sub-frames carry a whole small chunk and
 // are slotted into the message assembly directly. Protocol violations
 // inside a parseable sub-frame (unknown stream, out-of-range chunk,
 // duplicate or mis-sized segment, malformed inline blob) fail the
@@ -840,7 +850,7 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 			m.lm.stragglers.Inc()
 			return discard()
 		}
-		mr = o.newMsgRecv(src, dst, int(sf.MsgChunks), func() { o.streams.drop(key) })
+		mr = o.newMsgRecv(key, int(sf.MsgChunks))
 		o.streams.put(key, mr)
 	}
 	if sf.Inline {
@@ -874,7 +884,7 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 		}
 		return nil
 	}
-	sr := mr.chunkStream(sf.Chunk)
+	sr := mr.streams[sf.Chunk]
 	if sr == nil {
 		if sf.Meta == nil {
 			// The chunk's stream state is gone or its metadata sub-frame
@@ -907,20 +917,27 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 }
 
 // newChunkStream sets up the per-chunk receive stream a chunk's first
-// sub-frame announces, checking the sub-frame against the seal header
-// it carries and registering the stream under its chunk index.
+// sub-frame announces: the open stream (blob and plaintext allocated
+// once) built from the seal header the sub-frame carries, delivering
+// the assembled chunk into its slot of mr. It checks the sub-frame
+// against that header and registers the stream under its chunk index.
+// An authentication failure on any segment fails the whole message —
+// and so the operation — exactly once.
 func newChunkStream(o *opRuntime, mr *msgRecv, sf wire.SegFrame) (*streamRecv, error) {
 	if len(sf.Meta.Header) == 0 {
 		return nil, fmt.Errorf("stream %d chunk %d metadata carries no seal header", sf.Stream, sf.Chunk)
 	}
-	sr, err := o.newChunkStream(mr, sf.Chunk, sf.Meta.Header, sf.Meta.Blocks, sf.Meta.Tag)
+	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(block.EncodeHeader(sf.Meta.Blocks)))
 	if err != nil {
 		return nil, err
 	}
-	if sr.os.K() != int(sf.Count) {
+	if os.K() != int(sf.Count) {
 		return nil, fmt.Errorf("stream %d chunk %d header declares %d segments, sub-frame says %d",
-			sf.Stream, sf.Chunk, sr.os.K(), sf.Count)
+			sf.Stream, sf.Chunk, os.K(), sf.Count)
 	}
+	sr := newStreamRecv(os, sf.Meta.Blocks, sf.Meta.Tag, o.lm,
+		func(c block.Chunk) { mr.setChunk(sf.Chunk, c) },
+		mr.failOnce)
 	if !mr.addStream(sf.Chunk, sr) {
 		return nil, fmt.Errorf("stream %d chunk %d duplicated or out of range", sf.Stream, sf.Chunk)
 	}

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -125,5 +127,23 @@ func TestReconnectedPairReadInSendOrder(t *testing.T) {
 	}
 	if d := m.lm.dedupDrops.Value(); d != 0 {
 		t.Fatalf("%d of the replaced conn's frames dropped as duplicates: the new conn was read first", d)
+	}
+}
+
+// A conn a sender dialed during teardown and installed after the link
+// closed must be closed at once; otherwise its reader waits on it forever
+// and Session.Close hangs waiting for the readers.
+func TestLinkReplaceAfterCloseClosesConn(t *testing.T) {
+	var l tcpLink
+	l.close()
+	a, b := net.Pipe()
+	defer b.Close()
+	l.replace(a)
+	if l.get() != nil {
+		t.Fatal("closed link adopted a new conn")
+	}
+	a.SetWriteDeadline(time.Now().Add(time.Second)) // an open pipe blocks: nobody reads b
+	if _, err := a.Write([]byte{1}); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("write on the discarded conn = %v, want it closed", err)
 	}
 }

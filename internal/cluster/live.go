@@ -43,8 +43,6 @@ const (
 	MetricPipeSegmentsSent   = "encag_pipeline_segments_sent_total"
 	MetricPipeSegmentsRecv   = "encag_pipeline_segments_recv_total"
 	MetricPipeInlineOpens    = "encag_pipeline_inline_opens_total"
-	MetricPipePendingOpens   = "encag_pipeline_pending_opens"
-	MetricPipeWindow         = "encag_pipeline_segment_window"
 	MetricPipeStreamSegments = "encag_pipeline_stream_segments"
 )
 
@@ -93,8 +91,6 @@ type liveMetrics struct {
 	pipeSegmentsSent   *metrics.Counter
 	pipeSegmentsRecv   *metrics.Counter
 	pipeInlineOpens    *metrics.Counter
-	pipePendingOpens   *metrics.Gauge
-	pipeWindow         *metrics.Gauge
 	pipeStreamSegments *metrics.Histogram
 }
 
@@ -131,9 +127,7 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.pipeInlineChunks = reg.Counter(MetricPipeInlineChunks, "Chunks shipped whole inside pipelined messages (too small to stream).")
 	lm.pipeSegmentsSent = reg.Counter(MetricPipeSegmentsSent, "Sealed segments put on the wire by pipelined sends.")
 	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
-	lm.pipeInlineOpens = reg.Counter(MetricPipeInlineOpens, "Segment opens forced inline by a full segment window (backpressure).")
-	lm.pipePendingOpens = reg.Gauge(MetricPipePendingOpens, "Segment opens currently in flight inside receive windows.")
-	lm.pipeWindow = reg.Gauge(MetricPipeWindow, "Configured per-stream in-flight segment window (0: pipelining off).")
+	lm.pipeInlineOpens = reg.Counter(MetricPipeInlineOpens, "Segments opened on the connection reader as they landed (every streamed segment).")
 	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
 
 	lm.framesSentTotal = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.")
@@ -238,18 +232,19 @@ type SessionSnapshot struct {
 	BytesRecv  int64
 
 	// Pipeline* fields describe intra-collective segment streaming
-	// (zero everywhere when pipelining is off). PipelineMsgs counts
-	// pipelined messages; PipelineStreams counts their per-chunk
-	// segment streams, so Streams > Msgs implies multi-chunk messages
-	// streamed; PipelineInlineChunks counts the chunks shipped whole
-	// inside pipelined messages.
+	// (zero everywhere unless a TCP session has pipelining on).
+	// PipelineMsgs counts pipelined messages; PipelineStreams counts
+	// their per-chunk segment streams, so Streams > Msgs implies
+	// multi-chunk messages streamed; PipelineInlineChunks counts the
+	// chunks shipped whole inside pipelined messages.
+	// PipelineInlineOpens counts every segment opened: each one opens on
+	// its connection's reader goroutine as it lands.
 	PipelineStreams      int64
 	PipelineMsgs         int64
 	PipelineInlineChunks int64
 	PipelineSegmentsSent int64
 	PipelineSegmentsRecv int64
 	PipelineInlineOpens  int64
-	PipelineWindow       int
 
 	// PipelineStreamSegments distributes segments per completed
 	// receive stream.
@@ -319,7 +314,6 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
 	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
 	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
-	snap.PipelineWindow = int(lm.pipeWindow.Value())
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
 	if sn := s.tr.sniffer(); sn != nil {
 		snap.WireBytes = sn.Total()

@@ -19,10 +19,10 @@ import (
 var ErrMeshDown = errors.New("cluster: transport mesh is down")
 
 // sendJob is one message awaiting its turn on a rank's send scheduler.
-// A pipelined send carries a per-message send plan instead of a
-// materialized message: the link seals and ships one segment at a time
-// — interleaving the message's per-chunk streams with its inline chunks
-// — overlapping crypto with transport.
+// A pipelined send (TCP only) carries a per-message send plan instead
+// of a materialized message: the link seals and ships one segment at a
+// time — interleaving the message's per-chunk streams with its inline
+// chunks — overlapping crypto with transport.
 type sendJob struct {
 	op  *opRuntime
 	dst int

@@ -16,22 +16,15 @@ import (
 // the run reports the primary failure instead of these.
 const errRunAborted = "cluster: run aborted by failure on another rank"
 
-// envelope is one delivered message in a rank's inbox. seq is the
-// message's delivery-order number within its (operation, src->dst)
-// pair, reserved at delivery (TCP: frame admission; chan: the
-// scheduler's delivery decision). Pipelined streams reserve their
-// number when the stream starts but push only once every segment has
-// opened, so recvFrom consumes each pair's messages in reserved order
-// and an asynchronously completing stream is never overtaken.
+// envelope is one delivered message in a rank's inbox.
 type envelope struct {
 	src int
-	seq uint64
 	msg block.Message
 }
 
 // opRuntime is the per-operation execution state of one collective on a
 // chan or tcp session, and the only non-sim engine: fresh unbounded
-// inboxes, delivery reordering, shared memory, barriers, audit, fault
+// inboxes, per-source stashes, shared memory, barriers, audit, fault
 // injector and failure state, keyed by the operation id every message
 // carries. It decides how a rank's receives are ordered, failed and
 // unblocked; the session's link only moves jobs from a rank's send
@@ -42,14 +35,12 @@ type opRuntime struct {
 	spec  Spec
 	slr   *seal.Sealer
 	id    uint32
-	pipe  bool // segment streaming on (off: not enabled, or the link's adversary taps messages)
+	pipe  bool // segment streaming on (TCP sessions with pipelining enabled)
 	lm    *liveMetrics
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
-	inboxes []*opInbox                   // one unbounded inbox per rank
-	pend    [][]map[uint64]block.Message // [rank][src] out-of-order arrivals by delivery seq
-	next    [][]uint64                   // [rank][src] next delivery seq expected
-	arrSeq  []atomic.Uint64              // [src*P+dst] delivery-order allocator
+	inboxes []*opInbox        // one unbounded inbox per rank
+	stash   [][]block.Message // [rank*P+src] arrivals set aside while rank waited on another source
 	shm     []*opShm
 	bars    []*opBarrier
 
@@ -62,14 +53,10 @@ type opRuntime struct {
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
 	abortOnce sync.Once
 
-	// streamSeq allocates sender-side stream ids; streams is the demux
-	// table a wire-based link keeps of this operation's in-flight
-	// pipelined messages; openWin is the op-wide budget of
-	// concurrently-opening segments shared by all of the op's per-chunk
-	// receive streams.
+	// streamSeq allocates sender-side stream ids; streams is the TCP
+	// demux table of this operation's in-flight pipelined messages.
 	streamSeq atomic.Uint32
 	streams   streamTable
-	openWin   *openWindow
 }
 
 // newOp builds the runtime for one collective — over a (possibly
@@ -85,9 +72,7 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		lm:      t.lm,
 		sendQ:   t.sendQ,
 		inboxes: make([]*opInbox, spec.P),
-		pend:    make([][]map[uint64]block.Message, spec.P),
-		next:    make([][]uint64, spec.P),
-		arrSeq:  make([]atomic.Uint64, spec.P*spec.P),
+		stash:   make([][]block.Message, spec.P*spec.P),
 		shm:     make([]*opShm, spec.N),
 		bars:    make([]*opBarrier, spec.N),
 		audit:   &SecurityAudit{},
@@ -96,12 +81,9 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
 	}
-	o.openWin = newOpenWindow(DefaultSegmentWindow)
 	o.recvTimer = make([]*time.Timer, spec.P)
 	for r := 0; r < spec.P; r++ {
 		o.inboxes[r] = newOpInbox()
-		o.pend[r] = make([]map[uint64]block.Message, spec.P)
-		o.next[r] = make([]uint64, spec.P)
 	}
 	for n := 0; n < spec.N; n++ {
 		o.shm[n] = &opShm{m: make(map[string]block.Message)}
@@ -111,54 +93,36 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 	return o
 }
 
-// nextEnvSeq reserves the next delivery-order number of the src->dst
-// pair within this operation.
-func (o *opRuntime) nextEnvSeq(src, dst int) uint64 {
-	return o.arrSeq[src*o.spec.P+dst].Add(1) - 1
-}
-
-// deliver hands a whole message that arrived from src to dst's inbox,
-// at the pair's next delivery-order number.
+// deliver hands a whole message that arrived from src to dst's inbox.
+// Each src->dst pair has one delivering goroutine — the chan sender of
+// src, or the pair's TCP reader (its readers run one after another) —
+// which delivers the pair's messages in send order, streamed ones
+// included, so every inbox is FIFO per source.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
-	o.inboxes[dst].push(envelope{src: src, seq: o.nextEnvSeq(src, dst), msg: msg})
+	o.inboxes[dst].push(envelope{src: src, msg: msg})
 }
 
-// newMsgRecv sets up the receive side of an incoming pipelined message
-// of total chunks: the chunk assembly slots, the delivery-order slot
-// the finished message will occupy, and the completion/failure hooks;
-// retire runs first on either outcome. The slot is reserved now — later
-// whole messages from the same sender take later numbers, so the
-// asynchronously completing message cannot be overtaken in the
-// receiver's arrival order. The message delivers into the operation's
-// inbox only when every chunk has assembled; one bad chunk fails the
-// operation closed and the transport lives on.
-func (o *opRuntime) newMsgRecv(src, dst, total int, retire func()) *msgRecv {
-	seq := o.nextEnvSeq(src, dst)
-	return newMsgRecv(total,
-		func(msg block.Message) {
-			retire()
-			o.inboxes[dst].push(envelope{src: src, seq: seq, msg: msg})
+// newMsgRecv sets up the receive side of the incoming pipelined message
+// k of total chunks: the chunk assembly slots and the completion and
+// failure hooks, both of which first drop k from the stream table. The
+// message delivers into the operation's inbox once every chunk has
+// assembled; one bad chunk fails the operation closed and the transport
+// lives on.
+func (o *opRuntime) newMsgRecv(k streamKey, total int) *msgRecv {
+	return &msgRecv{
+		deliver: func(msg block.Message) {
+			o.streams.drop(k)
+			o.deliver(k.src, k.dst, msg)
 		},
-		func(err error) {
-			retire()
-			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "open", Err: err})
-		})
-}
-
-// newChunkStream sets up one per-chunk receive stream of a pipelined
-// message from the chunk's seal header and metadata: the open stream
-// (blob and plaintext allocated once), drawing on the operation's
-// shared open window, delivering the assembled chunk into slot ci of
-// its message. An authentication failure on any segment fails the whole
-// message — and so the operation — exactly once.
-func (o *opRuntime) newChunkStream(mr *msgRecv, ci uint32, header []byte, blocks []block.Block, tag int) (*streamRecv, error) {
-	os, err := o.slr.NewOpenStream(header, o.aad(block.EncodeHeader(blocks)))
-	if err != nil {
-		return nil, err
+		fail: func(err error) {
+			o.streams.drop(k)
+			o.failAsync(&RankError{Rank: k.dst, Peer: k.src, Op: "open", Err: err})
+		},
+		chunks:    make([]block.Chunk, total),
+		filled:    make([]bool, total),
+		remaining: total,
+		streams:   make(map[uint32]*streamRecv),
 	}
-	return newStreamRecv(os, blocks, tag, o.openWin, o.lm,
-		func(c block.Chunk) { mr.setChunk(ci, c) },
-		func(err error) { mr.failOnce(err) }), nil
 }
 
 // abort unwinds this operation only: ranks blocked in receives,
@@ -261,10 +225,10 @@ func (recvReq) isRequest() {}
 // immediately — the scheduler interleaves the streams of concurrent
 // operations fairly, applies this operation's fault verdicts in the
 // rank's program order per pair (keeping plans deterministic), and a
-// blocked link never stalls the rank goroutine. A message with at least
-// one sealed chunk that qualifies for pipelining (enough segments) is
-// enqueued as a per-message stream plan; anything else is materialized
-// and travels whole.
+// blocked link never stalls the rank goroutine. On a pipelined TCP
+// session, a message with at least one sealed chunk that qualifies for
+// streaming (enough segments) is enqueued as a per-message stream plan;
+// anything else is materialized and travels whole.
 func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	o.audit.record(o.spec, p.rank, dst, msg)
 	if o.isAborted() {
@@ -306,17 +270,14 @@ func (o *opRuntime) wait(p *Proc, reqs []Request) []block.Message {
 	return out
 }
 
-// recvFrom returns the next message from src to rank, buffering messages
-// from other sources (or later deliveries from src) that arrive in
-// between. Deliveries of each directed pair are consumed strictly in
-// their reserved order: a pipelined stream completes asynchronously, so
-// a later whole message can land in the inbox first — it is stashed
-// until the stream's slot is filled. The wait is bounded by the recv
+// recvFrom returns the next message from src to rank, stashing messages
+// from other sources that arrive in between. The inbox is FIFO per
+// source (see deliver), so the stash is too, and rank consumes each
+// source's messages in send order. The wait is bounded by the recv
 // deadline: a message that never arrives (lost to a fault, peer death)
 // surfaces as a structured recv error instead of a deadlock.
 func (o *opRuntime) recvFrom(rank, src int) block.Message {
-	pend := o.pend[rank]
-	next := o.next[rank]
+	stash := o.stash[rank*o.spec.P : (rank+1)*o.spec.P] // only rank's goroutine touches its row
 	box := o.inboxes[rank]
 	var deadline <-chan time.Time // armed when the receive first has to wait
 	defer func() {
@@ -325,20 +286,15 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 		}
 	}()
 	for {
-		if msg, ok := pend[src][next[src]]; ok {
-			delete(pend[src], next[src])
-			next[src]++
-			return msg
+		if q := stash[src]; len(q) > 0 {
+			stash[src] = q[1:]
+			return q[0]
 		}
 		if env, ok := box.pop(); ok {
-			if env.src == src && env.seq == next[src] {
-				next[src]++
+			if env.src == src {
 				return env.msg
 			}
-			if pend[env.src] == nil {
-				pend[env.src] = make(map[uint64]block.Message)
-			}
-			pend[env.src][env.seq] = env.msg
+			stash[env.src] = append(stash[env.src], env.msg)
 			continue
 		}
 		if deadline == nil {

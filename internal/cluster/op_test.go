@@ -39,28 +39,30 @@ func plainMsg(rank int, fill byte) block.Message {
 
 func payloadOf(msg block.Message) byte { return msg.Chunks[0].Payload[0] }
 
-// A pipelined message reserves its delivery slot when it starts and
-// lands when its last chunk assembles; whole messages that arrive in
-// between — from the same sender or another — must not overtake it.
-func TestOpRuntimeReceivesInReservedOrder(t *testing.T) {
+// A receive from one source stashes what other sources sent in the
+// meantime, and every source's messages come out in the order they were
+// delivered — stashed or not.
+func TestOpRuntimeReceivesPerSourceFIFO(t *testing.T) {
 	o := newBareOp(Spec{P: 3, N: 1}, time.Second)
-	stream := o.newMsgRecv(1, 0, 1, func() {}) // reserves 1->0 slot 0
-	o.deliver(1, 0, plainMsg(1, 'B'))          // 1->0 slot 1, pushed first
 	o.deliver(2, 0, plainMsg(2, 'C'))
+	o.deliver(2, 0, plainMsg(2, 'D'))
+	o.deliver(1, 0, plainMsg(1, 'A'))
 	got := recovered(func() {
-		if b := payloadOf(o.recvFrom(0, 1)); b != 'A' {
-			t.Errorf("first receive from 1 = %q, want the reserved stream 'A'", b)
+		for _, want := range []byte{'A', 'B'} {
+			if b := payloadOf(o.recvFrom(0, 1)); b != want {
+				t.Errorf("receive from 1 = %q, want %q", b, want)
+			}
 		}
 	})
-	stream.setChunk(0, plainMsg(1, 'A').Chunks[0])
+	o.deliver(2, 0, plainMsg(2, 'E'))
+	o.deliver(1, 0, plainMsg(1, 'B'))
 	if rec := <-got; rec != nil {
 		t.Fatalf("recvFrom panicked: %v", rec)
 	}
-	if b := payloadOf(o.recvFrom(0, 1)); b != 'B' {
-		t.Fatalf("second receive from 1 = %q, want 'B'", b)
-	}
-	if b := payloadOf(o.recvFrom(0, 2)); b != 'C' {
-		t.Fatalf("receive from 2 = %q, want 'C' (stashed while waiting on 1)", b)
+	for _, want := range []byte{'C', 'D', 'E'} {
+		if b := payloadOf(o.recvFrom(0, 2)); b != want {
+			t.Fatalf("receive from 2 = %q, want %q (stashed while waiting on 1)", b, want)
+		}
 	}
 }
 

@@ -1,15 +1,14 @@
-// Intra-collective pipelining: the chan and tcp engines can overlap
-// crypto with transport inside one operation by streaming a chunk's
-// sealed segments onto the wire one at a time (internal/seal's
-// SealStream/OpenStream, internal/wire's segment sub-frames). A
-// multi-chunk message becomes one envelope sequence interleaving a
-// per-chunk segment stream for every qualifying sealed chunk, plus
-// inline sub-frames for the chunks too small to stream; the receiver
-// assembles the chunks back into the message in order. This file holds
-// the engine-shared pieces: the pipelining constants, the
-// per-message send plan, the receive-side message and stream assembly
-// with the op-wide open window, and the in-flight stream table of the
-// TCP demux.
+// Intra-collective pipelining: the tcp engine can overlap crypto with
+// transport inside one operation by streaming a chunk's sealed segments
+// onto the wire one at a time (internal/seal's SealStream/OpenStream,
+// internal/wire's segment sub-frames). A multi-chunk message becomes one
+// envelope sequence interleaving a per-chunk segment stream for every
+// qualifying sealed chunk, plus inline sub-frames for the chunks too
+// small to stream; the receiver assembles the chunks back into the
+// message in order. This file holds the pieces the TCP link builds on:
+// the streaming threshold, the per-message send plan, and the
+// receive-side message and stream assembly with the op's in-flight
+// stream table.
 package cluster
 
 import (
@@ -19,22 +18,12 @@ import (
 	"encag/internal/seal"
 )
 
-const (
-	// DefaultSegmentWindow is the receive-side in-flight segment window:
-	// how many segments of one operation may be opening concurrently
-	// before further arrivals are opened inline on the transport
-	// goroutine — which stops it reading, exerting backpressure on the
-	// sender. The window is an op-wide budget: all concurrent per-chunk
-	// streams of an operation draw from the same window, so a
-	// many-chunk message cannot multiply that concurrency.
-	DefaultSegmentWindow = 4
-	// defaultMinStreamBytes is the smallest chunk plaintext worth
-	// streaming; below it the fixed per-sub-frame overhead outweighs the
-	// overlap. The threshold is compared against the chunk's plaintext
-	// length (block header sum), never the sealed blob length, so the
-	// qualification does not drift with seal framing overhead.
-	defaultMinStreamBytes = 16 << 10
-)
+// defaultMinStreamBytes is the smallest chunk plaintext worth
+// streaming; below it the fixed per-sub-frame overhead outweighs the
+// overlap. The threshold is compared against the chunk's plaintext
+// length (block header sum), never the sealed blob length, so the
+// qualification does not drift with seal framing overhead.
+const defaultMinStreamBytes = 16 << 10
 
 // chunkSend is one chunk's entry in a send plan: either a segment
 // stream (stream non-nil; chunk carries the metadata) or an inline
@@ -129,35 +118,6 @@ func materializeMessage(msg block.Message) (block.Message, error) {
 	return msg, nil
 }
 
-// openWindow is an operation's shared budget of concurrently-opening
-// segments. Every receive stream of the op draws from the same window,
-// so N concurrent per-chunk streams cannot multiply the configured
-// concurrency N-fold; arrivals that cannot acquire a slot are opened
-// inline on the transport goroutine, preserving backpressure.
-type openWindow struct {
-	mu   sync.Mutex
-	max  int
-	used int
-}
-
-func newOpenWindow(max int) *openWindow { return &openWindow{max: max} }
-
-func (w *openWindow) tryAcquire() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.used >= w.max {
-		return false
-	}
-	w.used++
-	return true
-}
-
-func (w *openWindow) release() {
-	w.mu.Lock()
-	w.used--
-	w.mu.Unlock()
-}
-
 // streamKey identifies one in-flight receive message on the TCP demux:
 // stream ids are allocated per operation, so the (src, dst, id) triple
 // is unique among its live pipelined messages; the chunk index in each
@@ -168,7 +128,8 @@ type streamKey struct {
 }
 
 // streamTable tracks the in-flight pipelined messages the TCP demux is
-// assembling for one operation. The zero value is an empty table.
+// assembling for one operation; the readers of all the op's pairs share
+// it. The zero value is an empty table.
 type streamTable struct {
 	mu sync.Mutex
 	m  map[streamKey]*msgRecv
@@ -198,14 +159,14 @@ func (t *streamTable) drop(k streamKey) {
 // msgRecv assembles one incoming pipelined message: chunks arrive as
 // per-chunk segment streams and inline sub-frames, in any interleaving
 // the sender chose, and are slotted by chunk index. When every chunk is
-// filled the whole message is delivered at the envelope sequence the
-// engine reserved at creation; the first failure on any chunk fails the
-// message exactly once.
+// filled the whole message is delivered; the first failure on any chunk
+// fails the message exactly once. A msgRecv and its streams belong to
+// the reader goroutine of their src->dst pair (the pair's readers run
+// one after another), so they need no lock.
 type msgRecv struct {
 	deliver func(block.Message)
 	fail    func(error)
 
-	mu        sync.Mutex
 	chunks    []block.Chunk
 	filled    []bool
 	remaining int
@@ -213,32 +174,11 @@ type msgRecv struct {
 	failed    bool
 }
 
-func newMsgRecv(n int, deliver func(block.Message), fail func(error)) *msgRecv {
-	return &msgRecv{
-		deliver:   deliver,
-		fail:      fail,
-		chunks:    make([]block.Chunk, n),
-		filled:    make([]bool, n),
-		remaining: n,
-		streams:   make(map[uint32]*streamRecv),
-	}
-}
-
-// chunkStream returns the live per-chunk receive stream for chunk ci,
-// or nil when none has been registered (or it has already delivered).
-func (mr *msgRecv) chunkStream(ci uint32) *streamRecv {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
-	return mr.streams[ci]
-}
-
 // addStream registers a per-chunk receive stream. It reports false for
 // an out-of-range chunk index, a chunk already filled, or a chunk that
 // already has a live stream — all protocol violations, since the
 // sequence gates dedup transport-level resends.
 func (mr *msgRecv) addStream(ci uint32, sr *streamRecv) bool {
-	mr.mu.Lock()
-	defer mr.mu.Unlock()
 	if int(ci) >= len(mr.chunks) || mr.filled[ci] {
 		return false
 	}
@@ -252,25 +192,20 @@ func (mr *msgRecv) addStream(ci uint32, sr *streamRecv) bool {
 // setChunk fills chunk ci, delivering the assembled message when it was
 // the last one outstanding. It reports false for an out-of-range index
 // or a duplicate fill (protocol violations); fills after a failure are
-// absorbed silently so a late-opening sibling stream cannot resurrect a
-// failed message.
+// absorbed silently so a later sibling chunk cannot resurrect a failed
+// message.
 func (mr *msgRecv) setChunk(ci uint32, c block.Chunk) bool {
-	mr.mu.Lock()
 	if mr.failed {
-		mr.mu.Unlock()
 		return true
 	}
 	if int(ci) >= len(mr.chunks) || mr.filled[ci] {
-		mr.mu.Unlock()
 		return false
 	}
 	mr.chunks[ci] = c
 	mr.filled[ci] = true
 	delete(mr.streams, ci)
 	mr.remaining--
-	done := mr.remaining == 0
-	mr.mu.Unlock()
-	if done {
+	if mr.remaining == 0 {
 		mr.deliver(block.Message{Chunks: mr.chunks})
 	}
 	return true
@@ -279,48 +214,40 @@ func (mr *msgRecv) setChunk(ci uint32, c block.Chunk) bool {
 // failOnce invokes the failure hook exactly once, no matter how many of
 // the message's chunk streams fail.
 func (mr *msgRecv) failOnce(err error) {
-	mr.mu.Lock()
 	if mr.failed {
-		mr.mu.Unlock()
 		return
 	}
 	mr.failed = true
-	mr.mu.Unlock()
 	mr.fail(err)
 }
 
 // streamRecv assembles one incoming per-chunk segment stream: the
 // transport fills segment slots as sub-frames land and calls accept,
-// which opens (authenticates + decrypts) each segment — concurrently
-// while the op-wide open window has room. Arrivals beyond the window
-// are opened inline on the transport goroutine, which stops it reading
-// and so backpressures the sender through TCP flow control (the chan
-// engine shifts the work onto its send loop, bounding the same way).
-// The first authentication failure fails the whole stream closed; once
-// every segment has opened, the assembled chunk — blob and pre-opened
+// which opens (authenticates + decrypts) each segment right there on the
+// reader goroutine — so the reader stops reading while it opens, which
+// backpressures the sender through TCP flow control. The first
+// authentication failure fails the whole stream closed; once every
+// segment has opened, the assembled chunk — blob and pre-opened
 // plaintext — is delivered.
 type streamRecv struct {
 	os      *seal.OpenStream
 	blocks  []block.Block
 	tag     int
-	win     *openWindow
 	lm      *liveMetrics
 	deliver func(block.Chunk)
 	fail    func(error)
 
-	mu     sync.Mutex
 	seen   []bool
 	done   int
 	failed bool
 }
 
-func newStreamRecv(os *seal.OpenStream, blocks []block.Block, tag int, win *openWindow,
+func newStreamRecv(os *seal.OpenStream, blocks []block.Block, tag int,
 	lm *liveMetrics, deliver func(block.Chunk), fail func(error)) *streamRecv {
 	return &streamRecv{
 		os:      os,
 		blocks:  blocks,
 		tag:     tag,
-		win:     win,
 		lm:      lm,
 		deliver: deliver,
 		fail:    fail,
@@ -332,8 +259,6 @@ func newStreamRecv(os *seal.OpenStream, blocks []block.Block, tag int, win *open
 // duplicate (a protocol violation: the sequence gates already dedup
 // transport-level resends).
 func (sr *streamRecv) markSeen(i int) (dup bool) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
 	if sr.seen[i] {
 		return true
 	}
@@ -341,58 +266,23 @@ func (sr *streamRecv) markSeen(i int) (dup bool) {
 	return false
 }
 
-// accept hands the filled segment i to the open machinery. The caller
-// must have fully filled SegmentSlot(i) first; a slot is filled and
-// opened by exactly one accept call (markSeen enforces that), so
-// distinct segments proceed concurrently on disjoint slots.
+// accept opens the filled segment i. The caller must have fully filled
+// SegmentSlot(i) first; markSeen ensures each slot is accepted once.
 func (sr *streamRecv) accept(i int) {
-	sr.mu.Lock()
 	if sr.failed {
-		sr.mu.Unlock()
 		return
 	}
-	sr.mu.Unlock()
-	if sr.win.tryAcquire() {
-		if sr.lm != nil {
-			sr.lm.pipePendingOpens.Inc()
-		}
-		go sr.open(i, true)
-		return
-	}
-	if sr.lm != nil {
-		sr.lm.pipeInlineOpens.Inc()
-	}
-	sr.open(i, false)
-}
-
-func (sr *streamRecv) open(i int, async bool) {
-	err := sr.os.OpenSegment(i)
-	if async {
-		sr.win.release()
-		if sr.lm != nil {
-			sr.lm.pipePendingOpens.Dec()
-		}
-	}
-	sr.mu.Lock()
-	if sr.failed {
-		sr.mu.Unlock()
-		return
-	}
-	if err != nil {
+	sr.lm.pipeInlineOpens.Inc()
+	if err := sr.os.OpenSegment(i); err != nil {
 		sr.failed = true
-		sr.mu.Unlock()
 		sr.fail(err)
 		return
 	}
 	sr.done++
-	complete := sr.done == sr.os.K()
-	sr.mu.Unlock()
-	if !complete {
+	if sr.done < sr.os.K() {
 		return
 	}
-	if sr.lm != nil {
-		sr.lm.pipeStreamSegments.Observe(int64(sr.os.K()))
-	}
+	sr.lm.pipeStreamSegments.Observe(int64(sr.os.K()))
 	sr.deliver(block.Chunk{
 		Enc:     true,
 		Blocks:  sr.blocks,

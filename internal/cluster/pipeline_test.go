@@ -9,6 +9,7 @@ import (
 
 	"encag/internal/block"
 	"encag/internal/fault"
+	"encag/internal/metrics"
 	"encag/internal/seal"
 )
 
@@ -45,10 +46,10 @@ func exchangeEncrypted(p *Proc, mine block.Message) block.Message {
 	return block.Concat(mine, p.DecryptAll(in))
 }
 
-func openPipelined(t *testing.T, spec Spec, kind EngineKind) *Session {
+func openPipelined(t *testing.T, spec Spec) *Session {
 	t.Helper()
 	s, err := OpenSession(spec, SessionConfig{
-		Engine:     kind,
+		Engine:     EngineTCP,
 		Pipelining: true,
 	})
 	if err != nil {
@@ -63,7 +64,7 @@ func openPipelined(t *testing.T, spec Spec, kind EngineKind) *Session {
 // bytes, so the session-lifetime sniffer stays clean.
 func TestPipelineTCPByteExact(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	s := openPipelined(t, spec, EngineTCP)
+	s := openPipelined(t, spec)
 	defer s.Close()
 	for i := 0; i < 2; i++ {
 		res, err := s.Collective(context.Background(), Op{Algo: ringEncrypted, MsgSize: pipeSize})
@@ -91,8 +92,8 @@ func TestPipelineTCPByteExact(t *testing.T) {
 	if sent != recv {
 		t.Fatalf("segments sent %d != received %d on a clean run", sent, recv)
 	}
-	if w := s.lm.pipeWindow.Value(); w != DefaultSegmentWindow {
-		t.Fatalf("segment window gauge = %d, want %d", w, DefaultSegmentWindow)
+	if opened := s.lm.pipeInlineOpens.Value(); opened != recv {
+		t.Fatalf("segments opened %d != received %d: every segment opens as it lands", opened, recv)
 	}
 	if s.Sniffer().Total() == 0 {
 		t.Fatal("sniffer captured nothing")
@@ -101,28 +102,6 @@ func TestPipelineTCPByteExact(t *testing.T) {
 		if s.Sniffer().Contains(block.FillPattern(r, pipeSize)) {
 			t.Fatalf("rank %d plaintext visible on the pipelined wire", r)
 		}
-	}
-}
-
-func TestPipelineChanByteExact(t *testing.T) {
-	spec := Spec{P: 4, N: 2, Mapping: CyclicMapping}
-	s := openPipelined(t, spec, EngineChan)
-	defer s.Close()
-	for i := 0; i < 2; i++ {
-		res, err := s.Collective(context.Background(), Op{Algo: ringEncrypted, MsgSize: pipeSize})
-		if err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-			t.Fatalf("iteration %d: %v", i, err)
-		}
-	}
-	if s.lm.pipeStreams.Value() == 0 {
-		t.Fatal("no segment streams started on the chan engine")
-	}
-	if s.lm.pipeSegmentsSent.Value() != s.lm.pipeSegmentsRecv.Value() {
-		t.Fatalf("segments sent %d != received %d on a clean run",
-			s.lm.pipeSegmentsSent.Value(), s.lm.pipeSegmentsRecv.Value())
 	}
 }
 
@@ -145,9 +124,8 @@ func joinDecrypted(origin int, dec block.Message) block.Message {
 }
 
 // Mixed traffic on one directed pair — a pipelined multi-chunk message
-// (two concurrent per-chunk streams on the same link) followed by small
-// whole-message frames — must be received in program order even though
-// the message's chunks assemble asynchronously.
+// (two per-chunk streams on the same link) followed by small
+// whole-message frames — must be received in program order.
 func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 	algo := func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
@@ -176,30 +154,25 @@ func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 		p.Wait(reqs...)
 		return block.Concat(mine, joinDecrypted(other, p.DecryptAll(first)))
 	}
-	for _, kind := range []EngineKind{EngineTCP, EngineChan} {
-		spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-		if kind == EngineChan {
-			spec.N = 1
-		}
-		s := openPipelined(t, spec, kind)
-		res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if streams, msgs := s.lm.pipeStreams.Value(), s.lm.pipeMsgs.Value(); streams != 2*msgs || msgs == 0 {
-			t.Fatalf("%v: %d per-chunk streams over %d pipelined messages, want 2 per message", kind, streams, msgs)
-		}
-		s.Close()
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
+	s := openPipelined(t, spec)
+	defer s.Close()
+	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+		t.Fatal(err)
+	}
+	if streams, msgs := s.lm.pipeStreams.Value(), s.lm.pipeMsgs.Value(); streams != 2*msgs || msgs == 0 {
+		t.Fatalf("%d per-chunk streams over %d pipelined messages, want 2 per message", streams, msgs)
 	}
 }
 
 // A multi-chunk message mixing two stream-worthy sealed chunks with one
-// tiny inline sealed chunk must arrive byte-exact on both engines, with
-// the metric families showing multiple per-chunk streams per pipelined
-// message plus the inline chunk.
+// tiny inline sealed chunk must arrive byte-exact, with the metric
+// families showing multiple per-chunk streams per pipelined message
+// plus the inline chunk.
 func TestPipelineMultiChunkByteExact(t *testing.T) {
 	const tiny = 64
 	algo := func(p *Proc, mine block.Message) block.Message {
@@ -216,39 +189,32 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 		}
 		return block.Concat(mine, joinDecrypted(other, dec))
 	}
-	for _, kind := range []EngineKind{EngineTCP, EngineChan} {
-		spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-		if kind == EngineChan {
-			spec.N = 1
-		}
-		s := openPipelined(t, spec, kind)
-		res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		s.Close() // drains the send schedulers: sender-side counts are final
-		msgs := s.lm.pipeMsgs.Value()
-		if msgs == 0 {
-			t.Fatalf("%v: no pipelined messages", kind)
-		}
-		if streams := s.lm.pipeStreams.Value(); streams != 2*msgs {
-			t.Fatalf("%v: %d per-chunk streams over %d messages, want 2 per message", kind, streams, msgs)
-		}
-		if inl := s.lm.pipeInlineChunks.Value(); inl != msgs {
-			t.Fatalf("%v: %d inline chunks over %d messages, want 1 per message", kind, inl, msgs)
-		}
-		if sent, recv := s.lm.pipeSegmentsSent.Value(), s.lm.pipeSegmentsRecv.Value(); sent != recv || sent == 0 {
-			t.Fatalf("%v: segments sent %d != received %d", kind, sent, recv)
-		}
-		if kind == EngineTCP {
-			for r := 0; r < spec.P; r++ {
-				if s.Sniffer().Contains(block.FillPattern(r, pipeSize)) {
-					t.Fatalf("rank %d plaintext visible on the pipelined wire", r)
-				}
-			}
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
+	s := openPipelined(t, spec)
+	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // drains the send schedulers: sender-side counts are final
+	msgs := s.lm.pipeMsgs.Value()
+	if msgs == 0 {
+		t.Fatal("no pipelined messages")
+	}
+	if streams := s.lm.pipeStreams.Value(); streams != 2*msgs {
+		t.Fatalf("%d per-chunk streams over %d messages, want 2 per message", streams, msgs)
+	}
+	if inl := s.lm.pipeInlineChunks.Value(); inl != msgs {
+		t.Fatalf("%d inline chunks over %d messages, want 1 per message", inl, msgs)
+	}
+	if sent, recv := s.lm.pipeSegmentsSent.Value(), s.lm.pipeSegmentsRecv.Value(); sent != recv || sent == 0 {
+		t.Fatalf("segments sent %d != received %d", sent, recv)
+	}
+	for r := 0; r < spec.P; r++ {
+		if s.Sniffer().Contains(block.FillPattern(r, pipeSize)) {
+			t.Fatalf("rank %d plaintext visible on the pipelined wire", r)
 		}
 	}
 }
@@ -265,40 +231,35 @@ func exchangeMultiChunk(p *Proc, mine block.Message) block.Message {
 }
 
 // Corrupting one segment of ONE chunk stream of a multi-chunk pipelined
-// message must fail exactly that operation closed, on both engines,
-// while the mesh survives for a clean follow-up collective. Frame 5 on
+// message must fail exactly that operation closed, while the mesh
+// survives for a clean follow-up collective. Frame 5 on
 // the 0->1 pair is the second chunk's second segment sub-frame (frames
 // 0-3 carry chunk 0, frames 4-7 chunk 1), so the fault lands inside the
 // sibling stream, not the first.
 func TestPipelineMultiChunkCorruptOneStreamFailsClosed(t *testing.T) {
-	for _, kind := range []EngineKind{EngineTCP, EngineChan} {
-		spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
-		if kind == EngineChan {
-			spec.N = 1
-		}
-		s := openPipelined(t, spec, kind)
-		plan := &fault.Plan{Rules: []fault.Rule{
-			{Src: 0, Dst: 1, Frame: 5, Kind: fault.Corrupt, Offset: 100},
-		}}
-		_, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize, Plan: plan})
-		var re *RankError
-		if !errors.As(err, &re) {
-			t.Fatalf("%v: corrupted chunk stream yielded %v, want a structured rank error", kind, err)
-		}
-		if re.Op != "open" && re.Op != "recv" {
-			t.Fatalf("%v: corrupted chunk stream failed with op %q, want open or recv", kind, re.Op)
-		}
-		if s.Err() != nil {
-			t.Fatalf("%v: chunk-stream corruption poisoned the mesh: %v", kind, s.Err())
-		}
-		res, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize})
-		if err != nil {
-			t.Fatalf("%v: follow-up collective failed: %v", kind, err)
-		}
-		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-			t.Fatalf("%v: follow-up gather corrupted: %v", kind, err)
-		}
-		s.Close()
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
+	s := openPipelined(t, spec)
+	defer s.Close()
+	plan := &fault.Plan{Rules: []fault.Rule{
+		{Src: 0, Dst: 1, Frame: 5, Kind: fault.Corrupt, Offset: 100},
+	}}
+	_, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize, Plan: plan})
+	var re *RankError
+	if !errors.As(err, &re) {
+		t.Fatalf("corrupted chunk stream yielded %v, want a structured rank error", err)
+	}
+	if re.Op != "open" && re.Op != "recv" {
+		t.Fatalf("corrupted chunk stream failed with op %q, want open or recv", re.Op)
+	}
+	if s.Err() != nil {
+		t.Fatalf("chunk-stream corruption poisoned the mesh: %v", s.Err())
+	}
+	res, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize})
+	if err != nil {
+		t.Fatalf("follow-up collective failed: %v", err)
+	}
+	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+		t.Fatalf("follow-up gather corrupted: %v", err)
 	}
 }
 
@@ -307,7 +268,7 @@ func TestPipelineMultiChunkCorruptOneStreamFailsClosed(t *testing.T) {
 // rejects the bytes — while the mesh survives for the next collective.
 func TestPipelineTCPCorruptSegmentFailsClosed(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
-	s := openPipelined(t, spec, EngineTCP)
+	s := openPipelined(t, spec)
 	defer s.Close()
 	// Frame 1 on the 0->1 pair is the stream's second segment sub-frame
 	// (no metadata section: its payload starts 41 bytes in), so offset
@@ -340,7 +301,7 @@ func TestPipelineTCPCorruptSegmentFailsClosed(t *testing.T) {
 // dedups, and the operation completes byte-exact.
 func TestPipelineTCPDropSegmentRecovers(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	s := openPipelined(t, spec, EngineTCP)
+	s := openPipelined(t, spec)
 	defer s.Close()
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Src: 0, Dst: 1, Frame: 2, Kind: fault.Drop},
@@ -357,54 +318,13 @@ func TestPipelineTCPDropSegmentRecovers(t *testing.T) {
 	}
 }
 
-// The chan transport has no retransmission: a corrupted segment fails
-// authentication, a dropped one starves the stream into the receive
-// deadline. Both fail only their own operation.
-func TestPipelineChanSegmentFaultsFailClosed(t *testing.T) {
-	cases := []struct {
-		name string
-		rule fault.Rule
-		ops  []string
-	}{
-		{"corrupt", fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 1234}, []string{"open"}},
-		{"drop", fault.Rule{Src: 0, Dst: 1, Frame: 1, Kind: fault.Drop}, []string{"recv"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: 2 * time.Second}
-			s := openPipelined(t, spec, EngineChan)
-			defer s.Close()
-			plan := &fault.Plan{Rules: []fault.Rule{tc.rule}}
-			_, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize, Plan: plan})
-			var re *RankError
-			if !errors.As(err, &re) {
-				t.Fatalf("%s segment yielded %v, want a structured rank error", tc.name, err)
-			}
-			ok := false
-			for _, op := range tc.ops {
-				ok = ok || re.Op == op
-			}
-			if !ok {
-				t.Fatalf("%s segment failed with op %q, want one of %v", tc.name, re.Op, tc.ops)
-			}
-			res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize})
-			if err != nil {
-				t.Fatalf("follow-up collective failed: %v", err)
-			}
-			if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-				t.Fatalf("follow-up gather corrupted: %v", err)
-			}
-		})
-	}
-}
-
 // Random fault plans against pipelined traffic must keep the existing
 // contract: complete byte-exact, fail the op with a structured error,
 // or break the session loudly — never deliver wrong bytes, never hang.
 func TestPipelineTCPRandomPlans(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 2 * time.Second}
 	for seed := int64(1); seed <= 5; seed++ {
-		s := openPipelined(t, spec, EngineTCP)
+		s := openPipelined(t, spec)
 		res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize,
 			Plan: fault.Random(seed, 2, 6)})
 		switch {
@@ -425,10 +345,10 @@ func TestPipelineTCPRandomPlans(t *testing.T) {
 // streamsForSend gates which traffic streams: nothing while pipelining
 // is off, and when on a send plan that streams every qualifying sealed
 // chunk — multi-chunk messages included — with the rest riding inline.
-// The window and the stream threshold are constants, not configuration.
+// The stream threshold is a constant, not configuration.
 func TestPipelineQualification(t *testing.T) {
-	if DefaultSegmentWindow != 4 || defaultMinStreamBytes != 16<<10 {
-		t.Fatalf("pipelining constants moved: window %d, min stream %d", DefaultSegmentWindow, defaultMinStreamBytes)
+	if defaultMinStreamBytes != 16<<10 {
+		t.Fatalf("streaming threshold moved: %d", defaultMinStreamBytes)
 	}
 
 	slr, err := seal.NewRandomSealer()
@@ -574,8 +494,8 @@ func TestMaterializeMessageErrorContract(t *testing.T) {
 	}
 }
 
-// streamRecv assembles out-of-order segment arrivals under a bounded
-// window, detects duplicate indices, and delivers the blob and
+// streamRecv assembles out-of-order segment arrivals, opening each as
+// it is accepted, detects duplicate indices, and delivers the blob and
 // plaintext only when every segment authenticated.
 func TestStreamRecvAssembly(t *testing.T) {
 	slr, err := seal.NewRandomSealer()
@@ -595,7 +515,8 @@ func TestStreamRecvAssembly(t *testing.T) {
 	}
 	delivered := make(chan block.Chunk, 1)
 	failed := make(chan error, 1)
-	sr := newStreamRecv(os, nil, 0, newOpenWindow(2), nil,
+	lm := newLiveMetrics(metrics.NewRegistry(), Spec{P: 1, N: 1}, EngineTCP)
+	sr := newStreamRecv(os, nil, 0, lm,
 		func(c block.Chunk) { delivered <- c },
 		func(err error) { failed <- err })
 	// Fill in reverse order: arrival order must not matter.

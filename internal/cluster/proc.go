@@ -30,9 +30,9 @@ type engine interface {
 
 	sealer() *seal.Sealer // nil in sim mode
 
-	// pipeline reports whether intra-collective segment streaming is on
-	// (off: sim engine, pipelining not enabled, or an adversary tap
-	// needs whole messages). Every qualifying sealed chunk of a message
+	// pipeline reports whether intra-collective segment streaming is on:
+	// TCP sessions with pipelining enabled only (the sim and chan
+	// engines never stream). Every qualifying sealed chunk of a message
 	// streams — multi-chunk hierarchical sends included — with the rest
 	// riding inline in the same envelope sequence.
 	pipeline() bool

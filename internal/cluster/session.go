@@ -75,11 +75,10 @@ type SessionConfig struct {
 	// (every replacement sealer is pointed at it), and is never closed
 	// by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
-	// Pipelining turns on intra-collective pipelining: streaming a
-	// chunk's sealed segments onto the wire as they seal and opening
-	// them as they land, overlapping crypto with transport inside one
-	// operation. Ignored by EngineSim, and disabled on EngineChan
-	// sessions with an Adversary (the tap needs whole messages).
+	// Pipelining turns on intra-collective pipelining on EngineTCP:
+	// streaming a chunk's sealed segments onto the wire as they seal and
+	// opening them as they land, overlapping crypto with transport inside
+	// one operation. EngineChan and EngineSim ignore it.
 	Pipelining bool
 }
 
@@ -179,13 +178,12 @@ func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
 // schedulers and sealer persist. EngineSim sessions hold the machine
 // profile and run each collective in virtual time.
 //
-// A Session is safe for concurrent use, and — new in this revision —
-// collectives genuinely overlap: any number of Collective calls may be
-// in flight at once over the same mesh (callers typically bound the
-// number through the public nonblocking API's in-flight window). A
-// failed or cancelled collective fails only itself; the session breaks
-// (ErrSessionBroken) only when the transport mesh itself is
-// unrecoverable.
+// A Session is safe for concurrent use, and collectives genuinely
+// overlap: any number of Collective calls may be in flight at once over
+// the same mesh (callers typically bound the number through the public
+// nonblocking API's in-flight window). A failed or cancelled collective
+// fails only itself; the session breaks (ErrSessionBroken) only when
+// the transport mesh itself is unrecoverable.
 type Session struct {
 	spec   Spec
 	cfg    SessionConfig
@@ -193,7 +191,7 @@ type Session struct {
 
 	opSeq atomic.Uint32 // op-id allocator; ids start at 1
 	lm    *liveMetrics
-	pipe  bool // segment streaming on (cfg.Pipelining, unless an adversary taps messages)
+	pipe  bool // segment streaming on (cfg.Pipelining on EngineTCP)
 
 	mu       sync.Mutex
 	closed   bool
@@ -231,23 +229,15 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.slr = slr
-	s.pipe = cfg.Pipelining
 	ops := newOpRegistry()
 	var lnk link
 	if cfg.Engine == EngineTCP {
 		if lnk, err = newTCPMesh(spec, s.lm, ops); err != nil {
 			return nil, err
 		}
+		s.pipe = cfg.Pipelining
 	} else {
 		lnk = &chanLink{lm: s.lm, reg: ops, adversary: cfg.Adversary}
-		if cfg.Adversary != nil {
-			// The adversary taps whole inter-node messages; streaming would
-			// route segments around it, so pipelining yields to the tap.
-			s.pipe = false
-		}
-	}
-	if s.pipe {
-		s.lm.pipeWindow.Set(DefaultSegmentWindow)
 	}
 	s.tr = newTransport(spec, s.lm, ops, lnk)
 	s.registerRuntimeMetrics()

@@ -3,9 +3,9 @@
 // the 2->5 connection after 3 frames", "corrupt byte 17 of frame 1",
 // "stall 5ms before every send") and an Injector applies it at runtime:
 //
-//   - the TCP engine wraps each outbound net.Conn with Injector.WrapSend
-//     (byte-level drops, corruption, stalls, partial writes) and each
-//     accepted conn with Injector.WrapRecv (read delays);
+//   - the TCP engine wraps each outbound net.Conn with WrapSendProvider
+//     (byte-level drops, corruption, stalls, partial writes) and applies
+//     Injector.ReadDelay to each frame its readers deliver;
 //   - the in-memory channel engine consults Injector.SendFrame per
 //     message and applies the verdict at message granularity (a dropped
 //     or partially written frame is simply lost in transit).
@@ -36,8 +36,8 @@ const (
 	Corrupt
 	// Stall sleeps for Delay before sending the target frame.
 	Stall
-	// StallRead sleeps for Delay before each read on the receive side of
-	// the pair (frame targeting does not apply).
+	// StallRead delays each frame the receive side of the pair delivers
+	// by Delay (frame targeting does not apply).
 	StallRead
 	// PartialWrite delivers only the first Keep bytes of the target
 	// frame, then fails the write.
@@ -311,8 +311,8 @@ func (in *Injector) Frame(src, dst int) int {
 	return in.frames[pair{src, dst}]
 }
 
-// ReadDelay returns the injected latency for one read on the receive
-// side of the pair.
+// ReadDelay returns the injected latency for one frame delivered on
+// the receive side of the pair.
 func (in *Injector) ReadDelay(src, dst int) time.Duration {
 	if in == nil {
 		return 0
@@ -363,21 +363,11 @@ type Conn struct {
 	frame int
 }
 
-// WrapSend wraps an outbound src->dst connection with the plan's
-// send-side faults. A nil injector returns c unchanged.
-func (in *Injector) WrapSend(src, dst int, c net.Conn) net.Conn {
-	if in == nil {
-		return c
-	}
-	return WrapSendProvider(func() *Injector { return in }, src, dst, c)
-}
-
 // WrapSendProvider wraps an outbound src->dst connection with send-side
 // faults drawn from whatever injector prov yields at each frame
 // boundary. A nil result from prov injects nothing for that frame. The
-// wrapper is always installed (unlike WrapSend), which is what a
-// session-scoped transport wants: wrap once at dial time, swap plans
-// per operation.
+// wrapper is always installed, which is what a session-scoped transport
+// wants: wrap once at dial time, swap plans per operation.
 func WrapSendProvider(prov func() *Injector, src, dst int, c net.Conn) *Conn {
 	return &Conn{Conn: c, prov: prov, src: src, dst: dst}
 }
@@ -443,38 +433,4 @@ func (c *Conn) advance(n int) {
 	c.mu.Lock()
 	c.off += n
 	c.mu.Unlock()
-}
-
-// recvConn applies read delays on the receive side of one pair,
-// re-resolving the injector through a provider on every read.
-type recvConn struct {
-	net.Conn
-	prov     func() *Injector
-	src, dst int
-}
-
-// WrapRecv wraps the receive side of a src->dst connection with the
-// plan's read-delay faults. A nil injector returns c unchanged.
-func (in *Injector) WrapRecv(src, dst int, c net.Conn) net.Conn {
-	if in == nil {
-		return c
-	}
-	return WrapRecvProvider(func() *Injector { return in }, src, dst, c)
-}
-
-// WrapRecvProvider wraps the receive side of a src->dst connection with
-// read-delay faults drawn from whatever injector prov yields at each
-// read. A nil result from prov injects nothing. Like WrapSendProvider,
-// the wrapper is always installed so a persistent connection can change
-// plans between operations.
-func WrapRecvProvider(prov func() *Injector, src, dst int, c net.Conn) net.Conn {
-	return &recvConn{Conn: c, prov: prov, src: src, dst: dst}
-}
-
-func (c *recvConn) Read(p []byte) (int, error) {
-	in := c.prov()
-	if d := in.ReadDelay(c.src, c.dst); d > 0 {
-		in.Sleep(d)
-	}
-	return c.Conn.Read(p)
 }

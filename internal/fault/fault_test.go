@@ -51,11 +51,9 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d := in.ReadDelay(0, 1); d != 0 {
 		t.Fatalf("nil injector read delay = %v", d)
 	}
-	base := &bytes.Buffer{} // not a net.Conn, but WrapSend must pass through
-	_ = base
-	var c net.Conn
-	if got := in.WrapSend(0, 1, c); got != nil {
-		t.Fatal("nil injector wrapped the conn")
+	// A provider yielding no injector arms no fault on the frame.
+	if err := WrapSendProvider(func() *Injector { return nil }, 0, 1, nil).StartFrame(); err != nil {
+		t.Fatalf("nil provider StartFrame = %v", err)
 	}
 }
 
@@ -121,7 +119,7 @@ func TestConnDropClosesAndErrors(t *testing.T) {
 			}
 		}
 	}()
-	c := in.WrapSend(0, 1, a).(*Conn)
+	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
 	if err := c.StartFrame(); err != nil {
 		t.Fatalf("frame 0: %v", err)
 	}
@@ -148,7 +146,7 @@ func TestConnCorruptFlipsTargetByte(t *testing.T) {
 		n, _ := b.Read(buf)
 		got <- buf[:n]
 	}()
-	c := in.WrapSend(0, 1, a).(*Conn)
+	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
 	if err := c.StartFrame(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func TestConnCorruptAcrossWrites(t *testing.T) {
 		}
 		got <- acc
 	}()
-	c := in.WrapSend(0, 1, a).(*Conn)
+	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
 	if err := c.StartFrame(); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +206,7 @@ func TestConnPartialWriteShortensFrame(t *testing.T) {
 		n, _ := b.Read(buf)
 		got <- buf[:n]
 	}()
-	c := in.WrapSend(0, 1, a).(*Conn)
+	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
 	if err := c.StartFrame(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,24 +239,15 @@ func TestReadDelayApplies(t *testing.T) {
 	in := NewInjector(&Plan{Rules: []Rule{
 		{Src: 0, Dst: 1, Kind: StallRead, Delay: 7 * time.Millisecond, Times: 1},
 	}})
-	var slept time.Duration
-	in.sleep = func(d time.Duration) { slept += d }
-	a, b := pipeConn(t)
-	go func() { a.Write([]byte("hi")); a.Write([]byte("ho")) }()
-	rc := in.WrapRecv(0, 1, b)
-	buf := make([]byte, 2)
-	if _, err := rc.Read(buf); err != nil {
-		t.Fatal(err)
+	if d := in.ReadDelay(1, 0); d != 0 {
+		t.Fatalf("reverse pair delayed by %v", d)
 	}
-	if slept != 7*time.Millisecond {
-		t.Fatalf("slept %v, want 7ms", slept)
+	if d := in.ReadDelay(0, 1); d != 7*time.Millisecond {
+		t.Fatalf("first frame delayed by %v, want 7ms", d)
 	}
-	// Times=1: the second read is not delayed.
-	if _, err := rc.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if slept != 7*time.Millisecond {
-		t.Fatalf("second read slept too: %v", slept)
+	// Times=1: the second frame is not delayed.
+	if d := in.ReadDelay(0, 1); d != 0 {
+		t.Fatalf("second frame delayed too: %v", d)
 	}
 }
 

@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
 	"encag"
+	"encag/internal/metrics"
 )
 
 // Server is the host's HTTP surface:
@@ -42,28 +41,7 @@ func NewServer(m *Manager, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen: %w", err)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		m.WriteMetrics(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		expvar.Do(func(kv expvar.KeyValue) {
-			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-		})
-		enc, err := json.Marshal(m.Snapshot())
-		if err != nil {
-			enc = []byte("{}")
-		}
-		fmt.Fprintf(w, "%q: %s\n}\n", "encag_serve", enc)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux := metrics.DebugMux(m.WriteMetrics, "encag_serve", func() any { return m.Snapshot() })
 	mux.HandleFunc("/v1/step", func(w http.ResponseWriter, r *http.Request) {
 		handleStep(m, w, r)
 	})

@@ -241,10 +241,13 @@ func TestDebugServerLiveTCP(t *testing.T) {
 		}
 		handles = append(handles, h)
 	}
+	// Wait on the session's own counters, not the window: Start holds a
+	// window slot before its goroutine reaches the session, so under CPU
+	// contention the window can be full while nothing has started yet.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.InFlight() < 2 {
+	for snap := s.Snapshot(); snap.OpsStarted < 3 || snap.InFlight < 2; snap = s.Snapshot() {
 		if time.Now().After(deadline) {
-			t.Fatalf("never reached 2 in-flight collectives (at %d)", s.InFlight())
+			t.Fatalf("never reached 3 started and 2 in-flight collectives (at %d, %d)", snap.OpsStarted, snap.InFlight)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -147,14 +147,14 @@ func WithMaxInFlight(n int) Option {
 	return sessionLevel("WithMaxInFlight", func(o *sessionOptions) { o.maxInFlight = n })
 }
 
-// WithPipelining toggles intra-collective pipelining on the chan and
-// tcp engines (session-level only; default off). When on, a large
-// encrypted send is split into independently sealed segments that go
-// onto the wire one at a time as they seal, and the receiver
-// authenticates each segment as it lands — overlapping AES-GCM work
-// with transport inside a single operation. Tampering with, reordering
-// or splicing any individual segment fails that operation closed, as
-// with whole-message sealing. Ignored by EngineSim.
+// WithPipelining toggles intra-collective pipelining on the tcp engine
+// (session-level only; default off). When on, a large encrypted send is
+// split into independently sealed segments that go onto the wire one at
+// a time as they seal, and the receiver authenticates each segment as
+// it lands — overlapping AES-GCM work with transport inside a single
+// operation. Tampering with, reordering or splicing any individual
+// segment fails that operation closed, as with whole-message sealing.
+// EngineChan and EngineSim ignore it.
 func WithPipelining(on bool) Option {
 	return sessionLevel("WithPipelining", func(o *sessionOptions) { o.pipelining = on })
 }
