@@ -54,7 +54,7 @@ func (f *specFlags) register(fs *flag.FlagSet, names ...string) {
 // spec builds the one job the parsed flags describe. An unknown mapping
 // is refused by OpenSession, not silently run as block.
 func (f *specFlags) spec() (encag.Spec, error) {
-	s := encag.Spec{Mapping: f.mapping, CryptoWorkers: f.workers}
+	s := encag.Spec{Mapping: f.mapping}
 	var err error
 	if s.Procs, err = strconv.Atoi(f.p); err != nil {
 		return s, fmt.Errorf("-p: %w", err)
@@ -64,6 +64,16 @@ func (f *specFlags) spec() (encag.Spec, error) {
 	}
 	s.SegmentSize, err = f.segmentSize()
 	return s, err
+}
+
+// cryptoPool is the pool -crypto-workers asks for, nil (the shared pool)
+// when it is 0, and the close the command defers.
+func (f *specFlags) cryptoPool() (*encag.CryptoPool, func()) {
+	if f.workers <= 0 {
+		return nil, func() {}
+	}
+	p := encag.NewCryptoPool(f.workers)
+	return p, p.Close
 }
 
 // segmentSize is -segment-size in bytes, 0 when unset.

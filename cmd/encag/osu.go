@@ -157,8 +157,11 @@ func cmdOSU(args []string) error {
 	if err != nil {
 		return err
 	}
+	pool, closePool := shape.cryptoPool()
+	defer closePool()
 	ctx := context.Background()
-	sess, err := encag.OpenSession(ctx, spec, encag.WithEngine(engine), encag.WithMaxInFlight(*window))
+	sess, err := encag.OpenSession(ctx, spec, encag.WithEngine(engine), encag.WithMaxInFlight(*window),
+		encag.WithCryptoPool(pool))
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,7 @@ func cmdServe(args []string) error {
 	fs := newFlags("serve")
 	tenants := fs.Int("tenants", 8, "tenant sessions to pre-register (t0..tN-1)")
 	// -p and -nodes shape every tenant's session; -crypto-workers sizes
-	// the pool they all share, which overrides the per-session count.
+	// the pool they all share.
 	shape := specFlags{p: "4", nodes: "2"}
 	shape.register(fs, "p", "nodes", "crypto-workers")
 	engineStr := fs.String("engine", "chan", "execution engine per tenant: chan or tcp")
@@ -53,9 +53,12 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	pool, closePool := shape.cryptoPool()
+	defer closePool()
 	cfg := serve.Config{
 		Spec:           spec,
 		SessionOptions: []encag.Option{encag.WithEngine(engine), encag.WithPipelining(*pipeline)},
+		Pool:           pool,
 		Capacity:       *capacity,
 		IdleTTL:        *idleTTL,
 		RekeyEvery:     *rekeyEvery,
@@ -63,10 +66,6 @@ func cmdServe(args []string) error {
 		MaxSteps:       *maxSteps,
 		MaxQueue:       *maxQueue,
 		QueueTimeout:   *queueTimeout,
-	}
-	if shape.workers > 0 {
-		cfg.Pool = encag.NewCryptoPool(shape.workers)
-		defer cfg.Pool.Close()
 	}
 	m, err := serve.Open(cfg)
 	if err != nil {

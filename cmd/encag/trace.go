@@ -14,7 +14,7 @@ import (
 
 // cmdTrace renders an activity timeline of one encrypted all-gather on
 // any of the three engines: the discrete-event simulator (predicted,
-// virtual time), the real in-memory engine or the loopback TCP engine
+// virtual time), the in-memory chan engine or the loopback TCP engine
 // (both measured, wall-clock time). It makes visible *why* an algorithm
 // wins — e.g. Naive's serial decryption tail versus HS2's parallel
 // joint decryption — and lets the model's predicted timeline be laid
@@ -29,7 +29,7 @@ import (
 //
 //	encag trace -alg naive -p 16 -nodes 4 -size 64KB
 //	encag trace -engine tcp -alg hs2 -p 8 -nodes 2 -format chrome -o trace.json
-//	encag trace -engine real -alg c-rd -p 16 -nodes 4 -format jsonl
+//	encag trace -engine chan -alg c-rd -p 16 -nodes 4 -format jsonl
 func cmdTrace(args []string) (err error) {
 	fs := newFlags("trace")
 	algName := fs.String("alg", "hs2", "algorithm name (see encag explore)")
@@ -38,7 +38,7 @@ func cmdTrace(args []string) (err error) {
 	sizeStr := fs.String("size", "64KB", "message size")
 	profName := fs.String("profile", "noleland", "machine profile (sim engine only)")
 	width := fs.Int("width", 100, "gantt width in characters (text format)")
-	engine := fs.String("engine", "sim", "execution engine: sim, real or tcp")
+	engine := fs.String("engine", "sim", "execution engine: sim, chan or tcp")
 	format := fs.String("format", "text", "output format: text, chrome or jsonl")
 	outPath := fs.String("o", "", "write output to this file instead of stdout")
 	fs.Parse(args)
@@ -61,9 +61,9 @@ func cmdTrace(args []string) (err error) {
 		return err
 	}
 
-	eng, ok := map[string]encag.Engine{"sim": encag.EngineSim, "real": encag.EngineChan, "tcp": encag.EngineTCP}[*engine]
-	if !ok {
-		return fmt.Errorf("unknown engine %q (want sim, real or tcp)", *engine)
+	eng := encag.Engine(*engine)
+	if eng != encag.EngineSim && eng != encag.EngineChan && eng != encag.EngineTCP {
+		return fmt.Errorf("unknown engine %q (want sim, chan or tcp)", *engine)
 	}
 	tr := &encag.TraceCollector{}
 	opts := []encag.Option{encag.WithTracer(tr), encag.WithEngine(eng)}

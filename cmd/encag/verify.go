@@ -84,15 +84,17 @@ func cmdVerify(args []string) error {
 			Custom: []int{2, 0, 3, 1, 1, 3, 0, 2, 3, 2, 1, 0}},
 	}
 	for i := range specs {
-		specs[i].CryptoWorkers = crypto.workers
 		specs[i].SegmentSize = segSize
 	}
+	pool, closePool := crypto.cryptoPool()
+	defer closePool()
+	withPool := encag.WithCryptoPool(pool)
 
 	ctx := context.Background()
 	start := time.Now()
 	tally := &verifyTally{verbose: *verbose}
 	for _, spec := range specs {
-		s, err := encag.OpenSession(ctx, spec)
+		s, err := encag.OpenSession(ctx, spec, withPool)
 		if err != nil {
 			return err
 		}
@@ -119,7 +121,7 @@ func cmdVerify(args []string) error {
 	}
 	if *overTCP {
 		for _, spec := range specs[:6] { // keep the socket matrix modest
-			if err := verifyWire(ctx, spec, tally); err != nil {
+			if err := verifyWire(ctx, spec, withPool, tally); err != nil {
 				return err
 			}
 		}
@@ -144,9 +146,9 @@ func cmdVerify(args []string) error {
 
 // verifyWire runs every paper algorithm over loopback TCP on one mesh
 // and checks the captured inter-node bytes for plaintext.
-func verifyWire(ctx context.Context, spec encag.Spec, tally *verifyTally) error {
+func verifyWire(ctx context.Context, spec encag.Spec, withPool encag.Option, tally *verifyTally) error {
 	overTCP := encag.WithEngine(encag.EngineTCP)
-	s, err := encag.OpenSession(ctx, spec, overTCP)
+	s, err := encag.OpenSession(ctx, spec, overTCP, withPool)
 	if err != nil {
 		return err
 	}
@@ -171,7 +173,7 @@ func verifyWire(ctx context.Context, spec encag.Spec, tally *verifyTally) error 
 			// A leak stays in the capture and a failure may have broken
 			// the mesh: judge the next algorithm on a new one.
 			s.Close()
-			if s, err = encag.OpenSession(ctx, spec, overTCP); err != nil {
+			if s, err = encag.OpenSession(ctx, spec, overTCP, withPool); err != nil {
 				return err
 			}
 			seen = 0

@@ -97,11 +97,6 @@ type Spec struct {
 	Mapping string // "block" (default), "cyclic", or "custom"
 	Custom  []int  // rank -> node, for "custom"
 
-	// CryptoWorkers bounds the parallelism of the segmented AES-GCM
-	// crypto engine used by the chan and tcp engines: 0 shares
-	// a process-wide pool sized by GOMAXPROCS, n > 0 dedicates n workers
-	// to this run. The simulator models crypto cost and ignores it.
-	CryptoWorkers int
 	// SegmentSize is the AES-GCM segmentation split size in bytes for
 	// the chan and tcp engines; 0 selects the 64 KiB default. Payloads
 	// at or above it are sealed as independently encrypted segments
@@ -117,8 +112,7 @@ type Spec struct {
 }
 
 func (s Spec) toCluster() (cluster.Spec, error) {
-	cs := cluster.Spec{P: s.Procs, N: s.Nodes, CryptoWorkers: s.CryptoWorkers,
-		SegmentSize: s.SegmentSize, RecvTimeout: s.RecvTimeout}
+	cs := cluster.Spec{P: s.Procs, N: s.Nodes, SegmentSize: s.SegmentSize, RecvTimeout: s.RecvTimeout}
 	switch strings.ToLower(s.Mapping) {
 	case "", "block":
 		cs.Mapping = cluster.BlockMapping

@@ -62,18 +62,12 @@ type SessionConfig struct {
 	// Adversary taps inter-node messages on EngineChan; ignored
 	// otherwise.
 	Adversary Adversary
-	// Metrics is the registry the session publishes its live metrics
-	// into. Nil gives the session a private registry (read it back with
-	// Session.Metrics). Sharing one registry across sessions rolls their
-	// counters up into one exposition; for the callback-backed families
-	// (in-flight, queue depth, pool stats) the last-opened session wins.
-	Metrics *metrics.Registry
-	// CryptoPool, when non-nil, is the worker pool the session's sealer
-	// runs segmented crypto on — the multi-tenant wiring, where many
-	// sessions share one process-global crypto budget instead of each
-	// sizing its own. It overrides Spec.CryptoWorkers, survives Rekey
-	// (every replacement sealer is pointed at it), and is never closed
-	// by the session: its owner outlives every tenant.
+	// CryptoPool is the worker pool the session's sealer runs segmented
+	// crypto on; nil selects the process-wide shared pool. Handing one
+	// pool to many sessions is the multi-tenant wiring: they share one
+	// crypto budget instead of each sizing its own. The pool survives
+	// Rekey (every replacement sealer is pointed at it) and is never
+	// closed by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
 	// Pipelining turns on intra-collective pipelining on EngineTCP:
 	// streaming a chunk's sealed segments onto the wire as they seal and
@@ -216,11 +210,7 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if s.recvTO <= 0 {
 		s.recvTO = DefaultRecvTimeout
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s.lm = newLiveMetrics(reg, spec, cfg.Engine)
+	s.lm = newLiveMetrics(metrics.NewRegistry(), spec, cfg.Engine)
 	if cfg.Engine == EngineSim {
 		return s, nil
 	}
@@ -250,11 +240,7 @@ func newSessionSealer(spec Spec, pool *seal.Pool) (*seal.Sealer, error) {
 		return nil, err
 	}
 	slr.SetSegmentSize(int(spec.SegmentSize))
-	if pool != nil {
-		slr.SetPool(pool)
-	} else {
-		slr.SetWorkers(spec.CryptoWorkers)
-	}
+	slr.SetPool(pool)
 	slr.EnableNonceAudit()
 	return slr, nil
 }

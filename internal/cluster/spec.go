@@ -59,11 +59,6 @@ type Spec struct {
 	Mapping MappingKind
 	Custom  []int // node of each rank, used when Mapping == CustomMapping
 
-	// CryptoWorkers bounds the parallelism of the segmented AES-GCM
-	// engine in the real and TCP engines: 0 uses the process-wide shared
-	// pool (sized by GOMAXPROCS), n > 0 gives the run a dedicated pool of
-	// n workers. Ignored by the sim engine, which models crypto cost.
-	CryptoWorkers int
 	// SegmentSize is the seal segmentation split size in bytes for the
 	// real and TCP engines; 0 selects seal.DefaultSegmentSize (64 KiB).
 	// Payloads at or above it are sealed as independent segments
@@ -86,9 +81,6 @@ func (s Spec) Validate() error {
 	}
 	if s.N <= 0 {
 		return fmt.Errorf("cluster: N must be positive, got %d", s.N)
-	}
-	if s.CryptoWorkers < 0 {
-		return fmt.Errorf("cluster: CryptoWorkers must be non-negative, got %d", s.CryptoWorkers)
 	}
 	if s.SegmentSize < 0 {
 		return fmt.Errorf("cluster: SegmentSize must be non-negative, got %d", s.SegmentSize)

@@ -9,23 +9,35 @@ import (
 	"encag/internal/seal"
 )
 
+// cryptoPool gives a test a dedicated crypto pool of n workers, closed
+// when the test ends.
+func cryptoPool(t *testing.T, n int) *seal.Pool {
+	p := seal.NewPool(n)
+	t.Cleanup(p.Close)
+	return p
+}
+
 // With a segment size far below the message size, every seal fans out
 // into multiple GCM segments. All eight paper algorithms must still be
 // byte-correct, leak no plaintext across node boundaries, and never
 // reuse a nonce — the acceptance bar for the segmented crypto engine.
 func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 	const m = 1 << 12 // 4 KiB blocks, 256 B segments: >= 16 segments per block
-	specs := []cluster.Spec{
-		{P: 8, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 256, CryptoWorkers: 4},
-		{P: 8, N: 4, Mapping: cluster.CyclicMapping, SegmentSize: 256, CryptoWorkers: 2},
+	cases := []struct {
+		spec    cluster.Spec
+		workers int
+	}{
+		{cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 256}, 4},
+		{cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping, SegmentSize: 256}, 2},
 	}
-	for _, spec := range specs {
+	for _, c := range cases {
+		spec, cfg := c.spec, cluster.SessionConfig{CryptoPool: cryptoPool(t, c.workers)}
 		for _, name := range PaperNames() {
 			alg, err := Get(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
+			res, err := cluster.RunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -61,13 +73,13 @@ func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 // exactly 4 GCM segments while still counting one encryption round —
 // the paper's r_e semantics are unchanged by segmentation.
 func TestSegmentationKeepsRoundSemantics(t *testing.T) {
-	spec := cluster.Spec{P: 2, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 1 << 10, CryptoWorkers: 2}
+	spec := cluster.Spec{P: 2, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 1 << 10}
 	const m = 4 << 10
 	alg, err := Get("naive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{CryptoPool: cryptoPool(t, 2)}, cluster.Op{Algo: alg, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +105,14 @@ func TestSegmentationKeepsRoundSemantics(t *testing.T) {
 // The wire eavesdropper's view stays ciphertext-only when segmentation
 // splits every sealed payload on real TCP sockets.
 func TestSegmentedTCPWireClean(t *testing.T) {
-	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 512, CryptoWorkers: 2}
+	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 512}
 	const m = 2048
 	alg, err := Get("c-ring")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP}, cluster.Op{Algo: alg, MsgSize: m})
+	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP, CryptoPool: cryptoPool(t, 2)},
+		cluster.Op{Algo: alg, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +141,7 @@ func TestSegmentedTCPWireClean(t *testing.T) {
 // flight must abort the collective: segmented blobs authenticate as a
 // unit.
 func TestSegmentedTamperDetectedEndToEnd(t *testing.T) {
-	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 256, CryptoWorkers: 2}
+	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping, SegmentSize: 256}
 	const m = 1024
 	alg, err := Get("naive")
 	if err != nil {
@@ -153,7 +166,8 @@ func TestSegmentedTamperDetectedEndToEnd(t *testing.T) {
 		}
 		return out
 	}
-	_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: m})
+	_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv, CryptoPool: cryptoPool(t, 2)},
+		cluster.Op{Algo: alg, MsgSize: m})
 	if tampered.Load() == 0 {
 		t.Fatal("adversary never saw a ciphertext to tamper with")
 	}

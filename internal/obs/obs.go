@@ -119,7 +119,7 @@ type WireSummary struct {
 // activity kind; CritPhaseSec is the same breakdown restricted to the
 // last-finishing rank — the one that defines the latency.
 type RunSummary struct {
-	Engine       string             `json:"engine"` // "sim", "real" or "tcp"
+	Engine       string             `json:"engine"` // "sim", "chan" or "tcp"
 	Algorithm    string             `json:"algorithm"`
 	Procs        int                `json:"procs"`
 	Nodes        int                `json:"nodes"`

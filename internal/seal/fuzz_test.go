@@ -2,6 +2,7 @@ package seal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -29,6 +30,66 @@ func FuzzOpen(f *testing.F) {
 			if !bytes.Equal(blob, good) || !bytes.Equal(aad, []byte("seed aad")) {
 				t.Fatalf("forged blob accepted (%d bytes): %q", len(blob), pt)
 			}
+		}
+	})
+}
+
+// FuzzSegmentedFraming feeds arbitrary bytes to the segmented codec.
+// OpenSegmented must never panic and never accept anything but the seed
+// blob. CheckSegmented, StreamFromBlob and BlobSegments must reach the
+// same verdict on the same bytes, and NewOpenStream must accept their
+// header prefix exactly when the blob is framed or only its length is
+// wrong: one parser decides all of them.
+func FuzzSegmentedFraming(f *testing.F) {
+	s, err := NewRandomSealer()
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.SetSegmentSize(16)
+	aad := []byte("seed aad")
+	plain := bytes.Repeat([]byte("seed"), 10) // 16 + 16 + 8 bytes
+	good, _, err := s.SealSegmented([][]byte{plain}, aad)
+	if err != nil {
+		f.Fatal(err)
+	}
+	irregular := append([]byte(nil), good...)
+	binary.BigEndian.PutUint32(irregular[segHeaderFixed:], 8)
+	binary.BigEndian.PutUint32(irregular[segHeaderFixed+8:], 16)
+	f.Add(good)
+	f.Add(good[:len(good)-1])
+	f.Add(good[:segHeaderFixed+4])
+	f.Add(irregular)
+	f.Add(append([]byte("EAGS\x00\x00\x00\x01\x00\x00\x00\x00"), make([]byte, Overhead)...))
+	f.Add([]byte("EAGS\xff\xff\xff\xff"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		pt, segs, openErr := s.OpenSegmented(blob, aad)
+		if openErr == nil && (!bytes.Equal(blob, good) || !bytes.Equal(pt, plain)) {
+			t.Fatalf("forged blob accepted (%d bytes, %d segments)", len(blob), segs)
+		}
+		framed := CheckSegmented(blob) == nil
+		st, streamErr := StreamFromBlob(blob)
+		k := BlobSegments(blob)
+		if (streamErr == nil) != framed || (k > 0) != framed || (openErr == nil && !framed) {
+			t.Fatalf("verdicts disagree: check %v, stream %v, segments %d, open %v",
+				framed, streamErr, k, openErr)
+		}
+		hdr := blob
+		if len(blob) >= segHeaderFixed {
+			if n := segHeaderFixed + 4*int64(binary.BigEndian.Uint32(blob[4:])); n < int64(len(blob)) {
+				hdr = blob[:n]
+			}
+		}
+		os, hdrErr := s.NewOpenStream(hdr, aad)
+		switch {
+		case framed && hdrErr != nil:
+			t.Fatalf("blob framed but its header refused: %v", hdrErr)
+		case framed && (os.K() != k || st.K() != k || os.Total() != st.Total()):
+			t.Fatalf("geometry disagrees: open stream %d/%d, stream %d/%d, segments %d",
+				os.K(), os.Total(), st.K(), st.Total(), k)
+		case !framed && hdrErr == nil &&
+			int64(len(blob)) == int64(len(hdr))+os.Total()+int64(os.K())*Overhead:
+			t.Fatal("header accepted and blob length matches it, but the blob was refused")
 		}
 	})
 }

@@ -45,7 +45,7 @@ var ErrAuth = errors.New("seal: message authentication failed")
 // Sealer encrypts and decrypts with a single shared AES-GCM-128 key, the
 // deployment model of the paper (one key per MPI job, distributed out of
 // band). It is safe for concurrent use. Configuration (SetSegmentSize,
-// SetWorkers, EnableNonceAudit) must happen before concurrent use.
+// SetPool, EnableNonceAudit) must happen before concurrent use.
 type Sealer struct {
 	aead cipher.AEAD
 

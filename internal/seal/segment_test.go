@@ -16,7 +16,9 @@ func segSealer(t *testing.T, segSize, workers int) *Sealer {
 		t.Fatal(err)
 	}
 	s.SetSegmentSize(segSize)
-	s.SetWorkers(workers)
+	p := NewPool(workers)
+	t.Cleanup(p.Close)
+	s.SetPool(p)
 	return s
 }
 

@@ -262,7 +262,9 @@ func TestSealStreamConcurrentConsumers(t *testing.T) {
 // explicit segment size is always honored exactly.
 func TestAdaptiveSegmentPlan(t *testing.T) {
 	s := newTestSealer(t)
-	s.SetWorkers(1)
+	p := NewPool(1)
+	defer p.Close()
+	s.SetPool(p)
 	pt := make([]byte, 2<<20)
 	blob, segs, err := s.SealSegmented([][]byte{pt}, nil)
 	if err != nil {

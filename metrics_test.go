@@ -143,6 +143,37 @@ func TestSessionMetricsRekey(t *testing.T) {
 		t.Errorf("sealed total not monotone across rekey: %d -> %d",
 			before.SegmentsSealed, after.SegmentsSealed)
 	}
+
+	// An injected pool outlives every sealer Rekey installs: its size
+	// holds and its saturation counter never restarts.
+	pool := NewCryptoPool(1)
+	defer pool.Close()
+	ps, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2, SegmentSize: 256}, WithCryptoPool(pool))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	if _, err := ps.Run(context.Background(), "hs2", 4096); err != nil {
+		t.Fatal(err)
+	}
+	before = ps.Snapshot()
+	if st := pool.Stats(); st.Dispatched+st.Saturated == 0 {
+		t.Fatal("the injected pool saw no segmented work")
+	}
+	if err := ps.Rekey(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ps.Run(context.Background(), "hs2", 4096); err != nil {
+		t.Fatal(err)
+	}
+	after = ps.Snapshot()
+	if before.PoolSize != 1 || after.PoolSize != before.PoolSize {
+		t.Errorf("pool size across rekey: %d -> %d, want 1 throughout", before.PoolSize, after.PoolSize)
+	}
+	if after.PoolSaturated < before.PoolSaturated {
+		t.Errorf("pool saturation counter went down across rekey: %d -> %d",
+			before.PoolSaturated, after.PoolSaturated)
+	}
 }
 
 // Injected faults show up in the per-kind counters without failing the

@@ -27,11 +27,11 @@ type CryptoPoolStats = seal.PoolStats
 func NewCryptoPool(size int) *CryptoPool { return seal.NewPool(size) }
 
 // WithCryptoPool points the session's sealer at an externally owned
-// crypto worker pool instead of letting the session size its own
-// (session-level only; overrides Spec.CryptoWorkers and survives
-// Rekey). This is the multi-tenant wiring: a host opens one pool and
-// shares it across every tenant session so one crypto budget is
-// arbitrated process-wide.
+// crypto worker pool (session-level only; it survives Rekey). It is the
+// one way to choose a session's pool: without it, or with nil, the
+// session shares the process-wide pool sized by GOMAXPROCS. A host that
+// opens one pool and hands it to every tenant session arbitrates one
+// crypto budget process-wide.
 func WithCryptoPool(p *CryptoPool) Option {
 	return sessionLevel("WithCryptoPool", func(o *sessionOptions) { o.pool = p })
 }
