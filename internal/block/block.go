@@ -81,9 +81,6 @@ func (c Chunk) WireLen() int64 {
 	return n
 }
 
-// Real reports whether the chunk carries actual payload bytes.
-func (c Chunk) Real() bool { return c.Payload != nil }
-
 // Clone returns a deep copy of the chunk (payload shared: payloads are
 // immutable by convention).
 func (c Chunk) Clone() Chunk {

@@ -74,28 +74,29 @@ func (l *chanLink) live(o *opRuntime) bool {
 	return true
 }
 
-// send applies the owning operation's fault verdicts (message-level: a
-// dropped or partially written frame is simply lost in transit) and
-// delivers into the operation's unbounded inbox.
+// send applies the owning operation's fault verdict to the message (a
+// dropped or partially written frame is simply lost in transit), then
+// its read stall, and delivers into the operation's unbounded inbox.
+// Delivery runs on src's send queue, so a read stall also holds src's
+// later messages, to every destination.
 func (l *chanLink) send(src int, job sendJob) {
 	o := job.op
 	msg := job.msg
 	if l.adversary != nil && !o.spec.SameNode(src, job.dst) {
 		msg = l.adversary(src, job.dst, msg)
 	}
-	if o.inj != nil {
-		v := o.inj.SendFrame(src, job.dst)
-		o.inj.Sleep(v.Stall)
-		if v.CorruptAt >= 0 {
-			msg = corruptMessage(msg, v.CorruptAt)
-		}
-		if v.Drop || v.PartialKeep >= 0 {
-			// The channel transport has no connection to re-establish:
-			// the message is lost in transit and the receiver's bounded
-			// recv deadline turns the loss into a structured error.
-			return
-		}
+	v := o.inj.SendFrame(src, job.dst)
+	o.inj.Sleep(v.Stall)
+	if v.Drop || v.PartialKeep >= 0 {
+		// The channel transport has no connection to re-establish: the
+		// message is lost in transit and the receiver's bounded recv
+		// deadline turns the loss into a structured error.
+		return
 	}
+	if v.CorruptAt >= 0 {
+		msg = corruptMessage(msg, v.CorruptAt)
+	}
+	o.inj.Sleep(o.inj.ReadDelay(src, job.dst))
 	if !l.live(o) {
 		return
 	}

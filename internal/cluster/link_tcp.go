@@ -119,19 +119,11 @@ type tcpLink struct {
 	conn   net.Conn
 	closed bool   // set by close: a conn dialed after it is closed at once
 	seq    uint64 // next frame sequence number
-	// inj is the fault injector of the operation whose frame is being
-	// written right now. The send scheduler arms it before each frame;
-	// the link's fault.Conn wrapper re-resolves it per frame, so one
-	// persistent connection serves the interleaved frames of many
-	// concurrent operations, each under its own fault plan.
-	inj atomic.Pointer[fault.Injector]
 	// fw is the link's reusable frame encoder. Only the owning rank's
 	// send scheduler writes frames, so it needs no lock; steady-state
 	// sends reuse its buffer instead of allocating one per frame.
 	fw *wire.FrameWriter
 }
-
-func (l *tcpLink) injProv() *fault.Injector { return l.inj.Load() }
 
 func (l *tcpLink) get() net.Conn {
 	l.mu.Lock()
@@ -345,7 +337,7 @@ func newTCPMesh(spec Spec, lm *liveMetrics, reg *opRegistry) (*tcpMesh, error) {
 			if s == d {
 				continue
 			}
-			conn, err := m.connect(s, d, m.links[s][d])
+			conn, err := m.connect(s, d)
 			if err != nil {
 				m.close()
 				return nil, &RankError{Rank: s, Peer: d, Op: "dial", Err: err}
@@ -357,12 +349,9 @@ func newTCPMesh(spec Spec, lm *liveMetrics, reg *opRegistry) (*tcpMesh, error) {
 }
 
 // connect dials dst's listener and identifies src with a hello frame;
-// the conn is wrapped with the wire sniffer (inter-node pairs) and the
-// provider-based fault wrapper, which re-resolves the link's currently
-// armed injector at each frame, so the same connection serves the
-// interleaved frames of concurrent operations under their own fault
-// plans. Used for both initial setup and reconnects.
-func (m *tcpMesh) connect(src, dst int, lnk *tcpLink) (net.Conn, error) {
+// inter-node conns are wrapped with the wire sniffer. Used for both
+// initial setup and reconnects.
+func (m *tcpMesh) connect(src, dst int) (net.Conn, error) {
 	conn, err := net.Dial("tcp", m.addrs[dst])
 	if err != nil {
 		return nil, err
@@ -371,11 +360,10 @@ func (m *tcpMesh) connect(src, dst int, lnk *tcpLink) (net.Conn, error) {
 		conn.Close()
 		return nil, err
 	}
-	c := net.Conn(conn)
 	if !m.spec.SameNode(src, dst) {
-		c = &sniffConn{Conn: c, sniffer: m.sniff}
+		return &sniffConn{Conn: conn, sniffer: m.sniff}, nil
 	}
-	return fault.WrapSendProvider(lnk.injProv, src, dst, c), nil
+	return conn, nil
 }
 
 // teardown closes the listeners and links, ending the mesh. Idempotent;
@@ -468,83 +456,32 @@ func (m *tcpMesh) close() {
 	m.readersWG.Wait()
 }
 
-// send is the single writer for all of src's links: it assigns the
-// link's next sequence number, arms the operation's fault injector on
-// the link, and writes the frame with reconnect-and-resend recovery.
-// Injected faults that exhaust the retries fail only the owning
-// operation; organic transport death fails the mesh.
+// send is the single writer for all of src's links. A whole message
+// goes out as one frame. A pipelined message (job.plan) goes out as a
+// run of segment sub-frames: each qualifying sealed chunk becomes a
+// per-chunk segment stream — sealing each segment right before it goes
+// on the wire, so segment i travels while segment i+1 is still under
+// AES-GCM and the receiver is already authenticating segment i-1 — and
+// every other chunk ships whole as a single inline sub-frame of the
+// same envelope sequence. The message's first sub-frame carries the
+// total chunk count; each chunk's first sub-frame carries that chunk's
+// metadata. Every sub-frame takes its own link sequence number and
+// rides the same reconnect-and-resend recovery as whole-message frames.
 func (m *tcpMesh) send(src int, job sendJob) {
 	o := job.op
-	lnk := m.links[src][job.dst]
-	lnk.inj.Store(o.inj)
-	if job.plan != nil {
-		m.sendStream(o, src, lnk, job)
+	if job.plan == nil {
+		m.writeFrame(o, src, job.dst, job.msg, nil)
 		return
 	}
-	seq := lnk.nextSeq()
-	var start float64
-	if o.wt.active() {
-		start = o.wt.now()
-	}
-	if err := m.sendFrame(o, src, job.dst, lnk, seq, job.msg); err != nil {
-		m.noteSendErr(o, src, job.dst, err)
-		return
-	}
-	m.lm.countSent(src, job.dst, job.msg.WireLen())
-	if o.wt.active() {
-		o.wt.emit(src, TraceSend, start, job.msg.WireLen(), job.dst)
-	}
-}
-
-// noteSendErr classifies a failed send, failing the op (fault plans) or
-// the mesh (organic transport death).
-func (m *tcpMesh) noteSendErr(o *opRuntime, src, dst int, err error) {
-	if o.isAborted() {
-		return // gave up because the op unwound mid-retry
-	}
-	var fe *fault.Error
-	if errors.As(err, &fe) {
-		// The op's own fault plan exhausted the retries: fail the
-		// op, leave the mesh (and its other operations) alone.
-		o.failAsync(&RankError{Rank: src, Peer: dst, Op: "send", Err: err})
-		return
-	}
-	m.fail(fmt.Errorf("rank %d send to %d: %w", src, dst, err))
-}
-
-// sendStream writes one pipelined message as a run of segment
-// sub-frames: each qualifying sealed chunk becomes a per-chunk segment
-// stream — sealing each segment right before it goes on the wire, so
-// segment i travels while segment i+1 is still under AES-GCM and the
-// receiver is already authenticating segment i-1 — and every other
-// chunk ships whole as a single inline sub-frame of the same envelope
-// sequence. The message's first sub-frame carries the total chunk
-// count; each chunk's first sub-frame carries that chunk's metadata.
-// Every sub-frame takes its own link sequence number and rides the same
-// reconnect-and-resend recovery as whole-message frames.
-func (m *tcpMesh) sendStream(o *opRuntime, src int, lnk *tcpLink, job sendJob) {
 	m.lm.pipeMsgs.Inc()
 	total := uint32(len(job.plan.chunks))
 	first := true
-	emit := func(sf wire.SegFrame) error {
+	emit := func(sf wire.SegFrame) bool {
 		if first {
 			sf.MsgChunks = total
 			first = false
 		}
-		seq := lnk.nextSeq()
-		var start float64
-		if o.wt.active() {
-			start = o.wt.now()
-		}
-		if err := m.sendSegFrame(o, src, job.dst, lnk, seq, sf); err != nil {
-			m.noteSendErr(o, src, job.dst, err)
-			return err
-		}
-		m.lm.countSent(src, job.dst, int64(len(sf.Payload)))
-		if o.wt.active() {
-			o.wt.emit(src, TraceSend, start, int64(len(sf.Payload)), job.dst)
-		}
-		return nil
+		return m.writeFrame(o, src, job.dst, block.Message{}, &sf)
 	}
 	for ci, cs := range job.plan.chunks {
 		if o.isAborted() {
@@ -560,7 +497,7 @@ func (m *tcpMesh) sendStream(o *opRuntime, src int, lnk *tcpLink, job sendJob) {
 				Meta:    &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks},
 				Payload: c.Payload,
 			}
-			if emit(sf) != nil {
+			if !emit(sf) {
 				return
 			}
 			m.lm.pipeInlineChunks.Inc()
@@ -586,7 +523,7 @@ func (m *tcpMesh) sendStream(o *opRuntime, src int, lnk *tcpLink, job sendJob) {
 				// (re-authenticated segment by segment).
 				sf.Meta = &wire.SegMeta{Tag: cs.chunk.Tag, Blocks: cs.chunk.Blocks, Header: st.Header()}
 			}
-			if emit(sf) != nil {
+			if !emit(sf) {
 				return
 			}
 			m.lm.pipeSegmentsSent.Inc()
@@ -594,33 +531,54 @@ func (m *tcpMesh) sendStream(o *opRuntime, src int, lnk *tcpLink, job sendJob) {
 	}
 }
 
-// sendFrame writes one sequence-numbered, op-id-stamped frame,
-// recovering from transient failures (injected drops, partial writes,
-// connection resets) by reconnecting — fresh dial plus hello
-// re-handshake — under exponential backoff. Resending the whole frame on
-// a fresh connection is safe: the receiver's sequence gate drops
-// duplicates, a partial frame on the abandoned connection never parses,
-// and AES-GCM binds every ciphertext to its block header and op-id, so
-// replays, splices and cross-operation deliveries fail closed rather
-// than deliver wrong bytes.
-func (m *tcpMesh) sendFrame(o *opRuntime, src, dst int, lnk *tcpLink, seq uint64, msg block.Message) error {
-	return m.sendWithRetry(o, src, dst, lnk, func(conn net.Conn) error {
-		return lnk.fw.WriteMsg(conn, src, o.id, seq, msg)
-	})
+// writeFrame is the one path of every frame src sends to dst: a whole
+// message, or the segment sub-frame sf when it is non-nil. It takes the
+// link's next sequence number, writes the frame under sendWithRetry,
+// then counts and traces it. A failed send reports false, after failing
+// the op (its fault plan exhausted the retries) or the mesh (organic
+// transport death).
+func (m *tcpMesh) writeFrame(o *opRuntime, src, dst int, msg block.Message, sf *wire.SegFrame) bool {
+	lnk := m.links[src][dst]
+	seq := lnk.nextSeq()
+	n := msg.WireLen()
+	if sf != nil {
+		n = int64(len(sf.Payload))
+	}
+	var start float64
+	if o.wt.active() {
+		start = o.wt.now()
+	}
+	if err := m.sendWithRetry(o, src, dst, lnk, seq, msg, sf); err != nil {
+		switch {
+		case o.isAborted(): // gave up because the op unwound mid-retry
+		case errors.As(err, new(*fault.Error)):
+			o.failAsync(&RankError{Rank: src, Peer: dst, Op: "send", Err: err})
+		default:
+			m.fail(fmt.Errorf("rank %d send to %d: %w", src, dst, err))
+		}
+		return false
+	}
+	m.lm.countSent(src, dst, n)
+	if o.wt.active() {
+		o.wt.emit(src, TraceSend, start, n, dst)
+	}
+	return true
 }
 
-// sendSegFrame is sendFrame for one segment sub-frame of a pipelined
-// stream; the same dedup/resend argument applies, with the sub-frame's
-// own sequence number standing in for the frame's.
-func (m *tcpMesh) sendSegFrame(o *opRuntime, src, dst int, lnk *tcpLink, seq uint64, sf wire.SegFrame) error {
-	return m.sendWithRetry(o, src, dst, lnk, func(conn net.Conn) error {
-		return lnk.fw.WriteSeg(conn, src, o.id, seq, sf)
-	})
-}
-
-// sendWithRetry runs one frame write under the reconnect-and-resend
-// recovery loop shared by whole-message frames and segment sub-frames.
-func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, write func(net.Conn) error) error {
+// sendWithRetry writes frame seq (msg, or sf when non-nil), recovering
+// from transient failures (injected drops, partial writes, connection
+// resets) by reconnecting — fresh dial plus hello re-handshake — under
+// exponential backoff. Resending the whole frame on a fresh connection
+// is safe: the receiver's sequence gate drops duplicates, a partial
+// frame on the abandoned connection never parses, and AES-GCM binds
+// every ciphertext to its block header and op-id, so replays, splices
+// and cross-operation deliveries fail closed rather than deliver wrong
+// bytes.
+//
+// Each attempt is one frame of the pair to the operation's fault
+// injector: a stall sleeps, a drop closes the conn, and any other
+// verdict writes through Verdict.Writer, byte-exact on the frame.
+func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, seq uint64, msg block.Message, sf *wire.SegFrame) error {
 	var lastErr error
 	for attempt := 0; attempt <= sendRetries; attempt++ {
 		if attempt > 0 {
@@ -632,7 +590,7 @@ func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, write 
 				backoff.Stop()
 				return lastErr
 			}
-			conn, err := m.connect(src, dst, lnk)
+			conn, err := m.connect(src, dst)
 			if err != nil {
 				lastErr = err
 				continue
@@ -644,13 +602,20 @@ func (m *tcpMesh) sendWithRetry(o *opRuntime, src, dst int, lnk *tcpLink, write 
 		if conn == nil {
 			return lastErr
 		}
-		if fc, ok := conn.(*fault.Conn); ok {
-			if err := fc.StartFrame(); err != nil {
-				lastErr = err
-				continue
-			}
+		v := o.inj.SendFrame(src, dst)
+		o.inj.Sleep(v.Stall)
+		if v.Drop {
+			conn.Close()
+			lastErr = v.Err(fault.Drop)
+			continue
 		}
-		if err := write(conn); err != nil {
+		var err error
+		if sf != nil {
+			err = lnk.fw.WriteSeg(v.Writer(conn), src, o.id, seq, *sf)
+		} else {
+			err = lnk.fw.WriteMsg(v.Writer(conn), src, o.id, seq, msg)
+		}
+		if err != nil {
 			lastErr = err
 			conn.Close()
 			continue
@@ -696,6 +661,17 @@ func (t *readTracker) Read(p []byte) (int, error) {
 // frameDone marks a clean frame boundary: the reader is idle again.
 func (t *readTracker) frameDone() { t.mark.Store(0) }
 
+// stall sleeps through an injected read stall of d. A stall is not
+// starvation: a reader stalled mid-frame (a sub-frame's payload still
+// on the stream) reads idle while it sleeps and resumes its clock after.
+func (t *readTracker) stall(in *fault.Injector, d time.Duration) {
+	mid := d > 0 && t.mark.Swap(0) != 0
+	in.Sleep(d)
+	if mid {
+		t.mark.Store(trackClock())
+	}
+}
+
 // starved reports how long the reader has been stuck mid-frame without
 // consuming a byte.
 func (t *readTracker) starved() (time.Duration, bool) {
@@ -740,9 +716,10 @@ func connDied(err error) bool {
 // fresh accepted conn takes over). Frames whose op-id is not registered
 // — stragglers resent from a completed or aborted collective, or frames
 // with a corrupted op-id — are dropped after passing the sequence gate:
-// they can be lost, never misrouted. Receive-side fault delays are
-// applied per delivered frame out of the owning operation's injector,
-// so one op's read stalls never bill another op's plan.
+// they can be lost, never misrouted. Every frame, whole message or
+// sub-frame, is admitted at one point: gate, op lookup, drop counters,
+// the owning operation's read stall (so one op's read stalls never bill
+// another op's plan) and receive counters.
 //
 // A frame that fails to parse (or arrives bearing the wrong source
 // rank) is wire-level corruption of an established stream: past it the
@@ -776,50 +753,52 @@ func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, 
 			m.fail(fmt.Errorf("frame on the %d->%d stream claims src %d", src, dst, fr.Src))
 			return
 		}
+		n := int64(fr.Seg.PayloadLen)
+		if fr.Kind == wire.FrameMsg {
+			n = fr.Msg.WireLen()
+			tc.frameDone()
+		}
+		// Admit the frame once, whatever its kind: o stays nil for a
+		// duplicate of a frame resent over a newer conn and for a
+		// straggler of a retired operation, and the frame is dropped.
+		var o *opRuntime
+		if !gate.admit(fr.Seq) {
+			m.lm.dedupDrops.Inc()
+		} else if o, _ = m.reg.get(fr.Op); o == nil {
+			m.lm.stragglers.Inc()
+		} else {
+			tc.stall(o.inj, o.inj.ReadDelay(src, dst))
+			m.lm.countRecv(src, dst, n)
+		}
 		if fr.Kind == wire.FrameSeg {
-			// Segment sub-frame: the payload is still on the stream, to
-			// be read straight into the receive stream's segment slot.
-			if err := m.recvSegment(tc, src, dst, gate, fr); err != nil {
+			// A sub-frame's payload is still on the stream.
+			if err := m.recvSegment(tc, o, src, dst, fr.Seg); err != nil {
 				if !connDied(err) {
 					m.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
 				}
 				return
 			}
-			continue
+		} else if o != nil {
+			o.deliver(src, dst, fr.Msg)
 		}
-		tc.frameDone()
-		if !gate.admit(fr.Seq) {
-			m.lm.dedupDrops.Inc()
-			continue // duplicate of a frame resent over a newer conn
-		}
-		o, ok := m.reg.get(fr.Op)
-		if !ok {
-			m.lm.stragglers.Inc()
-			continue // straggler from a retired operation: dropped
-		}
-		if d := o.inj.ReadDelay(src, dst); d > 0 {
-			o.inj.Sleep(d)
-		}
-		m.lm.countRecv(src, dst, fr.Msg.WireLen())
-		o.deliver(src, dst, fr.Msg)
 	}
 }
 
-// recvSegment handles one segment sub-frame: it routes the sub-frame to
-// its operation's in-flight pipelined message (created from the
-// first sub-frame's message metadata), then to the per-chunk receive
-// stream the sub-frame's chunk index selects (created from that chunk's
-// first-frame metadata), reads the payload directly into the stream's
-// in-blob slot — no staging copy — and opens the filled segment on this
-// reader goroutine. Inline sub-frames carry a whole small chunk and
+// recvSegment places the payload of one segment sub-frame that
+// serveConn admitted for o, or reads past it when o is nil. It routes
+// the sub-frame to its operation's in-flight pipelined message (created
+// from the first sub-frame's message metadata), then to the per-chunk
+// receive stream the sub-frame's chunk index selects (created from that
+// chunk's first-frame metadata), reads the payload directly into the
+// stream's in-blob slot — no staging copy — and opens the filled segment
+// on this reader goroutine. Inline sub-frames carry a whole small chunk and
 // are slotted into the message assembly directly. Protocol violations
 // inside a parseable sub-frame (unknown stream, out-of-range chunk,
 // duplicate or mis-sized segment, malformed inline blob) fail the
 // owning operation and discard the payload, leaving the connection and
 // the mesh's other operations alone; only a read failure (returned) is
 // connection-fatal.
-func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr wire.Frame) error {
-	sf := fr.Seg
+func (m *tcpMesh) recvSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.SegFrame) error {
 	discard := func() error {
 		// Through the tracker, so a long discard counts as progress;
 		// io.Discard copies through a pooled buffer, so it retains nothing.
@@ -827,17 +806,12 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 		tc.frameDone()
 		return err
 	}
-	if !gate.admit(fr.Seq) {
-		m.lm.dedupDrops.Inc()
+	if o == nil {
 		return discard()
 	}
-	o, ok := m.reg.get(fr.Op)
-	if !ok {
-		m.lm.stragglers.Inc()
-		return discard()
-	}
+	fail := func(err error) { o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err}) }
 	violate := func(err error) error {
-		o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err})
+		fail(err)
 		return discard()
 	}
 	key := streamKey{src: src, dst: dst, id: sf.Stream}
@@ -862,25 +836,18 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 			return err
 		}
 		tc.frameDone()
-		if d := o.inj.ReadDelay(src, dst); d > 0 {
-			o.inj.Sleep(d)
-		}
-		m.lm.countRecv(src, dst, int64(sf.PayloadLen))
 		if c.Enc {
 			if err := seal.CheckSegmented(c.Payload); err != nil {
-				o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
-					Err: fmt.Errorf("inline chunk %d of stream %d malformed: %w", sf.Chunk, sf.Stream, err)})
+				fail(fmt.Errorf("inline chunk %d of stream %d malformed: %w", sf.Chunk, sf.Stream, err))
 				return nil
 			}
 		} else if int64(len(c.Payload)) != c.PlainLen() {
-			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
-				Err: fmt.Errorf("inline chunk %d of stream %d: payload %d bytes, header says %d",
-					sf.Chunk, sf.Stream, len(c.Payload), c.PlainLen())})
+			fail(fmt.Errorf("inline chunk %d of stream %d: payload %d bytes, header says %d",
+				sf.Chunk, sf.Stream, len(c.Payload), c.PlainLen()))
 			return nil
 		}
 		if !mr.setChunk(sf.Chunk, c) {
-			o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv",
-				Err: fmt.Errorf("inline chunk %d of stream %d duplicated or out of range", sf.Chunk, sf.Stream)})
+			fail(fmt.Errorf("inline chunk %d of stream %d duplicated or out of range", sf.Chunk, sf.Stream))
 		}
 		return nil
 	}
@@ -907,10 +874,6 @@ func (m *tcpMesh) recvSegment(tc *readTracker, src, dst int, gate *seqGate, fr w
 		return err
 	}
 	tc.frameDone()
-	if d := o.inj.ReadDelay(src, dst); d > 0 {
-		o.inj.Sleep(d)
-	}
-	m.lm.countRecv(src, dst, int64(sf.PayloadLen))
 	m.lm.pipeSegmentsRecv.Inc()
 	sr.accept(int(sf.Index))
 	return nil

@@ -368,6 +368,3 @@ func (p *Proc) ShmGet(key string) block.Message {
 func (p *Proc) NodeBarrier() {
 	p.eng.nodeBarrier(p)
 }
-
-// Real reports whether this run carries real payload bytes.
-func (p *Proc) Real() bool { return p.eng.sealer() != nil }

@@ -1,14 +1,17 @@
 // Package fault is a deterministic, seedable fault-injection layer for
 // the transport engines. A Plan is a set of per-rank-pair rules ("drop
 // the 2->5 connection after 3 frames", "corrupt byte 17 of frame 1",
-// "stall 5ms before every send") and an Injector applies it at runtime:
+// "stall 5ms before every send") and an Injector applies it at runtime.
+// Both links take one Verdict per frame from Injector.SendFrame where
+// they write or deliver it, and one Injector.ReadDelay where they
+// deliver it:
 //
-//   - the TCP engine wraps each outbound net.Conn with WrapSendProvider
-//     (byte-level drops, corruption, stalls, partial writes) and applies
-//     Injector.ReadDelay to each frame its readers deliver;
-//   - the in-memory channel engine consults Injector.SendFrame per
-//     message and applies the verdict at message granularity (a dropped
-//     or partially written frame is simply lost in transit).
+//   - the TCP link applies the verdict byte-exactly to the frame's wire
+//     bytes: a stall sleeps, a drop closes the connection, and
+//     corruption and partial writes go through Verdict.Writer;
+//   - the in-memory channel link applies it at message granularity (a
+//     dropped or partially written frame is simply lost in transit, a
+//     corrupted one has a payload byte flipped).
 //
 // Plans are pure data and rule application is keyed only on the ordered
 // rank pair and that pair's frame counter, so a given plan injects the
@@ -17,8 +20,8 @@ package fault
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"strings"
 	"sync"
 	"time"
@@ -37,7 +40,9 @@ const (
 	// Stall sleeps for Delay before sending the target frame.
 	Stall
 	// StallRead delays each frame the receive side of the pair delivers
-	// by Delay (frame targeting does not apply).
+	// by Delay, on both links (frame targeting does not apply). On the
+	// channel link delivery runs on the sender's queue, so the stall
+	// also holds the sending rank's later frames.
 	StallRead
 	// PartialWrite delivers only the first Keep bytes of the target
 	// frame, then fails the write.
@@ -133,24 +138,19 @@ func (p *Plan) String() string {
 // ranks, drawing from every fault kind (including corruption, which a
 // fail-closed transport is expected to turn into a structured error
 // rather than recover from).
-func Random(seed int64, p, n int) *Plan {
-	rng := rand.New(rand.NewSource(seed))
-	plan := &Plan{Seed: seed}
-	for i := 0; i < n; i++ {
-		plan.Rules = append(plan.Rules, randomRule(rng, p, true))
-	}
-	return plan
-}
+func Random(seed int64, p, n int) *Plan { return generate(seed, p, n, true) }
 
 // Transient generates a deterministic plan of n rules limited to
 // recoverable faults (drops, stalls, read delays, partial writes): a
 // transport with reconnect support must complete correctly under any
 // Transient plan.
-func Transient(seed int64, p, n int) *Plan {
+func Transient(seed int64, p, n int) *Plan { return generate(seed, p, n, false) }
+
+func generate(seed int64, p, n int, corruption bool) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	plan := &Plan{Seed: seed}
 	for i := 0; i < n; i++ {
-		plan.Rules = append(plan.Rules, randomRule(rng, p, false))
+		plan.Rules = append(plan.Rules, randomRule(rng, p, corruption))
 	}
 	return plan
 }
@@ -198,12 +198,59 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("fault: injected %v on %d->%d at frame %d", e.Kind, e.Src, e.Dst, e.Frame)
 }
 
-// Verdict is the injector's decision for one outgoing frame.
+// Verdict is the injector's decision for one outgoing frame of the
+// Src->Dst pair.
 type Verdict struct {
+	Src, Dst    int
+	Frame       int // the pair's 0-based frame index
 	Drop        bool
 	CorruptAt   int // byte offset to flip; -1 = none
 	PartialKeep int // bytes delivered before the write fails; -1 = none
 	Stall       time.Duration
+}
+
+// Err is the injected fault of kind k on the verdict's frame.
+func (v Verdict) Err(k Kind) error {
+	return &Error{Kind: k, Src: v.Src, Dst: v.Dst, Frame: v.Frame}
+}
+
+// Writer returns w unchanged unless the verdict arms corruption or a
+// partial write. Then it returns a writer for this one frame that
+// applies them byte-exactly to the frame's bytes, however many Write
+// calls carry them: the byte at CorruptAt is flipped in a copy (the
+// caller's buffer stays intact), and the write stops after PartialKeep
+// bytes with an injected *Error.
+func (v Verdict) Writer(w io.Writer) io.Writer {
+	if v.CorruptAt < 0 && v.PartialKeep < 0 {
+		return w
+	}
+	return &frameWriter{w: w, v: v}
+}
+
+// frameWriter is Verdict.Writer's armed case; off counts the frame's
+// bytes written so far.
+type frameWriter struct {
+	w   io.Writer
+	v   Verdict
+	off int
+}
+
+func (f *frameWriter) Write(p []byte) (int, error) {
+	if keep := f.v.PartialKeep - f.off; f.v.PartialKeep >= 0 && keep < len(p) {
+		n := 0
+		if keep > 0 {
+			n, _ = f.w.Write(p[:keep])
+		}
+		f.off += n
+		return n, f.v.Err(PartialWrite)
+	}
+	if at := f.v.CorruptAt - f.off; at >= 0 && at < len(p) {
+		p = append([]byte(nil), p...)
+		p[at] ^= 0x40
+	}
+	n, err := f.w.Write(p)
+	f.off += n
+	return n, err
 }
 
 type pair struct{ src, dst int }
@@ -215,8 +262,7 @@ type Injector struct {
 	rules   []Rule
 	fired   []int
 	frames  map[pair]int
-	sleep   func(time.Duration) // test seam; time.Sleep in production
-	observe func(Kind)          // optional per-applied-fault hook
+	observe func(Kind) // optional per-applied-fault hook
 }
 
 // SetObserver registers fn to be called once for every fault the
@@ -243,7 +289,6 @@ func NewInjector(plan *Plan) *Injector {
 		rules:  append([]Rule(nil), plan.Rules...),
 		fired:  make([]int, len(plan.Rules)),
 		frames: make(map[pair]int),
-		sleep:  time.Sleep,
 	}
 }
 
@@ -262,20 +307,20 @@ func (in *Injector) fire(i int) bool {
 }
 
 // SendFrame advances the pair's frame counter and returns the verdict
-// for that frame. Every send attempt (including a retry of the same
+// for that frame, naming the pair and the frame index. Every send attempt (including a retry of the same
 // logical message) counts as a frame, keeping rule application
 // deterministic under reconnects.
 func (in *Injector) SendFrame(src, dst int) Verdict {
-	v := Verdict{CorruptAt: -1, PartialKeep: -1}
+	v := Verdict{Src: src, Dst: dst, CorruptAt: -1, PartialKeep: -1}
 	if in == nil {
 		return v
 	}
 	var applied []Kind
 	in.mu.Lock()
-	f := in.frames[pair{src, dst}]
-	in.frames[pair{src, dst}] = f + 1
+	v.Frame = in.frames[pair{src, dst}]
+	in.frames[pair{src, dst}] = v.Frame + 1
 	for i, r := range in.rules {
-		if r.Kind == StallRead || !r.matches(src, dst, f) || !in.fire(i) {
+		if r.Kind == StallRead || !r.matches(src, dst, v.Frame) || !in.fire(i) {
 			continue
 		}
 		switch r.Kind {
@@ -298,17 +343,6 @@ func (in *Injector) SendFrame(src, dst int) Verdict {
 		}
 	}
 	return v
-}
-
-// Frame reports the pair's current frame counter (frames attempted so
-// far), mainly for tests and diagnostics.
-func (in *Injector) Frame(src, dst int) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.frames[pair{src, dst}]
 }
 
 // ReadDelay returns the injected latency for one frame delivered on
@@ -337,100 +371,10 @@ func (in *Injector) ReadDelay(src, dst int) time.Duration {
 	return d
 }
 
-// Sleep blocks for d using the injector's clock seam.
+// Sleep blocks for d; it is a no-op on a nil injector.
 func (in *Injector) Sleep(d time.Duration) {
 	if in == nil || d <= 0 {
 		return
 	}
-	in.sleep(d)
-}
-
-// Conn wraps the send side of one directed connection. The transport
-// calls StartFrame before writing each frame so the injector can target
-// frame boundaries; Write then applies the armed verdict byte-exactly.
-// The injector is re-resolved through a provider at every frame
-// boundary, so a persistent connection that outlives a single collective
-// can switch to a fresh per-operation plan (or to none) without being
-// re-wrapped.
-type Conn struct {
-	net.Conn
-	prov     func() *Injector
-	src, dst int
-
-	mu    sync.Mutex
-	v     Verdict
-	off   int // bytes of the current frame written so far
-	frame int
-}
-
-// WrapSendProvider wraps an outbound src->dst connection with send-side
-// faults drawn from whatever injector prov yields at each frame
-// boundary. A nil result from prov injects nothing for that frame. The
-// wrapper is always installed, which is what a session-scoped transport
-// wants: wrap once at dial time, swap plans per operation.
-func WrapSendProvider(prov func() *Injector, src, dst int, c net.Conn) *Conn {
-	return &Conn{Conn: c, prov: prov, src: src, dst: dst}
-}
-
-// StartFrame marks the beginning of a new outgoing frame, applies
-// stalls, and arms corruption/partial-write faults for the frame's
-// bytes. A Drop verdict closes the underlying connection and returns an
-// *Error; the caller treats it exactly like an organic write failure.
-func (c *Conn) StartFrame() error {
-	in := c.prov()
-	v := in.SendFrame(c.src, c.dst)
-	if v.Stall > 0 {
-		in.Sleep(v.Stall)
-	}
-	frame := 0
-	if in != nil {
-		frame = in.Frame(c.src, c.dst) - 1
-	}
-	c.mu.Lock()
-	c.v = v
-	c.off = 0
-	c.frame = frame
-	c.mu.Unlock()
-	if v.Drop {
-		c.Conn.Close()
-		return &Error{Kind: Drop, Src: c.src, Dst: c.dst, Frame: frame}
-	}
-	return nil
-}
-
-func (c *Conn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	v := c.v
-	off := c.off
-	frame := c.frame
-	c.mu.Unlock()
-
-	if v.PartialKeep >= 0 {
-		keep := v.PartialKeep - off
-		if keep <= 0 {
-			return 0, &Error{Kind: PartialWrite, Src: c.src, Dst: c.dst, Frame: frame}
-		}
-		if keep < len(p) {
-			n, _ := c.Conn.Write(p[:keep])
-			c.advance(n)
-			return n, &Error{Kind: PartialWrite, Src: c.src, Dst: c.dst, Frame: frame}
-		}
-	}
-	if at := v.CorruptAt; at >= off && at < off+len(p) {
-		q := append([]byte(nil), p...)
-		q[at-off] ^= 0x40
-		p = q
-	}
-	n, err := c.Conn.Write(p)
-	c.advance(n)
-	return n, err
-}
-
-func (c *Conn) advance(n int) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.off += n
-	c.mu.Unlock()
+	time.Sleep(d)
 }

@@ -3,7 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
-	"net"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -51,9 +51,10 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if d := in.ReadDelay(0, 1); d != 0 {
 		t.Fatalf("nil injector read delay = %v", d)
 	}
-	// A provider yielding no injector arms no fault on the frame.
-	if err := WrapSendProvider(func() *Injector { return nil }, 0, 1, nil).StartFrame(); err != nil {
-		t.Fatalf("nil provider StartFrame = %v", err)
+	// A clean verdict hands the frame's writer back unchanged.
+	var buf bytes.Buffer
+	if w := v.Writer(&buf); w != io.Writer(&buf) {
+		t.Fatalf("clean verdict wrapped the writer: %T", w)
 	}
 }
 
@@ -99,139 +100,67 @@ func TestTimesCapsFirings(t *testing.T) {
 	}
 }
 
-// pipeConn adapts net.Pipe for deterministic wrapper tests.
-func pipeConn(t *testing.T) (net.Conn, net.Conn) {
-	t.Helper()
-	a, b := net.Pipe()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return a, b
-}
-
-func TestConnDropClosesAndErrors(t *testing.T) {
+func TestVerdictDropNamesFrame(t *testing.T) {
 	in := NewInjector(&Plan{Rules: []Rule{{Src: 0, Dst: 1, Frame: 1, Kind: Drop}}})
-	in.sleep = func(time.Duration) {}
-	a, b := pipeConn(t)
-	go func() {
-		buf := make([]byte, 16)
-		for {
-			if _, err := b.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
-	if err := c.StartFrame(); err != nil {
-		t.Fatalf("frame 0: %v", err)
+	if v := in.SendFrame(0, 1); v.Drop {
+		t.Fatalf("frame 0 dropped: %+v", v)
 	}
-	if _, err := c.Write([]byte("frame0")); err != nil {
-		t.Fatalf("frame 0 write: %v", err)
+	v := in.SendFrame(0, 1)
+	if !v.Drop {
+		t.Fatalf("frame 1 not dropped: %+v", v)
 	}
-	err := c.StartFrame()
 	var fe *Error
-	if !errors.As(err, &fe) || fe.Kind != Drop {
-		t.Fatalf("frame 1 StartFrame = %v, want injected drop", err)
-	}
-	if _, err := c.Write([]byte("frame1")); err == nil {
-		t.Fatal("write on dropped conn succeeded")
+	if err := v.Err(Drop); !errors.As(err, &fe) || *fe != (Error{Kind: Drop, Src: 0, Dst: 1, Frame: 1}) {
+		t.Fatalf("drop error = %v, want injected drop on 0->1 at frame 1", err)
 	}
 }
 
-func TestConnCorruptFlipsTargetByte(t *testing.T) {
+func TestVerdictWriterCorruptFlipsTargetByte(t *testing.T) {
 	in := NewInjector(&Plan{Rules: []Rule{{Src: 0, Dst: 1, Frame: 0, Kind: Corrupt, Offset: 3}}})
-	in.sleep = func(time.Duration) {}
-	a, b := pipeConn(t)
-	got := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, 8)
-		n, _ := b.Read(buf)
-		got <- buf[:n]
-	}()
-	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
-	if err := c.StartFrame(); err != nil {
+	var out bytes.Buffer
+	frame := []byte{1, 2, 3, 4, 5}
+	if _, err := in.SendFrame(0, 1).Writer(&out).Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Write([]byte{1, 2, 3, 4, 5}); err != nil {
-		t.Fatal(err)
+	if want := []byte{1, 2, 3, 4 ^ 0x40, 5}; !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("wire bytes = %v, want %v", out.Bytes(), want)
 	}
-	out := <-got
-	want := []byte{1, 2, 3, 4 ^ 0x40, 5}
-	if !bytes.Equal(out, want) {
-		t.Fatalf("wire bytes = %v, want %v", out, want)
+	if !bytes.Equal(frame, []byte{1, 2, 3, 4, 5}) {
+		t.Fatalf("caller's buffer changed: %v", frame)
 	}
 }
 
 // Corruption lands on the right byte even when the frame is written in
 // several Write calls.
-func TestConnCorruptAcrossWrites(t *testing.T) {
+func TestVerdictWriterCorruptAcrossWrites(t *testing.T) {
 	in := NewInjector(&Plan{Rules: []Rule{{Src: 0, Dst: 1, Frame: 0, Kind: Corrupt, Offset: 5}}})
-	in.sleep = func(time.Duration) {}
-	a, b := pipeConn(t)
-	got := make(chan []byte, 1)
-	go func() {
-		var acc []byte
-		buf := make([]byte, 8)
-		for len(acc) < 8 {
-			n, err := b.Read(buf)
-			acc = append(acc, buf[:n]...)
-			if err != nil {
-				break
-			}
+	var out bytes.Buffer
+	w := in.SendFrame(0, 1).Writer(&out)
+	for _, p := range [][]byte{{0, 1, 2, 3}, {4, 5, 6, 7}} {
+		if _, err := w.Write(p); err != nil {
+			t.Fatal(err)
 		}
-		got <- acc
-	}()
-	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
-	if err := c.StartFrame(); err != nil {
-		t.Fatal(err)
 	}
-	if _, err := c.Write([]byte{0, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write([]byte{4, 5, 6, 7}); err != nil {
-		t.Fatal(err)
-	}
-	out := <-got
-	want := []byte{0, 1, 2, 3, 4, 5 ^ 0x40, 6, 7}
-	if !bytes.Equal(out, want) {
-		t.Fatalf("wire bytes = %v, want %v", out, want)
+	if want := []byte{0, 1, 2, 3, 4, 5 ^ 0x40, 6, 7}; !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("wire bytes = %v, want %v", out.Bytes(), want)
 	}
 }
 
-func TestConnPartialWriteShortensFrame(t *testing.T) {
+func TestVerdictWriterPartialWriteStopsAtKeep(t *testing.T) {
 	in := NewInjector(&Plan{Rules: []Rule{{Src: 0, Dst: 1, Frame: 0, Kind: PartialWrite, Keep: 3}}})
-	in.sleep = func(time.Duration) {}
-	a, b := pipeConn(t)
-	got := make(chan []byte, 1)
-	go func() {
-		buf := make([]byte, 8)
-		n, _ := b.Read(buf)
-		got <- buf[:n]
-	}()
-	c := WrapSendProvider(func() *Injector { return in }, 0, 1, a)
-	if err := c.StartFrame(); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Write([]byte("abcdef"))
+	var out bytes.Buffer
+	n, err := in.SendFrame(0, 1).Writer(&out).Write([]byte("abcdef"))
 	var fe *Error
-	if n != 3 || !errors.As(err, &fe) || fe.Kind != PartialWrite {
-		t.Fatalf("partial write = (%d, %v), want (3, injected partial-write)", n, err)
+	if n != 3 || !errors.As(err, &fe) || fe.Kind != PartialWrite || fe.Frame != 0 {
+		t.Fatalf("partial write = (%d, %v), want (3, injected partial-write at frame 0)", n, err)
 	}
-	if out := <-got; !bytes.Equal(out, []byte("abc")) {
-		t.Fatalf("wire bytes = %q, want %q", out, "abc")
+	if out.String() != "abc" {
+		t.Fatalf("wire bytes = %q, want %q", out.String(), "abc")
 	}
-	// The next frame on the same conn is healthy again.
-	if err := c.StartFrame(); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		buf := make([]byte, 8)
-		n, _ := b.Read(buf)
-		got <- buf[:n]
-	}()
-	if _, err := c.Write([]byte("xyz")); err != nil {
-		t.Fatal(err)
-	}
-	if out := <-got; !bytes.Equal(out, []byte("xyz")) {
-		t.Fatalf("post-fault frame = %q, want %q", out, "xyz")
+	// The next frame is clean again.
+	out.Reset()
+	if w := in.SendFrame(0, 1).Writer(&out); w != io.Writer(&out) {
+		t.Fatalf("next frame's writer wrapped: %T", w)
 	}
 }
 

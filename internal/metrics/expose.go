@@ -18,18 +18,10 @@ import (
 // quantile samples (0.5, 0.95, 0.99) plus _sum and _count.
 //
 // Scrape-time callbacks run outside the registry lock, so a callback
-// may itself take subsystem locks.
+// may itself take subsystem locks. It is WriteMergedPrometheus with r as
+// the one unlabelled source.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-	for _, f := range r.view() {
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
-		for _, e := range f.entries {
-			writeEntry(&b, f.kind, f.name, e, "")
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return WriteMergedPrometheus(w, Source{Reg: r})
 }
 
 // writeEntry emits one entry's samples, with inner (a rendered

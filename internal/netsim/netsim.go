@@ -77,9 +77,6 @@ func (f *Flow) Done() *sim.Signal { return f.done }
 // WaitDone suspends p until the flow completes.
 func (f *Flow) WaitDone(p *sim.Proc) { f.done.Wait(p) }
 
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool { return f.done.Fired() }
-
 // domainState is one independent allocation component.
 type domainState struct {
 	flows     []*Flow // insertion-ordered for determinism

@@ -23,6 +23,7 @@ import (
 	"sort"
 
 	"encag/internal/cluster"
+	"encag/internal/trace"
 )
 
 // chromeEvent is one trace_event entry. We emit "X" (complete) events
@@ -168,8 +169,10 @@ func durQuantile(sorted []float64, q float64) float64 {
 }
 
 // Summarize builds a RunSummary from a run's spec, six-metric critical
-// path and trace events. Security and wire fields are left unset; the
-// caller fills them for real/TCP runs via WithSecurity/WithWire.
+// path and trace events. The per-kind totals and the critical rank come
+// from trace.Collector's per-rank fold; only the quantiles are its own.
+// Security and wire fields are left unset; the caller fills them for
+// real/TCP runs via WithSecurity/WithWire.
 func Summarize(engine, algorithm string, spec cluster.Spec, msgSize int64, elapsedSec float64, crit cluster.Critical, events []cluster.TraceEvent) RunSummary {
 	s := RunSummary{
 		Engine:     engine,
@@ -187,18 +190,27 @@ func Summarize(engine, algorithm string, spec cluster.Spec, msgSize int64, elaps
 	if len(events) == 0 {
 		return s
 	}
+	col := &trace.Collector{Events: events}
 	s.PhaseSec = make(map[string]float64)
 	s.PhaseBytes = make(map[string]int64)
-	perRankEnd := make(map[int]float64)
+	for _, pr := range col.Profiles(spec.P) {
+		for k, v := range pr.Total {
+			s.PhaseSec[k.String()] += v
+		}
+		for k, n := range pr.Bytes {
+			s.PhaseBytes[k.String()] += n
+		}
+	}
+	cp := col.Critical(spec.P)
+	s.CritRank, s.CritEndSec = cp.Rank, cp.End
+	s.CritPhaseSec = make(map[string]float64, len(cp.Total))
+	for k, v := range cp.Total {
+		s.CritPhaseSec[k.String()] = v
+	}
 	durs := make(map[string][]float64)
 	for _, ev := range events {
 		k := ev.Kind.String()
-		s.PhaseSec[k] += ev.End - ev.Start
-		s.PhaseBytes[k] += ev.Bytes
 		durs[k] = append(durs[k], ev.End-ev.Start)
-		if ev.End > perRankEnd[ev.Rank] {
-			perRankEnd[ev.Rank] = ev.End
-		}
 	}
 	s.PhaseQuantiles = make(map[string]PhaseQuantiles, len(durs))
 	for k, d := range durs {
@@ -207,17 +219,6 @@ func Summarize(engine, algorithm string, spec cluster.Spec, msgSize int64, elaps
 			P50: durQuantile(d, 0.50),
 			P95: durQuantile(d, 0.95),
 			P99: durQuantile(d, 0.99),
-		}
-	}
-	for r, end := range perRankEnd {
-		if end > s.CritEndSec || (end == s.CritEndSec && r < s.CritRank) {
-			s.CritEndSec, s.CritRank = end, r
-		}
-	}
-	s.CritPhaseSec = make(map[string]float64)
-	for _, ev := range events {
-		if ev.Rank == s.CritRank {
-			s.CritPhaseSec[ev.Kind.String()] += ev.End - ev.Start
 		}
 	}
 	return s

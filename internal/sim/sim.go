@@ -238,9 +238,6 @@ func NewGate(e *Env) *Signal {
 	return &Signal{env: e}
 }
 
-// Fired reports whether a sticky signal has been fired.
-func (s *Signal) Fired() bool { return s.fired }
-
 // Wait suspends p until the signal fires (or returns immediately if a
 // sticky signal has already fired).
 func (s *Signal) Wait(p *Proc) {

@@ -180,30 +180,36 @@ func TestSessionMetricsRekey(t *testing.T) {
 // collective (a stall is recoverable), and the kind label matches the
 // fault package's naming.
 func TestSessionMetricsFaults(t *testing.T) {
-	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2}, WithEngine(EngineTCP))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	plan := &FaultPlan{Rules: []FaultRule{
-		{Src: -1, Dst: -1, Frame: -1, Kind: FaultStall, Delay: time.Millisecond, Times: 3},
-	}}
-	if _, err := s.Run(context.Background(), "hs2", 1024, WithFaultPlan(plan)); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	if snap.FaultsInjected["stall"] < 1 {
-		t.Errorf("stall faults=%d, want >= 1 (all: %v)", snap.FaultsInjected["stall"], snap.FaultsInjected)
-	}
-	// Every kind label is present in the snapshot even when it never
-	// fired — the families register eagerly at zero.
-	for _, kind := range []string{"drop", "corrupt", "stall", "stall-read", "partial-write"} {
-		if _, ok := snap.FaultsInjected[kind]; !ok {
-			t.Errorf("fault kind %q missing from snapshot: %v", kind, snap.FaultsInjected)
+	for _, eng := range []Engine{EngineChan, EngineTCP} {
+		for _, kind := range []FaultKind{FaultStall, FaultStallRead} {
+			t.Run(string(eng)+"/"+kind.String(), func(t *testing.T) {
+				s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2}, WithEngine(eng))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				plan := &FaultPlan{Rules: []FaultRule{
+					{Src: -1, Dst: -1, Frame: -1, Kind: kind, Delay: time.Millisecond, Times: 3},
+				}}
+				if _, err := s.Run(context.Background(), "hs2", 1024, WithFaultPlan(plan)); err != nil {
+					t.Fatal(err)
+				}
+				snap := s.Snapshot()
+				if snap.FaultsInjected[kind.String()] < 1 {
+					t.Errorf("%v faults=%d, want >= 1 (all: %v)", kind, snap.FaultsInjected[kind.String()], snap.FaultsInjected)
+				}
+				// Every kind label is present in the snapshot even when it
+				// never fired — the families register eagerly at zero.
+				for _, k := range []string{"drop", "corrupt", "stall", "stall-read", "partial-write"} {
+					if _, ok := snap.FaultsInjected[k]; !ok {
+						t.Errorf("fault kind %q missing from snapshot: %v", k, snap.FaultsInjected)
+					}
+				}
+				if snap.OpsFailed != 0 {
+					t.Errorf("%v should not fail the op: failed=%d", kind, snap.OpsFailed)
+				}
+			})
 		}
-	}
-	if snap.OpsFailed != 0 {
-		t.Errorf("stall should not fail the op: failed=%d", snap.OpsFailed)
 	}
 }
 

@@ -121,7 +121,11 @@ func WithTracer(col *TraceCollector) Option {
 
 // WithFaultPlan applies a deterministic fault-injection plan (chan and
 // tcp engines). A fresh injector is armed per collective, so the plan's
-// frame counters restart each operation. The TCP transport absorbs
+// frame counters restart each operation. Both links take one verdict
+// per frame where they write or deliver it: byte-exact on TCP frames,
+// at message granularity on chan. Read stalls apply on both; on chan a
+// read stall also holds the sending rank's later messages. The TCP
+// transport absorbs
 // transient faults (drops, stalls, partial writes) by reconnecting and
 // resending; the chan transport has no connection to re-establish, so a
 // dropped message surfaces as a bounded recv error at the starved peer.
