@@ -142,7 +142,10 @@ type SimResult struct {
 // RunResult is the outcome of a real-execution collective on the chan or
 // tcp engine (Session.Run, Allgather, AllgatherV, Start).
 type RunResult struct {
-	// Gathered[rank][origin] is origin's block as assembled at rank.
+	// Gathered[rank][origin] is origin's block as assembled at rank. The
+	// views are the caller's: they never alias memory the session owns or
+	// reuses (its recycled ciphertext buffers included), so they stay
+	// valid for as long as the caller keeps them.
 	Gathered [][][]byte
 	Metrics  Metrics
 	// SecurityOK is true when no plaintext crossed a node boundary and no

@@ -1,0 +1,146 @@
+package cluster
+
+import "sync"
+
+// Ciphertext is transient in the paper's cost model: a block is sealed,
+// sent and opened, and only the gathered plaintext outlives the
+// operation. The runtime gives ciphertext the same lifetime. Two kinds
+// of buffer come from one process-wide free list, and nothing else does:
+// the blobs Proc.Encrypt seals, and the payloads of encrypted chunks a
+// TCP connection reader receives. Each operation records the buffers it
+// drew (opBufs) and hands them back once nothing can touch them again.
+// The list is process-wide so that the tenants of one host share its
+// cap, as they share seal.SharedPool.
+const (
+	// bufQuantum is the capacity granule. Rounding up to it, not to a
+	// power of two, keeps a 256 KiB blob in a 260 KiB buffer instead of
+	// a 512 KiB one.
+	bufQuantum = 4 << 10
+	// bufIdleCap bounds the bytes the free list keeps idle; past it,
+	// returned buffers are left to the collector.
+	bufIdleCap = 4 << 20
+)
+
+// bufPool is a free list of byte buffers keyed by capacity in quanta. It
+// never blocks: an empty class falls back to make, and a full list drops
+// what it is handed.
+type bufPool struct {
+	mu   sync.Mutex
+	free map[int][][]byte // quanta -> idle buffers of exactly that capacity
+	idle int              // bytes held in free
+}
+
+// cipherBufs is the one free list every session draws ciphertext from.
+var cipherBufs bufPool
+
+// get returns an n-byte buffer whose capacity is n rounded up to the
+// quantum. Its contents are stale: callers overwrite all n bytes.
+func (p *bufPool) get(n int) []byte {
+	q := (n + bufQuantum - 1) / bufQuantum
+	if q == 0 {
+		return []byte{}
+	}
+	p.mu.Lock()
+	if l := p.free[q]; len(l) > 0 {
+		b := l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[q] = l[:len(l)-1]
+		p.idle -= cap(b)
+		p.mu.Unlock()
+		return b[:n]
+	}
+	p.mu.Unlock()
+	return make([]byte, n, q*bufQuantum)
+}
+
+// put returns a buffer get handed out; one that would take the idle
+// bytes past bufIdleCap is dropped.
+func (p *bufPool) put(b []byte) {
+	c := cap(b)
+	if c == 0 {
+		return
+	}
+	p.mu.Lock()
+	if p.idle+c <= bufIdleCap {
+		if p.free == nil {
+			p.free = make(map[int][][]byte)
+		}
+		p.free[c/bufQuantum] = append(p.free[c/bufQuantum], b[:c])
+		p.idle += c
+	}
+	p.mu.Unlock()
+}
+
+// idleBytes returns the bytes the free list holds.
+func (p *bufPool) idleBytes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.idle
+}
+
+// opBufs is the ciphertext memory of one operation and the reference
+// count that decides when it is safe to reuse. The running operation
+// holds one reference and every queued send job one more, released once
+// the send loop has written or dropped the job. The last release hands
+// the buffers back only if the operation succeeded: a failed, cancelled
+// or timed-out operation may still have a buffer in a place nothing
+// tracks, so its memory is left to the collector.
+//
+// This is also what keeps the reuse sound. A sealed blob's slot briefly
+// holds gathered plaintext before it is encrypted in place, and a
+// received payload is written by the connection reader; once the count
+// is zero no sender can still be writing or reading either, and bytes
+// past a buffer's length are never sent.
+//
+// A connection reader can still hand a frame to an operation whose count
+// has reached zero, between its end and its deregistration; that buffer
+// is kept on a list nobody returns, and the collector takes it.
+type opBufs struct {
+	mu   sync.Mutex
+	held [][]byte
+	refs int
+	ok   bool
+}
+
+// keep records a buffer drawn from cipherBufs for this operation.
+func (b *opBufs) keep(buf []byte) {
+	b.mu.Lock()
+	b.held = append(b.held, buf)
+	b.mu.Unlock()
+}
+
+// hold takes one more reference, for a queued send job.
+func (b *opBufs) hold() {
+	b.mu.Lock()
+	b.refs++
+	b.mu.Unlock()
+}
+
+// release drops one reference; the last one returns the buffers when
+// the operation succeeded.
+func (b *opBufs) release() {
+	b.mu.Lock()
+	b.refs--
+	if b.refs > 0 {
+		b.mu.Unlock()
+		return
+	}
+	held := b.held
+	b.held = nil
+	ok := b.ok
+	b.mu.Unlock()
+	if ok {
+		for _, buf := range held {
+			cipherBufs.put(buf)
+		}
+	}
+}
+
+// finish drops the running operation's own reference, recording whether
+// it succeeded.
+func (b *opBufs) finish(ok bool) {
+	b.mu.Lock()
+	b.ok = ok
+	b.mu.Unlock()
+	b.release()
+}

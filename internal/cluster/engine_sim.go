@@ -219,6 +219,9 @@ func (e *simEngine) nodeBarrier(p *Proc) {
 
 func (e *simEngine) sealer() *seal.Sealer { return nil }
 
+// alloc is never reached in sim mode, which seals nothing.
+func (e *simEngine) alloc(n int) []byte { return make([]byte, n) }
+
 // pipeline is always off in sim mode: there are no real bytes to
 // stream, so the model keeps whole-message sends.
 func (e *simEngine) pipeline() bool { return false }

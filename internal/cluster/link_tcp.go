@@ -738,6 +738,7 @@ func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, 
 	// decoder → tracker → read buffer → conn: see readTracker.
 	tc := &readTracker{r: bufio.NewReaderSize(conn, connReadBuf), src: src, dst: dst}
 	dec := wire.NewFrameReader(tc)
+	dec.Alloc = cipherBufs.get
 	m.track(tc)
 	defer m.untrack(tc)
 	gate := m.gates[dst][src]
@@ -778,8 +779,22 @@ func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, 
 				}
 				return
 			}
-		} else if o != nil {
-			o.deliver(src, dst, fr.Msg)
+		} else {
+			// The encrypted payloads came from cipherBufs: they belong to o
+			// from here on, or, for a frame nobody will read, go straight
+			// back.
+			for _, c := range fr.Msg.Chunks {
+				switch {
+				case !c.Enc:
+				case o != nil:
+					o.bufs.keep(c.Payload)
+				default:
+					cipherBufs.put(c.Payload)
+				}
+			}
+			if o != nil {
+				o.deliver(src, dst, fr.Msg)
+			}
 		}
 	}
 }

@@ -83,7 +83,8 @@ func newTransport(spec Spec, lm *liveMetrics, reg *opRegistry, lnk link) *transp
 // src's pairs: it drains the rank's fair queue — round-robin across the
 // streams of concurrent operations, FIFO within each — into the link,
 // so a slow operation can never head-of-line-block a sibling's
-// messages.
+// messages. Once a job is written or dropped, the loop releases the
+// job's reference on its op's ciphertext buffers.
 func (t *transport) sendLoop(src int) {
 	defer t.senders.Done()
 	for {
@@ -91,10 +92,11 @@ func (t *transport) sendLoop(src int) {
 		if !ok {
 			return
 		}
-		if job.op.isAborted() {
-			continue // the op is unwinding: its queued messages are moot
+		// An unwinding op's queued messages are moot: they are dropped.
+		if !job.op.isAborted() {
+			t.send(src, job)
 		}
-		t.send(src, job)
+		job.op.bufs.release()
 	}
 }
 

@@ -52,6 +52,7 @@ type opRuntime struct {
 	fails     failState
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
 	abortOnce sync.Once
+	bufs      opBufs // the ciphertext buffers this op drew, and who still holds them
 
 	// streamSeq allocates sender-side stream ids; streams is the TCP
 	// demux table of this operation's in-flight pipelined messages.
@@ -80,6 +81,7 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
+		bufs:    opBufs{refs: 1}, // the running op's own reference
 	}
 	o.recvTimer = make([]*time.Timer, spec.P)
 	for r := 0; r < spec.P; r++ {
@@ -228,23 +230,33 @@ func (recvReq) isRequest() {}
 // blocked link never stalls the rank goroutine. On a pipelined TCP
 // session, a message with at least one sealed chunk that qualifies for
 // streaming (enough segments) is enqueued as a per-message stream plan;
-// anything else is materialized and travels whole.
+// anything else is materialized and travels whole. Every queued job
+// holds a reference on the op's ciphertext buffers until the send loop
+// is done with it.
 func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	o.audit.record(o.spec, p.rank, dst, msg)
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	if plan := o.streamsForSend(msg); plan != nil {
-		plan.sid = o.streamSeq.Add(1)
-		o.sendQ[p.rank].Push(o.id, sendJob{op: o, dst: dst, plan: plan})
-		return sendReq{}
+	job := sendJob{op: o, dst: dst}
+	if job.plan = o.streamsForSend(msg); job.plan != nil {
+		job.plan.sid = o.streamSeq.Add(1)
+	} else {
+		var err error
+		if job.msg, err = materializeMessage(msg); err != nil {
+			o.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
+		}
 	}
-	msg, err := materializeMessage(msg)
-	if err != nil {
-		o.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
-	}
-	o.sendQ[p.rank].Push(o.id, sendJob{op: o, dst: dst, msg: msg})
+	o.bufs.hold()
+	o.sendQ[p.rank].Push(o.id, job)
 	return sendReq{}
+}
+
+// alloc draws an n-byte ciphertext buffer for this op (see opBufs).
+func (o *opRuntime) alloc(n int) []byte {
+	b := cipherBufs.get(n)
+	o.bufs.keep(b)
+	return b
 }
 
 func (o *opRuntime) irecv(p *Proc, src int) Request {

@@ -30,6 +30,12 @@ type engine interface {
 
 	sealer() *seal.Sealer // nil in sim mode
 
+	// alloc draws the n-byte buffer a sealed blob is written into. The op
+	// runtime takes it from the process-wide ciphertext free list and
+	// hands it back when the operation has succeeded and nothing can touch
+	// it any more (see opBufs).
+	alloc(n int) []byte
+
 	// pipeline reports whether intra-collective segment streaming is on:
 	// TCP sessions with pipelining enabled only (the sim and chan
 	// engines never stream). Every qualifying sealed chunk of a message
@@ -263,7 +269,7 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 				return out
 			}
 		}
-		blob, segs, err := s.SealSegmented(payloadSlices(chunks), aad)
+		blob, segs, err := s.SealSegmentedWith(p.eng.alloc, payloadSlices(chunks), aad)
 		if err != nil {
 			panic(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
 		}

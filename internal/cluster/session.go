@@ -511,13 +511,10 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	// Known leak, kept on purpose (ROADMAP item 6): under this module's
-	// go 1.22 timer semantics the time.After below stays in the heap for
-	// the full RealTimeout after every completed operation. Stopping it
-	// shrinks serve-mix's live heap 34 -> 13 MB, the collector then runs
-	// 40 % more often and the workload's run-to-run spread goes past the
-	// benchmark's bounds on a host with stolen CPU time; the fix has to
-	// land together with the allocation work that makes it steady.
+	// Under this module's go 1.22 timer semantics an unstopped timer stays
+	// in the heap until it fires, a full RealTimeout after the operation.
+	deadline := time.NewTimer(RealTimeout)
+	defer deadline.Stop()
 	select {
 	case <-done:
 	case <-ctx.Done():
@@ -527,14 +524,18 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		// observes the abort, so the ranks unwind promptly; wait for them
 		// instead of leaking goroutines into the caller's process.
 		<-done
-	case <-time.After(RealTimeout):
+	case <-deadline.C:
 		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
 			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
 		run.abort()
 		<-done
 	}
 	res.Elapsed = time.Since(start)
-	if err := run.fails.err(); err != nil {
+	err = run.fails.err()
+	// The ranks are done; queued sends still hold the ciphertext until
+	// the send loops have written or dropped them.
+	run.bufs.finish(err == nil)
+	if err != nil {
 		s.noteFailure(err)
 		var re *RankError
 		if errors.As(err, &re) && re.Op == "cancel" {

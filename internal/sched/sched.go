@@ -11,6 +11,11 @@
 // window governs chan and TCP sessions identically, and the sim engine
 // can bypass it entirely (sim operations complete synchronously and are
 // never in flight).
+//
+// A Scheduler holds only in-flight operations. Once an operation has
+// completed, its result is reachable through its handle alone, and the
+// scheduler keeps at most the error WaitAll reports; a long-lived
+// session's memory does not grow with the number of operations it ran.
 package sched
 
 import (
@@ -29,15 +34,20 @@ const DefaultMaxInFlight = 4
 // ErrClosed is returned by Start on a Close()d scheduler.
 var ErrClosed = errors.New("sched: scheduler is closed")
 
-// Scheduler admits operations into a bounded in-flight window and
-// tracks their handles. All methods are safe for concurrent use.
+// Scheduler admits operations into a bounded in-flight window. It holds
+// only what is in flight: a completed operation's result lives in its
+// handle alone, and the scheduler remembers of it at most its error, if
+// it is the earliest-started failure so far. All methods are safe for
+// concurrent use.
 type Scheduler[T any] struct {
 	slots chan struct{} // counting semaphore; capacity = window size
 	waits atomic.Int64  // Start calls that found the window full
 
 	mu      sync.Mutex
 	closed  bool
-	handles []*Handle[T] // every operation ever started, in start order
+	started int   // operations started so far; the next one's start index
+	failAt  int   // start index of failErr's operation
+	failErr error // error of the earliest-started failed operation, nil if none
 	live    int
 	idle    *sync.Cond // signalled when live drops to zero
 }
@@ -102,13 +112,17 @@ func (s *Scheduler[T]) Start(ctx context.Context, fn func() (T, error)) (*Handle
 		<-s.slots
 		return nil, ErrClosed
 	}
-	s.handles = append(s.handles, h)
+	at := s.started
+	s.started++
 	s.live++
 	s.mu.Unlock()
 	go func() {
 		v, err := fn()
 		h.complete(v, err)
 		s.mu.Lock()
+		if err != nil && (s.failErr == nil || at < s.failAt) {
+			s.failAt, s.failErr = at, err
+		}
 		s.live--
 		if s.live == 0 {
 			s.idle.Broadcast()
@@ -131,8 +145,10 @@ func Completed[T any](v T, err error) *Handle[T] {
 // WaitAll blocks until every operation started so far has completed (or
 // ctx is cancelled) and returns the first error among them in start
 // order, nil when all succeeded. Individual handles keep their own
-// results; WaitAll never consumes them. Operations started while
-// WaitAll is blocked are waited on too.
+// results; WaitAll never consumes them, and the scheduler keeps no
+// handle, so a collected handle's result is garbage once its owner
+// drops it. Operations started while WaitAll is blocked are waited on
+// too.
 func (s *Scheduler[T]) WaitAll(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -159,12 +175,7 @@ func (s *Scheduler[T]) WaitAll(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, h := range s.handles {
-		if err := h.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.failErr
 }
 
 // Close refuses further Starts. Running operations are not interrupted;

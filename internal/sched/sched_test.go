@@ -94,13 +94,13 @@ func TestWindowBackpressure(t *testing.T) {
 		return 0, nil
 	}
 
-	var handles []*Handle[int]
+	var hs []*Handle[int]
 	for i := 0; i < 2; i++ {
 		h, err := s.Start(context.Background(), op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		hs = append(hs, h)
 	}
 
 	started := make(chan *Handle[int])
@@ -118,8 +118,8 @@ func TestWindowBackpressure(t *testing.T) {
 	}
 
 	close(release)
-	handles = append(handles, <-started)
-	for _, h := range handles {
+	hs = append(hs, <-started)
+	for _, h := range hs {
 		if _, err := h.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +181,75 @@ func TestPerOpIsolation(t *testing.T) {
 	}
 	if err := s.WaitAll(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("WaitAll = %v, want first error boom", err)
+	}
+}
+
+// WaitAll reports the earliest-started failure even when a later-started
+// operation failed first.
+func TestWaitAllFirstErrorInStartOrder(t *testing.T) {
+	s := New[int](4)
+	early, late := errors.New("early"), errors.New("late")
+	release := make(chan struct{})
+	if _, err := s.Start(context.Background(), func() (int, error) { return 0, nil }); err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Start(context.Background(), func() (int, error) {
+		<-release
+		return 0, early
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Start(context.Background(), func() (int, error) { return 0, late })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Err(); !errors.Is(err, late) {
+		t.Fatalf("later op error = %v, want late", err)
+	}
+	// Let the later op's failure be recorded before the earlier one fails.
+	for s.InFlight() > 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := first.Err(); !errors.Is(err, early) {
+		t.Fatalf("earlier op error = %v, want early", err)
+	}
+	if err := s.WaitAll(context.Background()); !errors.Is(err, early) {
+		t.Fatalf("WaitAll = %v, want the earlier-started op's error", err)
+	}
+}
+
+// The scheduler keeps no handle: once the caller has collected a result
+// and dropped its handle, the result is garbage.
+func TestCollectedHandleIsReleased(t *testing.T) {
+	type result struct{ buf [1 << 16]byte }
+	s := New[*result](2)
+	h, err := s.Start(context.Background(), func() (*result, error) { return &result{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(res, func(*result) { close(freed) })
+	res, h = nil, nil
+	if err := s.WaitAll(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(s) // the scheduler itself stays reachable
+			return
+		case <-deadline:
+			t.Fatal("a collected result is still reachable from its scheduler")
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
@@ -253,7 +322,7 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 	const n = 16
 	s := New[int](n)
 	ctx, cancel := context.WithCancel(context.Background())
-	var handles []*Handle[int]
+	var hs []*Handle[int]
 	for i := 0; i < n; i++ {
 		h, err := s.Start(ctx, func() (int, error) {
 			select {
@@ -266,11 +335,11 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		hs = append(hs, h)
 	}
 	time.Sleep(20 * time.Millisecond) // let ops get in flight
 	cancel()
-	for i, h := range handles {
+	for i, h := range hs {
 		if _, err := h.Wait(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("op %d error = %v, want context.Canceled", i, err)
 		}

@@ -215,9 +215,16 @@ func (l segLayout) segment(blob []byte, i int) []byte {
 // blobLen returns the size of the whole sealed blob.
 func (l segLayout) blobLen() int64 { return int64(l.hdrLen) + l.total + int64(l.k)*Overhead }
 
-// newBlob allocates a blob for l with its framing header written.
-func (l segLayout) newBlob() []byte {
-	out := make([]byte, l.blobLen())
+// newBlob allocates a blob for l with its framing header written, from
+// alloc when it is non-nil. The header and the segments tile the blob,
+// so every byte of an alloc'd buffer with stale contents is overwritten.
+func (l segLayout) newBlob(alloc func(n int) []byte) []byte {
+	var out []byte
+	if alloc != nil {
+		out = alloc(int(l.blobLen()))
+	} else {
+		out = make([]byte, l.blobLen())
+	}
 	binary.BigEndian.PutUint32(out[0:], segMagic)
 	binary.BigEndian.PutUint32(out[4:], uint32(l.k))
 	for i := 0; i < l.k; i++ {
@@ -346,9 +353,16 @@ func (s *Sealer) eachSegment(k int, fn func(i int) error) error {
 // framing, its segments concurrently on the worker pool. It returns the
 // blob and the number of segments it holds.
 func (s *Sealer) SealSegmented(parts [][]byte, aad []byte) ([]byte, int, error) {
+	return s.SealSegmentedWith(nil, parts, aad)
+}
+
+// SealSegmentedWith is SealSegmented with the blob drawn from alloc,
+// which returns a buffer of exactly n bytes whose contents may be stale;
+// nil allocates with make. The sealer writes every byte of it.
+func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad []byte) ([]byte, int, error) {
 	offs := partOffsets(parts)
 	l := s.layout(offs[len(parts)])
-	out := l.newBlob()
+	out := l.newBlob(alloc)
 	if err := s.eachSegment(l.k, func(i int) error {
 		return s.sealSegment(l, out, parts, offs, aad, i)
 	}); err != nil {
@@ -466,7 +480,7 @@ func (s *Sealer) NewSealStream(parts [][]byte, aad []byte) *SealStream {
 	if l.k < 2 {
 		return nil
 	}
-	return &SealStream{s: s, aad: append([]byte(nil), aad...), blob: l.newBlob(), l: l, parts: parts, poffs: offs}
+	return &SealStream{s: s, aad: append([]byte(nil), aad...), blob: l.newBlob(nil), l: l, parts: parts, poffs: offs}
 }
 
 // StreamFromBlob wraps an already-sealed segmented blob for

@@ -107,6 +107,36 @@ func TestSegmentedGathersParts(t *testing.T) {
 	}
 }
 
+// SealSegmentedWith writes every byte of the buffer it is handed: a blob
+// sealed into a buffer full of stale bytes, with segments both inside
+// one part and across part boundaries, opens to the plaintext, and the
+// stale buffer is what comes back.
+func TestSealSegmentedWithStaleBuffer(t *testing.T) {
+	const segSize = 256
+	s := segSealer(t, segSize, 2)
+	parts := [][]byte{randBytes(t, 300), randBytes(t, 100), randBytes(t, 613)}
+	want := bytes.Join(parts, nil)
+	var stale []byte
+	alloc := func(n int) []byte {
+		stale = bytes.Repeat([]byte{0xA5}, n+64) // longer than asked: the tail is never part of the blob
+		return stale[:n]
+	}
+	blob, _, err := s.SealSegmentedWith(alloc, parts, []byte("aad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &blob[0] != &stale[0] || int64(len(blob)) != SegmentedLen(int64(len(want)), segSize) {
+		t.Fatalf("blob of %d bytes is not the allocated buffer", len(blob))
+	}
+	got, _, err := s.OpenSegmented(blob, []byte("aad"))
+	if err != nil {
+		t.Fatalf("a blob sealed into a stale buffer does not open: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a blob sealed into a stale buffer opens to the wrong plaintext")
+	}
+}
+
 // Tampering with any single byte — header, any segment's nonce,
 // ciphertext or tag — must fail the whole open.
 func TestSegmentedTamperAnySegmentFailsWhole(t *testing.T) {

@@ -158,6 +158,11 @@ type Frame struct {
 // to consume. Not safe for concurrent use: each connection's reader
 // goroutine owns one.
 type FrameReader struct {
+	// Alloc, when set, supplies the payload buffer of every encrypted
+	// chunk of a message frame: exactly n bytes, which the reader
+	// overwrites. Plaintext payloads are always made fresh.
+	Alloc func(n int) []byte
+
 	r   io.Reader
 	hdr [prefixLen]byte // the largest fixed-width group
 	bh  []byte          // encoded block-header scratch, grown on demand
@@ -248,7 +253,11 @@ func (d *FrameReader) readMsg() (block.Message, error) {
 		if total > MaxFrame {
 			return msg, fmt.Errorf("%w: frame exceeds %d bytes", ErrBadFrame, MaxFrame)
 		}
-		c.Payload = make([]byte, plen)
+		if c.Enc && d.Alloc != nil {
+			c.Payload = d.Alloc(int(plen))
+		} else {
+			c.Payload = make([]byte, plen)
+		}
 		if _, err := io.ReadFull(d.r, c.Payload); err != nil {
 			return msg, err
 		}

@@ -92,6 +92,33 @@ func TestFrameWriterGoldenBytes(t *testing.T) {
 	}
 }
 
+// FrameReader.Alloc supplies the payload of every encrypted chunk and of
+// nothing else; a stale buffer it hands out is overwritten.
+func TestFrameReaderAllocEncryptedOnly(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, 3, 9, 1, goldenMsg()); err != nil {
+		t.Fatal(err)
+	}
+	var asked []int
+	d := NewFrameReader(&buf)
+	d.Alloc = func(n int) []byte {
+		asked = append(asked, n)
+		return bytes.Repeat([]byte{0xA5}, n)
+	}
+	f, err := d.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(asked, []int{4}) {
+		t.Fatalf("Alloc asked for %v, want only the encrypted chunk's 4 bytes", asked)
+	}
+	for i, c := range goldenMsg().Chunks {
+		if got := f.Msg.Chunks[i].Payload; !bytes.Equal(got, c.Payload) {
+			t.Fatalf("chunk %d payload %x, want %x", i, got, c.Payload)
+		}
+	}
+}
+
 // streamFrames interleaves both frame kinds: message frames with and
 // without chunks, segment sub-frames with and without chunk and message
 // metadata, inline chunks, zero-length payloads, and a payload larger

@@ -270,13 +270,13 @@ func TestDebugServerLiveTCP(t *testing.T) {
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Src: -1, Dst: -1, Kind: FaultStallRead, Delay: 15 * time.Millisecond, Times: -1},
 	}}
-	var handles []*Handle
+	var hs []*Handle
 	for i := 0; i < 3; i++ {
 		h, err := s.Start(context.Background(), "hs2", 4096, WithFaultPlan(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
-		handles = append(handles, h)
+		hs = append(hs, h)
 	}
 	// Wait on the session's own counters, not the window: Start holds a
 	// window slot before its goroutine reaches the session, so under CPU
@@ -342,7 +342,7 @@ func TestDebugServerLiveTCP(t *testing.T) {
 		}
 	}
 
-	for _, h := range handles {
+	for _, h := range hs {
 		if _, err := h.Wait(); err != nil {
 			t.Fatal(err)
 		}

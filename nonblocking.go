@@ -75,6 +75,10 @@ func (h *Handle) TryWait() (res *RunResult, err error, ok bool) {
 // An unknown algorithm name fails Start itself with a structured
 // *UnknownAlgorithmError — the same fail-fast validation as the
 // blocking methods — rather than deferring the failure to the handle.
+//
+// The session holds only in-flight operations: once an operation has
+// completed, its result is reachable through the returned Handle alone,
+// and dropping the handle lets it be collected.
 func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts ...Option) (*Handle, error) {
 	o, a, err := checkOp(algorithm, opts)
 	if err != nil {
@@ -108,8 +112,11 @@ func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts 
 // WaitAll blocks until every collective started with Start has
 // finished, returning the first error among them in start order (nil
 // when all succeeded, or the context's cause if ctx is cancelled while
-// waiting — the operations themselves keep running). Supported on all
-// engines (trivial on EngineSim, where Start completes synchronously).
+// waiting — the operations themselves keep running). It needs no
+// handle: the session keeps only the in-flight operations and the
+// earliest-started error, never a completed operation's result.
+// Supported on all engines (trivial on EngineSim, where Start completes
+// synchronously).
 func (s *Session) WaitAll(ctx context.Context) error {
 	return s.nb.WaitAll(ctx)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"encag"
+	"encag/internal/block"
 	"encag/internal/fault"
 )
 
@@ -79,6 +80,55 @@ func TestStartConcurrentDistinctAlgorithmsTCP(t *testing.T) {
 	}
 	if !s.WireClean(msgSize) {
 		t.Fatal("plaintext pattern observed on the wire during concurrent ops")
+	}
+}
+
+// Ciphertext buffers are recycled from one operation to the next. Two
+// hundred o-ring all-gathers on 3 nodes, four in flight at a time and
+// each forwarding ciphertext around the ring, must every one stay
+// byte-exact after all the later operations have reused their buffers,
+// and no plaintext may reach the wire, on both engines.
+func TestRecycledCiphertextStress(t *testing.T) {
+	const ops, window, msgSize = 200, 4, 3000
+	spec := encag.Spec{Procs: 6, Nodes: 3}
+	want := make([][]byte, spec.Procs)
+	for r := range want {
+		want[r] = block.FillPattern(r, msgSize)
+	}
+	for _, engine := range []encag.Engine{encag.EngineTCP, encag.EngineChan} {
+		s, err := encag.OpenSession(context.Background(), spec,
+			encag.WithEngine(engine), encag.WithMaxInFlight(window))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := make([]*encag.Handle, 0, ops)
+		for i := 0; i < ops; i++ {
+			h, err := s.Start(context.Background(), encag.AlgORing, msgSize)
+			if err != nil {
+				t.Fatalf("%s: Start %d: %v", engine, i, err)
+			}
+			handles = append(handles, h)
+		}
+		if err := s.WaitAll(context.Background()); err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		for i, h := range handles {
+			res, err := h.Wait()
+			if err != nil {
+				t.Fatalf("%s: op %d: %v", engine, i, err)
+			}
+			for r, view := range res.Gathered {
+				for o, got := range view {
+					if !bytes.Equal(got, want[o]) {
+						t.Fatalf("%s: op %d: rank %d's block of origin %d changed after its buffers were recycled", engine, i, r, o)
+					}
+				}
+			}
+		}
+		if !s.WireClean(msgSize) {
+			t.Fatalf("%s: plaintext pattern observed on the wire", engine)
+		}
+		s.Close()
 	}
 }
 
@@ -158,7 +208,11 @@ func TestStartCancelOneInFlightTCP(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := s.Start(ctx, "hs2", 1<<16)
+	// The doomed op's first frame stalls, so it is still in flight when the
+	// cancel comes however the goroutines are scheduled; unstalled, a
+	// 64 KiB hs2 can finish before the two sibling Starts have returned.
+	stall := &fault.Plan{Rules: []fault.Rule{{Src: -1, Dst: -1, Frame: 0, Kind: fault.Stall, Delay: 300 * time.Millisecond}}}
+	doomed, err := s.Start(ctx, "hs2", 1<<16, encag.WithFaultPlan(stall))
 	if err != nil {
 		t.Fatal(err)
 	}

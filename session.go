@@ -494,7 +494,9 @@ func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []
 // complete plaintext gather of sizes. Self-generated patterns are also
 // checked byte for byte against their origin over TCP and under any
 // fault plan; user-supplied bytes are validated for structure only.
-// Gathered holds views into the result messages, not copies.
+// Gathered holds views into the result messages, not copies; those are
+// plaintext the runtime made for this operation, never a recycled
+// ciphertext buffer.
 func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patterns, planned bool, noun string) (*RunResult, error) {
 	views, err := cluster.GatherViews(s.cs, sizes, res.Results, patterns && (planned || s.engine == EngineTCP))
 	if err != nil {

@@ -92,8 +92,11 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 3; i++ {
-		run() // mesh setup and first-use buffers are not per-op cost
+	// Mesh setup, first-use buffers and the growth of the session's
+	// bounded wire capture are not per-op cost: warm up until the capture
+	// is full.
+	for i := 0; i < 3 || !s.Wire().Truncated && i < 2000; i++ {
+		run()
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -133,18 +136,45 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 }
 
 // Allocation gate for the latency-bound shape the benchmark calls
-// tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB): heap objects
-// per blocking operation. About 1 800 while the frame codec read and
+// tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB). Heap objects
+// per blocking operation: about 1 800 while the frame codec read and
 // wrote field by field through interfaces and every receive made its
-// own deadline timer, about 1 120 since; the gate is 1 300.
+// own deadline timer, about 1 120 since; the gate is 1 300. Bytes: about
+// 261 KB while every sealed blob and received ciphertext was a fresh
+// make, less since they are recycled per operation; the gate is 180 KB.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const objectsBudget = 1300
-	_, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50)
-	t.Logf("%d objects allocated per 1 KiB TCP o-rd2 op (budget %d)", objects, objectsBudget)
+	const (
+		budget        = 180 << 10
+		objectsBudget = 1300
+	)
+	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50)
+	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
+		perOp>>10, objects, budget>>10, objectsBudget)
+	if perOp >= budget {
+		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
+	}
 	if objects >= objectsBudget {
 		t.Fatalf("%d heap objects allocated per op, budget %d", objects, objectsBudget)
+	}
+}
+
+// Allocation gate for the shape the benchmark calls tcp-overlap
+// (EngineTCP, 4 ranks on 2 nodes, o-ring, 64 KiB), run blocking: bytes
+// per operation. About 1 917 KB while every sealed blob and received
+// ciphertext was a fresh make, less since they are recycled per
+// operation; the gate is 1 300 KB.
+func TestTCPOverlapAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const budget = 1300 << 10
+	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40)
+	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
+		perOp>>10, objects, budget>>10)
+	if perOp >= budget {
+		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
 	}
 }
