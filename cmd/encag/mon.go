@@ -129,9 +129,8 @@ func cmdMon(args []string) error {
 	fmt.Printf("seal: segments sealed=%d opened=%d  pool saturated=%d\n",
 		snap.SegmentsSealed, snap.SegmentsOpened, snap.PoolSaturated)
 	if *pipeline {
-		fmt.Printf("pipeline: msgs=%d streams=%d inline chunks=%d segments sent=%d recv=%d opened=%d\n",
-			snap.PipelineMsgs, snap.PipelineStreams, snap.PipelineInlineChunks,
-			snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv, snap.PipelineInlineOpens)
+		fmt.Printf("pipeline: streams=%d segments sent=%d recv=%d opened=%d\n",
+			snap.PipelineStreams, snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv, snap.PipelineInlineOpens)
 	}
 	if engine == encag.EngineTCP {
 		fmt.Printf("wire: %d bytes  reconnects=%d resends=%d dedup drops=%d\n",

@@ -26,9 +26,9 @@ import (
 // EXPERIMENTS.md documents.
 //
 // Beyond the c-ring baseline, the table carries hierarchical rows
-// (hs1, hs2): their inter-node exchanges send multi-chunk messages, so
-// their "+pipe" rows exercise the per-chunk stream interleaving that
-// single-chunk algorithms never reach.
+// (hs1, hs2). Only a message that is one freshly sealed chunk streams:
+// hs1's leader exchange does, while hs2's inter-node messages carry
+// several chunks and go whole, so its "+pipe" rows stream nothing.
 func Overlap(opts Options) ([]Table, error) {
 	ops := opts.Iters
 	if ops <= 0 {
@@ -52,7 +52,7 @@ func Overlap(opts Options) ([]Table, error) {
 			"serialized: N back-to-back Session.Run calls on one session",
 			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), then WaitAll",
 			"engine 'tcp+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
-			"hs1/hs2 rows send multi-chunk inter-node messages, so their '+pipe' rows interleave several per-chunk streams per envelope",
+			"only single-chunk sealed messages stream: hs1's leader exchange does, hs2's multi-chunk inter-node messages go whole, so its '+pipe' rows stream nothing",
 			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization",
 			"wall clock on this host; loopback sockets, real AES-GCM",
 		},

@@ -47,8 +47,9 @@ type Chunk struct {
 	Tag int
 
 	// Stream, when non-nil on an Enc chunk, carries a pending
-	// (lazily sealed) segmented payload: Payload is nil and the
-	// transport seals and sends segments one at a time. It is sender-
+	// (lazily sealed) segmented payload: Payload is nil. Sent as a
+	// message of its own, the transport seals and sends its segments one
+	// at a time; any other use materializes the blob first. It is sender-
 	// local, engine-internal state and never crosses the wire or
 	// reaches a collective's final result (Normalize rejects Enc
 	// chunks there).

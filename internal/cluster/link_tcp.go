@@ -14,7 +14,6 @@ import (
 
 	"encag/internal/block"
 	"encag/internal/fault"
-	"encag/internal/seal"
 	"encag/internal/wire"
 )
 
@@ -457,77 +456,40 @@ func (m *tcpMesh) close() {
 }
 
 // send is the single writer for all of src's links. A whole message
-// goes out as one frame. A pipelined message (job.plan) goes out as a
-// run of segment sub-frames: each qualifying sealed chunk becomes a
-// per-chunk segment stream — sealing each segment right before it goes
-// on the wire, so segment i travels while segment i+1 is still under
-// AES-GCM and the receiver is already authenticating segment i-1 — and
-// every other chunk ships whole as a single inline sub-frame of the
-// same envelope sequence. The message's first sub-frame carries the
-// total chunk count; each chunk's first sub-frame carries that chunk's
+// goes out as one frame. A pipelined message (job.sid non-zero) goes out
+// as the segment sub-frames of its one chunk's stream, sealing each
+// segment right before it goes on the wire, so segment i travels while
+// segment i+1 is still under AES-GCM and the receiver is already
+// authenticating segment i-1. The first sub-frame carries the chunk's
 // metadata. Every sub-frame takes its own link sequence number and
 // rides the same reconnect-and-resend recovery as whole-message frames.
 func (m *tcpMesh) send(src int, job sendJob) {
 	o := job.op
-	if job.plan == nil {
+	if job.sid == 0 {
 		m.writeFrame(o, src, job.dst, job.msg, nil)
 		return
 	}
-	m.lm.pipeMsgs.Inc()
-	total := uint32(len(job.plan.chunks))
-	first := true
-	emit := func(sf wire.SegFrame) bool {
-		if first {
-			sf.MsgChunks = total
-			first = false
-		}
-		return m.writeFrame(o, src, job.dst, block.Message{}, &sf)
-	}
-	for ci, cs := range job.plan.chunks {
+	c := job.msg.Chunks[0]
+	st := c.Stream
+	k := st.K()
+	m.lm.pipeStreams.Inc()
+	for i := 0; i < k; i++ {
 		if o.isAborted() {
 			return
 		}
-		if cs.stream == nil {
-			// Inline chunk: too small (or plaintext) to stream, shipped
-			// whole inside the message's envelope sequence.
-			c := cs.chunk
-			sf := wire.SegFrame{
-				Stream: job.plan.sid, Chunk: uint32(ci), Index: 0, Count: 1,
-				Inline: true, Enc: c.Enc,
-				Meta:    &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks},
-				Payload: c.Payload,
-			}
-			if !emit(sf) {
-				return
-			}
-			m.lm.pipeInlineChunks.Inc()
-			continue
+		seg, err := st.Segment(i)
+		if err != nil {
+			o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
+			return
 		}
-		st := cs.stream
-		k := st.K()
-		m.lm.pipeStreams.Inc()
-		for i := 0; i < k; i++ {
-			if o.isAborted() {
-				return
-			}
-			seg, err := st.Segment(i)
-			if err != nil {
-				o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
-				return
-			}
-			sf := wire.SegFrame{Stream: job.plan.sid, Chunk: uint32(ci), Index: uint32(i), Count: uint32(k), Payload: seg}
-			if i == 0 {
-				// The chunk's first sub-frame carries everything the
-				// receiver needs to set its per-chunk stream up: chunk
-				// identity and the segmented framing header
-				// (re-authenticated segment by segment).
-				sf.Meta = &wire.SegMeta{Tag: cs.chunk.Tag, Blocks: cs.chunk.Blocks, Header: st.Header()}
-			}
-			if !emit(sf) {
-				return
-			}
-			m.lm.pipeSegmentsSent.Inc()
+		sf := wire.SegFrame{Stream: job.sid, Index: uint32(i), Count: uint32(k), Payload: seg}
+		if i == 0 {
+			sf.Meta = &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks, Header: st.Header()}
 		}
+		if !m.writeFrame(o, src, job.dst, block.Message{}, &sf) {
+			return
+		}
+		m.lm.pipeSegmentsSent.Inc()
 	}
 }
 
@@ -800,18 +762,16 @@ func (m *tcpMesh) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, 
 }
 
 // recvSegment places the payload of one segment sub-frame that
-// serveConn admitted for o, or reads past it when o is nil. It routes
-// the sub-frame to its operation's in-flight pipelined message (created
-// from the first sub-frame's message metadata), then to the per-chunk
-// receive stream the sub-frame's chunk index selects (created from that
-// chunk's first-frame metadata), reads the payload directly into the
-// stream's in-blob slot — no staging copy — and opens the filled segment
-// on this reader goroutine. Inline sub-frames carry a whole small chunk and
-// are slotted into the message assembly directly. Protocol violations
-// inside a parseable sub-frame (unknown stream, out-of-range chunk,
-// duplicate or mis-sized segment, malformed inline blob) fail the
-// owning operation and discard the payload, leaving the connection and
-// the mesh's other operations alone; only a read failure (returned) is
+// serveConn admitted for o, or reads past it when o is nil. A stream's
+// first sub-frame carries its metadata and starts the pair's stream;
+// each sub-frame's payload is read straight into the stream's next
+// in-blob slot — no staging copy — and opened on this reader goroutine,
+// and the last one delivers the message. A protocol violation inside a
+// parseable sub-frame (a stream started over an incomplete one, a
+// segment out of order or mis-sized) or a failed open fails the owning
+// operation and drops the stream, whose remaining sub-frames are then
+// read past as stragglers; the connection and the mesh's other
+// operations are left alone. Only a read failure (returned) is
 // connection-fatal.
 func (m *tcpMesh) recvSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.SegFrame) error {
 	discard := func() error {
@@ -821,103 +781,49 @@ func (m *tcpMesh) recvSegment(tc *readTracker, o *opRuntime, src, dst int, sf wi
 		tc.frameDone()
 		return err
 	}
-	if o == nil {
+	if o == nil || o.streams == nil {
 		return discard()
 	}
-	fail := func(err error) { o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err}) }
-	violate := func(err error) error {
-		fail(err)
+	pair := &o.streams[src*m.spec.P+dst]
+	fail := func(op string, err error) {
+		*pair = nil
+		o.failAsync(&RankError{Rank: dst, Peer: src, Op: op, Err: err})
+	}
+	sr := *pair
+	var err error
+	switch {
+	case sf.Meta != nil && sr != nil:
+		err = fmt.Errorf("stream %d started while stream %d is incomplete", sf.Stream, sr.id)
+	case sf.Meta != nil:
+		sr, err = newStreamRecv(o, sf)
+		*pair = sr
+	case sr == nil:
+		// The pair's stream failed earlier: the rest of it is stragglers.
+		m.lm.stragglers.Inc()
 		return discard()
 	}
-	key := streamKey{src: src, dst: dst, id: sf.Stream}
-	mr := o.streams.get(key)
-	if mr == nil {
-		if sf.MsgChunks == 0 {
-			// The message's state is gone — it failed earlier, or its
-			// first sub-frame was lost to a fault. Its sub-frames are
-			// stragglers: dropped, and the starved receive times out.
-			m.lm.stragglers.Inc()
-			return discard()
-		}
-		mr = o.newMsgRecv(key, int(sf.MsgChunks))
-		o.streams.put(key, mr)
+	var slot []byte
+	if err == nil {
+		slot, err = sr.slot(sf)
 	}
-	if sf.Inline {
-		if sf.Meta == nil {
-			return violate(fmt.Errorf("inline chunk %d of stream %d has no metadata", sf.Chunk, sf.Stream))
-		}
-		c := block.Chunk{Enc: sf.Enc, Blocks: sf.Meta.Blocks, Tag: sf.Meta.Tag, Payload: make([]byte, sf.PayloadLen)}
-		if _, err := io.ReadFull(tc, c.Payload); err != nil {
-			return err
-		}
-		tc.frameDone()
-		if c.Enc {
-			if err := seal.CheckSegmented(c.Payload); err != nil {
-				fail(fmt.Errorf("inline chunk %d of stream %d malformed: %w", sf.Chunk, sf.Stream, err))
-				return nil
-			}
-		} else if int64(len(c.Payload)) != c.PlainLen() {
-			fail(fmt.Errorf("inline chunk %d of stream %d: payload %d bytes, header says %d",
-				sf.Chunk, sf.Stream, len(c.Payload), c.PlainLen()))
-			return nil
-		}
-		if !mr.setChunk(sf.Chunk, c) {
-			fail(fmt.Errorf("inline chunk %d of stream %d duplicated or out of range", sf.Chunk, sf.Stream))
-		}
-		return nil
+	if err != nil {
+		fail("recv", err)
+		return discard()
 	}
-	sr := mr.streams[sf.Chunk]
-	if sr == nil {
-		if sf.Meta == nil {
-			// The chunk's stream state is gone or its metadata sub-frame
-			// was lost: stragglers, same as an unknown message.
-			m.lm.stragglers.Inc()
-			return discard()
-		}
-		var err error
-		if sr, err = newChunkStream(o, mr, sf); err != nil {
-			return violate(err)
-		}
-	}
-	if int(sf.Count) != sr.os.K() || sf.PayloadLen != sr.os.SegmentLen(int(sf.Index)) {
-		return violate(fmt.Errorf("segment %d/%d of stream %d chunk %d malformed", sf.Index, sf.Count, sf.Stream, sf.Chunk))
-	}
-	if sr.markSeen(int(sf.Index)) {
-		return violate(fmt.Errorf("segment %d of stream %d chunk %d duplicated", sf.Index, sf.Stream, sf.Chunk))
-	}
-	if _, err := io.ReadFull(tc, sr.os.SegmentSlot(int(sf.Index))); err != nil {
+	if _, err := io.ReadFull(tc, slot); err != nil {
 		return err
 	}
 	tc.frameDone()
 	m.lm.pipeSegmentsRecv.Inc()
-	sr.accept(int(sf.Index))
+	m.lm.pipeInlineOpens.Inc()
+	c, done, err := sr.open()
+	switch {
+	case err != nil:
+		fail("open", err)
+	case done:
+		*pair = nil
+		m.lm.pipeStreamSegments.Observe(int64(sr.os.K()))
+		o.deliver(src, dst, block.Message{Chunks: []block.Chunk{c}})
+	}
 	return nil
-}
-
-// newChunkStream sets up the per-chunk receive stream a chunk's first
-// sub-frame announces: the open stream (blob and plaintext allocated
-// once) built from the seal header the sub-frame carries, delivering
-// the assembled chunk into its slot of mr. It checks the sub-frame
-// against that header and registers the stream under its chunk index.
-// An authentication failure on any segment fails the whole message —
-// and so the operation — exactly once.
-func newChunkStream(o *opRuntime, mr *msgRecv, sf wire.SegFrame) (*streamRecv, error) {
-	if len(sf.Meta.Header) == 0 {
-		return nil, fmt.Errorf("stream %d chunk %d metadata carries no seal header", sf.Stream, sf.Chunk)
-	}
-	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(block.EncodeHeader(sf.Meta.Blocks)))
-	if err != nil {
-		return nil, err
-	}
-	if os.K() != int(sf.Count) {
-		return nil, fmt.Errorf("stream %d chunk %d header declares %d segments, sub-frame says %d",
-			sf.Stream, sf.Chunk, os.K(), sf.Count)
-	}
-	sr := newStreamRecv(os, sf.Meta.Blocks, sf.Meta.Tag, o.lm,
-		func(c block.Chunk) { mr.setChunk(sf.Chunk, c) },
-		mr.failOnce)
-	if !mr.addStream(sf.Chunk, sr) {
-		return nil, fmt.Errorf("stream %d chunk %d duplicated or out of range", sf.Stream, sf.Chunk)
-	}
-	return sr, nil
 }

@@ -38,8 +38,6 @@ const (
 	MetricBytesRecv      = "encag_transport_bytes_recv_total"
 
 	MetricPipeStreams        = "encag_pipeline_streams_total"
-	MetricPipeMsgs           = "encag_pipeline_msg_streams_total"
-	MetricPipeInlineChunks   = "encag_pipeline_inline_chunks_total"
 	MetricPipeSegmentsSent   = "encag_pipeline_segments_sent_total"
 	MetricPipeSegmentsRecv   = "encag_pipeline_segments_recv_total"
 	MetricPipeInlineOpens    = "encag_pipeline_inline_opens_total"
@@ -86,8 +84,6 @@ type liveMetrics struct {
 	bytesRecv       [][]*metrics.Counter
 
 	pipeStreams        *metrics.Counter
-	pipeMsgs           *metrics.Counter
-	pipeInlineChunks   *metrics.Counter
 	pipeSegmentsSent   *metrics.Counter
 	pipeSegmentsRecv   *metrics.Counter
 	pipeInlineOpens    *metrics.Counter
@@ -122,9 +118,7 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.recvTimeouts = reg.Counter(MetricRecvTimeouts, "Receives that hit the per-wait deadline.")
 	lm.stragglers = reg.Counter(MetricStragglers, "Frames of retired operations dropped by the demux.")
 
-	lm.pipeStreams = reg.Counter(MetricPipeStreams, "Per-chunk segment streams started by the pipelined send path.")
-	lm.pipeMsgs = reg.Counter(MetricPipeMsgs, "Pipelined messages sent (each interleaving its per-chunk streams and inline chunks).")
-	lm.pipeInlineChunks = reg.Counter(MetricPipeInlineChunks, "Chunks shipped whole inside pipelined messages (too small to stream).")
+	lm.pipeStreams = reg.Counter(MetricPipeStreams, "Pipelined messages streamed segment by segment (one sealed chunk each).")
 	lm.pipeSegmentsSent = reg.Counter(MetricPipeSegmentsSent, "Sealed segments put on the wire by pipelined sends.")
 	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
 	lm.pipeInlineOpens = reg.Counter(MetricPipeInlineOpens, "Segments opened on the connection reader as they landed (every streamed segment).")
@@ -233,15 +227,10 @@ type SessionSnapshot struct {
 
 	// Pipeline* fields describe intra-collective segment streaming
 	// (zero everywhere unless a TCP session has pipelining on).
-	// PipelineMsgs counts pipelined messages; PipelineStreams counts
-	// their per-chunk segment streams, so Streams > Msgs implies
-	// multi-chunk messages streamed; PipelineInlineChunks counts the
-	// chunks shipped whole inside pipelined messages.
+	// PipelineStreams counts streamed messages, each one sealed chunk.
 	// PipelineInlineOpens counts every segment opened: each one opens on
 	// its connection's reader goroutine as it lands.
 	PipelineStreams      int64
-	PipelineMsgs         int64
-	PipelineInlineChunks int64
 	PipelineSegmentsSent int64
 	PipelineSegmentsRecv int64
 	PipelineInlineOpens  int64
@@ -309,8 +298,6 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.BytesSent = lm.bytesSentTotal.Value()
 	snap.BytesRecv = lm.bytesRecvTotal.Value()
 	snap.PipelineStreams = lm.pipeStreams.Value()
-	snap.PipelineMsgs = lm.pipeMsgs.Value()
-	snap.PipelineInlineChunks = lm.pipeInlineChunks.Value()
 	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
 	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
 	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()

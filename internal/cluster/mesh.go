@@ -19,16 +19,14 @@ import (
 var ErrMeshDown = errors.New("cluster: transport mesh is down")
 
 // sendJob is one message awaiting its turn on a rank's send scheduler.
-// A pipelined send (TCP only) carries a per-message send plan instead
-// of a materialized message: the link seals and ships one segment at a
-// time — interleaving the message's per-chunk streams with its inline
-// chunks — overlapping crypto with transport.
+// A pipelined send (TCP only) carries a stream id and keeps its one
+// chunk's pending SealStream: the link seals and ships one segment at a
+// time, overlapping crypto with transport.
 type sendJob struct {
 	op  *opRuntime
 	dst int
 	msg block.Message
-
-	plan *sendPlan // non-nil: stream the message's chunks
+	sid uint32 // non-zero: stream msg's one chunk under this stream id
 }
 
 // link is the engine-specific remainder of a session's transport: how

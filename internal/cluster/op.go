@@ -28,7 +28,7 @@ type envelope struct {
 // injector and failure state, keyed by the operation id every message
 // carries. It decides how a rank's receives are ordered, failed and
 // unblocked; the session's link only moves jobs from a rank's send
-// queue to the destination's runtime (deliver, newMsgRecv). Many
+// queue to the destination's runtime (deliver, streams). Many
 // runtimes run concurrently over one transport; aborting one leaves the
 // transport and its sibling operations untouched.
 type opRuntime struct {
@@ -54,10 +54,12 @@ type opRuntime struct {
 	abortOnce sync.Once
 	bufs      opBufs // the ciphertext buffers this op drew, and who still holds them
 
-	// streamSeq allocates sender-side stream ids; streams is the TCP
-	// demux table of this operation's in-flight pipelined messages.
+	// streamSeq allocates sender-side stream ids; streams holds each
+	// pair's incoming pipelined message, [src*P+dst], nil between
+	// streams (pipelined ops only). Only the pair's readers, which run
+	// one after another, touch an entry.
 	streamSeq atomic.Uint32
-	streams   streamTable
+	streams   []*streamRecv
 }
 
 // newOp builds the runtime for one collective — over a (possibly
@@ -84,6 +86,9 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		bufs:    opBufs{refs: 1}, // the running op's own reference
 	}
 	o.recvTimer = make([]*time.Timer, spec.P)
+	if pipe {
+		o.streams = make([]*streamRecv, spec.P*spec.P)
+	}
 	for r := 0; r < spec.P; r++ {
 		o.inboxes[r] = newOpInbox()
 	}
@@ -102,29 +107,6 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 // included, so every inbox is FIFO per source.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
 	o.inboxes[dst].push(envelope{src: src, msg: msg})
-}
-
-// newMsgRecv sets up the receive side of the incoming pipelined message
-// k of total chunks: the chunk assembly slots and the completion and
-// failure hooks, both of which first drop k from the stream table. The
-// message delivers into the operation's inbox once every chunk has
-// assembled; one bad chunk fails the operation closed and the transport
-// lives on.
-func (o *opRuntime) newMsgRecv(k streamKey, total int) *msgRecv {
-	return &msgRecv{
-		deliver: func(msg block.Message) {
-			o.streams.drop(k)
-			o.deliver(k.src, k.dst, msg)
-		},
-		fail: func(err error) {
-			o.streams.drop(k)
-			o.failAsync(&RankError{Rank: k.dst, Peer: k.src, Op: "open", Err: err})
-		},
-		chunks:    make([]block.Chunk, total),
-		filled:    make([]bool, total),
-		remaining: total,
-		streams:   make(map[uint32]*streamRecv),
-	}
 }
 
 // abort unwinds this operation only: ranks blocked in receives,
@@ -228,8 +210,8 @@ func (recvReq) isRequest() {}
 // operations fairly, applies this operation's fault verdicts in the
 // rank's program order per pair (keeping plans deterministic), and a
 // blocked link never stalls the rank goroutine. On a pipelined TCP
-// session, a message with at least one sealed chunk that qualifies for
-// streaming (enough segments) is enqueued as a per-message stream plan;
+// session, a message that is one chunk with a pending SealStream is
+// enqueued under a fresh stream id and streams segment by segment;
 // anything else is materialized and travels whole. Every queued job
 // holds a reference on the op's ciphertext buffers until the send loop
 // is done with it.
@@ -238,9 +220,9 @@ func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	job := sendJob{op: o, dst: dst}
-	if job.plan = o.streamsForSend(msg); job.plan != nil {
-		job.plan.sid = o.streamSeq.Add(1)
+	job := sendJob{op: o, dst: dst, msg: msg}
+	if o.streamed(msg) {
+		job.sid = o.streamSeq.Add(1)
 	} else {
 		var err error
 		if job.msg, err = materializeMessage(msg); err != nil {

@@ -1,21 +1,19 @@
-// Intra-collective pipelining: the tcp engine can overlap crypto with
-// transport inside one operation by streaming a chunk's sealed segments
-// onto the wire one at a time (internal/seal's SealStream/OpenStream,
-// internal/wire's segment sub-frames). A multi-chunk message becomes one
-// envelope sequence interleaving a per-chunk segment stream for every
-// qualifying sealed chunk, plus inline sub-frames for the chunks too
-// small to stream; the receiver assembles the chunks back into the
-// message in order. This file holds the pieces the TCP link builds on:
-// the streaming threshold, the per-message send plan, and the
-// receive-side message and stream assembly with the op's in-flight
-// stream table.
+// Intra-collective pipelining: on a TCP session with pipelining on, a
+// message that is exactly one freshly sealed chunk — the pending
+// SealStream Proc.Encrypt made — travels as the sealed segments of its
+// blob, one segment sub-frame each (internal/wire), each sealed right
+// before it goes on the wire and opened as it lands. Every other message
+// is materialized and sent as one whole frame. This file holds the
+// streaming threshold, materialization, and the receive-side stream
+// assembly.
 package cluster
 
 import (
-	"sync"
+	"fmt"
 
 	"encag/internal/block"
 	"encag/internal/seal"
+	"encag/internal/wire"
 )
 
 // defaultMinStreamBytes is the smallest chunk plaintext worth
@@ -25,59 +23,10 @@ import (
 // qualification does not drift with seal framing overhead.
 const defaultMinStreamBytes = 16 << 10
 
-// chunkSend is one chunk's entry in a send plan: either a segment
-// stream (stream non-nil; chunk carries the metadata) or an inline
-// chunk shipped whole in a single sub-frame.
-type chunkSend struct {
-	stream *seal.SealStream
-	chunk  block.Chunk
-}
-
-// sendPlan is a message's pipelined send schedule: every chunk in
-// order, each either streamed segment-by-segment or sent inline.
-type sendPlan struct {
-	chunks  []chunkSend
-	streams int    // chunks with a non-nil stream
-	sid     uint32 // per-operation stream id, stamped by isend
-}
-
-// streamsForSend builds msg's pipelined send plan, or returns nil when
-// the message should travel the legacy whole-frame path. Each sealed
-// chunk qualifies for streaming if it carries a pending SealStream from
-// Encrypt, or is a forwarded segmented blob whose plaintext is at least
-// defaultMinStreamBytes and that splits into ≥2 segments along its recorded
-// boundaries; every other chunk — plaintext, small, or unsplittable —
-// ships inline inside the same envelope sequence. A plan with zero
-// streams is pointless, so nil is returned and the caller materializes.
-func (o *opRuntime) streamsForSend(msg block.Message) *sendPlan {
-	if !o.pipe || len(msg.Chunks) == 0 {
-		return nil
-	}
-	plan := &sendPlan{chunks: make([]chunkSend, len(msg.Chunks))}
-	for i, c := range msg.Chunks {
-		plan.chunks[i] = chunkSend{chunk: c}
-		if !c.Enc {
-			continue
-		}
-		if c.Stream != nil {
-			plan.chunks[i].stream = c.Stream
-			plan.streams++
-			continue
-		}
-		if c.Payload == nil || c.PlainLen() < defaultMinStreamBytes {
-			continue
-		}
-		st, err := seal.StreamFromBlob(c.Payload)
-		if err != nil || st.K() < 2 {
-			continue
-		}
-		plan.chunks[i].stream = st
-		plan.streams++
-	}
-	if plan.streams == 0 {
-		return nil
-	}
-	return plan
+// streamed reports whether msg travels as a segment stream: a pipelined
+// op's message that is one chunk with a pending SealStream.
+func (o *opRuntime) streamed(msg block.Message) bool {
+	return o.pipe && len(msg.Chunks) == 1 && msg.Chunks[0].Stream != nil
 }
 
 // streamBlob indirects SealStream.Blob so the materialize error-path
@@ -118,176 +67,57 @@ func materializeMessage(msg block.Message) (block.Message, error) {
 	return msg, nil
 }
 
-// streamKey identifies one in-flight receive message on the TCP demux:
-// stream ids are allocated per operation, so the (src, dst, id) triple
-// is unique among its live pipelined messages; the chunk index in each
-// sub-frame selects the per-chunk stream within the message.
-type streamKey struct {
-	src, dst int
-	id       uint32
-}
-
-// streamTable tracks the in-flight pipelined messages the TCP demux is
-// assembling for one operation; the readers of all the op's pairs share
-// it. The zero value is an empty table.
-type streamTable struct {
-	mu sync.Mutex
-	m  map[streamKey]*msgRecv
-}
-
-func (t *streamTable) get(k streamKey) *msgRecv {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[k]
-}
-
-func (t *streamTable) put(k streamKey, mr *msgRecv) {
-	t.mu.Lock()
-	if t.m == nil {
-		t.m = make(map[streamKey]*msgRecv)
-	}
-	t.m[k] = mr
-	t.mu.Unlock()
-}
-
-func (t *streamTable) drop(k streamKey) {
-	t.mu.Lock()
-	delete(t.m, k)
-	t.mu.Unlock()
-}
-
-// msgRecv assembles one incoming pipelined message: chunks arrive as
-// per-chunk segment streams and inline sub-frames, in any interleaving
-// the sender chose, and are slotted by chunk index. When every chunk is
-// filled the whole message is delivered; the first failure on any chunk
-// fails the message exactly once. A msgRecv and its streams belong to
-// the reader goroutine of their src->dst pair (the pair's readers run
-// one after another), so they need no lock.
-type msgRecv struct {
-	deliver func(block.Message)
-	fail    func(error)
-
-	chunks    []block.Chunk
-	filled    []bool
-	remaining int
-	streams   map[uint32]*streamRecv
-	failed    bool
-}
-
-// addStream registers a per-chunk receive stream. It reports false for
-// an out-of-range chunk index, a chunk already filled, or a chunk that
-// already has a live stream — all protocol violations, since the
-// sequence gates dedup transport-level resends.
-func (mr *msgRecv) addStream(ci uint32, sr *streamRecv) bool {
-	if int(ci) >= len(mr.chunks) || mr.filled[ci] {
-		return false
-	}
-	if _, ok := mr.streams[ci]; ok {
-		return false
-	}
-	mr.streams[ci] = sr
-	return true
-}
-
-// setChunk fills chunk ci, delivering the assembled message when it was
-// the last one outstanding. It reports false for an out-of-range index
-// or a duplicate fill (protocol violations); fills after a failure are
-// absorbed silently so a later sibling chunk cannot resurrect a failed
-// message.
-func (mr *msgRecv) setChunk(ci uint32, c block.Chunk) bool {
-	if mr.failed {
-		return true
-	}
-	if int(ci) >= len(mr.chunks) || mr.filled[ci] {
-		return false
-	}
-	mr.chunks[ci] = c
-	mr.filled[ci] = true
-	delete(mr.streams, ci)
-	mr.remaining--
-	if mr.remaining == 0 {
-		mr.deliver(block.Message{Chunks: mr.chunks})
-	}
-	return true
-}
-
-// failOnce invokes the failure hook exactly once, no matter how many of
-// the message's chunk streams fail.
-func (mr *msgRecv) failOnce(err error) {
-	if mr.failed {
-		return
-	}
-	mr.failed = true
-	mr.fail(err)
-}
-
-// streamRecv assembles one incoming per-chunk segment stream: the
-// transport fills segment slots as sub-frames land and calls accept,
-// which opens (authenticates + decrypts) each segment right there on the
-// reader goroutine — so the reader stops reading while it opens, which
-// backpressures the sender through TCP flow control. The first
-// authentication failure fails the whole stream closed; once every
-// segment has opened, the assembled chunk — blob and pre-opened
-// plaintext — is delivered.
+// streamRecv assembles one incoming pipelined message: the segments of
+// its one sealed chunk. A stream's sub-frames arrive back to back and in
+// index order on their pair — one sender goroutine writes them, the
+// accept loop chains the pair's readers, and the sequence gate drops
+// resends — so it accepts only the next index. Each segment is read
+// straight into its in-blob slot and opened there on the reader
+// goroutine, so the reader stops reading while it opens, which
+// backpressures the sender through TCP flow control. It belongs to its
+// pair's readers, which run one after another, so it needs no lock.
 type streamRecv struct {
-	os      *seal.OpenStream
-	blocks  []block.Block
-	tag     int
-	lm      *liveMetrics
-	deliver func(block.Chunk)
-	fail    func(error)
-
-	seen   []bool
-	done   int
-	failed bool
+	id     uint32 // the sender's stream id
+	os     *seal.OpenStream
+	blocks []block.Block
+	tag    int
+	next   int // index of the next segment to arrive
 }
 
-func newStreamRecv(os *seal.OpenStream, blocks []block.Block, tag int,
-	lm *liveMetrics, deliver func(block.Chunk), fail func(error)) *streamRecv {
-	return &streamRecv{
-		os:      os,
-		blocks:  blocks,
-		tag:     tag,
-		lm:      lm,
-		deliver: deliver,
-		fail:    fail,
-		seen:    make([]bool, os.K()),
+// newStreamRecv starts the stream a first sub-frame announces: the open
+// stream (blob and plaintext allocated once) built from the seal header
+// its metadata carries, under the op's AAD for the chunk's blocks.
+func newStreamRecv(o *opRuntime, sf wire.SegFrame) (*streamRecv, error) {
+	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(block.EncodeHeader(sf.Meta.Blocks)))
+	if err != nil {
+		return nil, err
 	}
+	return &streamRecv{id: sf.Stream, os: os, blocks: sf.Meta.Blocks, tag: sf.Meta.Tag}, nil
 }
 
-// markSeen records segment i's arrival, reporting whether it is a
-// duplicate (a protocol violation: the sequence gates already dedup
-// transport-level resends).
-func (sr *streamRecv) markSeen(i int) (dup bool) {
-	if sr.seen[i] {
-		return true
+// slot returns where sub-frame sf's payload goes: the next segment's
+// in-blob slot. A sub-frame of another stream, any other index or count,
+// or a payload of the wrong length is a protocol violation.
+func (sr *streamRecv) slot(sf wire.SegFrame) ([]byte, error) {
+	if sf.Stream != sr.id || int(sf.Index) != sr.next || int(sf.Count) != sr.os.K() {
+		return nil, fmt.Errorf("stream %d expects segment %d of %d, got stream %d segment %d of %d",
+			sr.id, sr.next, sr.os.K(), sf.Stream, sf.Index, sf.Count)
 	}
-	sr.seen[i] = true
-	return false
+	if n := sr.os.SegmentLen(sr.next); sf.PayloadLen != n {
+		return nil, fmt.Errorf("stream %d segment %d is %d bytes, want %d", sr.id, sr.next, sf.PayloadLen, n)
+	}
+	return sr.os.SegmentSlot(sr.next), nil
 }
 
-// accept opens the filled segment i. The caller must have fully filled
-// SegmentSlot(i) first; markSeen ensures each slot is accepted once.
-func (sr *streamRecv) accept(i int) {
-	if sr.failed {
-		return
+// open authenticates and decrypts the segment just read into its slot.
+// After the last one it returns the assembled chunk — blob and opened
+// plaintext — with done set.
+func (sr *streamRecv) open() (c block.Chunk, done bool, err error) {
+	if err := sr.os.OpenSegment(sr.next); err != nil {
+		return block.Chunk{}, false, err
 	}
-	sr.lm.pipeInlineOpens.Inc()
-	if err := sr.os.OpenSegment(i); err != nil {
-		sr.failed = true
-		sr.fail(err)
-		return
+	if sr.next++; sr.next < sr.os.K() {
+		return block.Chunk{}, false, nil
 	}
-	sr.done++
-	if sr.done < sr.os.K() {
-		return
-	}
-	sr.lm.pipeStreamSegments.Observe(int64(sr.os.K()))
-	sr.deliver(block.Chunk{
-		Enc:     true,
-		Blocks:  sr.blocks,
-		Tag:     sr.tag,
-		Payload: sr.os.Blob(),
-		Opened:  sr.os.Plaintext(),
-	})
+	return block.Chunk{Enc: true, Blocks: sr.blocks, Tag: sr.tag, Payload: sr.os.Blob(), Opened: sr.os.Plaintext()}, true, nil
 }

@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"encag/internal/block"
 	"encag/internal/fault"
-	"encag/internal/metrics"
 	"encag/internal/seal"
+	"encag/internal/wire"
 )
 
 // pipeSpec/pipeSize: a world and payload large enough that every
@@ -105,9 +106,9 @@ func TestPipelineTCPByteExact(t *testing.T) {
 	}
 }
 
-// splitEncrypt seals rank r's plaintext as two separate chunks (each
-// half qualifies for its own segment stream), the multi-chunk send
-// shape of the hierarchical algorithms.
+// splitEncrypt seals rank r's plaintext as two separate chunks, each
+// large enough to stream on its own: the multi-chunk send shape of the
+// hierarchical algorithms.
 func splitEncrypt(p *Proc, mine block.Message) (block.Chunk, block.Chunk) {
 	pl := mine.Chunks[0].Payload
 	half := len(pl) / 2
@@ -123,19 +124,18 @@ func joinDecrypted(origin int, dec block.Message) block.Message {
 	return block.NewPlain(origin, buf)
 }
 
-// Mixed traffic on one directed pair — a pipelined multi-chunk message
-// (two per-chunk streams on the same link) followed by small
-// whole-message frames — must be received in program order.
+// Mixed traffic on one directed pair — a streamed single-chunk message
+// followed by two small whole-message frames — must be received in
+// program order.
 func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 	algo := func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
-		ctA, ctB := splitEncrypt(p, mine)
+		ct := p.Encrypt(mine.Chunks...)
 		small := block.NewPlain(p.Rank(), block.FillPattern(p.Rank(), 64))
-		// Multi-chunk stream first, two small plaintext frames right
-		// behind it on the same pair; receives must observe the same
-		// order.
+		// The stream first, two small plaintext frames right behind it on
+		// the same pair; receives must observe the same order.
 		reqs := []Request{
-			p.Isend(other, block.Message{Chunks: []block.Chunk{ctA, ctB}}),
+			p.Isend(other, block.Message{Chunks: []block.Chunk{ct}}),
 			p.Isend(other, small),
 			p.Isend(other, small),
 		}
@@ -143,54 +143,17 @@ func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 		if !first.HasCiphertext() {
 			panic("stream overtaken: first receive is not the ciphertext")
 		}
-		if len(first.Chunks) != 2 {
-			panic("multi-chunk message lost chunks in assembly")
-		}
 		for i := 0; i < 2; i++ {
 			if m := p.Recv(other); m.HasCiphertext() {
 				panic("trailing small frame arrived encrypted")
 			}
 		}
 		p.Wait(reqs...)
-		return block.Concat(mine, joinDecrypted(other, p.DecryptAll(first)))
+		return block.Concat(mine, p.DecryptAll(first))
 	}
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
 	s := openPipelined(t, spec)
 	defer s.Close()
-	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if streams, msgs := s.lm.pipeStreams.Value(), s.lm.pipeMsgs.Value(); streams != 2*msgs || msgs == 0 {
-		t.Fatalf("%d per-chunk streams over %d pipelined messages, want 2 per message", streams, msgs)
-	}
-}
-
-// A multi-chunk message mixing two stream-worthy sealed chunks with one
-// tiny inline sealed chunk must arrive byte-exact, with the metric
-// families showing multiple per-chunk streams per pipelined message
-// plus the inline chunk.
-func TestPipelineMultiChunkByteExact(t *testing.T) {
-	const tiny = 64
-	algo := func(p *Proc, mine block.Message) block.Message {
-		other := 1 - p.Rank()
-		ctA, ctB := splitEncrypt(p, mine)
-		ctTiny := p.Encrypt(block.NewPlain(p.Rank(), block.FillPattern(p.Rank(), tiny)).Chunks[0])
-		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ctA, ctB, ctTiny}}, other)
-		if len(in.Chunks) != 3 {
-			panic("multi-chunk message lost chunks in assembly")
-		}
-		dec := p.DecryptAll(in)
-		if !bytes.Equal(dec.Chunks[2].Payload, block.FillPattern(other, tiny)) {
-			panic("inline chunk decrypted to wrong bytes")
-		}
-		return block.Concat(mine, joinDecrypted(other, dec))
-	}
-	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	s := openPipelined(t, spec)
 	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
 	if err != nil {
 		t.Fatal(err)
@@ -199,18 +162,36 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close() // drains the send schedulers: sender-side counts are final
-	msgs := s.lm.pipeMsgs.Value()
-	if msgs == 0 {
-		t.Fatal("no pipelined messages")
+	if streams := s.lm.pipeStreams.Value(); streams != 2 {
+		t.Fatalf("%d streams, want one per rank", streams)
 	}
-	if streams := s.lm.pipeStreams.Value(); streams != 2*msgs {
-		t.Fatalf("%d per-chunk streams over %d messages, want 2 per message", streams, msgs)
+	if whole := s.lm.framesSentTotal.Value() - s.lm.pipeSegmentsSent.Value(); whole != 4 {
+		t.Fatalf("%d whole frames, want two per rank", whole)
 	}
-	if inl := s.lm.pipeInlineChunks.Value(); inl != msgs {
-		t.Fatalf("%d inline chunks over %d messages, want 1 per message", inl, msgs)
+}
+
+// gatherCountingFrames runs algo once on a fresh pipelined two-rank session
+// and checks that it gathered byte-exact with streams streamed messages
+// and every other send one whole frame: frames sent = segments + whole.
+func gatherCountingFrames(t *testing.T, algo Algorithm, streams, whole int64) {
+	t.Helper()
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
+	s := openPipelined(t, spec)
+	defer s.Close()
+	res, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sent, recv := s.lm.pipeSegmentsSent.Value(), s.lm.pipeSegmentsRecv.Value(); sent != recv || sent == 0 {
-		t.Fatalf("segments sent %d != received %d", sent, recv)
+	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+		t.Fatal(err)
+	}
+	s.Close() // drains the send schedulers: sender-side counts are final
+	if got := s.lm.pipeStreams.Value(); got != streams {
+		t.Fatalf("%d streams, want %d", got, streams)
+	}
+	segs := s.lm.pipeSegmentsSent.Value()
+	if got := s.lm.framesSentTotal.Value() - segs; got != whole {
+		t.Fatalf("%d whole frames beside %d sub-frames, want %d", got, segs, whole)
 	}
 	for r := 0; r < spec.P; r++ {
 		if s.Sniffer().Contains(block.FillPattern(r, pipeSize)) {
@@ -219,42 +200,63 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 	}
 }
 
-// exchangeMultiChunk is the two-rank multi-chunk exchange the fault
-// tests drive: each rank's message is exactly two per-chunk streams of
-// deterministic segment counts (32 KiB halves split into 4 segments of
-// 8 KiB each), so a frame index picks a specific chunk's segment.
-func exchangeMultiChunk(p *Proc, mine block.Message) block.Message {
-	other := 1 - p.Rank()
-	ctA, ctB := splitEncrypt(p, mine)
-	in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ctA, ctB}}, other)
-	return block.Concat(mine, joinDecrypted(other, p.DecryptAll(in)))
+// A message of two freshly sealed chunks, each large enough to stream
+// alone, goes out as one whole frame with no sub-frames, byte-exact.
+func TestPipelineMultiChunkByteExact(t *testing.T) {
+	gatherCountingFrames(t, func(p *Proc, mine block.Message) block.Message {
+		other := 1 - p.Rank()
+		ctA, ctB := splitEncrypt(p, mine)
+		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ctA, ctB}}, other)
+		if len(in.Chunks) != 2 {
+			panic("multi-chunk message lost chunks")
+		}
+		return block.Concat(mine, joinDecrypted(other, p.DecryptAll(in)))
+	}, 0, 2)
 }
 
-// Corrupting one segment of ONE chunk stream of a multi-chunk pipelined
-// message must fail exactly that operation closed, while the mesh
-// survives for a clean follow-up collective. Frame 5 on
-// the 0->1 pair is the second chunk's second segment sub-frame (frames
-// 0-3 carry chunk 0, frames 4-7 chunk 1), so the fault lands inside the
-// sibling stream, not the first.
-func TestPipelineMultiChunkCorruptOneStreamFailsClosed(t *testing.T) {
-	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
+// A forwarded multi-segment blob goes out as one whole frame: each rank
+// streams its fresh ciphertext, the peer sends the received blob back
+// unopened, and it returns as one frame and opens to the sender's own
+// bytes.
+func TestPipelineForwardedBlobByteExact(t *testing.T) {
+	gatherCountingFrames(t, func(p *Proc, mine block.Message) block.Message {
+		other := 1 - p.Rank()
+		ct := p.Encrypt(mine.Chunks...)
+		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
+		if seal.BlobSegments(in.Chunks[0].Payload) < 2 {
+			panic("received blob is a single segment")
+		}
+		fwd := block.Message{Chunks: []block.Chunk{{Enc: true, Blocks: in.Chunks[0].Blocks, Payload: in.Chunks[0].Payload}}}
+		back := p.SendRecv(other, fwd, other)
+		if !bytes.Equal(p.DecryptAll(back).Chunks[0].Payload, mine.Chunks[0].Payload) {
+			panic("forwarded blob came back as different bytes")
+		}
+		return block.Concat(mine, p.DecryptAll(in))
+	}, 2, 2)
+}
+
+// A corrupted segment index on a sub-frame fails only its operation: the
+// index still parses (65 of 128 segments) but is not the next one the
+// stream expects. Whatever the sender still writes of the stream is read
+// past as stragglers, and the mesh serves the next operation byte-exact.
+func TestPipelineCorruptSubFrameIndexFailsOp(t *testing.T) {
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, SegmentSize: 512, RecvTimeout: 5 * time.Second}
 	s := openPipelined(t, spec)
 	defer s.Close()
+	// Frame 1 on the 0->1 pair is segment 1 of 128; byte 27 is the low
+	// byte of its index (prefix 20, stream id 4), flipped to 65.
 	plan := &fault.Plan{Rules: []fault.Rule{
-		{Src: 0, Dst: 1, Frame: 5, Kind: fault.Corrupt, Offset: 100},
+		{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 27},
 	}}
-	_, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize, Plan: plan})
+	_, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize, Plan: plan})
 	var re *RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("corrupted chunk stream yielded %v, want a structured rank error", err)
-	}
-	if re.Op != "open" && re.Op != "recv" {
-		t.Fatalf("corrupted chunk stream failed with op %q, want open or recv", re.Op)
+	if !errors.As(err, &re) || re.Op != "recv" || !strings.Contains(err.Error(), "segment 65 of 128") {
+		t.Fatalf("corrupted segment index yielded %v, want a recv rank error for segment 65", err)
 	}
 	if s.Err() != nil {
-		t.Fatalf("chunk-stream corruption poisoned the mesh: %v", s.Err())
+		t.Fatalf("index corruption poisoned the mesh: %v", s.Err())
 	}
-	res, err := s.Collective(context.Background(), Op{Algo: exchangeMultiChunk, MsgSize: pipeSize})
+	res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize})
 	if err != nil {
 		t.Fatalf("follow-up collective failed: %v", err)
 	}
@@ -271,7 +273,7 @@ func TestPipelineTCPCorruptSegmentFailsClosed(t *testing.T) {
 	s := openPipelined(t, spec)
 	defer s.Close()
 	// Frame 1 on the 0->1 pair is the stream's second segment sub-frame
-	// (no metadata section: its payload starts 41 bytes in), so offset
+	// (no metadata section: its payload starts 37 bytes in), so offset
 	// 100 lands inside the sealed segment bytes.
 	plan := &fault.Plan{Rules: []fault.Rule{
 		{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 100},
@@ -342,15 +344,14 @@ func TestPipelineTCPRandomPlans(t *testing.T) {
 	}
 }
 
-// streamsForSend gates which traffic streams: nothing while pipelining
-// is off, and when on a send plan that streams every qualifying sealed
-// chunk — multi-chunk messages included — with the rest riding inline.
+// streamed gates which traffic streams: nothing while pipelining is
+// off, and when on only a message that is one chunk with a pending seal
+// stream. Multi-chunk messages, forwarded blobs and plaintext go whole.
 // The stream threshold is a constant, not configuration.
 func TestPipelineQualification(t *testing.T) {
 	if defaultMinStreamBytes != 16<<10 {
 		t.Fatalf("streaming threshold moved: %d", defaultMinStreamBytes)
 	}
-
 	slr, err := seal.NewRandomSealer()
 	if err != nil {
 		t.Fatal(err)
@@ -361,75 +362,25 @@ func TestPipelineQualification(t *testing.T) {
 		t.Fatal("seal stream refused a 64KiB payload")
 	}
 	enc := block.Chunk{Enc: true, Stream: st}
-	off := &opRuntime{}
-	if off.streamsForSend(block.Message{Chunks: []block.Chunk{enc}}) != nil {
+	if (&opRuntime{}).streamed(block.Message{Chunks: []block.Chunk{enc}}) {
 		t.Fatal("streamed with pipelining off")
 	}
 	pc := &opRuntime{pipe: true}
-	plan := pc.streamsForSend(block.Message{Chunks: []block.Chunk{enc}})
-	if plan == nil || plan.streams != 1 || plan.chunks[0].stream != st {
-		t.Fatalf("pending seal stream not passed through: %+v", plan)
+	if !pc.streamed(block.Message{Chunks: []block.Chunk{enc}}) {
+		t.Fatal("pending seal stream not streamed")
 	}
-	// A multi-chunk message streams every qualifying sealed chunk — the
-	// hierarchical send shape this plan exists for.
-	plan = pc.streamsForSend(block.Message{Chunks: []block.Chunk{enc, enc}})
-	if plan == nil || plan.streams != 2 {
-		t.Fatalf("multi-chunk message did not stream both chunks: %+v", plan)
-	}
-	if pc.streamsForSend(block.Message{Chunks: []block.Chunk{{Payload: pt}}}) != nil {
-		t.Fatal("plaintext-only message streamed")
-	}
-	small := block.Chunk{Enc: true, Blocks: []block.Block{{Origin: 0, Len: 100}}, Payload: make([]byte, 100)}
-	if pc.streamsForSend(block.Message{Chunks: []block.Chunk{small}}) != nil {
-		t.Fatal("sub-threshold blob streamed")
-	}
-	// Mixed: one qualifying stream plus one small sealed chunk riding
-	// inline in the same plan.
-	plan = pc.streamsForSend(block.Message{Chunks: []block.Chunk{enc, small}})
-	if plan == nil || plan.streams != 1 || plan.chunks[1].stream != nil {
-		t.Fatalf("mixed message mis-planned: %+v", plan)
-	}
-	// The minStream threshold compares plaintext length, not sealed blob
-	// length: a blob whose framing overhead pushes it past the threshold
-	// while its plaintext stays below must not stream.
-	edgeSealer, err := seal.NewRandomSealer()
+	blob, err := st.Blob()
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeSealer.SetSegmentSize(8 << 10)
-	edgePT := int64(defaultMinStreamBytes - 4)
-	edgeBlob, _, err := edgeSealer.SealSegmented([][]byte{bytes.Repeat([]byte{5}, int(edgePT))}, []byte("edge"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(edgeBlob)) < defaultMinStreamBytes {
-		t.Fatalf("edge blob %d bytes does not exercise the blob/plaintext gap", len(edgeBlob))
-	}
-	edge := block.Chunk{Enc: true, Blocks: []block.Block{{Origin: 0, Len: edgePT}}, Payload: edgeBlob}
-	if pc.streamsForSend(block.Message{Chunks: []block.Chunk{edge}}) != nil {
-		t.Fatal("sub-threshold plaintext streamed because its sealed blob crossed the threshold")
-	}
-	// A big pre-sealed blob re-streams along its recorded segment
-	// boundaries (the forwarding path). Pin the split size: the adaptive
-	// plan may seal as one segment on a single-CPU host, and k=1 blobs
-	// rightly refuse to stream.
-	fwdSealer, err := seal.NewRandomSealer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwdSealer.SetSegmentSize(64 << 10)
-	big := bytes.Repeat([]byte{9}, 256<<10)
-	blob, _, err := fwdSealer.SealSegmented([][]byte{big}, []byte("fwd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan = pc.streamsForSend(block.Message{Chunks: []block.Chunk{
-		{Enc: true, Blocks: []block.Block{{Origin: 0, Len: 256 << 10}}, Payload: blob}}})
-	if plan == nil || plan.streams != 1 {
-		t.Fatal("forwarded segmented blob did not re-stream")
-	}
-	if b, err := plan.chunks[0].stream.Blob(); err != nil || !bytes.Equal(b, blob) {
-		t.Fatalf("re-streamed blob diverged: %v", err)
+	for name, msg := range map[string]block.Message{
+		"multi-chunk": {Chunks: []block.Chunk{enc, enc}},
+		"forwarded":   {Chunks: []block.Chunk{{Enc: true, Blocks: []block.Block{{Origin: 0, Len: 64 << 10}}, Payload: blob}}},
+		"plaintext":   {Chunks: []block.Chunk{{Payload: pt}}},
+	} {
+		if pc.streamed(msg) {
+			t.Fatalf("%s message streamed", name)
+		}
 	}
 }
 
@@ -494,9 +445,10 @@ func TestMaterializeMessageErrorContract(t *testing.T) {
 	}
 }
 
-// streamRecv assembles out-of-order segment arrivals, opening each as
-// it is accepted, detects duplicate indices, and delivers the blob and
-// plaintext only when every segment authenticated.
+// streamRecv takes the segments of its stream in index order only,
+// opening each as it lands, and delivers the blob and plaintext once the
+// last one authenticated. Another stream's sub-frame, a skipped or
+// repeated index and a mis-sized payload are refused.
 func TestStreamRecvAssembly(t *testing.T) {
 	slr, err := seal.NewRandomSealer()
 	if err != nil {
@@ -513,38 +465,41 @@ func TestStreamRecvAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delivered := make(chan block.Chunk, 1)
-	failed := make(chan error, 1)
-	lm := newLiveMetrics(metrics.NewRegistry(), Spec{P: 1, N: 1}, EngineTCP)
-	sr := newStreamRecv(os, nil, 0, lm,
-		func(c block.Chunk) { delivered <- c },
-		func(err error) { failed <- err })
-	// Fill in reverse order: arrival order must not matter.
-	for i := st.K() - 1; i >= 0; i-- {
-		seg, err := st.Segment(i)
+	sr := &streamRecv{id: 7, os: os}
+	k := uint32(st.K())
+	sub := func(stream, i uint32) wire.SegFrame {
+		return wire.SegFrame{Stream: stream, Index: i, Count: k, PayloadLen: os.SegmentLen(int(i))}
+	}
+	for _, bad := range []wire.SegFrame{sub(7, 1), sub(8, 0), {Stream: 7, Count: k, PayloadLen: 1}} {
+		if _, err := sr.slot(bad); err == nil {
+			t.Fatalf("sub-frame %+v accepted as the stream's first", bad)
+		}
+	}
+	for i := uint32(0); i < k; i++ {
+		slot, err := sr.slot(sub(7, i))
+		if err != nil {
+			t.Fatalf("segment %d: %v", i, err)
+		}
+		seg, err := st.Segment(int(i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sr.markSeen(i) {
-			t.Fatalf("segment %d flagged as duplicate on first arrival", i)
+		copy(slot, seg)
+		c, done, err := sr.open()
+		if err != nil || done != (i == k-1) {
+			t.Fatalf("segment %d: done %v, err %v", i, done, err)
 		}
-		copy(os.SegmentSlot(i), seg)
-		sr.accept(i)
-	}
-	if !sr.markSeen(0) {
-		t.Fatal("duplicate segment not detected")
-	}
-	select {
-	case c := <-delivered:
+		if _, err := sr.slot(sub(7, i)); err == nil {
+			t.Fatalf("segment %d accepted twice", i)
+		}
+		if !done {
+			continue
+		}
 		if !bytes.Equal(c.Opened, pt) {
 			t.Fatal("assembled plaintext diverged")
 		}
 		if got, _, err := slr.OpenSegmented(c.Payload, aad); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("assembled blob does not open: %v", err)
 		}
-	case err := <-failed:
-		t.Fatalf("clean stream failed: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("stream never delivered")
 	}
 }

@@ -38,9 +38,10 @@ type engine interface {
 
 	// pipeline reports whether intra-collective segment streaming is on:
 	// TCP sessions with pipelining enabled only (the sim and chan
-	// engines never stream). Every qualifying sealed chunk of a message
-	// streams — multi-chunk hierarchical sends included — with the rest
-	// riding inline in the same envelope sequence.
+	// engines never stream). Encrypt then seals a large chunk lazily, and
+	// a message that is exactly that one chunk streams segment by
+	// segment; every other message, multi-chunk or forwarded, is
+	// materialized and travels whole.
 	pipeline() bool
 
 	// aad derives the AEAD associated data from the encoded block
@@ -259,10 +260,11 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 		aad := p.eng.aad(block.EncodeHeader(blocks))
 		if p.eng.pipeline() && plainLen >= defaultMinStreamBytes {
 			if st := s.NewSealStream(payloadSlices(chunks), aad); st != nil {
-				// Pipelined: sealing is deferred — the transport seals
-				// each segment right before putting it on the wire, so
-				// the encrypt span closes immediately and the crypto
-				// cost shows up overlapped with transport.
+				// Pipelined: sealing is deferred — sent alone, the chunk
+				// streams and the transport seals each segment right
+				// before putting it on the wire, so the encrypt span
+				// closes immediately and the crypto cost shows up
+				// overlapped with transport; any other use seals it whole.
 				p.met.EncSegments += st.K()
 				out.Stream = st
 				done()

@@ -69,10 +69,11 @@ type SessionConfig struct {
 	// Rekey (every replacement sealer is pointed at it) and is never
 	// closed by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
-	// Pipelining turns on intra-collective pipelining on EngineTCP:
-	// streaming a chunk's sealed segments onto the wire as they seal and
-	// opening them as they land, overlapping crypto with transport inside
-	// one operation. EngineChan and EngineSim ignore it.
+	// Pipelining turns on intra-collective pipelining on EngineTCP: a
+	// message that is one freshly sealed chunk streams its sealed
+	// segments onto the wire as they seal and opens them as they land,
+	// overlapping crypto with transport inside one operation; every other
+	// message travels whole. EngineChan and EngineSim ignore it.
 	Pipelining bool
 }
 

@@ -36,10 +36,9 @@ func FuzzOpen(f *testing.F) {
 
 // FuzzSegmentedFraming feeds arbitrary bytes to the segmented codec.
 // OpenSegmented must never panic and never accept anything but the seed
-// blob. CheckSegmented, StreamFromBlob and BlobSegments must reach the
-// same verdict on the same bytes, and NewOpenStream must accept their
-// header prefix exactly when the blob is framed or only its length is
-// wrong: one parser decides all of them.
+// blob; it opens only what BlobSegments calls framed, and NewOpenStream
+// must accept the header prefix exactly when the blob is framed or only
+// its length is wrong: one parser decides all of them.
 func FuzzSegmentedFraming(f *testing.F) {
 	s, err := NewRandomSealer()
 	if err != nil {
@@ -67,12 +66,10 @@ func FuzzSegmentedFraming(f *testing.F) {
 		if openErr == nil && (!bytes.Equal(blob, good) || !bytes.Equal(pt, plain)) {
 			t.Fatalf("forged blob accepted (%d bytes, %d segments)", len(blob), segs)
 		}
-		framed := CheckSegmented(blob) == nil
-		st, streamErr := StreamFromBlob(blob)
 		k := BlobSegments(blob)
-		if (streamErr == nil) != framed || (k > 0) != framed || (openErr == nil && !framed) {
-			t.Fatalf("verdicts disagree: check %v, stream %v, segments %d, open %v",
-				framed, streamErr, k, openErr)
+		framed := k > 0
+		if openErr == nil && (!framed || segs != k) {
+			t.Fatalf("verdicts disagree: %d segments framed, open %v with %d", k, openErr, segs)
 		}
 		hdr := blob
 		if len(blob) >= segHeaderFixed {
@@ -84,9 +81,9 @@ func FuzzSegmentedFraming(f *testing.F) {
 		switch {
 		case framed && hdrErr != nil:
 			t.Fatalf("blob framed but its header refused: %v", hdrErr)
-		case framed && (os.K() != k || st.K() != k || os.Total() != st.Total()):
-			t.Fatalf("geometry disagrees: open stream %d/%d, stream %d/%d, segments %d",
-				os.K(), os.Total(), st.K(), st.Total(), k)
+		case framed && (os.K() != k || int64(len(blob)) != int64(len(hdr))+os.Total()+int64(k)*Overhead):
+			t.Fatalf("geometry disagrees: open stream %d/%d, segments %d, blob %d bytes",
+				os.K(), os.Total(), k, len(blob))
 		case !framed && hdrErr == nil &&
 			int64(len(blob)) == int64(len(hdr))+os.Total()+int64(os.K())*Overhead:
 			t.Fatal("header accepted and blob length matches it, but the blob was refused")

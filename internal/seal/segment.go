@@ -390,17 +390,6 @@ func (s *Sealer) OpenSegmented(blob, aad []byte) ([]byte, int, error) {
 	return pt, l.k, nil
 }
 
-// CheckSegmented validates a segmented blob's framing — magic, count,
-// and per-segment lengths against the blob's actual size — without
-// touching the cryptography or allocating. Transports use it to reject a
-// malformed chunk at arrival as an operation-scoped failure instead of
-// carrying it to a decrypt that was always going to fail. Nothing about
-// the blob is authenticated; a well-framed forgery still dies in GCM.
-func CheckSegmented(blob []byte) error {
-	_, err := blobLayout(blob)
-	return err
-}
-
 // BlobSegments reports how many segments a segmented blob declares, or
 // 0 if blob does not carry the segmented framing. It is a framing peek
 // only — nothing about the blob is authenticated.
@@ -483,18 +472,6 @@ func (s *Sealer) NewSealStream(parts [][]byte, aad []byte) *SealStream {
 	return &SealStream{s: s, aad: append([]byte(nil), aad...), blob: l.newBlob(nil), l: l, parts: parts, poffs: offs}
 }
 
-// StreamFromBlob wraps an already-sealed segmented blob for
-// re-streaming along its existing segment boundaries — how a forwarded
-// ciphertext travels segment-at-a-time on its next hop without being
-// resealed. Segment slices come straight from blob.
-func StreamFromBlob(blob []byte) (*SealStream, error) {
-	l, err := blobLayout(blob)
-	if err != nil {
-		return nil, err
-	}
-	return &SealStream{blob: blob, l: l, sealed: l.k}, nil
-}
-
 // K returns the stream's segment count.
 func (st *SealStream) K() int { return st.l.k }
 
@@ -544,11 +521,10 @@ func (st *SealStream) Blob() ([]byte, error) {
 // as its segments arrive. The receive buffer (the blob) and plaintext
 // are allocated once from the framing header; SegmentSlot hands the
 // transport the exact in-blob destination for segment i so arriving
-// ciphertext needs no staging copy. Distinct segments may be filled and
-// opened concurrently — slots are disjoint — but each individual
-// segment must be fully filled before it is opened; the caller
-// sequences that (and nothing here re-checks it: an unfilled slot
-// simply fails authentication).
+// ciphertext needs no staging copy. The transport fills and opens one
+// segment at a time, on the connection reader that receives it; each
+// segment must be fully filled before it is opened (nothing here
+// re-checks it: an unfilled slot simply fails authentication).
 type OpenStream struct {
 	s    *Sealer
 	aad  []byte

@@ -73,49 +73,6 @@ func mustBlob(t *testing.T, st *SealStream) []byte {
 	return blob
 }
 
-// A bulk-sealed blob re-streams along its existing segment boundaries.
-func TestStreamFromBlob(t *testing.T) {
-	s := newTestSealer(t)
-	s.SetSegmentSize(8 << 10)
-	aad := []byte("fwd")
-	pt := randBytes(t, 50<<10)
-	blob, segs, err := s.SealSegmented([][]byte{pt}, aad)
-	if err != nil {
-		t.Fatalf("SealSegmented: %v", err)
-	}
-	st, err := StreamFromBlob(blob)
-	if err != nil {
-		t.Fatalf("StreamFromBlob: %v", err)
-	}
-	if st.K() != segs {
-		t.Fatalf("K=%d want %d", st.K(), segs)
-	}
-	os, err := s.NewOpenStream(st.Header(), aad)
-	if err != nil {
-		t.Fatalf("NewOpenStream: %v", err)
-	}
-	for i := 0; i < st.K(); i++ {
-		seg, err := st.Segment(i)
-		if err != nil {
-			t.Fatalf("Segment(%d): %v", i, err)
-		}
-		copy(os.SegmentSlot(i), seg)
-		if err := os.OpenSegment(i); err != nil {
-			t.Fatalf("OpenSegment(%d): %v", i, err)
-		}
-	}
-	if !bytes.Equal(os.Plaintext(), pt) {
-		t.Fatal("forwarded plaintext differs")
-	}
-	if fromBlob, err := st.Blob(); err != nil || !bytes.Equal(fromBlob, blob) {
-		t.Fatalf("StreamFromBlob.Blob() differs from source blob (err %v)", err)
-	}
-
-	if _, err := StreamFromBlob([]byte("not a segmented blob")); err == nil {
-		t.Fatal("StreamFromBlob accepted garbage")
-	}
-}
-
 // Sub-blob plans: too-small payloads refuse to stream.
 func TestStreamRefusesSmallPayloads(t *testing.T) {
 	s := newTestSealer(t)

@@ -14,7 +14,7 @@ var be = binary.BigEndian
 // The fixed-width groups of a header, each read with one io.ReadFull.
 const (
 	prefixLen     = 20 // both kinds: magic, src, seq, op
-	segFixedLen   = 17 // EAGP: stream, chunk, index, count, flags
+	segFixedLen   = 13 // EAGP: stream, index, count, flags
 	chunkFixedLen = 9  // EAGM, per chunk: flags, tag, block count
 	blockLen      = 12 // EAGM, per block: origin, length
 	segMetaLen    = 8  // EAGP chunk metadata: tag, block-header length
@@ -90,26 +90,13 @@ func (fw *FrameWriter) WriteSeg(w io.Writer, src int, op uint32, seq uint64, sf 
 	}
 	var flags byte
 	if sf.Meta != nil {
-		flags |= flagChunkMeta
-	}
-	if sf.MsgChunks > 0 {
-		flags |= flagMsgMeta
-	}
-	if sf.Inline {
-		flags |= flagInline
-		if sf.Enc {
-			flags |= flagInlineEnc
-		}
+		flags = flagChunkMeta
 	}
 	b := appendPrefix(fw.hdr[:0], segFrameMagic, src, seq, op)
 	b = be.AppendUint32(b, sf.Stream)
-	b = be.AppendUint32(b, sf.Chunk)
 	b = be.AppendUint32(b, sf.Index)
 	b = be.AppendUint32(b, sf.Count)
 	b = append(b, flags)
-	if sf.MsgChunks > 0 {
-		b = be.AppendUint32(b, sf.MsgChunks)
-	}
 	if m := sf.Meta; m != nil {
 		b = be.AppendUint32(b, uint32(int32(m.Tag)))
 		b = be.AppendUint32(b, uint32(block.HeaderLen(len(m.Blocks))))
@@ -274,38 +261,18 @@ func (d *FrameReader) readSeg() (SegFrame, error) {
 	if err != nil {
 		return sf, err
 	}
-	sf.Stream, sf.Chunk, sf.Index, sf.Count = be.Uint32(b), be.Uint32(b[4:]), be.Uint32(b[8:]), be.Uint32(b[12:])
-	flags := b[16]
+	sf.Stream, sf.Index, sf.Count = be.Uint32(b), be.Uint32(b[4:]), be.Uint32(b[8:])
+	flags := b[12]
 	if sf.Count == 0 || sf.Count > maxCount {
 		return sf, fmt.Errorf("%w: segment count %d out of range", ErrBadFrame, sf.Count)
 	}
 	if sf.Index >= sf.Count {
 		return sf, fmt.Errorf("%w: segment index %d of %d", ErrBadFrame, sf.Index, sf.Count)
 	}
-	if flags&^byte(flagsKnown) != 0 {
+	if flags&^byte(flagChunkMeta) != 0 {
 		return sf, fmt.Errorf("%w: unknown sub-frame flags %#x", ErrBadFrame, flags)
 	}
-	sf.Inline = flags&flagInline != 0
-	sf.Enc = flags&flagInlineEnc != 0
-	if sf.Enc && !sf.Inline {
-		return sf, fmt.Errorf("%w: inline-enc flag without inline", ErrBadFrame)
-	}
-	if sf.Inline && (sf.Index != 0 || sf.Count != 1) {
-		return sf, fmt.Errorf("%w: inline chunk numbered segment %d of %d", ErrBadFrame, sf.Index, sf.Count)
-	}
-	if flags&flagMsgMeta != 0 {
-		if b, err = d.fill(4); err != nil {
-			return sf, err
-		}
-		sf.MsgChunks = be.Uint32(b)
-		if sf.MsgChunks == 0 || sf.MsgChunks > maxCount {
-			return sf, fmt.Errorf("%w: message chunk count %d out of range", ErrBadFrame, sf.MsgChunks)
-		}
-	}
-	if sf.Chunk >= maxCount || (sf.MsgChunks > 0 && sf.Chunk >= sf.MsgChunks) {
-		return sf, fmt.Errorf("%w: chunk index %d out of range", ErrBadFrame, sf.Chunk)
-	}
-	if flags&flagChunkMeta != 0 {
+	if flags != 0 {
 		if sf.Meta, err = d.readSegMeta(); err != nil {
 			return sf, err
 		}
@@ -321,7 +288,7 @@ func (d *FrameReader) readSeg() (SegFrame, error) {
 	return sf, nil
 }
 
-// readSegMeta decodes a chunk's first-sub-frame metadata. The encoded
+// readSegMeta decodes a stream's first-sub-frame metadata. The encoded
 // block header is only parsed, so it goes through the reader's scratch;
 // the seal header is handed to the caller, so it gets its own slice.
 func (d *FrameReader) readSegMeta() (*SegMeta, error) {

@@ -36,20 +36,15 @@ func goldenMsg() block.Message {
 	}}
 }
 
-func firstSeg() SegFrame {
-	sf := sampleSeg(true)
-	sf.MsgChunks = 5
-	return sf
-}
-
 // emptySeg is a metaless segment sub-frame with a zero-length payload.
 func emptySeg() SegFrame {
-	return SegFrame{Stream: 1, Chunk: 0, Index: 2, Count: 4, Payload: []byte{}}
+	return SegFrame{Stream: 1, Index: 2, Count: 4, Payload: []byte{}}
 }
 
-// goldenFrames pins the wire format: each frame's hex is the parent
-// encoder's output (the per-field writer this codec replaced), so any
-// change to a byte of either frame kind fails here.
+// goldenFrames pins the wire format, so any change to a byte of either
+// frame kind fails here. The message frames are the per-field writer's
+// output this codec replaced; the sub-frames are the layout documented in
+// pipeline.go, with one flag bit and no chunk index.
 var goldenFrames = []struct {
 	frame encodedFrame
 	hex   string
@@ -58,14 +53,12 @@ var goldenFrames = []struct {
 		"4541474d00000003010203040506070800000009000000030000000003000000010000000000000000000000050000000568656c6c6f01ffffffff00000002000000010000000000000002000000070000000000000009000000040102030400000000000000000000000000"},
 	{msgFrame("message, no chunks", 0, 0, 0, block.Message{}),
 		"4541474d0000000000000000000000000000000000000000"},
-	{segFrame("segment, message and chunk metadata", 3, 9, 100, firstSeg()),
-		"4541475000000003000000000000006400000009000000070000000100000000000000030300000005fffffffe00000020454147310000000200000001000000000000006400000002000000000000001c0000000c454147530000000100000040000000126e6f6e63652b63742b746167206279746573"},
+	{segFrame("segment, chunk metadata", 3, 9, 100, sampleSeg(true)),
+		"454147500000000300000000000000640000000900000007000000000000000301fffffffe00000020454147310000000200000001000000000000006400000002000000000000001c0000000c454147530000000100000040000000126e6f6e63652b63742b746167206279746573"},
 	{segFrame("segment, no metadata", 3, 9, 102, sampleSeg(false)),
-		"45414750000000030000000000000066000000090000000700000001000000000000000300000000126e6f6e63652b63742b746167206279746573"},
-	{segFrame("inline chunk", 3, 9, 103, sampleInline()),
-		"4541475000000003000000000000006700000009000000070000000200000000000000010d00000004000000144541473100000001000000030000000000000040000000000000001177686f6c65207365616c656420626c6f62"},
+		"454147500000000300000000000000660000000900000007000000000000000300000000126e6f6e63652b63742b746167206279746573"},
 	{segFrame("segment, empty payload", 7, 0xFFFFFFFF, ^uint64(0), emptySeg()),
-		"4541475000000007ffffffffffffffffffffffff000000010000000000000002000000040000000000"},
+		"4541475000000007ffffffffffffffffffffffff0000000100000002000000040000000000"},
 }
 
 // FrameWriter output is byte-identical to the parent's encoding, through
@@ -120,22 +113,21 @@ func TestFrameReaderAllocEncryptedOnly(t *testing.T) {
 }
 
 // streamFrames interleaves both frame kinds: message frames with and
-// without chunks, segment sub-frames with and without chunk and message
-// metadata, inline chunks, zero-length payloads, and a payload larger
-// than a socket read buffer.
+// without chunks, segment sub-frames with and without chunk metadata,
+// zero-length payloads, and a payload larger than a socket read buffer.
 func streamFrames() []encodedFrame {
 	frames := make([]encodedFrame, 0, len(goldenFrames)+3)
 	for _, g := range goldenFrames {
 		frames = append(frames, g.frame)
 	}
 	zeroPayload := block.Message{Chunks: []block.Chunk{{Blocks: []block.Block{{Origin: 2, Len: 0}}, Payload: []byte{}}}}
-	firstInline := SegFrame{Stream: 9, Chunk: 0, Index: 0, Count: 1, Inline: true, MsgChunks: 1,
+	emptyFirst := SegFrame{Stream: 9, Index: 0, Count: 1,
 		Meta: &SegMeta{Blocks: []block.Block{{Origin: 5, Len: 0}}}, Payload: []byte{}}
 	big := sampleSeg(false)
 	big.Payload = bytes.Repeat([]byte("0123456789abcdef"), 10<<10/16)
 	return append(frames,
 		msgFrame("message, zero-length payload", 2, 4, 200, zeroPayload),
-		segFrame("inline chunk with message metadata, empty", 2, 4, 201, firstInline),
+		segFrame("segment with metadata, empty", 2, 4, 201, emptyFirst),
 		segFrame("segment, 10 KiB payload", 2, 4, 202, big))
 }
 
@@ -276,7 +268,7 @@ func TestFrameReaderTruncation(t *testing.T) {
 // only what the frame carries.
 func TestFrameCodecAllocs(t *testing.T) {
 	fw := NewFrameWriter()
-	msg, seg := goldenMsg(), firstSeg()
+	msg, seg := goldenMsg(), sampleSeg(true)
 	if n := testing.AllocsPerRun(100, func() { _ = fw.WriteMsg(io.Discard, 3, 9, 1, msg) }); n != 0 {
 		t.Errorf("WriteMsg: %v allocs per frame, want 0", n)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func sampleSeg(meta bool) SegFrame {
-	sf := SegFrame{Stream: 7, Chunk: 1, Index: 0, Count: 3, Payload: []byte("nonce+ct+tag bytes")}
+	sf := SegFrame{Stream: 7, Index: 0, Count: 3, Payload: []byte("nonce+ct+tag bytes")}
 	if meta {
 		sf.Meta = &SegMeta{
 			Tag:    -2,
@@ -22,36 +22,22 @@ func sampleSeg(meta bool) SegFrame {
 	return sf
 }
 
-// sampleInline is an inline-chunk sub-frame: a whole materialized chunk
-// as the payload, with chunk metadata but no seal header.
-func sampleInline() SegFrame {
-	return SegFrame{
-		Stream: 7, Chunk: 2, Index: 0, Count: 1,
-		Inline: true, Enc: true,
-		Meta:    &SegMeta{Tag: 4, Blocks: []block.Block{{Origin: 3, Len: 64}}},
-		Payload: []byte("whole sealed blob"),
-	}
-}
-
 // Segment sub-frames round-trip through the reusable writer — with and
-// without chunk metadata, with message metadata, and inline — all
-// interleaved with message frames on the same stream.
+// without chunk metadata — interleaved with message frames on the same
+// stream.
 func TestSegFrameRoundTrip(t *testing.T) {
 	fw := NewFrameWriter()
 	var buf bytes.Buffer
 	msg := block.NewPlain(4, []byte("regular message"))
-	first := sampleSeg(true)
-	first.MsgChunks = 5
-	if err := fw.WriteSeg(&buf, 3, 9, 100, first); err != nil {
+	if err := fw.WriteSeg(&buf, 3, 9, 100, sampleSeg(true)); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.WriteMsg(&buf, 3, 9, 101, msg); err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.WriteSeg(&buf, 3, 9, 102, sampleSeg(false)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.WriteSeg(&buf, 3, 9, 103, sampleInline()); err != nil {
+	second := sampleSeg(false)
+	second.Index = 1
+	if err := fw.WriteSeg(&buf, 3, 9, 102, second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -63,11 +49,8 @@ func TestSegFrameRoundTrip(t *testing.T) {
 		t.Fatalf("first frame: %+v", fr)
 	}
 	sf := fr.Seg
-	if sf.Stream != 7 || sf.Chunk != 1 || sf.Index != 0 || sf.Count != 3 || sf.Meta == nil {
+	if sf.Stream != 7 || sf.Index != 0 || sf.Count != 3 || sf.Meta == nil {
 		t.Fatalf("seg header: %+v", sf)
-	}
-	if sf.MsgChunks != 5 || sf.Inline || sf.Enc {
-		t.Fatalf("message meta/flags: %+v", sf)
 	}
 	if sf.Meta.Tag != -2 || len(sf.Meta.Blocks) != 2 || sf.Meta.Blocks[1].Origin != 2 {
 		t.Fatalf("meta: %+v", sf.Meta)
@@ -92,28 +75,15 @@ func TestSegFrameRoundTrip(t *testing.T) {
 	}
 
 	fr, err = ReadFrameStart(&buf)
-	if err != nil || fr.Seg.Meta != nil || fr.Seg.MsgChunks != 0 || fr.Seq != 102 {
+	if err != nil || fr.Seg.Meta != nil || fr.Seg.Index != 1 || fr.Seq != 102 {
 		t.Fatalf("metaless sub-frame: %+v, %v", fr, err)
 	}
-	io.CopyN(io.Discard, &buf, int64(fr.Seg.PayloadLen))
-
-	fr, err = ReadFrameStart(&buf)
-	if err != nil || fr.Seq != 103 {
-		t.Fatalf("inline sub-frame: %+v, %v", fr, err)
-	}
-	in := fr.Seg
-	if !in.Inline || !in.Enc || in.Chunk != 2 || in.Index != 0 || in.Count != 1 {
-		t.Fatalf("inline flags: %+v", in)
-	}
-	if in.Meta == nil || in.Meta.Tag != 4 || len(in.Meta.Header) != 0 {
-		t.Fatalf("inline meta: %+v", in.Meta)
-	}
-	payload = make([]byte, in.PayloadLen)
+	payload = make([]byte, fr.Seg.PayloadLen)
 	if _, err := io.ReadFull(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, sampleInline().Payload) {
-		t.Fatalf("inline payload %q", payload)
+	if !bytes.Equal(payload, second.Payload) {
+		t.Fatalf("metaless payload %q", payload)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d trailing bytes", buf.Len())
@@ -121,13 +91,13 @@ func TestSegFrameRoundTrip(t *testing.T) {
 }
 
 // Sub-frame field byte offsets after the magic, for the mutation
-// helpers below: src 4, seq 8, op 16, stream 20, chunk 24, index 28,
-// count 32, flags 36, then (per flags) message meta and chunk meta.
+// helpers below: src 4, seq 8, op 16, stream 20, index 24, count 28,
+// flags 32, then (per flags) the chunk metadata from 33.
 const (
-	offChunk = 24
-	offIndex = 28
-	offCount = 32
-	offFlags = 36
+	offIndex = 24
+	offCount = 28
+	offFlags = 32
+	offMeta  = 33
 )
 
 // Malformed sub-frame fields are rejected with ErrBadFrame before any
@@ -154,10 +124,6 @@ func TestSegFrameRejectsMalformed(t *testing.T) {
 			binary.BigEndian.PutUint32(b[offCount:], maxCount+1)
 			return b
 		}),
-		"chunk index over limit": withMeta(func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[offChunk:], maxCount)
-			return b
-		}),
 		"bad magic": withMeta(func(b []byte) []byte {
 			b[3] = 'X'
 			return b
@@ -166,34 +132,12 @@ func TestSegFrameRejectsMalformed(t *testing.T) {
 			b[offFlags] |= 0x80
 			return b
 		}),
-		"inline-enc without inline": withMeta(func(b []byte) []byte {
-			b[offFlags] |= flagInlineEnc
-			return b
-		}),
-		"inline with several segments": withMeta(func(b []byte) []byte {
-			b[offFlags] |= flagInline
+		"retired flag bits": withMeta(func(b []byte) []byte {
+			b[offFlags] |= 0x0E
 			return b
 		}),
 		"block header garbage": withMeta(func(b []byte) []byte {
-			b[45] ^= 0xFF // inside the encoded block header magic
-			return b
-		}),
-		"chunk index >= message chunks": encode(func() SegFrame {
-			sf := sampleSeg(true)
-			sf.MsgChunks = 2
-			sf.Chunk = 1
-			return sf
-		}(), func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[offChunk:], 2)
-			return b
-		}),
-		"zero message chunks": encode(func() SegFrame {
-			sf := sampleSeg(true)
-			sf.MsgChunks = 2
-			sf.Chunk = 0
-			return sf
-		}(), func(b []byte) []byte {
-			binary.BigEndian.PutUint32(b[offFlags+1:], 0) // msg-chunks field follows flags
+			b[offMeta+8] ^= 0xFF // inside the encoded block header magic
 			return b
 		}),
 	}
@@ -243,35 +187,33 @@ func TestFrameWriterMsgCompat(t *testing.T) {
 }
 
 // FuzzReadFrameStart: arbitrary bytes — including corrupted segment
-// sub-frames — must never panic or over-allocate.
+// sub-frames and message frames — must never panic or over-allocate.
 func FuzzReadFrameStart(f *testing.F) {
 	var seg bytes.Buffer
-	first := sampleSeg(true)
-	first.MsgChunks = 4
-	_ = NewFrameWriter().WriteSeg(&seg, 3, 9, 100, first)
+	_ = NewFrameWriter().WriteSeg(&seg, 3, 9, 100, sampleSeg(true))
 	f.Add(seg.Bytes())
 	var metaless bytes.Buffer
 	_ = NewFrameWriter().WriteSeg(&metaless, 3, 9, 101, sampleSeg(false))
 	f.Add(metaless.Bytes())
-	var inline bytes.Buffer
-	_ = NewFrameWriter().WriteSeg(&inline, 3, 9, 102, sampleInline())
-	f.Add(inline.Bytes())
+	var enc bytes.Buffer
+	_ = WriteFrame(&enc, 3, 9, 102, goldenMsg())
+	f.Add(enc.Bytes())
 	var msg bytes.Buffer
 	_ = WriteFrame(&msg, 3, 0, 0, block.NewPlain(0, []byte("seed")))
 	f.Add(msg.Bytes())
 	f.Add([]byte{})
-	// Bit flips across every segment sub-frame header field: stream id
-	// (20-23), chunk index (24-27), segment index (28-31), count
-	// (32-35), flags (36), message chunk count (37-40), meta lengths.
-	for _, off := range []int{20, offChunk, offIndex, offCount, 35, offFlags, 37, 41, 45} {
+	// Bit flips across every segment sub-frame header field: stream id,
+	// segment index and count (high and low bytes), flags, and the
+	// metadata's tag, block-header length and block header.
+	for _, off := range []int{20, offIndex, offIndex + 3, offCount, offCount + 3, offFlags, offMeta, offMeta + 4, offMeta + 8} {
 		flip := append([]byte(nil), seg.Bytes()...)
 		flip[off] ^= 0x40
 		f.Add(flip)
 	}
-	// The same flips over an inline sub-frame exercise the inline flag
-	// validation paths.
-	for _, off := range []int{offChunk, offCount, offFlags} {
-		flip := append([]byte(nil), inline.Bytes()...)
+	// The same over a message frame's chunk count, first chunk's flags
+	// and its block count.
+	for _, off := range []int{23, 24, 32} {
+		flip := append([]byte(nil), enc.Bytes()...)
 		flip[off] ^= 0x40
 		f.Add(flip)
 	}
