@@ -6,11 +6,12 @@
 //
 // The entry point is the Session runtime: OpenSession stands up a
 // persistent encrypted runtime once (for EngineTCP that means
-// listeners, the O(p²) dialed connection mesh, handshakes and per-pair
-// crypto state), then Session.Run / Session.Allgather /
-// Session.AllgatherV / Session.Allreduce / Session.Simulate execute any
-// number of collectives over it, each bounded by a context.Context and
-// configured with functional options (WithTracer, WithFaultPlan, ...).
+// listeners, one dialed connection per ordered inter-node pair,
+// handshakes and per-pair crypto state), then Session.Run /
+// Session.Allgather / Session.AllgatherV / Session.Allreduce /
+// Session.Simulate execute any number of collectives over it, each
+// bounded by a context.Context and configured with functional options
+// (WithTracer, WithFaultPlan, ...).
 //
 // Three engines execute the same algorithm code:
 //
@@ -19,9 +20,10 @@
 //     transport audits that no plaintext ever crosses a node boundary.
 //     AllgatherV accepts unequal (even zero-length) contributions.
 //
-//   - EngineTCP: the same algorithms over real loopback TCP sockets,
-//     capturing every inter-node wire byte, so Session.Wire and
-//     Session.WireClean can state whether an eavesdropper saw any
+//   - EngineTCP: the same algorithms with inter-node traffic on real
+//     loopback TCP sockets (same-node ranks deliver in memory, as on
+//     EngineChan), capturing every inter-node wire byte, so Session.Wire
+//     and Session.WireClean can state whether an eavesdropper saw any
 //     plaintext.
 //
 //   - EngineSim (Session.Simulate / SimulateV, needs WithProfile): a
@@ -192,8 +194,8 @@ const (
 func RandomFaultPlan(seed int64, procs, n int) *FaultPlan { return fault.Random(seed, procs, n) }
 
 // TransientFaultPlan generates a deterministic plan limited to
-// recoverable faults (drops, stalls, read delays, partial writes): the
-// TCP transport must complete correctly under any such plan.
+// recoverable faults (drops, stalls, read delays, partial writes): both
+// real engines must complete correctly under any such plan.
 func TransientFaultPlan(seed int64, procs, n int) *FaultPlan { return fault.Transient(seed, procs, n) }
 
 // RankError is the structured failure report of a real-engine run (chan

@@ -59,30 +59,37 @@ func TestRunTCPFaultyFailsClosed(t *testing.T) {
 
 func TestRunFaultyChannelEngine(t *testing.T) {
 	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 2 * time.Second}
-	// A dropped message on the channel transport is lost for good: the
-	// starved peer must fail with a bounded structured recv error. Naive
-	// is all-to-all, so the 1->0 pair is guaranteed to carry a message.
-	plan := &encag.FaultPlan{Rules: []encag.FaultRule{
+	s := open(t, spec)
+	// Every chan pair is a memory pair, and a dropped message is resent
+	// like a dropped frame on a socket: one drop recovers. Naive is
+	// all-to-all, so the 1->0 pair is guaranteed to carry a message.
+	once := &encag.FaultPlan{Rules: []encag.FaultRule{
 		{Src: 1, Dst: 0, Frame: 0, Kind: encag.FaultDrop},
 	}}
+	res, err := s.Run(bg, "naive", 512, encag.WithFaultPlan(once))
+	if err != nil {
+		t.Fatalf("one dropped message did not recover: %v", err)
+	}
+	if !res.SecurityOK {
+		t.Fatal("recovered run lost the security property")
+	}
+	// A pair that drops every attempt runs out of resends: the sender
+	// fails the operation with the injected fault, long before the
+	// starved peer's receive deadline.
+	always := &encag.FaultPlan{Rules: []encag.FaultRule{
+		{Src: 1, Dst: 0, Frame: -1, Kind: encag.FaultDrop, Times: -1},
+	}}
 	start := time.Now()
-	s := open(t, spec)
-	_, err := s.Run(bg, "naive", 512, encag.WithFaultPlan(plan))
-	if err == nil {
-		t.Fatal("dropped message went unnoticed")
-	}
+	_, err = s.Run(bg, "naive", 512, encag.WithFaultPlan(always))
 	var re *encag.RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("error is %T, want *RankError: %v", err, err)
+	if !errors.As(err, &re) || re.Op != "send" || !strings.Contains(err.Error(), "fault: injected drop") {
+		t.Fatalf("err = %v, want a send *RankError naming the injected drop", err)
 	}
-	if re.Op != "recv" {
-		t.Fatalf("root cause op = %q, want recv: %v", re.Op, err)
-	}
-	if time.Since(start) > 30*time.Second {
-		t.Fatal("loss took the run-level timeout instead of the recv deadline")
+	if d := time.Since(start); d > spec.RecvTimeout/2 {
+		t.Fatalf("exhausted resends took %v to fail the op, want well inside the %v receive deadline", d, spec.RecvTimeout)
 	}
 	// The same plan with no faults completes normally.
-	res, err := s.Run(bg, "o-ring", 512, encag.WithFaultPlan(&encag.FaultPlan{}))
+	res, err = s.Run(bg, "o-ring", 512, encag.WithFaultPlan(&encag.FaultPlan{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,8 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 // still completes. The session must find that as soon as the planned
 // operation ends — it stays successful, the session breaks — and refuse
 // the next operation at once instead of letting it starve for the whole
-// receive deadline. The chan link has no gates: nothing to find there.
+// receive deadline. Chan has no socket pairs and no gates: nothing to
+// find there.
 func TestPlannedSuccessCannotHideGateDesync(t *testing.T) {
 	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 2 * time.Second}
 	for _, c := range []struct {
@@ -111,7 +119,7 @@ func TestPlannedSuccessCannotHideGateDesync(t *testing.T) {
 		var re *encag.RankError
 		if c.broken && err != nil || err != nil && !errors.As(err, &re) {
 			// Over TCP byte 14 of the corrupted frame is its sequence
-			// field and the operation completes; the chan link carries
+			// field and the operation completes; a memory pair carries
 			// no frame header, so the same plan damages a payload there.
 			t.Fatalf("%s: planned operation: %v\nplan: %v", c.engine, err, plan)
 		}

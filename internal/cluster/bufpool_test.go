@@ -9,7 +9,7 @@ import (
 	"unsafe"
 
 	"encag/internal/block"
-	"encag/internal/metrics"
+	"encag/internal/fault"
 	"encag/internal/wire"
 )
 
@@ -178,39 +178,30 @@ func openRecycling(t *testing.T, spec Spec, engine EngineKind) *Session {
 	return s
 }
 
-// heldLink is a link whose every send waits until the test opens it.
-type heldLink struct{ sending, open chan struct{} }
-
-func (l *heldLink) send(src int, job sendJob) {
-	l.sending <- struct{}{}
-	<-l.open
-}
-func (l *heldLink) brokenErr() error      { return nil }
-func (l *heldLink) desynced() error       { return nil }
-func (l *heldLink) sniffer() *WireSniffer { return nil }
-func (l *heldLink) close()                {}
-
 // A send the send loop has not finished keeps its op's ciphertext out of
 // the free list after the op itself has succeeded: the buffers come back
-// only once the send is done.
+// only once the send is done. A planned stall holds the send on a memory
+// pair; the injector's observer reports when the send loop reaches it.
 func TestPendingSendHoldsCiphertext(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	lnk := &heldLink{sending: make(chan struct{}), open: make(chan struct{})}
-	tr := newTransport(spec, newLiveMetrics(metrics.NewRegistry(), spec, EngineChan), newOpRegistry(), lnk)
-	defer tr.close()
-	var opened sync.Once
-	open := func() { opened.Do(func() { close(lnk.open) }) }
-	defer open() // before tr.close, which waits for the send loop
-	o := tr.newOp(1, nil, nil, time.Second, nil, false)
+	s := openRecycling(t, spec, EngineChan)
+	const stall = time.Second
+	inj := fault.NewInjector(&fault.Plan{Rules: []fault.Rule{
+		{Src: 0, Dst: 1, Frame: 0, Kind: fault.Stall, Delay: stall},
+	}})
+	sending := make(chan struct{}, 1)
+	inj.SetObserver(func(fault.Kind) { sending <- struct{}{} })
+	o := s.tr.newOp(1, nil, inj, time.Second, nil, false)
+	defer s.tr.reg.deregister(1)
 	drainCipherBufs()
 	blob := o.alloc(5000)
 	o.isend(&Proc{rank: 0, spec: spec}, 1, block.Message{Chunks: []block.Chunk{{Enc: true, Payload: blob}}})
-	<-lnk.sending
+	<-sending
+	held := time.Now()
 	o.bufs.finish(true)
-	if idle := cipherBufs.idleBytes(); idle != 0 {
+	if idle := cipherBufs.idleBytes(); idle != 0 && time.Since(held) < stall {
 		t.Fatalf("%d bytes back in the free list while a send still reads them", idle)
 	}
-	open()
 	for deadline := time.Now().Add(5 * time.Second); cipherBufs.idleBytes() != 2*bufQuantum; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("free list holds %d bytes after the send, want %d", cipherBufs.idleBytes(), 2*bufQuantum)

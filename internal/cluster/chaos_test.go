@@ -63,33 +63,42 @@ func runFaulty(engine cluster.EngineKind, spec cluster.Spec, algo cluster.Algori
 }
 
 // Transient plans (drops, stalls, read delays, partial writes) are all
-// recoverable on TCP: reconnect-and-resend must absorb every one of
-// them, so these runs are required to SUCCEED with verified buffers.
+// recoverable on every pair kind: resending (after a redial on a socket
+// pair) must absorb every one of them, so these runs are required to
+// SUCCEED with verified buffers, on both engines.
 func TestChaosTCPTransientPlansComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")
 	}
-	for _, spec := range chaosSpecs {
-		spec := spec
-		spec.RecvTimeout = 10 * time.Second // stalls legitimately slow frames down
-		for _, name := range encrypted.PaperNames() {
-			algo, err := encrypted.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for seed := int64(1); seed <= 3; seed++ {
-				seed := seed
-				t.Run(fmt.Sprintf("%s/p%d/seed%d", name, spec.P, seed), func(t *testing.T) {
-					t.Parallel()
-					plan := fault.Transient(seed, spec.P, 6)
-					res, err := runFaulty(cluster.EngineTCP, spec, algo, plan)
-					if err != nil {
-						t.Fatalf("transient plan must be recoverable, got: %v\nplan: %v", err, plan)
-					}
-					if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
-						t.Fatalf("recovered run has wrong buffers: %v\nplan: %v", verr, plan)
-					}
-				})
+	// Chan cases are named under a chan/ prefix; TCP cases keep the bare
+	// alg/p/seed names.
+	for _, e := range []struct {
+		prefix string
+		engine cluster.EngineKind
+	}{{"", cluster.EngineTCP}, {"chan/", cluster.EngineChan}} {
+		prefix, engine := e.prefix, e.engine
+		for _, spec := range chaosSpecs {
+			spec := spec
+			spec.RecvTimeout = 10 * time.Second // stalls legitimately slow frames down
+			for _, name := range encrypted.PaperNames() {
+				algo, err := encrypted.Get(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for seed := int64(1); seed <= 3; seed++ {
+					seed := seed
+					t.Run(fmt.Sprintf("%s%s/p%d/seed%d", prefix, name, spec.P, seed), func(t *testing.T) {
+						t.Parallel()
+						plan := fault.Transient(seed, spec.P, 6)
+						res, err := runFaulty(engine, spec, algo, plan)
+						if err != nil {
+							t.Fatalf("transient plan must be recoverable, got: %v\nplan: %v", err, plan)
+						}
+						if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+							t.Fatalf("recovered run has wrong buffers: %v\nplan: %v", verr, plan)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -124,9 +133,10 @@ func TestChaosTCPRandomPlansCompleteOrFailClosed(t *testing.T) {
 	}
 }
 
-// The channel engine has no reconnect path: drops and partial writes
-// lose the message, so the contract is complete-or-fail-closed with a
-// bounded structured recv error at the starved peer.
+// On the channel engine every pair is a memory pair: drops and partial
+// writes are resent, and corruption flips a payload byte that either
+// AES-GCM or the end-of-run check rejects, so the contract is
+// complete-or-fail-closed with one structured error.
 func TestChaosRealPlansCompleteOrFailClosed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short mode")

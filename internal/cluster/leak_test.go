@@ -56,7 +56,8 @@ func ringStep(p *Proc, msg block.Message, rounds int) block.Message {
 }
 
 // opEngines are the session engines that run real payload bytes: the
-// one op runtime over each of its two links.
+// one op runtime over its link with memory pairs only, and with socket
+// pairs between nodes.
 var opEngines = []EngineKind{EngineChan, EngineTCP}
 
 // A rank panic must surface as that rank's structured error — not as the

@@ -113,7 +113,7 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 			metrics.L("kind", k.String()))
 	}
 	lm.reconnects = reg.Counter(MetricReconnects, "TCP links re-dialed after a transient send failure.")
-	lm.resends = reg.Counter(MetricResends, "Frame send attempts beyond the first (TCP recovery).")
+	lm.resends = reg.Counter(MetricResends, "Frame send attempts beyond the first (resend recovery, both pair kinds).")
 	lm.dedupDrops = reg.Counter(MetricDedupDrops, "Duplicate frames dropped by the sequence gates.")
 	lm.recvTimeouts = reg.Counter(MetricRecvTimeouts, "Receives that hit the per-wait deadline.")
 	lm.stragglers = reg.Counter(MetricStragglers, "Frames of retired operations dropped by the demux.")
@@ -302,7 +302,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
 	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
-	if sn := s.tr.sniffer(); sn != nil {
+	if sn := s.tr.sniff; sn != nil {
 		snap.WireBytes = sn.Total()
 	}
 	return snap
@@ -342,7 +342,7 @@ func (s *Session) registerRuntimeMetrics() {
 		func() int64 { return int64(s.Sealer().Pool().Stats().Busy) })
 	reg.CounterFunc(MetricPoolSaturated, "Segmented operations that degraded to serial on a saturated pool.",
 		func() int64 { return s.Sealer().Pool().Stats().Saturated })
-	if sn := s.tr.sniffer(); sn != nil {
+	if sn := s.tr.sniff; sn != nil {
 		reg.CounterFunc(MetricWireBytes, "Cumulative inter-node bytes observed on the wire.",
 			sn.Total)
 	}

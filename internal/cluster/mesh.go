@@ -19,9 +19,9 @@ import (
 var ErrMeshDown = errors.New("cluster: transport mesh is down")
 
 // sendJob is one message awaiting its turn on a rank's send scheduler.
-// A pipelined send (TCP only) carries a stream id and keeps its one
-// chunk's pending SealStream: the link seals and ships one segment at a
-// time, overlapping crypto with transport.
+// A pipelined send (socket pairs only) carries a stream id and keeps its
+// one chunk's pending SealStream: the link seals and ships one segment
+// at a time, overlapping crypto with transport.
 type sendJob struct {
 	op  *opRuntime
 	dst int
@@ -29,46 +29,21 @@ type sendJob struct {
 	sid uint32 // non-zero: stream msg's one chunk under this stream id
 }
 
-// link is the engine-specific remainder of a session's transport: how
-// one queued message gets from its sending rank to the destination's
-// opRuntime, and whether the wire underneath is still sound.
-type link interface {
-	// send moves one queued message of a live operation from rank src to
-	// job.dst's runtime. Only src's send scheduler goroutine calls it.
-	send(src int, job sendJob)
-	// brokenErr returns the ErrMeshDown-wrapped cause once the link has
-	// become unrecoverable, nil while it is healthy.
-	brokenErr() error
-	// desynced looks for wire-level damage a failed operation can leave
-	// behind without any error reaching it. Finding some, it declares
-	// the link down and returns the cause.
-	desynced() error
-	// sniffer returns the inter-node wire capture; nil without a wire.
-	sniffer() *WireSniffer
-	// close releases the wire and waits for the link's own goroutines.
-	close()
-}
-
 // transport is the persistent state of a chan or tcp session: one fair
 // send queue — one stream per in-flight operation — and one send
-// scheduler goroutine per rank, the registry of in-flight operations,
-// and the link the schedulers drain into. Collectives come and go as
+// scheduler goroutine per rank, draining into the session's link, which
+// holds the registry of in-flight operations. Collectives come and go as
 // per-operation opRuntimes, many of them concurrently; the transport
 // outlives them all until the session closes.
 type transport struct {
-	link
-	spec    Spec
-	lm      *liveMetrics
-	reg     *opRegistry
+	*link
 	sendQ   []*sched.FairQueue[sendJob]
 	senders sync.WaitGroup
 }
 
-// newTransport starts the per-rank send schedulers over lnk, which must
-// route by the same registry.
-func newTransport(spec Spec, lm *liveMetrics, reg *opRegistry, lnk link) *transport {
-	t := &transport{link: lnk, spec: spec, lm: lm, reg: reg,
-		sendQ: make([]*sched.FairQueue[sendJob], spec.P)}
+// newTransport starts the per-rank send schedulers over lnk.
+func newTransport(lnk *link) *transport {
+	t := &transport{link: lnk, sendQ: make([]*sched.FairQueue[sendJob], lnk.spec.P)}
 	for r := range t.sendQ {
 		t.sendQ[r] = sched.NewFairQueue[sendJob]()
 		t.senders.Add(1)
@@ -127,7 +102,7 @@ func (t *transport) close() {
 }
 
 // opInbox is one rank's receive queue for one in-flight operation. The
-// demux side (TCP connection readers, chan-link senders) pushes and
+// delivering side (socket readers, memory-pair senders) pushes and
 // must never block — the queue is unbounded, so a slow consumer in one
 // operation cannot head-of-line-block frames belonging to another
 // operation on the same connection. The single consumer (the rank's

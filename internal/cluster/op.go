@@ -101,10 +101,10 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 }
 
 // deliver hands a whole message that arrived from src to dst's inbox.
-// Each src->dst pair has one delivering goroutine — the chan sender of
-// src, or the pair's TCP reader (its readers run one after another) —
-// which delivers the pair's messages in send order, streamed ones
-// included, so every inbox is FIFO per source.
+// Each src->dst pair has one delivering goroutine — src's sender on a
+// memory pair, the pair's reader on a socket pair (its readers run one
+// after another) — which delivers the pair's messages in send order,
+// streamed ones included, so every inbox is FIFO per source.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
 	o.inboxes[dst].push(envelope{src: src, msg: msg})
 }
@@ -210,18 +210,18 @@ func (recvReq) isRequest() {}
 // operations fairly, applies this operation's fault verdicts in the
 // rank's program order per pair (keeping plans deterministic), and a
 // blocked link never stalls the rank goroutine. On a pipelined TCP
-// session, a message that is one chunk with a pending SealStream is
-// enqueued under a fresh stream id and streams segment by segment;
-// anything else is materialized and travels whole. Every queued job
-// holds a reference on the op's ciphertext buffers until the send loop
-// is done with it.
+// session, a message to another node (a socket pair) that is one chunk
+// with a pending SealStream is enqueued under a fresh stream id and
+// streams segment by segment; anything else is materialized and travels
+// whole. Every queued job holds a reference on the op's ciphertext
+// buffers until the send loop is done with it.
 func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	o.audit.record(o.spec, p.rank, dst, msg)
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
 	job := sendJob{op: o, dst: dst, msg: msg}
-	if o.streamed(msg) {
+	if o.streamed(p.rank, dst, msg) {
 		job.sid = o.streamSeq.Add(1)
 	} else {
 		var err error

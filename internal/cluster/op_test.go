@@ -14,11 +14,11 @@ import (
 // send schedulers: everything a rank's receive side does — ordering,
 // failing, unblocking — is the runtime's own and needs no wire.
 func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
-	tr := &transport{
+	tr := &transport{link: &link{
 		spec: spec,
 		lm:   newLiveMetrics(metrics.NewRegistry(), spec, EngineChan),
 		reg:  newOpRegistry(),
-	}
+	}}
 	return tr.newOp(1, nil, nil, recvTO, nil, false)
 }
 

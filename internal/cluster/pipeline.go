@@ -1,11 +1,11 @@
 // Intra-collective pipelining: on a TCP session with pipelining on, a
-// message that is exactly one freshly sealed chunk — the pending
-// SealStream Proc.Encrypt made — travels as the sealed segments of its
-// blob, one segment sub-frame each (internal/wire), each sealed right
-// before it goes on the wire and opened as it lands. Every other message
-// is materialized and sent as one whole frame. This file holds the
-// streaming threshold, materialization, and the receive-side stream
-// assembly.
+// message to another node (a socket pair) that is exactly one freshly
+// sealed chunk — the pending SealStream Proc.Encrypt made — travels as
+// the sealed segments of its blob, one segment sub-frame each
+// (internal/wire), each sealed right before it goes on the wire and
+// opened as it lands. Every other message is materialized and sent as
+// one whole frame. This file holds the streaming threshold,
+// materialization, and the receive-side stream assembly.
 package cluster
 
 import (
@@ -23,10 +23,12 @@ import (
 // qualification does not drift with seal framing overhead.
 const defaultMinStreamBytes = 16 << 10
 
-// streamed reports whether msg travels as a segment stream: a pipelined
-// op's message that is one chunk with a pending SealStream.
-func (o *opRuntime) streamed(msg block.Message) bool {
-	return o.pipe && len(msg.Chunks) == 1 && msg.Chunks[0].Stream != nil
+// streamed reports whether msg travels src->dst as a segment stream: a
+// pipelined op's message to another node (a socket pair: pipelining is
+// on only on EngineTCP) that is one chunk with a pending SealStream. A
+// memory pair has no wire to overlap the sealing with.
+func (o *opRuntime) streamed(src, dst int, msg block.Message) bool {
+	return o.pipe && !o.spec.SameNode(src, dst) && len(msg.Chunks) == 1 && msg.Chunks[0].Stream != nil
 }
 
 // streamBlob indirects SealStream.Blob so the materialize error-path

@@ -320,6 +320,38 @@ func TestPipelineTCPDropSegmentRecovers(t *testing.T) {
 	}
 }
 
+// A partial write that cuts a sub-frame inside its payload is resent
+// whole on a fresh conn, and the receiver takes the resend: the pair's
+// sequence gate moves, and a first sub-frame installs its stream, only
+// once the payload has been read in full. Cut inside segment 0 (the
+// first sub-frame, metadata and all) and inside segment 3, the op
+// completes byte-exact.
+func TestPipelinePartialWriteInsideSegmentRecovers(t *testing.T) {
+	// 8 KiB segments: the 64 KiB message streams as 8 sub-frames, each
+	// header far shorter than the 4 KiB kept of the cut one.
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, SegmentSize: 8 << 10, RecvTimeout: 5 * time.Second}
+	for _, frame := range []int{0, 3} {
+		s := openPipelined(t, spec)
+		plan := &fault.Plan{Rules: []fault.Rule{
+			{Src: 0, Dst: 1, Frame: frame, Kind: fault.PartialWrite, Keep: 4 << 10},
+		}}
+		res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize, Plan: plan})
+		if err != nil {
+			t.Fatalf("cut inside segment %d: %v", frame, err)
+		}
+		if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+			t.Fatalf("cut inside segment %d: %v", frame, err)
+		}
+		s.Close()
+		if n := s.lm.resends.Value(); n < 1 {
+			t.Fatalf("cut inside segment %d: %d resends, the fault never fired", frame, n)
+		}
+		if sent, recv := s.lm.framesSentTotal.Value(), s.lm.framesRecvTotal.Value(); sent != recv {
+			t.Fatalf("cut inside segment %d: %d frames sent, %d received", frame, sent, recv)
+		}
+	}
+}
+
 // Random fault plans against pipelined traffic must keep the existing
 // contract: complete byte-exact, fail the op with a structured error,
 // or break the session loudly — never deliver wrong bytes, never hang.
@@ -345,9 +377,10 @@ func TestPipelineTCPRandomPlans(t *testing.T) {
 }
 
 // streamed gates which traffic streams: nothing while pipelining is
-// off, and when on only a message that is one chunk with a pending seal
-// stream. Multi-chunk messages, forwarded blobs and plaintext go whole.
-// The stream threshold is a constant, not configuration.
+// off, and when on only a message to another node (a socket pair) that
+// is one chunk with a pending seal stream. Same-node messages,
+// multi-chunk messages, forwarded blobs and plaintext go whole. The
+// stream threshold is a constant, not configuration.
 func TestPipelineQualification(t *testing.T) {
 	if defaultMinStreamBytes != 16<<10 {
 		t.Fatalf("streaming threshold moved: %d", defaultMinStreamBytes)
@@ -362,12 +395,16 @@ func TestPipelineQualification(t *testing.T) {
 		t.Fatal("seal stream refused a 64KiB payload")
 	}
 	enc := block.Chunk{Enc: true, Stream: st}
-	if (&opRuntime{}).streamed(block.Message{Chunks: []block.Chunk{enc}}) {
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping} // 0->1 stays on node 0, 0->2 crosses
+	if (&opRuntime{spec: spec}).streamed(0, 2, block.Message{Chunks: []block.Chunk{enc}}) {
 		t.Fatal("streamed with pipelining off")
 	}
-	pc := &opRuntime{pipe: true}
-	if !pc.streamed(block.Message{Chunks: []block.Chunk{enc}}) {
+	pc := &opRuntime{spec: spec, pipe: true}
+	if !pc.streamed(0, 2, block.Message{Chunks: []block.Chunk{enc}}) {
 		t.Fatal("pending seal stream not streamed")
+	}
+	if pc.streamed(0, 1, block.Message{Chunks: []block.Chunk{enc}}) {
+		t.Fatal("pending seal stream streamed to a memory pair")
 	}
 	blob, err := st.Blob()
 	if err != nil {
@@ -378,7 +415,7 @@ func TestPipelineQualification(t *testing.T) {
 		"forwarded":   {Chunks: []block.Chunk{{Enc: true, Blocks: []block.Block{{Origin: 0, Len: 64 << 10}}, Payload: blob}}},
 		"plaintext":   {Chunks: []block.Chunk{{Payload: pt}}},
 	} {
-		if pc.streamed(msg) {
+		if pc.streamed(0, 2, msg) {
 			t.Fatalf("%s message streamed", name)
 		}
 	}

@@ -39,9 +39,10 @@ type engine interface {
 	// pipeline reports whether intra-collective segment streaming is on:
 	// TCP sessions with pipelining enabled only (the sim and chan
 	// engines never stream). Encrypt then seals a large chunk lazily, and
-	// a message that is exactly that one chunk streams segment by
-	// segment; every other message, multi-chunk or forwarded, is
-	// materialized and travels whole.
+	// a message to another node that is exactly that one chunk streams
+	// segment by segment over its socket; every other message —
+	// same-node, multi-chunk or forwarded — is materialized and travels
+	// whole.
 	pipeline() bool
 
 	// aad derives the AEAD associated data from the encoded block

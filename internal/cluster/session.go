@@ -19,13 +19,14 @@ import (
 type EngineKind int
 
 const (
-	// EngineChan runs every rank as a goroutine over in-memory channel
-	// transport with real payload bytes and real AES-GCM.
+	// EngineChan runs every rank as a goroutine with real payload bytes
+	// and real AES-GCM; every pair is a memory pair.
 	EngineChan EngineKind = iota
-	// EngineTCP runs over real loopback TCP sockets through the wire
-	// codec. A session keeps its listeners, dialed links, handshakes and
-	// sequence gates alive across collectives, so only the first
-	// operation pays the O(p^2) mesh setup cost.
+	// EngineTCP puts every inter-node pair on a real loopback TCP socket
+	// through the wire codec; same-node pairs are memory pairs, as on
+	// EngineChan. A session keeps its listeners, its P·(P−ℓ) dialed
+	// connections, handshakes and sequence gates alive across
+	// collectives, so only OpenSession pays the setup cost.
 	EngineTCP
 	// EngineSim runs on the deterministic discrete-event cluster model in
 	// virtual time.
@@ -59,8 +60,8 @@ type SessionConfig struct {
 	Plan *fault.Plan
 	// Profile is the machine model used by EngineSim; ignored otherwise.
 	Profile cost.Profile
-	// Adversary taps inter-node messages on EngineChan; ignored
-	// otherwise.
+	// Adversary taps inter-node messages on EngineChan, whose inter-node
+	// pairs deliver in memory; ignored otherwise.
 	Adversary Adversary
 	// CryptoPool is the worker pool the session's sealer runs segmented
 	// crypto on; nil selects the process-wide shared pool. Handing one
@@ -128,9 +129,9 @@ type RealResult struct {
 	Critical Critical
 	Audit    *SecurityAudit
 	Sealer   *seal.Sealer
-	// Sniffer is the session-lifetime capture of the inter-node wire
-	// (cumulative over every collective run on the session); nil on
-	// EngineChan, which has no wire.
+	// Sniffer is the session-lifetime capture of the inter-node wire —
+	// every byte of the P·(P−ℓ) inter-node sockets, cumulative over every
+	// collective run on the session; nil on EngineChan, which has no wire.
 	Sniffer *WireSniffer
 	Elapsed time.Duration
 	// OpID is the session-unique operation id the collective's frames
@@ -139,7 +140,7 @@ type RealResult struct {
 }
 
 // RunOnce opens a session, runs the one operation on it and closes it
-// again, re-paying the full setup (for EngineTCP the O(p^2) mesh) on
+// again, re-paying the full setup (for EngineTCP the dialed sockets) on
 // every call — for tests and one-off checks; anything that runs more
 // than one collective should hold a Session.
 func RunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
@@ -165,8 +166,9 @@ func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
 
 // Session is a persistent collective runtime: open once, run many
 // collectives over long-lived engine state, close once. For EngineTCP
-// the listeners, dialed links, hello handshakes, sequence gates and
-// per-rank send schedulers survive across operations; every frame
+// the listeners, the P·(P−ℓ) dialed inter-node connections, hello
+// handshakes, sequence gates and per-rank send schedulers survive
+// across operations, and same-node pairs deliver in memory; every frame
 // carries its operation's id, so the demux routes concurrent
 // collectives' frames to the right operation and discards stragglers
 // from completed or aborted ones. For EngineChan the per-rank send
@@ -201,8 +203,9 @@ type Session struct {
 }
 
 // OpenSession validates the spec, stands up the persistent engine state
-// (sealer and send schedulers for chan/tcp; listeners plus the fully
-// dialed O(p^2) connection mesh for tcp) and returns the ready session.
+// (sealer and send schedulers for chan/tcp; for tcp also one listener
+// per rank and one dialed connection per ordered inter-node pair,
+// P·(P−ℓ) in all) and returns the ready session.
 func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -220,17 +223,12 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.slr = slr
-	ops := newOpRegistry()
-	var lnk link
-	if cfg.Engine == EngineTCP {
-		if lnk, err = newTCPMesh(spec, s.lm, ops); err != nil {
-			return nil, err
-		}
-		s.pipe = cfg.Pipelining
-	} else {
-		lnk = &chanLink{lm: s.lm, reg: ops, adversary: cfg.Adversary}
+	lnk, err := newLink(spec, s.lm, newOpRegistry(), cfg)
+	if err != nil {
+		return nil, err
 	}
-	s.tr = newTransport(spec, s.lm, ops, lnk)
+	s.pipe = cfg.Pipelining && cfg.Engine == EngineTCP
+	s.tr = newTransport(lnk)
 	s.registerRuntimeMetrics()
 	return s, nil
 }
@@ -258,7 +256,7 @@ func (s *Session) Sniffer() *WireSniffer {
 	if s.tr == nil {
 		return nil
 	}
-	return s.tr.sniffer()
+	return s.tr.sniff
 }
 
 // Sealer returns the session's current AES-GCM sealer (nil for
@@ -494,7 +492,7 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		PerRank: make([]Metrics, s.spec.P),
 		Audit:   run.audit,
 		Sealer:  slr,
-		Sniffer: s.tr.sniffer(),
+		Sniffer: s.tr.sniff,
 	}
 	var wg sync.WaitGroup
 	start := time.Now()

@@ -8,12 +8,13 @@
 //
 //   - EngineChan and EngineTCP share one per-operation runtime (opRuntime:
 //     every rank a goroutine, real AES-GCM over real payload bytes,
-//     receive ordering, failure and abort) over two links. The chan link
-//     delivers in memory — used for correctness, property and security
-//     tests; the TCP link runs over real loopback sockets through the
-//     wire codec, with a byte-level sniffer on inter-node connections —
-//     used to demonstrate the security property at the level an actual
-//     network eavesdropper sees;
+//     receive ordering, failure and abort) over one link. Every chan
+//     pair, and every same-node TCP pair, delivers in memory — chan is
+//     used for correctness, property and security tests; a TCP
+//     session's inter-node pairs run over real loopback sockets through
+//     the wire codec, each with a byte-level sniffer — used to
+//     demonstrate the security property at the level an actual network
+//     eavesdropper sees;
 //   - the sim engine (Session.Sim) runs ranks as deterministic discrete-event
 //     processes over the flow-level network model in internal/netsim —
 //     used to regenerate the paper's tables and figures at full scale.

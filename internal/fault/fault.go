@@ -2,16 +2,21 @@
 // the transport engines. A Plan is a set of per-rank-pair rules ("drop
 // the 2->5 connection after 3 frames", "corrupt byte 17 of frame 1",
 // "stall 5ms before every send") and an Injector applies it at runtime.
-// Both links take one Verdict per frame from Injector.SendFrame where
-// they write or deliver it, and one Injector.ReadDelay where they
-// deliver it:
+// Every pair of the transport's link takes one Verdict per send attempt
+// from Injector.SendFrame where it writes or delivers the frame, and
+// one Injector.ReadDelay where it delivers it. The verdict is applied
+// per pair kind:
 //
-//   - the TCP link applies the verdict byte-exactly to the frame's wire
-//     bytes: a stall sleeps, a drop closes the connection, and
-//     corruption and partial writes go through Verdict.Writer;
-//   - the in-memory channel link applies it at message granularity (a
-//     dropped or partially written frame is simply lost in transit, a
-//     corrupted one has a payload byte flipped).
+//   - a socket pair (inter-node, TCP) applies it byte-exactly to the
+//     frame's wire bytes: a stall sleeps, a drop closes the connection,
+//     and corruption and partial writes go through Verdict.Writer;
+//   - a memory pair (same-node on TCP, every pair on chan) applies it at
+//     message granularity: a stall sleeps, a dropped or partially
+//     written frame is lost in transit, a corrupted one has a payload
+//     byte flipped.
+//
+// On both kinds a dropped or partially written frame is resent, a
+// bounded number of times.
 //
 // Plans are pure data and rule application is keyed only on the ordered
 // rank pair and that pair's frame counter, so a given plan injects the
@@ -31,18 +36,18 @@ import (
 type Kind int
 
 const (
-	// Drop closes the connection instead of sending the target frame.
-	// The sender observes a write error; a transport with reconnect
-	// support recovers, one without reports it.
+	// Drop loses the target frame: a socket pair closes its connection
+	// instead of sending it, a memory pair does not deliver it. The
+	// sender resends it, and fails its operation once resends run out.
 	Drop Kind = iota
 	// Corrupt flips one byte of the target frame on the wire.
 	Corrupt
 	// Stall sleeps for Delay before sending the target frame.
 	Stall
 	// StallRead delays each frame the receive side of the pair delivers
-	// by Delay, on both links (frame targeting does not apply). On the
-	// channel link delivery runs on the sender's queue, so the stall
-	// also holds the sending rank's later frames.
+	// by Delay, on both pair kinds (frame targeting does not apply). A
+	// memory pair delivers on the sender's queue, so the stall also
+	// holds the sending rank's later frames.
 	StallRead
 	// PartialWrite delivers only the first Keep bytes of the target
 	// frame, then fails the write.
@@ -142,8 +147,8 @@ func Random(seed int64, p, n int) *Plan { return generate(seed, p, n, true) }
 
 // Transient generates a deterministic plan of n rules limited to
 // recoverable faults (drops, stalls, read delays, partial writes): a
-// transport with reconnect support must complete correctly under any
-// Transient plan.
+// transport that resends must complete correctly under any Transient
+// plan.
 func Transient(seed int64, p, n int) *Plan { return generate(seed, p, n, false) }
 
 func generate(seed int64, p, n int, corruption bool) *Plan {

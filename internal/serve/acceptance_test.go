@@ -136,9 +136,10 @@ func TestAcceptanceMultiTenantHost(t *testing.T) {
 
 	// Phase 2+3: poison the victim while siblings keep gathering.
 	poison := &encag.FaultPlan{Rules: []encag.FaultRule{
-		// Flipping byte 0 of the first 0->1 frame corrupts the wire
-		// framing itself (bad magic): unrecoverable, mesh down.
-		{Src: 0, Dst: 1, Frame: 0, Kind: encag.FaultCorrupt, Offset: 0},
+		// Flipping byte 0 of the first frame on the inter-node 1->2
+		// socket corrupts the wire framing itself (bad magic):
+		// unrecoverable, mesh down.
+		{Src: 1, Dst: 2, Frame: 0, Kind: encag.FaultCorrupt, Offset: 0},
 	}}
 	sibDone := make(chan struct{})
 	go func() {

@@ -20,14 +20,14 @@ import (
 type Engine string
 
 const (
-	// EngineChan (the default) runs every rank as a goroutine over
-	// in-memory channel transport with real payload bytes and real
-	// AES-GCM.
+	// EngineChan (the default) runs every rank as a goroutine with real
+	// payload bytes and real AES-GCM, every message delivered in memory.
 	EngineChan Engine = "chan"
-	// EngineTCP runs over real loopback TCP sockets through the wire
-	// codec with a byte-level sniffer on inter-node connections. A
-	// session dials the O(p²) connection mesh once and reuses it for
-	// every collective.
+	// EngineTCP puts inter-node traffic on real loopback TCP sockets
+	// through the wire codec, with a byte-level sniffer on every
+	// connection; same-node ranks deliver in memory, as on EngineChan.
+	// A session dials its P·(P−ℓ) inter-node connections once and reuses
+	// them for every collective.
 	EngineTCP Engine = "tcp"
 	// EngineSim runs on the deterministic discrete-event cluster model
 	// in virtual time. Requires WithProfile.
@@ -196,11 +196,12 @@ func opLevel(opts []Option) (*sessionOptions, error) {
 
 // Session is a persistent collective runtime: open once, run many
 // collectives over long-lived engine state, close once. For EngineTCP
-// the listeners, dialed links, handshakes, sequence gates and per-rank
-// send schedulers survive across operations — only the first collective
-// pays the O(p²) mesh setup; every frame carries its operation's id, so
-// the frames of concurrent collectives are demultiplexed to the right
-// operation and stragglers from retired ones are discarded. For
+// the listeners, the P·(P−ℓ) dialed inter-node connections, handshakes,
+// sequence gates and per-rank send schedulers survive across
+// operations — only OpenSession pays the setup; every frame carries its
+// operation's id, so the frames of concurrent collectives are
+// demultiplexed to the right operation and stragglers from retired ones
+// are discarded. Same-node ranks deliver in memory. For
 // EngineChan the sealer and send schedulers persist. EngineSim sessions
 // hold the machine profile.
 //
@@ -233,9 +234,12 @@ type Session struct {
 }
 
 // OpenSession validates the spec, stands up the persistent engine state
-// and returns the ready session. The context bounds session setup (it
-// is checked before the TCP mesh is dialed); it does not have to outlive
-// the session. Defaults: EngineChan, no tracer, no fault plan.
+// and returns the ready session: for EngineTCP one listener per rank and
+// one dialed connection per ordered inter-node pair, P·(P−ℓ) in all
+// (ℓ ranks per node); same-node pairs need none. The context bounds
+// session setup (it is checked before any connection is dialed); it
+// does not have to outlive the session. Defaults: EngineChan, no
+// tracer, no fault plan.
 func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, error) {
 	o := applyOpts(opts)
 	kind, err := o.engine.kind()

@@ -116,16 +116,19 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts
 // gate is 27 000. Heap objects: about 1 940 while the frame codec read
 // and wrote field by field through interfaces and discards went through
 // a scratch ring, about 545 since, about 490 once ciphertext buffers were
-// recycled, and about 440 since a streamed message is one sealed chunk
-// (no send plan, message assembly or seen-bitmap per stream). The race
-// build, which runs every test, allocates 495–510; the gate is 560.
+// recycled, about 440 once a streamed message was one sealed chunk (no
+// send plan, message assembly or seen-bitmap per stream), and about 416
+// since same-node pairs deliver in memory, which also took the bytes to
+// about 16 475 KB (no intra-node frame is encoded, read back and copied).
+// The race build, which runs every test, allocates 16 478 KB and 472–485
+// objects; each gate is that maximum plus 10 %.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 27000 << 10
-		objectsBudget = 560
+		budget        = 18130 << 10
+		objectsBudget = 534
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -142,16 +145,19 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB). Heap objects
 // per blocking operation: about 1 800 while the frame codec read and
 // wrote field by field through interfaces and every receive made its
-// own deadline timer, about 1 120 since; the gate is 1 300. Bytes: about
-// 261 KB while every sealed blob and received ciphertext was a fresh
-// make, less since they are recycled per operation; the gate is 180 KB.
+// own deadline timer, about 1 120 since, and about 936 since same-node
+// pairs deliver in memory. Bytes: about 261 KB while every sealed blob
+// and received ciphertext was a fresh make, about 142 KB since they are
+// recycled per operation and same-node pairs skip the socket. The race
+// build allocates 142 KB and up to 956 objects; each gate is that
+// maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 180 << 10
-		objectsBudget = 1300
+		budget        = 157 << 10
+		objectsBudget = 1052
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50)
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -167,13 +173,14 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // Allocation gate for the shape the benchmark calls tcp-overlap
 // (EngineTCP, 4 ranks on 2 nodes, o-ring, 64 KiB), run blocking: bytes
 // per operation. About 1 917 KB while every sealed blob and received
-// ciphertext was a fresh make, less since they are recycled per
-// operation; the gate is 1 300 KB.
+// ciphertext was a fresh make, about 1 045 KB since they are recycled
+// per operation, and 660–672 KB since same-node pairs deliver in memory.
+// The race build allocates up to 664 KB; the gate is that plus 10 %.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const budget = 1300 << 10
+	const budget = 731 << 10
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40)
 	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
 		perOp>>10, objects, budget>>10)
