@@ -34,7 +34,7 @@ func cmdServe(args []string) error {
 	engineStr := fs.String("engine", "chan", "execution engine per tenant: chan or tcp")
 	capacity := fs.Int("capacity", 0, "max resident tenant sessions (0 = unlimited; beyond it the LRU idle tenant is evicted)")
 	idleTTL := fs.Duration("idle-ttl", 0, "reap tenant sessions idle this long (0 = never)")
-	rekeyEvery := fs.Duration("rekey-every", 0, "rotate resident tenants' AES keys this often when idle (0 = never)")
+	rekeyEvery := fs.Duration("rekey-every", 0, "rotate resident tenants' AES keys this often, busy or idle (0 = never)")
 	sweepEvery := fs.Duration("sweep-every", 0, "janitor period (0 = default 250ms)")
 	maxSteps := fs.Int("maxsteps", 0, "concurrent collectives across all tenants (0 = derive from pool size)")
 	maxQueue := fs.Int("maxqueue", 0, "callers allowed to wait for a step slot (0 = 4x maxsteps)")

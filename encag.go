@@ -151,7 +151,10 @@ type RunResult struct {
 	Gathered [][][]byte
 	Metrics  Metrics
 	// SecurityOK is true when no plaintext crossed a node boundary and no
-	// GCM nonce was reused.
+	// GCM nonce was reused. Nonces are unique by construction (a random
+	// per-key field and a per-key seal counter, SP 800-38D §8.2.1); a
+	// reuse can only be reported by a sealer whose test-only nonce audit
+	// is on.
 	SecurityOK bool
 	// InterMessages / IntraMessages count transport-level messages.
 	InterMessages, IntraMessages int

@@ -1,12 +1,25 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"encag/internal/block"
 	"encag/internal/cost"
 )
+
+// auditedRunOnce is RunOnce with the nonce audit on from the session's
+// first seal, so a nonce-reuse assertion on its result is not vacuous.
+func auditedRunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
+	s, err := OpenSession(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	s.Sealer().EnableNonceAudit()
+	return s.Collective(context.Background(), op)
+}
 
 // ringPlain is a minimal unencrypted ring all-gather used to exercise the
 // engines; the production algorithms live in internal/collective.
@@ -153,7 +166,7 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 		pt := p.DecryptAll(in)
 		return block.Concat(mine, pt)
 	}
-	res, err := RunOnce(spec, SessionConfig{}, Op{Algo: algo, MsgSize: 128})
+	res, err := auditedRunOnce(spec, SessionConfig{}, Op{Algo: algo, MsgSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,13 +273,8 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.Poisonings = lm.poisonings.Value()
 	snap.OpLatency = lm.opLatency.Snapshot()
 	snap.QueueDepth = int(s.tr.queueDepth())
-	slr := s.Sealer()
-	sealed, opened := slr.Counts()
-	s.mu.Lock()
-	snap.SegmentsSealed = s.sealedBase + sealed
-	snap.SegmentsOpened = s.openedBase + opened
-	s.mu.Unlock()
-	ps := slr.Pool().Stats()
+	snap.SegmentsSealed, snap.SegmentsOpened = s.cryptoTotals()
+	ps := s.Sealer().Pool().Stats()
 	snap.PoolSize = ps.Size
 	snap.PoolWorkers = ps.Workers
 	snap.PoolBusy = ps.Busy
@@ -320,19 +315,13 @@ func (s *Session) registerRuntimeMetrics() {
 		s.tr.queueDepth)
 	reg.CounterFunc(MetricSegmentsSealed, "AES-GCM segments sealed over the session lifetime.",
 		func() int64 {
-			slr := s.Sealer()
-			sealed, _ := slr.Counts()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.sealedBase + sealed
+			sealed, _ := s.cryptoTotals()
+			return sealed
 		})
 	reg.CounterFunc(MetricSegmentsOpened, "AES-GCM segments opened over the session lifetime.",
 		func() int64 {
-			slr := s.Sealer()
-			_, opened := slr.Counts()
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return s.openedBase + opened
+			_, opened := s.cryptoTotals()
+			return opened
 		})
 	reg.GaugeFunc(MetricPoolSize, "Crypto worker pool size (worker cap).",
 		func() int64 { return int64(s.Sealer().Pool().Stats().Size) })

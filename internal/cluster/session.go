@@ -195,12 +195,19 @@ type Session struct {
 	broken   error
 	inflight int
 	slr      *seal.Sealer
-	tr       *transport // nil for EngineSim
-	// sealedBase/openedBase accumulate retired sealers' segment counts
-	// across rekeys, keeping the session-lifetime totals monotone.
+	refs     map[*seal.Sealer]int // per sealer: ops in flight, +1 while current
+	tr       *transport           // nil for EngineSim
+	// sealedBase/openedBase accumulate the segment counts of retired
+	// sealers whose last op has ended, keeping the session-lifetime totals
+	// monotone across rekeys.
 	sealedBase int64
 	openedBase int64
 }
+
+// keyBudget is how many seals a session key may make before admit
+// rotates it: well below the 2³² invocations SP 800-38D §8.3 allows per
+// key. A variable so tests can force rotations.
+var keyBudget uint64 = 1 << 31
 
 // OpenSession validates the spec, stands up the persistent engine state
 // (sealer and send schedulers for chan/tcp; for tcp also one listener
@@ -222,7 +229,7 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.slr = slr
+	s.slr, s.refs = slr, map[*seal.Sealer]int{slr: 1}
 	lnk, err := newLink(spec, s.lm, newOpRegistry(), cfg)
 	if err != nil {
 		return nil, err
@@ -240,7 +247,6 @@ func newSessionSealer(spec Spec, pool *seal.Pool) (*seal.Sealer, error) {
 	}
 	slr.SetSegmentSize(int(spec.SegmentSize))
 	slr.SetPool(pool)
-	slr.EnableNonceAudit()
 	return slr, nil
 }
 
@@ -260,8 +266,9 @@ func (s *Session) Sniffer() *WireSniffer {
 }
 
 // Sealer returns the session's current AES-GCM sealer (nil for
-// EngineSim). Its nonce audit spans every collective sealed since the
-// last Rekey.
+// EngineSim): the one the next collective is admitted with. A Rekey, or
+// the automatic rotation at the key's seal budget, replaces it; ops
+// already admitted keep sealing with theirs.
 func (s *Session) Sealer() *seal.Sealer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -284,13 +291,11 @@ func (s *Session) InFlight() int {
 	return s.inflight
 }
 
-// Rekey replaces the session's AES-GCM key with a fresh random one
-// between collectives — the session-runtime composition point for
-// internal/seal's key-rotation support. Subsequent operations seal under
-// the new key; the nonce audit restarts with it. Rekey refuses to run
-// while collectives are in flight: half of an operation's ranks sealing
-// under the old key and half under the new would make every frame fail
-// authentication.
+// Rekey replaces the session's AES-GCM key with a fresh random one. It
+// never waits: operations admitted from now on seal under the new key,
+// and operations already in flight finish on the key they were admitted
+// with, so no operation is split across keys. The retired sealer's
+// counts fold into the session totals when its last operation ends.
 func (s *Session) Rekey() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,21 +306,45 @@ func (s *Session) Rekey() error {
 		return fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
 	case s.cfg.Engine == EngineSim:
 		return nil // the sim models crypto cost; there is no key
-	case s.inflight > 0:
-		return fmt.Errorf("cluster: cannot rekey with %d collectives in flight", s.inflight)
 	}
+	return s.rekeyLocked()
+}
+
+// rekeyLocked swaps in a fresh sealer; the caller holds s.mu.
+func (s *Session) rekeyLocked() error {
 	slr, err := newSessionSealer(s.spec, s.cfg.CryptoPool)
 	if err != nil {
 		return err
 	}
-	// Fold the retiring sealer's counts into the session-lifetime bases
-	// so the sealed/opened totals stay monotone across the key swap.
-	sealed, opened := s.slr.Counts()
-	s.sealedBase += sealed
-	s.openedBase += opened
-	s.slr = slr
+	s.unrefLocked(s.slr)
+	s.slr, s.refs[slr] = slr, 1
 	s.lm.rekeys.Inc()
 	return nil
+}
+
+// unrefLocked drops one reference to slr. The last one, taken when slr
+// is retired and its last op has ended, folds its final counts into the
+// session bases.
+func (s *Session) unrefLocked(slr *seal.Sealer) {
+	if s.refs[slr]--; s.refs[slr] == 0 {
+		delete(s.refs, slr)
+		sealed, opened := slr.Counts()
+		s.sealedBase += sealed
+		s.openedBase += opened
+	}
+}
+
+// cryptoTotals returns the session-lifetime sealed/opened segment
+// counts: the folded bases plus every sealer still referenced.
+func (s *Session) cryptoTotals() (sealed, opened int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sealed, opened = s.sealedBase, s.openedBase
+	for slr := range s.refs {
+		ds, do := slr.Counts()
+		sealed, opened = sealed+ds, opened+do
+	}
+	return sealed, opened
 }
 
 // Close tears down the persistent engine state: in-flight operations
@@ -378,8 +407,10 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 	return sizes, payloads, nil
 }
 
-// admit runs the session-state checks that gate a new collective and
-// accounts it as in flight. The caller must release with release().
+// admit runs the session-state checks that gate a new collective,
+// rotates the key once it has used its seal budget, and accounts the
+// collective as in flight on the sealer it returns. The caller must
+// release that sealer with release().
 func (s *Session) admit(ctx context.Context) (*seal.Sealer, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -404,13 +435,22 @@ func (s *Session) admit(ctx context.Context) (*seal.Sealer, error) {
 		// Fail fast without touching the engine or the session state.
 		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
 	}
+	// Ops in flight may take the key past its budget by their own seals;
+	// their nonces stay unique because the counter keeps running.
+	if s.slr.Invocations() >= keyBudget {
+		if err := s.rekeyLocked(); err != nil {
+			return nil, err
+		}
+	}
 	s.inflight++
+	s.refs[s.slr]++
 	return s.slr, nil
 }
 
-func (s *Session) release() {
+func (s *Session) release(slr *seal.Sealer) {
 	s.mu.Lock()
 	s.inflight--
+	s.unrefLocked(slr)
 	s.mu.Unlock()
 }
 
@@ -462,7 +502,7 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.release()
+	defer s.release(slr)
 	s.lm.opsStarted.Inc()
 	sizes, payloads, err := op.resolve(s.spec)
 	if err != nil {

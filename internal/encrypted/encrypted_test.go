@@ -1,12 +1,26 @@
 package encrypted
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"encag/internal/cluster"
 	"encag/internal/cost"
 )
+
+// auditedRunOnce is cluster.RunOnce with the nonce audit on from the
+// session's first seal, so a nonce-reuse assertion on its result is not
+// vacuous.
+func auditedRunOnce(spec cluster.Spec, cfg cluster.SessionConfig, op cluster.Op) (*cluster.RealResult, error) {
+	s, err := cluster.OpenSession(spec, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	s.Sealer().EnableNonceAudit()
+	return s.Collective(context.Background(), op)
+}
 
 func testSpecs() []cluster.Spec {
 	return []cluster.Spec{
@@ -34,7 +48,7 @@ func TestAllEncryptedCorrectAndSecure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 40})
+			res, err := auditedRunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 40})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}

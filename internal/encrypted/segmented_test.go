@@ -37,7 +37,7 @@ func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.RunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
+			res, err := auditedRunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
@@ -111,7 +111,7 @@ func TestSegmentedTCPWireClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP, CryptoPool: cryptoPool(t, 2)},
+	res, err := auditedRunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP, CryptoPool: cryptoPool(t, 2)},
 		cluster.Op{Algo: alg, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)

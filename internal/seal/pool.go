@@ -1,7 +1,6 @@
 package seal
 
 import (
-	"crypto/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -249,33 +248,3 @@ func getBuf(n int) *[]byte {
 
 // putBuf returns a scratch buffer to the pool.
 func putBuf(bp *[]byte) { bufPool.Put(bp) }
-
-// nonceBatch is how many nonces one crypto/rand read buys.
-const nonceBatch = 256
-
-// nonceSource amortizes nonce generation: crypto/rand is read in batches
-// of nonceBatch nonces under a lock instead of one kernel round trip per
-// seal. The buffered bytes are plain CSPRNG output held in process
-// memory — the same trust domain as the session key itself.
-type nonceSource struct {
-	mu  sync.Mutex
-	buf [nonceBatch * NonceSize]byte
-	off int
-}
-
-var nonces = &nonceSource{off: nonceBatch * NonceSize}
-
-func (ns *nonceSource) next(dst *[NonceSize]byte) error {
-	ns.mu.Lock()
-	if ns.off == len(ns.buf) {
-		if _, err := rand.Read(ns.buf[:]); err != nil {
-			ns.mu.Unlock()
-			return err
-		}
-		ns.off = 0
-	}
-	copy(dst[:], ns.buf[ns.off:ns.off+NonceSize])
-	ns.off += NonceSize
-	ns.mu.Unlock()
-	return nil
-}

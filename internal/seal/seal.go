@@ -5,8 +5,11 @@
 //	nonce (12 bytes) || ciphertext || tag (16 bytes)
 //
 // so a ciphertext is exactly Overhead = 28 bytes longer than its plaintext,
-// as the paper notes. Nonces are chosen uniformly at random (the paper:
-// "we pick nonces at random, which is standard-compliant").
+// as the paper notes. Where the paper picks nonces at random, a Sealer
+// builds them deterministically (NIST SP 800-38D §8.2.1): a random 32-bit
+// fixed field drawn when the Sealer is created, followed by a 64-bit
+// invocation counter. One Sealer per key makes every nonce unique by
+// construction.
 //
 // For large payloads the package also offers a segmented framing
 // (SealSegmented/OpenSegmented) that splits a plaintext into
@@ -14,14 +17,15 @@
 // worker pool — the multi-threaded pipelined encryption CryptMPI uses to
 // lift the single-core GCM throughput ceiling.
 //
-// A Sealer also keeps an optional audit trail of nonces so tests can prove
-// nonce uniqueness across an entire all-gather operation.
+// A Sealer also keeps an optional audit trail of nonces so tests can check
+// that uniqueness across an entire all-gather operation.
 package seal
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -45,11 +49,16 @@ var ErrAuth = errors.New("seal: message authentication failed")
 // Sealer encrypts and decrypts with a single shared AES-GCM-128 key, the
 // deployment model of the paper (one key per MPI job, distributed out of
 // band). It is safe for concurrent use. Configuration (SetSegmentSize,
-// SetPool, EnableNonceAudit) must happen before concurrent use.
+// SetPool, EnableNonceAudit) must happen before concurrent use. Nonces
+// are unique among one Sealer's seals: every user of a key must share
+// that key's one Sealer.
 type Sealer struct {
-	aead cipher.AEAD
+	aead  cipher.AEAD
+	fixed [4]byte // random per-key field: the first 4 bytes of every nonce
 
-	sealed atomic.Int64 // number of GCM seal operations
+	// sealed counts GCM seal invocations; its value after each increment
+	// is the invocation field of that seal's nonce.
+	sealed atomic.Uint64
 	opened atomic.Int64 // number of successful GCM open operations
 
 	segSize int   // segmented-seal split size; 0 means DefaultSegmentSize
@@ -64,7 +73,8 @@ type Sealer struct {
 	dup     bool
 }
 
-// NewSealer creates a Sealer from a 16-byte AES-128 key.
+// NewSealer creates a Sealer from a 16-byte AES-128 key and draws its
+// random fixed nonce field.
 func NewSealer(key []byte) (*Sealer, error) {
 	if len(key) != KeySize {
 		return nil, fmt.Errorf("seal: key must be %d bytes, got %d", KeySize, len(key))
@@ -77,7 +87,11 @@ func NewSealer(key []byte) (*Sealer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sealer{aead: aead}, nil
+	s := &Sealer{aead: aead}
+	if _, err := rand.Read(s.fixed[:]); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // NewRandomSealer creates a Sealer with a fresh random key.
@@ -101,7 +115,9 @@ func (s *Sealer) EnableNonceAudit() {
 }
 
 // DuplicateNonceSeen reports whether any nonce was used twice while the
-// audit was enabled.
+// audit was enabled. On an unaudited sealer it is always false, and the
+// nonce construction (fixed field plus a counter that never repeats) is
+// the uniqueness guarantee.
 func (s *Sealer) DuplicateNonceSeen() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -111,37 +127,36 @@ func (s *Sealer) DuplicateNonceSeen() bool {
 // Counts returns the number of GCM seal operations and successful GCM
 // open operations (a segmented blob counts one per segment).
 func (s *Sealer) Counts() (sealed, opened int64) {
-	return s.sealed.Load(), s.opened.Load()
+	return int64(s.sealed.Load()), s.opened.Load()
 }
 
-// noteSeal accounts one seal operation. The mutex is only taken when the
-// nonce audit is enabled; the default path is a single atomic add.
-func (s *Sealer) noteSeal(nonce *[NonceSize]byte) {
-	s.sealed.Add(1)
-	if !s.auditOn.Load() {
-		return
-	}
+// Invocations returns how many times the key has sealed: the count SP
+// 800-38D §8.3 bounds per key.
+func (s *Sealer) Invocations() uint64 { return s.sealed.Load() }
+
+// audit records a nonce in the audit trail.
+func (s *Sealer) audit(nonce [NonceSize]byte) {
 	s.mu.Lock()
-	if _, ok := s.nonces[*nonce]; ok {
+	if _, ok := s.nonces[nonce]; ok {
 		s.dup = true
 	}
-	s.nonces[*nonce] = struct{}{}
+	s.nonces[nonce] = struct{}{}
 	s.mu.Unlock()
 }
 
 // sealInto seals plaintext into out, which must be exactly
-// SealedLen(len(plaintext)) bytes. plaintext may alias
-// out[NonceSize:NonceSize+len(plaintext)] exactly, enabling in-place
-// encryption of a pre-gathered buffer (one buffer, one copy).
-func (s *Sealer) sealInto(out, plaintext, aad []byte) error {
-	var nonce [NonceSize]byte
-	if err := nonces.next(&nonce); err != nil {
-		return err
+// SealedLen(len(plaintext)) bytes, under the nonce fixed || invocation
+// (big-endian). plaintext may alias out[NonceSize:NonceSize+len(plaintext)]
+// exactly, enabling in-place encryption of a pre-gathered buffer (one
+// buffer, one copy).
+func (s *Sealer) sealInto(out, plaintext, aad []byte) {
+	nonce := out[:NonceSize]
+	copy(nonce, s.fixed[:])
+	binary.BigEndian.PutUint64(nonce[len(s.fixed):], s.sealed.Add(1))
+	if s.auditOn.Load() { // unaudited seals never take the mutex
+		s.audit([NonceSize]byte(nonce))
 	}
-	s.noteSeal(&nonce)
-	copy(out[:NonceSize], nonce[:])
-	s.aead.Seal(out[NonceSize:NonceSize], nonce[:], plaintext, aad)
-	return nil
+	s.aead.Seal(out[NonceSize:NonceSize], nonce, plaintext, aad)
 }
 
 // openInto authenticates and decrypts blob (nonce||ct||tag) into dst,
@@ -162,9 +177,7 @@ func (s *Sealer) openInto(dst, blob, aad []byte) error {
 // e.g. the block-layout header). The result is nonce||ciphertext||tag.
 func (s *Sealer) Seal(plaintext, aad []byte) ([]byte, error) {
 	out := make([]byte, SealedLen(len(plaintext)))
-	if err := s.sealInto(out, plaintext, aad); err != nil {
-		return nil, err
-	}
+	s.sealInto(out, plaintext, aad)
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package seal
 import (
 	"bytes"
 	"crypto/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -115,6 +116,30 @@ func TestNonceUniquenessAudit(t *testing.T) {
 	}
 }
 
+// A million seals leave the live heap where it was: an unaudited sealer
+// keeps no state per seal.
+func TestSealKeepsHeapFlat(t *testing.T) {
+	s := newTestSealer(t)
+	pt := make([]byte, 1<<10)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const n = 1_000_000
+	for i := 0; i < n; i++ {
+		if _, err := s.Seal(pt, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if d := int64(after.HeapAlloc) - int64(before.HeapAlloc); d >= 256<<10 {
+		t.Fatalf("live heap grew %d B over %d seals, want < 256 KiB", d, n)
+	}
+	if got := s.Invocations(); got != n {
+		t.Fatalf("invocations = %d, want %d", got, n)
+	}
+}
+
 func TestBadKeySize(t *testing.T) {
 	if _, err := NewSealer(make([]byte, 7)); err == nil {
 		t.Fatal("7-byte key accepted")
@@ -159,7 +184,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: two seals of the same plaintext are distinct (random nonces).
+// Property: two seals of the same plaintext are distinct (distinct nonces).
 func TestQuickNondeterministicCiphertexts(t *testing.T) {
 	s := newTestSealer(t)
 	pt := make([]byte, 64)

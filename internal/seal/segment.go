@@ -305,7 +305,7 @@ func segAAD(header []byte, i int, aad []byte) *[]byte {
 // its slot and encrypted in place. (Copy-then-encrypt-in-place costs
 // ~40% throughput at 1MB on this host, so the zero-copy path matters
 // even with one segment.)
-func (s *Sealer) sealSegment(l segLayout, blob []byte, parts [][]byte, poffs []int64, aad []byte, i int) error {
+func (s *Sealer) sealSegment(l segLayout, blob []byte, parts [][]byte, poffs []int64, aad []byte, i int) {
 	dst := l.segment(blob, i)
 	pos, n := l.plainStart(i), l.plainLen(i)
 	src := segmentSource(parts, poffs, pos, n)
@@ -314,9 +314,8 @@ func (s *Sealer) sealSegment(l segLayout, blob []byte, parts [][]byte, poffs []i
 		gatherRange(src, parts, poffs, pos)
 	}
 	ap := segAAD(blob[:l.hdrLen], i, aad)
-	err := s.sealInto(dst, src, *ap)
+	s.sealInto(dst, src, *ap)
 	putBuf(ap)
-	return err
 }
 
 // openSegment authenticates and decrypts segment i of blob into its
@@ -363,11 +362,10 @@ func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad
 	offs := partOffsets(parts)
 	l := s.layout(offs[len(parts)])
 	out := l.newBlob(alloc)
-	if err := s.eachSegment(l.k, func(i int) error {
-		return s.sealSegment(l, out, parts, offs, aad, i)
-	}); err != nil {
-		return nil, 0, err
-	}
+	s.eachSegment(l.k, func(i int) error {
+		s.sealSegment(l, out, parts, offs, aad, i)
+		return nil
+	})
 	return out, l.k, nil
 }
 
@@ -454,7 +452,6 @@ type SealStream struct {
 	parts  [][]byte // plaintext sources; released once fully sealed
 	poffs  []int64
 	sealed int // watermark: segments [0, sealed) are sealed
-	err    error
 }
 
 // NewSealStream prepares streaming sealing of the concatenation of
@@ -484,21 +481,15 @@ func (st *SealStream) Header() []byte { return st.blob[:st.l.hdrLen] }
 
 // Segment seals segments up to and including i (if not already sealed)
 // and returns segment i's sealed bytes — a slice into the stream's
-// blob, valid for the stream's lifetime. A sealing error is sticky.
+// blob, valid for the stream's lifetime.
 func (st *SealStream) Segment(i int) ([]byte, error) {
 	if err := st.l.checkIndex(i); err != nil {
 		return nil, err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.err != nil {
-		return nil, st.err
-	}
 	for st.sealed <= i {
-		if err := st.s.sealSegment(st.l, st.blob, st.parts, st.poffs, st.aad, st.sealed); err != nil {
-			st.err = err
-			return nil, err
-		}
+		st.s.sealSegment(st.l, st.blob, st.parts, st.poffs, st.aad, st.sealed)
 		st.sealed++
 	}
 	if st.sealed == st.l.k {

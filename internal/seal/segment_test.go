@@ -241,11 +241,14 @@ func TestSegmentedRejectsForgedFraming(t *testing.T) {
 	}
 }
 
-// The nonce-uniqueness audit must hold under concurrent segmented
-// sealing from many goroutines (run with -race).
+// Nonces stay unique under concurrent segmented sealing from many
+// goroutines on the shared pool (run with -race), and every one of them
+// carries the sealer's fixed field.
 func TestSegmentedConcurrentNonceAudit(t *testing.T) {
 	const segSize = 512
-	s := segSealer(t, segSize, 4)
+	s := newTestSealer(t)
+	s.SetSegmentSize(segSize)
+	s.SetPool(SharedPool())
 	s.EnableNonceAudit()
 	const goroutines, iters = 8, 20
 	var wg sync.WaitGroup
@@ -260,6 +263,17 @@ func TestSegmentedConcurrentNonceAudit(t *testing.T) {
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				l, err := blobLayout(blob)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := 0; k < l.k; k++ {
+					if !bytes.Equal(l.segment(blob, k)[:len(s.fixed)], s.fixed[:]) {
+						t.Errorf("segment %d nonce lacks the sealer's fixed field", k)
+						return
+					}
 				}
 				if _, _, err := s.OpenSegmented(blob, nil); err != nil {
 					t.Error(err)

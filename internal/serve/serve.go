@@ -80,8 +80,8 @@ type Config struct {
 	// IdleTTL reaps sessions idle this long (0 disables idle reaping).
 	IdleTTL time.Duration
 	// RekeyEvery rotates each resident tenant's AES-GCM key in the
-	// background when the tenant has been keyed this long and is
-	// between collectives (0 disables).
+	// background once the tenant has been keyed this long, busy or not:
+	// steps in flight finish on their old key (0 disables).
 	RekeyEvery time.Duration
 	// SweepEvery is the janitor period (default 250ms; only runs when
 	// IdleTTL or RekeyEvery is set).
@@ -484,16 +484,16 @@ func (m *Manager) sweep(now time.Time) {
 	var idle []*encag.Session
 	m.mu.Lock()
 	for _, tn := range m.tenants {
-		if tn.sess == nil || tn.refs > 0 || tn.opening {
+		if tn.sess == nil || tn.opening {
 			continue
 		}
-		if m.cfg.IdleTTL > 0 && now.Sub(tn.lastUsed) >= m.cfg.IdleTTL {
+		if tn.refs == 0 && m.cfg.IdleTTL > 0 && now.Sub(tn.lastUsed) >= m.cfg.IdleTTL {
 			idle = append(idle, m.detachLocked(tn, ReapIdle))
 			continue
 		}
 		if m.cfg.RekeyEvery > 0 && now.Sub(tn.lastRekey) >= m.cfg.RekeyEvery {
-			// refs==0 under m.mu: no manager-issued collective can be in
-			// flight, so Rekey cannot be refused for concurrency.
+			// Busy tenants rotate too: Rekey never waits, and steps in
+			// flight finish on the key they were admitted with.
 			if err := tn.sess.Rekey(); err == nil {
 				tn.lastRekey = now
 				m.lm.rekeys.Inc()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -312,6 +313,58 @@ func TestManagerBackgroundRekey(t *testing.T) {
 	res, err := m.Step(context.Background(), "t0", encag.AlgORing, 512)
 	if err != nil || !res.SecurityOK {
 		t.Fatalf("post-rekey step: %v (res %+v)", err, res)
+	}
+	if m.Snapshot().Tenants[0].SessionsOpened != 1 {
+		t.Fatal("rekey must rotate keys in place, not reopen the session")
+	}
+}
+
+// A tenant that is never idle still rotates: one client holds a lease
+// and steps inside it for the whole test while a second client steps
+// alongside, so the janitor never sees the tenant without a step in
+// flight.
+func TestManagerRekeysBusyTenant(t *testing.T) {
+	m, err := Open(Config{RekeyEvery: 20 * time.Millisecond, SweepEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		errs <- m.Do(context.Background(), "t0", func(s *encag.Session) error {
+			for {
+				select {
+				case <-stop:
+					return nil
+				default:
+				}
+				if _, err := s.Run(context.Background(), encag.AlgORing, 1024); err != nil {
+					return err
+				}
+			}
+		})
+	}()
+	go func() {
+		for {
+			select {
+			case <-stop:
+				errs <- nil
+				return
+			default:
+			}
+			if res, err := m.Step(context.Background(), "t0", encag.AlgHS2, 1024); err != nil || !res.SecurityOK {
+				errs <- fmt.Errorf("step: %v (res %+v)", err, res)
+				return
+			}
+		}
+	}()
+	waitFor(t, 5*time.Second, func() bool { return m.Snapshot().Rekeys >= 2 }, "rekeys of a busy tenant")
+	close(stop)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 	if m.Snapshot().Tenants[0].SessionsOpened != 1 {
 		t.Fatal("rekey must rotate keys in place, not reopen the session")

@@ -317,9 +317,10 @@ func (s *Session) Spec() Spec { return s.spec }
 func (s *Session) Err() error { return s.inner.Err() }
 
 // Rekey replaces the session's AES-GCM key with a fresh random one
-// between collectives (chan and tcp engines; a no-op on sim, which only
-// models crypto cost). Subsequent operations seal under the new key and
-// the nonce audit restarts with it.
+// (chan and tcp engines; a no-op on sim, which only models crypto cost).
+// It never waits for collectives in flight: they finish on the key they
+// were started with, and later operations seal under the new key. A key
+// also rotates by itself long before SP 800-38D's 2³² seals per key.
 func (s *Session) Rekey() error { return s.inner.Rekey() }
 
 // Close tears down the persistent engine state: new Start calls are
