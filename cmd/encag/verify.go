@@ -38,7 +38,7 @@ func (t *verifyTally) report(status, caseFormat string, caseArgs ...any) (ok boo
 // AES-GCM over real payloads. It checks that
 //
 //   - every rank ends with every rank's plaintext block, byte-exact;
-//   - no plaintext ever crosses a node boundary (transport audit);
+//   - no plaintext ever crosses a node boundary (the per-send check);
 //   - no GCM nonce is ever reused.
 //
 // With -faults it additionally runs the chaos sweep: every algorithm

@@ -16,8 +16,7 @@
 // Three engines execute the same algorithm code:
 //
 //   - EngineChan (the default): every rank is a goroutine, payloads are
-//     real bytes, inter-node chunks are really AES-GCM sealed, and the
-//     transport audits that no plaintext ever crosses a node boundary.
+//     real bytes and inter-node chunks are really AES-GCM sealed.
 //     AllgatherV accepts unequal (even zero-length) contributions.
 //
 //   - EngineTCP: the same algorithms with inter-node traffic on real
@@ -32,6 +31,11 @@
 //     reporting the projected latency plus the paper's six cost metrics
 //     — this is what regenerates the paper's tables and figures at
 //     p=1024 scale.
+//
+//   - On every engine, the simulator included, each rank checks every
+//     message it sends: one that crosses a node boundary carrying a
+//     plaintext chunk is reported in RunResult.Violations and clears
+//     SecurityOK.
 //
 //   - LowerBounds / Predict evaluate the paper's Table I bounds and
 //     Table II closed forms (pure analysis, no engine involved).
@@ -150,16 +154,22 @@ type RunResult struct {
 	// valid for as long as the caller keeps them.
 	Gathered [][][]byte
 	Metrics  Metrics
-	// SecurityOK is true when no plaintext crossed a node boundary and no
-	// GCM nonce was reused. Nonces are unique by construction (a random
-	// per-key field and a per-key seal counter, SP 800-38D §8.2.1); a
-	// reuse can only be reported by a sealer whose test-only nonce audit
-	// is on.
+	// SecurityOK is true when no message a rank sent to another node
+	// carried a plaintext chunk and no GCM nonce was reused. Every engine
+	// checks every send, EngineSim included; the sim has no keys, so on
+	// it only the plaintext check applies. Nonces are unique by
+	// construction (a random per-key field and a per-key seal counter,
+	// SP 800-38D §8.2.1); a reuse can only be reported by a sealer whose
+	// test-only nonce audit is on.
 	SecurityOK bool
-	// InterMessages / IntraMessages count transport-level messages.
+	// InterMessages / IntraMessages count the messages the ranks sent
+	// across node boundaries and within their nodes (point-to-point sends;
+	// shared-memory exchanges are not messages).
 	InterMessages, IntraMessages int
-	Violations                   []string
-	Elapsed                      time.Duration
+	// Violations describes, in rank order, up to 32 inter-node sends that
+	// carried plaintext; nil when SecurityOK's plaintext check passed.
+	Violations []string
+	Elapsed    time.Duration
 	// OpID is the session-unique operation id the collective's frames
 	// carried (ids start at 1). It labels the run's trace slices and
 	// JSONL summaries, letting overlapped operations be told apart.

@@ -83,7 +83,7 @@ func ExamplePredict() {
 // Example_quickstart runs one encrypted all-gather for real. Eight ranks
 // on two nodes each contribute a secret, and HS2 gathers all eight at
 // every rank. Inter-node traffic is AES-GCM sealed, intra-node traffic
-// stays in the clear, and the transport audit proves it. The naive
+// stays in the clear, and the per-send check proves it. The naive
 // baseline gathers the same bytes but decrypts l times more of them.
 func Example_quickstart() {
 	ctx := context.Background()

@@ -101,9 +101,15 @@ func TestRealRingAllgather(t *testing.T) {
 			t.Errorf("rank %d bytes = %d/%d, want 448/448", r, m.BytesSent, m.BytesRecv)
 		}
 	}
-	// Plaintext ring crosses nodes in the clear: audit must notice.
-	if res.Audit.Clean() {
-		t.Error("audit failed to flag plaintext inter-node traffic")
+	// Plaintext ring crosses nodes in the clear: the per-send check must
+	// notice. With block mapping only ranks 3 and 7 send across, once per
+	// round.
+	msgs := MessageTotals(res.PerRank)
+	if msgs.PlainInterMsgs != 14 || msgs.InterMsgs != 14 || msgs.IntraMsgs != 42 {
+		t.Errorf("plain/inter/intra messages = %d/%d/%d, want 14/14/42", msgs.PlainInterMsgs, msgs.InterMsgs, msgs.IntraMsgs)
+	}
+	if len(msgs.Violations) != 14 || msgs.Violations[0] != "plaintext chunk (64 bytes) sent 3 -> 4 across nodes" {
+		t.Errorf("violations = %q", msgs.Violations)
 	}
 }
 
@@ -173,11 +179,12 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 	if err := ValidateGather(spec, 128, res.Results, true); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Audit.Clean() {
-		t.Fatalf("audit flagged violations: %v", res.Audit.Violations)
+	msgs := MessageTotals(res.PerRank)
+	if msgs.PlainInterMsgs != 0 {
+		t.Fatalf("audit flagged violations: %v", msgs.Violations)
 	}
-	if res.Audit.InterMsgs != 2 {
-		t.Fatalf("InterMsgs = %d, want 2", res.Audit.InterMsgs)
+	if msgs.InterMsgs != 2 || msgs.IntraMsgs != 0 {
+		t.Fatalf("InterMsgs/IntraMsgs = %d/%d, want 2/0", msgs.InterMsgs, msgs.IntraMsgs)
 	}
 	if res.Sealer.DuplicateNonceSeen() {
 		t.Fatal("nonce reuse")
@@ -247,8 +254,8 @@ func TestShmAndNodeBarrier(t *testing.T) {
 		if err := ValidateGather(spec, 32, res.Results, true); err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}
-		if !res.Audit.Clean() {
-			t.Fatalf("%v: violations: %v", engine, res.Audit.Violations)
+		if MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+			t.Fatalf("%v: violations: %v", engine, MessageTotals(res.PerRank).Violations)
 		}
 	}
 	// The same algorithm must run in the sim engine.

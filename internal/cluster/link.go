@@ -21,8 +21,9 @@ import (
 // the exact view a network eavesdropper gets. Tests scan the capture for
 // plaintext patterns: finding none (while a plaintext-algorithm control
 // run does expose them) demonstrates the security property on real
-// sockets, not just at the audit layer. On a persistent session the
-// capture is cumulative over every collective run on the mesh.
+// sockets, not just at the per-send check in Proc.Isend. On a persistent
+// session the capture is cumulative over every collective run on the
+// mesh.
 type WireSniffer struct {
 	mu      sync.Mutex
 	buf     bytes.Buffer
@@ -192,8 +193,8 @@ func (l *tcpLink) close() {
 //
 //   - A memory pair — every pair on EngineChan, a same-node pair on
 //     EngineTCP — is delivered by the sender's goroutine straight into
-//     the destination op's inbox: no frame is encoded and no byte is
-//     copied. The paper trusts the node.
+//     the destination op's receive FIFO: no frame is encoded and no byte
+//     is copied. The paper trusts the node.
 //   - A socket pair — an inter-node pair on EngineTCP, and only those —
 //     is a dedicated dialed connection (a tcpLink) with a sequence gate,
 //     a reader on the receiving rank and reconnects. Every socket pair is
@@ -211,8 +212,7 @@ type link struct {
 	// reg maps live op-ids to their runtimes: socket readers demux each
 	// admitted frame to the runtime registered under the frame's op-id and
 	// drop frames of retired operations (stragglers).
-	reg       *opRegistry
-	adversary Adversary // nil: nobody on the inter-node memory pairs
+	reg *opRegistry
 
 	socks     [][]*tcpLink // [src][dst]; nil for a memory pair
 	addrs     []string     // listener address per rank, for reconnects
@@ -252,7 +252,6 @@ func newLink(spec Spec, lm *liveMetrics, reg *opRegistry, cfg SessionConfig) (*l
 		}
 	}
 	if !tcp {
-		l.adversary = cfg.Adversary
 		return l, nil
 	}
 	l.sniff = &WireSniffer{}
@@ -463,11 +462,7 @@ func (l *link) send(src int, job sendJob) {
 		if o.isAborted() {
 			return
 		}
-		seg, err := st.Segment(i)
-		if err != nil {
-			o.failAsync(&RankError{Rank: src, Peer: job.dst, Op: "seal", Err: err})
-			return
-		}
+		seg, _ := st.Segment(i) // i < K: sealing cannot fail
 		sf := wire.SegFrame{Stream: job.sid, Index: uint32(i), Count: uint32(k), Payload: seg}
 		if i == 0 {
 			sf.Meta = &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks, Header: st.Header()}
@@ -490,8 +485,6 @@ func (l *link) writeFrame(o *opRuntime, src, dst int, msg block.Message, sf *wir
 	var seq uint64
 	if sl != nil {
 		seq = sl.nextSeq()
-	} else if l.adversary != nil && !l.spec.SameNode(src, dst) {
-		msg = l.adversary(src, dst, msg)
 	}
 	n := msg.WireLen()
 	if sf != nil {

@@ -101,44 +101,6 @@ func (t *transport) close() {
 	t.senders.Wait()
 }
 
-// opInbox is one rank's receive queue for one in-flight operation. The
-// delivering side (socket readers, memory-pair senders) pushes and
-// must never block — the queue is unbounded, so a slow consumer in one
-// operation cannot head-of-line-block frames belonging to another
-// operation on the same connection. The single consumer (the rank's
-// goroutine for this op) drains it and parks on the signal channel.
-type opInbox struct {
-	mu  sync.Mutex
-	q   []envelope
-	sig chan struct{} // cap 1: coalesced "new item" wakeup
-}
-
-func newOpInbox() *opInbox {
-	return &opInbox{sig: make(chan struct{}, 1)}
-}
-
-func (b *opInbox) push(env envelope) {
-	b.mu.Lock()
-	b.q = append(b.q, env)
-	b.mu.Unlock()
-	select {
-	case b.sig <- struct{}{}:
-	default:
-	}
-}
-
-// pop removes the oldest queued envelope, reporting false when empty.
-func (b *opInbox) pop() (envelope, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.q) == 0 {
-		return envelope{}, false
-	}
-	env := b.q[0]
-	b.q = b.q[1:]
-	return env, true
-}
-
 // opRegistry maps live operation ids to their runtimes: the link routes
 // each arriving message to the runtime registered under its op-id and
 // drops messages whose operation is no longer (or not yet) live —

@@ -25,6 +25,39 @@ type Metrics struct {
 
 	InterBytesSent int64 // wire bytes sent across node boundaries
 	IntraBytesSent int64 // wire bytes sent within the node
+
+	// InterMsgs and IntraMsgs count the messages this rank sent across
+	// node boundaries and within its node. PlainInterMsgs counts the
+	// inter-node ones that carried a plaintext chunk — a breach of the
+	// paper's security property, zero for every encrypted algorithm —
+	// and Violations describes the first MaxViolations of them.
+	InterMsgs      int
+	IntraMsgs      int
+	PlainInterMsgs int
+	Violations     []string
+}
+
+// MaxViolations caps the violation texts kept per rank, and per run by
+// MessageTotals.
+const MaxViolations = 32
+
+// MessageTotals folds the per-rank message counters of one run: the
+// sums of InterMsgs, IntraMsgs and PlainInterMsgs, and the first
+// MaxViolations violation texts in rank order. Every other field is
+// zero.
+func MessageTotals(per []Metrics) Metrics {
+	var t Metrics
+	for _, m := range per {
+		t.InterMsgs += m.InterMsgs
+		t.IntraMsgs += m.IntraMsgs
+		t.PlainInterMsgs += m.PlainInterMsgs
+		for _, v := range m.Violations {
+			if len(t.Violations) < MaxViolations {
+				t.Violations = append(t.Violations, v)
+			}
+		}
+	}
+	return t
 }
 
 // CommBytes returns the single-direction communication volume used for

@@ -16,15 +16,9 @@ import (
 // the run reports the primary failure instead of these.
 const errRunAborted = "cluster: run aborted by failure on another rank"
 
-// envelope is one delivered message in a rank's inbox.
-type envelope struct {
-	src int
-	msg block.Message
-}
-
 // opRuntime is the per-operation execution state of one collective on a
-// chan or tcp session, and the only non-sim engine: fresh unbounded
-// inboxes, per-source stashes, shared memory, barriers, audit, fault
+// chan or tcp session, and the only non-sim engine: one unbounded
+// receive FIFO per (rank, source), shared memory, barriers, fault
 // injector and failure state, keyed by the operation id every message
 // carries. It decides how a rank's receives are ordered, failed and
 // unblocked; the session's link only moves jobs from a rank's send
@@ -39,12 +33,11 @@ type opRuntime struct {
 	lm    *liveMetrics
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
-	inboxes []*opInbox        // one unbounded inbox per rank
-	stash   [][]block.Message // [rank*P+src] arrivals set aside while rank waited on another source
-	shm     []*opShm
-	bars    []*opBarrier
+	fifos []msgFIFO       // [rank*P+src]: src's delivered messages to rank, oldest first
+	wake  []chan struct{} // [rank]: cap 1, a coalesced "delivered" signal
+	shm   []*opShm
+	bars  []*opBarrier
 
-	audit     *SecurityAudit
 	inj       *fault.Injector
 	recvTO    time.Duration
 	recvTimer []*time.Timer // [rank] receive deadline; see armRecvDeadline
@@ -74,11 +67,10 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		pipe:    pipe,
 		lm:      t.lm,
 		sendQ:   t.sendQ,
-		inboxes: make([]*opInbox, spec.P),
-		stash:   make([][]block.Message, spec.P*spec.P),
+		fifos:   make([]msgFIFO, spec.P*spec.P),
+		wake:    make([]chan struct{}, spec.P),
 		shm:     make([]*opShm, spec.N),
 		bars:    make([]*opBarrier, spec.N),
-		audit:   &SecurityAudit{},
 		inj:     inj,
 		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
@@ -89,8 +81,8 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 	if pipe {
 		o.streams = make([]*streamRecv, spec.P*spec.P)
 	}
-	for r := 0; r < spec.P; r++ {
-		o.inboxes[r] = newOpInbox()
+	for r := range o.wake {
+		o.wake[r] = make(chan struct{}, 1)
 	}
 	for n := 0; n < spec.N; n++ {
 		o.shm[n] = &opShm{m: make(map[string]block.Message)}
@@ -100,13 +92,45 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 	return o
 }
 
-// deliver hands a whole message that arrived from src to dst's inbox.
-// Each src->dst pair has one delivering goroutine — src's sender on a
-// memory pair, the pair's reader on a socket pair (its readers run one
-// after another) — which delivers the pair's messages in send order,
-// streamed ones included, so every inbox is FIFO per source.
+// deliver appends a whole message that arrived from src to dst's FIFO
+// for src and wakes dst. It never blocks: the FIFO is unbounded, so a
+// slow receiver in one operation cannot hold up a socket reader that
+// carries frames of others. Each src->dst pair has one delivering
+// goroutine — src's sender on a memory pair, the pair's reader on a
+// socket pair (its readers run one after another) — which delivers the
+// pair's messages in send order, streamed ones included.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
-	o.inboxes[dst].push(envelope{src: src, msg: msg})
+	o.fifos[dst*o.spec.P+src].push(msg)
+	select {
+	case o.wake[dst] <- struct{}{}:
+	default:
+	}
+}
+
+// msgFIFO is one (rank, source) receive queue of an operation: pushed by
+// the pair's delivering goroutine, popped by the rank's goroutine.
+type msgFIFO struct {
+	mu sync.Mutex
+	q  []block.Message
+}
+
+func (f *msgFIFO) push(msg block.Message) {
+	f.mu.Lock()
+	f.q = append(f.q, msg)
+	f.mu.Unlock()
+}
+
+// pop removes the oldest message, reporting false when there is none.
+func (f *msgFIFO) pop() (block.Message, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.q) == 0 {
+		return block.Message{}, false
+	}
+	msg := f.q[0]
+	f.q[0] = block.Message{}
+	f.q = f.q[1:]
+	return msg, true
 }
 
 // abort unwinds this operation only: ranks blocked in receives,
@@ -216,7 +240,6 @@ func (recvReq) isRequest() {}
 // whole. Every queued job holds a reference on the op's ciphertext
 // buffers until the send loop is done with it.
 func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
-	o.audit.record(o.spec, p.rank, dst, msg)
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
@@ -224,10 +247,7 @@ func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	if o.streamed(p.rank, dst, msg) {
 		job.sid = o.streamSeq.Add(1)
 	} else {
-		var err error
-		if job.msg, err = materializeMessage(msg); err != nil {
-			o.fail(&RankError{Rank: p.rank, Peer: dst, Op: "seal", Err: err})
-		}
+		job.msg = materializeMessage(msg)
 	}
 	o.bufs.hold()
 	o.sendQ[p.rank].Push(o.id, job)
@@ -264,15 +284,14 @@ func (o *opRuntime) wait(p *Proc, reqs []Request) []block.Message {
 	return out
 }
 
-// recvFrom returns the next message from src to rank, stashing messages
-// from other sources that arrive in between. The inbox is FIFO per
-// source (see deliver), so the stash is too, and rank consumes each
-// source's messages in send order. The wait is bounded by the recv
-// deadline: a message that never arrives (lost to a fault, peer death)
-// surfaces as a structured recv error instead of a deadlock.
+// recvFrom returns the next message from src to rank: the head of the
+// (rank, src) FIFO, so rank consumes each source's messages in send
+// order whatever other sources deliver in between. A wake-up for another
+// source's message just re-checks the FIFO. The wait is bounded by the
+// recv deadline: a message that never arrives (lost to a fault, peer
+// death) surfaces as a structured recv error instead of a deadlock.
 func (o *opRuntime) recvFrom(rank, src int) block.Message {
-	stash := o.stash[rank*o.spec.P : (rank+1)*o.spec.P] // only rank's goroutine touches its row
-	box := o.inboxes[rank]
+	fifo := &o.fifos[rank*o.spec.P+src]
 	var deadline <-chan time.Time // armed when the receive first has to wait
 	defer func() {
 		if deadline != nil {
@@ -280,22 +299,14 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 		}
 	}()
 	for {
-		if q := stash[src]; len(q) > 0 {
-			stash[src] = q[1:]
-			return q[0]
-		}
-		if env, ok := box.pop(); ok {
-			if env.src == src {
-				return env.msg
-			}
-			stash[env.src] = append(stash[env.src], env.msg)
-			continue
+		if msg, ok := fifo.pop(); ok {
+			return msg
 		}
 		if deadline == nil {
 			deadline = o.armRecvDeadline(rank)
 		}
 		select {
-		case <-box.sig:
+		case <-o.wake[rank]:
 		case <-o.aborted:
 			panic(errRunAborted)
 		case <-deadline:
@@ -339,13 +350,9 @@ func (o *opRuntime) span(p *Proc, kind TraceKind, n int64) func() {
 }
 
 func (o *opRuntime) shmPut(p *Proc, key string, msg block.Message) {
-	msg, err := materializeMessage(msg)
-	if err != nil {
-		o.fail(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-	}
 	s := o.shm[p.Node()]
 	s.mu.Lock()
-	s.m[key] = msg
+	s.m[key] = materializeMessage(msg)
 	s.mu.Unlock()
 }
 

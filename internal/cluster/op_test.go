@@ -39,9 +39,10 @@ func plainMsg(rank int, fill byte) block.Message {
 
 func payloadOf(msg block.Message) byte { return msg.Chunks[0].Payload[0] }
 
-// A receive from one source stashes what other sources sent in the
-// meantime, and every source's messages come out in the order they were
-// delivered — stashed or not.
+// Each (rank, source) pair has its own FIFO: a receive from one source
+// skips what other sources delivered in the meantime, and every source's
+// messages come out in the order they were delivered, whether they
+// arrived before the receive began or while it waited.
 func TestOpRuntimeReceivesPerSourceFIFO(t *testing.T) {
 	o := newBareOp(Spec{P: 3, N: 1}, time.Second)
 	o.deliver(2, 0, plainMsg(2, 'C'))
@@ -61,7 +62,7 @@ func TestOpRuntimeReceivesPerSourceFIFO(t *testing.T) {
 	}
 	for _, want := range []byte{'C', 'D', 'E'} {
 		if b := payloadOf(o.recvFrom(0, 2)); b != want {
-			t.Fatalf("receive from 2 = %q, want %q (stashed while waiting on 1)", b, want)
+			t.Fatalf("receive from 2 = %q, want %q (delivered while waiting on 1)", b, want)
 		}
 	}
 }

@@ -31,21 +31,12 @@ func (o *opRuntime) streamed(src, dst int, msg block.Message) bool {
 	return o.pipe && !o.spec.SameNode(src, dst) && len(msg.Chunks) == 1 && msg.Chunks[0].Stream != nil
 }
 
-// streamBlob indirects SealStream.Blob so the materialize error-path
-// regression test can inject a failure (the seal layer's only organic
-// Blob error is nonce-source exhaustion, which a test cannot trigger);
-// production code never overrides it.
-var streamBlob = (*seal.SealStream).Blob
-
 // materializeMessage forces any lazily-sealed chunk to its blob form so
 // the message can travel the non-streaming paths (whole-message frames,
 // shared memory, local delivery). The chunk slice is copied only when a
-// pending stream is actually present. On error the returned message is
-// zero: a mid-loop Blob failure leaves the pending streams in an
-// unusable sealed state, so neither the half-materialized copy nor the
-// original may be shipped — callers must treat the error as fatal for
-// the message.
-func materializeMessage(msg block.Message) (block.Message, error) {
+// pending stream is actually present; the original message is left as
+// it is.
+func materializeMessage(msg block.Message) block.Message {
 	for i, c := range msg.Chunks {
 		if c.Stream == nil {
 			continue
@@ -53,20 +44,14 @@ func materializeMessage(msg block.Message) (block.Message, error) {
 		out := msg
 		out.Chunks = append([]block.Chunk(nil), msg.Chunks...)
 		for j := i; j < len(out.Chunks); j++ {
-			cj := &out.Chunks[j]
-			if cj.Stream == nil {
-				continue
+			if cj := &out.Chunks[j]; cj.Stream != nil {
+				cj.Payload = cj.Stream.Blob()
+				cj.Stream = nil
 			}
-			blob, err := streamBlob(cj.Stream)
-			if err != nil {
-				return block.Message{}, err
-			}
-			cj.Payload = blob
-			cj.Stream = nil
 		}
-		return out, nil
+		return out
 	}
-	return msg, nil
+	return msg
 }
 
 // streamRecv assembles one incoming pipelined message: the segments of

@@ -139,9 +139,12 @@ func (p *Proc) IsLeader() bool { return p.rank == p.Leader() }
 // Metrics returns this rank's cost counters.
 func (p *Proc) Metrics() *Metrics { return p.met }
 
-// Isend starts a non-blocking send of msg to dst. Byte counters are
-// charged immediately; the communication round is charged by the Wait
-// that completes the operation.
+// Isend starts a non-blocking send of msg to dst. Byte and message
+// counters are charged immediately; the communication round is charged
+// by the Wait that completes the operation. Every engine sends through
+// here, so this is where the paper's security property is checked: a
+// message to another node that carries a plaintext chunk is counted in
+// PlainInterMsgs and described in Violations.
 func (p *Proc) Isend(dst int, msg block.Message) Request {
 	if dst == p.rank {
 		panic(fmt.Sprintf("cluster: rank %d sending to itself", p.rank))
@@ -150,10 +153,29 @@ func (p *Proc) Isend(dst int, msg block.Message) Request {
 	p.met.BytesSent += n
 	if p.SameNode(p.rank, dst) {
 		p.met.IntraBytesSent += n
+		p.met.IntraMsgs++
 	} else {
 		p.met.InterBytesSent += n
+		p.met.InterMsgs++
+		p.checkInterNode(dst, msg)
 	}
 	return p.eng.isend(p, dst, msg)
+}
+
+// checkInterNode records msg, bound for another node, as a violation if
+// any of its chunks is plaintext with bytes in it. It allocates only
+// when it records one.
+func (p *Proc) checkInterNode(dst int, msg block.Message) {
+	for _, c := range msg.Chunks {
+		if !c.Enc && c.PlainLen() > 0 {
+			p.met.PlainInterMsgs++
+			if len(p.met.Violations) < MaxViolations {
+				p.met.Violations = append(p.met.Violations,
+					fmt.Sprintf("plaintext chunk (%d bytes) sent %d -> %d across nodes", c.PlainLen(), p.rank, dst))
+			}
+			return
+		}
+	}
 }
 
 // Irecv starts a non-blocking receive from src.
@@ -272,10 +294,7 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 				return out
 			}
 		}
-		blob, segs, err := s.SealSegmentedWith(p.eng.alloc, payloadSlices(chunks), aad)
-		if err != nil {
-			panic(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-		}
+		blob, segs := s.SealSegmentedWith(p.eng.alloc, payloadSlices(chunks), aad)
 		p.met.EncSegments += segs
 		out.Payload = blob
 	}
@@ -313,10 +332,7 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 		if c.Stream != nil {
 			// A lazily-sealed chunk being decrypted locally (never
 			// shipped): force the seal, then open normally.
-			var err error
-			if payload, err = c.Stream.Blob(); err != nil {
-				panic(&RankError{Rank: p.rank, Peer: -1, Op: "seal", Err: err})
-			}
+			payload = c.Stream.Blob()
 		}
 		if payload == nil {
 			panic("cluster: real-mode Decrypt given a chunk without payload")

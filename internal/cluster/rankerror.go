@@ -15,7 +15,7 @@ import (
 type RankError struct {
 	Rank int    // failing rank; -1 for run-level failures (e.g. timeout)
 	Peer int    // other rank of the failing operation; -1 when none
-	Op   string // "send", "recv", "dial", "seal", "open", "run", "timeout", ...
+	Op   string // "send", "recv", "dial", "open", "run", "timeout", ...
 	Err  error
 }
 

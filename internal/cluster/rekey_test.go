@@ -69,8 +69,8 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 				if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
 					t.Errorf("worker %d %s op %d: %v", w, name, i, err)
 				}
-				if !res.Audit.Clean() {
-					t.Errorf("worker %d %s op %d leaked plaintext: %v", w, name, i, res.Audit.Violations)
+				if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+					t.Errorf("worker %d %s op %d leaked plaintext: %v", w, name, i, cluster.MessageTotals(res.PerRank).Violations)
 				}
 				mu.Lock()
 				gens[res.Sealer] = true

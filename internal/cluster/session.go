@@ -60,9 +60,6 @@ type SessionConfig struct {
 	Plan *fault.Plan
 	// Profile is the machine model used by EngineSim; ignored otherwise.
 	Profile cost.Profile
-	// Adversary taps inter-node messages on EngineChan, whose inter-node
-	// pairs deliver in memory; ignored otherwise.
-	Adversary Adversary
 	// CryptoPool is the worker pool the session's sealer runs segmented
 	// crypto on; nil selects the process-wide shared pool. Handing one
 	// pool to many sessions is the multi-tenant wiring: they share one
@@ -127,7 +124,6 @@ type RealResult struct {
 	Results  []block.Message // per-rank gathered result
 	PerRank  []Metrics
 	Critical Critical
-	Audit    *SecurityAudit
 	Sealer   *seal.Sealer
 	// Sniffer is the session-lifetime capture of the inter-node wire —
 	// every byte of the P·(P−ℓ) inter-node sockets, cumulative over every
@@ -530,7 +526,6 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	res := &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
-		Audit:   run.audit,
 		Sealer:  slr,
 		Sniffer: s.tr.sniff,
 	}

@@ -1,13 +1,51 @@
 package encrypted
 
 import (
+	"context"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
+	"encag/internal/fault"
+	"encag/internal/seal"
 )
+
+// The network adversary of the paper's threat model is a fault.Corrupt
+// plan on the inter-node pairs: it flips a byte of the first frame each
+// of those pairs carries. On EngineChan the offset counts into the
+// concatenated chunk payloads of the message; on EngineTCP into the
+// frame's wire bytes.
+func interNodeCorruption(spec cluster.Spec, offset int) *fault.Plan {
+	plan := &fault.Plan{}
+	for src := 0; src < spec.P; src++ {
+		for dst := 0; dst < spec.P; dst++ {
+			if !spec.SameNode(src, dst) {
+				plan.Rules = append(plan.Rules, fault.Rule{Src: src, Dst: dst, Kind: fault.Corrupt, Offset: offset})
+			}
+		}
+	}
+	return plan
+}
+
+// tamperedRun runs op once on a fresh session under interNodeCorruption
+// and returns the run's error and how many frames the plan corrupted.
+func tamperedRun(t *testing.T, spec cluster.Spec, cfg cluster.SessionConfig, op cluster.Op, offset int) (int64, error) {
+	t.Helper()
+	s, err := cluster.OpenSession(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	op.Plan = interNodeCorruption(spec, offset)
+	_, err = s.Collective(context.Background(), op)
+	return s.Snapshot().FaultsInjected["corrupt"], err
+}
+
+// ciphertextAt is a payload offset inside the first segment's ciphertext
+// of a single-segment blob: past the segmented header (magic, count, one
+// length) and the segment's nonce.
+const ciphertextAt = 8 + 4 + seal.NonceSize + 4
 
 // Every algorithm must detect an active network adversary: flipping one
 // bit of any inter-node ciphertext must make the run fail (GCM
@@ -19,27 +57,9 @@ func TestBitFlipDetectedByAllAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tampered atomic.Int64
-		adv := func(src, dst int, msg block.Message) block.Message {
-			// Tamper with the first sealed chunk we see.
-			if tampered.Load() > 0 {
-				return msg
-			}
-			out := msg.Clone()
-			for i, c := range out.Chunks {
-				if c.Enc && len(c.Payload) > 0 {
-					bad := append([]byte(nil), c.Payload...)
-					bad[len(bad)/2] ^= 0x01
-					out.Chunks[i].Payload = bad
-					tampered.Add(1)
-					break
-				}
-			}
-			return out
-		}
-		_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: 64})
-		if tampered.Load() == 0 {
-			t.Errorf("%s: adversary never saw a ciphertext to tamper with", name)
+		tampered, err := tamperedRun(t, spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 64}, ciphertextAt)
+		if tampered == 0 {
+			t.Errorf("%s: the plan never corrupted a frame", name)
 			continue
 		}
 		if err == nil {
@@ -52,36 +72,23 @@ func TestBitFlipDetectedByAllAlgorithms(t *testing.T) {
 	}
 }
 
-// Re-labelling an intercepted ciphertext (claiming it carries different
-// blocks) must also fail: the chunk header is bound as GCM AAD.
+// Re-labelling an intercepted ciphertext on a real socket (claiming it
+// carries a different origin) must also fail: the chunk's block header
+// is bound as GCM AAD. Byte 36 of an EAGM frame is the low byte of the
+// first block's origin (20-byte prefix, chunk count, then the chunk's
+// flags, tag and block count before its first block).
 func TestHeaderSpliceDetected(t *testing.T) {
+	const originAt = 36
 	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping}
 	for _, name := range []string{"naive", "c-ring", "hs2"} {
 		alg, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var spliced atomic.Int64
-		adv := func(src, dst int, msg block.Message) block.Message {
-			if spliced.Load() > 0 {
-				return msg
-			}
-			out := msg.Clone()
-			for i, c := range out.Chunks {
-				if c.Enc && len(c.Blocks) > 0 {
-					// Claim the ciphertext came from a different origin.
-					nb := append([]block.Block(nil), c.Blocks...)
-					nb[0].Origin = (nb[0].Origin + 1) % spec.P
-					out.Chunks[i].Blocks = nb
-					spliced.Add(1)
-					break
-				}
-			}
-			return out
-		}
-		_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: 48})
-		if spliced.Load() == 0 {
-			t.Errorf("%s: adversary found nothing to splice", name)
+		spliced, err := tamperedRun(t, spec, cluster.SessionConfig{Engine: cluster.EngineTCP},
+			cluster.Op{Algo: alg, MsgSize: 48}, originAt)
+		if spliced == 0 {
+			t.Errorf("%s: the plan never corrupted a frame", name)
 			continue
 		}
 		if err == nil {
@@ -91,35 +98,34 @@ func TestHeaderSpliceDetected(t *testing.T) {
 }
 
 // A passive adversary (pure observation) must not disturb anything, and
-// must see only ciphertext bytes on inter-node links.
+// must see only ciphertext bytes on the inter-node sockets: no rank's
+// pattern appears in the capture, and no inter-node send carried a
+// plaintext chunk.
 func TestPassiveObserverSeesOnlyCiphertext(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}
 	const m = 64
-	secretByte := block.Pattern(3, 7) // a byte of rank 3's block
-	_ = secretByte
 	for _, name := range PaperNames() {
 		alg, err := Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var observedPlain atomic.Int64
-		adv := func(src, dst int, msg block.Message) block.Message {
-			for _, c := range msg.Chunks {
-				if !c.Enc && c.PlainLen() > 0 {
-					observedPlain.Add(1)
-				}
-			}
-			return msg
-		}
-		res, err := cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: alg, MsgSize: m})
+		res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP}, cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if observedPlain.Load() > 0 {
-			t.Errorf("%s: adversary observed %d plaintext chunks on inter-node links", name, observedPlain.Load())
+		if n := cluster.MessageTotals(res.PerRank).PlainInterMsgs; n > 0 {
+			t.Errorf("%s: %d inter-node sends carried plaintext", name, n)
+		}
+		if res.Sniffer.Total() == 0 {
+			t.Fatalf("%s: the observer saw no inter-node bytes", name)
+		}
+		for r := 0; r < spec.P; r++ {
+			if res.Sniffer.Contains(block.FillPattern(r, m)) {
+				t.Errorf("%s: rank %d's plaintext visible on the wire", name, r)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package encrypted
 
 import (
 	"bytes"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -55,8 +54,8 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 				t.Fatalf("%v m=%d: %v", spec, m, err)
 			}
 			checkAllreduce(t, spec, m, res)
-			if !res.Audit.Clean() {
-				t.Fatalf("%v m=%d: plaintext crossed nodes: %v", spec, m, res.Audit.Violations)
+			if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+				t.Fatalf("%v m=%d: plaintext crossed nodes: %v", spec, m, cluster.MessageTotals(res.PerRank).Violations)
 			}
 			if spec.N == 1 && res.Critical.Re != 0 {
 				t.Fatalf("single-node all-reduce used encryption")
@@ -73,8 +72,8 @@ func TestAllreduceNaiveCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAllreduce(t, spec, m, res)
-	if !res.Audit.Clean() {
-		t.Fatalf("violations: %v", res.Audit.Violations)
+	if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+		t.Fatalf("violations: %v", cluster.MessageTotals(res.PerRank).Violations)
 	}
 }
 
@@ -99,29 +98,12 @@ func TestAllreduceDecryptionEconomics(t *testing.T) {
 	}
 }
 
-// The adversary checks apply to the reduction too.
+// The network adversary is detected on the reduction too.
 func TestAllreduceTamperDetected(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
-	var flipped atomic.Bool
-	adv := func(src, dst int, msg block.Message) block.Message {
-		if flipped.Load() {
-			return msg
-		}
-		out := msg.Clone()
-		for i, c := range out.Chunks {
-			if c.Enc && len(c.Payload) > 0 {
-				bad := append([]byte(nil), c.Payload...)
-				bad[0] ^= 1
-				out.Chunks[i].Payload = bad
-				flipped.Store(true)
-				break
-			}
-		}
-		return out
-	}
-	_, err := cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: 64})
-	if !flipped.Load() {
-		t.Fatal("no ciphertext crossed the adversary")
+	flipped, err := tamperedRun(t, spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: 64}, ciphertextAt)
+	if flipped == 0 {
+		t.Fatal("the plan never corrupted a frame")
 	}
 	if err == nil {
 		t.Fatal("tampered reduction accepted")
@@ -145,7 +127,7 @@ func TestQuickAllreduce(t *testing.T) {
 		want := expectedXOR(spec.P, m)
 		for _, alg := range []cluster.Algorithm{AllreduceHS(XOR), AllreduceNaive(XOR)} {
 			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
-			if err != nil || !res.Audit.Clean() {
+			if err != nil || cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
 				return false
 			}
 			for _, msg := range res.Results {

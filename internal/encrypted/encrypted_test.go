@@ -55,10 +55,11 @@ func TestAllEncryptedCorrectAndSecure(t *testing.T) {
 			if err := cluster.ValidateGather(spec, 40, res.Results, true); err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
-			if !res.Audit.Clean() {
-				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, res.Audit.Violations)
+			msgs := cluster.MessageTotals(res.PerRank)
+			if msgs.PlainInterMsgs != 0 {
+				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, msgs.Violations)
 			}
-			if spec.N > 1 && res.Audit.InterMsgs == 0 {
+			if spec.N > 1 && msgs.InterMsgs == 0 {
 				t.Fatalf("%s on %v: no inter-node messages at all?", name, spec)
 			}
 			if res.Sealer.DuplicateNonceSeen() {
@@ -84,6 +85,51 @@ func TestAllEncryptedCorrectSim(t *testing.T) {
 			}
 			if res.Latency <= 0 {
 				t.Fatalf("%s on %v: non-positive latency", name, spec)
+			}
+		}
+	}
+}
+
+// The simulator runs the same per-send plaintext check as the real
+// engines: at paper scale (128 ranks on 8 nodes, Noleland) across the
+// benchmark's five sizes, and for every encrypted algorithm at 8 ranks
+// on 4 nodes, cyclic, no inter-node send carries a plaintext chunk. The
+// unencrypted counterparts, with the same communication structure, are
+// flagged.
+func TestSimNoPlaintextCrossesNodes(t *testing.T) {
+	type cell struct {
+		spec  cluster.Spec
+		names []string
+		sizes []int64
+	}
+	paper := cluster.Spec{P: 128, N: 8, Mapping: cluster.BlockMapping}
+	cyclic := cluster.Spec{P: 8, N: 4, Mapping: cluster.CyclicMapping}
+	cells := []cell{
+		{paper, PaperNames(), []int64{1, 1 << 10, 16 << 10, 256 << 10, 1 << 20}},
+		{cyclic, Names(), []int64{1 << 10}},
+	}
+	for _, c := range cells {
+		for _, name := range c.names {
+			alg, err := Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range c.sizes {
+				res, err := cluster.SimOnce(c.spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
+				if err != nil {
+					t.Fatalf("%s m=%d on %v: %v", name, m, c.spec, err)
+				}
+				if msgs := cluster.MessageTotals(res.PerRank); msgs.PlainInterMsgs != 0 || msgs.InterMsgs == 0 {
+					t.Errorf("%s m=%d on %v: %d of %d inter-node sends in plaintext: %v",
+						name, m, c.spec, msgs.PlainInterMsgs, msgs.InterMsgs, msgs.Violations)
+				}
+			}
+			res, err := cluster.SimOnce(c.spec, cost.Noleland(), cluster.Op{Algo: cluster.Plain(alg), MsgSize: 1 << 10})
+			if err != nil {
+				t.Fatalf("plain-%s on %v: %v", name, c.spec, err)
+			}
+			if msgs := cluster.MessageTotals(res.PerRank); msgs.PlainInterMsgs == 0 || len(msgs.Violations) == 0 {
+				t.Errorf("plain-%s on %v: no plaintext inter-node send flagged", name, c.spec)
 			}
 		}
 	}
@@ -220,7 +266,7 @@ func TestQuickEncryptedCorrect(t *testing.T) {
 			if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
 				return false
 			}
-			if !res.Audit.Clean() {
+			if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
 				return false
 			}
 		}

@@ -7,8 +7,8 @@
 //
 // Security invariant shared by every algorithm here: data crosses a node
 // boundary only inside an authenticated AES-GCM ciphertext; intra-node
-// traffic may be plaintext. The real engine's transport audit proves the
-// invariant in tests.
+// traffic may be plaintext. Every engine checks the invariant on every
+// send (cluster.Proc.Isend counts PlainInterMsgs), the simulator included.
 package encrypted
 
 import (

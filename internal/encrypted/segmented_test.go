@@ -1,7 +1,6 @@
 package encrypted
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"encag/internal/block"
@@ -44,8 +43,8 @@ func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 			if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
-			if !res.Audit.Clean() {
-				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, res.Audit.Violations)
+			if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, cluster.MessageTotals(res.PerRank).Violations)
 			}
 			if res.Sealer.DuplicateNonceSeen() {
 				t.Fatalf("%s on %v: GCM nonce reuse under segmentation", name, spec)
@@ -119,8 +118,8 @@ func TestSegmentedTCPWireClean(t *testing.T) {
 	if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
 		t.Fatal(err)
 	}
-	if !res.Audit.Clean() {
-		t.Fatalf("audit violations: %v", res.Audit.Violations)
+	if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
+		t.Fatalf("audit violations: %v", cluster.MessageTotals(res.PerRank).Violations)
 	}
 	if res.Sealer.DuplicateNonceSeen() {
 		t.Fatal("nonce reuse over TCP with segmentation")
@@ -147,29 +146,13 @@ func TestSegmentedTamperDetectedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tampered atomic.Int64
-	adv := func(src, dst int, msg block.Message) block.Message {
-		if tampered.Load() > 0 {
-			return msg
-		}
-		out := msg.Clone()
-		for i, c := range out.Chunks {
-			if c.Enc && len(c.Payload) > seal.Overhead+16 {
-				// Flip a byte in the middle of the blob: inside some
-				// segment's ciphertext, past the framing header.
-				p := append([]byte(nil), c.Payload...)
-				p[len(p)/2] ^= 0x01
-				out.Chunks[i].Payload = p
-				tampered.Add(1)
-				break
-			}
-		}
-		return out
-	}
-	_, err = cluster.RunOnce(spec, cluster.SessionConfig{Adversary: adv, CryptoPool: cryptoPool(t, 2)},
-		cluster.Op{Algo: alg, MsgSize: m})
-	if tampered.Load() == 0 {
-		t.Fatal("adversary never saw a ciphertext to tamper with")
+	// Flip a byte of segment 2's ciphertext: past the framing header (4
+	// segments) and two whole segments, then past the segment's nonce.
+	const at = 8 + 4*4 + 2*(256+seal.Overhead) + seal.NonceSize + 100
+	tampered, err := tamperedRun(t, spec, cluster.SessionConfig{CryptoPool: cryptoPool(t, 2)},
+		cluster.Op{Algo: alg, MsgSize: m}, at)
+	if tampered == 0 {
+		t.Fatal("the plan never corrupted a frame")
 	}
 	if err == nil {
 		t.Fatal("tampered segment went undetected")

@@ -18,6 +18,11 @@
 // On both kinds a dropped or partially written frame is resent, a
 // bounded number of times.
 //
+// Corrupt is also how tests play the paper's network adversary: a
+// Corrupt rule on an inter-node pair flips a ciphertext byte or a
+// block-header field of a frame in flight, and the operation must fail
+// closed on GCM authentication rather than deliver wrong bytes.
+//
 // Plans are pure data and rule application is keyed only on the ordered
 // rank pair and that pair's frame counter, so a given plan injects the
 // same faults on every run regardless of goroutine interleaving.

@@ -350,15 +350,17 @@ func (s *Sealer) eachSegment(k int, fn func(i int) error) error {
 
 // SealSegmented seals the concatenation of parts under the segmented
 // framing, its segments concurrently on the worker pool. It returns the
-// blob and the number of segments it holds.
+// blob and the number of segments it holds; sealing cannot fail, so the
+// error is always nil.
 func (s *Sealer) SealSegmented(parts [][]byte, aad []byte) ([]byte, int, error) {
-	return s.SealSegmentedWith(nil, parts, aad)
+	blob, k := s.SealSegmentedWith(nil, parts, aad)
+	return blob, k, nil
 }
 
 // SealSegmentedWith is SealSegmented with the blob drawn from alloc,
 // which returns a buffer of exactly n bytes whose contents may be stale;
 // nil allocates with make. The sealer writes every byte of it.
-func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad []byte) ([]byte, int, error) {
+func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad []byte) ([]byte, int) {
 	offs := partOffsets(parts)
 	l := s.layout(offs[len(parts)])
 	out := l.newBlob(alloc)
@@ -366,7 +368,7 @@ func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad
 		s.sealSegment(l, out, parts, offs, aad, i)
 		return nil
 	})
-	return out, l.k, nil
+	return out, l.k
 }
 
 // OpenSegmented authenticates and decrypts a blob produced by
@@ -481,11 +483,19 @@ func (st *SealStream) Header() []byte { return st.blob[:st.l.hdrLen] }
 
 // Segment seals segments up to and including i (if not already sealed)
 // and returns segment i's sealed bytes — a slice into the stream's
-// blob, valid for the stream's lifetime.
+// blob, valid for the stream's lifetime. Its only error is an index out
+// of range.
 func (st *SealStream) Segment(i int) ([]byte, error) {
 	if err := st.l.checkIndex(i); err != nil {
 		return nil, err
 	}
+	st.sealThrough(i)
+	return st.l.segment(st.blob, i), nil
+}
+
+// sealThrough seals segments up to and including i that are not sealed
+// yet.
+func (st *SealStream) sealThrough(i int) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for st.sealed <= i {
@@ -495,17 +505,14 @@ func (st *SealStream) Segment(i int) ([]byte, error) {
 	if st.sealed == st.l.k {
 		st.parts, st.poffs = nil, nil // release plaintext references
 	}
-	return st.l.segment(st.blob, i), nil
 }
 
 // Blob seals any remaining segments and returns the complete segmented
 // blob, byte-identical to what SealSegmented would have produced for
 // the same plaintext and AAD under the same plan.
-func (st *SealStream) Blob() ([]byte, error) {
-	if _, err := st.Segment(st.l.k - 1); err != nil {
-		return nil, err
-	}
-	return st.blob, nil
+func (st *SealStream) Blob() []byte {
+	st.sealThrough(st.l.k - 1)
+	return st.blob
 }
 
 // OpenStream incrementally authenticates and decrypts a segmented blob

@@ -52,7 +52,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 
 		// The assembled blobs must satisfy the bulk opener too.
-		for name, blob := range map[string][]byte{"send": mustBlob(t, st), "recv": os.Blob()} {
+		for name, blob := range map[string][]byte{"send": st.Blob(), "recv": os.Blob()} {
 			got, _, err := s.OpenSegmented(blob, aad)
 			if err != nil {
 				t.Fatalf("n=%d: OpenSegmented(%s blob): %v", n, name, err)
@@ -62,15 +62,6 @@ func TestStreamRoundTrip(t *testing.T) {
 			}
 		}
 	}
-}
-
-func mustBlob(t *testing.T, st *SealStream) []byte {
-	t.Helper()
-	blob, err := st.Blob()
-	if err != nil {
-		t.Fatalf("Blob: %v", err)
-	}
-	return blob
 }
 
 // Sub-blob plans: too-small payloads refuse to stream.

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"encag/internal/block"
+	"encag/internal/cluster"
 	"encag/internal/sched"
 )
 
@@ -86,17 +87,22 @@ func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts 
 	}
 	sizes := block.UniformSizes(s.cs.P, msgSize)
 	if s.engine == EngineSim {
-		res, err := s.simulate(ctx, o, a, sizes, "gather")
+		res, per, err := s.simulate(ctx, o, a, sizes, "gather")
 		if err != nil {
 			return &Handle{h: sched.Completed[*RunResult](nil, err)}, nil
 		}
+		// The sim has no keys, so no nonce can repeat; its ranks send
+		// through the same Proc as the real engines, so the plaintext
+		// check is the real one.
+		msgs := cluster.MessageTotals(per)
 		rr := &RunResult{
-			Metrics: res.Metrics,
-			// The sim models crypto cost without real keys or wires, so
-			// there is nothing for the security audit to flag.
-			SecurityOK: true,
-			Elapsed:    res.Latency,
-			Algorithm:  res.Algorithm,
+			Metrics:       res.Metrics,
+			SecurityOK:    msgs.PlainInterMsgs == 0,
+			InterMessages: msgs.InterMsgs,
+			IntraMessages: msgs.IntraMsgs,
+			Violations:    msgs.Violations,
+			Elapsed:       res.Latency,
+			Algorithm:     res.Algorithm,
 		}
 		return &Handle{h: sched.Completed(rr, nil)}, nil
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -366,6 +367,44 @@ func TestStartSimSynchronous(t *testing.T) {
 	case <-h.Done():
 	default:
 		t.Fatal("sim handle's Done channel is open")
+	}
+}
+
+// A sim Start runs the same per-send plaintext check as the real
+// engines: the unencrypted counterpart of an algorithm is reported
+// insecure, with its violations and message counts, and the encrypted
+// one clean over the same messages.
+func TestStartSimReportsPlaintextAcrossNodes(t *testing.T) {
+	s, err := encag.OpenSession(context.Background(), encag.Spec{Procs: 8, Nodes: 2},
+		encag.WithEngine(encag.EngineSim), encag.WithProfile(encag.Noleland()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := func(alg encag.Alg) *encag.RunResult {
+		t.Helper()
+		h, err := s.Start(context.Background(), alg, 1<<10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := h.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain, enc := start(encag.PlainOf(encag.AlgHS2)), start(encag.AlgHS2)
+	if plain.SecurityOK || len(plain.Violations) == 0 || !strings.Contains(plain.Violations[0], "across nodes") {
+		t.Fatalf("plain-hs2 on the sim: SecurityOK=%v violations %q, want insecure with violations",
+			plain.SecurityOK, plain.Violations)
+	}
+	if !enc.SecurityOK || len(enc.Violations) != 0 {
+		t.Fatalf("hs2 on the sim: SecurityOK=%v violations %q", enc.SecurityOK, enc.Violations)
+	}
+	// HS2's node-local exchanges go through shared memory, not sends.
+	if enc.InterMessages == 0 || enc.InterMessages != plain.InterMessages || enc.IntraMessages != plain.IntraMessages {
+		t.Fatalf("message counts: hs2 %d/%d, plain-hs2 %d/%d (inter/intra), want equal with inter-node sends",
+			enc.InterMessages, enc.IntraMessages, plain.InterMessages, plain.IntraMessages)
 	}
 }
 

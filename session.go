@@ -518,13 +518,14 @@ func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patte
 		}
 		return nil, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
 	}
+	msgs := cluster.MessageTotals(res.PerRank)
 	return &RunResult{
 		Gathered:      views,
 		Metrics:       res.Critical,
-		SecurityOK:    res.Audit.Clean() && !res.Sealer.DuplicateNonceSeen(),
-		InterMessages: res.Audit.InterMsgs,
-		IntraMessages: res.Audit.IntraMsgs,
-		Violations:    append([]string(nil), res.Audit.Violations...),
+		SecurityOK:    msgs.PlainInterMsgs == 0 && !res.Sealer.DuplicateNonceSeen(),
+		InterMessages: msgs.InterMsgs,
+		IntraMessages: msgs.IntraMsgs,
+		Violations:    msgs.Violations,
 		Elapsed:       res.Elapsed,
 		OpID:          res.OpID,
 		Algorithm:     used,
@@ -606,11 +607,12 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 			return nil, fmt.Errorf("encag: ranks disagree on the reduction result")
 		}
 	}
+	msgs := cluster.MessageTotals(res.PerRank)
 	return &ReduceResult{
 		Result:     reference,
 		Metrics:    res.Critical,
-		SecurityOK: res.Audit.Clean() && !res.Sealer.DuplicateNonceSeen(),
-		Violations: append([]string(nil), res.Audit.Violations...),
+		SecurityOK: msgs.PlainInterMsgs == 0 && !res.Sealer.DuplicateNonceSeen(),
+		Violations: msgs.Violations,
 		Elapsed:    res.Elapsed,
 	}, nil
 }
@@ -624,7 +626,8 @@ func (s *Session) Simulate(ctx context.Context, algorithm Alg, msgSize int64, op
 	if err != nil {
 		return SimResult{}, err
 	}
-	return s.simulate(ctx, o, a, block.UniformSizes(s.cs.P, msgSize), "gather")
+	res, _, err := s.simulate(ctx, o, a, block.UniformSizes(s.cs.P, msgSize), "gather")
+	return res, err
 }
 
 // SimulateV is the all-gatherv variant of Simulate: sizes[r] is rank
@@ -634,23 +637,24 @@ func (s *Session) SimulateV(ctx context.Context, algorithm Alg, sizes []int64, o
 	if err != nil {
 		return SimResult{}, err
 	}
-	return s.simulate(ctx, o, a, sizes, "gatherv")
+	res, _, err := s.simulate(ctx, o, a, sizes, "gatherv")
+	return res, err
 }
 
 // simulate is the one path of every simulation; o and a come from
 // checkOp, and Simulate, SimulateV and Start on a sim session differ
-// only in sizes.
-func (s *Session) simulate(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, noun string) (SimResult, error) {
+// only in sizes. It also returns the run's per-rank counters.
+func (s *Session) simulate(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, noun string) (SimResult, []cluster.Metrics, error) {
 	impl, used, err := s.resolveAlg(a, maxOf(sizes))
 	if err != nil {
-		return SimResult{}, err
+		return SimResult{}, nil, err
 	}
 	res, err := s.inner.Sim(ctx, buildOp(impl, sizes, nil, o))
 	if err != nil {
-		return SimResult{}, err
+		return SimResult{}, nil, err
 	}
 	if err := cluster.ValidateGatherV(s.cs, sizes, res.Results, false); err != nil {
-		return SimResult{}, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
+		return SimResult{}, nil, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
 	}
 	return SimResult{
 		Latency:    res.LatencyD,
@@ -658,5 +662,5 @@ func (s *Session) simulate(ctx context.Context, o *sessionOptions, a Alg, sizes 
 		InterBytes: res.InterBytes,
 		IntraBytes: res.IntraBytes,
 		Algorithm:  used,
-	}, nil
+	}, res.PerRank, nil
 }
