@@ -9,13 +9,18 @@
 // are all chunk operations, so one implementation of each algorithm serves
 // both the correctness engine (payloads are real bytes, chunks are really
 // sealed) and the timing engine (payloads are nil, only sizes matter).
+//
+// Payloads and block lists are immutable by convention: nothing writes
+// into one once built, so they are shared. SplitChunk and AssembleByOrigin
+// hand out capacity-capped views of the block lists they split, which an
+// append copies instead of overwriting.
 package block
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"encag/internal/seal"
 )
@@ -150,9 +155,13 @@ func (m *Message) Append(chunks ...Chunk) {
 	m.Chunks = append(m.Chunks, chunks...)
 }
 
-// Concat concatenates messages into one.
+// Concat concatenates messages into one, allocating its chunk list once.
 func Concat(msgs ...Message) Message {
-	var out Message
+	n := 0
+	for _, m := range msgs {
+		n += len(m.Chunks)
+	}
+	out := Message{Chunks: make([]Chunk, 0, n)}
 	for _, m := range msgs {
 		out.Chunks = append(out.Chunks, m.Chunks...)
 	}
@@ -336,52 +345,56 @@ func NormalizeV(msg Message, sizes []int64, checkPattern bool) ([][]byte, error)
 	return payloads, nil
 }
 
-// SplitChunk splits a plaintext chunk into single-block chunks; in real
-// mode each receives the corresponding slice of the payload. It panics on
+// SplitChunk splits a plaintext chunk into single-block chunks, appended
+// to dst so that a caller with a scratch list splits without allocating.
+// In real mode each receives the corresponding slice of the payload, and
+// each block list is a capacity-capped view of c's. It panics on
 // encrypted chunks: a ciphertext is indivisible.
-func SplitChunk(c Chunk) []Chunk {
+func SplitChunk(dst []Chunk, c Chunk) []Chunk {
 	if c.Enc {
 		panic("block: cannot split an encrypted chunk")
 	}
-	out := make([]Chunk, 0, len(c.Blocks))
 	var off int64
-	for _, b := range c.Blocks {
-		nc := Chunk{Blocks: []Block{b}, Tag: c.Tag}
+	for i, b := range c.Blocks {
+		nc := Chunk{Blocks: c.Blocks[i : i+1 : i+1], Tag: c.Tag}
 		if c.Payload != nil {
 			nc.Payload = c.Payload[off : off+b.Len]
 		}
 		off += b.Len
-		out = append(out, nc)
+		dst = append(dst, nc)
 	}
-	return out
+	return dst
 }
 
 // AssembleByOrigin flattens fully-plaintext messages into one message
 // with a single-block chunk per origin, sorted by origin rank — the
-// canonical final layout of an all-gather result.
+// canonical final layout of an all-gather result, allocated once.
 func AssembleByOrigin(msgs ...Message) Message {
-	var chunks []Chunk
+	n := 0
+	for _, m := range msgs {
+		n += m.NumBlocks()
+	}
+	chunks := make([]Chunk, 0, n)
 	for _, m := range msgs {
 		for _, c := range m.Chunks {
-			chunks = append(chunks, SplitChunk(c)...)
+			chunks = SplitChunk(chunks, c)
 		}
 	}
 	SortChunksByOrigin(chunks)
 	return Message{Chunks: chunks}
 }
 
-// SortChunksByOrigin orders single-block chunks by origin rank; chunks
-// covering multiple blocks sort by their first origin. It is used to
-// present final results in rank order.
+// SortChunksByOrigin orders single-block chunks by origin rank, stably;
+// chunks covering multiple blocks sort by their first origin. It is used
+// to present final results in rank order.
 func SortChunksByOrigin(chunks []Chunk) {
-	sort.SliceStable(chunks, func(i, j int) bool {
-		oi, oj := -1, -1
-		if len(chunks[i].Blocks) > 0 {
-			oi = chunks[i].Blocks[0].Origin
-		}
-		if len(chunks[j].Blocks) > 0 {
-			oj = chunks[j].Blocks[0].Origin
-		}
-		return oi < oj
-	})
+	slices.SortStableFunc(chunks, func(a, b Chunk) int { return firstOrigin(a) - firstOrigin(b) })
+}
+
+// firstOrigin is the origin of a chunk's first block, -1 for none.
+func firstOrigin(c Chunk) int {
+	if len(c.Blocks) == 0 {
+		return -1
+	}
+	return c.Blocks[0].Origin
 }

@@ -257,3 +257,30 @@ func TestCheckPattern(t *testing.T) {
 		}
 	}
 }
+
+// A split chunk's block list is a view of the source's, capped at one
+// block: appending to it must copy, never overwrite the source's next
+// block.
+func TestSplitChunkBlocksCapped(t *testing.T) {
+	src := Chunk{Blocks: []Block{{0, 2}, {1, 3}, {2, 1}}, Payload: []byte("abcdef"), Tag: 4}
+	want := append([]Block(nil), src.Blocks...)
+	parts := SplitChunk(nil, src)
+	if len(parts) != 3 {
+		t.Fatalf("split into %d chunks, want 3", len(parts))
+	}
+	for i, c := range parts {
+		if len(c.Blocks) != 1 || cap(c.Blocks) != 1 || c.Blocks[0] != want[i] || c.Tag != 4 {
+			t.Fatalf("chunk %d = %+v, want the one block %v (cap 1, tag 4)", i, c, want[i])
+		}
+		c.Blocks = append(c.Blocks, Block{Origin: 99, Len: 99})
+		c.Blocks[0].Origin = 77 // the copy's, not the source's
+	}
+	for i, b := range src.Blocks {
+		if b != want[i] {
+			t.Fatalf("source block %d = %v after appending to the split, want %v", i, b, want[i])
+		}
+	}
+	if got := string(parts[1].Payload); got != "cde" {
+		t.Fatalf("chunk 1 payload = %q, want %q", got, "cde")
+	}
+}

@@ -52,3 +52,102 @@ func FuzzCheckPattern(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAssembleByOrigin: AssembleByOrigin must lay out any plaintext
+// messages exactly as splitting every chunk into copied single blocks
+// and sorting them stably by origin does; its block lists must be
+// capped views that appends cannot write through; and NormalizeV must
+// accept the result exactly when every origin appears once at its size.
+// Each input byte is one block: low three bits origin (0..p, where p is
+// out of range), the next bit a wrong length, the top bit the start of a
+// new chunk; a zero byte starts a new message.
+func FuzzAssembleByOrigin(f *testing.F) {
+	f.Add(uint8(4), []byte{0x80, 0x01, 0x82, 0x03})             // complete, one chunk per pair
+	f.Add(uint8(4), []byte{0x83, 0x02, 0x00, 0x81, 0x80})       // complete, out of order, two messages
+	f.Add(uint8(3), []byte{0x80, 0x81, 0x81, 0x82})             // origin 1 duplicated
+	f.Add(uint8(3), []byte{0x80, 0x82})                         // origin 1 missing
+	f.Add(uint8(2), []byte{0x80, 0x89})                         // origin 1 has a wrong length
+	f.Add(uint8(2), []byte{0x80, 0x01, 0x02})                   // origin 2 is out of range
+	f.Add(uint8(5), []byte{0x84, 0x03, 0x02, 0x00, 0x81, 0x00}) // multi-block chunk, empty message
+	f.Fuzz(func(t *testing.T, pSeed uint8, spec []byte) {
+		p := int(pSeed%6) + 1
+		sizes := make([]int64, p)
+		for o := range sizes {
+			sizes[o] = int64(o % 3) // zero-length blocks included
+		}
+		var msgs []Message
+		count := make([]int, p+1)
+		valid := true
+		for i, b := range spec {
+			if b == 0 || i == 0 {
+				msgs = append(msgs, Message{})
+				if b == 0 {
+					continue
+				}
+			}
+			origin := int(b&7) % (p + 1)
+			n := int64(origin % 3)
+			if b&8 != 0 {
+				n += 2
+			}
+			count[origin]++
+			valid = valid && origin < p && n == sizes[origin]
+			m := &msgs[len(msgs)-1]
+			if b&0x80 != 0 || len(m.Chunks) == 0 {
+				m.Chunks = append(m.Chunks, Chunk{Payload: []byte{}, Tag: len(m.Chunks)})
+			}
+			c := &m.Chunks[len(m.Chunks)-1]
+			c.Blocks = append(c.Blocks, Block{Origin: origin, Len: n})
+			c.Payload = append(c.Payload, FillPattern(origin, n)...)
+		}
+		for o := 0; o < p; o++ {
+			valid = valid && count[o] == 1
+		}
+		valid = valid && count[p] == 0
+
+		// The reference: copied single-block chunks, stably insertion
+		// sorted by origin.
+		var want []Chunk
+		for _, m := range msgs {
+			for _, c := range m.Chunks {
+				var off int64
+				for _, b := range c.Blocks {
+					one := []Block{b}
+					want = append(want, Chunk{Blocks: one, Payload: c.Payload[off : off+b.Len], Tag: c.Tag})
+					off += b.Len
+				}
+			}
+		}
+		for i := 1; i < len(want); i++ {
+			for j := i; j > 0 && want[j].Blocks[0].Origin < want[j-1].Blocks[0].Origin; j-- {
+				want[j], want[j-1] = want[j-1], want[j]
+			}
+		}
+		before := Concat(msgs...).Clone()
+
+		got := AssembleByOrigin(msgs...)
+		if len(got.Chunks) != len(want) {
+			t.Fatalf("%d chunks, want %d", len(got.Chunks), len(want))
+		}
+		for i, c := range got.Chunks {
+			w := want[i]
+			if c.Enc || len(c.Blocks) != 1 || c.Blocks[0] != w.Blocks[0] || c.Tag != w.Tag || !bytes.Equal(c.Payload, w.Payload) {
+				t.Fatalf("chunk %d = %+v, want %+v", i, c, w)
+			}
+			_ = append(c.Blocks, Block{Origin: -1, Len: -1})
+		}
+		after := Concat(msgs...)
+		for i, c := range before.Chunks {
+			for j, b := range c.Blocks {
+				if after.Chunks[i].Blocks[j] != b {
+					t.Fatalf("appending to the result changed input chunk %d block %d to %v", i, j, after.Chunks[i].Blocks[j])
+				}
+			}
+		}
+
+		_, err := NormalizeV(got, sizes, true)
+		if valid != (err == nil) {
+			t.Fatalf("NormalizeV = %v, want valid=%v (counts %v)", err, valid, count)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"encag/internal/block"
@@ -60,6 +61,35 @@ func TestSpecMappings(t *testing.T) {
 	ro := c.RankOrdered()
 	if len(ro) != 8 || ro[0] != 0 || ro[1] != 2 || ro[4] != 1 {
 		t.Fatalf("RankOrdered cyclic = %v", ro)
+	}
+}
+
+// Leader and LocalIndex compute their answer per mapping instead of
+// building a node's rank list; they must agree with RanksOnNode on every
+// mapping, at rank and node counts that are not powers of two.
+func TestTopologyQueriesMatchRanksOnNode(t *testing.T) {
+	for _, spec := range []Spec{
+		{P: 12, N: 3, Mapping: BlockMapping},
+		{P: 15, N: 5, Mapping: BlockMapping},
+		{P: 12, N: 3, Mapping: CyclicMapping},
+		{P: 15, N: 5, Mapping: CyclicMapping},
+		{P: 12, N: 3, Mapping: CustomMapping, Custom: []int{2, 0, 1, 1, 0, 2, 2, 1, 0, 0, 1, 2}},
+		{P: 6, N: 3, Mapping: CustomMapping, Custom: []int{1, 2, 2, 0, 1, 0}},
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for node := 0; node < spec.N; node++ {
+			ranks := spec.RanksOnNode(node)
+			if got := spec.Leader(node); got != ranks[0] {
+				t.Fatalf("%v: Leader(%d) = %d, want %d", spec, node, got, ranks[0])
+			}
+			for idx, r := range ranks {
+				if got := spec.LocalIndex(r); got != idx {
+					t.Fatalf("%v: LocalIndex(%d) = %d, want %d", spec, r, got, idx)
+				}
+			}
+		}
 	}
 }
 
@@ -240,10 +270,10 @@ func TestShmAndNodeBarrier(t *testing.T) {
 			ct := p.Encrypt(node.Chunks...)
 			otherLeader := p.Spec().Leader(1 - p.Node())
 			in := p.SendRecv(otherLeader, block.Message{Chunks: []block.Chunk{ct}}, otherLeader)
-			p.ShmPut("remote", p.DecryptAll(in))
+			p.ShmPut(shmKey("remote", -1), p.DecryptAll(in))
 		}
 		p.NodeBarrier()
-		remote := p.ShmGet("remote")
+		remote := p.ShmGet(shmKey("remote", -1))
 		return block.Concat(node, remote)
 	}
 	for _, engine := range opEngines {
@@ -271,11 +301,14 @@ func TestShmAndNodeBarrier(t *testing.T) {
 func TestShmMissingKeyPanics(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
 	_, err := RunOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
-		p.ShmGet("never-put")
+		p.ShmGet(ShmKey{Kind: "hs/pt", Node: 1, Index: -1})
 		return mine
 	}, MsgSize: 8})
 	if err == nil {
 		t.Fatal("expected error for missing shm key")
+	}
+	if want := `shm key "hs/pt/1" not present`; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the key as %s", err, want)
 	}
 }
 
@@ -311,8 +344,8 @@ func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 	}
 }
 
-func shmKey(prefix string, rank int) string {
-	return prefix + "/" + string(rune('0'+rank%10)) + string(rune('a'+rank/10))
+func shmKey(kind string, rank int) ShmKey {
+	return ShmKey{Kind: kind, Node: -1, Index: rank}
 }
 
 func TestCriticalPathFold(t *testing.T) {

@@ -73,7 +73,7 @@ type simEngine struct {
 	net    *netsim.Network
 	sprocs []*sim.Proc
 	queues [][]*msgQueue // [dst][src], created lazily
-	shm    []map[string]block.Message
+	shm    []map[ShmKey]block.Message
 	bars   []*simBarrier
 	tracer Tracer // nil unless the operation is traced
 }
@@ -153,9 +153,8 @@ func (e *simEngine) irecv(p *Proc, src int) Request {
 	return simRecvReq{src: src}
 }
 
-func (e *simEngine) wait(p *Proc, reqs []Request) []block.Message {
+func (e *simEngine) wait(p *Proc, reqs []Request, out []block.Message) {
 	sp := e.sproc(p)
-	out := make([]block.Message, len(reqs))
 	for i, r := range reqs {
 		switch rr := r.(type) {
 		case simSendReq:
@@ -173,7 +172,6 @@ func (e *simEngine) wait(p *Proc, reqs []Request) []block.Message {
 			panic(fmt.Sprintf("cluster: foreign request type %T in sim engine", r))
 		}
 	}
-	return out
 }
 
 // span charges the modelled cost of a compute phase up front in virtual
@@ -198,11 +196,11 @@ func (e *simEngine) span(p *Proc, kind TraceKind, n int64) func() {
 	return noopSpan
 }
 
-func (e *simEngine) shmPut(p *Proc, key string, msg block.Message) {
+func (e *simEngine) shmPut(p *Proc, key ShmKey, msg block.Message) {
 	e.shm[p.Node()][key] = msg
 }
 
-func (e *simEngine) shmGet(p *Proc, key string) (block.Message, bool) {
+func (e *simEngine) shmGet(p *Proc, key ShmKey) (block.Message, bool) {
 	msg, ok := e.shm[p.Node()][key]
 	return msg, ok
 }
@@ -226,9 +224,11 @@ func (e *simEngine) alloc(n int) []byte { return make([]byte, n) }
 // stream, so the model keeps whole-message sends.
 func (e *simEngine) pipeline() bool { return false }
 
-// aad returns the header unchanged: the sim models crypto cost without
-// real keys, so there is no cross-operation authentication to bind.
-func (e *simEngine) aad(h []byte) []byte { return h }
+// aad appends the header alone: the sim models crypto cost without real
+// keys, so there is no cross-operation authentication to bind.
+func (e *simEngine) aad(dst []byte, blocks []block.Block) []byte {
+	return block.AppendHeader(dst, blocks)
+}
 
 // SimResult is the outcome of one Session.Sim.
 type SimResult struct {
@@ -271,7 +271,7 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 		net:    net,
 		sprocs: make([]*sim.Proc, spec.P),
 		queues: make([][]*msgQueue, spec.P),
-		shm:    make([]map[string]block.Message, spec.N),
+		shm:    make([]map[ShmKey]block.Message, spec.N),
 		bars:   make([]*simBarrier, spec.N),
 		tracer: tracer,
 	}
@@ -279,7 +279,7 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 		e.queues[r] = make([]*msgQueue, spec.P)
 	}
 	for n := 0; n < spec.N; n++ {
-		e.shm[n] = make(map[string]block.Message)
+		e.shm[n] = make(map[ShmKey]block.Message)
 		e.bars[n] = &simBarrier{env: env, n: spec.Ell(), gate: sim.NewGate(env)}
 	}
 

@@ -106,10 +106,10 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 			ct := p.Encrypt(node.Chunks...)
 			other := p.Spec().Leader(1 - p.Node())
 			in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-			p.ShmPut("trc-remote", p.DecryptAll(in))
+			p.ShmPut(shmKey("trc-remote", -1), p.DecryptAll(in))
 		}
 		p.NodeBarrier()
-		return block.Concat(node, p.ShmGet("trc-remote"))
+		return block.Concat(node, p.ShmGet(shmKey("trc-remote", -1)))
 	}
 	tr := &lockedTrace{}
 	res, err := RunOnce(spec, SessionConfig{Tracer: tr}, Op{Algo: algo, MsgSize: 64})

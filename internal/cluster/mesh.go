@@ -73,9 +73,13 @@ func (t *transport) sendLoop(src int) {
 	}
 }
 
-// abortLive aborts every registered operation with the given cause
-// (session close path).
+// abortLive aborts every registered operation with the given cause, and
+// every one registered from now on: an operation admitted before the
+// session closed may register after (session close path).
 func (t *transport) abortLive(cause error) {
+	t.reg.mu.Lock()
+	t.reg.closed = cause
+	t.reg.mu.Unlock()
 	t.reg.each(func(o *opRuntime) {
 		o.failAsync(&RankError{Rank: -1, Peer: -1, Op: "closed", Err: cause})
 	})
@@ -106,8 +110,9 @@ func (t *transport) close() {
 // drops messages whose operation is no longer (or not yet) live —
 // stragglers from completed or aborted collectives.
 type opRegistry struct {
-	mu  sync.RWMutex
-	ops map[uint32]*opRuntime
+	mu     sync.RWMutex
+	ops    map[uint32]*opRuntime
+	closed error // set by abortLive
 }
 
 func newOpRegistry() *opRegistry {
@@ -117,7 +122,11 @@ func newOpRegistry() *opRegistry {
 func (r *opRegistry) register(id uint32, o *opRuntime) {
 	r.mu.Lock()
 	r.ops[id] = o
+	cause := r.closed
 	r.mu.Unlock()
+	if cause != nil {
+		o.failAsync(&RankError{Rank: -1, Peer: -1, Op: "closed", Err: cause})
+	}
 }
 
 func (r *opRegistry) deregister(id uint32) {
@@ -152,9 +161,8 @@ func (r *opRegistry) each(fn func(*opRuntime)) {
 // operations of a session share one key, so without this a frame whose
 // op-id byte was corrupted on the wire could be demuxed to another live
 // operation and still authenticate there. With the id under the AEAD,
-// cross-operation delivery fails closed at Decrypt.
+// cross-operation delivery fails closed at Decrypt. It appends in place:
+// give it room for four more bytes.
 func appendOpID(h []byte, id uint32) []byte {
-	out := make([]byte, 0, len(h)+4)
-	out = append(out, h...)
-	return append(out, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	return append(h, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 }

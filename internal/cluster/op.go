@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,8 +36,8 @@ type opRuntime struct {
 
 	fifos []msgFIFO       // [rank*P+src]: src's delivered messages to rank, oldest first
 	wake  []chan struct{} // [rank]: cap 1, a coalesced "delivered" signal
-	shm   []*opShm
-	bars  []*opBarrier
+	shm   []opShm         // [node]
+	bars  []opBarrier     // [node]
 
 	inj       *fault.Injector
 	recvTO    time.Duration
@@ -69,8 +70,8 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		sendQ:   t.sendQ,
 		fifos:   make([]msgFIFO, spec.P*spec.P),
 		wake:    make([]chan struct{}, spec.P),
-		shm:     make([]*opShm, spec.N),
-		bars:    make([]*opBarrier, spec.N),
+		shm:     make([]opShm, spec.N),
+		bars:    make([]opBarrier, spec.N),
 		inj:     inj,
 		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
@@ -84,9 +85,8 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 	for r := range o.wake {
 		o.wake[r] = make(chan struct{}, 1)
 	}
-	for n := 0; n < spec.N; n++ {
-		o.shm[n] = &opShm{m: make(map[string]block.Message)}
-		o.bars[n] = newOpBarrier(spec.Ell())
+	for n := range o.bars {
+		o.bars[n].n, o.bars[n].cond.L = spec.Ell(), &o.bars[n].mu
 	}
 	t.reg.register(id, o)
 	return o
@@ -108,14 +108,20 @@ func (o *opRuntime) deliver(src, dst int, msg block.Message) {
 }
 
 // msgFIFO is one (rank, source) receive queue of an operation: pushed by
-// the pair's delivering goroutine, popped by the rank's goroutine.
+// the pair's delivering goroutine, popped by the rank's goroutine. It
+// starts on its own one-message array and reuses its array once drained.
 type msgFIFO struct {
-	mu sync.Mutex
-	q  []block.Message
+	mu   sync.Mutex
+	q    []block.Message // q[head:] are queued
+	head int
+	one  [1]block.Message
 }
 
 func (f *msgFIFO) push(msg block.Message) {
 	f.mu.Lock()
+	if f.q == nil {
+		f.q = f.one[:0]
+	}
 	f.q = append(f.q, msg)
 	f.mu.Unlock()
 }
@@ -124,12 +130,14 @@ func (f *msgFIFO) push(msg block.Message) {
 func (f *msgFIFO) pop() (block.Message, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.q) == 0 {
+	if f.head == len(f.q) {
 		return block.Message{}, false
 	}
-	msg := f.q[0]
-	f.q[0] = block.Message{}
-	f.q = f.q[1:]
+	msg := f.q[f.head]
+	f.q[f.head] = block.Message{}
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
 	return msg, true
 }
 
@@ -141,8 +149,8 @@ func (f *msgFIFO) pop() (block.Message, bool) {
 func (o *opRuntime) abort() {
 	o.abortOnce.Do(func() {
 		close(o.aborted)
-		for _, b := range o.bars {
-			b.abort()
+		for n := range o.bars {
+			o.bars[n].abort()
 		}
 	})
 }
@@ -172,24 +180,20 @@ func (o *opRuntime) failAsync(re *RankError) {
 	o.abort()
 }
 
+// opShm is one node's shared-memory segment; its map is made by the
+// first ShmPut, so an operation that shares nothing allocates none.
 type opShm struct {
 	mu sync.RWMutex
-	m  map[string]block.Message
+	m  map[ShmKey]block.Message
 }
 
 type opBarrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	n       int
 	arrived int
 	gen     int
 	dead    bool
-}
-
-func newOpBarrier(n int) *opBarrier {
-	b := &opBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
 }
 
 func (b *opBarrier) abort() {
@@ -265,8 +269,7 @@ func (o *opRuntime) irecv(p *Proc, src int) Request {
 	return recvReq{src: src}
 }
 
-func (o *opRuntime) wait(p *Proc, reqs []Request) []block.Message {
-	out := make([]block.Message, len(reqs))
+func (o *opRuntime) wait(p *Proc, reqs []Request, out []block.Message) {
 	for i, r := range reqs {
 		rr, ok := r.(recvReq)
 		if !ok {
@@ -281,7 +284,6 @@ func (o *opRuntime) wait(p *Proc, reqs []Request) []block.Message {
 			o.wt.emit(p.rank, TraceRecv, start, out[i].WireLen(), rr.src)
 		}
 	}
-	return out
 }
 
 // recvFrom returns the next message from src to rank: the head of the
@@ -349,15 +351,18 @@ func (o *opRuntime) span(p *Proc, kind TraceKind, n int64) func() {
 	return o.wt.span(p.rank, kind, n)
 }
 
-func (o *opRuntime) shmPut(p *Proc, key string, msg block.Message) {
-	s := o.shm[p.Node()]
+func (o *opRuntime) shmPut(p *Proc, key ShmKey, msg block.Message) {
+	s := &o.shm[p.Node()]
 	s.mu.Lock()
+	if s.m == nil {
+		s.m = make(map[ShmKey]block.Message)
+	}
 	s.m[key] = materializeMessage(msg)
 	s.mu.Unlock()
 }
 
-func (o *opRuntime) shmGet(p *Proc, key string) (block.Message, bool) {
-	s := o.shm[p.Node()]
+func (o *opRuntime) shmGet(p *Proc, key ShmKey) (block.Message, bool) {
+	s := &o.shm[p.Node()]
 	s.mu.RLock()
 	msg, ok := s.m[key]
 	s.mu.RUnlock()
@@ -382,4 +387,7 @@ func (o *opRuntime) pipeline() bool { return o.pipe }
 // appendOpID): concurrent operations share the session key, so a frame
 // whose op-id was corrupted on the wire into another live operation's
 // id fails authentication there instead of being accepted.
-func (o *opRuntime) aad(h []byte) []byte { return appendOpID(h, o.id) }
+func (o *opRuntime) aad(dst []byte, blocks []block.Block) []byte {
+	dst = slices.Grow(dst, block.HeaderLen(len(blocks))+4)
+	return appendOpID(block.AppendHeader(dst, blocks), o.id)
+}

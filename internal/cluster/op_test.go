@@ -14,12 +14,34 @@ import (
 // send schedulers: everything a rank's receive side does — ordering,
 // failing, unblocking — is the runtime's own and needs no wire.
 func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
-	tr := &transport{link: &link{
+	return newBareTransport(spec).newOp(1, nil, nil, recvTO, nil, false)
+}
+
+func newBareTransport(spec Spec) *transport {
+	return &transport{link: &link{
 		spec: spec,
 		lm:   newLiveMetrics(metrics.NewRegistry(), spec, EngineChan),
 		reg:  newOpRegistry(),
 	}}
-	return tr.newOp(1, nil, nil, recvTO, nil, false)
+}
+
+// An operation admitted before its session closed can register after
+// Close aborted the live ones. It must be aborted with the close cause
+// at once, not wait out a receive deadline for messages the closed
+// transport drops.
+func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
+	tr := newBareTransport(Spec{P: 2, N: 1})
+	live := tr.newOp(1, nil, nil, time.Hour, nil, false)
+	tr.abortLive(ErrSessionClosed)
+	late := tr.newOp(2, nil, nil, time.Hour, nil, false)
+	for name, o := range map[string]*opRuntime{"live": live, "late": late} {
+		if !o.isAborted() {
+			t.Fatalf("%s op not aborted by close", name)
+		}
+		if err := o.fails.err(); !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%s op failed with %v, want ErrSessionClosed", name, err)
+		}
+	}
 }
 
 // recovered runs fn and returns what it panicked with (nil if it
@@ -76,7 +98,7 @@ func TestOpRuntimeAbortUnblocksRecvAndBarrier(t *testing.T) {
 	bar := recovered(func() { o.bars[0].await() })
 	// The barrier's arrival is observable; the receive parks on its
 	// select either before or after the abort, with the same outcome.
-	for b := o.bars[0]; ; time.Sleep(time.Millisecond) {
+	for b := &o.bars[0]; ; time.Sleep(time.Millisecond) {
 		b.mu.Lock()
 		arrived := b.arrived
 		b.mu.Unlock()

@@ -75,7 +75,7 @@ type streamRecv struct {
 // stream (blob and plaintext allocated once) built from the seal header
 // its metadata carries, under the op's AAD for the chunk's blocks.
 func newStreamRecv(o *opRuntime, sf wire.SegFrame) (*streamRecv, error) {
-	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(block.EncodeHeader(sf.Meta.Blocks)))
+	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(nil, sf.Meta.Blocks))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"encag/internal/block"
 	"encag/internal/seal"
@@ -15,7 +17,7 @@ type Request interface{ isRequest() }
 type engine interface {
 	isend(p *Proc, dst int, msg block.Message) Request
 	irecv(p *Proc, src int) Request
-	wait(p *Proc, reqs []Request) []block.Message
+	wait(p *Proc, reqs []Request, out []block.Message) // out aligned with reqs
 
 	// span opens a compute-phase interval (encrypt, decrypt or copy) of n
 	// bytes and returns its closer, called when the work is done. The sim
@@ -24,8 +26,8 @@ type engine interface {
 	// when a tracer is attached.
 	span(p *Proc, kind TraceKind, n int64) func()
 
-	shmPut(p *Proc, key string, msg block.Message)
-	shmGet(p *Proc, key string) (block.Message, bool)
+	shmPut(p *Proc, key ShmKey, msg block.Message)
+	shmGet(p *Proc, key ShmKey) (block.Message, bool)
 	nodeBarrier(p *Proc)
 
 	sealer() *seal.Sealer // nil in sim mode
@@ -45,12 +47,10 @@ type engine interface {
 	// whole.
 	pipeline() bool
 
-	// aad derives the AEAD associated data from the encoded block
-	// header. The op runtime appends the operation id so that
-	// ciphertexts of concurrent operations sharing one session key
-	// cannot authenticate across operations (a misrouted frame fails
-	// closed); the sim engine returns the header unchanged.
-	aad(h []byte) []byte
+	// aad appends to dst a ciphertext's AEAD associated data: its block
+	// header and, on the op runtime, the operation id, so a frame misrouted
+	// to a concurrent operation under the same session key fails closed.
+	aad(dst []byte, blocks []block.Block) []byte
 }
 
 // Algorithm is an all-gather implementation: given a rank handle and the
@@ -67,6 +67,12 @@ type Proc struct {
 	eng       engine
 	sizes     []int64 // per-rank contribution sizes (all-gatherv semantics)
 	plainMode bool
+
+	// Rank-owned scratch: a blocking exchange's requests and Wait result,
+	// and the associated data, which the sealer copies if it keeps it.
+	reqs   [2]Request
+	msgs   [2]block.Message
+	aadBuf []byte
 }
 
 // BlockSize returns the contribution length of a rank. Like
@@ -188,13 +194,16 @@ func (p *Proc) Irecv(src int) Request {
 
 // Wait completes the given requests and counts one communication round.
 // The returned slice is aligned with reqs; entries for sends are empty
-// messages, entries for receives hold the received message.
+// messages, entries for receives hold the received message. For up to
+// two requests it is rank-owned scratch, valid until the next Wait.
 func (p *Proc) Wait(reqs ...Request) []block.Message {
 	if len(reqs) == 0 {
 		return nil
 	}
 	p.met.CommRounds++
-	msgs := p.eng.wait(p, reqs)
+	msgs := slices.Grow(p.msgs[:0], len(reqs))[:len(reqs)]
+	clear(msgs)
+	p.eng.wait(p, reqs, msgs)
 	for _, m := range msgs {
 		p.met.BytesRecv += m.WireLen()
 	}
@@ -203,22 +212,23 @@ func (p *Proc) Wait(reqs ...Request) []block.Message {
 
 // Send is a blocking send (Isend+Wait): one communication round.
 func (p *Proc) Send(dst int, msg block.Message) {
-	p.Wait(p.Isend(dst, msg))
+	p.reqs[0] = p.Isend(dst, msg)
+	p.Wait(p.reqs[:1]...)
 }
 
 // Recv is a blocking receive (Irecv+Wait): one communication round.
 func (p *Proc) Recv(src int) block.Message {
-	return p.Wait(p.Irecv(src))[0]
+	p.reqs[0] = p.Irecv(src)
+	return p.Wait(p.reqs[:1]...)[0]
 }
 
 // SendRecv sends out to dst while receiving from src; the two transfers
 // overlap and together count as one communication round, like
 // MPI_Sendrecv.
 func (p *Proc) SendRecv(dst int, out block.Message, src int) block.Message {
-	s := p.Isend(dst, out)
-	r := p.Irecv(src)
-	msgs := p.Wait(s, r)
-	return msgs[1]
+	p.reqs[0] = p.Isend(dst, out)
+	p.reqs[1] = p.Irecv(src)
+	return p.Wait(p.reqs[:]...)[1]
 }
 
 // gatherPayloads concatenates the chunks' payloads into one buffer —
@@ -255,7 +265,7 @@ func payloadSlices(chunks []block.Chunk) [][]byte {
 // Encrypt still counts as a single encryption round (the paper's r_e);
 // the fan-out is reported separately in Metrics.EncSegments.
 func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
-	var blocks []block.Block
+	blocks := make([]block.Block, 0, block.Message{Chunks: chunks}.NumBlocks())
 	var plainLen int64
 	for _, c := range chunks {
 		if c.Enc {
@@ -280,7 +290,8 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 	done := p.eng.span(p, TraceEncrypt, plainLen)
 	out := block.Chunk{Enc: true, Blocks: blocks}
 	if s := p.eng.sealer(); s != nil {
-		aad := p.eng.aad(block.EncodeHeader(blocks))
+		p.aadBuf = p.eng.aad(p.aadBuf[:0], blocks)
+		aad := p.aadBuf
 		if p.eng.pipeline() && plainLen >= defaultMinStreamBytes {
 			if st := s.NewSealStream(payloadSlices(chunks), aad); st != nil {
 				// Pipelined: sealing is deferred — sent alone, the chunk
@@ -314,7 +325,7 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 	p.met.DecRounds++
 	p.met.DecBytes += n
 	done := p.eng.span(p, TraceDecrypt, n)
-	out := block.Chunk{Blocks: append([]block.Block(nil), c.Blocks...)}
+	out := block.Chunk{Blocks: c.Blocks}
 	if s := p.eng.sealer(); s != nil {
 		if c.Opened != nil {
 			// The transport already authenticated and decrypted this
@@ -337,7 +348,8 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 		if payload == nil {
 			panic("cluster: real-mode Decrypt given a chunk without payload")
 		}
-		pt, segs, err := s.OpenSegmented(payload, p.eng.aad(block.EncodeHeader(c.Blocks)))
+		p.aadBuf = p.eng.aad(p.aadBuf[:0], c.Blocks)
+		pt, segs, err := s.OpenSegmented(payload, p.aadBuf)
 		if err != nil {
 			// Structured: the run reports this rank and the failing open
 			// (tampered or spliced ciphertext) as the root cause.
@@ -373,15 +385,27 @@ func (p *Proc) CopyCharge(n int64) {
 	p.eng.span(p, TraceCopy, n)()
 }
 
+// ShmKey names a message in a node's shared-memory segment: a kind and
+// up to two indices, -1 when unused.
+type ShmKey struct {
+	Kind        string
+	Node, Index int
+}
+
+// String renders the key as kind/node/index without the unused indices.
+func (k ShmKey) String() string {
+	return strings.ReplaceAll(fmt.Sprintf("%s/%d/%d", k.Kind, k.Node, k.Index), "/-1", "")
+}
+
 // ShmPut publishes msg under key in this node's shared-memory segment.
 // Synchronize with NodeBarrier before readers call ShmGet.
-func (p *Proc) ShmPut(key string, msg block.Message) {
+func (p *Proc) ShmPut(key ShmKey, msg block.Message) {
 	p.eng.shmPut(p, key, msg)
 }
 
 // ShmGet reads a message published on this node's segment. It panics if
 // the key is absent — a missing barrier is an algorithm bug.
-func (p *Proc) ShmGet(key string) block.Message {
+func (p *Proc) ShmGet(key ShmKey) block.Message {
 	msg, ok := p.eng.shmGet(p, key)
 	if !ok {
 		panic(fmt.Sprintf("cluster: rank %d: shm key %q not present (missing NodeBarrier?)", p.rank, key))

@@ -22,7 +22,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -150,27 +150,38 @@ func (s Spec) RanksOnNode(node int) []int {
 				out = append(out, r)
 			}
 		}
-		sort.Ints(out)
 	}
 	return out
 }
 
 // LocalIndex returns the position of rank among the ranks of its node
-// (0..l-1, in increasing rank order).
+// (0..l-1, in increasing rank order), without building the node's list.
 func (s Spec) LocalIndex(rank int) int {
-	node := s.NodeOf(rank)
-	idx := 0
-	for _, r := range s.RanksOnNode(node) {
-		if r == rank {
-			return idx
-		}
-		idx++
+	switch s.Mapping {
+	case BlockMapping:
+		return rank % s.Ell()
+	case CyclicMapping:
+		return rank / s.N
 	}
-	panic(fmt.Sprintf("cluster: rank %d not found on its own node %d", rank, node))
+	idx := 0
+	for _, n := range s.Custom[:rank] {
+		if n == s.Custom[rank] {
+			idx++
+		}
+	}
+	return idx
 }
 
 // Leader returns the leader rank of a node: its lowest rank.
-func (s Spec) Leader(node int) int { return s.RanksOnNode(node)[0] }
+func (s Spec) Leader(node int) int {
+	switch s.Mapping {
+	case BlockMapping:
+		return node * s.Ell()
+	case CyclicMapping:
+		return node
+	}
+	return slices.Index(s.Custom, node)
+}
 
 // Leaders returns the leader rank of every node.
 func (s Spec) Leaders() []int {

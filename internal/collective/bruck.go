@@ -16,26 +16,24 @@ import (
 func Bruck(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	n := g.Size()
 	i := g.Index(p.Rank())
-	list := []block.Message{tagged(mine, i)}
+	list := make([]block.Message, 1, n)
+	list[0] = tagged(mine, i)
+	held := make([]block.Message, n)
 	for k := 1; k < n; k <<= 1 {
 		cnt := k
 		if n-k < cnt {
 			cnt = n - k
 		}
-		var out block.Message
-		for _, m := range list[:cnt] {
-			out = block.Concat(out, m)
-		}
 		dst := g.Ranks[((i-k)%n+n)%n]
 		src := g.Ranks[(i+k)%n]
-		in := p.SendRecv(dst, out, src)
-		held := make(map[int]block.Message)
+		in := p.SendRecv(dst, block.Concat(list[:cnt]...), src)
+		clear(held)
 		mergeByTag(held, in)
 		// The incoming contributions are those of members i+k .. i+k+cnt-1.
 		for j := 0; j < cnt; j++ {
 			member := (i + k + j) % n
-			m, ok := held[member]
-			if !ok {
+			m := held[member]
+			if len(m.Chunks) == 0 {
 				panic(fmt.Sprintf("collective: bruck round k=%d missing contribution of member %d", k, member))
 			}
 			list = append(list, m)

@@ -14,7 +14,6 @@ package collective
 
 import (
 	"fmt"
-	"sort"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -52,62 +51,59 @@ func (g Group) Index(rank int) int {
 // position.
 type Allgather func(p *cluster.Proc, g Group, mine block.Message) []block.Message
 
-// tagged clones msg with every chunk tagged as contribution of member idx.
+// tagged copies msg's chunk list with every chunk tagged as contribution
+// of member idx; payloads and block lists are shared.
 func tagged(msg block.Message, idx int) block.Message {
-	out := msg.Clone()
-	for i := range out.Chunks {
-		out.Chunks[i].Tag = idx
+	out := block.Message{Chunks: make([]block.Chunk, len(msg.Chunks))}
+	for i, c := range msg.Chunks {
+		c.Tag = idx
+		out.Chunks[i] = c
 	}
 	return out
+}
+
+// newHeld is a member-indexed working set of n contributions holding
+// only member i's own; a member is held once its message has chunks.
+func newHeld(n, i int, mine block.Message) []block.Message {
+	held := make([]block.Message, n)
+	held[i] = tagged(mine, i)
+	return held
 }
 
 // mergeByTag splits msg's chunks by their contribution tag and appends
-// them (preserving order) into held.
-func mergeByTag(held map[int]block.Message, msg block.Message) {
-	for _, c := range msg.Chunks {
-		m := held[c.Tag]
-		m.Append(c)
-		held[c.Tag] = m
+// them (preserving order) into held. A run of chunks with one tag joins
+// an empty entry as a capacity-capped view of msg's chunk list.
+func mergeByTag(held []block.Message, msg block.Message) {
+	cs := msg.Chunks
+	for i := 0; i < len(cs); {
+		j := i + 1
+		for j < len(cs) && cs[j].Tag == cs[i].Tag {
+			j++
+		}
+		if m := &held[cs[i].Tag]; len(m.Chunks) == 0 {
+			m.Chunks = cs[i:j:j]
+		} else {
+			m.Chunks = append(m.Chunks, cs[i:j]...)
+		}
+		i = j
 	}
 }
 
-// concatHeld concatenates held contributions in ascending member order.
-func concatHeld(held map[int]block.Message) block.Message {
-	keys := make([]int, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	var out block.Message
-	for _, k := range keys {
-		out = block.Concat(out, held[k])
-	}
-	return out
-}
-
-// collectHeld converts the held map into the per-member result slice,
-// verifying completeness.
-func collectHeld(held map[int]block.Message, n int) []block.Message {
-	out := make([]block.Message, n)
-	for i := 0; i < n; i++ {
-		m, ok := held[i]
-		if !ok {
+// collectHeld returns held as the per-member result slice, verifying
+// completeness.
+func collectHeld(held []block.Message) []block.Message {
+	for i, m := range held {
+		if len(m.Chunks) == 0 {
 			panic(fmt.Sprintf("collective: contribution of member %d missing at end of all-gather", i))
 		}
-		out[i] = m
 	}
-	return out
+	return held
 }
 
 // AsAlgorithm adapts a group all-gather over the world group into a
 // cluster.Algorithm whose result lists all contributions in rank order.
 func AsAlgorithm(ag Allgather) cluster.Algorithm {
 	return func(p *cluster.Proc, mine block.Message) block.Message {
-		parts := ag(p, World(p.P()), mine)
-		var out block.Message
-		for _, part := range parts {
-			out = block.Concat(out, part)
-		}
-		return out
+		return block.Concat(ag(p, World(p.P()), mine)...)
 	}
 }

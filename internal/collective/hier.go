@@ -24,15 +24,8 @@ func Hierarchical(p *cluster.Proc, g Group, mine block.Message) []block.Message 
 
 	var full block.Message
 	if p.IsLeader() {
-		var nodeMsg block.Message
-		for _, m := range gathered {
-			nodeMsg = block.Concat(nodeMsg, m)
-		}
 		leaders := Group{Ranks: spec.Leaders()}
-		parts := RD(p, leaders, nodeMsg)
-		for _, part := range parts {
-			full = block.Concat(full, part)
-		}
+		full = block.Concat(RD(p, leaders, block.Concat(gathered...))...)
 	}
 	full = Bcast(p, nodeGroup, 0, full)
 

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -25,10 +26,7 @@ func NeighborExchange(p *cluster.Proc, g Group, mine block.Message) []block.Mess
 	if i < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group", p.Rank()))
 	}
-	held := map[int]block.Message{i: tagged(mine, i)}
-	if n == 1 {
-		return collectHeld(held, n)
-	}
+	held := newHeld(n, i, mine)
 	right := g.Ranks[(i+1)%n]
 	left := g.Ranks[(i-1+n)%n]
 	// Even members start by exchanging with their right neighbor, odd
@@ -53,40 +51,28 @@ func NeighborExchange(p *cluster.Proc, g Group, mine block.Message) []block.Mess
 		}
 		var out block.Message
 		for _, tag := range lastRecv {
-			out = block.Concat(out, held[tag])
+			out.Append(held[tag].Chunks...)
 		}
 		in := p.SendRecv(partner, out, partner)
-		incoming := make(map[int]block.Message)
-		mergeByTag(incoming, in)
 		lastRecv = lastRecv[:0]
-		for tag, msg := range incoming {
-			if _, dup := held[tag]; dup {
+		for _, c := range in.Chunks {
+			lastRecv = appendUnique(lastRecv, c.Tag)
+		}
+		for _, tag := range lastRecv {
+			if len(held[tag].Chunks) > 0 {
 				panic(fmt.Sprintf("collective: neighbor exchange received duplicate contribution %d at step %d", tag, s))
 			}
-			held[tag] = msg
 		}
+		mergeByTag(held, in)
 		// Deterministic order for the next round's send.
-		for tag := range incoming {
-			lastRecv = appendUnique(lastRecv, tag)
-		}
-		sortInts(lastRecv)
+		slices.Sort(lastRecv)
 	}
-	return collectHeld(held, n)
+	return collectHeld(held)
 }
 
 func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
+	if slices.Contains(s, v) {
+		return s
 	}
 	return append(s, v)
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

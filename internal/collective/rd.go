@@ -14,9 +14,9 @@ import (
 func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	n := g.Size()
 	i := g.Index(p.Rank())
-	held := map[int]block.Message{i: tagged(mine, i)}
+	held := newHeld(n, i, mine)
 	if n == 1 {
-		return collectHeld(held, n)
+		return held
 	}
 	pof2 := 1
 	for pof2*2 <= n {
@@ -27,11 +27,11 @@ func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	if i >= pof2 {
 		// Extra member: fold into the core, then receive the full result
 		// (which includes a copy of our own contribution).
-		p.Send(g.Ranks[i-pof2], concatHeld(held))
+		p.Send(g.Ranks[i-pof2], block.Concat(held...))
 		in := p.Recv(g.Ranks[i-pof2])
-		held = make(map[int]block.Message)
+		held = make([]block.Message, n)
 		mergeByTag(held, in)
-		return collectHeld(held, n)
+		return collectHeld(held)
 	}
 	if i < rem {
 		in := p.Recv(g.Ranks[i+pof2])
@@ -39,11 +39,11 @@ func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	}
 	for mask := 1; mask < pof2; mask <<= 1 {
 		partner := g.Ranks[i^mask]
-		in := p.SendRecv(partner, concatHeld(held), partner)
+		in := p.SendRecv(partner, block.Concat(held...), partner)
 		mergeByTag(held, in)
 	}
 	if i < rem {
-		p.Send(g.Ranks[i+pof2], concatHeld(held))
+		p.Send(g.Ranks[i+pof2], block.Concat(held...))
 	}
-	return collectHeld(held, n)
+	return collectHeld(held)
 }

@@ -1,8 +1,9 @@
 package collective
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -77,13 +78,9 @@ func RankOrder(spec cluster.Spec, g Group) []int {
 
 // rankOrdered sorts the group's ranks by (node, rank).
 func rankOrdered(spec cluster.Spec, g Group) []int {
-	order := append([]int(nil), g.Ranks...)
-	sort.Slice(order, func(a, b int) bool {
-		na, nb := spec.NodeOf(order[a]), spec.NodeOf(order[b])
-		if na != nb {
-			return na < nb
-		}
-		return order[a] < order[b]
+	order := slices.Clone(g.Ranks)
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(spec.NodeOf(a), spec.NodeOf(b)), cmp.Compare(a, b))
 	})
 	return order
 }

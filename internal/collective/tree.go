@@ -13,11 +13,11 @@ func Gather(p *cluster.Proc, g Group, rootIdx int, mine block.Message) []block.M
 	n := g.Size()
 	i := g.Index(p.Rank())
 	v := ((i-rootIdx)%n + n) % n // relabel so the root is 0
-	held := map[int]block.Message{i: tagged(mine, i)}
+	held := newHeld(n, i, mine)
 	for mask := 1; mask < n; mask <<= 1 {
 		if v&mask != 0 {
 			peer := g.Ranks[(v-mask+rootIdx)%n]
-			p.Send(peer, concatHeld(held))
+			p.Send(peer, block.Concat(held...))
 			return nil
 		}
 		if v+mask < n {
@@ -25,7 +25,7 @@ func Gather(p *cluster.Proc, g Group, rootIdx int, mine block.Message) []block.M
 			mergeByTag(held, p.Recv(peer))
 		}
 	}
-	return collectHeld(held, n)
+	return collectHeld(held)
 }
 
 // Bcast distributes msg from the root (group position rootIdx) to all

@@ -162,9 +162,9 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		// Step 3: share final slices inside the node and assemble.
 		p.ShmPut(keyPT(p.Node(), li), block.Message{Chunks: []block.Chunk{final}})
 		p.NodeBarrier()
-		out := block.Message{}
+		out := block.Message{Chunks: make([]block.Chunk, 0, l)}
 		for j := 0; j < l; j++ {
-			out = block.Concat(out, p.ShmGet(keyPT(p.Node(), j)))
+			out.Append(p.ShmGet(keyPT(p.Node(), j)).Chunks...)
 		}
 		p.CopyCharge(m)
 		return out

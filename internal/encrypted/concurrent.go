@@ -15,8 +15,10 @@ func concurrentGroup(p *cluster.Proc) Group {
 	spec := p.Spec()
 	li := spec.LocalIndex(p.Rank())
 	g := Group{Ranks: make([]int, spec.N)}
-	for node := 0; node < spec.N; node++ {
-		g.Ranks[node] = spec.RanksOnNode(node)[li]
+	for r := 0; r < spec.P; r++ {
+		if spec.LocalIndex(r) == li {
+			g.Ranks[spec.NodeOf(r)] = r
+		}
 	}
 	return g
 }
@@ -32,11 +34,7 @@ func concurrent(sub func(*cluster.Proc, Group, block.Message) []block.Message,
 	return func(p *cluster.Proc, mine block.Message) block.Message {
 		// Step 1: encrypted sub-all-gather among one process per node.
 		g := concurrentGroup(p)
-		subRes := sub(p, g, mine)
-		var contribution block.Message
-		for _, m := range subRes {
-			contribution = block.Concat(contribution, m)
-		}
+		contribution := block.Concat(sub(p, g, mine)...)
 		// Step 2: ordinary all-gather of the N-block bundles inside the
 		// node — pure intra-node plaintext traffic.
 		nodeGroup := Group{Ranks: p.Spec().RanksOnNode(p.Node())}

@@ -1,8 +1,6 @@
 package encrypted
 
 import (
-	"fmt"
-
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/collective"
@@ -26,12 +24,14 @@ func leaderAllgather(p *cluster.Proc, leaders Group, bundle block.Message) []blo
 	return collective.Ring(p, leaders, bundle)
 }
 
-// Shared-memory key helpers.
-func keyOwn(rank int) string     { return fmt.Sprintf("hs/own/%d", rank) }
-func keyOwnCT(rank int) string   { return fmt.Sprintf("hs/ownct/%d", rank) }
-func keyNodeCT(node int) string  { return fmt.Sprintf("hs/nodect/%d", node) }
-func keyNodePT(node int) string  { return fmt.Sprintf("hs/nodept/%d", node) }
-func keyPT(node, idx int) string { return fmt.Sprintf("hs/pt/%d/%d", node, idx) }
+// Shared-memory key helpers; -1 marks an unused index.
+type shmKey = cluster.ShmKey
+
+func keyOwn(rank int) shmKey     { return shmKey{Kind: "hs/own", Node: -1, Index: rank} }
+func keyOwnCT(rank int) shmKey   { return shmKey{Kind: "hs/ownct", Node: -1, Index: rank} }
+func keyNodeCT(node int) shmKey  { return shmKey{Kind: "hs/nodect", Node: node, Index: -1} }
+func keyNodePT(node int) shmKey  { return shmKey{Kind: "hs/nodept", Node: node, Index: -1} }
+func keyPT(node, idx int) shmKey { return shmKey{Kind: "hs/pt", Node: node, Index: idx} }
 
 // copyOut charges the final staging from the shared-memory plaintext
 // buffer into the user buffer (HS step 4): a single bulk copy under block
@@ -160,9 +160,9 @@ func HS2() cluster.Algorithm {
 
 		// Step 2: leaders all-gather the per-rank ciphertext bundles.
 		if p.IsLeader() {
-			var bundle block.Message
+			bundle := block.Message{Chunks: make([]block.Chunk, 0, len(nodeRanks))}
 			for _, r := range nodeRanks {
-				bundle = block.Concat(bundle, p.ShmGet(keyOwnCT(r)))
+				bundle.Append(p.ShmGet(keyOwnCT(r)).Chunks...)
 			}
 			leaders := Group{Ranks: spec.Leaders()}
 			parts := leaderAllgather(p, leaders, bundle)

@@ -2,7 +2,6 @@ package encrypted
 
 import (
 	"fmt"
-	"sort"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -20,8 +19,10 @@ type ordState struct {
 	g     Group
 	merge bool // O-RD2: merge ciphertexts by decrypt+re-encrypt
 
-	plain map[int]block.Chunk // member index -> plaintext single-block chunk
-	cts   []block.Chunk       // unopened foreign ciphertexts, arrival order
+	plain  []block.Chunk // [member]: its plaintext single-block chunk, empty until held
+	nplain int           // members held in plain
+	cts    []block.Chunk // unopened foreign ciphertexts, arrival order
+	split  []block.Chunk // scratch: a split chunk, or the set handed to Encrypt
 
 	// Cache of the ciphertext covering the current plaintext set, so the
 	// set is sealed once and reused across inter-node rounds (this is
@@ -38,12 +39,9 @@ func newOrdState(p *cluster.Proc, g Group, mine block.Message, merge bool) *ordS
 	if i < 0 {
 		panic(fmt.Sprintf("encrypted: rank %d not in group", p.Rank()))
 	}
-	return &ordState{
-		p:     p,
-		g:     g,
-		merge: merge,
-		plain: map[int]block.Chunk{i: mine.Chunks[0]},
-	}
+	s := &ordState{p: p, g: g, merge: merge, plain: make([]block.Chunk, g.Size()), nplain: 1}
+	s.plain[i] = mine.Chunks[0]
+	return s
 }
 
 // memberOf maps a block origin (world rank) to its group index.
@@ -57,8 +55,13 @@ func (s *ordState) memberOf(origin int) int {
 
 // absorbPlainChunk splits a plaintext chunk into per-member entries.
 func (s *ordState) absorbPlainChunk(c block.Chunk) {
-	for _, sc := range block.SplitChunk(c) {
-		s.plain[s.memberOf(sc.Blocks[0].Origin)] = sc
+	s.split = block.SplitChunk(s.split[:0], c)
+	for _, sc := range s.split {
+		idx := s.memberOf(sc.Blocks[0].Origin)
+		if len(s.plain[idx].Blocks) == 0 {
+			s.nplain++
+		}
+		s.plain[idx] = sc
 	}
 }
 
@@ -78,22 +81,24 @@ func (s *ordState) openAll() {
 	for _, ct := range s.cts {
 		s.absorbPlainChunk(s.p.Decrypt(ct))
 	}
-	s.cts = nil
+	s.cts = s.cts[:0]
 }
 
-// plainChunksSorted returns the plaintext set in member order — the
-// canonical transmission layout.
-func (s *ordState) plainChunksSorted() []block.Chunk {
-	keys := make([]int, 0, len(s.plain))
-	for k := range s.plain {
-		keys = append(keys, k)
+// plainChunksSorted appends the plaintext set to dst in member order —
+// the canonical transmission layout.
+func (s *ordState) plainChunksSorted(dst []block.Chunk) []block.Chunk {
+	for _, c := range s.plain {
+		if len(c.Blocks) > 0 {
+			dst = append(dst, c)
+		}
 	}
-	sort.Ints(keys)
-	out := make([]block.Chunk, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.plain[k])
-	}
-	return out
+	return dst
+}
+
+// sealPlain seals the plaintext set as one ciphertext.
+func (s *ordState) sealPlain() block.Chunk {
+	s.split = s.plainChunksSorted(s.split[:0])
+	return s.p.Encrypt(s.split...)
 }
 
 // outgoing prepares the full working set for transmission to dst under
@@ -103,38 +108,36 @@ func (s *ordState) outgoing(dst int) block.Message {
 		// Intra-node: plaintext only. Anything sealed must be opened
 		// first (and then serves our own result too).
 		s.openAll()
-		return block.Message{Chunks: s.plainChunksSorted()}
+		return block.Message{Chunks: s.plainChunksSorted(make([]block.Chunk, 0, s.nplain))}
 	}
 	if s.merge {
 		// O-RD2: open everything and re-seal the whole set as one
 		// ciphertext. Fewer ciphertexts for the receiver (r_d = lg N) at
 		// the price of re-encrypting grown sets (s_e = (p-l)m).
 		s.openAll()
-		ct := s.p.Encrypt(s.plainChunksSorted()...)
-		return block.Message{Chunks: []block.Chunk{ct}}
+		return block.Message{Chunks: []block.Chunk{s.sealPlain()}}
 	}
 	// O-RD: seal the plaintext set once, reuse the sealed copy while the
 	// set is unchanged, and forward foreign ciphertexts untouched.
-	if s.cachedSize != len(s.plain) {
-		s.cachedCT = s.p.Encrypt(s.plainChunksSorted()...)
-		s.cachedSize = len(s.plain)
+	if s.cachedSize != s.nplain {
+		s.cachedCT = s.sealPlain()
+		s.cachedSize = s.nplain
 	}
 	out := block.Message{Chunks: []block.Chunk{s.cachedCT}}
 	out.Chunks = append(out.Chunks, s.cts...)
 	return out
 }
 
-// finish opens any remaining ciphertexts and returns per-member results.
+// finish opens any remaining ciphertexts and returns per-member results:
+// one-chunk, capacity-capped views of the working set.
 func (s *ordState) finish() []block.Message {
 	s.openAll()
-	n := s.g.Size()
-	out := make([]block.Message, n)
-	for idx := 0; idx < n; idx++ {
-		c, ok := s.plain[idx]
-		if !ok {
+	out := make([]block.Message, len(s.plain))
+	for idx := range s.plain {
+		if len(s.plain[idx].Blocks) == 0 {
 			panic(fmt.Sprintf("encrypted: O-RD finished without contribution of member %d", idx))
 		}
-		out[idx] = block.Message{Chunks: []block.Chunk{c}}
+		out[idx] = block.Message{Chunks: s.plain[idx : idx+1 : idx+1]}
 	}
 	return out
 }
@@ -163,7 +166,8 @@ func oRD(p *cluster.Proc, g Group, mine block.Message, merge bool) []block.Messa
 		// The full result replaces the working set; our own block stays
 		// authoritative from the local plaintext.
 		own := s.plain[i]
-		s.plain = map[int]block.Chunk{i: own}
+		clear(s.plain)
+		s.plain[i], s.nplain = own, 1
 		s.cts = nil
 		s.cachedSize = 0
 		s.absorb(in)

@@ -1,10 +1,12 @@
 package encrypted
 
 import (
+	"fmt"
 	"testing"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
+	"encag/internal/collective"
 	"encag/internal/cost"
 )
 
@@ -135,5 +137,45 @@ func TestOrdStateFinishIncomplete(t *testing.T) {
 	}, MsgSize: 64})
 	if err == nil {
 		t.Fatal("finish on incomplete state must panic")
+	}
+}
+
+// O-RD hands out each member's result as a one-chunk view of its working
+// set, capped so that appending to one member's result copies instead of
+// overwriting the next member's chunk.
+func TestOrdResultsAreCappedOneChunkViews(t *testing.T) {
+	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
+	for name, sub := range map[string]func(*cluster.Proc, Group, block.Message) []block.Message{"o-rd": ORD, "o-rd2": ORD2} {
+		algo := func(p *cluster.Proc, mine block.Message) block.Message {
+			parts := sub(p, collective.World(p.P()), mine)
+			out := block.Concat(parts...)
+			// Members 0..appended hold one appended chunk each, the rest
+			// exactly their own one chunk.
+			check := func(appended int) {
+				for j, m := range parts {
+					want := 1
+					if j <= appended {
+						want = 2
+					}
+					if len(m.Chunks) != want || m.Chunks[0].Blocks[0].Origin != j {
+						panic(fmt.Sprintf("rank %d: after appending to members 0..%d, member %d holds %d chunks from origin %d",
+							p.Rank(), appended, j, len(m.Chunks), m.Chunks[0].Blocks[0].Origin))
+					}
+				}
+			}
+			check(-1)
+			for idx := range parts {
+				parts[idx].Append(block.NewSim(p.Rank(), 0).Chunks...)
+				check(idx)
+			}
+			return out
+		}
+		res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 64})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := cluster.ValidateGather(spec, 64, res.Results, true); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

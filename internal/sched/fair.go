@@ -18,6 +18,7 @@ type FairQueue[T any] struct {
 	streams map[uint32][]T
 	order   []uint32 // round-robin rotation of streams with pending items
 	next    int      // index into order of the stream to serve next
+	spare   [][]T    // drained streams' slices, emptied, for the next new stream
 	closed  bool
 	wake    chan struct{} // cap 1; signalled on Push and Close
 }
@@ -38,10 +39,14 @@ func (q *FairQueue[T]) Push(stream uint32, item T) {
 		q.mu.Unlock()
 		return
 	}
-	if _, ok := q.streams[stream]; !ok {
+	s, ok := q.streams[stream]
+	if !ok {
 		q.order = append(q.order, stream)
+		if n := len(q.spare); n > 0 {
+			s, q.spare = q.spare[n-1], q.spare[:n-1]
+		}
 	}
-	q.streams[stream] = append(q.streams[stream], item)
+	q.streams[stream] = append(s, item)
 	q.mu.Unlock()
 	q.signal()
 }
@@ -59,8 +64,10 @@ func (q *FairQueue[T]) Pop() (item T, ok bool) {
 			id := q.order[q.next]
 			s := q.streams[id]
 			item = s[0]
+			clear(s[:1]) // the queue no longer holds the served item
 			if len(s) == 1 {
 				delete(q.streams, id)
+				q.spare = append(q.spare, s[:0])
 				q.order = append(q.order[:q.next], q.order[q.next+1:]...)
 				// q.next now points at the following stream already.
 			} else {

@@ -22,7 +22,7 @@ import (
 // cannot strand tasks inside a pool shared with other Sealers.
 type Pool struct {
 	size  int
-	tasks chan func()
+	tasks chan *runJob
 	quit  chan struct{} // closed by Close; idle workers exit on it
 
 	busy       atomic.Int64 // workers currently executing a task
@@ -45,7 +45,7 @@ func NewPool(size int) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{size: size, tasks: make(chan func()), quit: make(chan struct{})}
+	p := &Pool{size: size, tasks: make(chan *runJob), quit: make(chan struct{})}
 	p.idle.L = &p.mu
 	return p
 }
@@ -124,15 +124,15 @@ func SharedPool() *Pool {
 	return sharedPoolVal
 }
 
-// offer hands fn to an idle worker, starting one if the pool is under
-// its cap. It reports false when the pool is saturated or closed; the
-// caller then absorbs the work through its own Run loop.
-func (p *Pool) offer(fn func()) bool {
+// offer hands j to an idle worker, starting one if the pool is under its
+// cap. It reports false when the pool is saturated or closed; the caller
+// then absorbs the work through its own Run loop.
+func (p *Pool) offer(j *runJob) bool {
 	if p.closed.Load() {
 		return false
 	}
 	select {
-	case p.tasks <- fn:
+	case p.tasks <- j:
 		p.dispatched.Add(1)
 		return true
 	default:
@@ -142,7 +142,7 @@ func (p *Pool) offer(fn func()) bool {
 		p.mu.Unlock()
 		// One more non-blocking attempt in case a worker just freed up.
 		select {
-		case p.tasks <- fn:
+		case p.tasks <- j:
 			p.dispatched.Add(1)
 			return true
 		default:
@@ -153,11 +153,11 @@ func (p *Pool) offer(fn func()) bool {
 	p.workers++
 	p.mu.Unlock()
 	p.dispatched.Add(1)
-	go p.work(fn)
+	go p.work(j)
 	return true
 }
 
-func (p *Pool) work(fn func()) {
+func (p *Pool) work(j *runJob) {
 	timer := time.NewTimer(poolIdleTimeout)
 	defer timer.Stop()
 	exit := func() {
@@ -168,7 +168,8 @@ func (p *Pool) work(fn func()) {
 	}
 	for {
 		p.busy.Add(1)
-		fn()
+		j.loop()
+		j.wg.Done() // the last touch: Run may recycle j from here on
 		p.busy.Add(-1)
 		if p.closed.Load() {
 			exit()
@@ -179,7 +180,7 @@ func (p *Pool) work(fn func()) {
 		}
 		timer.Reset(poolIdleTimeout)
 		select {
-		case fn = <-p.tasks:
+		case j = <-p.tasks:
 		case <-p.quit:
 			exit()
 			return
@@ -201,34 +202,42 @@ func (p *Pool) Run(n int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	loop := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	var wg sync.WaitGroup
-	helpers := n - 1
-	if helpers > p.size {
-		helpers = p.size
-	}
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		ok := p.offer(func() {
-			defer wg.Done()
-			loop()
-		})
-		if !ok {
-			wg.Done()
+	j := runJobs.Get().(*runJob)
+	j.n, j.fn = n, fn
+	j.next.Store(0)
+	for h := 0; h < min(n-1, p.size); h++ {
+		j.wg.Add(1)
+		if !p.offer(j) {
+			j.wg.Done()
 			break
 		}
 	}
-	loop()
-	wg.Wait()
+	j.loop()
+	j.wg.Wait()
+	j.fn = nil
+	runJobs.Put(j)
+}
+
+// runJob is one Run call's shared state. Helpers are handed the record
+// itself, and records are pooled, so dispatching allocates nothing.
+type runJob struct {
+	n    int
+	fn   func(int)
+	next atomic.Int64 // the next index to claim
+	wg   sync.WaitGroup
+}
+
+var runJobs = sync.Pool{New: func() any { return new(runJob) }}
+
+// loop claims and runs indices until none are left.
+func (j *runJob) loop() {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.n {
+			return
+		}
+		j.fn(i)
+	}
 }
 
 // bufPool recycles scratch buffers for the segmented hot path (the

@@ -329,13 +329,10 @@ func (s *Sealer) openSegment(l segLayout, blob, pt, aad []byte, i int) error {
 }
 
 // eachSegment runs fn for segments 0..k-1 across the worker pool and
-// returns the first error. A single segment skips the pool's first-error
-// bookkeeping, whose captured state escapes to the heap: most sealed
-// messages are one segment.
+// returns the first error. Its callers seal or open a single segment —
+// most sealed messages are one — directly instead, without the closure
+// and first-error bookkeeping, whose captured state escapes to the heap.
 func (s *Sealer) eachSegment(k int, fn func(i int) error) error {
-	if k == 1 {
-		return fn(0)
-	}
 	var firstErr atomic.Pointer[error]
 	s.workerPool().Run(k, func(i int) {
 		if err := fn(i); err != nil {
@@ -361,11 +358,17 @@ func (s *Sealer) SealSegmented(parts [][]byte, aad []byte) ([]byte, int, error) 
 // which returns a buffer of exactly n bytes whose contents may be stale;
 // nil allocates with make. The sealer writes every byte of it.
 func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad []byte) ([]byte, int) {
-	offs := partOffsets(parts)
+	var small [16]int64
+	offs := partOffsets(small[:0], parts)
 	l := s.layout(offs[len(parts)])
 	out := l.newBlob(alloc)
+	if l.k == 1 {
+		s.sealSegment(l, out, parts, offs, aad, 0)
+		return out, 1
+	}
+	heapOffs := partOffsets(make([]int64, 0, len(parts)+1), parts) // the closure's own: small stays on the stack
 	s.eachSegment(l.k, func(i int) error {
-		s.sealSegment(l, out, parts, offs, aad, i)
+		s.sealSegment(l, out, parts, heapOffs, aad, i)
 		return nil
 	})
 	return out, l.k
@@ -382,9 +385,14 @@ func (s *Sealer) OpenSegmented(blob, aad []byte) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	pt := make([]byte, l.total)
-	if err := s.eachSegment(l.k, func(i int) error {
-		return s.openSegment(l, blob, pt, aad, i)
-	}); err != nil {
+	if l.k == 1 {
+		err = s.openSegment(l, blob, pt, aad, 0)
+	} else {
+		err = s.eachSegment(l.k, func(i int) error {
+			return s.openSegment(l, blob, pt, aad, i)
+		})
+	}
+	if err != nil {
 		return nil, 0, err
 	}
 	return pt, l.k, nil
@@ -400,13 +408,13 @@ func BlobSegments(blob []byte) int {
 	return 0
 }
 
-// partOffsets returns prefix byte offsets of parts: offs[j] is the
-// absolute plaintext position where parts[j] begins, with a final entry
-// holding the total length.
-func partOffsets(parts [][]byte) []int64 {
-	offs := make([]int64, len(parts)+1)
-	for j, p := range parts {
-		offs[j+1] = offs[j] + int64(len(p))
+// partOffsets appends to dst the prefix byte offsets of parts: offs[j]
+// is the absolute plaintext position where parts[j] begins, with a final
+// entry holding the total length.
+func partOffsets(dst []int64, parts [][]byte) []int64 {
+	offs := append(dst, 0)
+	for _, p := range parts {
+		offs = append(offs, offs[len(offs)-1]+int64(len(p)))
 	}
 	return offs
 }
@@ -463,7 +471,7 @@ type SealStream struct {
 // yields fewer than two segments — streaming a single segment buys
 // nothing, so callers should fall back to SealSegmented.
 func (s *Sealer) NewSealStream(parts [][]byte, aad []byte) *SealStream {
-	offs := partOffsets(parts)
+	offs := partOffsets(make([]int64, 0, len(parts)+1), parts)
 	l := s.streamLayout(offs[len(parts)])
 	if l.k < 2 {
 		return nil

@@ -10,9 +10,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -244,11 +245,8 @@ func (c *Collector) Gantt(w io.Writer, p int, width int) error {
 // deterministic assertions in tests.
 func (c *Collector) SortedByStart() []cluster.TraceEvent {
 	evs := append([]cluster.TraceEvent(nil), c.snapshot()...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Start != evs[j].Start {
-			return evs[i].Start < evs[j].Start
-		}
-		return evs[i].Rank < evs[j].Rank
+	slices.SortStableFunc(evs, func(a, b cluster.TraceEvent) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Rank, b.Rank))
 	})
 	return evs
 }

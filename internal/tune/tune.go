@@ -8,11 +8,12 @@
 package tune
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -128,21 +129,15 @@ func Load(path string) (*Table, error) {
 // Encode renders the table as indented JSON, cells sorted for stable
 // diffs.
 func (t *Table) Encode() ([]byte, error) {
-	sort.SliceStable(t.Cells, func(i, j int) bool {
-		a, b := t.Cells[i].Key, t.Cells[j].Key
-		if a.Engine != b.Engine {
-			return a.Engine < b.Engine
+	slices.SortStableFunc(t.Cells, func(x, y Cell) int {
+		a, b := x.Key, y.Key
+		if a.Engine == b.Engine && a.Pipelined != b.Pipelined {
+			if a.Pipelined {
+				return 1
+			}
+			return -1
 		}
-		if a.Pipelined != b.Pipelined {
-			return !a.Pipelined
-		}
-		if a.P != b.P {
-			return a.P < b.P
-		}
-		if a.N != b.N {
-			return a.N < b.N
-		}
-		return a.Bucket < b.Bucket
+		return cmp.Or(cmp.Compare(a.Engine, b.Engine), cmp.Compare(a.P, b.P), cmp.Compare(a.N, b.N), cmp.Compare(a.Bucket, b.Bucket))
 	})
 	return json.MarshalIndent(t, "", "  ")
 }

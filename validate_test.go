@@ -121,17 +121,19 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts
 // since same-node pairs deliver in memory, which also took the bytes to
 // about 16 475 KB (no intra-node frame is encoded, read back and copied),
 // and about 343 since each rank counts its own sends instead of a per-op
-// audit and receives from per-source FIFOs. The race build, which runs
-// every test, allocates up to 16 474 KB and 417 objects (15 runs, four
-// of them beside two CPU-bound loops); each gate is that maximum plus
-// 10 %.
+// audit and receives from per-source FIFOs, and about 192 since block
+// lists are shared views, working sets member-indexed slices, each AAD
+// one buffer and the crypto pool hands helpers a pooled job record. The
+// race build, which runs every test, allocates up to 16 469 KB and 269
+// objects (11 runs, four of them beside two CPU-bound loops); each gate
+// is that maximum plus 10 %.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 18122 << 10
-		objectsBudget = 459
+		budget        = 18116 << 10
+		objectsBudget = 296
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -149,19 +151,22 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // per blocking operation: about 1 800 while the frame codec read and
 // wrote field by field through interfaces and every receive made its
 // own deadline timer, about 1 120 since, about 936 since same-node
-// pairs deliver in memory, and about 911 since each rank counts its own
-// sends and receives from per-source FIFOs. Bytes: about 261 KB while
-// every sealed blob and received ciphertext was a fresh make, about
-// 142 KB since they are recycled per operation and same-node pairs skip
-// the socket. The race build allocates 142 KB and up to 930 objects;
+// pairs deliver in memory, about 911 since each rank counts its own
+// sends and receives from per-source FIFOs, and about 315 since block
+// lists are shared views, the O-RD working set a member-indexed slice,
+// each AAD one rank-owned buffer and blocking exchanges allocate no
+// request or result slices. Bytes: about 261 KB while every sealed blob
+// and received ciphertext was a fresh make, about 142 KB since they are
+// recycled per operation and same-node pairs skip the socket, and about
+// 106 KB since. The race build allocates up to 108 KB and 349 objects;
 // each gate is that maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 157 << 10
-		objectsBudget = 1023
+		budget        = 119 << 10
+		objectsBudget = 384
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -178,13 +183,14 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // (EngineTCP, 4 ranks on 2 nodes, o-ring, 64 KiB), run blocking: bytes
 // per operation. About 1 917 KB while every sealed blob and received
 // ciphertext was a fresh make, about 1 045 KB since they are recycled
-// per operation, and 659–672 KB since same-node pairs deliver in memory.
-// The race build allocates up to 672 KB; the gate is that plus 10 %.
+// per operation, 659–672 KB since same-node pairs deliver in memory, and
+// 653–666 KB (about 143 objects) since block lists are shared views. The
+// race build allocates up to 664 KB; the gate is that plus 10 %.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const budget = 740 << 10
+	const budget = 731 << 10
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
 		perOp>>10, objects, budget>>10)
@@ -197,17 +203,19 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 // calls chan/serial (EngineChan, 4 ranks on 2 nodes, o-ring, 64 KiB).
 // Heap objects per blocking operation: about 439 when this gate was a
 // benchmark run that CI parsed against a ceiling of 480, 290 at its
-// move here, and about 283 since each rank counts its own sends and
-// receives from per-source FIFOs; bytes about 659 KB. The race build
-// allocates 659 KB and up to 290 objects; each gate is that maximum
-// plus 10 %.
+// move here, about 283 since each rank counts its own sends and
+// receives from per-source FIFOs, and about 131 since block lists are
+// shared views, receive queues keep their memory and a blocking exchange
+// allocates no request or result slices; bytes about 652 KB. The race
+// build allocates 652 KB and up to 140 objects; each gate is that
+// maximum plus 10 %.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 725 << 10
-		objectsBudget = 319
+		budget        = 718 << 10
+		objectsBudget = 155
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, WithEngine(EngineChan))
 	t.Logf("%d KB and %d objects allocated per 64 KiB chan o-ring op (budgets %d KB, %d)",
@@ -217,5 +225,61 @@ func TestChanSteadyStateAllocBudget(t *testing.T) {
 	}
 	if objects >= objectsBudget {
 		t.Fatalf("%d heap objects allocated per op, budget %d", objects, objectsBudget)
+	}
+}
+
+// simAllocs returns the heap objects one warm Simulate of alg at
+// msgSize allocates on a 128-rank, 8-node sim session.
+func simAllocs(t *testing.T, alg Alg, msgSize int64, sims int) uint64 {
+	t.Helper()
+	s, err := OpenSession(context.Background(), Spec{Procs: 128, Nodes: 8}, WithEngine(EngineSim), WithProfile(Noleland()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	run := func() {
+		t.Helper()
+		if _, err := s.Simulate(context.Background(), alg, msgSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < sims; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(sims)
+}
+
+// Allocation gate for the simulator at the benchmark's sim-paper scale
+// (128 ranks on 8 nodes): heap objects per Simulate of o-rd2 at 1 KiB
+// and hs2 at 16 KiB. It pins the simulator's bookkeeping: the event
+// kernel, the network model and the algorithms' block lists, working
+// sets and shared-memory keys. Op.resolve's deterministic payload
+// patterns are deliberately included, since a sim operation builds them
+// too and a faster fill is a separate change. About 96 700 (o-rd2) and
+// 66 800 (hs2) objects while block lists were copied per split, working
+// sets were maps and shm keys were formatted strings; about 21 440 and
+// 9 900 since. The race build allocates up to 21 464 and 9 957; each
+// gate is that plus 10 %.
+func TestSimAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, c := range []struct {
+		alg    Alg
+		size   int64
+		budget uint64
+	}{
+		{AlgORD2, 1 << 10, 23611},
+		{AlgHS2, 16 << 10, 10953},
+	} {
+		objects := simAllocs(t, c.alg, c.size, 5)
+		t.Logf("%d objects allocated per %s Simulate at %d B (budget %d)", objects, c.alg, c.size, c.budget)
+		if objects >= c.budget {
+			t.Fatalf("%s at %d B: %d heap objects per Simulate, budget %d", c.alg, c.size, objects, c.budget)
+		}
 	}
 }
