@@ -2,7 +2,7 @@ package encag
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"encag/internal/cluster"
@@ -101,78 +101,76 @@ func ParseAlg(name string) (Alg, error) {
 	if a == "mvapich" {
 		a = AlgMPI
 	}
-	if algSet[a] {
+	if _, ok := algTable[a]; ok || a == AlgAuto {
 		return a, nil
 	}
 	return "", &UnknownAlgorithmError{Name: name, Valid: Algorithms()}
 }
 
-// algList is every selectable algorithm name, sorted, and algSet the
-// same as a set; both are fixed once the encrypted registry is.
-var algList, algSet = func() ([]Alg, map[Alg]bool) {
-	set := make(map[Alg]bool)
+// algEntry is one row of the algorithm table.
+type algEntry struct {
+	impl cluster.Algorithm
+	// encrypted marks an algorithm that seals everything it sends
+	// across nodes: the only kind AlgAuto may select.
+	encrypted bool
+}
+
+// algTable is the one place a name maps to an implementation: every
+// concrete algorithm (each encrypted algorithm, its plain-<name>
+// counterpart, the MVAPICH-style baseline "mpi" and the plaintext
+// classics), built once at init. algNames is every selectable name,
+// AlgAuto included, sorted; paperAlgs is the paper's eight in Table II
+// order. Every implementation is a stateless closure, so one shared
+// value per name serves every concurrent operation.
+var algTable, algNames, paperAlgs = newAlgTable()
+
+func newAlgTable() (map[Alg]algEntry, []Alg, []Alg) {
+	table := map[Alg]algEntry{
+		AlgMPI:           {impl: collective.AsAlgorithm(collective.MVAPICH(0))},
+		AlgPlainRing:     {impl: collective.AsAlgorithm(collective.Ring)},
+		AlgPlainRingRO:   {impl: collective.AsAlgorithm(collective.RankOrderedRing)},
+		AlgPlainRD:       {impl: collective.AsAlgorithm(collective.RD)},
+		AlgPlainBruck:    {impl: collective.AsAlgorithm(collective.Bruck)},
+		AlgPlainHier:     {impl: collective.AsAlgorithm(collective.Hierarchical)},
+		AlgPlainNeighbor: {impl: collective.AsAlgorithm(collective.NeighborExchange)},
+	}
 	for _, n := range encrypted.Names() {
-		set[Alg(n)] = true
-		set[PlainOf(Alg(n))] = true
+		impl, _ := encrypted.Get(n)
+		table[Alg(n)] = algEntry{impl: impl, encrypted: true}
+		table[PlainOf(Alg(n))] = algEntry{impl: cluster.Plain(impl)}
 	}
-	for _, a := range []Alg{AlgAuto, AlgMPI, AlgPlainRing, AlgPlainRingRO, AlgPlainRD,
-		AlgPlainBruck, AlgPlainHier, AlgPlainNeighbor} {
-		set[a] = true
+	names := []Alg{AlgAuto}
+	for a := range table {
+		names = append(names, a)
 	}
-	list := make([]Alg, 0, len(set))
-	for a := range set {
-		list = append(list, a)
+	slices.Sort(names)
+	var paper []Alg
+	for _, n := range encrypted.PaperNames() {
+		paper = append(paper, Alg(n))
 	}
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	return list, set
-}()
+	return table, names, paper
+}
 
 // Algorithms lists every selectable algorithm, sorted. Every entry runs
 // on every engine. The caller owns the returned slice.
 func Algorithms() []Alg {
-	return append([]Alg(nil), algList...)
+	return slices.Clone(algNames)
 }
 
 // PaperAlgorithms lists the paper's eight encrypted algorithms in Table
 // II order.
 func PaperAlgorithms() []Alg {
-	names := encrypted.PaperNames()
-	out := make([]Alg, len(names))
-	for i, n := range names {
-		out[i] = Alg(n)
-	}
-	return out
+	return slices.Clone(paperAlgs)
 }
 
-// lookup resolves a parsed, concrete algorithm (ParseAlg's output, with
-// AlgAuto already resolved) to an implementation. Encrypted algorithms
-// use the paper's names; "plain-<name>" selects the unencrypted
-// counterpart of an encrypted algorithm; "mpi" is the MVAPICH-style
-// unencrypted baseline; plain classics are available as
-// "plain-ring"/"plain-rd"/"plain-bruck"/"plain-hier".
-func lookup(a Alg) (cluster.Algorithm, error) {
-	switch a {
-	case AlgMPI:
-		return collective.AsAlgorithm(collective.MVAPICH(0)), nil
-	case AlgPlainRing:
-		return collective.AsAlgorithm(collective.Ring), nil
-	case AlgPlainRingRO:
-		return collective.AsAlgorithm(collective.RankOrderedRing), nil
-	case AlgPlainRD:
-		return collective.AsAlgorithm(collective.RD), nil
-	case AlgPlainBruck:
-		return collective.AsAlgorithm(collective.Bruck), nil
-	case AlgPlainHier:
-		return collective.AsAlgorithm(collective.Hierarchical), nil
-	case AlgPlainNeighbor:
-		return collective.AsAlgorithm(collective.NeighborExchange), nil
-	}
-	if base, ok := strings.CutPrefix(string(a), "plain-"); ok {
-		impl, err := encrypted.Get(base)
-		if err != nil {
-			return nil, err
-		}
-		return cluster.Plain(impl), nil
-	}
-	return encrypted.Get(string(a))
-}
+// Encrypted reports whether a is a concrete algorithm that seals
+// everything it sends across nodes: one of the paper's encrypted
+// algorithms or an ablation variant, never a plaintext baseline. These
+// are the algorithms AlgAuto may select.
+func (a Alg) Encrypted() bool { return algTable[a].encrypted }
+
+// lookup resolves a concrete algorithm to its implementation: ParseAlg's
+// output with AlgAuto already resolved, or the tuner's pick, which
+// autoCandidate limits to the table's encrypted entries. Any other name
+// yields nil, which the runtime refuses to run.
+func lookup(a Alg) cluster.Algorithm { return algTable[a].impl }

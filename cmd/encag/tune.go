@@ -8,7 +8,6 @@ import (
 
 	"encag"
 	"encag/internal/bench"
-	"encag/internal/encrypted"
 	"encag/internal/tune"
 )
 
@@ -140,10 +139,7 @@ func runLookup(tablePath string, engines []encag.Engine, procs, nodes []int, pip
 	}
 	// Mirror the session's auto-candidate filter: only encrypted
 	// algorithms may be selected, whatever the table claims.
-	valid := func(name string) bool {
-		_, err := encrypted.Get(name)
-		return err == nil
-	}
+	valid := func(name string) bool { return encag.Alg(name).Encrypted() }
 	k := tune.Key{
 		Bucket:    tune.BucketOf(size),
 		P:         procs[0],

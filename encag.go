@@ -155,12 +155,10 @@ type RunResult struct {
 	Gathered [][][]byte
 	Metrics  Metrics
 	// SecurityOK is true when no message a rank sent to another node
-	// carried a plaintext chunk and no GCM nonce was reused. Every engine
-	// checks every send, EngineSim included; the sim has no keys, so on
-	// it only the plaintext check applies. Nonces are unique by
-	// construction (a random per-key field and a per-key seal counter,
-	// SP 800-38D §8.2.1); a reuse can only be reported by a sealer whose
-	// test-only nonce audit is on.
+	// carried a plaintext chunk. Every engine checks every send, EngineSim
+	// included, and the verdict is the same on all three. GCM nonces need
+	// no check: they are unique by construction (a random per-key field
+	// and a per-key seal counter, SP 800-38D §8.2.1).
 	SecurityOK bool
 	// InterMessages / IntraMessages count the messages the ranks sent
 	// across node boundaries and within their nodes (point-to-point sends;

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"encag"
@@ -211,17 +212,17 @@ func TableII(opts Options) ([]Table, error) {
 		return nil, err
 	}
 	defer s.Close()
-	for _, alg := range bounds.PredictNames() {
-		pred, err := bounds.Predict(alg, p, n, m)
+	for _, alg := range encag.PaperAlgorithms() {
+		pred, err := bounds.Predict(string(alg), p, n, m)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Simulate(bg, encag.Alg(alg), m)
+		res, err := s.Simulate(bg, alg, m)
 		if err != nil {
 			return nil, err
 		}
 		c := res.Metrics
-		t.Rows = append(t.Rows, []string{alg,
+		t.Rows = append(t.Rows, []string{string(alg),
 			fmt.Sprint(pred.Rc), fmt.Sprint(c.Rc),
 			fmt.Sprint(pred.Re), fmt.Sprint(c.Re),
 			fmt.Sprint(pred.Se), fmt.Sprint(c.Se),
@@ -259,17 +260,17 @@ func TableIICyclic(opts Options) ([]Table, error) {
 		return nil, err
 	}
 	defer s.Close()
-	for _, alg := range bounds.PredictNames() {
-		pred, err := bounds.PredictCyclic(alg, p, n, m)
+	for _, alg := range encag.PaperAlgorithms() {
+		pred, err := bounds.PredictCyclic(string(alg), p, n, m)
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.Simulate(bg, encag.Alg(alg), m)
+		res, err := s.Simulate(bg, alg, m)
 		if err != nil {
 			return nil, err
 		}
 		c := res.Metrics
-		t.Rows = append(t.Rows, []string{alg,
+		t.Rows = append(t.Rows, []string{string(alg),
 			fmt.Sprint(pred.Re), fmt.Sprint(c.Re),
 			fmt.Sprint(pred.Se), fmt.Sprint(c.Se),
 			fmt.Sprint(pred.Rd), fmt.Sprint(c.Rd),
@@ -281,13 +282,7 @@ func TableIICyclic(opts Options) ([]Table, error) {
 
 // bestCandidates are the paper's proposed schemes (everything but Naive).
 func bestCandidates() []encag.Alg {
-	var out []encag.Alg
-	for _, a := range encag.PaperAlgorithms() {
-		if a != encag.AlgNaive {
-			out = append(out, a)
-		}
-	}
-	return out
+	return slices.DeleteFunc(encag.PaperAlgorithms(), func(a encag.Alg) bool { return a == encag.AlgNaive })
 }
 
 // overheadTable builds a Table III/IV/V/VI-style comparison: our modelled

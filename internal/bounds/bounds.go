@@ -98,11 +98,6 @@ func Predict(alg string, p, n int, m int64) (Metrics, error) {
 	return Metrics{}, fmt.Errorf("bounds: no Table II entry for %q", alg)
 }
 
-// PredictNames lists the algorithms Predict knows, in Table II order.
-func PredictNames() []string {
-	return []string{"naive", "o-ring", "o-rd", "o-rd2", "c-ring", "c-rd", "hs1", "hs2"}
-}
-
 // PredictCyclic returns closed forms under CYCLIC mapping (power-of-two
 // p and N, l = p/N >= 2). The paper only tabulates block mapping; these
 // are our derivations, verified against the instrumented implementation.

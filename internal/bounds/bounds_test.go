@@ -43,7 +43,7 @@ func TestPredictionsRespectLowerBounds(t *testing.T) {
 	for _, pn := range [][2]int{{8, 2}, {16, 4}, {128, 8}, {1024, 16}} {
 		p, n := pn[0], pn[1]
 		lb := Lower(p, n, 100)
-		for _, alg := range PredictNames() {
+		for _, alg := range encrypted.PaperNames() {
 			pred, err := Predict(alg, p, n, 100)
 			if err != nil {
 				t.Fatal(err)
@@ -88,7 +88,7 @@ func TestPredictMatchesMeasured(t *testing.T) {
 	for _, pn := range [][2]int{{8, 2}, {16, 4}, {64, 8}} {
 		spec := cluster.Spec{P: pn[0], N: pn[1], Mapping: cluster.BlockMapping}
 		const m = 640
-		for _, alg := range PredictNames() {
+		for _, alg := range encrypted.PaperNames() {
 			pred, err := Predict(alg, spec.P, spec.N, m)
 			if err != nil {
 				t.Fatal(err)
@@ -121,7 +121,7 @@ func TestPredictCyclicMatchesMeasured(t *testing.T) {
 	for _, pn := range [][2]int{{8, 2}, {16, 4}, {64, 8}, {128, 8}} {
 		spec := cluster.Spec{P: pn[0], N: pn[1], Mapping: cluster.CyclicMapping}
 		const m = 768
-		for _, alg := range PredictNames() {
+		for _, alg := range encrypted.PaperNames() {
 			pred, err := PredictCyclic(alg, spec.P, spec.N, m)
 			if err != nil {
 				t.Fatal(err)

@@ -2,24 +2,41 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"encag/internal/block"
 	"encag/internal/cost"
 )
 
-// auditedRunOnce is RunOnce with the nonce audit on from the session's
-// first seal, so a nonce-reuse assertion on its result is not vacuous.
+// auditedRunOnce is RunOnce that also checks that every seal of the
+// op drew its nonce from the session sealer's one counter: the sealer's
+// invocation count grows by exactly the op's summed EncSegments. A nonce
+// is the sealer's fixed field plus that counter, so no two seals of the
+// op share one.
 func auditedRunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
 	s, err := OpenSession(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	s.Sealer().EnableNonceAudit()
-	return s.Collective(context.Background(), op)
+	before := s.Sealer().Invocations()
+	res, err := s.Collective(context.Background(), op)
+	if err != nil {
+		return nil, err
+	}
+	var segs uint64
+	for _, m := range res.PerRank {
+		segs += uint64(m.EncSegments)
+	}
+	if got := s.Sealer().Invocations() - before; got != segs {
+		return nil, fmt.Errorf("sealer invoked %d times for %d sealed segments", got, segs)
+	}
+	return res, nil
 }
 
 // ringPlain is a minimal unencrypted ring all-gather used to exercise the
@@ -216,9 +233,6 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 	if msgs.InterMsgs != 2 || msgs.IntraMsgs != 0 {
 		t.Fatalf("InterMsgs/IntraMsgs = %d/%d, want 2/0", msgs.InterMsgs, msgs.IntraMsgs)
 	}
-	if res.Sealer.DuplicateNonceSeen() {
-		t.Fatal("nonce reuse")
-	}
 	for r, m := range res.PerRank {
 		if m.EncRounds != 1 || m.EncBytes != 128 || m.DecRounds != 1 || m.DecBytes != 128 {
 			t.Fatalf("rank %d crypto metrics: %+v", r, m)
@@ -309,6 +323,30 @@ func TestShmMissingKeyPanics(t *testing.T) {
 	}
 	if want := `shm key "hs/pt/1" not present`; !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the key as %s", err, want)
+	}
+}
+
+// Concurrent simulations leave the caller's collector setting as they
+// found it: the first to start relaxes it, the last to end restores it.
+func TestConcurrentSimsRestoreGCPercent(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if _, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 64}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := debug.SetGCPercent(100); got != 100 {
+		t.Fatalf("GC percent %d after concurrent simulations, want the caller's 100", got)
 	}
 }
 

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
+	"sync"
 	"time"
 
 	"encag/internal/block"
@@ -242,6 +244,26 @@ type SimResult struct {
 	IntraBytes float64
 }
 
+// simGC counts the simulations running in the process. Their events,
+// flows and messages churn the heap, so the first one to start relaxes
+// the collector and the last one to end restores the caller's setting;
+// a save and restore per run would leave overlapping runs relaxed.
+var simGC struct {
+	sync.Mutex
+	running, saved int
+}
+
+// relaxGC(+1) counts a simulation in and relaxGC(-1) counts it out.
+func relaxGC(delta int) {
+	simGC.Lock()
+	defer simGC.Unlock()
+	if simGC.running += delta; delta > 0 && simGC.running == 1 {
+		simGC.saved = debug.SetGCPercent(400)
+	} else if simGC.running == 0 {
+		debug.SetGCPercent(simGC.saved)
+	}
+}
+
 // runSim executes algo on every rank inside the discrete-event simulator
 // under the given machine profile and returns the modelled latency along
 // with the same metrics and logical results as the real engine (payloads
@@ -254,9 +276,8 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	// Simulation runs churn through millions of short-lived events, flows
-	// and messages; relax the collector for the duration.
-	defer debug.SetGCPercent(debug.SetGCPercent(400))
+	relaxGC(1)
+	defer relaxGC(-1)
 	env := sim.NewEnv()
 	net := netsim.New(env, netsim.Config{
 		Nodes:  spec.N,
@@ -288,7 +309,6 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 		Results:  make([]block.Message, spec.P),
 		EndTimes: make([]float64, spec.P),
 	}
-	finished := make([]bool, spec.P)
 	for r := 0; r < spec.P; r++ {
 		r := r
 		env.Go(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
@@ -297,19 +317,14 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 			mine := block.NewSim(r, sizes[r])
 			res.Results[r] = algo(p, mine)
 			res.EndTimes[r] = sp.Now()
-			finished[r] = true
 		})
 	}
+	// Run returns nil only once every rank has returned.
 	if err := env.Run(); err != nil {
 		return nil, fmt.Errorf("cluster: sim run failed on %v: %w", spec, err)
 	}
-	for r, ok := range finished {
-		if !ok {
-			return nil, fmt.Errorf("cluster: sim rank %d never finished on %v", r, spec)
-		}
-		if res.EndTimes[r] > res.Latency {
-			res.Latency = res.EndTimes[r]
-		}
+	for _, end := range res.EndTimes {
+		res.Latency = math.Max(res.Latency, end)
 	}
 	res.LatencyD = time.Duration(res.Latency * float64(time.Second))
 	res.Critical = CriticalPath(res.PerRank)

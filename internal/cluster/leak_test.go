@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"encag/internal/block"
+	"encag/internal/cost"
 	"encag/internal/fault"
 )
 
@@ -42,6 +43,31 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// A deadlocked simulation unwinds its blocked ranks: SimOnce returns
+// the deadlock error and leaves no goroutine behind.
+func TestSimDeadlockLeaksNoGoroutine(t *testing.T) {
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
+	op := Op{Algo: func(p *Proc, mine block.Message) block.Message {
+		if p.Rank() != 1 {
+			p.Recv(1) // rank 1 never sends
+		}
+		return mine
+	}, MsgSize: 8}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		if _, err := SimOnce(spec, cost.Noleland(), op); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("SimOnce = %v, want a deadlock error", err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the deadlocked simulations, baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // ringStep keeps every rank mid-communication so failures land while

@@ -10,14 +10,14 @@ import (
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/encrypted"
-	"encag/internal/seal"
 )
 
 // Rekey never waits. Four collectives stay in flight on a TCP session
 // while one goroutine rekeys in a loop and a tiny seal budget adds
 // automatic rotations. Every op still gathers byte-exact on the key it
 // was admitted with, no plaintext reaches the wire, and the session's
-// crypto totals equal the sum over every sealer generation.
+// crypto totals, folded over every sealer generation, equal the
+// segments every op sealed and opened.
 func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 	defer cluster.SetKeyBudget(2)()
 	spec := cluster.Spec{P: 4, N: 2, Mapping: cluster.BlockMapping}
@@ -47,9 +47,8 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 
 	const m, perWorker = 4 << 10, 16
 	var (
-		mu   sync.Mutex
-		gens = map[*seal.Sealer]bool{}
-		wg   sync.WaitGroup
+		wg             sync.WaitGroup
+		sealed, opened atomic.Int64
 	)
 	for w, name := range []string{"o-ring", "hs2", "o-ring", "hs2"} {
 		alg, err := encrypted.Get(name)
@@ -72,9 +71,10 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 				if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
 					t.Errorf("worker %d %s op %d leaked plaintext: %v", w, name, i, cluster.MessageTotals(res.PerRank).Violations)
 				}
-				mu.Lock()
-				gens[res.Sealer] = true
-				mu.Unlock()
+				for _, pm := range res.PerRank {
+					sealed.Add(int64(pm.EncSegments))
+					opened.Add(int64(pm.DecSegments))
+				}
 			}
 		}()
 	}
@@ -97,14 +97,8 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 	if snap.Rekeys <= explicit.Load() {
 		t.Fatalf("rekeys = %d with %d explicit: no rotation at the seal budget", snap.Rekeys, explicit.Load())
 	}
-	gens[s.Sealer()] = true
-	var sealed, opened int64
-	for g := range gens {
-		gs, gop := g.Counts()
-		sealed, opened = sealed+gs, opened+gop
-	}
-	if sealed != snap.SegmentsSealed || opened != snap.SegmentsOpened {
-		t.Fatalf("session totals sealed=%d opened=%d, generations sum to %d/%d",
-			snap.SegmentsSealed, snap.SegmentsOpened, sealed, opened)
+	if sealed.Load() != snap.SegmentsSealed || opened.Load() != snap.SegmentsOpened {
+		t.Fatalf("session totals sealed=%d opened=%d, ops sealed %d and opened %d",
+			snap.SegmentsSealed, snap.SegmentsOpened, sealed.Load(), opened.Load())
 	}
 }

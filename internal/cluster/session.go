@@ -124,7 +124,6 @@ type RealResult struct {
 	Results  []block.Message // per-rank gathered result
 	PerRank  []Metrics
 	Critical Critical
-	Sealer   *seal.Sealer
 	// Sniffer is the session-lifetime capture of the inter-node wire —
 	// every byte of the P·(P−ℓ) inter-node sockets, cumulative over every
 	// collective run on the session; nil on EngineChan, which has no wire.
@@ -526,7 +525,6 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	res := &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
-		Sealer:  slr,
 		Sniffer: s.tr.sniff,
 	}
 	var wg sync.WaitGroup

@@ -18,28 +18,31 @@ func asWorld(sub func(*cluster.Proc, Group, block.Message) []block.Message) clus
 	}
 }
 
-// Builders for every encrypted algorithm in the paper, by the names used
-// in its tables and figures. "naive" uses the MVAPICH-style dispatcher
-// underneath, exactly like the paper's baseline; "naive-rd"/"naive-ring"
-// pin the underlying collective for ablations.
-var builders = map[string]func() cluster.Algorithm{
-	"naive":      func() cluster.Algorithm { return Naive(collective.MVAPICH(0)) },
-	"naive-rd":   func() cluster.Algorithm { return Naive(collective.RD) },
-	"naive-ring": func() cluster.Algorithm { return Naive(collective.Ring) },
-	"o-ring":     func() cluster.Algorithm { return asWorld(ORing) },
-	"o-rd":       func() cluster.Algorithm { return asWorld(ORD) },
-	"o-rd2":      func() cluster.Algorithm { return asWorld(ORD2) },
-	"c-ring":     CRing,
-	"c-rd":       CRD,
-	"hs1":        HS1,
-	"hs1-solo":   HS1SoloDecrypt, // ablation: leader-only decryption
-	"hs2":        HS2,
+// algorithms holds every encrypted algorithm in the paper, by the names
+// used in its tables and figures, each built once. "naive" uses the
+// MVAPICH-style dispatcher underneath, exactly like the paper's
+// baseline; "naive-rd"/"naive-ring" pin the underlying collective for
+// ablations. Every value is a stateless closure, so one shared value
+// serves any number of concurrent operations. The encag facade builds
+// its one algorithm table from this registry at init.
+var algorithms = map[string]cluster.Algorithm{
+	"naive":      Naive(collective.MVAPICH(0)),
+	"naive-rd":   Naive(collective.RD),
+	"naive-ring": Naive(collective.Ring),
+	"o-ring":     asWorld(ORing),
+	"o-rd":       asWorld(ORD),
+	"o-rd2":      asWorld(ORD2),
+	"c-ring":     CRing(),
+	"c-rd":       CRD(),
+	"hs1":        HS1(),
+	"hs1-solo":   HS1SoloDecrypt(), // ablation: leader-only decryption
+	"hs2":        HS2(),
 }
 
 // Names returns every encrypted algorithm name, sorted.
 func Names() []string {
-	out := make([]string, 0, len(builders))
-	for name := range builders {
+	out := make([]string, 0, len(algorithms))
+	for name := range algorithms {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -52,11 +55,12 @@ func PaperNames() []string {
 	return []string{"naive", "o-ring", "o-rd", "o-rd2", "c-ring", "c-rd", "hs1", "hs2"}
 }
 
-// Get builds an encrypted all-gather algorithm by name.
+// Get returns the encrypted all-gather algorithm of that name: the one
+// shared value, not a fresh build.
 func Get(name string) (cluster.Algorithm, error) {
-	b, ok := builders[name]
+	a, ok := algorithms[name]
 	if !ok {
 		return nil, fmt.Errorf("encrypted: unknown algorithm %q (have %v)", name, Names())
 	}
-	return b(), nil
+	return a, nil
 }

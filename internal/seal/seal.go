@@ -16,9 +16,6 @@
 // independently sealed segments processed concurrently on a bounded
 // worker pool — the multi-threaded pipelined encryption CryptMPI uses to
 // lift the single-core GCM throughput ceiling.
-//
-// A Sealer also keeps an optional audit trail of nonces so tests can check
-// that uniqueness across an entire all-gather operation.
 package seal
 
 import (
@@ -28,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -49,7 +45,7 @@ var ErrAuth = errors.New("seal: message authentication failed")
 // Sealer encrypts and decrypts with a single shared AES-GCM-128 key, the
 // deployment model of the paper (one key per MPI job, distributed out of
 // band). It is safe for concurrent use. Configuration (SetSegmentSize,
-// SetPool, EnableNonceAudit) must happen before concurrent use. Nonces
+// SetPool) must happen before concurrent use. Nonces
 // are unique among one Sealer's seals: every user of a key must share
 // that key's one Sealer.
 type Sealer struct {
@@ -63,14 +59,6 @@ type Sealer struct {
 
 	segSize int   // segmented-seal split size; 0 means DefaultSegmentSize
 	pool    *Pool // worker pool for segmented crypto; nil means the shared pool
-
-	// The audit trail is mutex-guarded, but the hot path only pays for it
-	// when enabled: auditOn is checked first, so unaudited seals touch
-	// nothing but the atomic counters.
-	auditOn atomic.Bool
-	mu      sync.Mutex
-	nonces  map[[NonceSize]byte]struct{}
-	dup     bool
 }
 
 // NewSealer creates a Sealer from a 16-byte AES-128 key and draws its
@@ -103,27 +91,6 @@ func NewRandomSealer() (*Sealer, error) {
 	return NewSealer(key)
 }
 
-// EnableNonceAudit starts recording every nonce used by Seal so that
-// DuplicateNonceSeen can later report reuse. Intended for tests.
-func (s *Sealer) EnableNonceAudit() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nonces == nil {
-		s.nonces = make(map[[NonceSize]byte]struct{})
-	}
-	s.auditOn.Store(true)
-}
-
-// DuplicateNonceSeen reports whether any nonce was used twice while the
-// audit was enabled. On an unaudited sealer it is always false, and the
-// nonce construction (fixed field plus a counter that never repeats) is
-// the uniqueness guarantee.
-func (s *Sealer) DuplicateNonceSeen() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dup
-}
-
 // Counts returns the number of GCM seal operations and successful GCM
 // open operations (a segmented blob counts one per segment).
 func (s *Sealer) Counts() (sealed, opened int64) {
@@ -134,16 +101,6 @@ func (s *Sealer) Counts() (sealed, opened int64) {
 // 800-38D §8.3 bounds per key.
 func (s *Sealer) Invocations() uint64 { return s.sealed.Load() }
 
-// audit records a nonce in the audit trail.
-func (s *Sealer) audit(nonce [NonceSize]byte) {
-	s.mu.Lock()
-	if _, ok := s.nonces[nonce]; ok {
-		s.dup = true
-	}
-	s.nonces[nonce] = struct{}{}
-	s.mu.Unlock()
-}
-
 // sealInto seals plaintext into out, which must be exactly
 // SealedLen(len(plaintext)) bytes, under the nonce fixed || invocation
 // (big-endian). plaintext may alias out[NonceSize:NonceSize+len(plaintext)]
@@ -153,9 +110,6 @@ func (s *Sealer) sealInto(out, plaintext, aad []byte) {
 	nonce := out[:NonceSize]
 	copy(nonce, s.fixed[:])
 	binary.BigEndian.PutUint64(nonce[len(s.fixed):], s.sealed.Add(1))
-	if s.auditOn.Load() { // unaudited seals never take the mutex
-		s.audit([NonceSize]byte(nonce))
-	}
 	s.aead.Seal(out[NonceSize:NonceSize], nonce, plaintext, aad)
 }
 

@@ -246,9 +246,13 @@ func TestSegmentedConcurrentNonceAudit(t *testing.T) {
 	s := newTestSealer(t)
 	s.SetSegmentSize(segSize)
 	s.SetPool(SharedPool())
-	s.EnableNonceAudit()
 	const goroutines, iters = 8, 20
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		seen = make(map[[NonceSize]byte]bool)
+		dup  bool
+	)
 	for g := 0; g < goroutines; g++ {
 		g := g
 		wg.Add(1)
@@ -266,12 +270,16 @@ func TestSegmentedConcurrentNonceAudit(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				mu.Lock()
 				for k := 0; k < l.k; k++ {
-					if !bytes.Equal(l.segment(blob, k)[:len(s.fixed)], s.fixed[:]) {
+					nonce := [NonceSize]byte(l.segment(blob, k)[:NonceSize])
+					if !bytes.Equal(nonce[:len(s.fixed)], s.fixed[:]) {
 						t.Errorf("segment %d nonce lacks the sealer's fixed field", k)
-						return
 					}
+					dup = dup || seen[nonce]
+					seen[nonce] = true
 				}
+				mu.Unlock()
 				if _, _, err := s.OpenSegmented(blob, nil); err != nil {
 					t.Error(err)
 					return
@@ -280,7 +288,7 @@ func TestSegmentedConcurrentNonceAudit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s.DuplicateNonceSeen() {
+	if dup {
 		t.Fatal("duplicate nonce under concurrent segmented sealing")
 	}
 	sealed, opened := s.Counts()

@@ -65,13 +65,14 @@ func (q *eventQueue) Pop() any {
 // Env is a simulation environment: a virtual clock plus an event queue.
 // Create one with NewEnv, spawn processes with Go, then call Run.
 type Env struct {
-	now     float64
-	seq     uint64
-	queue   eventQueue
-	yield   chan struct{} // signalled when the active process blocks or ends
-	procs   int           // live processes
-	blocked int           // processes suspended on a Signal (not on an event)
-	fatal   error
+	now    float64
+	seq    uint64
+	queue  eventQueue
+	yield  chan struct{} // signalled when the active process blocks or ends
+	procs  []*Proc       // every process spawned, in spawn order
+	live   int           // processes not yet ended, each parked while the kernel runs
+	killed bool          // set by kill: a resumed process unwinds, and no panic is fatal
+	fatal  error
 }
 
 // NewEnv returns an empty environment at virtual time 0.
@@ -111,23 +112,38 @@ func (e *Env) Cancel(ev *Event) {
 
 // Run executes events until the queue is empty. It returns an error if
 // processes remain blocked with no pending events (deadlock), or if a
-// process panicked.
+// process panicked; either way it first unwinds every process still
+// live, so a failed run leaves no goroutine behind.
 func (e *Env) Run() error {
 	for len(e.queue) > 0 {
 		ev := heap.Pop(&e.queue).(*Event)
 		if ev.at < e.now {
-			return fmt.Errorf("sim: time went backwards: %g < %g", ev.at, e.now)
+			return e.kill(fmt.Errorf("sim: time went backwards: %g < %g", ev.at, e.now))
 		}
 		e.now = ev.at
 		ev.fn()
 		if e.fatal != nil {
-			return e.fatal
+			return e.kill(e.fatal)
 		}
 	}
-	if e.blocked > 0 {
-		return fmt.Errorf("sim: deadlock: %d process(es) blocked with empty event queue at t=%g", e.blocked, e.now)
+	// With the queue empty, every live process is parked on a Signal.
+	if e.live > 0 {
+		return e.kill(fmt.Errorf("sim: deadlock: %d process(es) blocked with empty event queue at t=%g", e.live, e.now))
 	}
 	return nil
+}
+
+// kill ends a run early and returns err: it drops the pending events
+// and resumes each live process with the kill flag set, until it has
+// unwound through its goroutine's recover.
+func (e *Env) kill(err error) error {
+	e.queue, e.killed = nil, true
+	for _, p := range e.procs {
+		for !p.ended {
+			p.activate()
+		}
+	}
+	return err
 }
 
 // RunUntil executes events with timestamps <= deadline.
@@ -137,7 +153,7 @@ func (e *Env) RunUntil(deadline float64) error {
 		e.now = ev.at
 		ev.fn()
 		if e.fatal != nil {
-			return e.fatal
+			return e.kill(e.fatal)
 		}
 	}
 	if e.now < deadline {
@@ -152,6 +168,7 @@ type Proc struct {
 	env    *Env
 	resume chan struct{}
 	name   string
+	ended  bool
 }
 
 // Name returns the process name given to Go.
@@ -167,16 +184,18 @@ func (p *Proc) Now() float64 { return p.env.now }
 // (via a zero-delay event). Run must be called afterwards to drive it.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, resume: make(chan struct{}), name: name}
-	e.procs++
+	e.procs = append(e.procs, p)
+	e.live++
 	go func() {
 		defer func() {
-			if r := recover(); r != nil {
+			if r := recover(); r != nil && !e.killed {
 				e.fatal = fmt.Errorf("sim: process %q panicked: %v", name, r)
 			}
-			e.procs--
+			p.ended = true
+			e.live--
 			e.yield <- struct{}{}
 		}()
-		<-p.resume
+		p.wake()
 		fn(p)
 	}()
 	e.Schedule(0, func() { p.activate() })
@@ -194,7 +213,16 @@ func (p *Proc) activate() {
 // The process resumes when something calls activate on it.
 func (p *Proc) park() {
 	p.env.yield <- struct{}{}
+	p.wake()
+}
+
+// wake blocks until the kernel resumes the process; a process resumed
+// by kill unwinds.
+func (p *Proc) wake() {
 	<-p.resume
+	if p.env.killed {
+		panic("sim: process killed")
+	}
 }
 
 // Wait advances the process's local view of time by d seconds: the process
@@ -204,15 +232,6 @@ func (p *Proc) Wait(d float64) {
 		d = 0
 	}
 	p.env.Schedule(d, func() { p.activate() })
-	p.park()
-}
-
-// Suspend blocks the process until the returned wake function is invoked
-// (from event context or another process's context). It is the low-level
-// primitive behind Signal.
-func (p *Proc) suspendOn(s *Signal) {
-	s.waiters = append(s.waiters, p)
-	p.env.blocked++
 	p.park()
 }
 
@@ -244,7 +263,8 @@ func (s *Signal) Wait(p *Proc) {
 	if s.sticky && s.fired {
 		return
 	}
-	p.suspendOn(s)
+	s.waiters = append(s.waiters, p)
+	p.park()
 }
 
 // OnFire registers fn to run (via a zero-delay event) when the signal
@@ -271,7 +291,6 @@ func (s *Signal) Fire() {
 	}
 	for _, w := range waiters {
 		w := w
-		s.env.blocked--
 		s.env.Schedule(0, func() { w.activate() })
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -182,6 +183,47 @@ func TestProcessPanicPropagates(t *testing.T) {
 	e.Go("boom", func(p *Proc) { panic("kaboom") })
 	if err := e.Run(); err == nil {
 		t.Fatal("expected panic to surface as error")
+	}
+}
+
+// A run that ends early unwinds every live process, the ones parked on
+// a Signal or an event and the one not yet started alike: by the time
+// Run returns, each has run its deferred code, and what Run reports is
+// the run's own failure, never the unwinding.
+func TestEarlyEndUnwindsLiveProcesses(t *testing.T) {
+	cases := []struct {
+		name string
+		boom bool
+		want string
+	}{
+		{"deadlock", false, "deadlock: 3 process(es)"},
+		{"panic", true, `process "boom" panicked: kaboom`},
+	}
+	for _, c := range cases {
+		e := NewEnv()
+		g := NewGate(e)
+		unwound, ran := 0, 0
+		for _, d := range []float64{0, 1, 2} {
+			d := d
+			e.Go("stuck", func(p *Proc) {
+				defer func() { unwound++ }()
+				p.Wait(d)
+				g.Wait(p)
+			})
+		}
+		if c.boom {
+			e.Go("boom", func(p *Proc) { p.Wait(3); panic("kaboom") })
+			e.Go("late", func(p *Proc) { p.Wait(9); ran++ })
+			e.Schedule(3, func() { e.Go("unstarted", func(p *Proc) { ran++ }) })
+		}
+		err := e.Run()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Run = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if unwound != 3 || ran != 0 || e.live != 0 {
+			t.Fatalf("%s: %d of 3 blocked processes unwound, %d ran on after the failure, %d live",
+				c.name, unwound, ran, e.live)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"encag/internal/block"
-	"encag/internal/cluster"
 	"encag/internal/sched"
 )
 
@@ -91,20 +90,9 @@ func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts 
 		if err != nil {
 			return &Handle{h: sched.Completed[*RunResult](nil, err)}, nil
 		}
-		// The sim has no keys, so no nonce can repeat; its ranks send
-		// through the same Proc as the real engines, so the plaintext
-		// check is the real one.
-		msgs := cluster.MessageTotals(per)
-		rr := &RunResult{
-			Metrics:       res.Metrics,
-			SecurityOK:    msgs.PlainInterMsgs == 0,
-			InterMessages: msgs.InterMsgs,
-			IntraMessages: msgs.IntraMsgs,
-			Violations:    msgs.Violations,
-			Elapsed:       res.Latency,
-			Algorithm:     res.Algorithm,
-		}
-		return &Handle{h: sched.Completed(rr, nil)}, nil
+		rr := judge(per)
+		rr.Metrics, rr.Elapsed, rr.Algorithm = res.Metrics, res.Latency, res.Algorithm
+		return &Handle{h: sched.Completed(&rr, nil)}, nil
 	}
 	h, err := s.nb.Start(ctx, func() (*RunResult, error) {
 		return s.gather(ctx, o, a, sizes, nil, "gather")

@@ -478,10 +478,7 @@ func maxOf(sizes []int64) int64 {
 // noun names the collective in a validation error.
 func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, payloads [][]byte, noun string) (*RunResult, error) {
 	largest := maxOf(sizes)
-	impl, used, err := s.resolveAlg(a, largest)
-	if err != nil {
-		return nil, err
-	}
+	impl, used := s.resolveAlg(a, largest)
 	res, err := s.inner.Collective(ctx, buildOp(impl, sizes, payloads, o))
 	if err != nil {
 		return nil, err
@@ -518,18 +515,25 @@ func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patte
 		}
 		return nil, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
 	}
-	msgs := cluster.MessageTotals(res.PerRank)
-	return &RunResult{
-		Gathered:      views,
-		Metrics:       res.Critical,
-		SecurityOK:    msgs.PlainInterMsgs == 0 && !res.Sealer.DuplicateNonceSeen(),
+	rr := judge(res.PerRank)
+	rr.Gathered, rr.Metrics, rr.Elapsed = views, res.Critical, res.Elapsed
+	rr.OpID, rr.Algorithm = res.OpID, used
+	return &rr, nil
+}
+
+// judge is the one security verdict of a finished operation, the same
+// on every engine: each rank's Proc checked every send it made, and the
+// operation is secure when no inter-node send carried a plaintext
+// chunk. Nonces need no check; they are unique by construction. It
+// fills the verdict and message counts of a RunResult.
+func judge(perRank []cluster.Metrics) RunResult {
+	msgs := cluster.MessageTotals(perRank)
+	return RunResult{
+		SecurityOK:    msgs.PlainInterMsgs == 0,
 		InterMessages: msgs.InterMsgs,
 		IntraMessages: msgs.IntraMsgs,
 		Violations:    msgs.Violations,
-		Elapsed:       res.Elapsed,
-		OpID:          res.OpID,
-		Algorithm:     used,
-	}, nil
+	}
 }
 
 // Run executes one encrypted all-gather with deterministic per-rank test
@@ -607,12 +611,12 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 			return nil, fmt.Errorf("encag: ranks disagree on the reduction result")
 		}
 	}
-	msgs := cluster.MessageTotals(res.PerRank)
+	v := judge(res.PerRank)
 	return &ReduceResult{
 		Result:     reference,
 		Metrics:    res.Critical,
-		SecurityOK: msgs.PlainInterMsgs == 0 && !res.Sealer.DuplicateNonceSeen(),
-		Violations: msgs.Violations,
+		SecurityOK: v.SecurityOK,
+		Violations: v.Violations,
 		Elapsed:    res.Elapsed,
 	}, nil
 }
@@ -645,10 +649,7 @@ func (s *Session) SimulateV(ctx context.Context, algorithm Alg, sizes []int64, o
 // checkOp, and Simulate, SimulateV and Start on a sim session differ
 // only in sizes. It also returns the run's per-rank counters.
 func (s *Session) simulate(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, noun string) (SimResult, []cluster.Metrics, error) {
-	impl, used, err := s.resolveAlg(a, maxOf(sizes))
-	if err != nil {
-		return SimResult{}, nil, err
-	}
+	impl, used := s.resolveAlg(a, maxOf(sizes))
 	res, err := s.inner.Sim(ctx, buildOp(impl, sizes, nil, o))
 	if err != nil {
 		return SimResult{}, nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"encag/internal/cluster"
-	"encag/internal/encrypted"
 	"encag/internal/metrics"
 	"encag/internal/tune"
 )
@@ -75,10 +74,7 @@ func sessionTuning(o *sessionOptions) (*tune.Table, error) {
 // never downgrade an auto operation to an unencrypted baseline, and an
 // algorithm name this build no longer has falls back instead of
 // erroring mid-operation.
-func autoCandidate(name string) bool {
-	_, err := encrypted.Get(name)
-	return err == nil
-}
+func autoCandidate(name string) bool { return Alg(name).Encrypted() }
 
 // tuneKey is the tuning-cell key of one operation on this session.
 func (s *Session) tuneKey(maxSize int64) tune.Key {
@@ -95,13 +91,12 @@ func (s *Session) tuneKey(maxSize int64) tune.Key {
 // and, for AlgAuto, first resolves it to the tuner's concrete choice for
 // an operation whose maximum block size is maxSize. Returns the
 // implementation and the algorithm that will actually run.
-func (s *Session) resolveAlg(a Alg, maxSize int64) (cluster.Algorithm, Alg, error) {
+func (s *Session) resolveAlg(a Alg, maxSize int64) (cluster.Algorithm, Alg) {
 	if a == AlgAuto {
 		a = Alg(s.tuner.Pick(s.tuneKey(maxSize), maxSize))
 		s.countAutoSelected(a)
 	}
-	impl, err := lookup(a)
-	return impl, a, err
+	return lookup(a), a
 }
 
 // countAutoSelected charges one AlgAuto resolution to the

@@ -25,10 +25,7 @@ func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	impl, used, err := s.resolveAlg(AlgCRing, m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	impl, used := s.resolveAlg(AlgCRing, m)
 	res, err := s.inner.Collective(context.Background(), cluster.Op{Algo: impl, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
