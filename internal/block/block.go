@@ -14,6 +14,13 @@
 // into one once built, so they are shared. SplitChunk and AssembleByOrigin
 // hand out capacity-capped views of the block lists they split, which an
 // append copies instead of overwriting.
+//
+// The deterministic test payload of a rank, Pattern, repeats every 256
+// bytes. The real engines' synthetic payloads (PatternFill) are that one
+// period replicated into a fresh buffer per operation, at memory-copy
+// speed; FillPattern, which computes every byte, is the reference that
+// tests and the simulator use, and CheckPattern validates against the
+// same period.
 package block
 
 import (
@@ -241,7 +248,9 @@ func Pattern(origin int, i int64) byte {
 	return byte(int64(origin)*131 + i*7 + 13)
 }
 
-// FillPattern builds the deterministic n-byte test payload for a rank.
+// FillPattern builds the deterministic n-byte test payload for a rank,
+// one computed byte at a time. It is the reference PatternFill is
+// checked against.
 func FillPattern(origin int, n int64) []byte {
 	buf := make([]byte, n)
 	for i := range buf {
@@ -252,6 +261,18 @@ func FillPattern(origin int, n int64) []byte {
 
 // patternPeriod is the period of Pattern in its index: 7·256 ≡ 0 (mod 256).
 const patternPeriod = 256
+
+// PatternFill returns the same fresh n-byte buffer as FillPattern(origin,
+// n), with len == cap, at memory-copy speed: it computes one period and
+// replicates it (bytes.Repeat) into a buffer that is never zeroed,
+// because the copies overwrite all of it.
+func PatternFill(origin int, n int64) []byte {
+	var period [patternPeriod]byte
+	for i := range period {
+		period[i] = Pattern(origin, int64(i))
+	}
+	return bytes.Repeat(period[:], int((n+patternPeriod-1)/patternPeriod))[:n:n]
+}
 
 // CheckPattern reports whether pl is byte for byte FillPattern(origin,
 // len(pl)), without building that reference: the first period is compared

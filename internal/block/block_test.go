@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -204,6 +205,30 @@ func TestPatternDeterministic(t *testing.T) {
 	}
 }
 
+// TestPatternFillMatchesFillPattern pins the replicating fill to the
+// per-byte reference for origins 0-300 (so Pattern's byte wraps) at
+// lengths around the 256-byte period and its doublings: same bytes,
+// len == cap, and a fresh buffer on every call.
+func TestPatternFillMatchesFillPattern(t *testing.T) {
+	lengths := []int64{0, 1, 255, 256, 257, 4095, 4096, 4097, 1<<20 + 3}
+	for origin := 0; origin <= 300; origin++ {
+		for _, n := range lengths {
+			got := PatternFill(origin, n)
+			if int64(len(got)) != n || cap(got) != len(got) {
+				t.Fatalf("origin=%d n=%d: len %d cap %d, want both %d", origin, n, len(got), cap(got), n)
+			}
+			if !bytes.Equal(got, FillPattern(origin, n)) {
+				t.Fatalf("origin=%d n=%d: PatternFill differs from FillPattern", origin, n)
+			}
+		}
+	}
+	a, b := PatternFill(7, 300), PatternFill(7, 300)
+	a[299] ^= 0xFF
+	if !CheckPattern(7, b) {
+		t.Fatal("writing one PatternFill buffer changed another")
+	}
+}
+
 // TestCheckPattern pins CheckPattern to the expression it replaced,
 // bytes.Equal(pl, FillPattern(origin, len(pl))), around the pattern's
 // 256-byte period: clean patterns pass, any single corrupted byte fails
@@ -282,5 +307,25 @@ func TestSplitChunkBlocksCapped(t *testing.T) {
 	}
 	if got := string(parts[1].Payload); got != "cde" {
 		t.Fatalf("chunk 1 payload = %q, want %q", got, "cde")
+	}
+}
+
+// BenchmarkPatternFill compares the replicating fill with the per-byte
+// reference it replaces on the real engines.
+func BenchmarkPatternFill(b *testing.B) {
+	fills := []struct {
+		name string
+		fill func(int, int64) []byte
+	}{{"PatternFill", PatternFill}, {"FillPattern", FillPattern}}
+	for _, n := range []int64{1 << 10, 64 << 10, 1 << 20} {
+		for _, f := range fills {
+			b.Run(fmt.Sprintf("%s/%dKiB", f.name, n>>10), func(b *testing.B) {
+				b.SetBytes(n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					f.fill(i, n)
+				}
+			})
+		}
 	}
 }

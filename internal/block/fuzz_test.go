@@ -53,6 +53,25 @@ func FuzzCheckPattern(f *testing.F) {
 	})
 }
 
+// FuzzPatternFill: the replicating fill must equal the per-byte
+// reference, with len == cap, for every origin and length up to 256 KiB.
+func FuzzPatternFill(f *testing.F) {
+	f.Add(0, uint32(0))
+	f.Add(3, uint32(1))
+	f.Add(255, uint32(255))
+	f.Add(256, uint32(256))
+	f.Add(-1, uint32(257))
+	f.Add(300, uint32(4097))
+	f.Add(1<<40, uint32(1<<18))
+	f.Fuzz(func(t *testing.T, origin int, n uint32) {
+		m := int64(n % (1<<18 + 1))
+		got := PatternFill(origin, m)
+		if int64(len(got)) != m || cap(got) != len(got) || !bytes.Equal(got, FillPattern(origin, m)) {
+			t.Fatalf("PatternFill(%d, %d): len %d cap %d, or bytes differ from FillPattern", origin, m, len(got), cap(got))
+		}
+	})
+}
+
 // FuzzAssembleByOrigin: AssembleByOrigin must lay out any plaintext
 // messages exactly as splitting every chunk into copied single blocks
 // and sorting them stably by origin does; its block lists must be

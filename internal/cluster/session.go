@@ -360,19 +360,20 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// resolve turns an Op into per-rank sizes and payload bytes.
-func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
+// resolve turns an Op into per-rank sizes, checked against the
+// caller's payloads when there are any.
+func (op Op) resolve(spec Spec) (sizes []int64, err error) {
 	if op.Algo == nil {
-		return nil, nil, errors.New("cluster: Op.Algo is nil")
+		return nil, errors.New("cluster: Op.Algo is nil")
 	}
 	if op.Payloads != nil && len(op.Payloads) != spec.P {
-		return nil, nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
+		return nil, fmt.Errorf("cluster: %d payloads for %d ranks", len(op.Payloads), spec.P)
 	}
 	sizes = make([]int64, spec.P)
 	switch {
 	case op.Sizes != nil:
 		if len(op.Sizes) != spec.P {
-			return nil, nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
+			return nil, fmt.Errorf("cluster: %d sizes for %d ranks", len(op.Sizes), spec.P)
 		}
 		copy(sizes, op.Sizes)
 	case op.Payloads != nil:
@@ -386,20 +387,27 @@ func (op Op) resolve(spec Spec) (sizes []int64, payloads [][]byte, err error) {
 	}
 	for r, sz := range sizes {
 		if sz < 0 {
-			return nil, nil, fmt.Errorf("cluster: negative message size %d", sz)
+			return nil, fmt.Errorf("cluster: negative message size %d", sz)
 		}
 		if op.Payloads != nil && int64(len(op.Payloads[r])) != sz {
-			return nil, nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(op.Payloads[r]), sz)
+			return nil, fmt.Errorf("cluster: rank %d payload is %d bytes, want %d", r, len(op.Payloads[r]), sz)
 		}
 	}
+	return sizes, nil
+}
+
+// inputs returns the caller's payloads, or else each rank's test
+// pattern in a fresh buffer: gathered views alias the inputs, and they
+// are the caller's.
+func (op Op) inputs(sizes []int64) [][]byte {
 	if op.Payloads != nil {
-		return sizes, op.Payloads, nil
+		return op.Payloads
 	}
-	payloads = make([][]byte, spec.P)
+	payloads := make([][]byte, len(sizes))
 	for r := range payloads {
-		payloads[r] = block.FillPattern(r, sizes[r])
+		payloads[r] = block.PatternFill(r, sizes[r])
 	}
-	return sizes, payloads, nil
+	return payloads
 }
 
 // admit runs the session-state checks that gate a new collective,
@@ -499,11 +507,12 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	}
 	defer s.release(slr)
 	s.lm.opsStarted.Inc()
-	sizes, payloads, err := op.resolve(s.spec)
+	sizes, err := op.resolve(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
+	payloads := op.inputs(sizes)
 	tracer := op.Tracer
 	if tracer == nil {
 		tracer = s.cfg.Tracer
@@ -617,14 +626,21 @@ func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
 		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
 	}
 	s.lm.opsStarted.Inc()
-	// resolve also builds P patterns the simulator never reads (128 × m
-	// bytes at paper scale). Known, measured and left in on purpose:
-	// dropping them is a 2.5× sim-paper gain that has to land in a PR of
-	// its own (ROADMAP item 6 and the third lesson above it).
-	sizes, _, err := op.resolve(s.spec)
+	sizes, err := op.resolve(s.spec)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err
+	}
+	// This builds P per-byte patterns the simulator never reads (128 × m
+	// bytes at paper scale). Known, measured and left in on purpose:
+	// dropping them is a 2.5× sim-paper gain that has to land in a PR of
+	// its own, after the benchmark's longer slices (ROADMAP items 19(a)
+	// and 1(d)).
+	if op.Payloads == nil {
+		payloads := make([][]byte, s.spec.P)
+		for r := range payloads {
+			payloads[r] = block.FillPattern(r, sizes[r])
+		}
 	}
 	tracer := op.Tracer
 	if tracer == nil {

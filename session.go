@@ -412,7 +412,7 @@ func (s *Session) WireClean(msgSize int64) bool {
 		return true
 	}
 	for r := 0; r < s.cs.P; r++ {
-		if sn.Contains(block.FillPattern(r, msgSize)) {
+		if sn.Contains(block.PatternFill(r, msgSize)) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package encag
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -69,6 +70,58 @@ func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
 	}
 	if _, err := validate(false); err != nil {
 		t.Fatalf("restored result rejected: %v", err)
+	}
+}
+
+// TestGatheredViewsAreTheCallers guards RunResult.Gathered's promise
+// that the views are the caller's: a rank's own block and the plaintext
+// a same-node pair delivers in memory alias the op's input payloads, so
+// those must be fresh per op. After the caller overwrites every byte of
+// every view, the next op on the same session must still gather the
+// exact pattern, on both real engines, unpipelined and pipelined.
+func TestGatheredViewsAreTheCallers(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		alg  Alg
+		size int64
+		opts []Option
+	}{
+		{"o-rd2/1KiB/8x4", Spec{Procs: 8, Nodes: 4}, AlgORD2, 1 << 10, nil},
+		{"c-ring/64KiB/4x2/pipelined", Spec{Procs: 4, Nodes: 2}, AlgCRing, 64 << 10, []Option{WithPipelining(true)}},
+	}
+	for _, eng := range []Engine{EngineChan, EngineTCP} {
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%v/%s", eng, c.name), func(t *testing.T) {
+				s, err := OpenSession(context.Background(), c.spec, append([]Option{WithEngine(eng)}, c.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				for op := 0; op < 3; op++ {
+					res, err := s.Run(context.Background(), c.alg, c.size)
+					if err != nil {
+						t.Fatalf("op %d: %v", op, err)
+					}
+					for r, view := range res.Gathered {
+						for origin, blk := range view {
+							if !bytes.Equal(blk, block.FillPattern(origin, c.size)) || !block.CheckPattern(origin, blk) {
+								t.Fatalf("op %d: rank %d holds a wrong block from origin %d", op, r, origin)
+							}
+						}
+					}
+					// A constant, not an inversion: views that share
+					// memory would undo each other's inversions.
+					for _, view := range res.Gathered {
+						for _, blk := range view {
+							for i := range blk {
+								blk[i] = 0xA5
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -254,13 +307,12 @@ func simAllocs(t *testing.T, alg Alg, msgSize int64, sims int) uint64 {
 // (128 ranks on 8 nodes): heap objects per Simulate of o-rd2 at 1 KiB
 // and hs2 at 16 KiB. It pins the simulator's bookkeeping: the event
 // kernel, the network model and the algorithms' block lists, working
-// sets and shared-memory keys. Op.resolve's deterministic payload
-// patterns are deliberately included, since a sim operation builds them
-// too and a faster fill is a separate change. About 96 700 (o-rd2) and
-// 66 800 (hs2) objects while block lists were copied per split, working
-// sets were maps and shm keys were formatted strings; about 21 440 and
-// 9 900 since. The race build allocates up to 21 464 and 9 957; each
-// gate is that plus 10 %.
+// sets and shared-memory keys. The per-byte payload patterns Session.Sim
+// builds and discards are deliberately included: dropping them is a
+// separate change. About 96 700 (o-rd2) and 66 800 (hs2) objects while
+// block lists were copied per split, working sets were maps and shm keys
+// were formatted strings; about 21 440 and 9 900 since. The race build
+// allocates up to 21 464 and 9 957; each gate is that plus 10 %.
 func TestSimAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
