@@ -140,16 +140,13 @@ func TestAutoFollowsTableAcrossBuckets(t *testing.T) {
 		if res.Algorithm != "c-rd" { // nearest is bucket 16
 			t.Errorf("%s bucket 17: auto selected %s, want nearest-cell argmin c-rd", engine, res.Algorithm)
 		}
-		counts := s.AutoSelected()
+		counts := s.Snapshot().AutoSelected
 		var total int64
 		for _, n := range counts {
 			total += n
 		}
 		if want := int64(2*len(picks) + 1); total != want {
 			t.Errorf("%s AutoSelected total = %d, want %d (%v)", engine, total, want, counts)
-		}
-		if snap := s.Snapshot(); len(snap.AutoSelected) == 0 {
-			t.Errorf("%s snapshot missing AutoSelected", engine)
 		}
 		s.Close()
 	}
@@ -399,7 +396,6 @@ func TestSessionLevelOptionRefusedPerOperation(t *testing.T) {
 		"WithProfile":          WithProfile(Noleland()),
 		"WithMaxInFlight":      WithMaxInFlight(2),
 		"WithPipelining":       WithPipelining(true),
-		"WithDebugServer":      WithDebugServer(""),
 		"WithTuningTable":      WithTuningTable(nil),
 		"WithTuningRefinement": WithTuningRefinement(false),
 		"WithCryptoPool":       WithCryptoPool(nil),
@@ -454,7 +450,7 @@ func TestStartMatchesRunForAuto(t *testing.T) {
 				t.Errorf("%s @%d: Start's result differs from Run's: %+v vs %+v", engine, size, started.Metrics, ran.Metrics)
 			}
 		}
-		if got := s.AutoSelected(); len(got) == 0 {
+		if got := s.Snapshot().AutoSelected; len(got) == 0 {
 			t.Errorf("%s: no auto selections counted", engine)
 		}
 	}

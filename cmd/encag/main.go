@@ -15,7 +15,6 @@ var commands = []struct {
 	{"bench", "regenerate the paper's tables and figures from the cluster model", cmdBench},
 	{"explore", "rank every algorithm for one cluster shape on the simulator", cmdExplore},
 	{"load", "drive an `encag serve` host with a fleet of simulated clients", cmdLoad},
-	{"mon", "run a live workload with the metrics/debug HTTP server on", cmdMon},
 	{"osu", "OSU_Allgather-style latency micro-benchmark on the real engines", cmdOSU},
 	{"serve", "host many tenant sessions in one process over HTTP", cmdServe},
 	{"trace", "render the activity timeline of one all-gather", cmdTrace},

@@ -46,8 +46,8 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 			}
 		}
 	}
-	if len(commands) != 9 {
-		t.Errorf("%d subcommands, want 9", len(commands))
+	if len(commands) != 8 {
+		t.Errorf("%d subcommands, want 8", len(commands))
 	}
 }
 
@@ -71,8 +71,6 @@ func TestBadValuesNamedInOneLine(t *testing.T) {
 		bad  string
 	}{
 		{[]string{"trace", "-mapping", "weird"}, `"weird"`},
-		{[]string{"mon", "-mapping", "weird", "-duration", "1s"}, `"weird"`},
-		{[]string{"mon", "-engine", "fpga"}, `"fpga"`},
 		{[]string{"osu", "-engine", "fpga"}, `"fpga"`},
 		{[]string{"serve", "-engine", "fpga"}, `"fpga"`},
 		{[]string{"tune", "-engines", "tcp,fpga"}, `"fpga"`},

@@ -1,12 +1,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strings"
 )
@@ -99,40 +96,6 @@ func WriteMergedPrometheus(w io.Writer, sources ...Source) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// DebugMux returns the introspection routes the stack's HTTP servers
-// share: /metrics serves expose's Prometheus text, /debug/vars the
-// process's published expvars (memstats, cmdline) plus value() under
-// key as one JSON object, and /debug/pprof/ the standard net/http/pprof
-// endpoints. Callers add their own routes to the returned mux. value is
-// rendered per request rather than expvar.Publish'ed: expvar has no
-// unpublish, so publishing per-session state would leak it past the
-// session (and panic on duplicate names when sessions recycle).
-func DebugMux(expose func(io.Writer) error, key string, value func() any) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		expose(w)
-	})
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{\n")
-		expvar.Do(func(kv expvar.KeyValue) {
-			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-		})
-		enc, err := json.Marshal(value())
-		if err != nil {
-			enc = []byte("{}")
-		}
-		fmt.Fprintf(w, "%q: %s\n}\n", key, enc)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // injectLabels splices a rendered inner label run into an already

@@ -4,14 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"time"
 
 	"encag"
-	"encag/internal/metrics"
 )
 
 // Server is the host's HTTP surface:
@@ -41,7 +42,31 @@ func NewServer(m *Manager, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: listen: %w", err)
 	}
-	mux := metrics.DebugMux(m.WriteMetrics, "encag_serve", func() any { return m.Snapshot() })
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		m.WriteMetrics(w)
+	})
+	// The rollup is rendered per request rather than expvar.Publish'ed:
+	// expvar has no unpublish, so a published Manager would outlive
+	// its Close (and a second one would panic on the duplicate name).
+	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintf(w, "{\n")
+		expvar.Do(func(kv expvar.KeyValue) {
+			fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
+		})
+		enc, err := json.Marshal(m.Snapshot())
+		if err != nil {
+			enc = []byte("{}")
+		}
+		fmt.Fprintf(w, "\"encag_serve\": %s\n}\n", enc)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/v1/step", func(w http.ResponseWriter, r *http.Request) {
 		handleStep(m, w, r)
 	})
@@ -83,12 +108,19 @@ type stepResponse struct {
 	ElapsedNS int64  `json:"elapsed_ns,omitempty"`
 }
 
+// maxStepSize bounds /v1/step's size parameter. A step allocates a
+// payload of that size for every rank, and the runtime's out-of-memory
+// error is fatal, so an unbounded size would let one request kill
+// every tenant on the host. 16 MiB is well under wire.MaxChunk, the
+// largest chunk the TCP codec accepts.
+const maxStepSize = 16 << 20
+
 // handleStep runs one collective described by query parameters:
 //
 //	tenant     required tenant id
 //	op         allgather (default) | allreduce
 //	alg        algorithm name for allgather (default o-ring)
-//	size       per-rank payload bytes (default 4096)
+//	size       per-rank payload bytes (default 4096, at most maxStepSize)
 //	faultseed  nonzero arms a transient fault plan with that seed
 //
 // Admission rejections answer 429 with the structured reason; other
@@ -113,7 +145,7 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 	resp.Size = 4096
 	if v := q.Get("size"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
+		if err != nil || n <= 0 || n > maxStepSize {
 			httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: "bad size parameter"})
 			return
 		}

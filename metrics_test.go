@@ -3,8 +3,6 @@ package encag
 import (
 	"bufio"
 	"context"
-	"io"
-	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -249,24 +247,21 @@ func TestSessionMetricsCancel(t *testing.T) {
 }
 
 // The acceptance scenario: a live TCP session with at least two
-// collectives in flight must serve valid Prometheus text over HTTP
-// containing the session, scheduler, seal-pool, transport and
-// fault/recovery metric families.
+// collectives in flight must expose valid Prometheus text containing
+// the session, scheduler, seal-pool, transport and fault/recovery
+// metric families. The HTTP endpoints that serve this text are
+// encag serve's, tested in internal/serve.
 func TestDebugServerLiveTCP(t *testing.T) {
 	spec := Spec{Procs: 4, Nodes: 2}
 	s, err := OpenSession(context.Background(), spec,
-		WithEngine(EngineTCP), WithMaxInFlight(4), WithDebugServer(""))
+		WithEngine(EngineTCP), WithMaxInFlight(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	addr := s.DebugAddr()
-	if addr == "" {
-		t.Fatal("no debug address")
-	}
 
 	// Delay every read on every pair so the collectives stay in flight
-	// across the scrape window.
+	// across the scrape.
 	plan := &FaultPlan{Rules: []FaultRule{
 		{Src: -1, Dst: -1, Kind: FaultStallRead, Delay: 15 * time.Millisecond, Times: -1},
 	}}
@@ -289,19 +284,11 @@ func TestDebugServerLiveTCP(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
+	var b strings.Builder
+	if err := s.Metrics().WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := validatePrometheus(t, string(body))
+	samples := validatePrometheus(t, b.String())
 	for _, family := range []string{
 		"encag_session_ops_started_total",
 		"encag_session_op_latency_ns_count",
@@ -330,27 +317,10 @@ func TestDebugServerLiveTCP(t *testing.T) {
 		t.Errorf("scraped ops started = %v, want >= 3", v)
 	}
 
-	// The pprof index and expvar endpoints answer too.
-	for _, path := range []string{"/debug/pprof/", "/debug/vars"} {
-		r, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		r.Body.Close()
-		if r.StatusCode != http.StatusOK {
-			t.Errorf("%s: status %d", path, r.StatusCode)
-		}
-	}
-
 	for _, h := range hs {
 		if _, err := h.Wait(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	// After Close the server must stop answering.
-	s.Close()
-	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
-		t.Error("debug server still serving after Close")
 	}
 }
 
@@ -375,18 +345,6 @@ func TestMetricsWritePrometheusDirect(t *testing.T) {
 	}
 	if samples["encag_session_op_latency_ns_count"] != 1 {
 		t.Errorf("latency count = %v, want 1", samples["encag_session_op_latency_ns_count"])
-	}
-}
-
-// WithDebugServer is a session-level option.
-func TestDebugServerOptionIsSessionLevel(t *testing.T) {
-	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Run(context.Background(), "hs2", 256, WithDebugServer("")); err == nil {
-		t.Fatal("per-op WithDebugServer accepted")
 	}
 }
 

@@ -76,8 +76,6 @@ type sessionOptions struct {
 	profile     Profile
 	profileSet  bool
 	maxInFlight int
-	debugAddr   string
-	debugSet    bool
 	pipelining  bool
 	tuning      *tune.Table
 	tuningSet   bool
@@ -164,17 +162,6 @@ func WithPipelining(on bool) Option {
 	return sessionLevel("WithPipelining", func(o *sessionOptions) { o.pipelining = on })
 }
 
-// WithDebugServer starts an HTTP introspection server alongside the
-// session (session-level only), serving the session's live metrics in
-// Prometheus text format at /metrics, an expvar-style JSON dump at
-// /debug/vars, and the standard net/http/pprof profiling endpoints
-// under /debug/pprof/. addr is a listen address like "127.0.0.1:9090";
-// empty selects an ephemeral loopback port — read the bound address
-// back with Session.DebugAddr. The server shuts down with the session.
-func WithDebugServer(addr string) Option {
-	return sessionLevel("WithDebugServer", func(o *sessionOptions) { o.debugAddr, o.debugSet = addr, true })
-}
-
 func applyOpts(opts []Option) *sessionOptions {
 	o := &sessionOptions{}
 	for _, fn := range opts {
@@ -220,7 +207,6 @@ type Session struct {
 	plan   *FaultPlan // session-level default
 	inner  *cluster.Session
 	nb     *sched.Scheduler[*RunResult] // nonblocking in-flight window
-	dbg    *debugServer                 // nil unless WithDebugServer
 
 	// AlgAuto machinery: the tuner resolves auto operations to concrete
 	// algorithms (tuning table + online refinement), pipelined keys the
@@ -296,14 +282,6 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		func() int64 { return int64(s.nb.InFlight()) })
 	reg.CounterFunc(MetricWindowWaits, "Start calls that found the window full and blocked.",
 		s.nb.WindowWaits)
-	if o.debugSet {
-		dbg, err := startDebugServer(o.debugAddr, reg)
-		if err != nil {
-			inner.Close()
-			return nil, err
-		}
-		s.dbg = dbg
-	}
 	return s, nil
 }
 
@@ -330,9 +308,6 @@ func (s *Session) Rekey() error { return s.inner.Rekey() }
 // nil.
 func (s *Session) Close() error {
 	s.nb.Close()
-	if s.dbg != nil {
-		s.dbg.close()
-	}
 	return s.inner.Close()
 }
 
@@ -359,16 +334,6 @@ func (s *Session) Snapshot() MetricsSnapshot {
 	}
 	s.autoMu.Unlock()
 	return snap
-}
-
-// DebugAddr returns the bound address of the session's debug HTTP
-// server ("" when WithDebugServer was not used). With an ephemeral
-// listen address this is how callers learn the port.
-func (s *Session) DebugAddr() string {
-	if s.dbg == nil {
-		return ""
-	}
-	return s.dbg.addr
 }
 
 // WireReport is the byte-level view an inter-node eavesdropper got of an

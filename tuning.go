@@ -125,18 +125,3 @@ func (s *Session) observeLatency(planned bool, maxSize int64, used Alg, elapsed 
 	}
 	s.tuner.Observe(s.tuneKey(maxSize), string(used), elapsed)
 }
-
-// AutoSelected reports how many times each concrete algorithm has been
-// chosen for AlgAuto operations on this session.
-func (s *Session) AutoSelected() map[Alg]int64 {
-	s.autoMu.Lock()
-	defer s.autoMu.Unlock()
-	if len(s.autoSel) == 0 {
-		return nil
-	}
-	out := make(map[Alg]int64, len(s.autoSel))
-	for a, c := range s.autoSel {
-		out[a] = c.Value()
-	}
-	return out
-}
