@@ -54,7 +54,7 @@ func (r *report) tally(id string) *tenantTally {
 func cmdLoad(args []string) error {
 	fs := newFlags("load")
 	addr := fs.String("addr", "127.0.0.1:9191", "encag serve host address")
-	tenants := fs.Int("tenants", 8, "tenant cohort size (steps spread over t0..tN-1)")
+	tenants := fs.Int("tenants", 8, "tenant cohort size (steps spread over t0..tN-1; at most serve's -tenants)")
 	clients := fs.Int("clients", 32, "concurrent simulated clients")
 	rate := fs.Float64("rate", 0, "target arrivals/sec across all clients (0 = closed loop)")
 	mix := fs.Float64("mix", 1.0, "fraction of steps that are all-gather (rest all-reduce)")

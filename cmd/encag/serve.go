@@ -9,8 +9,8 @@ import (
 
 // cmdServe hosts many tenant Sessions in one process over a shared
 // crypto pool — the multi-tenant collective service. Tenants are
-// pre-registered t0..t{N-1} (more auto-register on first use) and admit
-// lazily; the HTTP surface drives and observes them:
+// pre-registered t0..t{N-1} and admit lazily; the HTTP surface drives
+// and observes them:
 //
 //	encag serve -tenants 16 -engine chan -addr 127.0.0.1:9191
 //	curl 'http://127.0.0.1:9191/v1/step?tenant=t3&op=allgather&size=16384'

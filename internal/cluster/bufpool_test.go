@@ -191,7 +191,7 @@ func TestPendingSendHoldsCiphertext(t *testing.T) {
 	}})
 	sending := make(chan struct{}, 1)
 	inj.SetObserver(func(fault.Kind) { sending <- struct{}{} })
-	o := s.tr.newOp(1, nil, inj, time.Second, nil, false)
+	o := s.tr.newOp(context.Background(), 1, nil, inj, time.Second, nil, false)
 	defer s.tr.reg.deregister(1)
 	drainCipherBufs()
 	blob := o.alloc(5000)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -177,18 +178,56 @@ func TestTimeoutPathDrainsGoroutines(t *testing.T) {
 		if want := engine.String() + " run exceeded"; !strings.Contains(err.Error(), want) {
 			t.Fatalf("timeout error %q does not name its engine (%q)", err, want)
 		}
-		// Rank goroutines, readers and the done-waiter must be gone; poll
-		// briefly for the crypto pool's idle workers to wind down.
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before+2 {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				buf = buf[:runtime.Stack(buf, true)]
-				t.Fatalf("%v: %d goroutines before run, %d after\n%s",
-					engine, before, runtime.NumGoroutine(), buf)
-			}
-			time.Sleep(25 * time.Millisecond)
+		// Rank goroutines, readers and the deadline callback must be gone.
+		awaitGoroutines(t, engine, before)
+	}
+}
+
+// awaitGoroutines fails the test unless the process drains back to at
+// most before+2 goroutines within five seconds, which leaves the crypto
+// pool's idle workers time to wind down.
+func awaitGoroutines(t *testing.T, engine EngineKind, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%v: %d goroutines before run, %d after\n%s",
+				engine, before, runtime.NumGoroutine(), buf)
 		}
+		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// Cancelling the context ends an op whose ranks are parked in both kinds
+// of wait: one rank of a node in a receive nobody sends, the node's other
+// ranks in its barrier, which that rank never reaches. The op fails with
+// Op "cancel" and leaves no goroutine behind.
+func TestCancelUnblocksRecvAndBarrierWaits(t *testing.T) {
+	spec := Spec{P: 6, N: 2, Mapping: BlockMapping, RecvTimeout: time.Hour}
+	parked := func(p *Proc, mine block.Message) block.Message {
+		if p.Rank() == 0 {
+			p.Recv(1) // rank 1 never sends
+		}
+		p.NodeBarrier()
+		return mine
+	}
+	for _, engine := range opEngines {
+		before := runtime.NumGoroutine()
+		s, err := OpenSession(spec, SessionConfig{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(100*time.Millisecond, cancel)
+		_, err = s.Collective(ctx, Op{Algo: parked, MsgSize: 64})
+		s.Close()
+		var re *RankError
+		if !errors.As(err, &re) || re.Op != "cancel" || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: err = %v, want *RankError with Op cancel wrapping context.Canceled", engine, err)
+		}
+		awaitGoroutines(t, engine, before)
 	}
 }
 

@@ -882,7 +882,6 @@ func (l *link) readSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.
 // drops the stream.
 func (l *link) openSegment(o *opRuntime, src, dst int, sr *streamRecv) {
 	l.lm.pipeSegmentsRecv.Inc()
-	l.lm.pipeInlineOpens.Inc()
 	pair := &o.streams[src*l.spec.P+dst]
 	c, done, err := sr.open()
 	switch {

@@ -40,7 +40,6 @@ const (
 	MetricPipeStreams        = "encag_pipeline_streams_total"
 	MetricPipeSegmentsSent   = "encag_pipeline_segments_sent_total"
 	MetricPipeSegmentsRecv   = "encag_pipeline_segments_recv_total"
-	MetricPipeInlineOpens    = "encag_pipeline_inline_opens_total"
 	MetricPipeStreamSegments = "encag_pipeline_stream_segments"
 )
 
@@ -86,7 +85,6 @@ type liveMetrics struct {
 	pipeStreams        *metrics.Counter
 	pipeSegmentsSent   *metrics.Counter
 	pipeSegmentsRecv   *metrics.Counter
-	pipeInlineOpens    *metrics.Counter
 	pipeStreamSegments *metrics.Histogram
 }
 
@@ -121,7 +119,6 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.pipeStreams = reg.Counter(MetricPipeStreams, "Pipelined messages streamed segment by segment (one sealed chunk each).")
 	lm.pipeSegmentsSent = reg.Counter(MetricPipeSegmentsSent, "Sealed segments put on the wire by pipelined sends.")
 	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
-	lm.pipeInlineOpens = reg.Counter(MetricPipeInlineOpens, "Segments opened on the connection reader as they landed (every streamed segment).")
 	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
 
 	lm.framesSentTotal = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.")
@@ -228,8 +225,9 @@ type SessionSnapshot struct {
 	// Pipeline* fields describe intra-collective segment streaming
 	// (zero everywhere unless a TCP session has pipelining on).
 	// PipelineStreams counts streamed messages, each one sealed chunk.
-	// PipelineInlineOpens counts every segment opened: each one opens on
-	// its connection's reader goroutine as it lands.
+	// PipelineInlineOpens equals PipelineSegmentsRecv, read from the
+	// same counter: every received segment opens on its connection's
+	// reader goroutine as it lands.
 	PipelineStreams      int64
 	PipelineSegmentsSent int64
 	PipelineSegmentsRecv int64
@@ -295,7 +293,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineStreams = lm.pipeStreams.Value()
 	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
 	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
-	snap.PipelineInlineOpens = lm.pipeInlineOpens.Value()
+	snap.PipelineInlineOpens = snap.PipelineSegmentsRecv
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
 	if sn := s.tr.sniff; sn != nil {
 		snap.WireBytes = sn.Total()

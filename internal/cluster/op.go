@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,6 +28,7 @@ const errRunAborted = "cluster: run aborted by failure on another rank"
 // runtimes run concurrently over one transport; aborting one leaves the
 // transport and its sibling operations untouched.
 type opRuntime struct {
+	ctx   context.Context // the caller's: a parked rank unwinds when it ends
 	spec  Spec
 	slr   *seal.Sealer
 	id    uint32
@@ -59,9 +61,10 @@ type opRuntime struct {
 // newOp builds the runtime for one collective — over a (possibly
 // session-shared) sealer — and registers it as a live operation, making
 // its op-id routable by the link.
-func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
+func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
 	spec := t.spec
 	o := &opRuntime{
+		ctx:     ctx,
 		spec:    spec,
 		slr:     slr,
 		id:      id,
@@ -86,7 +89,7 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 		o.wake[r] = make(chan struct{}, 1)
 	}
 	for n := range o.bars {
-		o.bars[n].n, o.bars[n].cond.L = spec.Ell(), &o.bars[n].mu
+		o.bars[n].n = spec.Ell()
 	}
 	t.reg.register(id, o)
 	return o
@@ -101,8 +104,14 @@ func (t *transport) newOp(id uint32, slr *seal.Sealer, inj *fault.Injector, recv
 // pair's messages in send order, streamed ones included.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
 	o.fifos[dst*o.spec.P+src].push(msg)
+	o.nudge(dst)
+}
+
+// nudge wakes rank from park. A receive and a barrier wait each re-check
+// their own condition, so one may take the other's nudge.
+func (o *opRuntime) nudge(rank int) {
 	select {
-	case o.wake[dst] <- struct{}{}:
+	case o.wake[rank] <- struct{}{}:
 	default:
 	}
 }
@@ -147,12 +156,7 @@ func (f *msgFIFO) pop() (block.Message, bool) {
 // this op still in the queues or on the wire are dropped by the send
 // scheduler and the demux.
 func (o *opRuntime) abort() {
-	o.abortOnce.Do(func() {
-		close(o.aborted)
-		for n := range o.bars {
-			o.bars[n].abort()
-		}
-	})
+	o.abortOnce.Do(func() { close(o.aborted) })
 }
 
 func (o *opRuntime) isAborted() bool {
@@ -187,44 +191,56 @@ type opShm struct {
 	m  map[ShmKey]block.Message
 }
 
+// opBarrier is one node's barrier. It keeps no wait state of its own:
+// a rank that is not last parks, as a receive does, and the last rank
+// to arrive advances the generation and nudges the others.
 type opBarrier struct {
-	mu      sync.Mutex
-	cond    sync.Cond
+	mu      sync.Mutex // guards arrived
 	n       int
 	arrived int
-	gen     int
-	dead    bool
+	gen     atomic.Uint32
 }
 
-func (b *opBarrier) abort() {
-	b.mu.Lock()
-	b.dead = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-func (b *opBarrier) await() {
-	b.mu.Lock()
-	if b.dead {
-		b.mu.Unlock()
+// awaitBarrier blocks rank until every rank of its node has arrived.
+func (o *opRuntime) awaitBarrier(rank int) {
+	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
+	node := o.spec.NodeOf(rank)
+	b := &o.bars[node]
+	b.mu.Lock()
+	gen := b.gen.Load()
+	if b.arrived++; b.arrived == b.n {
 		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-	} else {
-		for b.gen == gen && !b.dead {
-			b.cond.Wait()
+		b.gen.Add(1)
+		b.mu.Unlock()
+		for r := range o.wake {
+			if r != rank && o.spec.NodeOf(r) == node {
+				o.nudge(r)
+			}
 		}
+		return
 	}
-	dead := b.dead
 	b.mu.Unlock()
-	if dead {
-		panic(errRunAborted)
+	for b.gen.Load() == gen {
+		o.park(rank, nil)
 	}
+}
+
+// park is the one way a rank waits: until a nudge (false) or deadline,
+// nil for none, fires (true). It unwinds the rank once the op aborts or
+// the caller's context ends.
+func (o *opRuntime) park(rank int, deadline <-chan time.Time) (expired bool) {
+	select {
+	case <-o.wake[rank]:
+	case <-deadline:
+		return true
+	case <-o.aborted:
+		panic(errRunAborted)
+	case <-o.ctx.Done():
+		o.fail(&RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(o.ctx)})
+	}
+	return false
 }
 
 type sendReq struct{}
@@ -307,11 +323,7 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 		if deadline == nil {
 			deadline = o.armRecvDeadline(rank)
 		}
-		select {
-		case <-o.wake[rank]:
-		case <-o.aborted:
-			panic(errRunAborted)
-		case <-deadline:
+		if o.park(rank, deadline) {
 			o.lm.recvTimeouts.Inc()
 			o.fail(&RankError{Rank: rank, Peer: src, Op: "recv",
 				Err: fmt.Errorf("no message within %v", o.recvTO)})
@@ -371,11 +383,11 @@ func (o *opRuntime) shmGet(p *Proc, key ShmKey) (block.Message, bool) {
 
 func (o *opRuntime) nodeBarrier(p *Proc) {
 	if !o.wt.active() {
-		o.bars[p.Node()].await()
+		o.awaitBarrier(p.rank)
 		return
 	}
 	start := o.wt.now()
-	o.bars[p.Node()].await()
+	o.awaitBarrier(p.rank)
 	o.wt.emit(p.rank, TraceBarrier, start, 0, -1)
 }
 

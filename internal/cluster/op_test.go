@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ import (
 // send schedulers: everything a rank's receive side does — ordering,
 // failing, unblocking — is the runtime's own and needs no wire.
 func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
-	return newBareTransport(spec).newOp(1, nil, nil, recvTO, nil, false)
+	return newBareTransport(spec).newOp(context.Background(), 1, nil, nil, recvTO, nil, false)
 }
 
 func newBareTransport(spec Spec) *transport {
@@ -31,9 +32,9 @@ func newBareTransport(spec Spec) *transport {
 // transport drops.
 func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
 	tr := newBareTransport(Spec{P: 2, N: 1})
-	live := tr.newOp(1, nil, nil, time.Hour, nil, false)
+	live := tr.newOp(context.Background(), 1, nil, nil, time.Hour, nil, false)
 	tr.abortLive(ErrSessionClosed)
-	late := tr.newOp(2, nil, nil, time.Hour, nil, false)
+	late := tr.newOp(context.Background(), 2, nil, nil, time.Hour, nil, false)
 	for name, o := range map[string]*opRuntime{"live": live, "late": late} {
 		if !o.isAborted() {
 			t.Fatalf("%s op not aborted by close", name)
@@ -95,7 +96,7 @@ func TestOpRuntimeReceivesPerSourceFIFO(t *testing.T) {
 func TestOpRuntimeAbortUnblocksRecvAndBarrier(t *testing.T) {
 	o := newBareOp(Spec{P: 2, N: 1}, time.Hour)
 	recv := recovered(func() { o.recvFrom(0, 1) })
-	bar := recovered(func() { o.bars[0].await() })
+	bar := recovered(func() { o.awaitBarrier(1) })
 	// The barrier's arrival is observable; the receive parks on its
 	// select either before or after the abort, with the same outcome.
 	for b := &o.bars[0]; ; time.Sleep(time.Millisecond) {
@@ -120,6 +121,42 @@ func TestOpRuntimeAbortUnblocksRecvAndBarrier(t *testing.T) {
 	}
 	if err := o.fails.err(); err != cause {
 		t.Fatalf("root cause = %v, want %v", err, cause)
+	}
+}
+
+// A barrier wait shares its rank's wake channel with receives. A
+// delivery nudge already in the slot must not let the wait return before
+// the node's last rank arrives, and the receive that follows still gets
+// the message whose nudge the barrier consumed.
+func TestOpRuntimeBarrierSharesWakeWithRecv(t *testing.T) {
+	o := newBareOp(Spec{P: 2, N: 1}, time.Second)
+	o.deliver(0, 1, plainMsg(0, 'A')) // fills rank 1's wake slot
+	bar := recovered(func() { o.awaitBarrier(1) })
+	for deadline := time.Now().Add(5 * time.Second); len(o.wake[1]) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the barrier wait never took the delivery nudge")
+		}
+	}
+	select {
+	case rec := <-bar:
+		t.Fatalf("barrier returned (%v) before rank 0 arrived", rec)
+	case <-time.After(20 * time.Millisecond):
+	}
+	o.awaitBarrier(0) // the last arrival
+	select {
+	case rec := <-bar:
+		if rec != nil {
+			t.Fatalf("barrier wait panicked: %v", rec)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("barrier wait not released by the last arrival")
+	}
+	if rec := <-recovered(func() {
+		if b := payloadOf(o.recvFrom(1, 0)); b != 'A' {
+			t.Errorf("receive after the barrier = %q, want 'A'", b)
+		}
+	}); rec != nil {
+		t.Fatalf("receive after the barrier panicked: %v", rec)
 	}
 }
 

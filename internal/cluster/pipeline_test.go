@@ -93,7 +93,7 @@ func TestPipelineTCPByteExact(t *testing.T) {
 	if sent != recv {
 		t.Fatalf("segments sent %d != received %d on a clean run", sent, recv)
 	}
-	if opened := s.lm.pipeInlineOpens.Value(); opened != recv {
+	if opened := s.Snapshot().PipelineInlineOpens; opened != recv {
 		t.Fatalf("segments opened %d != received %d: every segment opens as it lands", opened, recv)
 	}
 	if s.Sniffer().Total() == 0 {

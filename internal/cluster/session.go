@@ -528,7 +528,7 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	run := s.tr.newOp(id, slr, inj, s.recvTO, tracer, s.pipe)
+	run := s.tr.newOp(ctx, id, slr, inj, s.recvTO, tracer, s.pipe)
 	defer s.tr.reg.deregister(id)
 
 	res := &RealResult{
@@ -550,27 +550,16 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 			res.Results[r] = op.Algo(p, mine)
 		}()
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	// Under this module's go 1.22 timer semantics an unstopped timer stays
-	// in the heap until it fires, a full RealTimeout after the operation.
-	deadline := time.NewTimer(RealTimeout)
-	defer deadline.Stop()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)})
-		run.abort()
-		// Every blocking point (receives, barriers, send backoffs)
-		// observes the abort, so the ranks unwind promptly; wait for them
-		// instead of leaking goroutines into the caller's process.
-		<-done
-	case <-deadline.C:
+	// The run bound records its cause and aborts, as a parked rank does
+	// when ctx ends; every blocking point observes the abort, so the ranks
+	// unwind and the op ends in wg.Wait, leaking no goroutine.
+	deadline := time.AfterFunc(RealTimeout, func() {
 		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
 			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
 		run.abort()
-		<-done
-	}
+	})
+	wg.Wait()
+	deadline.Stop()
 	res.Elapsed = time.Since(start)
 	err = run.fails.err()
 	// The ranks are done; queued sends still hold the ciphertext until
@@ -609,13 +598,16 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 // virtual time and is not cancellable mid-flight. Sim failures do not
 // break the session — the model holds no cross-operation state.
 func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
+	// The lock covers the checks only: Snapshot, Close and other Sims
+	// must not wait out a simulation (tens of ms at paper scale).
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	closed, broken := s.closed, s.broken
+	s.mu.Unlock()
 	switch {
-	case s.closed:
+	case closed:
 		return nil, ErrSessionClosed
-	case s.broken != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	case broken != nil:
+		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, broken)
 	case s.cfg.Engine != EngineSim:
 		return nil, errors.New("cluster: Sim needs an EngineSim session; use Collective")
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,5 +280,53 @@ func TestSessionClosedAndEngineMismatch(t *testing.T) {
 	}
 	if err := ValidateGather(spec, 8, res.Results, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// parkedTracer blocks every Record until released, signalling the first.
+type parkedTracer struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (pt *parkedTracer) Record(TraceEvent) {
+	pt.once.Do(func() { close(pt.entered) })
+	<-pt.release
+}
+
+// A Sim holds the session lock for its state checks only: one parked in
+// its tracer blocks neither Snapshot nor a second Sim on the session.
+func TestSimDoesNotBlockSession(t *testing.T) {
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
+	s, err := OpenSession(spec, SessionConfig{Engine: EngineSim, Profile: cost.Noleland()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pt := &parkedTracer{entered: make(chan struct{}), release: make(chan struct{})}
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.Sim(context.Background(), Op{Algo: ringPlain, MsgSize: 64, Tracer: pt})
+		first <- err
+	}()
+	<-pt.entered
+	others := make(chan error, 1)
+	go func() {
+		s.Snapshot()
+		_, err := s.Sim(context.Background(), Op{Algo: ringPlain, MsgSize: 64})
+		others <- err
+	}()
+	select {
+	case err := <-others:
+		if err != nil {
+			t.Fatalf("second Sim: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		close(pt.release) // unpark, so the deferred Close cannot hang
+		t.Fatal("Snapshot or a second Sim blocked behind a Sim parked in its tracer")
+	}
+	close(pt.release)
+	if err := <-first; err != nil {
+		t.Fatalf("parked Sim: %v", err)
 	}
 }

@@ -16,6 +16,9 @@
 // completed, its result is reachable through its handle alone, and the
 // scheduler keeps at most the error WaitAll reports; a long-lived
 // session's memory does not grow with the number of operations it ran.
+// The only goroutine it starts is each operation's own: Start and
+// WaitAll block in a select on a channel the scheduler already holds
+// (the window, the idle channel) and their context.
 package sched
 
 import (
@@ -49,7 +52,7 @@ type Scheduler[T any] struct {
 	failAt  int   // start index of failErr's operation
 	failErr error // error of the earliest-started failed operation, nil if none
 	live    int
-	idle    *sync.Cond // signalled when live drops to zero
+	idle    chan struct{} // made when live leaves zero, closed when it returns to zero
 }
 
 // New builds a scheduler with the given in-flight window; n <= 0
@@ -58,9 +61,7 @@ func New[T any](n int) *Scheduler[T] {
 	if n <= 0 {
 		n = DefaultMaxInFlight
 	}
-	s := &Scheduler[T]{slots: make(chan struct{}, n)}
-	s.idle = sync.NewCond(&s.mu)
-	return s
+	return &Scheduler[T]{slots: make(chan struct{}, n)}
 }
 
 // MaxInFlight returns the window size.
@@ -114,6 +115,9 @@ func (s *Scheduler[T]) Start(ctx context.Context, fn func() (T, error)) (*Handle
 	}
 	at := s.started
 	s.started++
+	if s.live == 0 {
+		s.idle = make(chan struct{})
+	}
 	s.live++
 	s.mu.Unlock()
 	go func() {
@@ -123,9 +127,8 @@ func (s *Scheduler[T]) Start(ctx context.Context, fn func() (T, error)) (*Handle
 		if err != nil && (s.failErr == nil || at < s.failAt) {
 			s.failAt, s.failErr = at, err
 		}
-		s.live--
-		if s.live == 0 {
-			s.idle.Broadcast()
+		if s.live--; s.live == 0 {
+			close(s.idle)
 		}
 		s.mu.Unlock()
 		<-s.slots
@@ -153,29 +156,19 @@ func (s *Scheduler[T]) WaitAll(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	done := make(chan struct{})
-	go func() {
+	for {
 		s.mu.Lock()
-		for s.live > 0 {
-			s.idle.Wait()
+		idle, live, err := s.idle, s.live, s.failErr
+		s.mu.Unlock()
+		if live == 0 {
+			return err
 		}
-		s.mu.Unlock()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		// Unhook the waiter goroutine: wake it so it can observe whatever
-		// state it finds and exit rather than leak.
-		s.mu.Lock()
-		s.idle.Broadcast()
-		s.mu.Unlock()
-		go func() { <-done }() // reap once live eventually drains
-		return context.Cause(ctx)
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return context.Cause(ctx)
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failErr
 }
 
 // Close refuses further Starts. Running operations are not interrupted;

@@ -13,9 +13,9 @@ import (
 )
 
 // TestMain is the goroutine-leak fence for the scheduler package: the
-// same pattern as internal/cluster's fence. Scheduler runners, FairQueue
-// poppers and WaitAll waiters must all drain back to baseline after
-// every test, including the ones that cancel N concurrent ops mid-flight.
+// same pattern as internal/cluster's fence. Scheduler runners and
+// FairQueue poppers must all drain back to baseline after every test,
+// including the ones that cancel N concurrent ops mid-flight.
 func TestMain(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
@@ -292,6 +292,47 @@ func TestWaitAllCancel(t *testing.T) {
 	close(release)
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An operation started while WaitAll is blocked is waited on too, and
+// its error is what WaitAll reports: the first operation completing does
+// not end the wait while the second is still in flight.
+func TestWaitAllWaitsForOpsStartedWhileBlocked(t *testing.T) {
+	s := New[int](2)
+	releaseA, releaseB := make(chan struct{}), make(chan struct{})
+	hA, err := s.Start(context.Background(), func() (int, error) {
+		<-releaseA
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := make(chan error, 1)
+	go func() { waited <- s.WaitAll(context.Background()) }()
+	time.Sleep(20 * time.Millisecond) // let WaitAll park on the first op
+	errB := errors.New("second op failed")
+	if _, err := s.Start(context.Background(), func() (int, error) {
+		<-releaseB
+		return 0, errB
+	}); err != nil {
+		t.Fatal(err)
+	}
+	close(releaseA)
+	hA.Wait()
+	select {
+	case err := <-waited:
+		t.Fatalf("WaitAll returned %v with the second op still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(releaseB)
+	select {
+	case err := <-waited:
+		if err != errB {
+			t.Fatalf("WaitAll = %v, want the second op's error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitAll still blocked after every op completed")
 	}
 }
 

@@ -117,7 +117,7 @@ const maxStepSize = 16 << 20
 
 // handleStep runs one collective described by query parameters:
 //
-//	tenant     required tenant id
+//	tenant     required id of a registered tenant (404 otherwise)
 //	op         allgather (default) | allreduce
 //	alg        algorithm name for allgather (default o-ring)
 //	size       per-rank payload bytes (default 4096, at most maxStepSize)
@@ -134,6 +134,12 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Tenant == "" {
 		httpJSON(w, http.StatusBadRequest, stepResponse{Error: "missing tenant parameter"})
+		return
+	}
+	// Only the host registers tenants: a request's name opens nothing.
+	spec, known := tenantSpec(m, resp.Tenant)
+	if !known {
+		httpJSON(w, http.StatusNotFound, stepResponse{Tenant: resp.Tenant, Error: "unknown tenant"})
 		return
 	}
 	if resp.Op == "" {
@@ -158,7 +164,7 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 			httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: "bad faultseed parameter"})
 			return
 		}
-		opts = append(opts, encag.WithFaultPlan(encag.TransientFaultPlan(seed, tenantSpec(m, resp.Tenant).Procs, 4)))
+		opts = append(opts, encag.WithFaultPlan(encag.TransientFaultPlan(seed, spec.Procs, 4)))
 	}
 	start := time.Now()
 	var err error
@@ -172,7 +178,7 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 		_, err = m.Step(r.Context(), resp.Tenant, alg, resp.Size, opts...)
 	case "allreduce":
 		resp.Alg = ""
-		data := allreducePayload(m, resp.Tenant, int(resp.Size))
+		data := allreducePayload(spec.Procs, int(resp.Size))
 		_, err = m.Allreduce(r.Context(), resp.Tenant, data, encag.XORCombine, opts...)
 	default:
 		httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: "bad op parameter (allgather|allreduce)"})
@@ -194,20 +200,20 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 	httpJSON(w, http.StatusOK, resp)
 }
 
-// tenantSpec resolves the layout a tenant's next session would use.
-func tenantSpec(m *Manager, id string) encag.Spec {
+// tenantSpec resolves the layout a registered tenant's next session
+// would use; known is false for a tenant the host never registered.
+func tenantSpec(m *Manager, id string) (spec encag.Spec, known bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if tn := m.tenants[id]; tn != nil {
-		return tn.spec
+		return tn.spec, true
 	}
-	return m.cfg.Spec
+	return encag.Spec{}, false
 }
 
-// allreducePayload builds per-rank deterministic contributions sized to
-// the tenant's registered layout.
-func allreducePayload(m *Manager, id string, size int) [][]byte {
-	data := make([][]byte, tenantSpec(m, id).Procs)
+// allreducePayload builds deterministic contributions for procs ranks.
+func allreducePayload(procs, size int) [][]byte {
+	data := make([][]byte, procs)
 	for r := range data {
 		buf := make([]byte, size)
 		for i := range buf {

@@ -16,14 +16,19 @@ import (
 )
 
 // openServer stands up a Manager with the given tenant session options
-// behind its HTTP surface on an ephemeral loopback port.
+// and one registered tenant, t0, behind its HTTP surface on an ephemeral
+// loopback port.
 func openServer(t *testing.T, opts ...encag.Option) (*Manager, *Server) {
 	t.Helper()
-	m, err := Open(Config{Spec: encag.Spec{Procs: 4, Nodes: 2}, SessionOptions: opts})
+	spec := encag.Spec{Procs: 4, Nodes: 2}
+	m, err := Open(Config{Spec: spec, SessionOptions: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
+	if err := m.Register("t0", spec); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := NewServer(m, "")
 	if err != nil {
 		t.Fatal(err)
@@ -193,5 +198,30 @@ func TestServerRejectsOversizedStep(t *testing.T) {
 	}
 	if r := step(t, srv, "tenant=t0&size=4096", http.StatusOK); !r.OK {
 		t.Fatalf("normal step after the refusals: %+v", r)
+	}
+}
+
+// A tenant the host never registered is refused with 404 before any
+// session opens: outside input creates no tenant, no resident session
+// and no metric family. A registered tenant still steps.
+func TestServerRefusesUnknownTenant(t *testing.T) {
+	m, srv := openServer(t)
+	for _, q := range []string{
+		"tenant=stranger0",
+		"tenant=stranger1&op=allreduce",
+		"tenant=stranger2&faultseed=7",
+	} {
+		if r := step(t, srv, q, http.StatusNotFound); r.Error != "unknown tenant" {
+			t.Errorf("step %s: error %q, want unknown tenant", q, r.Error)
+		}
+	}
+	if ids, n := m.Tenants(), m.Resident(); len(ids) != 1 || ids[0] != "t0" || n != 0 {
+		t.Fatalf("after refused steps: tenants %v, resident %d; want [t0], 0", ids, n)
+	}
+	if _, text := get(t, srv, "/metrics"); strings.Contains(text, "stranger") {
+		t.Fatal("a refused tenant appears in the metrics")
+	}
+	if r := step(t, srv, "tenant=t0", http.StatusOK); !r.OK {
+		t.Fatalf("registered tenant: %+v", r)
 	}
 }

@@ -198,10 +198,10 @@ func (m *Manager) Pool() *seal.Pool { return m.pool }
 func (m *Manager) Registry() *metrics.Registry { return m.reg }
 
 // Register declares a tenant with its own layout and session options
-// before first use. Steps for unknown tenants auto-register with the
-// manager's default spec. Re-registering an existing tenant only
-// updates the layout used for its *next* session (a resident session
-// keeps its current one).
+// before first use. Library steps for unknown tenants auto-register with
+// the manager's default spec; /v1/step refuses them. Re-registering an
+// existing tenant only updates the layout used for its *next* session
+// (a resident session keeps its current one).
 func (m *Manager) Register(id string, spec encag.Spec, opts ...encag.Option) error {
 	if id == "" {
 		return errors.New("serve: empty tenant id")
