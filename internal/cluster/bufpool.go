@@ -92,9 +92,11 @@ func (p *bufPool) idleBytes() int {
 // is zero no sender can still be writing or reading either, and bytes
 // past a buffer's length are never sent.
 //
-// A connection reader can still hand a frame to an operation whose count
-// has reached zero, between its end and its deregistration; that buffer
-// is kept on a list nobody returns, and the collector takes it.
+// The last release also returns the operation's rank slot (see
+// rankSlot). A connection reader that found the operation just before
+// its deregistration can still hand it a frame after the count reached
+// zero; that buffer is kept on a list nobody returns, and the collector
+// takes it.
 type opBufs struct {
 	mu   sync.Mutex
 	held [][]byte
@@ -116,14 +118,13 @@ func (b *opBufs) hold() {
 	b.mu.Unlock()
 }
 
-// release drops one reference; the last one returns the buffers when
-// the operation succeeded.
-func (b *opBufs) release() {
+// release drops one reference and reports whether it was the last. The
+// last one returns the buffers when the operation succeeded.
+func (b *opBufs) release() (last bool) {
 	b.mu.Lock()
-	b.refs--
-	if b.refs > 0 {
+	if b.refs--; b.refs != 0 {
 		b.mu.Unlock()
-		return
+		return false
 	}
 	held := b.held
 	b.held = nil
@@ -134,13 +135,14 @@ func (b *opBufs) release() {
 			cipherBufs.put(buf)
 		}
 	}
+	return true
 }
 
 // finish drops the running operation's own reference, recording whether
-// it succeeded.
-func (b *opBufs) finish(ok bool) {
+// it succeeded, and reports whether it was the last.
+func (b *opBufs) finish(ok bool) (last bool) {
 	b.mu.Lock()
 	b.ok = ok
 	b.mu.Unlock()
-	b.release()
+	return b.release()
 }

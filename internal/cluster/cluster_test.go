@@ -268,28 +268,30 @@ func TestSimCryptoCharges(t *testing.T) {
 	}
 }
 
+// leaderShmGather is a two-node all-gather through shared memory and
+// node barriers: a miniature HS step 1 within each node, then an
+// encrypted exchange between the two leaders.
+func leaderShmGather(p *Proc, mine block.Message) block.Message {
+	p.ShmPut(shmKey("own", p.Rank()), mine)
+	p.NodeBarrier()
+	var node block.Message
+	for _, r := range p.Spec().RanksOnNode(p.Node()) {
+		node = block.Concat(node, p.ShmGet(shmKey("own", r)))
+	}
+	if p.IsLeader() {
+		ct := p.Encrypt(node.Chunks...)
+		otherLeader := p.Spec().Leader(1 - p.Node())
+		in := p.SendRecv(otherLeader, block.Message{Chunks: []block.Chunk{ct}}, otherLeader)
+		p.ShmPut(shmKey("remote", -1), p.DecryptAll(in))
+	}
+	p.NodeBarrier()
+	remote := p.ShmGet(shmKey("remote", -1))
+	return block.Concat(node, remote)
+}
+
 func TestShmAndNodeBarrier(t *testing.T) {
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	algo := func(p *Proc, mine block.Message) block.Message {
-		// Leader-gathers-via-shm then everyone reads everything: a
-		// miniature HS step 1 within the node, then an inter-node leader
-		// exchange, encrypted.
-		p.ShmPut(shmKey("own", p.Rank()), mine)
-		p.NodeBarrier()
-		var node block.Message
-		for _, r := range p.Spec().RanksOnNode(p.Node()) {
-			node = block.Concat(node, p.ShmGet(shmKey("own", r)))
-		}
-		if p.IsLeader() {
-			ct := p.Encrypt(node.Chunks...)
-			otherLeader := p.Spec().Leader(1 - p.Node())
-			in := p.SendRecv(otherLeader, block.Message{Chunks: []block.Chunk{ct}}, otherLeader)
-			p.ShmPut(shmKey("remote", -1), p.DecryptAll(in))
-		}
-		p.NodeBarrier()
-		remote := p.ShmGet(shmKey("remote", -1))
-		return block.Concat(node, remote)
-	}
+	algo := leaderShmGather
 	for _, engine := range opEngines {
 		res, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: algo, MsgSize: 32})
 		if err != nil {

@@ -19,15 +19,20 @@ import (
 const errRunAborted = "cluster: run aborted by failure on another rank"
 
 // opRuntime is the per-operation execution state of one collective on a
-// chan or tcp session, and the only non-sim engine: one unbounded
-// receive FIFO per (rank, source), shared memory, barriers, fault
-// injector and failure state, keyed by the operation id every message
-// carries. It decides how a rank's receives are ordered, failed and
-// unblocked; the session's link only moves jobs from a rank's send
-// queue to the destination's runtime (deliver, streams). Many
-// runtimes run concurrently over one transport; aborting one leaves the
-// transport and its sibling operations untouched.
+// chan or tcp session, and the only non-sim engine. It runs on a
+// rankSlot it takes from its session — the ranks' goroutines, receive
+// FIFOs, wake channels, deadline timers, shared memory and barriers,
+// all kept from op to op — and keeps only what is the op's own: its id,
+// context, sealer, fault injector, failure state, ciphertext buffers
+// and, when pipelined, its incoming streams, keyed by the operation id
+// every message carries. It decides how a rank's receives are ordered,
+// failed and unblocked; the session's link only moves jobs from a
+// rank's send queue to the destination's runtime (deliver, streams).
+// Many runtimes run concurrently over one transport; aborting one
+// leaves the transport and its sibling operations untouched.
 type opRuntime struct {
+	*rankSlot // the op's rank contexts, until its last buffer reference goes
+
 	ctx   context.Context // the caller's: a parked rank unwinds when it ends
 	spec  Spec
 	slr   *seal.Sealer
@@ -36,15 +41,9 @@ type opRuntime struct {
 	lm    *liveMetrics
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
-	fifos []msgFIFO       // [rank*P+src]: src's delivered messages to rank, oldest first
-	wake  []chan struct{} // [rank]: cap 1, a coalesced "delivered" signal
-	shm   []opShm         // [node]
-	bars  []opBarrier     // [node]
-
 	inj       *fault.Injector
 	recvTO    time.Duration
-	recvTimer []*time.Timer // [rank] receive deadline; see armRecvDeadline
-	wt        wallTrace     // wall-clock tracing; inert unless a tracer is set
+	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
 	fails     failState
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
 	abortOnce sync.Once
@@ -58,9 +57,10 @@ type opRuntime struct {
 	streams   []*streamRecv
 }
 
-// newOp builds the runtime for one collective — over a (possibly
-// session-shared) sealer — and registers it as a live operation, making
-// its op-id routable by the link.
+// newOp admits one collective — over a (possibly session-shared) sealer —
+// onto a rank slot from the session's pool and registers it as a live
+// operation, making its op-id routable by the link. Unpipelined, it
+// allocates the runtime and its abort channel, nothing else.
 func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
 	spec := t.spec
 	o := &opRuntime{
@@ -71,28 +71,35 @@ func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj 
 		pipe:    pipe,
 		lm:      t.lm,
 		sendQ:   t.sendQ,
-		fifos:   make([]msgFIFO, spec.P*spec.P),
-		wake:    make([]chan struct{}, spec.P),
-		shm:     make([]opShm, spec.N),
-		bars:    make([]opBarrier, spec.N),
 		inj:     inj,
 		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
 		bufs:    opBufs{refs: 1}, // the running op's own reference
 	}
-	o.recvTimer = make([]*time.Timer, spec.P)
 	if pipe {
 		o.streams = make([]*streamRecv, spec.P*spec.P)
 	}
-	for r := range o.wake {
-		o.wake[r] = make(chan struct{}, 1)
-	}
-	for n := range o.bars {
-		o.bars[n].n = spec.Ell()
-	}
+	o.rankSlot = t.slots.take(spec, o)
 	t.reg.register(id, o)
 	return o
+}
+
+// release drops one reference on the op's ciphertext buffers. The last
+// one — taken after the ranks have returned and the op is deregistered —
+// hands the buffers back and returns the op's slot to its pool.
+func (o *opRuntime) release() {
+	if o.bufs.release() {
+		o.pool.put(o.rankSlot)
+	}
+}
+
+// finish drops the running op's own reference, recording whether it
+// succeeded; called once its ranks have returned and it is deregistered.
+func (o *opRuntime) finish(ok bool) {
+	if o.bufs.finish(ok) {
+		o.pool.put(o.rankSlot)
+	}
 }
 
 // deliver appends a whole message that arrived from src to dst's FIFO
@@ -101,9 +108,22 @@ func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj 
 // carries frames of others. Each src->dst pair has one delivering
 // goroutine — src's sender on a memory pair, the pair's reader on a
 // socket pair (its readers run one after another) — which delivers the
-// pair's messages in send order, streamed ones included.
+// pair's messages in send order, streamed ones included. A reader can
+// find an op in the registry just before it is deregistered and deliver
+// after its slot was retired or taken by the next op: the owner check,
+// under the FIFO's lock, drops that straggler.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
-	o.fifos[dst*o.spec.P+src].push(msg)
+	f := &o.fifos[dst*o.spec.P+src]
+	f.mu.Lock()
+	if o.owner.Load() != o {
+		f.mu.Unlock()
+		return
+	}
+	if f.q == nil {
+		f.q = f.one[:0]
+	}
+	f.q = append(f.q, msg)
+	f.mu.Unlock()
 	o.nudge(dst)
 }
 
@@ -116,23 +136,15 @@ func (o *opRuntime) nudge(rank int) {
 	}
 }
 
-// msgFIFO is one (rank, source) receive queue of an operation: pushed by
-// the pair's delivering goroutine, popped by the rank's goroutine. It
-// starts on its own one-message array and reuses its array once drained.
+// msgFIFO is one (rank, source) receive queue of a slot: pushed by the
+// pair's delivering goroutine, popped by the rank's goroutine. It starts
+// on its own one-message array and reuses its array once drained, op
+// after op.
 type msgFIFO struct {
 	mu   sync.Mutex
 	q    []block.Message // q[head:] are queued
 	head int
 	one  [1]block.Message
-}
-
-func (f *msgFIFO) push(msg block.Message) {
-	f.mu.Lock()
-	if f.q == nil {
-		f.q = f.one[:0]
-	}
-	f.q = append(f.q, msg)
-	f.mu.Unlock()
 }
 
 // pop removes the oldest message, reporting false when there is none.
@@ -148,6 +160,16 @@ func (f *msgFIFO) pop() (block.Message, bool) {
 		f.q, f.head = f.q[:0], 0
 	}
 	return msg, true
+}
+
+// reset drops whatever an op left queued, keeping the array. one is
+// cleared too: a FIFO that outgrew it leaves its first message there.
+func (f *msgFIFO) reset() {
+	f.mu.Lock()
+	clear(f.q[f.head:])
+	f.q, f.head = f.q[:0], 0
+	f.one = [1]block.Message{}
+	f.mu.Unlock()
 }
 
 // abort unwinds this operation only: ranks blocked in receives,
@@ -185,7 +207,8 @@ func (o *opRuntime) failAsync(re *RankError) {
 }
 
 // opShm is one node's shared-memory segment; its map is made by the
-// first ShmPut, so an operation that shares nothing allocates none.
+// first ShmPut, so a slot whose ops share nothing allocates none, and
+// is emptied, not dropped, when the slot retires.
 type opShm struct {
 	mu sync.RWMutex
 	m  map[ShmKey]block.Message
@@ -258,7 +281,8 @@ func (recvReq) isRequest() {}
 // with a pending SealStream is enqueued under a fresh stream id and
 // streams segment by segment; anything else is materialized and travels
 // whole. Every queued job holds a reference on the op's ciphertext
-// buffers until the send loop is done with it.
+// buffers (and so on its slot) until the send loop is done with it; a
+// job the closed queue refuses gives its reference back at once.
 func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 	if o.isAborted() {
 		panic(errRunAborted)
@@ -270,7 +294,9 @@ func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
 		job.msg = materializeMessage(msg)
 	}
 	o.bufs.hold()
-	o.sendQ[p.rank].Push(o.id, job)
+	if !o.sendQ[p.rank].Push(o.id, job) {
+		o.release()
+	}
 	return sendReq{}
 }
 
@@ -331,19 +357,14 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 	}
 }
 
-// armRecvDeadline starts rank's receive deadline: one timer per rank,
-// made on first use and re-armed per receive, instead of a new timer per
-// receive. Only the rank goroutine touches it. Between receives the
-// timer is stopped and its channel empty (disarmRecvDeadline), which is
-// what Reset needs under go 1.22 timer semantics.
+// armRecvDeadline starts rank's receive deadline: the slot's timer for
+// the rank, re-armed per receive, never a new one. Only the rank's
+// goroutine touches it. Between receives the timer is stopped and its
+// channel empty (disarmRecvDeadline), which is what Reset needs under go
+// 1.22 timer semantics.
 func (o *opRuntime) armRecvDeadline(rank int) <-chan time.Time {
 	t := o.recvTimer[rank]
-	if t == nil {
-		t = time.NewTimer(o.recvTO)
-		o.recvTimer[rank] = t
-	} else {
-		t.Reset(o.recvTO)
-	}
+	t.Reset(o.recvTO)
 	return t.C
 }
 

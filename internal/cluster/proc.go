@@ -69,10 +69,21 @@ type Proc struct {
 	plainMode bool
 
 	// Rank-owned scratch: a blocking exchange's requests and Wait result,
-	// and the associated data, which the sealer copies if it keeps it.
+	// the associated data, which the sealer copies if it keeps it, and
+	// the payload slices a whole seal gathers from. aadBuf and parts
+	// outlive the op on the rank's slot.
 	reqs   [2]Request
 	msgs   [2]block.Message
 	aadBuf []byte
+	parts  [][]byte
+}
+
+// retire clears what the last op left on a slot's Proc, keeping its
+// rank, layout and scratch buffers, so that an idle slot pins no
+// payload.
+func (p *Proc) retire() {
+	clear(p.parts[:cap(p.parts)])
+	*p = Proc{rank: p.rank, spec: p.spec, aadBuf: p.aadBuf[:0], parts: p.parts[:0]}
 }
 
 // BlockSize returns the contribution length of a rank. Like
@@ -243,15 +254,14 @@ func gatherPayloads(chunks []block.Chunk, plainLen int64) []byte {
 	return pt
 }
 
-// payloadSlices collects the chunks' payload slices for the sealer's
-// zero-copy gather, panicking on any chunk without real bytes.
-func payloadSlices(chunks []block.Chunk) [][]byte {
-	parts := make([][]byte, len(chunks))
-	for i, c := range chunks {
+// payloadSlices appends the chunks' payload slices to parts for the
+// sealer's zero-copy gather, panicking on any chunk without real bytes.
+func payloadSlices(parts [][]byte, chunks []block.Chunk) [][]byte {
+	for _, c := range chunks {
 		if c.Payload == nil {
 			panic("cluster: real-mode Encrypt given a chunk without payload")
 		}
-		parts[i] = c.Payload
+		parts = append(parts, c.Payload)
 	}
 	return parts
 }
@@ -293,7 +303,8 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 		p.aadBuf = p.eng.aad(p.aadBuf[:0], blocks)
 		aad := p.aadBuf
 		if p.eng.pipeline() && plainLen >= defaultMinStreamBytes {
-			if st := s.NewSealStream(payloadSlices(chunks), aad); st != nil {
+			// A stream keeps its slices until the send loop seals it.
+			if st := s.NewSealStream(payloadSlices(make([][]byte, 0, len(chunks)), chunks), aad); st != nil {
 				// Pipelined: sealing is deferred — sent alone, the chunk
 				// streams and the transport seals each segment right
 				// before putting it on the wire, so the encrypt span
@@ -305,7 +316,10 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 				return out
 			}
 		}
-		blob, segs := s.SealSegmentedWith(p.eng.alloc, payloadSlices(chunks), aad)
+		// A whole seal is done with its slices when it returns: they are
+		// the rank's scratch, cleared when the rank's slot retires.
+		p.parts = payloadSlices(p.parts[:0], chunks)
+		blob, segs := s.SealSegmentedWith(p.eng.alloc, p.parts, aad)
 		p.met.EncSegments += segs
 		out.Payload = blob
 	}

@@ -12,6 +12,7 @@ import (
 	"encag/internal/cost"
 	"encag/internal/fault"
 	"encag/internal/metrics"
+	"encag/internal/sched"
 	"encag/internal/seal"
 )
 
@@ -73,6 +74,11 @@ type SessionConfig struct {
 	// overlapping crypto with transport inside one operation; every other
 	// message travels whole. EngineChan and EngineSim ignore it.
 	Pipelining bool
+	// MaxInFlight is the caller's in-flight window: the session keeps at
+	// most this many idle rank slots (P goroutines each) for the next
+	// operations to reuse, and an operation beyond it runs on a slot
+	// that stops when it ends. <= 0 selects sched.DefaultMaxInFlight.
+	MaxInFlight int
 }
 
 // Op describes one collective executed on an open Session. Exactly one
@@ -230,7 +236,11 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.pipe = cfg.Pipelining && cfg.Engine == EngineTCP
-	s.tr = newTransport(lnk)
+	idle := cfg.MaxInFlight
+	if idle <= 0 {
+		idle = sched.DefaultMaxInFlight
+	}
+	s.tr = newTransport(lnk, idle)
 	s.registerRuntimeMetrics()
 	return s, nil
 }
@@ -490,9 +500,9 @@ func (s *Session) poison(err error) {
 // Collective runs one all-gather-shaped operation on the session's
 // persistent chan or tcp engine. Any number of Collective calls may be
 // in flight concurrently: each gets a unique operation id carried in
-// its frames, its own fault injector and tracer, and per-rank goroutines
-// whose sends interleave fairly with sibling operations on the shared
-// transport. The context cancels mid-collective: cancellation (and
+// its frames, its own fault injector and tracer, and a rank slot whose
+// goroutines' sends interleave fairly with sibling operations on the
+// shared transport. The context cancels mid-collective: cancellation (and
 // deadline expiry) records a RankError with Op "cancel", aborts this
 // operation through the normal abort machinery and drains its ranks —
 // the session and any sibling operations stay intact. Use Sim for
@@ -528,43 +538,31 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	run := s.tr.newOp(ctx, id, slr, inj, s.recvTO, tracer, s.pipe)
-	defer s.tr.reg.deregister(id)
-
+	o := s.tr.newOp(ctx, id, slr, inj, s.recvTO, tracer, s.pipe)
 	res := &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
 		Sniffer: s.tr.sniff,
 	}
-	var wg sync.WaitGroup
 	start := time.Now()
-	run.wt.epoch = start
-	for r := 0; r < s.spec.P; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { recoverRank(recover(), &run.fails, run.abort, r) }()
-			p := &Proc{rank: r, spec: s.spec, met: &res.PerRank[r], eng: run, sizes: sizes}
-			mine := block.NewPlain(r, payloads[r])
-			res.Results[r] = op.Algo(p, mine)
-		}()
-	}
+	o.wt.epoch = start
 	// The run bound records its cause and aborts, as a parked rank does
 	// when ctx ends; every blocking point observes the abort, so the ranks
-	// unwind and the op ends in wg.Wait, leaking no goroutine.
+	// unwind and the op ends in the slot's wg.Wait, leaking no goroutine.
 	deadline := time.AfterFunc(RealTimeout, func() {
-		run.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
+		o.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
 			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
-		run.abort()
+		o.abort()
 	})
-	wg.Wait()
+	o.rankSlot.run(slotJob{o: o, algo: op.Algo, payloads: payloads, sizes: sizes, res: res})
 	deadline.Stop()
 	res.Elapsed = time.Since(start)
-	err = run.fails.err()
-	// The ranks are done; queued sends still hold the ciphertext until
-	// the send loops have written or dropped them.
-	run.bufs.finish(err == nil)
+	s.tr.reg.deregister(id)
+	err = o.fails.err()
+	// The ranks are done and the op is deregistered; queued sends still
+	// hold the ciphertext, and the slot, until the send loops have
+	// written or dropped them.
+	o.finish(err == nil)
 	if err != nil {
 		s.noteFailure(err)
 		var re *RankError

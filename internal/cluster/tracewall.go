@@ -5,8 +5,8 @@ import "time"
 // wallTrace stamps TraceEvents against a run epoch in real (wall-clock)
 // time — the real and TCP engines' counterpart of the sim engine's
 // virtual-time tracing. The zero value is inert; engines activate it by
-// setting a tracer and fixing the epoch just before rank goroutines
-// start, so event times are seconds since the collective began, directly
+// setting a tracer and fixing the epoch just before the ranks start, so
+// event times are seconds since the collective began, directly
 // comparable to the sim engine's virtual timeline.
 //
 // The tracer is invoked concurrently from p rank goroutines; callers

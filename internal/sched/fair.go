@@ -31,13 +31,14 @@ func NewFairQueue[T any]() *FairQueue[T] {
 	}
 }
 
-// Push appends an item to the given stream. Pushing to a closed queue
-// is a no-op (the consumer is gone; the item is dropped).
-func (q *FairQueue[T]) Push(stream uint32, item T) {
+// Push appends an item to the given stream and reports whether it did.
+// Pushing to a closed queue drops the item (the consumer is gone) and
+// reports false.
+func (q *FairQueue[T]) Push(stream uint32, item T) bool {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
-		return
+		return false
 	}
 	s, ok := q.streams[stream]
 	if !ok {
@@ -49,6 +50,7 @@ func (q *FairQueue[T]) Push(stream uint32, item T) {
 	q.streams[stream] = append(s, item)
 	q.mu.Unlock()
 	q.signal()
+	return true
 }
 
 // Pop removes and returns the next item, rotating across streams.

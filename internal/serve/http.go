@@ -108,6 +108,10 @@ type stepResponse struct {
 	ElapsedNS int64  `json:"elapsed_ns,omitempty"`
 }
 
+// errInsecureStep fails a step in which plaintext crossed nodes: the
+// host answers 500 and counts it as the tenant's failure.
+var errInsecureStep = errors.New("step sent plaintext across nodes")
+
 // maxStepSize bounds /v1/step's size parameter. A step allocates a
 // payload of that size for every rank, and the runtime's out-of-memory
 // error is fatal, so an unbounded size would let one request kill
@@ -119,12 +123,14 @@ const maxStepSize = 16 << 20
 //
 //	tenant     required id of a registered tenant (404 otherwise)
 //	op         allgather (default) | allreduce
-//	alg        algorithm name for allgather (default o-ring)
+//	alg        encrypted algorithm name or auto for allgather (default
+//	           o-ring); a plaintext algorithm answers 400
 //	size       per-rank payload bytes (default 4096, at most maxStepSize)
 //	faultseed  nonzero arms a transient fault plan with that seed
 //
 // Admission rejections answer 429 with the structured reason; other
-// step failures answer 500; both carry the JSON body.
+// step failures, a step that was not SecurityOK among them, answer 500;
+// both carry the JSON body.
 func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	resp := stepResponse{
@@ -175,11 +181,28 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 			httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: perr.Error()})
 			return
 		}
-		_, err = m.Step(r.Context(), resp.Tenant, alg, resp.Size, opts...)
+		if alg != encag.AlgAuto && !alg.Encrypted() {
+			httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant,
+				Error: fmt.Sprintf("alg %s is not encrypted: /v1/step runs only encrypted algorithms and auto", alg)})
+			return
+		}
+		err = m.Do(r.Context(), resp.Tenant, func(s *encag.Session) error {
+			res, err := s.Run(r.Context(), alg, resp.Size, opts...)
+			if err == nil && !res.SecurityOK {
+				err = errInsecureStep
+			}
+			return err
+		})
 	case "allreduce":
 		resp.Alg = ""
 		data := allreducePayload(spec.Procs, int(resp.Size))
-		_, err = m.Allreduce(r.Context(), resp.Tenant, data, encag.XORCombine, opts...)
+		err = m.Do(r.Context(), resp.Tenant, func(s *encag.Session) error {
+			res, err := s.Allreduce(r.Context(), data, encag.XORCombine, opts...)
+			if err == nil && !res.SecurityOK {
+				err = errInsecureStep
+			}
+			return err
+		})
 	default:
 		httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: "bad op parameter (allgather|allreduce)"})
 		return

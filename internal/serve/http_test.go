@@ -225,3 +225,25 @@ func TestServerRefusesUnknownTenant(t *testing.T) {
 		t.Fatalf("registered tenant: %+v", r)
 	}
 }
+
+// /v1/step runs only encrypted algorithms and auto: a plaintext
+// algorithm, which would send the tenant's payload across nodes in the
+// clear, answers 400 naming the policy and opens no session, and the
+// tenant's encrypted and auto steps still succeed.
+func TestServerRefusesPlaintextAlgorithms(t *testing.T) {
+	m, srv := openServer(t)
+	for _, alg := range []string{"plain-ring", "plain-hier"} {
+		r := step(t, srv, "tenant=t0&alg="+alg, http.StatusBadRequest)
+		if !strings.Contains(r.Error, "not encrypted") || !strings.Contains(r.Error, alg) {
+			t.Errorf("alg=%s: error %q, want it to name the algorithm and the encryption policy", alg, r.Error)
+		}
+	}
+	if ids, n := m.Tenants(), m.Resident(); len(ids) != 1 || ids[0] != "t0" || n != 0 {
+		t.Fatalf("after refused steps: tenants %v, resident %d; want [t0], 0", ids, n)
+	}
+	for _, alg := range []string{"o-ring", "auto"} {
+		if r := step(t, srv, "tenant=t0&alg="+alg, http.StatusOK); !r.OK {
+			t.Fatalf("alg=%s: %+v", alg, r)
+		}
+	}
+}

@@ -144,7 +144,9 @@ func WithProfile(prof Profile) Option {
 // may run concurrently; further Start calls block until a slot frees.
 // Session-level only; n <= 0 selects DefaultMaxInFlight. Applies to the
 // chan and tcp engines; EngineSim runs Start synchronously, so the
-// window never fills there.
+// window never fills there. The window also caps the idle rank slots a
+// chan or tcp session keeps for reuse (n × Procs parked goroutines at
+// most).
 func WithMaxInFlight(n int) Option {
 	return sessionLevel("WithMaxInFlight", func(o *sessionOptions) { o.maxInFlight = n })
 }
@@ -249,7 +251,7 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		return nil, err
 	}
 	cfg := cluster.SessionConfig{Engine: kind, Plan: o.plan, Profile: o.profile, CryptoPool: o.pool,
-		Pipelining: o.pipelining}
+		Pipelining: o.pipelining, MaxInFlight: o.maxInFlight}
 	if o.tracer != nil {
 		cfg.Tracer = o.tracer
 	}

@@ -173,17 +173,19 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts
 // and about 343 since each rank counts its own sends instead of a per-op
 // audit and receives from per-source FIFOs, and about 192 since block
 // lists are shared views, working sets member-indexed slices, each AAD
-// one buffer and the crypto pool hands helpers a pooled job record. The
-// race build, which runs every test, allocates up to 16 469 KB and 269
-// objects (11 runs, four of them beside two CPU-bound loops); each gate
-// is that maximum plus 10 %.
+// one buffer and the crypto pool hands helpers a pooled job record, and
+// about 154 since a session keeps its rank slots (goroutines, FIFOs,
+// wake channels, timers and Procs) from op to op. The race build, which
+// runs every test, allocates up to 16 469 KB and, since the rank slots,
+// 226 objects (11 runs, four of them beside two CPU-bound loops); each
+// gate is that maximum plus 10 %.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 18116 << 10
-		objectsBudget = 296
+		objectsBudget = 249
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -205,18 +207,21 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // sends and receives from per-source FIFOs, and about 315 since block
 // lists are shared views, the O-RD working set a member-indexed slice,
 // each AAD one rank-owned buffer and blocking exchanges allocate no
-// request or result slices. Bytes: about 261 KB while every sealed blob
-// and received ciphertext was a fresh make, about 142 KB since they are
-// recycled per operation and same-node pairs skip the socket, and about
-// 106 KB since. The race build allocates up to 108 KB and 349 objects;
-// each gate is that maximum plus 10 %.
+// request or result slices, and about 224 since a session keeps its rank
+// slots from op to op and a whole seal gathers its payload slices into
+// rank scratch. Bytes: about 261 KB while every sealed blob and received
+// ciphertext was a fresh make, about 142 KB since they are recycled per
+// operation and same-node pairs skip the socket, about 106 KB since, and
+// about 92 KB with the rank slots. The race build allocated up to 108 KB
+// before the rank slots (93 KB since) and up to 243 objects since; each
+// gate is such a maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 119 << 10
-		objectsBudget = 384
+		objectsBudget = 268
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -234,8 +239,9 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // per operation. About 1 917 KB while every sealed blob and received
 // ciphertext was a fresh make, about 1 045 KB since they are recycled
 // per operation, 659–672 KB since same-node pairs deliver in memory, and
-// 653–666 KB (about 143 objects) since block lists are shared views. The
-// race build allocates up to 664 KB; the gate is that plus 10 %.
+// 653–666 KB (about 143 objects) since block lists are shared views, and
+// about 647 KB (about 93 objects) since a session keeps its rank slots.
+// The race build allocates up to 664 KB; the gate is that plus 10 %.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -256,16 +262,17 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 // move here, about 283 since each rank counts its own sends and
 // receives from per-source FIFOs, and about 131 since block lists are
 // shared views, receive queues keep their memory and a blocking exchange
-// allocates no request or result slices; bytes about 652 KB. The race
-// build allocates 652 KB and up to 140 objects; each gate is that
-// maximum plus 10 %.
+// allocates no request or result slices, and about 82 since a session
+// keeps its rank slots from op to op; bytes about 652 KB, 646 KB with
+// the rank slots. The race build allocates 652 KB and, since the rank
+// slots, up to 88 objects; each gate is that maximum plus 10 %.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 718 << 10
-		objectsBudget = 155
+		objectsBudget = 97
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, WithEngine(EngineChan))
 	t.Logf("%d KB and %d objects allocated per 64 KiB chan o-ring op (budgets %d KB, %d)",
