@@ -18,7 +18,7 @@ import (
 //	encag bench -exp fig5 -jsonl # emit JSONL run summaries (one object per row)
 //	encag bench -quick           # trimmed sizes for a fast smoke run
 //	encag bench -list            # list experiment IDs
-//	encag bench -overlap -iters 12 -jsonl   # nonblocking-scheduler overlap study only
+//	encag bench -exp overlap -iters 12 -jsonl   # nonblocking-scheduler overlap study only
 func cmdBench(args []string) error {
 	fs := newFlags("bench")
 	exp := fs.String("exp", "", "experiment ID to run (default: all)")
@@ -28,7 +28,6 @@ func cmdBench(args []string) error {
 	quick := fs.Bool("quick", false, "trim large sizes for a fast run")
 	outDir := fs.String("out", "", "also write each table as CSV into this directory")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
-	overlap := fs.Bool("overlap", false, "shortcut for -exp overlap (serialized vs multiplexed in-flight collectives)")
 	iters := fs.Int("iters", 0, "iteration count for host-measuring experiments (0 = default)")
 	var prof profiler
 	prof.register(fs)
@@ -38,9 +37,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 	defer stop()
-	if *overlap {
-		*exp = "overlap"
-	}
 
 	if *list {
 		for _, e := range bench.All() {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"os"
 	"os/exec"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,22 +24,22 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func runEncag(t *testing.T, args ...string) (stderr string, status int) {
+func runEncag(t *testing.T, args ...string) (stdout, stderr string, status int) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{"encag"}, args...)...)
-	var buf bytes.Buffer
-	cmd.Stderr = &buf
+	var out, errBuf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errBuf
 	err := cmd.Run()
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatalf("encag %v: %v", args, err)
 	}
-	return buf.String(), cmd.ProcessState.ExitCode()
+	return out.String(), errBuf.String(), cmd.ProcessState.ExitCode()
 }
 
 func TestUsageListsEverySubcommand(t *testing.T) {
 	for _, args := range [][]string{nil, {"nosuchcommand"}, {"-h"}} {
-		stderr, status := runEncag(t, args...)
+		_, stderr, status := runEncag(t, args...)
 		if status != 2 {
 			t.Errorf("encag %v: exit status %d, want 2", args, status)
 		}
@@ -53,11 +56,11 @@ func TestUsageListsEverySubcommand(t *testing.T) {
 
 func TestEverySubcommandHasHelp(t *testing.T) {
 	for _, c := range commands {
-		stderr, status := runEncag(t, c.name, "-h")
+		_, stderr, status := runEncag(t, c.name, "-h")
 		if status != 0 || !strings.Contains(stderr, "Usage of encag "+c.name+":") {
 			t.Errorf("encag %s -h: exit status %d, stderr:\n%s", c.name, status, stderr)
 		}
-		if _, status := runEncag(t, c.name, "-nosuchflag"); status != 2 {
+		if _, _, status := runEncag(t, c.name, "-nosuchflag"); status != 2 {
 			t.Errorf("encag %s -nosuchflag: exit status %d, want 2", c.name, status)
 		}
 	}
@@ -79,6 +82,7 @@ func TestBadValuesNamedInOneLine(t *testing.T) {
 		{[]string{"trace", "-alg", "nosuchalg"}, `"nosuchalg"`},
 		{[]string{"osu", "-algs", "hs2,nosuchalg"}, `"nosuchalg"`},
 		{[]string{"tune", "-algs", "nosuchalg"}, `"nosuchalg"`},
+		{[]string{"tune", "-algs", "o-ring,plain-ring"}, `"plain-ring"`},
 		{[]string{"explore", "-size", "12XB"}, `"12XB"`},
 		{[]string{"load", "-sizes", "4KB,12XB"}, `"12XB"`},
 		{[]string{"verify", "-sizes", "1,12XB"}, `"12XB"`},
@@ -90,12 +94,33 @@ func TestBadValuesNamedInOneLine(t *testing.T) {
 		{[]string{"bench", "-exp", "bogus"}, `"bogus"`},
 		{[]string{"trace", "-o", "/nonexistent-dir/x.json"}, "/nonexistent-dir/x.json"},
 	} {
-		stderr, status := runEncag(t, c.args...)
+		_, stderr, status := runEncag(t, c.args...)
 		if status != 1 {
 			t.Errorf("encag %v: exit status %d, want 1", c.args, status)
 		}
 		if strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, c.bad) {
 			t.Errorf("encag %v: stderr is not one line naming %s:\n%s", c.args, c.bad, stderr)
 		}
+	}
+}
+
+// osu times the unencrypted baseline beside an encrypted algorithm, and
+// the encrypted row carries its overhead against it.
+func TestOSUTimesThePlaintextBaseline(t *testing.T) {
+	stdout, stderr, status := runEncag(t, "osu", "-p", "4", "-nodes", "2", "-algs", "o-ring,mpi",
+		"-sizes", "1KB", "-iters", "2", "-warmup", "1", "-csv")
+	if status != 0 || stderr != "" {
+		t.Fatalf("encag osu: exit status %d, stderr:\n%s", status, stderr)
+	}
+	rows, err := csv.NewReader(strings.NewReader(stdout)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"alg", "size", "avg_us", "min_us", "max_us", "stddev_us", "rd", "sd", "overhead"}
+	if len(rows) != 3 || !slices.Equal(rows[0], want) || rows[1][0] != "mpi" || rows[2][0] != "o-ring" {
+		t.Fatalf("encag osu: want a header, then the mpi and o-ring rows:\n%s", stdout)
+	}
+	if _, err := strconv.ParseFloat(rows[2][8], 64); err != nil {
+		t.Errorf("o-ring overhead %q is not a number", rows[2][8])
 	}
 }

@@ -2,125 +2,32 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 	"os"
+	"slices"
 	"time"
 
 	"encag"
 	"encag/internal/bench"
 )
 
-// osuStats are the timed iterations of one (algorithm, size) cell.
-type osuStats struct {
-	total, min, max time.Duration
-	samples         []float64 // per-op elapsed, µs
-	metrics         encag.Metrics
-}
-
-func (st *osuStats) add(res *encag.RunResult) error {
-	if !res.SecurityOK {
-		return errors.New("security violation")
-	}
-	d := res.Elapsed
-	st.total += d
-	st.samples = append(st.samples, d.Seconds()*1e6)
-	if st.min == 0 || d < st.min {
-		st.min = d
-	}
-	if d > st.max {
-		st.max = d
-	}
-	st.metrics = res.Metrics
-	return nil
-}
-
-// stddev returns the sample standard deviation in the samples' unit.
-func (st *osuStats) stddev() float64 {
-	if len(st.samples) < 2 {
-		return 0
-	}
-	var mean float64
-	for _, v := range st.samples {
-		mean += v
-	}
-	mean /= float64(len(st.samples))
-	var ss float64
-	for _, v := range st.samples {
-		ss += (v - mean) * (v - mean)
-	}
-	return math.Sqrt(ss / float64(len(st.samples)-1))
-}
-
-// osuCell warms up serially, then times iters collectives: one at a
-// time, or with window > 1 pipelined through Start. Per-op elapsed times
-// overlap there, so total is the batch wall clock — the OSU-style
-// pipelined throughput figure. The first failure ends the cell.
-func osuCell(ctx context.Context, sess *encag.Session, alg encag.Alg, m int64, warmup, iters, window int) (osuStats, error) {
-	var st osuStats
-	for i := 0; i < warmup; i++ {
-		if _, err := sess.Run(ctx, alg, m); err != nil {
-			return st, err
-		}
-	}
-	if window <= 1 {
-		for i := 0; i < iters; i++ {
-			res, err := sess.Run(ctx, alg, m)
-			if err == nil {
-				err = st.add(res)
-			}
-			if err != nil {
-				return st, err
-			}
-		}
-		return st, nil
-	}
-	batch := time.Now()
-	var handles []*encag.Handle
-	var first error
-	for i := 0; i < iters; i++ {
-		h, err := sess.Start(ctx, alg, m)
-		if err != nil {
-			first = err
-			break
-		}
-		handles = append(handles, h)
-	}
-	for _, h := range handles {
-		res, err := h.Wait()
-		if err == nil {
-			err = st.add(res)
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	st.total = time.Since(batch)
-	return st, first
-}
-
 // cmdOSU is the analogue of the OSU_Allgather micro-benchmark the paper
-// measures with: it runs a real execution engine (in-memory channels by
-// default, loopback TCP with -engine tcp; real AES-GCM on both)
-// repeatedly for a range of message sizes and reports average / min /
-// max wall-clock latency per all-gather, plus the six cost metrics.
-//
-// Wall times here measure this host's goroutine scheduler and AES-NI
-// throughput, not an InfiniBand fabric — use `encag bench` for the
-// calibrated cluster model. The value of this tool is comparing the
-// *relative* cryptographic cost of the algorithms on real silicon.
+// measures with: it times a real engine (in-memory channels, or loopback
+// TCP with -engine tcp; real AES-GCM on both) over a range of message
+// sizes, one bench.TimeCell per (algorithm, size), and reports the wall
+// clock per all-gather plus rd and sd. It measures this host, not an
+// InfiniBand fabric (`encag bench` has the calibrated model); its value
+// is the relative cost of the algorithms on real silicon.
 //
 //	encag osu -p 32 -nodes 4 -algs naive,hs2 -sizes 1KB,64KB -iters 20
-//	encag osu -engine tcp -iters 50   # over loopback TCP
 //	encag osu -engine tcp -window 4   # nonblocking: pipelined Start
+//	encag osu -algs mpi,o-rd2,hs2     # overheads against unencrypted MPI
 //
-// All iterations of all configurations run over one encag.Session (for
-// tcp the mesh is dialed once, before anything is timed). With
-// -window n (>1), the timed iterations are issued through the
-// nonblocking Session.Start under an in-flight window of n: the avg
-// column then reports batch wall clock per collective (pipelined
-// throughput), while min/max/stddev remain per-operation and overlap.
+// Everything runs on one encag.Session (for tcp the mesh is dialed once,
+// before anything is timed). Plaintext baselines (mpi, plain-*) are
+// timed like any other row. With mpi in -algs its rows are timed first,
+// and every other row gets its overhead over mpi from per-op medians:
+// one slow outlier moves a mean, not a median.
 func cmdOSU(args []string) error {
 	fs := newFlags("osu")
 	shape := specFlags{p: "32", nodes: "4"}
@@ -157,6 +64,9 @@ func cmdOSU(args []string) error {
 	if err != nil {
 		return err
 	}
+	if *iters < 1 {
+		return fmt.Errorf("-iters %d: want at least 1", *iters)
+	}
 	pool, closePool := shape.cryptoPool()
 	defer closePool()
 	ctx := context.Background()
@@ -167,33 +77,54 @@ func cmdOSU(args []string) error {
 	}
 	defer sess.Close()
 
-	if *asCSV {
-		fmt.Println("alg,size,avg_us,min_us,max_us,stddev_us,rd,sd")
-	} else {
-		fmt.Printf("# encag-osu  p=%d nodes=%d mapping=%s iters=%d engine=%s (wall clock, real AES-GCM)\n",
-			spec.Procs, spec.Nodes, spec.Mapping, *iters, engine)
-		fmt.Printf("%-8s %-8s %12s %12s %12s %12s %8s %12s\n",
-			"alg", "size", "avg", "min", "max", "stddev", "rd", "sd")
+	if i := slices.Index(algs, encag.AlgMPI); i > 0 {
+		algs = append([]encag.Alg{encag.AlgMPI}, slices.Delete(algs, i, i+1)...)
 	}
+	withMPI := len(algs) > 0 && algs[0] == encag.AlgMPI
+	t := bench.Table{
+		ID: "osu",
+		Title: fmt.Sprintf("p=%d nodes=%d mapping=%s iters=%d window=%d engine=%s (wall clock, real AES-GCM)",
+			spec.Procs, spec.Nodes, spec.Mapping, *iters, *window, engine),
+		Headers: []string{"alg", "size", "avg_us", "min_us", "max_us", "stddev_us", "rd", "sd"},
+		Notes:   []string{"avg_us is the mean per-op latency; with -window > 1, batch wall clock per op (min/max/stddev stay per op)"},
+	}
+	if withMPI {
+		t.Headers = append(t.Headers, "overhead")
+		t.Notes = append(t.Notes, "overhead: percent over the mpi row at the same size, from per-op medians")
+	}
+	us := func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e6) }
+	mpiMedian := map[int64]time.Duration{}
+	plaintext := 0
 	for _, alg := range algs {
 		for _, m := range sizes {
-			st, err := osuCell(ctx, sess, alg, m, *warmup, *iters, *window)
+			tm, err := bench.TimeCell(ctx, sess, alg, m, *warmup, *iters, *window)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s @%s: %v\n", alg, bench.SizeName(m), err)
 				continue
 			}
-			avg := st.total / time.Duration(*iters)
-			if *asCSV {
-				fmt.Printf("%s,%s,%.1f,%.1f,%.1f,%.1f,%d,%d\n",
-					alg, bench.SizeName(m), avg.Seconds()*1e6, st.min.Seconds()*1e6,
-					st.max.Seconds()*1e6, st.stddev(), st.metrics.Rd, st.metrics.Sd)
-			} else {
-				fmt.Printf("%-8s %-8s %12v %12v %12v %11.1fu %8d %12d\n",
-					alg, bench.SizeName(m),
-					avg.Round(time.Microsecond), st.min.Round(time.Microsecond), st.max.Round(time.Microsecond),
-					st.stddev(), st.metrics.Rd, st.metrics.Sd)
+			plaintext += tm.Violations
+			avg := tm.Mean()
+			if *window > 1 {
+				avg = tm.Wall / time.Duration(len(tm.Samples))
 			}
+			row := []string{string(alg), bench.SizeName(m), us(avg), us(tm.Min()), us(tm.Max()),
+				us(tm.Stddev()), fmt.Sprint(tm.Metrics.Rd), fmt.Sprint(tm.Metrics.Sd)}
+			if alg == encag.AlgMPI {
+				mpiMedian[m] = tm.Median()
+			} else if base, ok := mpiMedian[m]; ok {
+				row = append(row, fmt.Sprintf("%.1f", 100*float64(tm.Median()-base)/float64(base)))
+			}
+			if withMPI && len(row) < len(t.Headers) {
+				row = append(row, "-")
+			}
+			t.Rows = append(t.Rows, row)
 		}
 	}
-	return nil
+	if plaintext > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("plaintext baselines send in the clear between nodes by design: %d such sends counted (at most 32 per op), not failed", plaintext))
+	}
+	if *asCSV {
+		return t.CSV(os.Stdout)
+	}
+	return t.Render(os.Stdout)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"encag"
@@ -38,7 +39,6 @@ func Overlap(opts Options) ([]Table, error) {
 		ops = 6
 	}
 	spec := encag.Spec{Procs: 8, Nodes: 2}
-	windows := []int{2, 4, 8}
 	szs := sizes("1KB", "64KB", "1MB")
 	if opts.Quick {
 		szs = sizes("1KB", "64KB")
@@ -50,7 +50,7 @@ func Overlap(opts Options) ([]Table, error) {
 			"serialized(us)", "w=2(us)", "w=4(us)", "w=8(us)", "best-speedup"},
 		Notes: []string{
 			"serialized: N back-to-back Session.Run calls on one session",
-			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), then WaitAll",
+			"w=k: the same N collectives via Session.Start under WithMaxInFlight(k), each handle then waited on in order",
 			"engine 'tcp+pipe' rows open the session with WithPipelining(true): sealed segments stream onto the wire inside each op",
 			"only single-chunk sealed messages stream: hs1's leader exchange does, hs2's multi-chunk inter-node messages go whole, so its '+pipe' rows stream nothing",
 			"session setup and warm-up are untimed: this is steady-state pipelining, not mesh amortization",
@@ -78,23 +78,17 @@ func Overlap(opts Options) ([]Table, error) {
 			if v.piped && m < 16<<10 {
 				continue // below the streaming threshold: identical to the plain row
 			}
-			serialized, err := timeOverlap(v.eng, spec, v.alg, m, ops, 1, v.piped)
-			if err != nil {
-				return nil, err
-			}
-			row := []string{v.label, string(v.alg), SizeName(m), fmt.Sprint(ops), fmtUS(serialized.Seconds())}
-			best := serialized
-			for _, w := range windows {
+			row := []string{v.label, string(v.alg), SizeName(m), fmt.Sprint(ops)}
+			var walls []time.Duration
+			for _, w := range []int{1, 2, 4, 8} { // 1: serialized
 				d, err := timeOverlap(v.eng, spec, v.alg, m, ops, w, v.piped)
 				if err != nil {
 					return nil, err
 				}
-				if d < best {
-					best = d
-				}
+				walls = append(walls, d)
 				row = append(row, fmtUS(d.Seconds()))
 			}
-			row = append(row, fmt.Sprintf("%.2fx", serialized.Seconds()/best.Seconds()))
+			row = append(row, fmt.Sprintf("%.2fx", walls[0].Seconds()/slices.Min(walls).Seconds()))
 			t.Rows = append(t.Rows, row)
 		}
 	}
@@ -102,9 +96,9 @@ func Overlap(opts Options) ([]Table, error) {
 }
 
 // timeOverlap times ops collectives on a fresh session with the given
-// in-flight window: window 1 issues them serially through Run, larger
-// windows through Start/WaitAll. Open, one warm-up collective and Close
-// stay outside the timed region.
+// in-flight window and returns their batch wall clock: window 1 issues
+// them serially through Run, larger windows through Start. Open, one
+// warm-up collective and Close stay outside the timed region.
 func timeOverlap(eng encag.Engine, spec encag.Spec, alg encag.Alg, m int64, ops, window int, piped bool) (time.Duration, error) {
 	ctx := context.Background()
 	sopts := []encag.Option{encag.WithEngine(eng), encag.WithMaxInFlight(window)}
@@ -116,41 +110,9 @@ func timeOverlap(eng encag.Engine, spec encag.Spec, alg encag.Alg, m int64, ops,
 		return 0, err
 	}
 	defer s.Close()
-	if _, err := s.Run(ctx, alg, m); err != nil {
-		return 0, fmt.Errorf("overlap warm-up %s/%s @%s: %w", eng, alg, SizeName(m), err)
-	}
-	start := time.Now()
-	if window <= 1 {
-		for i := 0; i < ops; i++ {
-			res, err := s.Run(ctx, alg, m)
-			if err != nil {
-				return 0, fmt.Errorf("overlap serialized %s/%s @%s op %d: %w", eng, alg, SizeName(m), i, err)
-			}
-			if !res.SecurityOK {
-				return 0, fmt.Errorf("overlap serialized %s/%s @%s op %d: security violation", eng, alg, SizeName(m), i)
-			}
-		}
-		return time.Since(start), nil
-	}
-	handles := make([]*encag.Handle, ops)
-	for i := 0; i < ops; i++ {
-		handles[i], err = s.Start(ctx, alg, m)
-		if err != nil {
-			return 0, fmt.Errorf("overlap w=%d %s/%s @%s Start %d: %w", window, eng, alg, SizeName(m), i, err)
-		}
-	}
-	if err := s.WaitAll(ctx); err != nil {
+	t, err := TimeCell(ctx, s, alg, m, 1, ops, window)
+	if err != nil {
 		return 0, fmt.Errorf("overlap w=%d %s/%s @%s: %w", window, eng, alg, SizeName(m), err)
 	}
-	elapsed := time.Since(start)
-	for i, h := range handles {
-		res, herr := h.Wait()
-		if herr != nil {
-			return 0, fmt.Errorf("overlap w=%d %s/%s @%s op %d: %w", window, eng, alg, SizeName(m), i, herr)
-		}
-		if !res.SecurityOK {
-			return 0, fmt.Errorf("overlap w=%d %s/%s @%s op %d: security violation", window, eng, alg, SizeName(m), i)
-		}
-	}
-	return elapsed, nil
+	return t.Wall, nil
 }

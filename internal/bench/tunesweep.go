@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"encag"
 	"encag/internal/tune"
@@ -28,7 +26,9 @@ type TuneGrid struct {
 	Nodes []int
 	// Sizes are the per-rank block sizes in bytes.
 	Sizes []int64
-	// Algs are the candidate algorithms (default: the paper's eight).
+	// Algs are the candidate algorithms (default: the paper's eight),
+	// each one alg=auto could pick: encrypted, never a plaintext
+	// baseline or auto itself.
 	Algs []encag.Alg
 	// BestOf runs each (cell, algorithm) this many times and keeps the
 	// minimum — the standard "best of k" defense against scheduler
@@ -54,8 +54,12 @@ func (g *TuneGrid) Validate() error {
 		g.Algs = encag.PaperAlgorithms()
 	}
 	for _, a := range g.Algs {
-		if _, err := encag.ParseAlg(string(a)); err != nil {
+		pa, err := encag.ParseAlg(string(a))
+		if err != nil {
 			return err
+		}
+		if !pa.Encrypted() {
+			return fmt.Errorf("bench: tune candidate %q is not an encrypted algorithm, and alg=auto picks only those", a)
 		}
 	}
 	if g.BestOf <= 0 {
@@ -89,7 +93,7 @@ func TuneSweep(g TuneGrid) (*tune.Table, []Table, error) {
 		}
 	}
 	for _, c := range cells {
-		c.Best = cellArgmin(c.LatencyNS)
+		c.Best = tune.Argmin(c.LatencyNS)
 		table.Cells = append(table.Cells, *c)
 	}
 	if _, err := table.Encode(); err != nil { // also sorts the cells
@@ -122,8 +126,9 @@ func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[t
 	if piped {
 		opts = append(opts, encag.WithPipelining(true))
 	}
+	ctx := context.Background()
 	spec := encag.Spec{Procs: p, Nodes: n}
-	s, err := encag.OpenSession(context.Background(), spec, opts...)
+	s, err := encag.OpenSession(ctx, spec, opts...)
 	if err != nil {
 		return Table{}, fmt.Errorf("tune sweep %s p=%d n=%d: %w", eng, p, n, err)
 	}
@@ -133,10 +138,11 @@ func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[t
 		row := []string{SizeName(m), fmt.Sprint(tune.BucketOf(m))}
 		winner, winnerNS := "", math.Inf(1)
 		for _, alg := range g.Algs {
-			ns, err := bestOf(s, alg, m, g.BestOf)
+			t, err := TimeCell(ctx, s, alg, m, 1, g.BestOf, 1)
 			if err != nil {
 				return Table{}, fmt.Errorf("tune sweep %s p=%d n=%d %s @%s: %w", eng, p, n, alg, SizeName(m), err)
 			}
+			ns := float64(t.Min().Nanoseconds())
 			row = append(row, fmtUS(ns/1e9))
 			if ns < winnerNS {
 				winnerNS, winner = ns, string(alg)
@@ -155,45 +161,4 @@ func sweepConfig(g TuneGrid, eng encag.Engine, piped bool, p, n int, cells map[t
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
-}
-
-// bestOf runs one (algorithm, size) measurement k times on the shared
-// session (plus one untimed warm-up) and returns the minimum latency in
-// nanoseconds.
-func bestOf(s *encag.Session, alg encag.Alg, m int64, k int) (float64, error) {
-	ctx := context.Background()
-	if _, err := s.Run(ctx, alg, m); err != nil {
-		return 0, err
-	}
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < k; i++ {
-		res, err := s.Run(ctx, alg, m)
-		if err != nil {
-			return 0, err
-		}
-		if !res.SecurityOK {
-			return 0, fmt.Errorf("security violation: %v", res.Violations)
-		}
-		if res.Elapsed < best {
-			best = res.Elapsed
-		}
-	}
-	return float64(best.Nanoseconds()), nil
-}
-
-// cellArgmin returns the lowest-latency algorithm of a cell, ties
-// broken lexicographically.
-func cellArgmin(lat map[string]float64) string {
-	algs := make([]string, 0, len(lat))
-	for a := range lat {
-		algs = append(algs, a)
-	}
-	sort.Strings(algs)
-	best, bestNS := "", math.Inf(1)
-	for _, a := range algs {
-		if lat[a] < bestNS {
-			best, bestNS = a, lat[a]
-		}
-	}
-	return best
 }

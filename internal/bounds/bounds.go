@@ -7,6 +7,8 @@ package bounds
 import (
 	"fmt"
 	"math"
+
+	"encag/internal/collective"
 )
 
 // Metrics is a six-tuple of the paper's cost metrics.
@@ -65,7 +67,9 @@ func Lower(p, n int, m int64) Metrics {
 // Predict returns the Table II closed forms for an algorithm under
 // block mapping with power-of-two p and N. For O-RD's r_d it follows the
 // paper's body text (N-1) rather than the table cell (p-l), which is
-// inconsistent with the table's own s_d column; see DESIGN.md.
+// inconsistent with the table's own s_d column; see DESIGN.md. Naive
+// dispatches as MVAPICH does: the table's recursive doubling below
+// collective.DefaultRingThreshold, the ring (p-1 rounds) from it on.
 func Predict(alg string, p, n int, m int64) (Metrics, error) {
 	if !IsPow2(p) || !IsPow2(n) {
 		return Metrics{}, fmt.Errorf("bounds: Table II assumes power-of-two p and N, got p=%d N=%d", p, n)
@@ -78,7 +82,11 @@ func Predict(alg string, p, n int, m int64) (Metrics, error) {
 	P, N, L := int64(p), int64(n), int64(l)
 	switch alg {
 	case "naive":
-		return Metrics{lgP, (P - 1) * m, 1, m, p - 1, (P - 1) * m}, nil
+		rc := lgP
+		if m >= collective.DefaultRingThreshold {
+			rc = p - 1
+		}
+		return Metrics{rc, (P - 1) * m, 1, m, p - 1, (P - 1) * m}, nil
 	case "o-ring":
 		return Metrics{p - 1, (P - 1) * m, p - 1, (P - 1) * m, p - 1, (P - 1) * m}, nil
 	case "o-rd":

@@ -83,12 +83,24 @@ func TestDecryptionOptimality(t *testing.T) {
 }
 
 // Cross-validation: simulated runs of every algorithm must reproduce the
-// Table II closed forms exactly (power-of-two, block mapping).
+// Table II closed forms exactly (power-of-two, block mapping). Naive
+// also runs on each side of its switch to the ring.
 func TestPredictMatchesMeasured(t *testing.T) {
+	type cell struct {
+		alg string
+		m   int64
+	}
+	var cells []cell
+	for _, alg := range encrypted.PaperNames() {
+		cells = append(cells, cell{alg, 640})
+	}
+	for _, m := range []int64{4095, 4096, 16 << 10} {
+		cells = append(cells, cell{"naive", m})
+	}
 	for _, pn := range [][2]int{{8, 2}, {16, 4}, {64, 8}} {
 		spec := cluster.Spec{P: pn[0], N: pn[1], Mapping: cluster.BlockMapping}
-		const m = 640
-		for _, alg := range encrypted.PaperNames() {
+		for _, cl := range cells {
+			alg, m := cl.alg, cl.m
 			pred, err := Predict(alg, spec.P, spec.N, m)
 			if err != nil {
 				t.Fatal(err)
@@ -104,12 +116,12 @@ func TestPredictMatchesMeasured(t *testing.T) {
 			c := res.Critical
 			if c.Rc != pred.Rc || c.Re != pred.Re || c.Se != pred.Se ||
 				c.Rd != pred.Rd || c.Sd != pred.Sd {
-				t.Errorf("%s on %v: measured rc=%d re=%d se=%d rd=%d sd=%d, predicted %+v",
-					alg, spec, c.Rc, c.Re, c.Se, c.Rd, c.Sd, pred)
+				t.Errorf("%s @%dB on %v: measured rc=%d re=%d se=%d rd=%d sd=%d, predicted %+v",
+					alg, m, spec, c.Rc, c.Re, c.Se, c.Rd, c.Sd, pred)
 			}
 			// sc: exact up to GCM framing (28 bytes per ciphertext).
 			if c.Sc < pred.Sc || c.Sc > pred.Sc+28*int64(spec.P)*int64(pred.Rc+2) {
-				t.Errorf("%s on %v: sc=%d vs predicted %d", alg, spec, c.Sc, pred.Sc)
+				t.Errorf("%s @%dB on %v: sc=%d vs predicted %d", alg, m, spec, c.Sc, pred.Sc)
 			}
 		}
 	}

@@ -283,7 +283,7 @@ func (t *Tuner) Pick(k Key, m int64) string {
 		}
 	}
 	if len(est) > 0 {
-		return argmin(est)
+		return Argmin(est)
 	}
 	if cell != nil && t.valid(cell.Best) {
 		return cell.Best
@@ -291,9 +291,10 @@ func (t *Tuner) Pick(k Key, m int64) string {
 	return DefaultPick(m)
 }
 
-// argmin returns the lowest-latency algorithm, ties broken
-// lexicographically so selection is deterministic.
-func argmin(est map[string]float64) string {
+// Argmin returns the lowest-latency algorithm, ties broken
+// lexicographically so selection is deterministic: a tuner's pick from
+// its estimates, and a sweep's Cell.Best.
+func Argmin(est map[string]float64) string {
 	best, bestNS := "", math.Inf(1)
 	for alg, ns := range est {
 		if ns < bestNS || (ns == bestNS && alg < best) {
