@@ -149,6 +149,68 @@ func TestAllreduceFacade(t *testing.T) {
 	}
 }
 
+// The all-reduce folds into rank-private partials and reads everything
+// else as views: the caller's vectors come back byte-identical, Result
+// shares memory with none of them, and every rank agrees on the right
+// answer, op after op. On pipelined TCP each 32 KiB slice of the 64 KiB
+// vectors takes the lazily sealed path, so a partial changed after its
+// Encrypt shows; a byte-wise add shows a slice folded twice, which XOR
+// can cancel.
+func TestAllreduceLeavesInputsAlone(t *testing.T) {
+	const m = 64 << 10
+	spec := Spec{Procs: 4, Nodes: 2}
+	add := func(dst, src []byte) {
+		for i := range dst {
+			dst[i] += src[i]
+		}
+	}
+	for _, eng := range []struct {
+		name string
+		opts []Option
+	}{
+		{"chan", nil},
+		{"tcp/pipelined", []Option{WithEngine(EngineTCP), WithPipelining(true)}},
+	} {
+		s := openTest(t, spec, eng.opts...)
+		for _, op := range []struct {
+			name string
+			fn   CombineFunc
+		}{{"xor", XORCombine}, {"add", add}} {
+			for rep := 0; rep < 2; rep++ {
+				data := make([][]byte, spec.Procs)
+				kept := make([][]byte, spec.Procs)
+				want := make([]byte, m)
+				for r := range data {
+					data[r] = make([]byte, m)
+					for i := range data[r] {
+						data[r][i] = byte(r*131 + i*7 + rep)
+					}
+					kept[r] = bytes.Clone(data[r])
+					op.fn(want, data[r])
+				}
+				res, err := s.Allreduce(bg, data, op.fn)
+				if err != nil {
+					t.Fatalf("%s %s: %v", eng.name, op.name, err)
+				}
+				if !bytes.Equal(res.Result, want) {
+					t.Fatalf("%s %s: wrong reduction", eng.name, op.name)
+				}
+				for r := range data {
+					if !bytes.Equal(data[r], kept[r]) {
+						t.Fatalf("%s %s: rank %d's input vector was written", eng.name, op.name, r)
+					}
+					lo, hi := &res.Result[0], &res.Result[m-1]
+					for i := range data[r] {
+						if p := &data[r][i]; p == lo || p == hi {
+							t.Fatalf("%s %s: Result aliases rank %d's input", eng.name, op.name, r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAllreduceFacadeErrors(t *testing.T) {
 	if _, err := openTest(t, Spec{Procs: 4, Nodes: 2}).Allreduce(bg, make([][]byte, 3), XORCombine); err == nil {
 		t.Fatal("wrong count accepted")

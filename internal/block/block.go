@@ -317,41 +317,9 @@ func UniformSizes(p int, m int64) []int64 {
 // extension): sizes[origin] is the expected plaintext length of each
 // rank's contribution.
 func NormalizeV(msg Message, sizes []int64, checkPattern bool) ([][]byte, error) {
-	p := len(sizes)
-	payloads := make([][]byte, p)
-	have := make([]bool, p)
-	for ci, c := range msg.Chunks {
-		if c.Enc {
-			return nil, fmt.Errorf("block: chunk %d still encrypted in final result", ci)
-		}
-		var off int64
-		for _, b := range c.Blocks {
-			if b.Origin < 0 || b.Origin >= p {
-				return nil, fmt.Errorf("block: origin %d out of range [0,%d)", b.Origin, p)
-			}
-			if have[b.Origin] {
-				return nil, fmt.Errorf("block: origin %d duplicated", b.Origin)
-			}
-			if b.Len != sizes[b.Origin] {
-				return nil, fmt.Errorf("block: origin %d has length %d, want %d", b.Origin, b.Len, sizes[b.Origin])
-			}
-			have[b.Origin] = true
-			if c.Payload != nil {
-				if int64(len(c.Payload)) < off+b.Len {
-					return nil, fmt.Errorf("block: chunk %d payload too short", ci)
-				}
-				payloads[b.Origin] = c.Payload[off : off+b.Len]
-			}
-			off += b.Len
-		}
-		if c.Payload != nil && off != int64(len(c.Payload)) {
-			return nil, fmt.Errorf("block: chunk %d payload length %d does not match blocks (%d)", ci, len(c.Payload), off)
-		}
-	}
-	for origin, ok := range have {
-		if !ok {
-			return nil, fmt.Errorf("block: origin %d missing from result", origin)
-		}
+	payloads := make([][]byte, len(sizes))
+	if err := NormalizeInto(payloads, make([]bool, len(sizes)), msg, sizes); err != nil {
+		return nil, err
 	}
 	if checkPattern {
 		for origin, pl := range payloads {
@@ -364,6 +332,50 @@ func NormalizeV(msg Message, sizes []int64, checkPattern bool) ([][]byte, error)
 		}
 	}
 	return payloads, nil
+}
+
+// NormalizeInto is NormalizeV's structural pass into caller-owned
+// scratch, so a caller that validates many results allocates once: it
+// sets payloads[origin] (nil in sim mode) and uses have as its seen-set,
+// both len(sizes) long and cleared first. It checks no pattern.
+func NormalizeInto(payloads [][]byte, have []bool, msg Message, sizes []int64) error {
+	p := len(sizes)
+	clear(payloads)
+	clear(have)
+	for ci, c := range msg.Chunks {
+		if c.Enc {
+			return fmt.Errorf("block: chunk %d still encrypted in final result", ci)
+		}
+		var off int64
+		for _, b := range c.Blocks {
+			if b.Origin < 0 || b.Origin >= p {
+				return fmt.Errorf("block: origin %d out of range [0,%d)", b.Origin, p)
+			}
+			if have[b.Origin] {
+				return fmt.Errorf("block: origin %d duplicated", b.Origin)
+			}
+			if b.Len != sizes[b.Origin] {
+				return fmt.Errorf("block: origin %d has length %d, want %d", b.Origin, b.Len, sizes[b.Origin])
+			}
+			have[b.Origin] = true
+			if c.Payload != nil {
+				if int64(len(c.Payload)) < off+b.Len {
+					return fmt.Errorf("block: chunk %d payload too short", ci)
+				}
+				payloads[b.Origin] = c.Payload[off : off+b.Len]
+			}
+			off += b.Len
+		}
+		if c.Payload != nil && off != int64(len(c.Payload)) {
+			return fmt.Errorf("block: chunk %d payload length %d does not match blocks (%d)", ci, len(c.Payload), off)
+		}
+	}
+	for origin, ok := range have {
+		if !ok {
+			return fmt.Errorf("block: origin %d missing from result", origin)
+		}
+	}
+	return nil
 }
 
 // SplitChunk splits a plaintext chunk into single-block chunks, appended

@@ -408,16 +408,50 @@ func (op Op) resolve(spec Spec) (sizes []int64, err error) {
 
 // inputs returns the caller's payloads, or else each rank's test
 // pattern in a fresh buffer: gathered views alias the inputs, and they
-// are the caller's.
-func (op Op) inputs(sizes []int64) [][]byte {
+// are the caller's. A pattern larger than one seal segment is filled as
+// one task on pool, in which the caller takes part; smaller ones, and
+// all of them when pool is nil, are filled inline.
+func (op Op) inputs(sizes []int64, pool *seal.Pool) [][]byte {
 	if op.Payloads != nil {
 		return op.Payloads
 	}
 	payloads := make([][]byte, len(sizes))
-	for r := range payloads {
-		payloads[r] = block.PatternFill(r, sizes[r])
+	f := patternFills.get()
+	for r, sz := range sizes {
+		if pool != nil && sz > seal.DefaultSegmentSize {
+			f.ranks = append(f.ranks, r)
+		} else {
+			payloads[r] = block.PatternFill(r, sz)
+		}
 	}
+	if len(f.ranks) > 0 {
+		f.payloads, f.sizes = payloads, sizes
+		pool.Run(len(f.ranks), f.task)
+	}
+	f.payloads, f.sizes, f.ranks = nil, nil, f.ranks[:0]
+	patternFills.put(f)
 	return payloads
+}
+
+// patternFill is one inputs call's pool state, recycled through
+// patternFills with its task method bound once, so handing the fills to
+// the pool allocates nothing.
+type patternFill struct {
+	payloads [][]byte
+	sizes    []int64
+	ranks    []int // the ranks whose patterns the pool fills
+	task     func(int)
+}
+
+var patternFills = newRecycler(func() *patternFill {
+	f := new(patternFill)
+	f.task = f.fill
+	return f
+})
+
+func (f *patternFill) fill(i int) {
+	r := f.ranks[i]
+	f.payloads[r] = block.PatternFill(r, f.sizes[r])
 }
 
 // admit runs the session-state checks that gate a new collective,
@@ -522,7 +556,7 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
-	payloads := op.inputs(sizes)
+	payloads := op.inputs(sizes, slr.Pool())
 	tracer := op.Tracer
 	if tracer == nil {
 		tracer = s.cfg.Tracer

@@ -45,20 +45,31 @@ func sliceSpans(m int64, l int) [][2]int64 {
 
 // sliceChunk extracts span j of a rank's vector as a slice-indexed
 // chunk: Origin identifies the SLICE (not a rank), so the block
-// machinery (audit, sizes, sim mode) keeps working.
+// machinery (audit, sizes, sim mode) keeps working. The payload is a
+// capacity-capped view of the vector, read and never written: a peer's
+// vector in shared memory, or the caller's own.
 func sliceChunk(mine block.Message, spans [][2]int64, j int) block.Chunk {
 	c := mine.Chunks[0]
 	lo, hi := spans[j][0], spans[j][1]
 	out := block.Chunk{Blocks: []block.Block{{Origin: j, Len: hi - lo}}}
 	if c.Payload != nil {
-		// make (not append to nil) so a zero-length span still yields a
-		// non-nil payload: nil means "sim mode" elsewhere.
-		out.Payload = append(make([]byte, 0, hi-lo), c.Payload[lo:hi]...)
+		out.Payload = c.Payload[lo:hi:hi]
 	}
 	return out
 }
 
-// combineChunks folds src into dst in real mode; in sim mode it only
+// ownChunk is sc with a private copy of its payload: the partial a rank
+// folds into. make (not append to nil) so a zero-length span still
+// yields a non-nil payload: nil means "sim mode" elsewhere.
+func ownChunk(sc block.Chunk) block.Chunk {
+	if sc.Payload != nil {
+		sc.Payload = append(make([]byte, 0, len(sc.Payload)), sc.Payload...)
+	}
+	return sc
+}
+
+// combineChunks folds src into dst in real mode, in place: dst is always
+// the rank's private partial, never sealed yet. In sim mode it only
 // checks shape. Both must carry the same slice block.
 func combineChunks(dst, src block.Chunk, op Combine) block.Chunk {
 	if len(dst.Blocks) != 1 || len(src.Blocks) != 1 ||
@@ -66,9 +77,7 @@ func combineChunks(dst, src block.Chunk, op Combine) block.Chunk {
 		panic(fmt.Sprintf("encrypted: combining mismatched slices %+v vs %+v", dst.Blocks, src.Blocks))
 	}
 	if dst.Payload != nil && src.Payload != nil {
-		merged := append(make([]byte, 0, len(dst.Payload)), dst.Payload...)
-		op(merged, src.Payload)
-		dst.Payload = merged
+		op(dst.Payload, src.Payload)
 	}
 	return dst
 }
@@ -108,7 +117,7 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		for i, r := range nodeRanks {
 			sc := sliceChunk(p.ShmGet(keyOwn(r)), spans, li)
 			if i == 0 {
-				partial = sc
+				partial = ownChunk(sc)
 			} else {
 				partial = combineChunks(partial, sc, op)
 				p.CopyCharge(sc.PlainLen()) // local combine pass
@@ -187,7 +196,7 @@ func AllreduceNaive(op Combine) func(p *cluster.Proc, mine block.Message) block.
 			// combine.
 			sc := sliceChunk(block.Message{Chunks: []block.Chunk{c}}, spans, 0)
 			if first {
-				acc = sc
+				acc = ownChunk(sc)
 				first = false
 				continue
 			}

@@ -11,7 +11,10 @@ import (
 // from any number of Sealers (and rank goroutines) share its workers, so
 // total crypto parallelism stays capped at the pool size no matter how
 // many collectives run concurrently. Workers start on demand and exit
-// after an idle period, so an unused pool costs nothing.
+// after an idle period, so an unused pool costs nothing. A session's
+// synthetic-payload bookends run on the same pool: each rank's test
+// pattern fill and the end-of-run check of each distinct gathered
+// buffer, when larger than one segment (DefaultSegmentSize).
 //
 // The caller of Run always participates in the work itself: progress
 // never depends on a worker being free, so a saturated pool degrades to

@@ -460,15 +460,18 @@ func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []
 }
 
 // result validates a finished collective and converts it into the
-// public RunResult in one pass per rank: every rank's message must be a
-// complete plaintext gather of sizes. Self-generated patterns are also
-// checked byte for byte against their origin over TCP and under any
-// fault plan; user-supplied bytes are validated for structure only.
+// public RunResult: every rank's message must be a complete plaintext
+// gather of sizes. Self-generated patterns are also checked byte for
+// byte against their origin over TCP and under any fault plan, each
+// distinct gathered buffer once, those larger than one seal segment on
+// the session's crypto worker pool; user-supplied bytes are validated
+// for structure only.
 // Gathered holds views into the result messages, not copies; those are
 // plaintext the runtime made for this operation, never a recycled
 // ciphertext buffer.
 func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patterns, planned bool, noun string) (*RunResult, error) {
-	views, err := cluster.GatherViews(s.cs, sizes, res.Results, patterns && (planned || s.engine == EngineTCP))
+	check := patterns && (planned || s.engine == EngineTCP)
+	views, err := cluster.GatherViews(s.cs, sizes, res.Results, check, s.inner.Sealer().Pool())
 	if err != nil {
 		switch {
 		case patterns && planned:
@@ -560,21 +563,31 @@ func (s *Session) Allreduce(ctx context.Context, data [][]byte, op CombineFunc, 
 	if err != nil {
 		return nil, err
 	}
+	// Rank 0's result, copied once, is the reference (nil when m is 0);
+	// every other rank is compared with it chunk by chunk.
 	var reference []byte
+	if m > 0 {
+		reference = make([]byte, 0, m)
+	}
 	for r, msg := range res.Results {
-		var got []byte
+		var n int64
+		agree := true
 		for _, c := range msg.Chunks {
 			if c.Enc {
 				return nil, fmt.Errorf("encag: rank %d result still encrypted", r)
 			}
-			got = append(got, c.Payload...)
+			end := n + int64(len(c.Payload))
+			if r == 0 {
+				reference = append(reference, c.Payload...)
+			} else {
+				agree = agree && end <= int64(len(reference)) && bytes.Equal(c.Payload, reference[n:end])
+			}
+			n = end
 		}
-		if int64(len(got)) != m {
-			return nil, fmt.Errorf("encag: rank %d reduced to %d bytes, want %d", r, len(got), m)
+		if n != m {
+			return nil, fmt.Errorf("encag: rank %d reduced to %d bytes, want %d", r, n, m)
 		}
-		if reference == nil {
-			reference = got
-		} else if !bytes.Equal(reference, got) {
+		if !agree {
 			return nil, fmt.Errorf("encag: ranks disagree on the reduction result")
 		}
 	}

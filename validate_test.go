@@ -175,17 +175,20 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts
 // lists are shared views, working sets member-indexed slices, each AAD
 // one buffer and the crypto pool hands helpers a pooled job record, and
 // about 154 since a session keeps its rank slots (goroutines, FIFOs,
-// wake channels, timers and Procs) from op to op. The race build, which
-// runs every test, allocates up to 16 469 KB and, since the rank slots,
-// 226 objects (11 runs, four of them beside two CPU-bound loops); each
-// gate is that maximum plus 10 %.
+// wake channels, timers and Procs) from op to op, and about 150 since
+// the gathered views share one backing array and the payload fill and
+// check take their per-call records from free lists. The race build,
+// which runs every test, allocates up to 16 469 KB and, since the views
+// share one array, 225 objects (11 runs, four of them beside two
+// CPU-bound loops; 226 with the rank slots alone); each gate is that
+// maximum plus 10 %.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 18116 << 10
-		objectsBudget = 249
+		objectsBudget = 248
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -209,19 +212,21 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // each AAD one rank-owned buffer and blocking exchanges allocate no
 // request or result slices, and about 224 since a session keeps its rank
 // slots from op to op and a whole seal gathers its payload slices into
-// rank scratch. Bytes: about 261 KB while every sealed blob and received
+// rank scratch, and about 210 since the gathered views share one backing
+// array. Bytes: about 261 KB while every sealed blob and received
 // ciphertext was a fresh make, about 142 KB since they are recycled per
 // operation and same-node pairs skip the socket, about 106 KB since, and
 // about 92 KB with the rank slots. The race build allocated up to 108 KB
-// before the rank slots (93 KB since) and up to 243 objects since; each
-// gate is such a maximum plus 10 %.
+// before the rank slots (93 KB since), and up to 243 objects with the
+// rank slots and 230 since the views share one array (11 runs, four
+// beside two CPU-bound loops); each gate is such a maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 119 << 10
-		objectsBudget = 268
+		objectsBudget = 253
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -262,17 +267,19 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 // move here, about 283 since each rank counts its own sends and
 // receives from per-source FIFOs, and about 131 since block lists are
 // shared views, receive queues keep their memory and a blocking exchange
-// allocates no request or result slices, and about 82 since a session
-// keeps its rank slots from op to op; bytes about 652 KB, 646 KB with
-// the rank slots. The race build allocates 652 KB and, since the rank
-// slots, up to 88 objects; each gate is that maximum plus 10 %.
+// allocates no request or result slices, about 82 since a session
+// keeps its rank slots from op to op, and about 76 since the gathered
+// views share one backing array; bytes about 652 KB, 646 KB with the
+// rank slots. The race build allocates 652 KB and up to 88 objects with
+// the rank slots, 83 since the views share one array; each gate is that
+// maximum plus 10 %.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 718 << 10
-		objectsBudget = 97
+		objectsBudget = 92
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, WithEngine(EngineChan))
 	t.Logf("%d KB and %d objects allocated per 64 KiB chan o-ring op (budgets %d KB, %d)",
@@ -318,8 +325,11 @@ func simAllocs(t *testing.T, alg Alg, msgSize int64, sims int) uint64 {
 // builds and discards are deliberately included: dropping them is a
 // separate change. About 96 700 (o-rd2) and 66 800 (hs2) objects while
 // block lists were copied per split, working sets were maps and shm keys
-// were formatted strings; about 21 440 and 9 900 since. The race build
-// allocates up to 21 464 and 9 957; each gate is that plus 10 %.
+// were formatted strings; about 21 440 and 9 900 since, and about
+// 21 150 and 9 650 since the validation's views share one backing array
+// instead of two objects per rank. The race build allocates up to
+// 21 239 and 9 699 (21 464 and 9 957 before); each gate is that plus
+// 10 %.
 func TestSimAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -329,8 +339,8 @@ func TestSimAllocBudget(t *testing.T) {
 		size   int64
 		budget uint64
 	}{
-		{AlgORD2, 1 << 10, 23611},
-		{AlgHS2, 16 << 10, 10953},
+		{AlgORD2, 1 << 10, 23363},
+		{AlgHS2, 16 << 10, 10669},
 	} {
 		objects := simAllocs(t, c.alg, c.size, 5)
 		t.Logf("%d objects allocated per %s Simulate at %d B (budget %d)", objects, c.alg, c.size, c.budget)
