@@ -53,19 +53,33 @@ func (p *bufPool) get(n int) []byte {
 	return make([]byte, n, q*bufQuantum)
 }
 
-// put returns a buffer get handed out; one that would take the idle
-// bytes past bufIdleCap is dropped.
+// put returns a buffer get handed out. Past bufIdleCap it first drops
+// idle buffers of other sizes, since the size just returned is the one
+// in use: a list full of sizes no longer asked for would otherwise
+// refuse it, and every later get of it would make a fresh buffer. If
+// that does not make room, b itself is dropped.
 func (p *bufPool) put(b []byte) {
-	c := cap(b)
+	c, q := cap(b), cap(b)/bufQuantum
 	if c == 0 {
 		return
 	}
 	p.mu.Lock()
+	for other, l := range p.free {
+		if p.idle+c <= bufIdleCap {
+			break
+		}
+		for other != q && len(l) > 0 && p.idle+c > bufIdleCap {
+			p.idle -= cap(l[len(l)-1])
+			l[len(l)-1] = nil
+			l = l[:len(l)-1]
+		}
+		p.free[other] = l
+	}
 	if p.idle+c <= bufIdleCap {
 		if p.free == nil {
 			p.free = make(map[int][][]byte)
 		}
-		p.free[c/bufQuantum] = append(p.free[c/bufQuantum], b[:c])
+		p.free[q] = append(p.free[q], b[:c])
 		p.idle += c
 	}
 	p.mu.Unlock()

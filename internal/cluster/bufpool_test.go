@@ -106,6 +106,26 @@ func TestBufPoolQuantumAndCap(t *testing.T) {
 	}
 }
 
+// A free list filled to its cap with sizes no longer asked for still
+// keeps the size in use: returning it drops idle buffers of other sizes,
+// so the next get of that size reuses it instead of making one. The
+// process-wide list sees every size its sessions ever sealed, so without
+// this one burst of other sizes made every later buffer fresh.
+func TestBufPoolMakesRoomForTheSizeInUse(t *testing.T) {
+	var p bufPool
+	for p.idleBytes()+8*bufQuantum <= bufIdleCap {
+		p.put(make([]byte, 0, 8*bufQuantum))
+	}
+	hot := p.get(17*bufQuantum - 1)
+	p.put(hot)
+	if again := p.get(17*bufQuantum - 1); unsafe.SliceData(again) != unsafe.SliceData(hot) {
+		t.Fatal("a buffer of the size in use was dropped from a list full of other sizes")
+	}
+	if idle := p.idleBytes(); idle > bufIdleCap-17*bufQuantum {
+		t.Fatalf("idle %d bytes with a %d-byte buffer out, cap %d", idle, 17*bufQuantum, bufIdleCap)
+	}
+}
+
 // sealThen is an algorithm in which every rank seals its block and then
 // does what fail says with it — the op fails, or waits for a message that
 // never comes — without a frame ever leaving a rank, so no straggler can
@@ -191,7 +211,7 @@ func TestPendingSendHoldsCiphertext(t *testing.T) {
 	}})
 	sending := make(chan struct{}, 1)
 	inj.SetObserver(func(fault.Kind) { sending <- struct{}{} })
-	o := s.tr.newOp(context.Background(), 1, nil, inj, time.Second, nil, false)
+	o := s.slots.takeOp(s.tr, 1, inj, time.Second)
 	defer s.tr.reg.deregister(1)
 	drainCipherBufs()
 	blob := o.alloc(5000)

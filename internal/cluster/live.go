@@ -179,9 +179,9 @@ func (lm *liveMetrics) observeFault(k fault.Kind) {
 // SessionSnapshot is the typed point-in-time view of a session's live
 // metrics — the programmatic twin of the Prometheus exposition.
 // Transport totals aggregate over all rank pairs; the per-pair split is
-// available from the registry. Window* fields describe the public
-// nonblocking in-flight window and are filled by the facade layer (the
-// window lives there, not in this package).
+// available from the registry. Window* fields describe the in-flight
+// window, the session's pool of rank slots: WindowInFlight is InFlight,
+// under the name the window's metric family has.
 type SessionSnapshot struct {
 	Engine string
 
@@ -263,7 +263,10 @@ func (s *Session) Snapshot() SessionSnapshot {
 		OpsFailed:    lm.opsFailed.Value(),
 		OpsCancelled: lm.opsCancelled.Value(),
 		InFlight:     s.InFlight(),
+		Window:       s.MaxInFlight(),
+		WindowWaits:  s.WindowWaits(),
 	}
+	snap.WindowInFlight = snap.InFlight
 	if s.cfg.Engine == EngineSim {
 		return snap
 	}

@@ -32,22 +32,18 @@ type sendJob struct {
 // transport is the persistent state of a chan or tcp session: one fair
 // send queue — one stream per in-flight operation — and one send
 // scheduler goroutine per rank, draining into the session's link, which
-// holds the registry of in-flight operations, and the pool of idle rank
-// slots the operations run on. Collectives come and go as per-operation
-// opRuntimes, many of them concurrently; the transport outlives them all
-// until the session closes.
+// holds the registry of in-flight operations. Collectives come and go
+// as per-operation opRuntimes, many of them concurrently; the transport
+// outlives them all until the session closes.
 type transport struct {
 	*link
 	sendQ   []*sched.FairQueue[sendJob]
 	senders sync.WaitGroup
-	slots   slotPool
 }
 
-// newTransport starts the per-rank send schedulers over lnk. It keeps at
-// most idleSlots idle rank slots.
-func newTransport(lnk *link, idleSlots int) *transport {
+// newTransport starts the per-rank send schedulers over lnk.
+func newTransport(lnk *link) *transport {
 	t := &transport{link: lnk, sendQ: make([]*sched.FairQueue[sendJob], lnk.spec.P)}
-	t.slots.max = idleSlots
 	for r := range t.sendQ {
 		t.sendQ[r] = sched.NewFairQueue[sendJob]()
 		t.senders.Add(1)
@@ -100,14 +96,13 @@ func (t *transport) queueDepth() int64 {
 
 // close shuts the send schedulers and the link down and waits for
 // their goroutines — closing the link unblocks a scheduler stuck in a
-// write — then stops the idle rank slots.
+// write.
 func (t *transport) close() {
 	for _, q := range t.sendQ {
 		q.Close()
 	}
 	t.link.close()
 	t.senders.Wait()
-	t.slots.close()
 }
 
 // opRegistry maps live operation ids to their runtimes: the link routes

@@ -41,6 +41,16 @@ type opRuntime struct {
 	lm    *liveMetrics
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
+	// Every rank runs algo on its own payload, into res; the op ends in
+	// Session.end, which stops deadline and hands res to then, if set.
+	algo     Algorithm
+	payloads [][]byte
+	sizes    []int64
+	res      *RealResult
+	sess     *Session
+	deadline *time.Timer
+	then     func(*RealResult, error)
+
 	inj       *fault.Injector
 	recvTO    time.Duration
 	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
@@ -57,11 +67,11 @@ type opRuntime struct {
 	streams   []*streamRecv
 }
 
-// newOp admits one collective — over a (possibly session-shared) sealer —
-// onto a rank slot from the session's pool and registers it as a live
+// newOp puts one collective — over a (possibly session-shared) sealer —
+// on the rank slot it was admitted with and registers it as a live
 // operation, making its op-id routable by the link. Unpipelined, it
 // allocates the runtime and its abort channel, nothing else.
-func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
+func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
 	spec := t.spec
 	o := &opRuntime{
 		ctx:     ctx,
@@ -80,9 +90,18 @@ func (t *transport) newOp(ctx context.Context, id uint32, slr *seal.Sealer, inj 
 	if pipe {
 		o.streams = make([]*streamRecv, spec.P*spec.P)
 	}
-	o.rankSlot = t.slots.take(spec, o)
+	o.rankSlot = slot
+	slot.owner.Store(o)
 	t.reg.register(id, o)
 	return o
+}
+
+// runRank runs rank r, turning a panic into the op's failure state.
+func (o *opRuntime) runRank(r int) {
+	defer func() { recoverRank(recover(), &o.fails, o.abort, r) }()
+	p := &o.procs[r]
+	p.met, p.eng, p.sizes = &o.res.PerRank[r], o, o.sizes
+	o.res.Results[r] = o.algo(p, block.NewPlain(r, o.payloads[r]))
 }
 
 // release drops one reference on the op's ciphertext buffers. The last

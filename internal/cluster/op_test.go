@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"encag/internal/block"
+	"encag/internal/fault"
 	"encag/internal/metrics"
 )
 
@@ -15,7 +16,7 @@ import (
 // send schedulers: everything a rank's receive side does — ordering,
 // failing, unblocking — is the runtime's own and needs no wire.
 func newBareOp(spec Spec, recvTO time.Duration) *opRuntime {
-	return newBareTransport(spec).newOp(context.Background(), 1, nil, nil, recvTO, nil, false)
+	return newSlotPool(spec, DefaultMaxInFlight).takeOp(newBareTransport(spec), 1, nil, recvTO)
 }
 
 func newBareTransport(spec Spec) *transport {
@@ -26,15 +27,26 @@ func newBareTransport(spec Spec) *transport {
 	}}
 }
 
+// takeOp puts an op over t on a slot of the window p, as a session
+// admits one; a test that takes more slots than the window has blocks.
+func (p *slotPool) takeOp(t *transport, id uint32, inj *fault.Injector, recvTO time.Duration) *opRuntime {
+	slot, err := p.take(context.Background())
+	if err != nil {
+		panic(err)
+	}
+	return t.newOp(context.Background(), slot, id, nil, inj, recvTO, nil, false)
+}
+
 // An operation admitted before its session closed can register after
 // Close aborted the live ones. It must be aborted with the close cause
 // at once, not wait out a receive deadline for messages the closed
 // transport drops.
 func TestOpRegisteredAfterCloseIsAborted(t *testing.T) {
 	tr := newBareTransport(Spec{P: 2, N: 1})
-	live := tr.newOp(context.Background(), 1, nil, nil, time.Hour, nil, false)
+	pool := newSlotPool(tr.spec, DefaultMaxInFlight)
+	live := pool.takeOp(tr, 1, nil, time.Hour)
 	tr.abortLive(ErrSessionClosed)
-	late := tr.newOp(context.Background(), 2, nil, nil, time.Hour, nil, false)
+	late := pool.takeOp(tr, 2, nil, time.Hour)
 	for name, o := range map[string]*opRuntime{"live": live, "late": late} {
 		if !o.isAborted() {
 			t.Fatalf("%s op not aborted by close", name)

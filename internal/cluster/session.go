@@ -12,7 +12,6 @@ import (
 	"encag/internal/cost"
 	"encag/internal/fault"
 	"encag/internal/metrics"
-	"encag/internal/sched"
 	"encag/internal/seal"
 )
 
@@ -74,12 +73,14 @@ type SessionConfig struct {
 	// overlapping crypto with transport inside one operation; every other
 	// message travels whole. EngineChan and EngineSim ignore it.
 	Pipelining bool
-	// MaxInFlight is the caller's in-flight window: the session keeps at
-	// most this many idle rank slots (P goroutines each) for the next
-	// operations to reuse, and an operation beyond it runs on a slot
-	// that stops when it ends. <= 0 selects sched.DefaultMaxInFlight.
+	// MaxInFlight is the in-flight window: at most this many collectives
+	// run at once, each on one of as many rank slots (P goroutines each),
+	// and one beyond it waits. <= 0 selects DefaultMaxInFlight.
 	MaxInFlight int
 }
+
+// DefaultMaxInFlight is the window when MaxInFlight is unset.
+const DefaultMaxInFlight = 4
 
 // Op describes one collective executed on an open Session. Exactly one
 // of Sizes, Payloads or MsgSize determines the per-rank contribution
@@ -177,27 +178,27 @@ func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
 // profile and run each collective in virtual time.
 //
 // A Session is safe for concurrent use, and collectives genuinely
-// overlap: any number of Collective calls may be in flight at once over
-// the same mesh (callers typically bound the number through the public
-// nonblocking API's in-flight window). A failed or cancelled collective
-// fails only itself; the session breaks (ErrSessionBroken) only when
-// the transport mesh itself is unrecoverable.
+// overlap over the same mesh, up to the session's in-flight window: its
+// pool of rank slots, which Collective and Start alike wait for. A
+// failed or cancelled collective fails only itself; the session breaks
+// (ErrSessionBroken) only when the transport mesh itself is
+// unrecoverable.
 type Session struct {
 	spec   Spec
 	cfg    SessionConfig
 	recvTO time.Duration
+	slots  *slotPool // the in-flight window; never taken on EngineSim
 
 	opSeq atomic.Uint32 // op-id allocator; ids start at 1
 	lm    *liveMetrics
 	pipe  bool // segment streaming on (cfg.Pipelining on EngineTCP)
 
-	mu       sync.Mutex
-	closed   bool
-	broken   error
-	inflight int
-	slr      *seal.Sealer
-	refs     map[*seal.Sealer]int // per sealer: ops in flight, +1 while current
-	tr       *transport           // nil for EngineSim
+	mu     sync.Mutex
+	closed bool
+	broken error
+	slr    *seal.Sealer
+	refs   map[*seal.Sealer]int // per sealer: ops in flight, +1 while current
+	tr     *transport           // nil for EngineSim
 	// sealedBase/openedBase accumulate the segment counts of retired
 	// sealers whose last op has ended, keeping the session-lifetime totals
 	// monotone across rekeys.
@@ -222,6 +223,11 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if s.recvTO <= 0 {
 		s.recvTO = DefaultRecvTimeout
 	}
+	window := cfg.MaxInFlight
+	if window <= 0 {
+		window = DefaultMaxInFlight
+	}
+	s.slots = newSlotPool(spec, window)
 	s.lm = newLiveMetrics(metrics.NewRegistry(), spec, cfg.Engine)
 	if cfg.Engine == EngineSim {
 		return s, nil
@@ -236,11 +242,7 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s.pipe = cfg.Pipelining && cfg.Engine == EngineTCP
-	idle := cfg.MaxInFlight
-	if idle <= 0 {
-		idle = sched.DefaultMaxInFlight
-	}
-	s.tr = newTransport(lnk, idle)
+	s.tr = newTransport(lnk)
 	s.registerRuntimeMetrics()
 	return s, nil
 }
@@ -288,13 +290,22 @@ func (s *Session) Err() error {
 	return s.broken
 }
 
-// InFlight returns how many collectives are currently running on the
-// session.
-func (s *Session) InFlight() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inflight
-}
+// MaxInFlight returns the session's in-flight window: how many rank
+// slots it runs collectives on at once.
+func (s *Session) MaxInFlight() int { return cap(s.slots.tokens) }
+
+// InFlight returns how many of the window's rank slots are taken: by a
+// running collective, or by one whose last queued sends have not yet
+// been written. Always 0 on EngineSim.
+func (s *Session) InFlight() int { return len(s.slots.tokens) }
+
+// WindowWaits returns how many collectives found every rank slot taken
+// and waited for one.
+func (s *Session) WindowWaits() int64 { return s.slots.waits.Load() }
+
+// AwaitIdle blocks until no rank slot is taken, or ctx ends (returning
+// its cause). A collective that starts while it waits is waited for too.
+func (s *Session) AwaitIdle(ctx context.Context) error { return s.slots.awaitIdle(ctx) }
 
 // Rekey replaces the session's AES-GCM key with a fresh random one. It
 // never waits: operations admitted from now on seal under the new key,
@@ -353,9 +364,10 @@ func (s *Session) cryptoTotals() (sealed, opened int64) {
 }
 
 // Close tears down the persistent engine state: in-flight operations
-// are aborted (their callers receive a structured error wrapping
-// ErrSessionClosed), then the TCP mesh (listeners, links, readers) and
-// the send schedulers are drained. Idempotent.
+// are aborted and callers waiting for a rank slot are woken (both
+// receive an error wrapping ErrSessionClosed), then the TCP mesh
+// (listeners, links, readers) and the send schedulers are drained.
+// Idempotent.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,6 +379,7 @@ func (s *Session) Close() error {
 		s.tr.abortLive(ErrSessionClosed)
 		s.tr.close()
 	}
+	s.slots.close()
 	return nil
 }
 
@@ -416,7 +429,7 @@ func (op Op) inputs(sizes []int64, pool *seal.Pool) [][]byte {
 		return op.Payloads
 	}
 	payloads := make([][]byte, len(sizes))
-	f := patternFills.get()
+	f := patternFills.Get()
 	for r, sz := range sizes {
 		if pool != nil && sz > seal.DefaultSegmentSize {
 			f.ranks = append(f.ranks, r)
@@ -429,7 +442,7 @@ func (op Op) inputs(sizes []int64, pool *seal.Pool) [][]byte {
 		pool.Run(len(f.ranks), f.task)
 	}
 	f.payloads, f.sizes, f.ranks = nil, nil, f.ranks[:0]
-	patternFills.put(f)
+	patternFills.Put(f)
 	return payloads
 }
 
@@ -443,7 +456,7 @@ type patternFill struct {
 	task     func(int)
 }
 
-var patternFills = newRecycler(func() *patternFill {
+var patternFills = seal.NewRecycler(func() *patternFill {
 	f := new(patternFill)
 	f.task = f.fill
 	return f
@@ -454,49 +467,69 @@ func (f *patternFill) fill(i int) {
 	f.payloads[r] = block.PatternFill(r, f.sizes[r])
 }
 
-// admit runs the session-state checks that gate a new collective,
-// rotates the key once it has used its seal budget, and accounts the
-// collective as in flight on the sealer it returns. The caller must
-// release that sealer with release().
-func (s *Session) admit(ctx context.Context) (*seal.Sealer, error) {
+// admit gates a new collective: it checks the session's state, waits
+// outside s.mu for a rank slot (Close takes s.mu), checks again, rotates
+// the key once it has used its seal budget, and accounts the collective
+// on the sealer it returns. A caller whose ctx ends while it waits gets
+// the "cancel" RankError a cancelled ctx gets at once. The caller
+// releases the sealer with release and the slot through its op.
+func (s *Session) admit(ctx context.Context) (*seal.Sealer, *rankSlot, error) {
+	if err := s.refusal(ctx, false); err != nil {
+		return nil, nil, err
+	}
+	slot, err := s.slots.take(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return nil, ErrSessionClosed
-	case s.broken != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
-	case s.cfg.Engine == EngineSim:
-		return nil, errors.New("cluster: Collective needs a chan or tcp session; use Sim")
-	}
-	if merr := s.tr.brokenErr(); merr != nil {
-		// The link died under an operation whose first-recorded root
-		// cause predated the transport failure; surface it now.
-		if s.broken == nil {
-			s.broken = merr
-			s.lm.poisonings.Inc()
-		}
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, merr)
-	}
-	if ctx.Err() != nil {
-		// Fail fast without touching the engine or the session state.
-		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
-	}
+	err = s.refusalLocked(ctx, false)
 	// Ops in flight may take the key past its budget by their own seals;
 	// their nonces stay unique because the counter keeps running.
-	if s.slr.Invocations() >= keyBudget {
-		if err := s.rekeyLocked(); err != nil {
-			return nil, err
-		}
+	if err == nil && s.slr.Invocations() >= keyBudget {
+		err = s.rekeyLocked()
 	}
-	s.inflight++
+	if err != nil {
+		s.slots.put(slot)
+		return nil, nil, err
+	}
 	s.refs[s.slr]++
-	return s.slr, nil
+	return s.slr, slot, nil
+}
+
+// refusal is why the session refuses a new collective now, nil if it
+// does not; sim says whether the caller is Sim.
+func (s *Session) refusal(ctx context.Context, sim bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refusalLocked(ctx, sim)
+}
+
+func (s *Session) refusalLocked(ctx context.Context, sim bool) error {
+	switch {
+	case s.closed:
+		return ErrSessionClosed
+	case s.broken != nil:
+		return fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	case sim && s.cfg.Engine != EngineSim:
+		return errors.New("cluster: Sim needs an EngineSim session; use Collective")
+	case !sim && s.cfg.Engine == EngineSim:
+		return errors.New("cluster: Collective needs a chan or tcp session; use Sim")
+	case s.tr != nil && s.tr.brokenErr() != nil:
+		// The link died under an operation whose first-recorded root
+		// cause predated the transport failure; surface it now.
+		s.broken = s.tr.brokenErr()
+		s.lm.poisonings.Inc()
+		return fmt.Errorf("%w: %v", ErrSessionBroken, s.broken)
+	case ctx.Err() != nil:
+		// Fail fast without touching the engine or the session state.
+		return &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
+	}
+	return nil
 }
 
 func (s *Session) release(slr *seal.Sealer) {
 	s.mu.Lock()
-	s.inflight--
 	s.unrefLocked(slr)
 	s.mu.Unlock()
 }
@@ -533,35 +566,57 @@ func (s *Session) poison(err error) {
 
 // Collective runs one all-gather-shaped operation on the session's
 // persistent chan or tcp engine. Any number of Collective calls may be
-// in flight concurrently: each gets a unique operation id carried in
-// its frames, its own fault injector and tracer, and a rank slot whose
-// goroutines' sends interleave fairly with sibling operations on the
-// shared transport. The context cancels mid-collective: cancellation (and
+// in flight concurrently, up to the window (beyond it a call waits for
+// a rank slot): each gets a unique operation id carried in its frames,
+// its own fault injector and tracer, and a rank slot whose goroutines'
+// sends interleave fairly with sibling operations on the shared
+// transport. The context cancels mid-collective: cancellation (and
 // deadline expiry) records a RankError with Op "cancel", aborts this
 // operation through the normal abort machinery and drains its ranks —
 // the session and any sibling operations stay intact. Use Sim for
 // EngineSim sessions.
 func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	slr, err := s.admit(ctx)
+	o, err := s.begin(ctx, op, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer s.release(slr)
+	<-o.finished
+	return s.end(o)
+}
+
+// Start runs op as Collective does but returns once its ranks run,
+// starting no goroutine: the worker of the last rank to return ends the
+// op and hands then what Collective would have returned, before the
+// op's slot goes back to the window, so then must not wait for a slot.
+// If Start fails, the op never ran and then is not called.
+func (s *Session) Start(ctx context.Context, op Op, then func(*RealResult, error)) error {
+	_, err := s.begin(ctx, op, then)
+	return err
+}
+
+// begin admits op, builds its inputs on the caller and hands its ranks
+// to the rank slot it was admitted with.
+func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error)) (*opRuntime, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	slr, slot, err := s.admit(ctx)
+	if err != nil {
+		return nil, err
+	}
 	s.lm.opsStarted.Inc()
 	sizes, err := op.resolve(s.spec)
 	if err != nil {
+		s.slots.put(slot)
+		s.release(slr)
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
 	payloads := op.inputs(sizes, slr.Pool())
-	tracer := op.Tracer
+	tracer, plan := op.Tracer, op.Plan
 	if tracer == nil {
 		tracer = s.cfg.Tracer
 	}
-	plan := op.Plan
 	if plan == nil {
 		plan = s.cfg.Plan
 	}
@@ -572,31 +627,40 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	o := s.tr.newOp(ctx, id, slr, inj, s.recvTO, tracer, s.pipe)
-	res := &RealResult{
+	o := s.tr.newOp(ctx, slot, id, slr, inj, s.recvTO, tracer, s.pipe)
+	o.algo, o.payloads, o.sizes = op.Algo, payloads, sizes
+	o.sess, o.then = s, then
+	o.res = &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
 		Sniffer: s.tr.sniff,
 	}
-	start := time.Now()
-	o.wt.epoch = start
+	o.wt.epoch = time.Now()
 	// The run bound records its cause and aborts, as a parked rank does
 	// when ctx ends; every blocking point observes the abort, so the ranks
-	// unwind and the op ends in the slot's wg.Wait, leaking no goroutine.
-	deadline := time.AfterFunc(RealTimeout, func() {
+	// unwind and the op ends, leaking no goroutine.
+	o.deadline = time.AfterFunc(RealTimeout, func() {
 		o.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
 			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
 		o.abort()
 	})
-	o.rankSlot.run(slotJob{o: o, algo: op.Algo, payloads: payloads, sizes: sizes, res: res})
-	deadline.Stop()
-	res.Elapsed = time.Since(start)
-	s.tr.reg.deregister(id)
-	err = o.fails.err()
-	// The ranks are done and the op is deregistered; queued sends still
-	// hold the ciphertext, and the slot, until the send loops have
-	// written or dropped them.
-	o.finish(err == nil)
+	slot.start()
+	return o, nil
+}
+
+// end is the one ending of a collective whose ranks have all returned,
+// run by its blocking caller or, for a started op, by the worker of its
+// last rank. It settles the outcome, hands it to then, if any, and only
+// then drops the op's own reference on its slot.
+func (s *Session) end(o *opRuntime) (*RealResult, error) {
+	o.deadline.Stop()
+	// The stopped run bound can keep o reachable for a while: drop what
+	// is the caller's now.
+	res, then := o.res, o.then
+	o.res, o.payloads, o.then = nil, nil, nil
+	res.Elapsed = time.Since(o.wt.epoch)
+	s.tr.reg.deregister(o.id)
+	err := o.fails.err()
 	if err != nil {
 		s.noteFailure(err)
 		var re *RankError
@@ -605,24 +669,33 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 		} else {
 			s.lm.opsFailed.Inc()
 		}
-		return nil, err
-	}
-	if plan != nil {
-		// A plan can corrupt a sequence field in a frame whose operation
-		// still completes; every later frame of that pair would then be
-		// dropped as a duplicate. Find it now, while the cause is known,
-		// instead of letting the next operation starve for its whole
-		// receive deadline. Unplanned operations have no injector to do
-		// this and skip the check.
-		if derr := s.tr.desynced(); derr != nil {
-			s.poison(fmt.Errorf("%w: %v", ErrMeshDown, derr))
+		res = nil
+	} else {
+		if o.inj != nil {
+			// A plan can corrupt a sequence field in a frame whose operation
+			// still completes; every later frame of that pair would then be
+			// dropped as a duplicate. Find it now, while the cause is known,
+			// instead of letting the next operation starve for its whole
+			// receive deadline. Unplanned operations have no injector to do
+			// this and skip the check.
+			if derr := s.tr.desynced(); derr != nil {
+				s.poison(fmt.Errorf("%w: %v", ErrMeshDown, derr))
+			}
 		}
+		s.lm.opsCompleted.Inc()
+		s.lm.opLatency.Observe(res.Elapsed.Nanoseconds())
+		res.OpID = o.id
+		res.Critical = CriticalPath(res.PerRank)
 	}
-	s.lm.opsCompleted.Inc()
-	s.lm.opLatency.Observe(res.Elapsed.Nanoseconds())
-	res.OpID = id
-	res.Critical = CriticalPath(res.PerRank)
-	return res, nil
+	s.release(o.slr)
+	if then != nil {
+		then(res, err)
+	}
+	// The ranks are done and the op is deregistered; queued sends still
+	// hold the ciphertext, and the slot, until the send loops have
+	// written or dropped them.
+	o.finish(err == nil)
+	return res, err
 }
 
 // Sim runs one collective on an EngineSim session's discrete-event
@@ -630,24 +703,13 @@ func (s *Session) Collective(ctx context.Context, op Op) (*RealResult, error) {
 // virtual time and is not cancellable mid-flight. Sim failures do not
 // break the session — the model holds no cross-operation state.
 func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
-	// The lock covers the checks only: Snapshot, Close and other Sims
-	// must not wait out a simulation (tens of ms at paper scale).
-	s.mu.Lock()
-	closed, broken := s.closed, s.broken
-	s.mu.Unlock()
-	switch {
-	case closed:
-		return nil, ErrSessionClosed
-	case broken != nil:
-		return nil, fmt.Errorf("%w: %v", ErrSessionBroken, broken)
-	case s.cfg.Engine != EngineSim:
-		return nil, errors.New("cluster: Sim needs an EngineSim session; use Collective")
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if ctx.Err() != nil {
-		return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
+	// The lock covers the checks only: Snapshot, Close and other Sims
+	// must not wait out a simulation (tens of ms at paper scale).
+	if err := s.refusal(ctx, true); err != nil {
+		return nil, err
 	}
 	s.lm.opsStarted.Inc()
 	sizes, err := op.resolve(s.spec)

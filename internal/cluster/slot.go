@@ -1,36 +1,35 @@
 package cluster
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"encag/internal/block"
 )
 
 // rankSlot is a session's persistent rank context, as an MPI rank lives
 // as long as its communicator: P worker goroutines, the ranks' wake
 // channels, receive-deadline timers and Procs, the P×P receive FIFOs and
 // each node's barrier and shared memory. It runs one operation at a
-// time. An op takes an idle slot from its session's pool (or a fresh
-// one), runs on it, and hands it back only once all three hold:
+// time. An op takes a slot from its session's pool, the in-flight
+// window, runs on it, and hands it back only once all three hold:
 //
-//  1. every rank has returned (run's wg.Wait);
+//  1. every rank has returned, and the op has ended (Session.end);
 //  2. the op is deregistered, so no reader can newly find it;
 //  3. the op's last ciphertext reference is released (opBufs), so no
 //     queued send job still points at it.
 //
 // The third is the last by construction, so the release that drops it
-// returns the slot, often on a send loop after Collective has returned.
+// returns the slot, often on a send loop after the op has ended.
 // Returning retires the slot: it clears the owner, the FIFOs, the shared
 // memory and every Proc but its scratch, so an idle slot pins no
 // payload. A delivery that reaches a retired or re-taken slot through
 // the old op's runtime is dropped (see opRuntime.deliver).
 type rankSlot struct {
 	pool *slotPool
-	// owner is the op running on the slot, nil while idle. take sets it
-	// before anything else of the op touches the slot; retire clears it
-	// before it clears the FIFOs.
+	// owner is the op running on the slot, nil while idle: the job its
+	// workers run. newOp sets it before anything else of the op touches
+	// the slot; retire clears it before it clears the FIFOs.
 	owner atomic.Pointer[opRuntime]
 
 	fifos     []msgFIFO       // [rank*P+src]: src's delivered messages to rank, oldest first
@@ -40,22 +39,12 @@ type rankSlot struct {
 	bars      []opBarrier     // [node]
 	procs     []Proc          // [rank]
 
-	// job is the op the workers run, set by run before it starts them.
-	job slotJob
-	// ranks hands each worker the rank it runs next; nil until the first
-	// run starts the workers, closed by stop.
-	ranks chan int
-	wg    sync.WaitGroup
-}
-
-// slotJob is what one run of a slot computes: every rank runs algo on
-// its own payload into res.
-type slotJob struct {
-	o        *opRuntime
-	algo     Algorithm
-	payloads [][]byte
-	sizes    []int64
-	res      *RealResult
+	// left counts the owner's ranks still running. ranks hands each
+	// worker the rank it runs next; nil until the first start starts the
+	// workers, closed by stop. finished wakes a blocking caller (worker).
+	left     atomic.Int32
+	ranks    chan int
+	finished chan struct{}
 }
 
 // newRankSlot builds a slot for spec's P ranks. It starts no goroutine:
@@ -70,6 +59,7 @@ func newRankSlot(pool *slotPool, spec Spec) *rankSlot {
 		shm:       make([]opShm, spec.N),
 		bars:      make([]opBarrier, spec.N),
 		procs:     make([]Proc, spec.P),
+		finished:  make(chan struct{}, 1),
 	}
 	for r := range s.wake {
 		s.wake[r] = make(chan struct{}, 1)
@@ -84,41 +74,38 @@ func newRankSlot(pool *slotPool, spec Spec) *rankSlot {
 	return s
 }
 
-// run executes j on the slot's workers and returns when every rank has
-// returned, starting the workers first if this is the slot's first run.
-func (s *rankSlot) run(j slotJob) {
+// start hands the owner's ranks to the slot's workers, starting them on
+// the slot's first op, and returns at once.
+func (s *rankSlot) start() {
 	p := len(s.procs)
-	s.job = j
+	s.left.Store(int32(p))
 	if s.ranks == nil {
 		s.ranks = make(chan int, p)
 		for range p {
 			go s.worker()
 		}
 	}
-	s.wg.Add(p)
 	for r := range p {
 		s.ranks <- r
 	}
-	s.wg.Wait()
 }
 
-// worker runs ranks of successive jobs until the slot stops.
+// worker runs ranks of successive ops until the slot stops. The worker
+// whose rank returns last wakes the op's blocking caller, which ends the
+// op, or ends a started op itself; a next op that takes the slot
+// meanwhile starts one rank late.
 func (s *rankSlot) worker() {
 	for r := range s.ranks {
-		s.runRank(r)
-		s.wg.Done()
+		o := s.owner.Load()
+		o.runRank(r)
+		switch {
+		case s.left.Add(-1) != 0:
+		case o.then == nil:
+			s.finished <- struct{}{}
+		default:
+			o.sess.end(o)
+		}
 	}
-}
-
-// runRank runs rank r of the current job, turning a panic into the op's
-// failure state.
-func (s *rankSlot) runRank(r int) {
-	j := &s.job
-	o := j.o
-	defer func() { recoverRank(recover(), &o.fails, o.abort, r) }()
-	p := &s.procs[r]
-	p.met, p.eng, p.sizes = &j.res.PerRank[r], o, j.sizes
-	j.res.Results[r] = j.algo(p, block.NewPlain(r, j.payloads[r]))
 }
 
 // retire drops everything the last op left on the slot. The owner goes
@@ -127,7 +114,6 @@ func (s *rankSlot) runRank(r int) {
 // cleared below.
 func (s *rankSlot) retire() {
 	s.owner.Store(nil)
-	s.job = slotJob{}
 	for i := range s.fifos {
 		s.fifos[i].reset()
 	}
@@ -156,21 +142,49 @@ func (s *rankSlot) stop() {
 	}
 }
 
-// slotPool is a session's free list of idle rank slots. It keeps at most
-// max of them, the session's in-flight window: an op beyond that — a
-// blocking caller outside the window — runs on a transient slot whose
-// workers exit when it is returned. After close it keeps none.
+// slotPool is a session's in-flight window: at most cap(tokens) rank
+// slots, built as the ops first need them and kept until the session
+// closes. An op holds a token from take to put; take blocks while every
+// slot is busy. All slots built are either idle or hold a token.
 type slotPool struct {
-	max    int
-	mu     sync.Mutex
-	idle   []*rankSlot
-	closed bool
+	spec    Spec
+	tokens  chan struct{} // one per slot taken and not yet put back
+	closing chan struct{} // closed by close: wakes every waiting take
+	waits   atomic.Int64  // takes that found every slot busy
+
+	mu      sync.Mutex
+	idle    []*rankSlot
+	closed  bool
+	drained chan struct{} // made by awaitIdle, closed when the last token comes back
 }
 
-// take hands o an idle slot, or a new one for spec, owned by o.
-func (p *slotPool) take(spec Spec, o *opRuntime) *rankSlot {
+func newSlotPool(spec Spec, window int) *slotPool {
+	return &slotPool{spec: spec, tokens: make(chan struct{}, window), closing: make(chan struct{})}
+}
+
+// take hands out an idle slot, or a new one while fewer than the window
+// exist. When every slot is busy it waits for one, for ctx to end (a
+// "cancel" RankError) or for the session to close (ErrSessionClosed).
+func (p *slotPool) take(ctx context.Context) (*rankSlot, error) {
+	select {
+	case p.tokens <- struct{}{}:
+	default:
+		p.waits.Add(1)
+		select {
+		case p.tokens <- struct{}{}:
+		case <-ctx.Done():
+			return nil, &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
+		case <-p.closing:
+			return nil, ErrSessionClosed
+		}
+	}
 	var s *rankSlot
 	p.mu.Lock()
+	if p.closed {
+		p.returnToken()
+		p.mu.Unlock()
+		return nil, ErrSessionClosed
+	}
 	if n := len(p.idle); n > 0 {
 		s = p.idle[n-1]
 		p.idle[n-1] = nil
@@ -178,32 +192,64 @@ func (p *slotPool) take(spec Spec, o *opRuntime) *rankSlot {
 	}
 	p.mu.Unlock()
 	if s == nil {
-		s = newRankSlot(p, spec)
+		s = newRankSlot(p, p.spec)
 	}
-	s.owner.Store(o)
-	return s
+	return s, nil
 }
 
-// put retires a slot whose op is done with it, and keeps it idle if the
-// pool is open and below its cap; otherwise the slot stops.
+// put retires a slot whose op is done with it and gives its token back.
+// The slot stays idle, or stops if the pool has closed.
 func (p *slotPool) put(s *rankSlot) {
 	s.retire()
 	p.mu.Lock()
-	keep := !p.closed && len(p.idle) < p.max
+	keep := !p.closed
 	if keep {
 		p.idle = append(p.idle, s)
 	}
+	p.returnToken()
 	p.mu.Unlock()
 	if !keep {
 		s.stop()
 	}
 }
 
-// close stops every idle slot; a slot returned from now on stops itself.
+// returnToken gives one token back and wakes awaitIdle on the last one;
+// the caller holds p.mu.
+func (p *slotPool) returnToken() {
+	<-p.tokens
+	if len(p.tokens) == 0 && p.drained != nil {
+		close(p.drained)
+		p.drained = nil
+	}
+}
+
+// awaitIdle waits until no slot is taken, or ctx ends.
+func (p *slotPool) awaitIdle(ctx context.Context) error {
+	p.mu.Lock()
+	if len(p.tokens) == 0 {
+		p.mu.Unlock()
+		return nil
+	}
+	if p.drained == nil {
+		p.drained = make(chan struct{})
+	}
+	drained := p.drained
+	p.mu.Unlock()
+	select {
+	case <-drained:
+		return nil
+	case <-ctx.Done():
+		return context.Cause(ctx)
+	}
+}
+
+// close stops every idle slot and wakes every waiting take; a slot put
+// back from now on stops itself.
 func (p *slotPool) close() {
 	p.mu.Lock()
 	idle := p.idle
 	p.idle, p.closed = nil, true
+	close(p.closing)
 	p.mu.Unlock()
 	for _, s := range idle {
 		s.stop()

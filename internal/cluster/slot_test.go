@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +28,7 @@ func awaitIdle(t *testing.T, s *Session, n int) []*rankSlot {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		idle := s.tr.slots.idleSlots()
+		idle := s.slots.idleSlots()
 		if len(idle) == n {
 			return idle
 		}
@@ -44,12 +45,12 @@ func awaitIdle(t *testing.T, s *Session, n int) []*rankSlot {
 // new owner's FIFO, and what the old op left queued is gone.
 func TestRetiredSlotDropsStragglers(t *testing.T) {
 	tr := newBareTransport(Spec{P: 2, N: 1})
-	tr.slots.max = 1
-	a := tr.newOp(context.Background(), 1, nil, nil, time.Second, nil, false)
+	pool := newSlotPool(tr.spec, DefaultMaxInFlight)
+	a := pool.takeOp(tr, 1, nil, time.Second)
 	a.deliver(1, 0, plainMsg(1, 'A')) // never received
 	tr.reg.deregister(1)
 	a.finish(true)
-	b := tr.newOp(context.Background(), 2, nil, nil, time.Second, nil, false)
+	b := pool.takeOp(tr, 2, nil, time.Second)
 	if a.rankSlot != b.rankSlot {
 		t.Fatal("the second op did not reuse the idle slot")
 	}
@@ -71,11 +72,11 @@ func TestRetiredSlotDropsStragglers(t *testing.T) {
 // runtime and its abort channel.
 func TestNewOpAllocs(t *testing.T) {
 	tr := newBareTransport(Spec{P: 8, N: 4})
-	tr.slots.max = 1
+	pool := newSlotPool(tr.spec, DefaultMaxInFlight)
 	var id uint32
 	allocs := testing.AllocsPerRun(200, func() {
 		id++
-		o := tr.newOp(context.Background(), id, nil, nil, time.Second, nil, false)
+		o := pool.takeOp(tr, id, nil, time.Second)
 		tr.reg.deregister(id)
 		o.finish(true)
 	})
@@ -88,12 +89,12 @@ func TestNewOpAllocs(t *testing.T) {
 // the op's own release still returns its slot.
 func TestRefusedSendReleasesSlot(t *testing.T) {
 	s := openRecycling(t, Spec{P: 2, N: 1}, EngineChan)
-	o := s.tr.newOp(context.Background(), 1, nil, nil, time.Second, nil, false)
+	o := s.slots.takeOp(s.tr, 1, nil, time.Second)
 	s.tr.sendQ[0].Close()
 	o.isend(&o.procs[0], 1, plainMsg(0, 'X'))
 	s.tr.reg.deregister(1)
 	o.finish(true)
-	if n := len(s.tr.slots.idleSlots()); n != 1 {
+	if n := len(s.slots.idleSlots()); n != 1 {
 		t.Fatalf("pool keeps %d idle slots after the op, want 1", n)
 	}
 }
@@ -145,13 +146,40 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 	}
 }
 
-// Blocking callers beyond the window all succeed byte-exact on transient
-// slots, whose workers exit; the session then keeps at most window × P
-// idle goroutines, and a serial op starts none. Close stops the idle
-// slots, and a slot still in use at Close stops when its op unwinds
-// after Close has returned: none of the session's goroutines remain.
+// awaitSocketReaders waits until n connection readers run: a TCP
+// session's link starts them as it accepts its dialed connections,
+// after OpenSession has returned.
+func awaitSocketReaders(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for {
+			buf = buf[:runtime.Stack(buf[:cap(buf)], true)]
+			if len(buf) < cap(buf) {
+				break
+			}
+			buf = make([]byte, 2*cap(buf))
+		}
+		got := strings.Count(string(buf), "(*link).serveConn(")
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d socket readers running, want %d", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// The rank-slot pool is the session's one in-flight window. Callers far
+// beyond it all succeed byte-exact, and at every sample the session
+// runs at most window × P rank goroutines beside what it ran idle and
+// the callers themselves; a serial op then reuses the newest slot. An op
+// still running at Close fails wrapping ErrSessionClosed, and its slot
+// stops when it unwinds: none of the session's goroutines remain.
 func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
-	const window, callers = 2, 6
+	const window, callers = 2, 64
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping, RecvTimeout: time.Hour}
 	for _, engine := range opEngines {
 		before := runtime.NumGoroutine()
@@ -159,38 +187,60 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opened := runtime.NumGoroutine()
-		for round := 0; round < 3; round++ {
-			var wg sync.WaitGroup
-			errs := make(chan error, callers)
-			for c := 0; c < callers; c++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					res, err := s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 1000})
-					if err == nil {
-						err = ValidateGather(spec, 1000, res.Results, true)
-					}
-					errs <- err
-				}()
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				if err != nil {
-					t.Fatalf("%v round %d: %v", engine, round, err)
+		if engine == EngineTCP {
+			awaitSocketReaders(t, spec.P*(spec.P-spec.Ell()))
+		}
+		// The session's send loops, accept loops and socket readers are
+		// all running: the baseline.
+		bound := runtime.NumGoroutine() + callers + window*spec.P
+		var wg sync.WaitGroup
+		errs := make(chan error, callers)
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 1000})
+				if err == nil {
+					err = ValidateGather(spec, 1000, res.Results, true)
 				}
+				errs <- err
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		peak := 0
+		for sampling := true; sampling; {
+			select {
+			case <-done:
+				sampling = false
+			default:
+				time.Sleep(100 * time.Microsecond)
+			}
+			// The waiter above is one more goroutine than the callers.
+			if n := runtime.NumGoroutine() - 1; n > peak {
+				peak = n
 			}
 		}
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("%v: %v", engine, err)
+			}
+		}
+		if peak > bound {
+			t.Fatalf("%v: %d goroutines at peak, want at most %d (baseline + %d callers + %d × %d ranks)",
+				engine, peak, bound, callers, window, spec.P)
+		}
+		if waits := s.WindowWaits(); waits == 0 {
+			t.Fatalf("%v: %d callers through a window of %d never waited", engine, callers, window)
+		}
 		idle := awaitIdle(t, s, window)
-		awaitGoroutines(t, engine, opened+window*spec.P)
 		if _, err := s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 1000}); err != nil {
 			t.Fatalf("%v: serial op: %v", engine, err)
 		}
 		if again := awaitIdle(t, s, window); again[len(again)-1] != idle[len(idle)-1] {
 			t.Fatalf("%v: the serial op did not run on the newest idle slot", engine)
 		}
-		awaitGoroutines(t, engine, opened+window*spec.P)
 
 		// Rank 0 unwinds slowly, so its slot comes back after Close.
 		lingering := func(p *Proc, mine block.Message) block.Message {
@@ -214,6 +264,65 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 			t.Fatalf("%v: op in flight at Close = %v, want Op closed wrapping ErrSessionClosed", engine, err)
 		}
 		awaitGoroutines(t, engine, before)
+	}
+}
+
+// A caller that finds every rank slot taken waits for one. If its
+// context ends first it gets the "cancel" RankError a cancelled context
+// gets at once, is not counted as started and leaves the session
+// healthy; a caller still waiting at Close gets ErrSessionClosed. InFlight
+// and WindowWaits read the pool.
+func TestWindowWaitEndsOnCancelAndClose(t *testing.T) {
+	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: time.Hour}
+	for _, engine := range opEngines {
+		s, err := OpenSession(spec, SessionConfig{Engine: engine, MaxInFlight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.MaxInFlight() != 1 {
+			t.Fatalf("%v: MaxInFlight() = %d, want 1", engine, s.MaxInFlight())
+		}
+		holdCtx, release := context.WithCancel(context.Background())
+		held := make(chan error, 1)
+		go func() {
+			_, err := s.Collective(holdCtx, Op{Algo: stallRank0, MsgSize: 8})
+			held <- err
+		}()
+		for s.InFlight() != 1 {
+			time.Sleep(time.Millisecond)
+		}
+		started := s.Snapshot().OpsStarted
+
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(20*time.Millisecond, cancel)
+		_, err = s.Collective(ctx, Op{Algo: encRing, MsgSize: 8})
+		var re *RankError
+		if !errors.As(err, &re) || re.Op != "cancel" || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: cancelled while waiting = %v, want a cancel RankError", engine, err)
+		}
+		if got := s.Snapshot().OpsStarted; got != started {
+			t.Fatalf("%v: a caller that never got a slot counted as started (%d -> %d)", engine, started, got)
+		}
+		if s.WindowWaits() != 1 || s.Err() != nil {
+			t.Fatalf("%v: window waits %d, session error %v after a cancelled wait", engine, s.WindowWaits(), s.Err())
+		}
+
+		waiting := make(chan error, 1)
+		go func() {
+			_, err := s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 8})
+			waiting <- err
+		}()
+		for s.WindowWaits() != 2 {
+			time.Sleep(time.Millisecond)
+		}
+		s.Close()
+		if err := <-waiting; !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%v: waiting at Close = %v, want ErrSessionClosed", engine, err)
+		}
+		if err := <-held; !errors.Is(err, ErrSessionClosed) {
+			t.Fatalf("%v: running at Close = %v, want ErrSessionClosed", engine, err)
+		}
+		release()
 	}
 }
 

@@ -77,7 +77,7 @@ type patternCheck struct {
 	task   func(int)
 }
 
-var patternChecks = newRecycler(func() *patternCheck {
+var patternChecks = seal.NewRecycler(func() *patternCheck {
 	c := new(patternCheck)
 	c.task = c.checkPooled
 	return c
@@ -106,7 +106,7 @@ func (c *patternCheck) check(b patternBuf) {
 // read once. The error names the first corrupted view in rank-major
 // order, as a rank-by-rank pass would.
 func checkPatterns(views [][][]byte, sizes []int64, pool *seal.Pool) error {
-	c := patternChecks.get()
+	c := patternChecks.Get()
 	defer c.release()
 	n := len(sizes)
 	for origin, size := range sizes {
@@ -163,43 +163,9 @@ func (c *patternCheck) release() {
 	clear(c.inline)
 	clear(c.pooled)
 	c.inline, c.pooled = c.inline[:0], c.pooled[:0]
-	patternChecks.put(c)
+	patternChecks.Put(c)
 }
 
 // maxKeptBufs is the most list entries a recycled patternCheck keeps:
 // every view of 32 ranks, about 40 KB.
 const maxKeptBufs = 32 * 32
-
-// recycler is a bounded free list of per-call records. It is a channel,
-// not a sync.Pool: the collector empties a sync.Pool every cycle, which
-// at megabytes per operation is every op or two, and a pool's record put
-// on one P is not seen by a Get on another, so most calls would build a
-// fresh record and regrow its lists. A full list drops what it is handed.
-type recycler[T any] struct {
-	free  chan *T
-	fresh func() *T
-}
-
-// recyclerCap bounds the idle records of one kind: one per operation in
-// flight on a busy host is plenty, the rest are left to the collector.
-const recyclerCap = 16
-
-func newRecycler[T any](fresh func() *T) recycler[T] {
-	return recycler[T]{free: make(chan *T, recyclerCap), fresh: fresh}
-}
-
-func (r recycler[T]) get() *T {
-	select {
-	case x := <-r.free:
-		return x
-	default:
-		return r.fresh()
-	}
-}
-
-func (r recycler[T]) put(x *T) {
-	select {
-	case r.free <- x:
-	default:
-	}
-}

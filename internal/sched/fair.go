@@ -10,8 +10,8 @@ import "sync"
 // operation's frames in per-pair sequence order while interleaving
 // frames of different operations on the shared links.
 //
-// Push never blocks (streams are unbounded; the admission window in
-// Scheduler bounds total work). Pop blocks until an item is available
+// Push never blocks (streams are unbounded; a session's in-flight
+// window bounds total work). Pop blocks until an item is available
 // or the queue is closed. All methods are safe for concurrent use.
 type FairQueue[T any] struct {
 	mu      sync.Mutex

@@ -46,32 +46,11 @@ func TestHandleCompletesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-h.Done()
 	for i := 0; i < 3; i++ {
 		v, err := h.Wait()
 		if v != 42 || err != nil {
 			t.Fatalf("Wait #%d = (%d, %v), want (42, nil)", i, v, err)
 		}
-	}
-}
-
-func TestHandleTryWait(t *testing.T) {
-	release := make(chan struct{})
-	s := New[string](1)
-	h, err := s.Start(context.Background(), func() (string, error) {
-		<-release
-		return "done", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := h.TryWait(); ok {
-		t.Fatal("TryWait reported completion while op in flight")
-	}
-	close(release)
-	<-h.Done()
-	if v, err, ok := h.TryWait(); !ok || v != "done" || err != nil {
-		t.Fatalf("TryWait after completion = (%q, %v, %v)", v, err, ok)
 	}
 }
 
@@ -160,8 +139,7 @@ func TestStartCancelWhileBlocked(t *testing.T) {
 	}
 }
 
-// One failing operation fails only its own handle; siblings and WaitAll
-// report independently.
+// One failing operation fails only its own handle.
 func TestPerOpIsolation(t *testing.T) {
 	s := New[int](4)
 	boom := errors.New("boom")
@@ -179,161 +157,6 @@ func TestPerOpIsolation(t *testing.T) {
 	if v, err := good.Wait(); v != 7 || err != nil {
 		t.Fatalf("sibling op = (%d, %v), want (7, nil)", v, err)
 	}
-	if err := s.WaitAll(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("WaitAll = %v, want first error boom", err)
-	}
-}
-
-// WaitAll reports the earliest-started failure even when a later-started
-// operation failed first.
-func TestWaitAllFirstErrorInStartOrder(t *testing.T) {
-	s := New[int](4)
-	early, late := errors.New("early"), errors.New("late")
-	release := make(chan struct{})
-	if _, err := s.Start(context.Background(), func() (int, error) { return 0, nil }); err != nil {
-		t.Fatal(err)
-	}
-	first, err := s.Start(context.Background(), func() (int, error) {
-		<-release
-		return 0, early
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := s.Start(context.Background(), func() (int, error) { return 0, late })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := second.Err(); !errors.Is(err, late) {
-		t.Fatalf("later op error = %v, want late", err)
-	}
-	// Let the later op's failure be recorded before the earlier one fails.
-	for s.InFlight() > 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := first.Err(); !errors.Is(err, early) {
-		t.Fatalf("earlier op error = %v, want early", err)
-	}
-	if err := s.WaitAll(context.Background()); !errors.Is(err, early) {
-		t.Fatalf("WaitAll = %v, want the earlier-started op's error", err)
-	}
-}
-
-// The scheduler keeps no handle: once the caller has collected a result
-// and dropped its handle, the result is garbage.
-func TestCollectedHandleIsReleased(t *testing.T) {
-	type result struct{ buf [1 << 16]byte }
-	s := New[*result](2)
-	h, err := s.Start(context.Background(), func() (*result, error) { return &result{}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := h.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	freed := make(chan struct{})
-	runtime.SetFinalizer(res, func(*result) { close(freed) })
-	res, h = nil, nil
-	if err := s.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for {
-		runtime.GC()
-		select {
-		case <-freed:
-			runtime.KeepAlive(s) // the scheduler itself stays reachable
-			return
-		case <-deadline:
-			t.Fatal("a collected result is still reachable from its scheduler")
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-}
-
-func TestWaitAllBlocksUntilDrained(t *testing.T) {
-	s := New[int](8)
-	var done atomic.Int32
-	for i := 0; i < 6; i++ {
-		_, err := s.Start(context.Background(), func() (int, error) {
-			time.Sleep(20 * time.Millisecond)
-			done.Add(1)
-			return 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.WaitAll(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if n := done.Load(); n != 6 {
-		t.Fatalf("WaitAll returned with %d/6 ops complete", n)
-	}
-}
-
-func TestWaitAllCancel(t *testing.T) {
-	s := New[int](1)
-	release := make(chan struct{})
-	h, err := s.Start(context.Background(), func() (int, error) {
-		<-release
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s.WaitAll(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WaitAll under cancelled ctx = %v", err)
-	}
-	close(release)
-	if _, err := h.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// An operation started while WaitAll is blocked is waited on too, and
-// its error is what WaitAll reports: the first operation completing does
-// not end the wait while the second is still in flight.
-func TestWaitAllWaitsForOpsStartedWhileBlocked(t *testing.T) {
-	s := New[int](2)
-	releaseA, releaseB := make(chan struct{}), make(chan struct{})
-	hA, err := s.Start(context.Background(), func() (int, error) {
-		<-releaseA
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waited := make(chan error, 1)
-	go func() { waited <- s.WaitAll(context.Background()) }()
-	time.Sleep(20 * time.Millisecond) // let WaitAll park on the first op
-	errB := errors.New("second op failed")
-	if _, err := s.Start(context.Background(), func() (int, error) {
-		<-releaseB
-		return 0, errB
-	}); err != nil {
-		t.Fatal(err)
-	}
-	close(releaseA)
-	hA.Wait()
-	select {
-	case err := <-waited:
-		t.Fatalf("WaitAll returned %v with the second op still in flight", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	close(releaseB)
-	select {
-	case err := <-waited:
-		if err != errB {
-			t.Fatalf("WaitAll = %v, want the second op's error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitAll still blocked after every op completed")
-	}
 }
 
 func TestSchedulerClose(t *testing.T) {
@@ -341,18 +164,6 @@ func TestSchedulerClose(t *testing.T) {
 	s.Close()
 	if _, err := s.Start(context.Background(), func() (int, error) { return 0, nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Start on closed scheduler = %v, want ErrClosed", err)
-	}
-}
-
-func TestCompletedHandle(t *testing.T) {
-	h := Completed(99, nil)
-	select {
-	case <-h.Done():
-	default:
-		t.Fatal("Completed handle not done")
-	}
-	if v, err := h.Wait(); v != 99 || err != nil {
-		t.Fatalf("Completed = (%d, %v)", v, err)
 	}
 }
 
@@ -384,9 +195,6 @@ func TestConcurrentCancelNoLeak(t *testing.T) {
 		if _, err := h.Wait(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("op %d error = %v, want context.Canceled", i, err)
 		}
-	}
-	if err := s.WaitAll(context.Background()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WaitAll = %v", err)
 	}
 }
 

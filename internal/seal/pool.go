@@ -205,7 +205,7 @@ func (p *Pool) Run(n int, fn func(int)) {
 		}
 		return
 	}
-	j := runJobs.Get().(*runJob)
+	j := runJobs.Get()
 	j.n, j.fn = n, fn
 	j.next.Store(0)
 	for h := 0; h < min(n-1, p.size); h++ {
@@ -230,7 +230,7 @@ type runJob struct {
 	wg   sync.WaitGroup
 }
 
-var runJobs = sync.Pool{New: func() any { return new(runJob) }}
+var runJobs = NewRecycler(func() *runJob { return new(runJob) })
 
 // loop claims and runs indices until none are left.
 func (j *runJob) loop() {
@@ -243,14 +243,14 @@ func (j *runJob) loop() {
 	}
 }
 
-// bufPool recycles scratch buffers for the segmented hot path (the
+// scratchBufs recycles scratch buffers for the segmented hot path (the
 // per-segment AAD assemblies), so steady-state sealing allocates only
-// the output blob.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+// the output blob. They are small: the bounded list pins a few KB.
+var scratchBufs = NewRecycler(func() *[]byte { return new([]byte) })
 
 // getBuf returns a scratch buffer of length n (contents undefined).
 func getBuf(n int) *[]byte {
-	bp := bufPool.Get().(*[]byte)
+	bp := scratchBufs.Get()
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
@@ -258,5 +258,5 @@ func getBuf(n int) *[]byte {
 	return bp
 }
 
-// putBuf returns a scratch buffer to the pool.
-func putBuf(bp *[]byte) { bufPool.Put(bp) }
+// putBuf returns a scratch buffer to the free list.
+func putBuf(bp *[]byte) { scratchBufs.Put(bp) }

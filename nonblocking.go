@@ -4,48 +4,59 @@ import (
 	"context"
 
 	"encag/internal/block"
-	"encag/internal/sched"
+	"encag/internal/cluster"
 )
 
 // DefaultMaxInFlight is the in-flight window of a session that does not
-// set WithMaxInFlight: up to this many nonblocking collectives run
-// concurrently before Start applies backpressure.
-const DefaultMaxInFlight = sched.DefaultMaxInFlight
+// set WithMaxInFlight: up to this many collectives, blocking or started,
+// run concurrently before the next one waits.
+const DefaultMaxInFlight = cluster.DefaultMaxInFlight
 
 // Handle is the future of a collective started with Session.Start. It
 // is safe to share across goroutines; Wait and Err may be called any
 // number of times and always agree. Supported on all three engines (on
 // EngineSim the handle is already completed when Start returns).
 type Handle struct {
-	h *sched.Handle[*RunResult]
+	done chan struct{}
+	res  *RunResult
+	err  error
 }
+
+// resolved is the Done channel of a handle completed before Start
+// returns (EngineSim).
+var resolved = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 // Done returns a channel closed when the collective has finished,
 // successfully or not — select on it to overlap computation with the
 // in-flight communication. Supported on all engines; on EngineSim it is
 // already closed when Start returns.
-func (h *Handle) Done() <-chan struct{} {
-	return h.h.Done()
-}
+func (h *Handle) Done() <-chan struct{} { return h.done }
 
 // Wait blocks until the collective finishes and returns its result —
 // exactly what the equivalent blocking Run call would have returned.
 // Supported on all engines; on EngineSim it returns immediately.
 func (h *Handle) Wait() (*RunResult, error) {
-	return h.h.Wait()
+	<-h.done
+	return h.res, h.err
 }
 
 // Err blocks until the collective finishes and returns its error, nil
 // on success — Wait for callers that only need the outcome. Supported
 // on all engines.
 func (h *Handle) Err() error {
-	return h.h.Err()
+	<-h.done
+	return h.err
 }
 
 // TryWait reports the result without blocking: ok is false while the
 // collective is still in flight. Supported on all engines.
 func (h *Handle) TryWait() (res *RunResult, err error, ok bool) {
-	return h.h.TryWait()
+	select {
+	case <-h.done:
+		return h.res, h.err, true
+	default:
+		return nil, nil, false
+	}
 }
 
 // Start launches one encrypted all-gather with deterministic per-rank
@@ -58,12 +69,13 @@ func (h *Handle) TryWait() (res *RunResult, err error, ok bool) {
 // operation fails only its own handle (the session breaks only on
 // wire-level unrecoverability; see ErrSessionBroken).
 //
-// At most MaxInFlight operations run concurrently (WithMaxInFlight,
-// default DefaultMaxInFlight): when the window is full, Start blocks
-// until a slot frees or ctx is cancelled. The ctx also cancels the
-// operation itself mid-flight; cancellation fails this handle with a
-// RankError (Op "cancel") and leaves the session and any sibling
-// operations intact.
+// At most MaxInFlight collectives run concurrently, blocking calls
+// included (WithMaxInFlight, default DefaultMaxInFlight): when the
+// window is full, Start blocks until a slot frees, ctx is cancelled (a
+// RankError, Op "cancel") or the session closes (ErrSessionClosed). The
+// ctx also cancels the operation itself mid-flight, failing only this
+// handle. Start starts no goroutine: the rank that finishes last
+// resolves the handle.
 //
 // Engines: chan and tcp run the operation truly concurrently. EngineSim
 // has no real-time concurrency to overlap, so Start runs the collective
@@ -72,9 +84,9 @@ func (h *Handle) TryWait() (res *RunResult, err error, ok bool) {
 // nil: sim payloads are symbolic). Per-op options: WithTracer,
 // WithFaultPlan.
 //
-// An unknown algorithm name fails Start itself with a structured
-// *UnknownAlgorithmError — the same fail-fast validation as the
-// blocking methods — rather than deferring the failure to the handle.
+// An operation that never starts fails Start itself, with no handle: an
+// unknown algorithm (a structured *UnknownAlgorithmError, as on the
+// blocking methods), a bad option or size, or a refusing session.
 //
 // The session holds only in-flight operations: once an operation has
 // completed, its result is reachable through the returned Handle alone,
@@ -88,43 +100,60 @@ func (s *Session) Start(ctx context.Context, algorithm Alg, msgSize int64, opts 
 	if s.engine == EngineSim {
 		res, per, err := s.simulate(ctx, o, a, sizes, "gather")
 		if err != nil {
-			return &Handle{h: sched.Completed[*RunResult](nil, err)}, nil
+			return &Handle{done: resolved, err: err}, nil
 		}
 		rr := judge(per)
 		rr.Metrics, rr.Elapsed, rr.Algorithm = res.Metrics, res.Latency, res.Algorithm
-		return &Handle{h: sched.Completed(&rr, nil)}, nil
+		return &Handle{done: resolved, res: &rr}, nil
 	}
-	h, err := s.nb.Start(ctx, func() (*RunResult, error) {
-		return s.gather(ctx, o, a, sizes, nil, "gather")
+	h, at := &Handle{done: make(chan struct{})}, s.starts.Add(1)
+	op, g := s.prepare(o, a, sizes, nil, "gather")
+	// The operation ends on the worker of its last rank, before its rank
+	// slot goes back to the window: it is judged as a blocking call would
+	// be, and a failure is recorded for WaitAll before the handle resolves.
+	err = s.inner.Start(ctx, op, func(res *cluster.RealResult, err error) {
+		h.res, h.err = s.conclude(&g, res, err)
+		s.failMu.Lock()
+		if h.err != nil && (s.failErr == nil || at < s.failAt) {
+			s.failAt, s.failErr = at, h.err
+		}
+		s.failMu.Unlock()
+		close(h.done)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Handle{h: h}, nil
+	return h, nil
 }
 
 // WaitAll blocks until every collective started with Start has
-// finished, returning the first error among them in start order (nil
-// when all succeeded, or the context's cause if ctx is cancelled while
-// waiting — the operations themselves keep running). It needs no
-// handle: the session keeps only the in-flight operations and the
-// earliest-started error, never a completed operation's result.
-// Supported on all engines (trivial on EngineSim, where Start completes
-// synchronously).
+// finished, including those started while it waits — it waits for the
+// whole window to empty, blocking calls beside it included — and
+// returns the first error among them in start order (nil when all
+// succeeded, or the context's cause if ctx is cancelled while waiting —
+// the operations themselves keep running). It needs no handle: the
+// session keeps only the in-flight operations and the earliest-started
+// error, never a completed operation's result. Supported on all engines
+// (trivial on EngineSim, where Start completes synchronously).
 func (s *Session) WaitAll(ctx context.Context) error {
-	return s.nb.WaitAll(ctx)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := s.inner.AwaitIdle(ctx); err != nil {
+		return err
+	}
+	s.failMu.Lock()
+	defer s.failMu.Unlock()
+	return s.failErr
 }
 
 // MaxInFlight returns the session's in-flight window: how many
-// nonblocking collectives may run concurrently before Start blocks.
-// Supported on all engines (EngineSim ignores the window: its Start is
-// synchronous).
-func (s *Session) MaxInFlight() int {
-	return s.nb.MaxInFlight()
-}
+// collectives, blocking or started, may run concurrently before the
+// next one waits. Supported on all engines (EngineSim ignores the
+// window: its collectives run synchronously in virtual time).
+func (s *Session) MaxInFlight() int { return s.inner.MaxInFlight() }
 
-// InFlight returns how many nonblocking collectives are currently
-// running. Supported on all engines (always 0 on EngineSim).
-func (s *Session) InFlight() int {
-	return s.nb.InFlight()
-}
+// InFlight returns how many of the window's slots are taken by
+// collectives, blocking or started, that have not yet finished writing
+// their last frames. Supported on all engines (always 0 on EngineSim).
+func (s *Session) InFlight() int { return s.inner.InFlight() }

@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/encrypted"
 	"encag/internal/metrics"
-	"encag/internal/sched"
 	"encag/internal/trace"
 	"encag/internal/tune"
 )
@@ -140,13 +140,13 @@ func WithProfile(prof Profile) Option {
 	return sessionLevel("WithProfile", func(o *sessionOptions) { o.profile, o.profileSet = prof, true })
 }
 
-// WithMaxInFlight bounds how many nonblocking collectives (Session.Start)
-// may run concurrently; further Start calls block until a slot frees.
-// Session-level only; n <= 0 selects DefaultMaxInFlight. Applies to the
-// chan and tcp engines; EngineSim runs Start synchronously, so the
-// window never fills there. The window also caps the idle rank slots a
-// chan or tcp session keeps for reuse (n × Procs parked goroutines at
-// most).
+// WithMaxInFlight bounds how many collectives may run concurrently on a
+// session, started (Session.Start) and blocking (Run, Allgather, …)
+// alike: each runs on one of n rank slots, and a call beyond the window
+// waits until a slot frees. Session-level only; n <= 0 selects
+// DefaultMaxInFlight. Applies to the chan and tcp engines, where it
+// also bounds the session's rank goroutines at n × Procs; EngineSim runs
+// every collective synchronously, so the window never fills there.
 func WithMaxInFlight(n int) Option {
 	return sessionLevel("WithMaxInFlight", func(o *sessionOptions) { o.maxInFlight = n })
 }
@@ -196,7 +196,7 @@ func opLevel(opts []Option) (*sessionOptions, error) {
 //
 // Collectives may overlap: the blocking methods (Run, Allgather, …) are
 // safe to call from concurrent goroutines, and Start launches
-// nonblocking operations multiplexed over the same mesh, up to the
+// nonblocking operations multiplexed over the same mesh, all within one
 // WithMaxInFlight window. Contexts cancel mid-operation on the real
 // engines: the run aborts and drains through the structured RankError
 // machinery (Op "cancel") without leaking goroutines, and only that
@@ -208,7 +208,13 @@ type Session struct {
 	engine Engine
 	plan   *FaultPlan // session-level default
 	inner  *cluster.Session
-	nb     *sched.Scheduler[*RunResult] // nonblocking in-flight window
+
+	// starts numbers the operations Start launches; failAt and failErr
+	// are the earliest-started one that failed, what WaitAll reports.
+	starts  atomic.Uint64
+	failMu  sync.Mutex
+	failAt  uint64
+	failErr error
 
 	// AlgAuto machinery: the tuner resolves auto operations to concrete
 	// algorithms (tuning table + online refinement), pipelined keys the
@@ -269,21 +275,20 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		engine:    eng,
 		plan:      o.plan,
 		inner:     inner,
-		nb:        sched.New[*RunResult](o.maxInFlight),
 		tuner:     tune.NewTuner(tab, autoCandidate),
 		refine:    !o.refineSet || o.refine,
 		pipelined: o.pipelining,
 		autoSel:   make(map[Alg]*metrics.Counter),
 	}
-	// The nonblocking window lives in this layer, so its metrics are
-	// registered here, into the same registry the cluster session fills.
+	// The window families keep the names this package exports; they
+	// read the cluster session's rank-slot pool, which is the window.
 	reg := inner.Metrics()
-	reg.GaugeFunc(MetricWindow, "Nonblocking in-flight window size (WithMaxInFlight).",
-		func() int64 { return int64(s.nb.MaxInFlight()) })
-	reg.GaugeFunc(MetricWindowInFlight, "Nonblocking operations currently holding a window slot.",
-		func() int64 { return int64(s.nb.InFlight()) })
-	reg.CounterFunc(MetricWindowWaits, "Start calls that found the window full and blocked.",
-		s.nb.WindowWaits)
+	reg.GaugeFunc(MetricWindow, "In-flight window size (WithMaxInFlight).",
+		func() int64 { return int64(inner.MaxInFlight()) })
+	reg.GaugeFunc(MetricWindowInFlight, "Collectives currently holding a window slot.",
+		func() int64 { return int64(inner.InFlight()) })
+	reg.CounterFunc(MetricWindowWaits, "Collectives that found the window full and waited.",
+		inner.WindowWaits)
 	return s, nil
 }
 
@@ -303,13 +308,12 @@ func (s *Session) Err() error { return s.inner.Err() }
 // also rotates by itself long before SP 800-38D's 2³² seals per key.
 func (s *Session) Rekey() error { return s.inner.Rekey() }
 
-// Close tears down the persistent engine state: new Start calls are
+// Close tears down the persistent engine state: new collectives are
 // refused, in-flight collectives are aborted (their handles resolve to
-// a structured error wrapping ErrSessionClosed), and the transport
-// (TCP mesh, send schedulers) is drained. Idempotent; always returns
-// nil.
+// a structured error wrapping ErrSessionClosed), callers waiting for the
+// window get such an error too, and the transport (TCP mesh, send
+// schedulers) is drained. Idempotent; always returns nil.
 func (s *Session) Close() error {
-	s.nb.Close()
 	return s.inner.Close()
 }
 
@@ -320,13 +324,10 @@ func (s *Session) Close() error {
 func (s *Session) Metrics() *MetricsRegistry { return s.inner.Metrics() }
 
 // Snapshot reads the session's live metrics into one typed view,
-// including the nonblocking window state. Safe to call at any time,
+// including the in-flight window state. Safe to call at any time,
 // including while collectives are in flight.
 func (s *Session) Snapshot() MetricsSnapshot {
 	snap := s.inner.Snapshot()
-	snap.Window = s.nb.MaxInFlight()
-	snap.WindowInFlight = s.nb.InFlight()
-	snap.WindowWaits = s.nb.WindowWaits()
 	s.autoMu.Lock()
 	if len(s.autoSel) > 0 {
 		snap.AutoSelected = make(map[string]int64, len(s.autoSel))
@@ -438,57 +439,74 @@ func maxOf(sizes []int64) int64 {
 	return m
 }
 
-// gather is the one path of every all-gather on the chan and tcp
-// engines; Run, Allgather, AllgatherV and Start differ only in what they
-// hand it. o and a come from checkOp; sizes[r] is rank r's contribution
-// length; payloads is nil for the deterministic per-rank test patterns;
-// noun names the collective in a validation error.
-func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, payloads [][]byte, noun string) (*RunResult, error) {
-	largest := maxOf(sizes)
-	impl, used := s.resolveAlg(a, largest)
-	res, err := s.inner.Collective(ctx, buildOp(impl, sizes, payloads, o))
-	if err != nil {
-		return nil, err
-	}
-	planned := o.plan != nil || s.plan != nil
-	out, err := s.result(res, used, sizes, payloads == nil, planned, noun)
-	if err != nil {
-		return nil, err
-	}
-	s.observeLatency(planned, largest, used, out.Elapsed)
-	return out, nil
+// gatherCall is an all-gather on the chan and tcp engines from its
+// start to its result: what conclude needs to judge it.
+type gatherCall struct {
+	used     Alg
+	sizes    []int64
+	largest  int64
+	patterns bool // the deterministic per-rank test patterns
+	planned  bool // under a fault plan
+	noun     string
 }
 
-// result validates a finished collective and converts it into the
-// public RunResult: every rank's message must be a complete plaintext
-// gather of sizes. Self-generated patterns are also checked byte for
-// byte against their origin over TCP and under any fault plan, each
-// distinct gathered buffer once, those larger than one seal segment on
-// the session's crypto worker pool; user-supplied bytes are validated
-// for structure only.
-// Gathered holds views into the result messages, not copies; those are
-// plaintext the runtime made for this operation, never a recycled
-// ciphertext buffer.
-func (s *Session) result(res *cluster.RealResult, used Alg, sizes []int64, patterns, planned bool, noun string) (*RunResult, error) {
-	check := patterns && (planned || s.engine == EngineTCP)
-	views, err := cluster.GatherViews(s.cs, sizes, res.Results, check, s.inner.Sealer().Pool())
+// prepare resolves an all-gather on the caller: the algorithm (AlgAuto
+// included) and the cluster-level operation. o and a come from
+// checkOp; sizes[r] is rank r's contribution length; payloads is nil
+// for the deterministic per-rank test patterns; noun names the
+// collective in a validation error.
+func (s *Session) prepare(o *sessionOptions, a Alg, sizes []int64, payloads [][]byte, noun string) (cluster.Op, gatherCall) {
+	g := gatherCall{sizes: sizes, largest: maxOf(sizes), patterns: payloads == nil,
+		planned: o.plan != nil || s.plan != nil, noun: noun}
+	impl, used := s.resolveAlg(a, g.largest)
+	g.used = used
+	return buildOp(impl, sizes, payloads, o), g
+}
+
+// conclude is the one ending of every all-gather in this layer, blocking
+// or started. It converts a finished collective into the public
+// RunResult and feeds its latency to the tuner. Every rank's message
+// must be a complete plaintext gather of sizes. Self-generated patterns
+// are also checked byte for byte against their origin over TCP and
+// under any fault plan, each distinct gathered buffer once, those larger
+// than one seal segment on the session's crypto worker pool;
+// user-supplied bytes are validated for structure only. Gathered holds
+// views into the result messages, not copies; those are plaintext the
+// runtime made for this operation, never a recycled ciphertext buffer.
+func (s *Session) conclude(g *gatherCall, res *cluster.RealResult, err error) (*RunResult, error) {
 	if err != nil {
+		return nil, err
+	}
+	check := g.patterns && (g.planned || s.engine == EngineTCP)
+	views, err := cluster.GatherViews(s.cs, g.sizes, res.Results, check, s.inner.Sealer().Pool())
+	if err != nil {
+		noun := g.noun
 		switch {
-		case patterns && planned:
+		case g.patterns && g.planned:
 			// Corruption that survived transport (unauthenticated bytes the
 			// plan hit) must fail closed as a structured error, never be
 			// silently delivered.
 			return nil, &RankError{Rank: -1, Peer: -1, Op: "validate",
 				Err: fmt.Errorf("fault corrupted the gathered result: %w", err)}
-		case patterns && s.engine == EngineTCP:
+		case g.patterns && s.engine == EngineTCP:
 			noun += " over TCP"
 		}
-		return nil, fmt.Errorf("encag: %s produced an invalid %s: %w", used, noun, err)
+		return nil, fmt.Errorf("encag: %s produced an invalid %s: %w", g.used, noun, err)
 	}
 	rr := judge(res.PerRank)
 	rr.Gathered, rr.Metrics, rr.Elapsed = views, res.Critical, res.Elapsed
-	rr.OpID, rr.Algorithm = res.OpID, used
+	rr.OpID, rr.Algorithm = res.OpID, g.used
+	s.observeLatency(g.planned, g.largest, g.used, rr.Elapsed)
 	return &rr, nil
+}
+
+// gather is the one blocking path of every all-gather on the chan and
+// tcp engines; Run, Allgather and AllgatherV differ only in what they
+// hand it (see prepare), and Start ends the same way (see conclude).
+func (s *Session) gather(ctx context.Context, o *sessionOptions, a Alg, sizes []int64, payloads [][]byte, noun string) (*RunResult, error) {
+	op, g := s.prepare(o, a, sizes, payloads, noun)
+	res, err := s.inner.Collective(ctx, op)
+	return s.conclude(&g, res, err)
 }
 
 // judge is the one security verdict of a finished operation, the same

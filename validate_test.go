@@ -35,7 +35,7 @@ func TestFacadeRejectsAnyCorruptedBlock(t *testing.T) {
 	// validate is the facade's pass over a pattern run's result, with and
 	// without a fault plan on the operation.
 	validate := func(planned bool) (*RunResult, error) {
-		return s.result(res, used, sizes, true, planned, "gather")
+		return s.conclude(&gatherCall{used: used, sizes: sizes, largest: m, patterns: true, planned: planned, noun: "gather"}, res, nil)
 	}
 	clean, err := validate(false)
 	if err != nil {
@@ -125,23 +125,54 @@ func TestGatheredViewsAreTheCallers(t *testing.T) {
 	}
 }
 
-// allocsPerRun runs warm blocking operations on a session opened with
-// opts (the engine among them) and returns the bytes and the heap
-// objects allocated per operation. Both repeat to a fraction of a
-// percent, so a ceiling is safe where a latency bound would not be.
-func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops int, opts ...Option) (bytes, objects uint64) {
+// allocsPerRun runs warm operations on a session opened with opts (the
+// engine among them) and returns the bytes and the heap objects
+// allocated per operation. Both repeat to a fraction of a percent, so a
+// ceiling is safe where a latency bound would not be. With window 0 the
+// operations are blocking Runs; with window w > 0 they are Starts on a
+// WithMaxInFlight(w) session, w in flight, each waiting for the oldest
+// before it starts, as the benchmark's tcp-overlap does.
+func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window int, opts ...Option) (bytes, objects uint64) {
 	t.Helper()
+	if window > 0 {
+		opts = append(opts, WithMaxInFlight(window))
+	}
 	s, err := OpenSession(context.Background(), spec, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	run := func() {
+	inFlight := make([]*Handle, 0, window) // oldest first
+	wait := func(h *Handle) {
 		t.Helper()
-		if _, err := s.Run(context.Background(), alg, msgSize); err != nil {
+		if _, err := h.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	run := func() {
+		t.Helper()
+		if window == 0 {
+			if _, err := s.Run(context.Background(), alg, msgSize); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		if len(inFlight) == window {
+			wait(inFlight[0])
+			copy(inFlight, inFlight[1:])
+			inFlight = inFlight[:window-1]
+		}
+		h, err := s.Start(context.Background(), alg, msgSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inFlight = append(inFlight, h)
+	}
+	defer func() {
+		for _, h := range inFlight {
+			wait(h)
+		}
+	}()
 	// Mesh setup, first-use buffers and the growth of a TCP session's
 	// bounded wire capture are not per-op cost: warm up until the capture
 	// is full.
@@ -190,7 +221,7 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 		budget        = 18116 << 10
 		objectsBudget = 248
 	)
-	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, WithEngine(EngineTCP), WithPipelining(true))
+	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, 0, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
 		perOp>>10, objects, budget>>10, objectsBudget)
 	if perOp >= budget {
@@ -228,7 +259,7 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 		budget        = 119 << 10
 		objectsBudget = 253
 	)
-	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, WithEngine(EngineTCP))
+	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
 		perOp>>10, objects, budget>>10, objectsBudget)
 	if perOp >= budget {
@@ -247,16 +278,42 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // 653–666 KB (about 143 objects) since block lists are shared views, and
 // about 647 KB (about 93 objects) since a session keeps its rank slots.
 // The race build allocates up to 664 KB; the gate is that plus 10 %.
+// Bytes per op have a second mode, about 660 KB in some runs: the op in
+// which, for the first time, an op's last send is still queued when the
+// next op seals, so the next op's ciphertext buffers miss the free list
+// and are made once; later ones find them. A longer warm-up makes the
+// mode rarer, not gone. Earlier tests of the same process also used to
+// fill the free list with sizes this op does not seal, so its buffers
+// were refused and made fresh every time (837 KB here); the list now
+// drops idle buffers of other sizes to keep the one in use.
+//
+// The same shape run as the benchmark runs it, started four in flight
+// and waited for oldest first, is gated on objects too: 90–94 per op
+// with a scheduler goroutine, closure and future per Start, up to 100
+// under the race build (11 runs, five beside two CPU-bound loops), so
+// the ceiling is 110.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const budget = 731 << 10
-	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40, WithEngine(EngineTCP))
+	const (
+		budget         = 731 << 10
+		startedObjects = 110
+	)
+	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
 		perOp>>10, objects, budget>>10)
 	if perOp >= budget {
 		t.Fatalf("%d KB allocated per op, budget %d KB", perOp>>10, budget>>10)
+	}
+	perOp, objects = allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, 4, WithEngine(EngineTCP))
+	t.Logf("%d KB and %d objects allocated per started 64 KiB TCP o-ring op, 4 in flight (budgets %d KB, %d)",
+		perOp>>10, objects, budget>>10, startedObjects)
+	if perOp >= budget {
+		t.Fatalf("%d KB allocated per started op, budget %d KB", perOp>>10, budget>>10)
+	}
+	if objects >= startedObjects {
+		t.Fatalf("%d heap objects allocated per started op, budget %d", objects, startedObjects)
 	}
 }
 
@@ -281,7 +338,7 @@ func TestChanSteadyStateAllocBudget(t *testing.T) {
 		budget        = 718 << 10
 		objectsBudget = 92
 	)
-	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, WithEngine(EngineChan))
+	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, 0, WithEngine(EngineChan))
 	t.Logf("%d KB and %d objects allocated per 64 KiB chan o-ring op (budgets %d KB, %d)",
 		perOp>>10, objects, budget>>10, objectsBudget)
 	if perOp >= budget {
