@@ -167,6 +167,36 @@ func TestSchedulerClose(t *testing.T) {
 	}
 }
 
+// The scheduler keeps no handle: once the caller has collected a result
+// and dropped its handle, the result is garbage.
+func TestCollectedHandleIsReleased(t *testing.T) {
+	type result struct{ buf [1 << 16]byte }
+	s := New[*result](2)
+	h, err := s.Start(context.Background(), func() (*result, error) { return &result{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(res, func(*result) { close(freed) })
+	res, h = nil, nil
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(s) // the scheduler itself stays reachable
+			return
+		case <-deadline:
+			t.Fatal("a collected result is still reachable from its scheduler")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
 // Satellite: N concurrent ops cancelled mid-flight under -race leak
 // nothing (the package fence in TestMain verifies the drain; this test
 // verifies every handle resolves to its cancellation error).
