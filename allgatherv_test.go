@@ -153,9 +153,9 @@ func TestAllreduceFacade(t *testing.T) {
 // else as views: the caller's vectors come back byte-identical, Result
 // shares memory with none of them, and every rank agrees on the right
 // answer, op after op. On pipelined TCP each 32 KiB slice of the 64 KiB
-// vectors takes the lazily sealed path, so a partial changed after its
-// Encrypt shows; a byte-wise add shows a slice folded twice, which XOR
-// can cancel.
+// vectors is reduced through SealIsend, sealed by the send loop as it
+// goes out, so a partial changed after its SealIsend shows; a byte-wise
+// add shows a slice folded twice, which XOR can cancel.
 func TestAllreduceLeavesInputsAlone(t *testing.T) {
 	const m = 64 << 10
 	spec := Spec{Procs: 4, Nodes: 2}

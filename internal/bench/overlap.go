@@ -27,9 +27,10 @@ import (
 // EXPERIMENTS.md documents.
 //
 // Beyond the c-ring baseline, the table carries hierarchical rows
-// (hs1, hs2). Only a message that is one freshly sealed chunk streams:
-// hs1's leader exchange does, while hs2's inter-node messages carry
-// several chunks and go whole, so its "+pipe" rows stream nothing.
+// (hs1, hs2). Only a chunk sealed for its one send streams (O-Ring's
+// exit seal, so c-ring's rows do): hs1's leaders forward their sealed
+// chunk more than once and hs2's inter-node messages carry several
+// chunks, so both go whole and their "+pipe" rows stream nothing.
 func Overlap(opts Options) ([]Table, error) {
 	ops := opts.Iters
 	if ops <= 0 {

@@ -58,15 +58,6 @@ type Chunk struct {
 	// HS algorithms) use it to regroup chunks per member.
 	Tag int
 
-	// Stream, when non-nil on an Enc chunk, carries a pending
-	// (lazily sealed) segmented payload: Payload is nil. Sent as a
-	// message of its own, the transport seals and sends its segments one
-	// at a time; any other use materializes the blob first. It is sender-
-	// local, engine-internal state and never crosses the wire or
-	// reaches a collective's final result (Normalize rejects Enc
-	// chunks there).
-	Stream *seal.SealStream
-
 	// Opened, when non-nil on an Enc chunk, holds the plaintext the
 	// transport already authenticated and decrypted segment-by-segment
 	// on arrival; Payload still holds the assembled blob. Receiver-
@@ -98,7 +89,7 @@ func (c Chunk) WireLen() int64 {
 // immutable by convention).
 func (c Chunk) Clone() Chunk {
 	return Chunk{Enc: c.Enc, Blocks: append([]Block(nil), c.Blocks...), Payload: c.Payload, Tag: c.Tag,
-		Stream: c.Stream, Opened: c.Opened}
+		Opened: c.Opened}
 }
 
 // Message is an ordered list of chunks.

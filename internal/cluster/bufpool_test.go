@@ -215,7 +215,7 @@ func TestPendingSendHoldsCiphertext(t *testing.T) {
 	defer s.tr.reg.deregister(1)
 	drainCipherBufs()
 	blob := o.alloc(5000)
-	o.isend(&Proc{rank: 0, spec: spec}, 1, block.Message{Chunks: []block.Chunk{{Enc: true, Payload: blob}}})
+	o.isend(&Proc{rank: 0, spec: spec}, 1, block.Message{Chunks: []block.Chunk{{Enc: true, Payload: blob}}}, nil)
 	<-sending
 	held := time.Now()
 	o.bufs.finish(true)

@@ -128,7 +128,7 @@ func (e *simEngine) queue(dst, src int) *msgQueue {
 	return q
 }
 
-func (e *simEngine) isend(p *Proc, dst int, msg block.Message) Request {
+func (e *simEngine) isend(p *Proc, dst int, msg block.Message, _ *seal.SealStream) Request {
 	sp := e.sproc(p)
 	src := p.rank
 	srcNode, dstNode := e.spec.NodeOf(src), e.spec.NodeOf(dst)
@@ -155,24 +155,24 @@ func (e *simEngine) irecv(p *Proc, src int) Request {
 	return simRecvReq{src: src}
 }
 
-func (e *simEngine) wait(p *Proc, reqs []Request, out []block.Message) {
+func (e *simEngine) wait(p *Proc, req Request) block.Message {
 	sp := e.sproc(p)
-	for i, r := range reqs {
-		switch rr := r.(type) {
-		case simSendReq:
-			rr.flow.WaitDone(sp)
-		case simRecvReq:
-			start := sp.Now()
-			q := e.queue(p.rank, rr.src)
-			for len(q.msgs) == 0 {
-				q.gate.Wait(sp)
-			}
-			out[i] = q.msgs[0]
-			q.msgs = q.msgs[1:]
-			e.trace(TraceEvent{Rank: p.rank, Kind: TraceRecv, Start: start, End: sp.Now(), Bytes: out[i].WireLen(), Peer: rr.src})
-		default:
-			panic(fmt.Sprintf("cluster: foreign request type %T in sim engine", r))
+	switch rr := req.(type) {
+	case simSendReq:
+		rr.flow.WaitDone(sp)
+		return block.Message{}
+	case simRecvReq:
+		start := sp.Now()
+		q := e.queue(p.rank, rr.src)
+		for len(q.msgs) == 0 {
+			q.gate.Wait(sp)
 		}
+		msg := q.msgs[0]
+		q.msgs = q.msgs[1:]
+		e.trace(TraceEvent{Rank: p.rank, Kind: TraceRecv, Start: start, End: sp.Now(), Bytes: msg.WireLen(), Peer: rr.src})
+		return msg
+	default:
+		panic(fmt.Sprintf("cluster: foreign request type %T in sim engine", req))
 	}
 }
 

@@ -220,6 +220,12 @@ type link struct {
 	sniff     *WireSniffer // nil on EngineChan
 	readersWG sync.WaitGroup
 	downOnce  sync.Once
+	down      chan struct{} // closed by teardown: injected stalls end
+
+	// segBufs[src] is the buffer src's send loop, its only user, seals
+	// each streamed segment into and writes it from, kept for the
+	// session.
+	segBufs [][]byte
 
 	// tracked holds the live readers' progress trackers, so the link can
 	// diagnose a reader starved mid-frame by length-field corruption.
@@ -240,6 +246,8 @@ func newLink(spec Spec, lm *liveMetrics, reg *opRegistry, cfg SessionConfig) (*l
 		lm:      lm,
 		reg:     reg,
 		socks:   make([][]*tcpLink, spec.P),
+		down:    make(chan struct{}),
+		segBufs: make([][]byte, spec.P),
 		tracked: make(map[*readTracker]struct{}),
 	}
 	tcp := cfg.Engine == EngineTCP
@@ -338,6 +346,7 @@ func (l *link) connect(src, dst int) (net.Conn, error) {
 // goroutines observe the closed conns and drain.
 func (l *link) teardown() {
 	l.downOnce.Do(func() {
+		close(l.down)
 		for _, ln := range l.listeners {
 			if ln != nil {
 				ln.Close()
@@ -441,29 +450,29 @@ func (l *link) close() {
 }
 
 // send is the single writer for all of src's pairs. A whole message goes
-// out as one frame. A pipelined message (job.sid non-zero, socket pairs
-// only) goes out as the segment sub-frames of its one chunk's stream,
-// sealing each segment right before it goes on the wire, so segment i
-// travels while segment i+1 is still under AES-GCM and the receiver is
+// out as one frame. A pipelined message (job.st non-nil, socket pairs
+// only) goes out as the segment sub-frames of its one chunk, each sealed
+// into src's segment buffer right before it goes on the wire, so segment
+// i travels while segment i+1 is still under AES-GCM and the receiver is
 // already authenticating segment i-1. The first sub-frame carries the
 // chunk's metadata. Every sub-frame takes its own sequence number and
-// rides the same resend recovery as whole-message frames.
+// rides the same resend recovery as whole-message frames, which resends
+// the buffer as sealed: each segment is sealed once.
 func (l *link) send(src int, job sendJob) {
-	o := job.op
-	if job.sid == 0 {
+	o, st := job.op, job.st
+	if st == nil {
 		l.writeFrame(o, src, job.dst, job.msg, nil)
 		return
 	}
-	c := job.msg.Chunks[0]
-	st := c.Stream
-	k := st.K()
+	c, sid, k := job.msg.Chunks[0], o.streamSeq.Add(1), st.K()
 	l.lm.pipeStreams.Inc()
 	for i := 0; i < k; i++ {
 		if o.isAborted() {
 			return
 		}
-		seg, _ := st.Segment(i) // i < K: sealing cannot fail
-		sf := wire.SegFrame{Stream: job.sid, Index: uint32(i), Count: uint32(k), Payload: seg}
+		seg, _ := st.AppendSegment(l.segBufs[src][:0], i) // i < K: sealing cannot fail
+		l.segBufs[src] = seg
+		sf := wire.SegFrame{Stream: sid, Index: uint32(i), Count: uint32(k), Payload: seg}
 		if i == 0 {
 			sf.Meta = &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks, Header: st.Header()}
 		}
@@ -513,11 +522,34 @@ func (l *link) writeFrame(o *opRuntime, src, dst int, msg block.Message, sf *wir
 	return true
 }
 
+// errUnwound ends a send whose injected stall was cut short: its
+// operation unwound or the link closed.
+var errUnwound = errors.New("cluster: send unwound during an injected stall")
+
+// stall waits out an injected delay d of operation o, cut short when o
+// aborts or the link is torn down, which it reports as false. A zero
+// delay returns at once and starts no timer.
+func (l *link) stall(o *opRuntime, d time.Duration) bool {
+	if d <= 0 {
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-o.aborted:
+	case <-l.down:
+	}
+	return false
+}
+
 // sendWithRetry sends frame seq (msg, or sf when non-nil) on the pair
 // sl, or in memory when sl is nil. Each attempt takes one frame verdict
-// from the operation's fault injector; a stall sleeps. A dropped or
-// partially written attempt — or, on a socket pair, a connection reset —
-// is resent under exponential backoff, up to sendRetries times. A socket
+// from the operation's fault injector; a stall waits (l.stall), and a
+// stall cut short ends the send. A dropped or partially written attempt
+// — or, on a socket pair, a connection reset — is resent under
+// exponential backoff, up to sendRetries times. A socket
 // pair redials first (fresh dial plus hello re-handshake), and resending
 // the whole frame on the fresh connection is safe: the receiver's
 // sequence gate drops duplicates, a partial frame on the abandoned
@@ -548,14 +580,16 @@ func (l *link) sendWithRetry(o *opRuntime, src, dst int, sl *tcpLink, seq uint64
 			}
 		}
 		v := o.inj.SendFrame(src, dst)
-		o.inj.Sleep(v.Stall)
+		if !l.stall(o, v.Stall) {
+			return errUnwound
+		}
 		if sl == nil {
 			lastErr = l.deliverMemory(o, src, dst, msg, v)
 		} else {
 			lastErr = sl.write(o, src, seq, msg, sf, v)
 		}
-		if lastErr == nil {
-			return nil
+		if lastErr == nil || lastErr == errUnwound {
+			return lastErr
 		}
 	}
 	return fmt.Errorf("send gave up after %d attempts: %w", sendRetries+1, lastErr)
@@ -586,8 +620,9 @@ func (sl *tcpLink) write(o *opRuntime, src int, seq uint64, msg block.Message, s
 // written frame is lost in transit, to be resent; a corrupted one has a
 // payload byte flipped. The pair's read stall holds the delivery — and,
 // since delivery runs on src's send queue, src's later messages to every
-// destination. Send and delivery coincide, so one point charges both
-// directions of the transport counters.
+// destination — until it elapses or the op unwinds. Send and delivery
+// coincide, so one point charges both directions of the transport
+// counters.
 func (l *link) deliverMemory(o *opRuntime, src, dst int, msg block.Message, v fault.Verdict) error {
 	switch {
 	case v.Drop:
@@ -597,7 +632,9 @@ func (l *link) deliverMemory(o *opRuntime, src, dst int, msg block.Message, v fa
 	case v.CorruptAt >= 0:
 		msg = corruptMessage(msg, v.CorruptAt)
 	}
-	o.inj.Sleep(o.inj.ReadDelay(src, dst))
+	if !l.stall(o, o.inj.ReadDelay(src, dst)) {
+		return errUnwound
+	}
 	n := msg.WireLen()
 	l.lm.countSent(src, dst, n)
 	l.lm.countRecv(src, dst, n)
@@ -669,12 +706,13 @@ func (t *readTracker) Read(p []byte) (int, error) {
 // frameDone marks a clean frame boundary: the reader is idle again.
 func (t *readTracker) frameDone() { t.mark.Store(0) }
 
-// stall sleeps through an injected read stall of d. A stall is not
-// starvation: a reader stalled mid-frame (a sub-frame's payload still
-// on the stream) reads idle while it sleeps and resumes its clock after.
-func (t *readTracker) stall(in *fault.Injector, d time.Duration) {
+// stall waits through an injected read stall of d for op o (l.stall).
+// A stall is not starvation: a reader stalled mid-frame (a sub-frame's
+// payload still on the stream) reads idle while it waits and resumes its
+// clock after.
+func (t *readTracker) stall(l *link, o *opRuntime, d time.Duration) {
 	mid := d > 0 && t.mark.Swap(0) != 0
-	in.Sleep(d)
+	l.stall(o, d)
 	if mid {
 		t.mark.Store(trackClock())
 	}
@@ -779,7 +817,7 @@ func (l *link) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, don
 		} else if o, _ = l.reg.get(fr.Op); o == nil {
 			l.lm.stragglers.Inc()
 		} else {
-			tc.stall(o.inj, o.inj.ReadDelay(src, dst))
+			tc.stall(l, o, o.inj.ReadDelay(src, dst))
 		}
 		if fr.Kind == wire.FrameSeg {
 			// A sub-frame's payload is still on the stream.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"encag/internal/block"
+	"encag/internal/fault"
 	"encag/internal/metrics"
 	"encag/internal/wire"
 )
@@ -227,6 +229,52 @@ func TestTCPSocketsOnlyBetweenNodes(t *testing.T) {
 		for _, sl := range row {
 			if sl != nil {
 				t.Fatal("chan session holds a socket pair")
+			}
+		}
+	}
+}
+
+// A stall planned for one operation ends with it. A one-hour stall on
+// the send side (the sender's loop) and on the read side (a memory
+// pair's delivery, a socket pair's reader) is under way when the
+// operation's context is cancelled: the operation fails with the cancel
+// error at once, and the session closes at once.
+func TestFaultStallEndsWithItsOperation(t *testing.T) {
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
+	for _, eng := range []EngineKind{EngineChan, EngineTCP} {
+		for _, kind := range []fault.Kind{fault.Stall, fault.StallRead} {
+			s, err := OpenSession(spec, SessionConfig{Engine: eng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := &fault.Plan{Rules: []fault.Rule{{Src: 0, Dst: 1, Kind: kind, Delay: time.Hour}}}
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Collective(ctx, Op{Algo: exchangeEncrypted, MsgSize: 1 << 10, Plan: plan})
+				done <- err
+			}()
+			for s.lm.faults[kind].Value() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%v %v: cancelled op failed with %v", eng, kind, err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%v %v: cancelled op still running after 2 s", eng, kind)
+			}
+			closed := make(chan struct{})
+			go func() {
+				s.Close()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%v %v: Close still waiting on the stall after 2 s", eng, kind)
 			}
 		}
 	}

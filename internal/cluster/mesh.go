@@ -6,6 +6,7 @@ import (
 
 	"encag/internal/block"
 	"encag/internal/sched"
+	"encag/internal/seal"
 )
 
 // ErrMeshDown marks transport-level failures that leave a session's
@@ -19,14 +20,14 @@ import (
 var ErrMeshDown = errors.New("cluster: transport mesh is down")
 
 // sendJob is one message awaiting its turn on a rank's send scheduler.
-// A pipelined send (socket pairs only) carries a stream id and keeps its
-// one chunk's pending SealStream: the link seals and ships one segment
-// at a time, overlapping crypto with transport.
+// A pipelined send (socket pairs only) carries the seal stream of its
+// message's one chunk: the link seals and ships one segment at a time,
+// overlapping crypto with transport.
 type sendJob struct {
 	op  *opRuntime
 	dst int
 	msg block.Message
-	sid uint32 // non-zero: stream msg's one chunk under this stream id
+	st  *seal.SealStream // non-nil: stream msg's one chunk, sealing it as it goes
 }
 
 // transport is the persistent state of a chan or tcp session: one fair

@@ -295,23 +295,17 @@ func (recvReq) isRequest() {}
 // immediately — the scheduler interleaves the streams of concurrent
 // operations fairly, applies this operation's fault verdicts in the
 // rank's program order per pair (keeping plans deterministic), and a
-// blocked link never stalls the rank goroutine. On a pipelined TCP
-// session, a message to another node (a socket pair) that is one chunk
-// with a pending SealStream is enqueued under a fresh stream id and
-// streams segment by segment; anything else is materialized and travels
-// whole. Every queued job holds a reference on the op's ciphertext
-// buffers (and so on its slot) until the send loop is done with it; a
-// job the closed queue refuses gives its reference back at once.
-func (o *opRuntime) isend(p *Proc, dst int, msg block.Message) Request {
+// blocked link never stalls the rank goroutine. A message whose one
+// chunk SealIsend left to st (pipelined, to another node) streams
+// segment by segment; anything else travels whole. Every queued job
+// holds a reference on the op's ciphertext buffers (and so on its slot)
+// until the send loop is done with it; a job the closed queue refuses
+// gives its reference back at once.
+func (o *opRuntime) isend(p *Proc, dst int, msg block.Message, st *seal.SealStream) Request {
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	job := sendJob{op: o, dst: dst, msg: msg}
-	if o.streamed(p.rank, dst, msg) {
-		job.sid = o.streamSeq.Add(1)
-	} else {
-		job.msg = materializeMessage(msg)
-	}
+	job := sendJob{op: o, dst: dst, msg: msg, st: st}
 	o.bufs.hold()
 	if !o.sendQ[p.rank].Push(o.id, job) {
 		o.release()
@@ -330,21 +324,20 @@ func (o *opRuntime) irecv(p *Proc, src int) Request {
 	return recvReq{src: src}
 }
 
-func (o *opRuntime) wait(p *Proc, reqs []Request, out []block.Message) {
-	for i, r := range reqs {
-		rr, ok := r.(recvReq)
-		if !ok {
-			continue // sends are already enqueued
-		}
-		var start float64
-		if o.wt.active() {
-			start = o.wt.now()
-		}
-		out[i] = o.recvFrom(p.rank, rr.src)
-		if o.wt.active() {
-			o.wt.emit(p.rank, TraceRecv, start, out[i].WireLen(), rr.src)
-		}
+func (o *opRuntime) wait(p *Proc, req Request) block.Message {
+	rr, ok := req.(recvReq)
+	if !ok {
+		return block.Message{} // a send is already enqueued
 	}
+	var start float64
+	if o.wt.active() {
+		start = o.wt.now()
+	}
+	msg := o.recvFrom(p.rank, rr.src)
+	if o.wt.active() {
+		o.wt.emit(p.rank, TraceRecv, start, msg.WireLen(), rr.src)
+	}
+	return msg
 }
 
 // recvFrom returns the next message from src to rank: the head of the
@@ -409,7 +402,7 @@ func (o *opRuntime) shmPut(p *Proc, key ShmKey, msg block.Message) {
 	if s.m == nil {
 		s.m = make(map[ShmKey]block.Message)
 	}
-	s.m[key] = materializeMessage(msg)
+	s.m[key] = msg
 	s.mu.Unlock()
 }
 

@@ -1,11 +1,11 @@
 // Intra-collective pipelining: on a TCP session with pipelining on, a
-// message to another node (a socket pair) that is exactly one freshly
-// sealed chunk — the pending SealStream Proc.Encrypt made — travels as
-// the sealed segments of its blob, one segment sub-frame each
-// (internal/wire), each sealed right before it goes on the wire and
-// opened as it lands. Every other message is materialized and sent as
-// one whole frame. This file holds the streaming threshold,
-// materialization, and the receive-side stream assembly.
+// chunk Proc.SealIsend seals for one send to another node (a socket
+// pair) travels as the sealed segments of its blob, one segment
+// sub-frame each (internal/wire): the sending rank's send loop seals
+// each segment into its one segment buffer right before it goes on the
+// wire, and the receiver opens each as it lands. Every other message is
+// sealed whole and sent as one frame. This file holds the streaming
+// threshold and the receive-side stream assembly.
 package cluster
 
 import (
@@ -22,37 +22,6 @@ import (
 // length (block header sum), never the sealed blob length, so the
 // qualification does not drift with seal framing overhead.
 const defaultMinStreamBytes = 16 << 10
-
-// streamed reports whether msg travels src->dst as a segment stream: a
-// pipelined op's message to another node (a socket pair: pipelining is
-// on only on EngineTCP) that is one chunk with a pending SealStream. A
-// memory pair has no wire to overlap the sealing with.
-func (o *opRuntime) streamed(src, dst int, msg block.Message) bool {
-	return o.pipe && !o.spec.SameNode(src, dst) && len(msg.Chunks) == 1 && msg.Chunks[0].Stream != nil
-}
-
-// materializeMessage forces any lazily-sealed chunk to its blob form so
-// the message can travel the non-streaming paths (whole-message frames,
-// shared memory, local delivery). The chunk slice is copied only when a
-// pending stream is actually present; the original message is left as
-// it is.
-func materializeMessage(msg block.Message) block.Message {
-	for i, c := range msg.Chunks {
-		if c.Stream == nil {
-			continue
-		}
-		out := msg
-		out.Chunks = append([]block.Chunk(nil), msg.Chunks...)
-		for j := i; j < len(out.Chunks); j++ {
-			if cj := &out.Chunks[j]; cj.Stream != nil {
-				cj.Payload = cj.Stream.Blob()
-				cj.Stream = nil
-			}
-		}
-		return out
-	}
-	return msg
-}
 
 // streamRecv assembles one incoming pipelined message: the segments of
 // its one sealed chunk. A stream's sub-frames arrive back to back and in

@@ -21,16 +21,16 @@ import (
 const pipeSize = 64 << 10
 
 // ringEncrypted is the encrypted ring all-gather the pipeline tests
-// drive: every hop re-seals the forwarded chunk, so each of the P-1
-// rounds puts one fresh segment stream per rank on the wire.
+// drive: every hop re-seals the forwarded chunk for its one send, so
+// each of the P-1 rounds puts one fresh segment stream per inter-node
+// hop on the wire.
 func ringEncrypted(p *Proc, mine block.Message) block.Message {
 	result := mine.Clone()
 	cur := mine
 	next := (p.Rank() + 1) % p.P()
 	prev := (p.Rank() - 1 + p.P()) % p.P()
 	for i := 0; i < p.P()-1; i++ {
-		ct := p.Encrypt(cur.Chunks...)
-		in := p.SendRecv(next, block.Message{Chunks: []block.Chunk{ct}}, prev)
+		in := p.Wait(p.SealIsend(next, cur.Chunks...), p.Irecv(prev))[1]
 		cur = p.DecryptAll(in)
 		result = block.Concat(result, cur)
 	}
@@ -42,8 +42,7 @@ func ringEncrypted(p *Proc, mine block.Message) block.Message {
 // its peer is the pair's only traffic).
 func exchangeEncrypted(p *Proc, mine block.Message) block.Message {
 	other := 1 - p.Rank()
-	ct := p.Encrypt(mine.Chunks...)
-	in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
+	in := p.Wait(p.SealIsend(other, mine.Chunks...), p.Irecv(other))[1]
 	return block.Concat(mine, p.DecryptAll(in))
 }
 
@@ -130,12 +129,11 @@ func joinDecrypted(origin int, dec block.Message) block.Message {
 func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 	algo := func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
-		ct := p.Encrypt(mine.Chunks...)
 		small := block.NewPlain(p.Rank(), block.FillPattern(p.Rank(), 64))
 		// The stream first, two small plaintext frames right behind it on
 		// the same pair; receives must observe the same order.
 		reqs := []Request{
-			p.Isend(other, block.Message{Chunks: []block.Chunk{ct}}),
+			p.SealIsend(other, mine.Chunks...),
 			p.Isend(other, small),
 			p.Isend(other, small),
 		}
@@ -221,8 +219,7 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 func TestPipelineForwardedBlobByteExact(t *testing.T) {
 	gatherCountingFrames(t, func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
-		ct := p.Encrypt(mine.Chunks...)
-		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
+		in := p.Wait(p.SealIsend(other, mine.Chunks...), p.Irecv(other))[1]
 		if seal.BlobSegments(in.Chunks[0].Payload) < 2 {
 			panic("received blob is a single segment")
 		}
@@ -376,89 +373,52 @@ func TestPipelineTCPRandomPlans(t *testing.T) {
 	}
 }
 
-// streamed gates which traffic streams: nothing while pipelining is
-// off, and when on only a message to another node (a socket pair) that
-// is one chunk with a pending seal stream. Same-node messages,
-// multi-chunk messages, forwarded blobs and plaintext go whole. The
-// stream threshold is a constant, not configuration.
+// Only SealIsend streams, and only where sealing can overlap the wire:
+// with pipelining on, to another node (a socket pair), at least
+// defaultMinStreamBytes of plaintext. A same-node SealIsend, a smaller
+// one and a chunk sealed by Encrypt go whole; with pipelining off
+// nothing streams. The stream threshold is a constant, not
+// configuration.
 func TestPipelineQualification(t *testing.T) {
 	if defaultMinStreamBytes != 16<<10 {
 		t.Fatalf("streaming threshold moved: %d", defaultMinStreamBytes)
 	}
-	slr, err := seal.NewRandomSealer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := bytes.Repeat([]byte{7}, 64<<10)
-	st := slr.NewSealStream([][]byte{pt}, []byte("aad"))
-	if st == nil {
-		t.Fatal("seal stream refused a 64KiB payload")
-	}
-	enc := block.Chunk{Enc: true, Stream: st}
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping} // 0->1 stays on node 0, 0->2 crosses
-	if (&opRuntime{spec: spec}).streamed(0, 2, block.Message{Chunks: []block.Chunk{enc}}) {
-		t.Fatal("streamed with pipelining off")
-	}
-	pc := &opRuntime{spec: spec, pipe: true}
-	if !pc.streamed(0, 2, block.Message{Chunks: []block.Chunk{enc}}) {
-		t.Fatal("pending seal stream not streamed")
-	}
-	if pc.streamed(0, 1, block.Message{Chunks: []block.Chunk{enc}}) {
-		t.Fatal("pending seal stream streamed to a memory pair")
-	}
-	blob := st.Blob()
-	for name, msg := range map[string]block.Message{
-		"multi-chunk": {Chunks: []block.Chunk{enc, enc}},
-		"forwarded":   {Chunks: []block.Chunk{{Enc: true, Blocks: []block.Block{{Origin: 0, Len: 64 << 10}}, Payload: blob}}},
-		"plaintext":   {Chunks: []block.Chunk{{Payload: pt}}},
-	} {
-		if pc.streamed(0, 2, msg) {
-			t.Fatalf("%s message streamed", name)
+	algo := func(p *Proc, mine block.Message) block.Message {
+		switch p.Rank() {
+		case 0:
+			small := block.NewPlain(0, mine.Chunks[0].Payload[:defaultMinStreamBytes-1])
+			p.Wait(
+				p.SealIsend(2, mine.Chunks...),
+				p.SealIsend(1, mine.Chunks...),
+				p.SealIsend(2, small.Chunks...),
+				p.Isend(2, block.Message{Chunks: []block.Chunk{p.Encrypt(mine.Chunks...)}}),
+			)
+		case 1:
+			p.DecryptAll(p.Recv(0))
+		case 2:
+			for i := 0; i < 3; i++ {
+				p.DecryptAll(p.Recv(0))
+			}
 		}
+		return mine
 	}
-}
-
-// materializeMessage seals every pending stream of a message into a
-// copy of its chunk list, leaving the original untouched; a message with
-// nothing pending comes back as it is. Sealing cannot fail, so neither
-// can it.
-func TestMaterializeMessageErrorContract(t *testing.T) {
-	slr, err := seal.NewRandomSealer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt := bytes.Repeat([]byte{3}, 64<<10)
-	stA := slr.NewSealStream([][]byte{pt}, []byte("a"))
-	stB := slr.NewSealStream([][]byte{pt}, []byte("b"))
-	if stA == nil || stB == nil {
-		t.Fatal("no seal streams")
-	}
-	plain := block.NewPlain(0, []byte("done")).Chunks[0]
-	msg := block.Message{Chunks: []block.Chunk{
-		plain,
-		{Enc: true, Stream: stA},
-		{Enc: true, Stream: stB},
-	}}
-	out := materializeMessage(msg)
-	if &out.Chunks[0] == &msg.Chunks[0] {
-		t.Fatal("a message with pending streams was not copied")
-	}
-	for i, c := range out.Chunks {
-		if c.Stream != nil {
-			t.Fatalf("chunk %d still pending after materialize", i)
+	for _, pipe := range []bool{true, false} {
+		s, err := OpenSession(spec, SessionConfig{Engine: EngineTCP, Pipelining: pipe})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, aad := range []string{"a", "b"} {
-		got, _, err := slr.OpenSegmented(out.Chunks[i+1].Payload, []byte(aad))
-		if err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("materialized chunk %d does not open: %v", i+1, err)
+		if _, err := s.Collective(context.Background(), Op{Algo: algo, MsgSize: pipeSize}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if msg.Chunks[1].Stream != stA || msg.Chunks[2].Stream != stB || msg.Chunks[1].Payload != nil || msg.Chunks[2].Payload != nil {
-		t.Fatal("original message mutated")
-	}
-	if sealed := materializeMessage(out); &sealed.Chunks[0] != &out.Chunks[0] {
-		t.Fatal("a message with nothing pending was copied")
+		s.Close() // drains the send schedulers: sender-side counts are final
+		want := int64(0)
+		if pipe {
+			want = 1
+		}
+		if got := s.lm.pipeStreams.Value(); got != want {
+			t.Fatalf("pipelining %v: %d streams, want %d", pipe, got, want)
+		}
 	}
 }
 

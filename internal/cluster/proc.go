@@ -15,9 +15,13 @@ type Request interface{ isRequest() }
 // engine abstracts the execution backend (opRuntime's real goroutines
 // or discrete-event simulation) behind the rank-level API.
 type engine interface {
-	isend(p *Proc, dst int, msg block.Message) Request
+	// isend starts a send of msg; st, when non-nil, is the pending seal
+	// of msg's one chunk, which the engine seals as the chunk goes out.
+	isend(p *Proc, dst int, msg block.Message, st *seal.SealStream) Request
 	irecv(p *Proc, src int) Request
-	wait(p *Proc, reqs []Request, out []block.Message) // out aligned with reqs
+	// wait completes one request: the received message for a receive,
+	// an empty one for a send.
+	wait(p *Proc, req Request) block.Message
 
 	// span opens a compute-phase interval (encrypt, decrypt or copy) of n
 	// bytes and returns its closer, called when the work is done. The sim
@@ -40,11 +44,10 @@ type engine interface {
 
 	// pipeline reports whether intra-collective segment streaming is on:
 	// TCP sessions with pipelining enabled only (the sim and chan
-	// engines never stream). Encrypt then seals a large chunk lazily, and
-	// a message to another node that is exactly that one chunk streams
-	// segment by segment over its socket; every other message —
-	// same-node, multi-chunk or forwarded — is materialized and travels
-	// whole.
+	// engines never stream). SealIsend then leaves a large chunk bound
+	// for another node to the send loop, which seals it segment by
+	// segment as it writes it to the socket; every other ciphertext is
+	// sealed whole and travels as one frame.
 	pipeline() bool
 
 	// aad appends to dst a ciphertext's AEAD associated data: its block
@@ -59,7 +62,9 @@ type engine interface {
 type Algorithm func(p *Proc, mine block.Message) block.Message
 
 // Proc is the per-rank handle the algorithms program against — the moral
-// equivalent of an MPI communicator plus rank.
+// equivalent of an MPI communicator plus rank. It seals a ciphertext one
+// of two ways: Encrypt, whole, for one the rank keeps, forwards or sends
+// more than once, and SealIsend for one it seals only to send once.
 type Proc struct {
 	rank      int
 	spec      Spec
@@ -68,11 +73,10 @@ type Proc struct {
 	sizes     []int64 // per-rank contribution sizes (all-gatherv semantics)
 	plainMode bool
 
-	// Rank-owned scratch: a blocking exchange's requests and Wait result,
-	// the associated data, which the sealer copies if it keeps it, and
-	// the payload slices a whole seal gathers from. aadBuf and parts
-	// outlive the op on the rank's slot.
-	reqs   [2]Request
+	// Rank-owned scratch: a blocking exchange's Wait result, the
+	// associated data, which the sealer copies if it keeps it, and the
+	// payload slices a whole seal gathers from. aadBuf and parts outlive
+	// the op on the rank's slot.
 	msgs   [2]block.Message
 	aadBuf []byte
 	parts  [][]byte
@@ -162,7 +166,11 @@ func (p *Proc) Metrics() *Metrics { return p.met }
 // here, so this is where the paper's security property is checked: a
 // message to another node that carries a plaintext chunk is counted in
 // PlainInterMsgs and described in Violations.
-func (p *Proc) Isend(dst int, msg block.Message) Request {
+func (p *Proc) Isend(dst int, msg block.Message) Request { return p.isend(dst, msg, nil) }
+
+// isend is Isend of a message whose one chunk is still to be sealed
+// when st is non-nil.
+func (p *Proc) isend(dst int, msg block.Message, st *seal.SealStream) Request {
 	if dst == p.rank {
 		panic(fmt.Sprintf("cluster: rank %d sending to itself", p.rank))
 	}
@@ -176,7 +184,7 @@ func (p *Proc) Isend(dst int, msg block.Message) Request {
 		p.met.InterMsgs++
 		p.checkInterNode(dst, msg)
 	}
-	return p.eng.isend(p, dst, msg)
+	return p.eng.isend(p, dst, msg, st)
 }
 
 // checkInterNode records msg, bound for another node, as a violation if
@@ -213,33 +221,28 @@ func (p *Proc) Wait(reqs ...Request) []block.Message {
 	}
 	p.met.CommRounds++
 	msgs := slices.Grow(p.msgs[:0], len(reqs))[:len(reqs)]
-	clear(msgs)
-	p.eng.wait(p, reqs, msgs)
-	for _, m := range msgs {
-		p.met.BytesRecv += m.WireLen()
+	for i, r := range reqs {
+		msgs[i] = p.eng.wait(p, r)
+		p.met.BytesRecv += msgs[i].WireLen()
 	}
 	return msgs
 }
 
 // Send is a blocking send (Isend+Wait): one communication round.
 func (p *Proc) Send(dst int, msg block.Message) {
-	p.reqs[0] = p.Isend(dst, msg)
-	p.Wait(p.reqs[:1]...)
+	p.Wait(p.Isend(dst, msg))
 }
 
 // Recv is a blocking receive (Irecv+Wait): one communication round.
 func (p *Proc) Recv(src int) block.Message {
-	p.reqs[0] = p.Irecv(src)
-	return p.Wait(p.reqs[:1]...)[0]
+	return p.Wait(p.Irecv(src))[0]
 }
 
 // SendRecv sends out to dst while receiving from src; the two transfers
 // overlap and together count as one communication round, like
 // MPI_Sendrecv.
 func (p *Proc) SendRecv(dst int, out block.Message, src int) block.Message {
-	p.reqs[0] = p.Isend(dst, out)
-	p.reqs[1] = p.Irecv(src)
-	return p.Wait(p.reqs[:]...)[1]
+	return p.Wait(p.Isend(dst, out), p.Irecv(src))[1]
 }
 
 // gatherPayloads concatenates the chunks' payloads into one buffer —
@@ -273,8 +276,34 @@ func payloadSlices(parts [][]byte, chunks []block.Chunk) [][]byte {
 // into independently sealed GCM segments processed concurrently on the
 // crypto worker pool, authenticated together as one unit — but a logical
 // Encrypt still counts as a single encryption round (the paper's r_e);
-// the fan-out is reported separately in Metrics.EncSegments.
+// the fan-out is reported separately in Metrics.EncSegments. The chunk
+// is always sealed whole, into the op's ciphertext buffers, so it may be
+// sent any number of times, forwarded and decrypted locally; a chunk
+// sealed only to be sent once goes through SealIsend instead.
 func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
+	c, _ := p.encrypt(chunks, false)
+	return c
+}
+
+// SealIsend seals the given plaintext chunks into one ciphertext chunk,
+// charged exactly as Encrypt charges it, and starts that chunk's one
+// send to dst — its only reader. Where sealing can overlap the wire (a
+// pipelined session, dst on another node, a chunk of at least
+// defaultMinStreamBytes) the chunk is left to the send loop, which seals
+// each segment straight into the buffer it writes it from, right before
+// it goes out, so the encrypt span closes at once and the crypto cost
+// shows up overlapped with transport. Everywhere else it is sealed whole
+// here, as Encrypt seals it. A ciphertext sent more than once is sealed
+// once, by Encrypt.
+func (p *Proc) SealIsend(dst int, chunks ...block.Chunk) Request {
+	c, st := p.encrypt(chunks, p.eng.pipeline() && !p.SameNode(p.rank, dst))
+	return p.isend(dst, block.Message{Chunks: []block.Chunk{c}}, st)
+}
+
+// encrypt is Encrypt, leaving a chunk that qualifies to a seal stream
+// when stream is set: the chunk comes back without a payload, beside
+// the stream that seals it.
+func (p *Proc) encrypt(chunks []block.Chunk, stream bool) (block.Chunk, *seal.SealStream) {
 	blocks := make([]block.Block, 0, block.Message{Chunks: chunks}.NumBlocks())
 	var plainLen int64
 	for _, c := range chunks {
@@ -293,38 +322,32 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 		if p.eng.sealer() != nil {
 			out.Payload = gatherPayloads(chunks, plainLen)
 		}
-		return out
+		return out, nil
 	}
 	p.met.EncRounds++
 	p.met.EncBytes += plainLen
 	done := p.eng.span(p, TraceEncrypt, plainLen)
 	out := block.Chunk{Enc: true, Blocks: blocks}
+	var st *seal.SealStream
 	if s := p.eng.sealer(); s != nil {
 		p.aadBuf = p.eng.aad(p.aadBuf[:0], blocks)
-		aad := p.aadBuf
-		if p.eng.pipeline() && plainLen >= defaultMinStreamBytes {
-			// A stream keeps its slices until the send loop seals it.
-			if st := s.NewSealStream(payloadSlices(make([][]byte, 0, len(chunks)), chunks), aad); st != nil {
-				// Pipelined: sealing is deferred — sent alone, the chunk
-				// streams and the transport seals each segment right
-				// before putting it on the wire, so the encrypt span
-				// closes immediately and the crypto cost shows up
-				// overlapped with transport; any other use seals it whole.
-				p.met.EncSegments += st.K()
-				out.Stream = st
-				done()
-				return out
-			}
+		if stream && plainLen >= defaultMinStreamBytes {
+			// A stream keeps its slices until its last segment is sealed.
+			st = s.NewSealStream(payloadSlices(make([][]byte, 0, len(chunks)), chunks), p.aadBuf)
 		}
-		// A whole seal is done with its slices when it returns: they are
-		// the rank's scratch, cleared when the rank's slot retires.
-		p.parts = payloadSlices(p.parts[:0], chunks)
-		blob, segs := s.SealSegmentedWith(p.eng.alloc, p.parts, aad)
-		p.met.EncSegments += segs
-		out.Payload = blob
+		if st != nil {
+			p.met.EncSegments += st.K()
+		} else {
+			// A whole seal is done with its slices when it returns: they
+			// are the rank's scratch, cleared when the rank's slot retires.
+			p.parts = payloadSlices(p.parts[:0], chunks)
+			blob, segs := s.SealSegmentedWith(p.eng.alloc, p.parts, p.aadBuf)
+			p.met.EncSegments += segs
+			out.Payload = blob
+		}
 	}
 	done()
-	return out
+	return out, st
 }
 
 // Decrypt opens one ciphertext chunk (one decryption round covering its
@@ -353,17 +376,11 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 			done()
 			return out
 		}
-		payload := c.Payload
-		if c.Stream != nil {
-			// A lazily-sealed chunk being decrypted locally (never
-			// shipped): force the seal, then open normally.
-			payload = c.Stream.Blob()
-		}
-		if payload == nil {
+		if c.Payload == nil {
 			panic("cluster: real-mode Decrypt given a chunk without payload")
 		}
 		p.aadBuf = p.eng.aad(p.aadBuf[:0], c.Blocks)
-		pt, segs, err := s.OpenSegmented(payload, p.aadBuf)
+		pt, segs, err := s.OpenSegmented(c.Payload, p.aadBuf)
 		if err != nil {
 			// Structured: the run reports this rank and the failing open
 			// (tampered or spliced ciphertext) as the root cause.

@@ -68,10 +68,11 @@ type SessionConfig struct {
 	// closed by the session: its owner outlives every tenant.
 	CryptoPool *seal.Pool
 	// Pipelining turns on intra-collective pipelining on EngineTCP: a
-	// message that is one freshly sealed chunk streams its sealed
-	// segments onto the wire as they seal and opens them as they land,
-	// overlapping crypto with transport inside one operation; every other
-	// message travels whole. EngineChan and EngineSim ignore it.
+	// chunk Proc.SealIsend seals for its one send to another node streams
+	// its sealed segments onto the wire as they seal and opens them as
+	// they land, overlapping crypto with transport inside one operation;
+	// every other message travels whole. EngineChan and EngineSim ignore
+	// it.
 	Pipelining bool
 	// MaxInFlight is the in-flight window: at most this many collectives
 	// run at once, each on one of as many rank slots (P goroutines each),

@@ -131,10 +131,9 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		// Binomial reduce toward group index 0.
 		for mask := 1; mask < n; mask <<= 1 {
 			if idx&mask != 0 {
-				peer := g.Ranks[idx-mask]
-				out := block.Message{Chunks: []block.Chunk{p.Encrypt(partial)}}
-				p.Send(peer, out)
-				partial = block.Chunk{} // handed off
+				// Sealed for this one send: the partial is handed off.
+				p.Wait(p.SealIsend(g.Ranks[idx-mask], partial))
+				partial = block.Chunk{}
 				break
 			}
 			if idx+mask < n {
@@ -148,7 +147,7 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		}
 		// Binomial broadcast of the sealed result from group index 0,
 		// forwarding the same ciphertext unmodified (each node opens it
-		// once for its own use).
+		// once for its own use): sent more than once, it is sealed whole.
 		var sealed block.Chunk
 		if idx == 0 && n > 1 {
 			sealed = p.Encrypt(partial)

@@ -44,7 +44,7 @@ func ORing(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	cur := mine
 	curIdx := gi
 	for t := 1; t < n; t++ {
-		var out block.Message
+		var in block.Message
 		if p.SameNode(p.Rank(), succ) {
 			// Intra-node hops carry plaintext; decrypt first if needed,
 			// keeping the plaintext for our own result too.
@@ -52,15 +52,15 @@ func ORing(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 				cur = p.DecryptAll(cur)
 				res[curIdx] = cur
 			}
-			out = cur
+			in = p.SendRecv(succ, cur, pred)
 		} else if cur.HasCiphertext() {
 			// Already sealed by an upstream node: forward untouched.
-			out = cur
+			in = p.SendRecv(succ, cur, pred)
 		} else {
-			// Leaving the node: seal a copy, keep the plaintext locally.
-			out = block.Message{Chunks: []block.Chunk{p.Encrypt(cur.Chunks...)}}
+			// Leaving the node: seal a copy for its one send, keep the
+			// plaintext locally.
+			in = p.Wait(p.SealIsend(succ, cur.Chunks...), p.Irecv(pred))[1]
 		}
-		in := p.SendRecv(succ, out, pred)
 		from := order[((i-t)%n+n)%n]
 		curIdx = idxOf[from]
 		res[curIdx] = in

@@ -148,3 +148,40 @@ func TestSegmentedTamperDetectedEndToEnd(t *testing.T) {
 		t.Fatal("tampered segment went undetected")
 	}
 }
+
+// On a pipelined TCP session every seal still draws one nonce per
+// sealed segment: a chunk sealed for one send streams and is sealed
+// segment by segment by its send loop, once, and every ciphertext sent
+// more than once (o-rd's cached seal, RD forwarding in naive-rd, hs1 and
+// c-rd, the all-reduce broadcast) is sealed whole, once. Every gather
+// and reduction is byte-exact.
+func TestSealOnceOnPipelinedTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	names := append(Names(), "allreduce-hs")
+	cfg := cluster.SessionConfig{Engine: cluster.EngineTCP, Pipelining: true}
+	for _, spec := range []cluster.Spec{
+		{P: 4, N: 2, Mapping: cluster.BlockMapping},
+		{P: 8, N: 4, Mapping: cluster.BlockMapping},
+		{P: 8, N: 8, Mapping: cluster.BlockMapping},
+	} {
+		for _, m := range []int64{64 << 10, 1 << 20} {
+			for _, name := range names {
+				alg := AllreduceHS(XOR)
+				if name != "allreduce-hs" {
+					alg, _ = Get(name)
+				}
+				res, err := auditedRunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
+				if err != nil {
+					t.Fatalf("%s on %v at %d B: %v", name, spec, m, err)
+				}
+				if name == "allreduce-hs" {
+					checkAllreduce(t, spec, m, res)
+				} else if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
+					t.Fatalf("%s on %v at %d B: %v", name, spec, m, err)
+				}
+			}
+		}
+	}
+}

@@ -8,15 +8,16 @@
 // per pair kind:
 //
 //   - a socket pair (inter-node, TCP) applies it byte-exactly to the
-//     frame's wire bytes: a stall sleeps, a drop closes the connection,
+//     frame's wire bytes: a stall waits, a drop closes the connection,
 //     and corruption and partial writes go through Verdict.Writer;
 //   - a memory pair (same-node on TCP, every pair on chan) applies it at
-//     message granularity: a stall sleeps, a dropped or partially
+//     message granularity: a stall waits, a dropped or partially
 //     written frame is lost in transit, a corrupted one has a payload
 //     byte flipped.
 //
 // On both kinds a dropped or partially written frame is resent, a
-// bounded number of times.
+// bounded number of times, and a stall ends early when the operation
+// it was planned for unwinds or the transport closes.
 //
 // Corrupt is also how tests play the paper's network adversary: a
 // Corrupt rule on an inter-node pair flips a ciphertext byte or a
@@ -47,7 +48,7 @@ const (
 	Drop Kind = iota
 	// Corrupt flips one byte of the target frame on the wire.
 	Corrupt
-	// Stall sleeps for Delay before sending the target frame.
+	// Stall waits for Delay before sending the target frame.
 	Stall
 	// StallRead delays each frame the receive side of the pair delivers
 	// by Delay, on both pair kinds (frame targeting does not apply). A
@@ -379,12 +380,4 @@ func (in *Injector) ReadDelay(src, dst int) time.Duration {
 		}
 	}
 	return d
-}
-
-// Sleep blocks for d; it is a no-op on a nil injector.
-func (in *Injector) Sleep(d time.Duration) {
-	if in == nil || d <= 0 {
-		return
-	}
-	time.Sleep(d)
 }

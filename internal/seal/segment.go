@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 )
 
@@ -225,12 +225,19 @@ func (l segLayout) newBlob(alloc func(n int) []byte) []byte {
 	} else {
 		out = make([]byte, l.blobLen())
 	}
+	l.putHeader(out)
+	return out
+}
+
+// putHeader writes l's framing header (magic, count, per-segment
+// lengths) into the first hdrLen bytes of out and returns them.
+func (l segLayout) putHeader(out []byte) []byte {
 	binary.BigEndian.PutUint32(out[0:], segMagic)
 	binary.BigEndian.PutUint32(out[4:], uint32(l.k))
 	for i := 0; i < l.k; i++ {
 		binary.BigEndian.PutUint32(out[segHeaderFixed+4*i:], uint32(l.plainLen(i)))
 	}
-	return out
+	return out[:l.hdrLen]
 }
 
 // checkIndex reports an out-of-range segment index.
@@ -299,21 +306,20 @@ func segAAD(header []byte, i int, aad []byte) *[]byte {
 }
 
 // sealSegment seals segment i of the concatenation of parts (prefix
-// offsets poffs) into its slot of blob, whose header is already written.
-// A segment lying inside one part is encrypted straight from that part —
-// no copy at all; one spanning a part boundary is first gathered into
-// its slot and encrypted in place. (Copy-then-encrypt-in-place costs
-// ~40% throughput at 1MB on this host, so the zero-copy path matters
-// even with one segment.)
-func (s *Sealer) sealSegment(l segLayout, blob []byte, parts [][]byte, poffs []int64, aad []byte, i int) {
-	dst := l.segment(blob, i)
+// offsets poffs) into dst, exactly its sealed length, under the framing
+// header hdr. A segment lying inside one part is encrypted straight from
+// that part — no copy at all; one spanning a part boundary is first
+// gathered into dst and encrypted in place. (Copy-then-encrypt-in-place
+// costs ~40% throughput at 1MB on this host, so the zero-copy path
+// matters even with one segment.)
+func (s *Sealer) sealSegment(l segLayout, hdr, dst []byte, parts [][]byte, poffs []int64, aad []byte, i int) {
 	pos, n := l.plainStart(i), l.plainLen(i)
 	src := segmentSource(parts, poffs, pos, n)
 	if src == nil {
 		src = dst[NonceSize : NonceSize+n]
 		gatherRange(src, parts, poffs, pos)
 	}
-	ap := segAAD(blob[:l.hdrLen], i, aad)
+	ap := segAAD(hdr, i, aad)
 	s.sealInto(dst, src, *ap)
 	putBuf(ap)
 }
@@ -362,13 +368,14 @@ func (s *Sealer) SealSegmentedWith(alloc func(n int) []byte, parts [][]byte, aad
 	offs := partOffsets(small[:0], parts)
 	l := s.layout(offs[len(parts)])
 	out := l.newBlob(alloc)
+	hdr := out[:l.hdrLen]
 	if l.k == 1 {
-		s.sealSegment(l, out, parts, offs, aad, 0)
+		s.sealSegment(l, hdr, l.segment(out, 0), parts, offs, aad, 0)
 		return out, 1
 	}
 	heapOffs := partOffsets(make([]int64, 0, len(parts)+1), parts) // the closure's own: small stays on the stack
 	s.eachSegment(l.k, func(i int) error {
-		s.sealSegment(l, out, parts, heapOffs, aad, i)
+		s.sealSegment(l, hdr, l.segment(out, i), parts, heapOffs, aad, i)
 		return nil
 	})
 	return out, l.k
@@ -447,36 +454,38 @@ func gatherRange(dst []byte, parts [][]byte, offs []int64, pos int64) {
 	}
 }
 
-// SealStream lazily seals one logical plaintext into a segmented blob:
-// Segment(i) runs the codec's per-segment seal in order up to i on
-// demand. Methods are safe for concurrent use (several consumers may
-// stream the same chunk to different destinations); sealing is
-// serialized under a mutex.
+// SealStream seals one logical plaintext under the streaming segment
+// plan one segment at a time, each into a buffer its caller owns: the
+// framing header goes out first, then each segment as it is sealed, so a
+// transport can put segment i on the wire while segment i+1 is still
+// under AES-GCM. It keeps no sealed bytes: every AppendSegment seals
+// afresh under a new nonce, so a stream has one consumer, which seals
+// each segment once. The header followed by the K segments is the blob
+// SealSegmented would have produced under the same plan. It is not safe
+// for concurrent use.
 type SealStream struct {
-	s    *Sealer
-	aad  []byte
-	blob []byte
-	l    segLayout
-
-	mu     sync.Mutex
-	parts  [][]byte // plaintext sources; released once fully sealed
-	poffs  []int64
-	sealed int // watermark: segments [0, sealed) are sealed
+	s     *Sealer
+	aad   []byte
+	hdr   []byte
+	l     segLayout
+	parts [][]byte // plaintext sources
+	poffs []int64
 }
 
 // NewSealStream prepares streaming sealing of the concatenation of
-// parts under the streaming segment plan. The part buffers are read
-// lazily: the caller must not mutate them until the last segment has
-// been sealed (Blob, or Segment(K-1)). It returns nil when the plan
-// yields fewer than two segments — streaming a single segment buys
-// nothing, so callers should fall back to SealSegmented.
+// parts under the streaming plan. The part buffers are read as each
+// segment is sealed: the caller must not mutate them until the last
+// one has been. It returns nil when the plan yields fewer than two
+// segments — streaming a single segment buys nothing, so callers
+// should fall back to SealSegmented.
 func (s *Sealer) NewSealStream(parts [][]byte, aad []byte) *SealStream {
 	offs := partOffsets(make([]int64, 0, len(parts)+1), parts)
 	l := s.streamLayout(offs[len(parts)])
 	if l.k < 2 {
 		return nil
 	}
-	return &SealStream{s: s, aad: append([]byte(nil), aad...), blob: l.newBlob(nil), l: l, parts: parts, poffs: offs}
+	hdr := l.putHeader(make([]byte, l.hdrLen))
+	return &SealStream{s: s, aad: append([]byte(nil), aad...), hdr: hdr, l: l, parts: parts, poffs: offs}
 }
 
 // K returns the stream's segment count.
@@ -485,43 +494,25 @@ func (st *SealStream) K() int { return st.l.k }
 // Total returns the stream's plaintext length.
 func (st *SealStream) Total() int64 { return st.l.total }
 
-// Header returns the blob's segmented framing header (magic, count,
+// Header returns the stream's segmented framing header (magic, count,
 // per-segment lengths). Callers must treat it as read-only.
-func (st *SealStream) Header() []byte { return st.blob[:st.l.hdrLen] }
+func (st *SealStream) Header() []byte { return st.hdr }
 
-// Segment seals segments up to and including i (if not already sealed)
-// and returns segment i's sealed bytes — a slice into the stream's
-// blob, valid for the stream's lifetime. Its only error is an index out
-// of range.
-func (st *SealStream) Segment(i int) ([]byte, error) {
+// AppendSegment seals segment i and appends its sealed bytes (nonce ||
+// ciphertext || tag) to dst, returning the extended slice. It allocates
+// only when dst lacks the room. Its only error is an index out of range.
+func (st *SealStream) AppendSegment(dst []byte, i int) ([]byte, error) {
 	if err := st.l.checkIndex(i); err != nil {
-		return nil, err
+		return dst, err
 	}
-	st.sealThrough(i)
-	return st.l.segment(st.blob, i), nil
+	n := int(st.l.plainLen(i)) + Overhead
+	dst = slices.Grow(dst, n)
+	st.s.sealSegment(st.l, st.hdr, dst[len(dst):len(dst)+n], st.parts, st.poffs, st.aad, i)
+	return dst[:len(dst)+n], nil
 }
 
-// sealThrough seals segments up to and including i that are not sealed
-// yet.
-func (st *SealStream) sealThrough(i int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for st.sealed <= i {
-		st.s.sealSegment(st.l, st.blob, st.parts, st.poffs, st.aad, st.sealed)
-		st.sealed++
-	}
-	if st.sealed == st.l.k {
-		st.parts, st.poffs = nil, nil // release plaintext references
-	}
-}
-
-// Blob seals any remaining segments and returns the complete segmented
-// blob, byte-identical to what SealSegmented would have produced for
-// the same plaintext and AAD under the same plan.
-func (st *SealStream) Blob() []byte {
-	st.sealThrough(st.l.k - 1)
-	return st.blob
-}
+// Segment seals segment i into a buffer of its own.
+func (st *SealStream) Segment(i int) ([]byte, error) { return st.AppendSegment(nil, i) }
 
 // OpenStream incrementally authenticates and decrypts a segmented blob
 // as its segments arrive. The receive buffer (the blob) and plaintext

@@ -3,7 +3,6 @@ package seal
 import (
 	"bytes"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -33,6 +32,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		if os.K() != st.K() || os.Total() != st.Total() {
 			t.Fatalf("n=%d: open stream geometry mismatch", n)
 		}
+		sent := append([]byte(nil), st.Header()...)
 		for i := 0; i < st.K(); i++ {
 			seg, err := st.Segment(i)
 			if err != nil {
@@ -42,6 +42,7 @@ func TestStreamRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d: segment %d is %d bytes, receiver expects %d",
 					n, i, len(seg), os.SegmentLen(i))
 			}
+			sent = append(sent, seg...)
 			copy(os.SegmentSlot(i), seg)
 			if err := os.OpenSegment(i); err != nil {
 				t.Fatalf("n=%d: OpenSegment(%d): %v", n, i, err)
@@ -52,7 +53,7 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 
 		// The assembled blobs must satisfy the bulk opener too.
-		for name, blob := range map[string][]byte{"send": st.Blob(), "recv": os.Blob()} {
+		for name, blob := range map[string][]byte{"send": sent, "recv": os.Blob()} {
 			got, _, err := s.OpenSegmented(blob, aad)
 			if err != nil {
 				t.Fatalf("n=%d: OpenSegmented(%s blob): %v", n, name, err)
@@ -171,38 +172,57 @@ func TestOpenStreamRejectsForgedHeaders(t *testing.T) {
 	}
 }
 
-// Two consumers streaming the same chunk (multi-destination sends) see
-// identical bytes; lazy sealing under the mutex stays consistent.
-func TestSealStreamConcurrentConsumers(t *testing.T) {
+// A stream seals each segment into its caller's buffer: once the buffer
+// has room, sealing every segment allocates nothing. The header followed
+// by those segments is a whole segmented blob, which opens both in bulk
+// and segment by segment.
+func TestStreamSegmentsIntoCallerBuffer(t *testing.T) {
 	s := newTestSealer(t)
-	pt := randBytes(t, 256<<10)
-	st := s.NewSealStream([][]byte{pt}, []byte("x"))
-	k := st.K()
-	got := make([][][]byte, 4)
-	var wg sync.WaitGroup
-	for c := range got {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			segs := make([][]byte, k)
-			for i := 0; i < k; i++ {
-				seg, err := st.Segment(i)
-				if err != nil {
-					t.Errorf("consumer %d: Segment(%d): %v", c, i, err)
-					return
-				}
-				segs[i] = seg
-			}
-			got[c] = segs
-		}(c)
+	aad := []byte("caller-buffer")
+	pt := randBytes(t, 100<<10+13) // the last segment is short
+	// Two parts, so one segment is gathered across the boundary.
+	st := s.NewSealStream([][]byte{pt[:30<<10], pt[30<<10:]}, aad)
+	if st == nil || st.K() < 3 {
+		t.Fatalf("need >= 3 segments, got %v", st)
 	}
-	wg.Wait()
-	for c := 1; c < len(got); c++ {
-		for i := 0; i < k; i++ {
-			if !bytes.Equal(got[0][i], got[c][i]) {
-				t.Fatalf("consumer %d segment %d differs", c, i)
+	buf := make([]byte, 0, int(st.Total())+st.K()*Overhead)
+	sealAll := func() {
+		buf = buf[:0]
+		for i := 0; i < st.K(); i++ {
+			seg, err := st.AppendSegment(buf[len(buf):], i)
+			if err != nil {
+				t.Fatal(err)
 			}
+			buf = buf[:len(buf)+len(seg)]
 		}
+	}
+	sealAll() // warm the AAD scratch
+	if allocs := testing.AllocsPerRun(20, sealAll); allocs != 0 {
+		t.Fatalf("sealing %d segments into a caller's buffer allocated %.1f objects", st.K(), allocs)
+	}
+
+	blob := append(append([]byte(nil), st.Header()...), buf...)
+	got, k, err := s.OpenSegmented(blob, aad)
+	if err != nil || k != st.K() || !bytes.Equal(got, pt) {
+		t.Fatalf("OpenSegmented: %d segments, err %v", k, err)
+	}
+	os, err := s.NewOpenStream(st.Header(), aad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest := buf
+	for i := 0; i < os.K(); i++ {
+		n := copy(os.SegmentSlot(i), rest[:os.SegmentLen(i)])
+		rest = rest[n:]
+		if err := os.OpenSegment(i); err != nil {
+			t.Fatalf("OpenSegment(%d): %v", i, err)
+		}
+	}
+	if len(rest) != 0 || !bytes.Equal(os.Plaintext(), pt) {
+		t.Fatalf("OpenStream: %d bytes left over, plaintext equal %v", len(rest), bytes.Equal(os.Plaintext(), pt))
+	}
+	if _, err := st.AppendSegment(nil, st.K()); err == nil {
+		t.Fatal("segment index K accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
-// Segment sub-frames: the pipelined transport ships a message that is
-// one freshly sealed chunk as the sealed segments of its segmented blob,
-// one segment per sub-frame, so sealing, transport and opening overlap
+// Segment sub-frames: the pipelined transport ships a chunk sealed for
+// its one send as the sealed segments of its segmented blob, one
+// segment per sub-frame, so sealing, transport and opening overlap
 // inside a single collective step. Every other message travels as one
 // whole message frame.
 //

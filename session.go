@@ -152,12 +152,14 @@ func WithMaxInFlight(n int) Option {
 }
 
 // WithPipelining toggles intra-collective pipelining on the tcp engine
-// (session-level only; default off). When on, a large encrypted message
-// that is one freshly sealed chunk is split into independently sealed
+// (session-level only; default off). When on, a large chunk sealed for
+// its one send to another node — O-Ring's exit seal (o-ring, c-ring) and
+// the all-reduce's reduce step — is split into independently sealed
 // segments that go onto the wire one at a time as they seal, and the
 // receiver authenticates each segment as it lands — overlapping AES-GCM
 // work with transport inside a single operation. Every other message
-// (several chunks, forwarded ciphertext, plaintext) travels whole. Tampering with, reordering or splicing any individual
+// (a ciphertext sent more than once, several chunks, forwarded
+// ciphertext, plaintext) travels whole. Tampering with, reordering or splicing any individual
 // segment fails that operation closed, as with whole-message sealing.
 // EngineChan and EngineSim ignore it.
 func WithPipelining(on bool) Option {

@@ -212,13 +212,17 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window i
 // which runs every test, allocates up to 16 469 KB and, since the views
 // share one array, 225 objects (11 runs, four of them beside two
 // CPU-bound loops; 226 with the rank slots alone); each gate is that
-// maximum plus 10 %.
+// maximum plus 10 %. Bytes: about 12 330 KB since a streamed message has
+// no sealed blob — its send loop seals each segment into the sender's
+// one segment buffer and writes it from there — with the race build at
+// up to 12 331 KB (11 runs, four beside two CPU-bound loops), so the
+// byte gate fell from 18 116 KB to that maximum plus 10 %.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 18116 << 10
+		budget        = 13564 << 10
 		objectsBudget = 248
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, 0, WithEngine(EngineTCP), WithPipelining(true))
