@@ -392,20 +392,16 @@ func SplitChunk(dst []Chunk, c Chunk) []Chunk {
 
 // AssembleByOrigin flattens fully-plaintext messages into one message
 // with a single-block chunk per origin, sorted by origin rank — the
-// canonical final layout of an all-gather result, allocated once.
-func AssembleByOrigin(msgs ...Message) Message {
-	n := 0
-	for _, m := range msgs {
-		n += m.NumBlocks()
-	}
-	chunks := make([]Chunk, 0, n)
+// canonical final layout of an all-gather result — appended to dst, so
+// that a caller with storage of its own assembles without allocating.
+func AssembleByOrigin(dst []Chunk, msgs ...Message) Message {
 	for _, m := range msgs {
 		for _, c := range m.Chunks {
-			chunks = SplitChunk(chunks, c)
+			dst = SplitChunk(dst, c)
 		}
 	}
-	SortChunksByOrigin(chunks)
-	return Message{Chunks: chunks}
+	SortChunksByOrigin(dst)
+	return Message{Chunks: dst}
 }
 
 // SortChunksByOrigin orders single-block chunks by origin rank, stably;

@@ -144,7 +144,7 @@ func FuzzAssembleByOrigin(f *testing.F) {
 		}
 		before := Concat(msgs...).Clone()
 
-		got := AssembleByOrigin(msgs...)
+		got := AssembleByOrigin(nil, msgs...)
 		if len(got.Chunks) != len(want) {
 			t.Fatalf("%d chunks, want %d", len(got.Chunks), len(want))
 		}

@@ -114,6 +114,7 @@ func (p *bufPool) idleBytes() int {
 type opBufs struct {
 	mu   sync.Mutex
 	held [][]byte
+	home *[][]byte // the rank slot's list, which held came from and goes back to
 	refs int
 	ok   bool
 }
@@ -149,6 +150,10 @@ func (b *opBufs) release() (last bool) {
 			cipherBufs.put(buf)
 		}
 	}
+	// The slot is retaken only after this release; a straggler's keep
+	// from now on appends to a list of its own.
+	clear(held)
+	*b.home = held[:0]
 	return true
 }
 

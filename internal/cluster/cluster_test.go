@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,9 +76,11 @@ func TestSpecMappings(t *testing.T) {
 	if c.LocalIndex(5) != 2 {
 		t.Fatalf("LocalIndex(5) cyclic = %d, want 2", c.LocalIndex(5))
 	}
-	ro := c.RankOrdered()
+	// The rank-ordered traversal is the session layout's node lists, in
+	// node order.
+	ro := slices.Concat(newLayout(c).nodes...)
 	if len(ro) != 8 || ro[0] != 0 || ro[1] != 2 || ro[4] != 1 {
-		t.Fatalf("RankOrdered cyclic = %v", ro)
+		t.Fatalf("rank order cyclic = %v", ro)
 	}
 }
 
@@ -427,11 +430,11 @@ func TestLeadersAndRankOrderedCustom(t *testing.T) {
 			t.Fatalf("Leaders = %v, want %v", leaders, want)
 		}
 	}
-	ro := spec.RankOrdered()
-	wantRO := []int{1, 4, 2, 5, 0, 3} // node 0 ranks, node 1 ranks, node 2 ranks
-	for i := range wantRO {
-		if ro[i] != wantRO[i] {
-			t.Fatalf("RankOrdered = %v, want %v", ro, wantRO)
-		}
+	l := newLayout(spec)
+	if ro, wantRO := slices.Concat(l.nodes...), []int{1, 4, 2, 5, 0, 3}; !slices.Equal(ro, wantRO) {
+		t.Fatalf("rank order = %v, want %v (node 0 ranks, node 1 ranks, node 2 ranks)", ro, wantRO)
+	}
+	if !slices.Equal(l.leaders, want) || !slices.Equal(l.columns[0], want) || !slices.Equal(l.columns[1], []int{4, 5, 3}) {
+		t.Fatalf("layout leaders %v, columns %v: want %v and [%v [4 5 3]]", l.leaders, l.columns, want, want)
 	}
 }

@@ -269,7 +269,7 @@ func relaxGC(delta int) {
 // with the same metrics and logical results as the real engine (payloads
 // are symbolic). A tracer receives every send, receive, encryption,
 // decryption, copy and barrier interval of every rank, in virtual time.
-func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer Tracer) (*SimResult, error) {
+func runSim(spec Spec, lay *layout, prof cost.Profile, sizes []int64, algo Algorithm, tracer Tracer) (*SimResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -309,13 +309,13 @@ func runSim(spec Spec, prof cost.Profile, sizes []int64, algo Algorithm, tracer 
 		Results:  make([]block.Message, spec.P),
 		EndTimes: make([]float64, spec.P),
 	}
+	out := newResults(sizes)
 	for r := 0; r < spec.P; r++ {
 		r := r
 		env.Go(fmt.Sprintf("rank%d", r), func(sp *sim.Proc) {
 			e.sprocs[r] = sp
-			p := &Proc{rank: r, spec: spec, met: &res.PerRank[r], eng: e, sizes: sizes}
-			mine := block.NewSim(r, sizes[r])
-			res.Results[r] = algo(p, mine)
+			p := &Proc{rank: r, spec: spec, lay: lay, met: &res.PerRank[r], eng: e, sizes: sizes, out: out}
+			res.Results[r] = algo(p, p.contribution(nil, sizes[r]))
 			res.EndTimes[r] = sp.Now()
 		})
 	}

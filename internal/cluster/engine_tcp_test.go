@@ -29,7 +29,7 @@ func encRing(p *Proc, mine block.Message) block.Message {
 		cur = p.SendRecv(next, out, prev)
 		result = block.Concat(result, cur)
 	}
-	return p.DecryptAll(result)
+	return p.Assemble(p.DecryptAll(result))
 }
 
 func TestTCPEngineEncryptedRing(t *testing.T) {

@@ -47,6 +47,7 @@ type opRuntime struct {
 	payloads [][]byte
 	sizes    []int64
 	res      *RealResult
+	out      results // the storage res.Results is assembled into
 	sess     *Session
 	deadline *time.Timer
 	then     func(*RealResult, error)
@@ -85,7 +86,7 @@ func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *s
 		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
-		bufs:    opBufs{refs: 1}, // the running op's own reference
+		bufs:    opBufs{refs: 1, held: slot.held[:0], home: &slot.held}, // the running op's own reference
 	}
 	if pipe {
 		o.streams = make([]*streamRecv, spec.P*spec.P)
@@ -100,8 +101,12 @@ func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *s
 func (o *opRuntime) runRank(r int) {
 	defer func() { recoverRank(recover(), &o.fails, o.abort, r) }()
 	p := &o.procs[r]
-	p.met, p.eng, p.sizes = &o.res.PerRank[r], o, o.sizes
-	o.res.Results[r] = o.algo(p, block.NewPlain(r, o.payloads[r]))
+	p.met, p.eng, p.sizes, p.out = &o.res.PerRank[r], o, o.sizes, o.out
+	pl := o.payloads[r]
+	if pl == nil {
+		pl = []byte{} // nil means sim mode
+	}
+	o.res.Results[r] = o.algo(p, p.contribution(pl, int64(len(pl))))
 }
 
 // release drops one reference on the op's ciphertext buffers. The last

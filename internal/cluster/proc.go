@@ -58,20 +58,30 @@ type engine interface {
 
 // Algorithm is an all-gather implementation: given a rank handle and the
 // rank's own contribution, it returns the gathered result (all p blocks,
-// fully decrypted).
+// fully decrypted). The result must outlive the rank's arena, which
+// holds mine's lists: an all-gather returns what Proc.Assemble returns.
 type Algorithm func(p *Proc, mine block.Message) block.Message
 
 // Proc is the per-rank handle the algorithms program against — the moral
 // equivalent of an MPI communicator plus rank. It seals a ciphertext one
 // of two ways: Encrypt, whole, for one the rank keeps, forwards or sends
 // more than once, and SealIsend for one it seals only to send once.
+//
+// Its arena holds the rank's contribution, Encrypt's block lists,
+// SealIsend's and DecryptAll's chunk lists and what an algorithm draws
+// with Chunks and Ints, for one operation. The rank's slot keeps it and
+// resets it as it retires: a warm rank draws without allocating, and an
+// idle one pins no payload.
 type Proc struct {
 	rank      int
 	spec      Spec
+	lay       *layout
 	met       *Metrics
 	eng       engine
 	sizes     []int64 // per-rank contribution sizes (all-gatherv semantics)
 	plainMode bool
+	ar        arena
+	out       results // the operation's result storage (see Assemble)
 
 	// Rank-owned scratch: a blocking exchange's Wait result, the
 	// associated data, which the sealer copies if it keeps it, and the
@@ -83,11 +93,62 @@ type Proc struct {
 }
 
 // retire clears what the last op left on a slot's Proc, keeping its
-// rank, layout and scratch buffers, so that an idle slot pins no
-// payload.
+// rank, layout, arena slabs and scratch buffers, so that an idle slot
+// pins no payload.
 func (p *Proc) retire() {
 	clear(p.parts[:cap(p.parts)])
-	*p = Proc{rank: p.rank, spec: p.spec, aadBuf: p.aadBuf[:0], parts: p.parts[:0]}
+	p.ar.reset()
+	*p = Proc{rank: p.rank, spec: p.spec, lay: p.lay, ar: p.ar, aadBuf: p.aadBuf[:0], parts: p.parts[:0]}
+}
+
+// contribution draws the rank's own single-block message from its
+// arena; payload is nil in sim mode.
+func (p *Proc) contribution(payload []byte, size int64) block.Message {
+	b := append(p.ar.blocks.take(1), block.Block{Origin: p.rank, Len: size})
+	return block.Message{Chunks: append(p.Chunks(1), block.Chunk{Blocks: b, Payload: payload})}
+}
+
+// Chunks draws an empty chunk list with room for n from the rank's
+// arena, zeroed up to n. It is the caller's until the operation ends;
+// appending past n copies it to the heap.
+func (p *Proc) Chunks(n int) []block.Chunk { return p.ar.chunks.take(n) }
+
+// Ints is Chunks for an index list, which is not zeroed: append to it.
+func (p *Proc) Ints(n int) []int { return p.ar.ints.take(n) }
+
+// Grow returns list with room for n more chunks: list itself if it has
+// it, else a copy in a larger arena draw.
+func (p *Proc) Grow(list []block.Chunk, n int) []block.Chunk {
+	if cap(list)-len(list) >= n {
+		return list
+	}
+	return append(p.Chunks(max(2*cap(list), len(list)+n)), list...)
+}
+
+// World, NodeRanks, Leaders and Column return rank lists built once per
+// session and shared, to read, never to write: every rank; a node's
+// ranks; each node's leader; and the ranks at this rank's node-local
+// index, one per node by node (the Concurrent algorithms' groups).
+func (p *Proc) World() []int             { return p.lay.world }
+func (p *Proc) NodeRanks(node int) []int { return p.lay.nodes[node] }
+func (p *Proc) Leaders() []int           { return p.lay.leaders }
+func (p *Proc) Column() []int            { return p.lay.columns[p.spec.LocalIndex(p.rank)] }
+
+// Assemble lays fully-plaintext messages out as block.AssembleByOrigin
+// does, one single-block chunk per origin in origin order, in storage
+// the operation's result owns, not the arena, so the result outlives
+// the operation. An algorithm calls it once, for what it returns.
+func (p *Proc) Assemble(parts ...block.Message) block.Message {
+	n := p.spec.P
+	out := block.AssembleByOrigin(p.out.chunks[p.rank*n:p.rank*n:(p.rank+1)*n], parts...).Chunks
+	for i, c := range out {
+		if o := c.Blocks[0].Origin; o >= 0 && o < n && c.Blocks[0] == p.out.blocks[o] {
+			out[i].Blocks = p.out.blocks[o : o+1 : o+1]
+		} else {
+			out[i].Blocks = slices.Clone(c.Blocks) // not this op's block: validation names it
+		}
+	}
+	return block.Message{Chunks: out}
 }
 
 // BlockSize returns the contribution length of a rank. Like
@@ -297,14 +358,14 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 // once, by Encrypt.
 func (p *Proc) SealIsend(dst int, chunks ...block.Chunk) Request {
 	c, st := p.encrypt(chunks, p.eng.pipeline() && !p.SameNode(p.rank, dst))
-	return p.isend(dst, block.Message{Chunks: []block.Chunk{c}}, st)
+	return p.isend(dst, block.Message{Chunks: append(p.Chunks(1), c)}, st)
 }
 
 // encrypt is Encrypt, leaving a chunk that qualifies to a seal stream
 // when stream is set: the chunk comes back without a payload, beside
 // the stream that seals it.
 func (p *Proc) encrypt(chunks []block.Chunk, stream bool) (block.Chunk, *seal.SealStream) {
-	blocks := make([]block.Block, 0, block.Message{Chunks: chunks}.NumBlocks())
+	blocks := p.ar.blocks.take(block.Message{Chunks: chunks}.NumBlocks())
 	var plainLen int64
 	for _, c := range chunks {
 		if c.Enc {
@@ -394,9 +455,10 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 }
 
 // DecryptAll decrypts every encrypted chunk of msg in place order and
-// returns the fully-plaintext message. Plaintext chunks pass through.
+// returns the fully-plaintext message, its chunk list drawn from the
+// rank's arena. Plaintext chunks pass through.
 func (p *Proc) DecryptAll(msg block.Message) block.Message {
-	out := block.Message{Chunks: make([]block.Chunk, 0, len(msg.Chunks))}
+	out := block.Message{Chunks: p.Chunks(len(msg.Chunks))}
 	for _, c := range msg.Chunks {
 		if c.Enc {
 			out.Append(p.Decrypt(c))

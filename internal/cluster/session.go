@@ -127,7 +127,8 @@ const DefaultRecvTimeout = 30 * time.Second
 // deadlocked algorithm surfaces as an error instead of a hung process.
 var RealTimeout = 60 * time.Second
 
-// RealResult is the outcome of one Collective.
+// RealResult is the outcome of one Collective. Its Results' chunk and
+// block lists are the result's own (see Proc.Assemble), not a rank's.
 type RealResult struct {
 	Results  []block.Message // per-rank gathered result
 	PerRank  []Metrics
@@ -629,7 +630,7 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 	inj.SetObserver(s.lm.observeFault)
 
 	o := s.tr.newOp(ctx, slot, id, slr, inj, s.recvTO, tracer, s.pipe)
-	o.algo, o.payloads, o.sizes = op.Algo, payloads, sizes
+	o.algo, o.payloads, o.sizes, o.out = op.Algo, payloads, sizes, newResults(sizes)
 	o.sess, o.then = s, then
 	o.res = &RealResult{
 		Results: make([]block.Message, s.spec.P),
@@ -658,7 +659,7 @@ func (s *Session) end(o *opRuntime) (*RealResult, error) {
 	// The stopped run bound can keep o reachable for a while: drop what
 	// is the caller's now.
 	res, then := o.res, o.then
-	o.res, o.payloads, o.then = nil, nil, nil
+	o.res, o.out, o.payloads, o.then = nil, results{}, nil, nil
 	res.Elapsed = time.Since(o.wt.epoch)
 	s.tr.reg.deregister(o.id)
 	err := o.fails.err()
@@ -733,7 +734,7 @@ func (s *Session) Sim(ctx context.Context, op Op) (*SimResult, error) {
 	if tracer == nil {
 		tracer = s.cfg.Tracer
 	}
-	res, err := runSim(s.spec, s.cfg.Profile, sizes, op.Algo, tracer)
+	res, err := runSim(s.spec, s.slots.lay, s.cfg.Profile, sizes, op.Algo, tracer)
 	if err != nil {
 		s.lm.opsFailed.Inc()
 		return nil, err

@@ -38,6 +38,7 @@ type rankSlot struct {
 	shm       []opShm         // [node]
 	bars      []opBarrier     // [node]
 	procs     []Proc          // [rank]
+	held      [][]byte        // the owner's ciphertext buffer list (opBufs), kept for the next owner
 
 	// left counts the owner's ranks still running. ranks hands each
 	// worker the rank it runs next; nil until the first start starts the
@@ -66,7 +67,7 @@ func newRankSlot(pool *slotPool, spec Spec) *rankSlot {
 		t := time.NewTimer(time.Hour)
 		t.Stop()
 		s.recvTimer[r] = t
-		s.procs[r] = Proc{rank: r, spec: spec}
+		s.procs[r] = Proc{rank: r, spec: spec, lay: pool.lay}
 	}
 	for n := range s.bars {
 		s.bars[n].n = spec.Ell()
@@ -148,6 +149,7 @@ func (s *rankSlot) stop() {
 // slot is busy. All slots built are either idle or hold a token.
 type slotPool struct {
 	spec    Spec
+	lay     *layout       // spec's rank lists, shared by every slot's Procs and by Sim
 	tokens  chan struct{} // one per slot taken and not yet put back
 	closing chan struct{} // closed by close: wakes every waiting take
 	waits   atomic.Int64  // takes that found every slot busy
@@ -159,7 +161,7 @@ type slotPool struct {
 }
 
 func newSlotPool(spec Spec, window int) *slotPool {
-	return &slotPool{spec: spec, tokens: make(chan struct{}, window), closing: make(chan struct{})}
+	return &slotPool{spec: spec, lay: newLayout(spec), tokens: make(chan struct{}, window), closing: make(chan struct{})}
 }
 
 // take hands out an idle slot, or a new one while fewer than the window

@@ -111,8 +111,9 @@ func newTracked(rank int, freed *atomic.Int32) block.Message {
 }
 
 // An idle slot pins no payload: what its last op left in a receive
-// FIFO, in shared memory and in a rank's Wait and seal scratch is
-// collectable while the session, and the slot, live on.
+// FIFO, in shared memory, in a rank's Wait and seal scratch and in its
+// arena's chunk slab is collectable while the session, and the slot,
+// live on.
 func TestIdleSlotPinsNoPayload(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
 	s, err := OpenSession(spec, SessionConfig{Engine: EngineChan, MaxInFlight: 1})
@@ -127,19 +128,23 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 			p.Send(1, newTracked(0, &freed)) // never received
 			p.ShmPut(shmKey("left", 0), newTracked(0, &freed))
 			p.Encrypt(newTracked(0, &freed).Chunks...) // gathered from rank 0's scratch
+			_ = append(p.Chunks(1), newTracked(0, &freed).Chunks...)
 		} else {
 			p.Recv(0)
 		}
 		return mine
 	}
-	if _, err := s.Collective(context.Background(), Op{Algo: leave, MsgSize: 8}); err != nil {
-		t.Fatal(err)
+	// The first op grows the arena's slabs, so the second draws from them.
+	for op := 0; op < 2; op++ {
+		if _, err := s.Collective(context.Background(), Op{Algo: leave, MsgSize: 8}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	awaitIdle(t, s, 1)
 	deadline := time.Now().Add(5 * time.Second)
-	for freed.Load() != 4 {
+	for freed.Load() != 10 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of 4 payloads collected while the slot is idle", freed.Load())
+			t.Fatalf("%d of 10 payloads collected while the slot is idle", freed.Load())
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)

@@ -192,17 +192,6 @@ func (s Spec) Leaders() []int {
 	return out
 }
 
-// RankOrdered returns all p ranks sorted by (node, rank): the
-// "rank-ordered" traversal of Kandalla et al. used by the rank-ordered
-// ring so that intra-node neighbours are adjacent regardless of mapping.
-func (s Spec) RankOrdered() []int {
-	out := make([]int, 0, s.P)
-	for node := 0; node < s.N; node++ {
-		out = append(out, s.RanksOnNode(node)...)
-	}
-	return out
-}
-
 func (s Spec) String() string {
 	return fmt.Sprintf("p=%d N=%d l=%d %s", s.P, s.N, s.Ell(), s.Mapping)
 }

@@ -17,7 +17,7 @@ func Bruck(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	n := g.Size()
 	i := g.Index(p.Rank())
 	list := make([]block.Message, 1, n)
-	list[0] = tagged(mine, i)
+	list[0] = tagged(p, mine, i)
 	held := make([]block.Message, n)
 	for k := 1; k < n; k <<= 1 {
 		cnt := k
@@ -26,7 +26,7 @@ func Bruck(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 		}
 		dst := g.Ranks[((i-k)%n+n)%n]
 		src := g.Ranks[(i+k)%n]
-		in := p.SendRecv(dst, block.Concat(list[:cnt]...), src)
+		in := p.SendRecv(dst, concat(p, list[:cnt]), src)
 		clear(held)
 		mergeByTag(held, in)
 		// The incoming contributions are those of members i+k .. i+k+cnt-1.

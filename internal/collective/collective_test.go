@@ -183,7 +183,7 @@ func TestMVAPICHDispatch(t *testing.T) {
 func TestGatherBcastRoundTrip(t *testing.T) {
 	spec := cluster.Spec{P: 12, N: 3, Mapping: cluster.CyclicMapping}
 	algo := func(p *cluster.Proc, mine block.Message) block.Message {
-		g := World(p.P())
+		g := Group{Ranks: p.World()}
 		parts := Gather(p, g, 5, mine)
 		var full block.Message
 		if g.Index(p.Rank()) == 5 {
@@ -316,7 +316,7 @@ func TestGatherBcastNonzeroRootsAllEngines(t *testing.T) {
 	for root := 0; root < spec.P; root += 4 {
 		root := root
 		algo := func(p *cluster.Proc, mine block.Message) block.Message {
-			g := World(p.P())
+			g := Group{Ranks: p.World()}
 			parts := Gather(p, g, root, mine)
 			var full block.Message
 			if p.Rank() == root {

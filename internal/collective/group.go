@@ -24,15 +24,6 @@ type Group struct {
 	Ranks []int
 }
 
-// World returns the group of all p ranks in rank order.
-func World(p int) Group {
-	g := Group{Ranks: make([]int, p)}
-	for i := range g.Ranks {
-		g.Ranks[i] = i
-	}
-	return g
-}
-
 // Size returns the number of members.
 func (g Group) Size() int { return len(g.Ranks) }
 
@@ -51,22 +42,35 @@ func (g Group) Index(rank int) int {
 // position.
 type Allgather func(p *cluster.Proc, g Group, mine block.Message) []block.Message
 
-// tagged copies msg's chunk list with every chunk tagged as contribution
-// of member idx; payloads and block lists are shared.
-func tagged(msg block.Message, idx int) block.Message {
-	out := block.Message{Chunks: make([]block.Chunk, len(msg.Chunks))}
-	for i, c := range msg.Chunks {
+// tagged copies msg's chunk list into p's arena with every chunk tagged
+// as contribution of member idx; payloads and block lists are shared.
+func tagged(p *cluster.Proc, msg block.Message, idx int) block.Message {
+	out := block.Message{Chunks: p.Chunks(len(msg.Chunks))}
+	for _, c := range msg.Chunks {
 		c.Tag = idx
-		out.Chunks[i] = c
+		out.Chunks = append(out.Chunks, c)
+	}
+	return out
+}
+
+// concat is block.Concat into p's arena.
+func concat(p *cluster.Proc, msgs []block.Message) block.Message {
+	n := 0
+	for _, m := range msgs {
+		n += len(m.Chunks)
+	}
+	out := block.Message{Chunks: p.Chunks(n)}
+	for _, m := range msgs {
+		out.Chunks = append(out.Chunks, m.Chunks...)
 	}
 	return out
 }
 
 // newHeld is a member-indexed working set of n contributions holding
 // only member i's own; a member is held once its message has chunks.
-func newHeld(n, i int, mine block.Message) []block.Message {
+func newHeld(p *cluster.Proc, n, i int, mine block.Message) []block.Message {
 	held := make([]block.Message, n)
-	held[i] = tagged(mine, i)
+	held[i] = tagged(p, mine, i)
 	return held
 }
 
@@ -104,6 +108,6 @@ func collectHeld(held []block.Message) []block.Message {
 // cluster.Algorithm whose result lists all contributions in rank order.
 func AsAlgorithm(ag Allgather) cluster.Algorithm {
 	return func(p *cluster.Proc, mine block.Message) block.Message {
-		return block.Concat(ag(p, World(p.P()), mine)...)
+		return p.Assemble(ag(p, Group{Ranks: p.World()}, mine)...)
 	}
 }

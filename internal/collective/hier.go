@@ -18,14 +18,12 @@ func Hierarchical(p *cluster.Proc, g Group, mine block.Message) []block.Message 
 	if g.Size() != p.P() {
 		panic("collective: Hierarchical requires the world group")
 	}
-	spec := p.Spec()
-	nodeGroup := Group{Ranks: spec.RanksOnNode(p.Node())}
+	nodeGroup := Group{Ranks: p.NodeRanks(p.Node())}
 	gathered := Gather(p, nodeGroup, 0, mine)
 
 	var full block.Message
 	if p.IsLeader() {
-		leaders := Group{Ranks: spec.Leaders()}
-		full = block.Concat(RD(p, leaders, block.Concat(gathered...))...)
+		full = concat(p, RD(p, Group{Ranks: p.Leaders()}, concat(p, gathered)))
 	}
 	full = Bcast(p, nodeGroup, 0, full)
 

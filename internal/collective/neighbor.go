@@ -26,7 +26,7 @@ func NeighborExchange(p *cluster.Proc, g Group, mine block.Message) []block.Mess
 	if i < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group", p.Rank()))
 	}
-	held := newHeld(n, i, mine)
+	held := newHeld(p, n, i, mine)
 	right := g.Ranks[(i+1)%n]
 	left := g.Ranks[(i-1+n)%n]
 	// Even members start by exchanging with their right neighbor, odd

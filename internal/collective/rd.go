@@ -14,7 +14,7 @@ import (
 func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	n := g.Size()
 	i := g.Index(p.Rank())
-	held := newHeld(n, i, mine)
+	held := newHeld(p, n, i, mine)
 	if n == 1 {
 		return held
 	}
@@ -27,7 +27,7 @@ func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	if i >= pof2 {
 		// Extra member: fold into the core, then receive the full result
 		// (which includes a copy of our own contribution).
-		p.Send(g.Ranks[i-pof2], block.Concat(held...))
+		p.Send(g.Ranks[i-pof2], concat(p, held))
 		in := p.Recv(g.Ranks[i-pof2])
 		held = make([]block.Message, n)
 		mergeByTag(held, in)
@@ -39,11 +39,11 @@ func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	}
 	for mask := 1; mask < pof2; mask <<= 1 {
 		partner := g.Ranks[i^mask]
-		in := p.SendRecv(partner, block.Concat(held...), partner)
+		in := p.SendRecv(partner, concat(p, held), partner)
 		mergeByTag(held, in)
 	}
 	if i < rem {
-		p.Send(g.Ranks[i+pof2], block.Concat(held...))
+		p.Send(g.Ranks[i+pof2], concat(p, held))
 	}
 	return collectHeld(held)
 }

@@ -13,11 +13,11 @@ func Gather(p *cluster.Proc, g Group, rootIdx int, mine block.Message) []block.M
 	n := g.Size()
 	i := g.Index(p.Rank())
 	v := ((i-rootIdx)%n + n) % n // relabel so the root is 0
-	held := newHeld(n, i, mine)
+	held := newHeld(p, n, i, mine)
 	for mask := 1; mask < n; mask <<= 1 {
 		if v&mask != 0 {
 			peer := g.Ranks[(v-mask+rootIdx)%n]
-			p.Send(peer, block.Concat(held...))
+			p.Send(peer, concat(p, held))
 			return nil
 		}
 		if v+mask < n {

@@ -1,6 +1,7 @@
 package encrypted
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"encag/internal/block"
@@ -19,11 +20,11 @@ import (
 // lengths). It must be associative and commutative (like MPI_Op).
 type Combine func(dst, src []byte)
 
-// XOR is the simplest MPI_Op stand-in used by tests and examples.
+// XOR is the simplest MPI_Op stand-in used by tests and examples. It
+// panics if src is shorter than dst; dst and src may be the same slice,
+// but must not overlap otherwise.
 func XOR(dst, src []byte) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
+	subtle.XORBytes(dst, dst, src[:len(dst)])
 }
 
 // sliceSpans cuts an m-byte vector into l contiguous spans.
@@ -107,7 +108,7 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		m := mine.PlainLen()
 		spans := sliceSpans(m, l)
 		li := spec.LocalIndex(p.Rank())
-		nodeRanks := spec.RanksOnNode(p.Node())
+		nodeRanks := p.NodeRanks(p.Node())
 
 		// Step 1: publish own vector, locally reduce slice li.
 		p.CopyCharge(m)
@@ -125,7 +126,7 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		}
 
 		// Step 2: encrypted reduce + broadcast within the slice group.
-		g := concurrentGroup(p)
+		g := Group{Ranks: p.Column()}
 		n := g.Size()
 		idx := g.Index(p.Rank())
 		// Binomial reduce toward group index 0.
@@ -155,7 +156,7 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		for mask := 1; mask < n; mask <<= 1 {
 			if idx < mask {
 				if idx+mask < n {
-					p.Send(g.Ranks[idx+mask], block.Message{Chunks: []block.Chunk{sealed}})
+					p.Send(g.Ranks[idx+mask], block.Message{Chunks: append(p.Chunks(1), sealed)})
 				}
 			} else if idx < 2*mask {
 				in := p.Recv(g.Ranks[idx-mask])
@@ -167,12 +168,17 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 			final = p.Decrypt(sealed)
 		}
 
-		// Step 3: share final slices inside the node and assemble.
-		p.ShmPut(keyPT(p.Node(), li), block.Message{Chunks: []block.Chunk{final}})
+		// Step 3: share final slices inside the node and assemble: the
+		// result's chunks and blocks are its own, not the arena's.
+		p.ShmPut(keyPT(p.Node(), li), block.Message{Chunks: append(p.Chunks(1), final)})
 		p.NodeBarrier()
-		out := block.Message{Chunks: make([]block.Chunk, 0, l)}
-		for j := 0; j < l; j++ {
-			out.Append(p.ShmGet(keyPT(p.Node(), j)).Chunks...)
+		out := block.Message{Chunks: make([]block.Chunk, l)}
+		blocks := make([]block.Block, l)
+		for j := range out.Chunks {
+			c := p.ShmGet(keyPT(p.Node(), j)).Chunks[0]
+			blocks[j] = c.Blocks[0]
+			c.Blocks = blocks[j : j+1 : j+1]
+			out.Chunks[j] = c
 		}
 		p.CopyCharge(m)
 		return out

@@ -159,3 +159,35 @@ func TestSliceSpans(t *testing.T) {
 		t.Fatal("zero-length spans broken")
 	}
 }
+
+// XOR folds src into dst exactly as the byte loop it replaced, at
+// lengths around the word and vector widths, and when dst and src are
+// the same slice; a src shorter than dst panics, as the loop did.
+func TestXORMatchesByteLoop(t *testing.T) {
+	loop := func(dst, src []byte) {
+		for i := range dst {
+			dst[i] ^= src[i]
+		}
+	}
+	for _, n := range []int{0, 1, 7, 64, 64<<10 + 3} {
+		src, dst := block.FillPattern(1, int64(n)), block.FillPattern(2, int64(n))
+		want := bytes.Clone(dst)
+		loop(want, src)
+		XOR(dst, src)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("n=%d: XOR differs from the byte loop", n)
+		}
+		want = bytes.Clone(dst)
+		loop(want, want)
+		XOR(dst, dst)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("n=%d: XOR of a slice with itself differs from the byte loop", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("XOR with a short src did not panic")
+		}
+	}()
+	XOR(make([]byte, 8), make([]byte, 7))
+}

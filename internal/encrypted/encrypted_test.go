@@ -1,6 +1,7 @@
 package encrypted
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -329,5 +330,60 @@ func TestConcurrentGroupShape(t *testing.T) {
 				t.Fatalf("%v: rank %d in %d groups", spec, r, seen[r])
 			}
 		}
+	}
+}
+
+// An operation's result is its own, not its rank slot's: on a one-slot
+// session, where op B runs on op A's rank slot and draws over A's
+// arenas, A's results are still byte-exact after B, for the paper's
+// eight algorithms and the all-reduce, on both real engines.
+func TestResultsOutliveTheirOperation(t *testing.T) {
+	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
+	const mA, mB = 1000, 1500 // B's blocks differ from A's
+	algs := map[string]cluster.Algorithm{"allreduce-hs": AllreduceHS(XOR)}
+	for _, name := range PaperNames() {
+		algs[name], _ = Get(name)
+	}
+	check := func(name string, m int64, res *cluster.RealResult) error {
+		if name != "allreduce-hs" {
+			return cluster.ValidateGather(spec, m, res.Results, true)
+		}
+		want := expectedXOR(spec.P, m)
+		for r, msg := range res.Results {
+			var got []byte
+			for j, c := range msg.Chunks {
+				if len(c.Blocks) != 1 || c.Blocks[0].Origin != j || c.Blocks[0].Len != int64(len(c.Payload)) {
+					return fmt.Errorf("rank %d: slice %d has blocks %+v over %d bytes", r, j, c.Blocks, len(c.Payload))
+				}
+				got = append(got, c.Payload...)
+			}
+			if !bytes.Equal(got, want) {
+				return fmt.Errorf("rank %d: wrong reduction", r)
+			}
+		}
+		return nil
+	}
+	for _, engine := range []cluster.EngineKind{cluster.EngineChan, cluster.EngineTCP} {
+		s, err := cluster.OpenSession(spec, cluster.SessionConfig{Engine: engine, MaxInFlight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, algo := range algs {
+			a, err := s.Collective(context.Background(), cluster.Op{Algo: algo, MsgSize: mA})
+			if err != nil {
+				t.Fatalf("%v %s op A: %v", engine, name, err)
+			}
+			b, err := s.Collective(context.Background(), cluster.Op{Algo: algo, MsgSize: mB})
+			if err != nil {
+				t.Fatalf("%v %s op B: %v", engine, name, err)
+			}
+			if err := check(name, mB, b); err != nil {
+				t.Fatalf("%v %s op B: %v", engine, name, err)
+			}
+			if err := check(name, mA, a); err != nil {
+				t.Fatalf("%v %s: op A's result changed under op B: %v", engine, name, err)
+			}
+		}
+		s.Close()
 	}
 }

@@ -78,7 +78,7 @@ func hs1(joint bool) cluster.Algorithm {
 		spec := p.Spec()
 		m := mine.PlainLen()
 		myNode := p.Node()
-		nodeRanks := spec.RanksOnNode(myNode)
+		nodeRanks := p.NodeRanks(myNode)
 
 		// Step 1: stage the plaintext block into shared memory.
 		p.CopyCharge(m)
@@ -87,13 +87,12 @@ func hs1(joint bool) cluster.Algorithm {
 
 		// Step 2: leaders seal and exchange.
 		if p.IsLeader() {
-			var nodeChunks []block.Chunk
+			nodeChunks := p.Chunks(len(nodeRanks))
 			for _, r := range nodeRanks {
 				nodeChunks = append(nodeChunks, p.ShmGet(keyOwn(r)).Chunks...)
 			}
 			ct := p.Encrypt(nodeChunks...)
-			leaders := Group{Ranks: spec.Leaders()}
-			parts := leaderAllgather(p, leaders, block.Message{Chunks: []block.Chunk{ct}})
+			parts := leaderAllgather(p, Group{Ranks: p.Leaders()}, block.Message{Chunks: append(p.Chunks(1), ct)})
 			for node, msg := range parts {
 				p.ShmPut(keyNodeCT(node), msg)
 			}
@@ -121,18 +120,19 @@ func hs1(joint bool) cluster.Algorithm {
 		}
 		p.NodeBarrier()
 
-		// Step 4: assemble and copy out.
-		var all []block.Message
+		// Step 4: assemble and copy out: one chunk per local rank and
+		// per foreign node.
+		all := p.Chunks(len(nodeRanks) + spec.N - 1)
 		for _, r := range nodeRanks {
-			all = append(all, p.ShmGet(keyOwn(r)))
+			all = append(all, p.ShmGet(keyOwn(r)).Chunks...)
 		}
 		for node := 0; node < spec.N; node++ {
 			if node != myNode {
-				all = append(all, p.ShmGet(keyNodePT(node)))
+				all = append(all, p.ShmGet(keyNodePT(node)).Chunks...)
 			}
 		}
 		copyOut(p, m)
-		return block.AssembleByOrigin(all...)
+		return p.Assemble(block.Message{Chunks: all})
 	}
 }
 
@@ -147,25 +147,24 @@ func HS2() cluster.Algorithm {
 		spec := p.Spec()
 		m := mine.PlainLen()
 		myNode := p.Node()
-		nodeRanks := spec.RanksOnNode(myNode)
+		nodeRanks := p.NodeRanks(myNode)
 
 		// Step 1: seal own block, publish ciphertext (for the leader) and
 		// plaintext (for intra-node use) in shared memory.
 		ct := p.Encrypt(mine.Chunks...)
 		p.CopyCharge(ct.WireLen())
-		p.ShmPut(keyOwnCT(p.Rank()), block.Message{Chunks: []block.Chunk{ct}})
+		p.ShmPut(keyOwnCT(p.Rank()), block.Message{Chunks: append(p.Chunks(1), ct)})
 		p.CopyCharge(m)
 		p.ShmPut(keyOwn(p.Rank()), mine)
 		p.NodeBarrier()
 
 		// Step 2: leaders all-gather the per-rank ciphertext bundles.
 		if p.IsLeader() {
-			bundle := block.Message{Chunks: make([]block.Chunk, 0, len(nodeRanks))}
+			bundle := block.Message{Chunks: p.Chunks(len(nodeRanks))}
 			for _, r := range nodeRanks {
 				bundle.Append(p.ShmGet(keyOwnCT(r)).Chunks...)
 			}
-			leaders := Group{Ranks: spec.Leaders()}
-			parts := leaderAllgather(p, leaders, bundle)
+			parts := leaderAllgather(p, Group{Ranks: p.Leaders()}, bundle)
 			for node, msg := range parts {
 				p.ShmPut(keyNodeCT(node), msg)
 			}
@@ -189,7 +188,7 @@ func HS2() cluster.Algorithm {
 					if c.Enc {
 						pt = p.Decrypt(c)
 					}
-					p.ShmPut(keyPT(node, idx), block.Message{Chunks: []block.Chunk{pt}})
+					p.ShmPut(keyPT(node, idx), block.Message{Chunks: append(p.Chunks(1), pt)})
 				}
 				slot++
 			}
@@ -197,9 +196,9 @@ func HS2() cluster.Algorithm {
 		p.NodeBarrier()
 
 		// Step 4: assemble and copy out.
-		var all []block.Message
+		all := p.Chunks(p.P())
 		for _, r := range nodeRanks {
-			all = append(all, p.ShmGet(keyOwn(r)))
+			all = append(all, p.ShmGet(keyOwn(r)).Chunks...)
 		}
 		for node := 0; node < spec.N; node++ {
 			if node == myNode {
@@ -207,10 +206,10 @@ func HS2() cluster.Algorithm {
 			}
 			cts := p.ShmGet(keyNodeCT(node))
 			for idx := range cts.Chunks {
-				all = append(all, p.ShmGet(keyPT(node, idx)))
+				all = append(all, p.ShmGet(keyPT(node, idx)).Chunks...)
 			}
 		}
 		copyOut(p, m)
-		return block.AssembleByOrigin(all...)
+		return p.Assemble(block.Message{Chunks: all})
 	}
 }

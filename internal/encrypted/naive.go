@@ -26,18 +26,16 @@ import (
 func Naive(base collective.Allgather) cluster.Algorithm {
 	return func(p *cluster.Proc, mine block.Message) block.Message {
 		ct := p.Encrypt(mine.Chunks...)
-		parts := base(p, collective.World(p.P()), block.Message{Chunks: []block.Chunk{ct}})
-		me := p.Rank()
-		plain := make([]block.Message, 0, len(parts))
+		parts := base(p, collective.Group{Ranks: p.World()}, block.Message{Chunks: append(p.Chunks(1), ct)})
 		for idx, msg := range parts {
-			if idx == me {
+			if idx == p.Rank() {
 				// Our own block never needs decryption: we have the
 				// plaintext locally.
-				plain = append(plain, mine)
-				continue
+				parts[idx] = mine
+			} else {
+				parts[idx] = p.DecryptAll(msg)
 			}
-			plain = append(plain, p.DecryptAll(msg))
 		}
-		return block.AssembleByOrigin(plain...)
+		return p.Assemble(parts...)
 	}
 }

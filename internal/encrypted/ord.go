@@ -13,7 +13,8 @@ type Group = collective.Group
 
 // ordState carries a process's working set during O-RD/O-RD2: the
 // contributions it holds in plaintext and the foreign ciphertexts it is
-// carrying unopened.
+// carrying unopened. It is held by value and its lists are drawn from
+// the rank's arena, so a warm rank runs O-RD without allocating.
 type ordState struct {
 	p     *cluster.Proc
 	g     Group
@@ -33,13 +34,14 @@ type ordState struct {
 	cachedSize int
 }
 
-func newOrdState(p *cluster.Proc, g Group, mine block.Message, merge bool) *ordState {
+func newOrdState(p *cluster.Proc, g Group, mine block.Message, merge bool) ordState {
 	requireSingleBlock(mine)
 	i := g.Index(p.Rank())
 	if i < 0 {
 		panic(fmt.Sprintf("encrypted: rank %d not in group", p.Rank()))
 	}
-	s := &ordState{p: p, g: g, merge: merge, plain: make([]block.Chunk, g.Size()), nplain: 1}
+	n := g.Size()
+	s := ordState{p: p, g: g, merge: merge, plain: p.Chunks(n)[:n], nplain: 1}
 	s.plain[i] = mine.Chunks[0]
 	return s
 }
@@ -55,7 +57,7 @@ func (s *ordState) memberOf(origin int) int {
 
 // absorbPlainChunk splits a plaintext chunk into per-member entries.
 func (s *ordState) absorbPlainChunk(c block.Chunk) {
-	s.split = block.SplitChunk(s.split[:0], c)
+	s.split = block.SplitChunk(s.p.Grow(s.split[:0], len(c.Blocks)), c)
 	for _, sc := range s.split {
 		idx := s.memberOf(sc.Blocks[0].Origin)
 		if len(s.plain[idx].Blocks) == 0 {
@@ -69,7 +71,7 @@ func (s *ordState) absorbPlainChunk(c block.Chunk) {
 func (s *ordState) absorb(in block.Message) {
 	for _, c := range in.Chunks {
 		if c.Enc {
-			s.cts = append(s.cts, c)
+			s.cts = append(s.p.Grow(s.cts, 1), c)
 		} else {
 			s.absorbPlainChunk(c)
 		}
@@ -97,7 +99,7 @@ func (s *ordState) plainChunksSorted(dst []block.Chunk) []block.Chunk {
 
 // sealPlain seals the plaintext set as one ciphertext.
 func (s *ordState) sealPlain() block.Chunk {
-	s.split = s.plainChunksSorted(s.split[:0])
+	s.split = s.plainChunksSorted(s.p.Grow(s.split[:0], s.nplain))
 	return s.p.Encrypt(s.split...)
 }
 
@@ -108,14 +110,14 @@ func (s *ordState) outgoing(dst int) block.Message {
 		// Intra-node: plaintext only. Anything sealed must be opened
 		// first (and then serves our own result too).
 		s.openAll()
-		return block.Message{Chunks: s.plainChunksSorted(make([]block.Chunk, 0, s.nplain))}
+		return block.Message{Chunks: s.plainChunksSorted(s.p.Chunks(s.nplain))}
 	}
 	if s.merge {
 		// O-RD2: open everything and re-seal the whole set as one
 		// ciphertext. Fewer ciphertexts for the receiver (r_d = lg N) at
 		// the price of re-encrypting grown sets (s_e = (p-l)m).
 		s.openAll()
-		return block.Message{Chunks: []block.Chunk{s.sealPlain()}}
+		return block.Message{Chunks: append(s.p.Chunks(1), s.sealPlain())}
 	}
 	// O-RD: seal the plaintext set once, reuse the sealed copy while the
 	// set is unchanged, and forward foreign ciphertexts untouched.
@@ -123,30 +125,27 @@ func (s *ordState) outgoing(dst int) block.Message {
 		s.cachedCT = s.sealPlain()
 		s.cachedSize = s.nplain
 	}
-	out := block.Message{Chunks: []block.Chunk{s.cachedCT}}
-	out.Chunks = append(out.Chunks, s.cts...)
-	return out
+	out := append(s.p.Chunks(1+len(s.cts)), s.cachedCT)
+	return block.Message{Chunks: append(out, s.cts...)}
 }
 
-// finish opens any remaining ciphertexts and returns per-member results:
-// one-chunk, capacity-capped views of the working set.
-func (s *ordState) finish() []block.Message {
+// finish opens any remaining ciphertexts and returns the working set:
+// one plaintext chunk per member, in member order.
+func (s *ordState) finish() block.Message {
 	s.openAll()
-	out := make([]block.Message, len(s.plain))
 	for idx := range s.plain {
 		if len(s.plain[idx].Blocks) == 0 {
 			panic(fmt.Sprintf("encrypted: O-RD finished without contribution of member %d", idx))
 		}
-		out[idx] = block.Message{Chunks: s.plain[idx : idx+1 : idx+1]}
 	}
-	return out
+	return block.Message{Chunks: s.plain}
 }
 
 // oRD runs the Opportunistic Recursive Doubling all-gather over a group;
 // merge selects the O-RD2 variant. The exchange schedule is identical to
 // the unencrypted RD (including the non-power-of-two remainder scheme);
 // only the payload handling differs.
-func oRD(p *cluster.Proc, g Group, mine block.Message, merge bool) []block.Message {
+func oRD(p *cluster.Proc, g Group, mine block.Message, merge bool) block.Message {
 	n := g.Size()
 	s := newOrdState(p, g, mine, merge)
 	if n == 1 {
@@ -168,7 +167,7 @@ func oRD(p *cluster.Proc, g Group, mine block.Message, merge bool) []block.Messa
 		own := s.plain[i]
 		clear(s.plain)
 		s.plain[i], s.nplain = own, 1
-		s.cts = nil
+		s.cts = s.cts[:0]
 		s.cachedSize = 0
 		s.absorb(in)
 		return s.finish()
@@ -193,7 +192,7 @@ func oRD(p *cluster.Proc, g Group, mine block.Message, merge bool) []block.Messa
 // ORD is the Opportunistic Recursive Doubling all-gather: intra-node
 // rounds move plaintext, inter-node rounds seal the sender's plaintext
 // set once and forward foreign ciphertexts unmodified.
-func ORD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
+func ORD(p *cluster.Proc, g Group, mine block.Message) block.Message {
 	return oRD(p, g, mine, false)
 }
 
@@ -201,6 +200,6 @@ func ORD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 // ciphertexts are opened and the whole set re-sealed as one ciphertext,
 // trading encryption volume for far fewer decryption rounds (lg N) —
 // better for small messages, as the paper predicts.
-func ORD2(p *cluster.Proc, g Group, mine block.Message) []block.Message {
+func ORD2(p *cluster.Proc, g Group, mine block.Message) block.Message {
 	return oRD(p, g, mine, true)
 }

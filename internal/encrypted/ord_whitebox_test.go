@@ -6,7 +6,6 @@ import (
 
 	"encag/internal/block"
 	"encag/internal/cluster"
-	"encag/internal/collective"
 	"encag/internal/cost"
 )
 
@@ -115,7 +114,7 @@ func TestOrdStateMergePath(t *testing.T) {
 		if len(s.cts) != 0 {
 			panic("carried ciphertexts after finish")
 		}
-		return block.Concat(res...)
+		return res
 	}
 	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 128})
 	if err != nil {
@@ -132,43 +131,30 @@ func TestOrdStateFinishIncomplete(t *testing.T) {
 	_, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: func(p *cluster.Proc, mine block.Message) block.Message {
 		g := Group{Ranks: []int{0, 1}}
 		s := newOrdState(p, g, mine, false)
-		res := s.finish() // never exchanged: member missing
-		return block.Concat(res...)
+		return s.finish() // never exchanged: member missing
 	}, MsgSize: 64})
 	if err == nil {
 		t.Fatal("finish on incomplete state must panic")
 	}
 }
 
-// O-RD hands out each member's result as a one-chunk view of its working
-// set, capped so that appending to one member's result copies instead of
-// overwriting the next member's chunk.
+// O-RD hands out its result as one chunk per member, in member order:
+// a view of its working set in the rank's arena, capped so that
+// appending to it copies instead of overwriting the arena's next draw.
 func TestOrdResultsAreCappedOneChunkViews(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
-	for name, sub := range map[string]func(*cluster.Proc, Group, block.Message) []block.Message{"o-rd": ORD, "o-rd2": ORD2} {
+	for name, sub := range map[string]groupAllgather{"o-rd": ORD, "o-rd2": ORD2} {
 		algo := func(p *cluster.Proc, mine block.Message) block.Message {
-			parts := sub(p, collective.World(p.P()), mine)
-			out := block.Concat(parts...)
-			// Members 0..appended hold one appended chunk each, the rest
-			// exactly their own one chunk.
-			check := func(appended int) {
-				for j, m := range parts {
-					want := 1
-					if j <= appended {
-						want = 2
-					}
-					if len(m.Chunks) != want || m.Chunks[0].Blocks[0].Origin != j {
-						panic(fmt.Sprintf("rank %d: after appending to members 0..%d, member %d holds %d chunks from origin %d",
-							p.Rank(), appended, j, len(m.Chunks), m.Chunks[0].Blocks[0].Origin))
-					}
+			res := sub(p, Group{Ranks: p.World()}, mine)
+			if len(res.Chunks) != p.P() || cap(res.Chunks) != p.P() {
+				panic(fmt.Sprintf("rank %d: %d chunks of capacity %d, want %d", p.Rank(), len(res.Chunks), cap(res.Chunks), p.P()))
+			}
+			for j, c := range res.Chunks {
+				if len(c.Blocks) != 1 || c.Blocks[0].Origin != j {
+					panic(fmt.Sprintf("rank %d: member %d holds %+v", p.Rank(), j, c.Blocks))
 				}
 			}
-			check(-1)
-			for idx := range parts {
-				parts[idx].Append(block.NewSim(p.Rank(), 0).Chunks...)
-				check(idx)
-			}
-			return out
+			return p.Assemble(res)
 		}
 		res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 64})
 		if err != nil {

@@ -2,6 +2,7 @@ package encrypted
 
 import (
 	"fmt"
+	"slices"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
@@ -17,30 +18,24 @@ import (
 // its own copy at the end (this is the behaviour the Concurrent family
 // relies on, giving r_e = 1, s_e = m, r_d = N-1, s_d = (N-1)m there).
 //
-// Contributions must be single blocks (the standard all-gather payload).
-func ORing(p *cluster.Proc, g Group, mine block.Message) []block.Message {
+// Contributions must be single blocks (the standard all-gather payload),
+// so every hop carries one chunk.
+func ORing(p *cluster.Proc, g Group, mine block.Message) block.Message {
 	requireSingleBlock(mine)
-	order := collective.RankOrder(p.Spec(), g)
-	n := len(order)
-	res := make([]block.Message, n)
-	idxOf := make(map[int]int, n)
-	for i, r := range g.Ranks {
-		idxOf[r] = i
-	}
-	gi, ok := idxOf[p.Rank()]
-	if !ok {
+	n := g.Size()
+	gi := g.Index(p.Rank())
+	if gi < 0 {
 		panic(fmt.Sprintf("encrypted: rank %d not in group", p.Rank()))
 	}
-	res[gi] = mine
+	res := p.Chunks(n)[:n] // [member]: its contribution
+	res[gi] = mine.Chunks[0]
 	if n == 1 {
-		return res
+		return block.Message{Chunks: res}
 	}
-	i := 0
-	for order[i] != p.Rank() {
-		i++
-	}
-	succ := order[(i+1)%n]
-	pred := order[(i-1+n)%n]
+	order := collective.RankOrder(p, g)
+	i := slices.Index(order, gi)
+	succ := g.Ranks[order[(i+1)%n]]
+	pred := g.Ranks[order[(i-1+n)%n]]
 	cur := mine
 	curIdx := gi
 	for t := 1; t < n; t++ {
@@ -50,7 +45,7 @@ func ORing(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 			// keeping the plaintext for our own result too.
 			if cur.HasCiphertext() {
 				cur = p.DecryptAll(cur)
-				res[curIdx] = cur
+				res[curIdx] = cur.Chunks[0]
 			}
 			in = p.SendRecv(succ, cur, pred)
 		} else if cur.HasCiphertext() {
@@ -61,19 +56,18 @@ func ORing(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 			// plaintext locally.
 			in = p.Wait(p.SealIsend(succ, cur.Chunks...), p.Irecv(pred))[1]
 		}
-		from := order[((i-t)%n+n)%n]
-		curIdx = idxOf[from]
-		res[curIdx] = in
+		curIdx = order[((i-t)%n+n)%n]
+		res[curIdx] = in.Chunks[0]
 		cur = in
 	}
 	// Whatever is still sealed was forwarded ciphertext; decrypt for our
 	// own use.
-	for idx := range res {
-		if res[idx].HasCiphertext() {
-			res[idx] = p.DecryptAll(res[idx])
+	for idx, c := range res {
+		if c.Enc {
+			res[idx] = p.Decrypt(c)
 		}
 	}
-	return res
+	return block.Message{Chunks: res}
 }
 
 // requireSingleBlock guards the O-* algorithms' contract.

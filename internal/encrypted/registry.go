@@ -9,12 +9,15 @@ import (
 	"encag/internal/collective"
 )
 
+// groupAllgather is an encrypted all-gather over a group: it returns
+// one plaintext chunk per member, in member order, in the rank's arena.
+type groupAllgather func(*cluster.Proc, Group, block.Message) block.Message
+
 // asWorld lifts a group-level encrypted all-gather to a world-level
 // cluster.Algorithm.
-func asWorld(sub func(*cluster.Proc, Group, block.Message) []block.Message) cluster.Algorithm {
+func asWorld(sub groupAllgather) cluster.Algorithm {
 	return func(p *cluster.Proc, mine block.Message) block.Message {
-		parts := sub(p, collective.World(p.P()), mine)
-		return block.AssembleByOrigin(parts...)
+		return p.Assemble(sub(p, Group{Ranks: p.World()}, mine))
 	}
 }
 

@@ -15,7 +15,7 @@ import "sync"
 // or the queue is closed. All methods are safe for concurrent use.
 type FairQueue[T any] struct {
 	mu      sync.Mutex
-	streams map[uint32][]T
+	streams map[uint32]fifo[T]
 	order   []uint32 // round-robin rotation of streams with pending items
 	next    int      // index into order of the stream to serve next
 	spare   [][]T    // drained streams' slices, emptied, for the next new stream
@@ -23,10 +23,18 @@ type FairQueue[T any] struct {
 	wake    chan struct{} // cap 1; signalled on Push and Close
 }
 
+// fifo is one stream's queue, items[head:] pending: Pop advances head
+// instead of reslicing, so the slice keeps its capacity until the stream
+// drains and goes to spare whole.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
 // NewFairQueue builds an empty fair queue.
 func NewFairQueue[T any]() *FairQueue[T] {
 	return &FairQueue[T]{
-		streams: make(map[uint32][]T),
+		streams: make(map[uint32]fifo[T]),
 		wake:    make(chan struct{}, 1),
 	}
 }
@@ -44,10 +52,11 @@ func (q *FairQueue[T]) Push(stream uint32, item T) bool {
 	if !ok {
 		q.order = append(q.order, stream)
 		if n := len(q.spare); n > 0 {
-			s, q.spare = q.spare[n-1], q.spare[:n-1]
+			s.items, q.spare = q.spare[n-1], q.spare[:n-1]
 		}
 	}
-	q.streams[stream] = append(s, item)
+	s.items = append(s.items, item)
+	q.streams[stream] = s
 	q.mu.Unlock()
 	q.signal()
 	return true
@@ -65,15 +74,15 @@ func (q *FairQueue[T]) Pop() (item T, ok bool) {
 			}
 			id := q.order[q.next]
 			s := q.streams[id]
-			item = s[0]
-			clear(s[:1]) // the queue no longer holds the served item
-			if len(s) == 1 {
+			item = s.items[s.head]
+			clear(s.items[s.head : s.head+1]) // the queue no longer holds the served item
+			if s.head++; s.head == len(s.items) {
 				delete(q.streams, id)
-				q.spare = append(q.spare, s[:0])
+				q.spare = append(q.spare, s.items[:0])
 				q.order = append(q.order[:q.next], q.order[q.next+1:]...)
 				// q.next now points at the following stream already.
 			} else {
-				q.streams[id] = s[1:]
+				q.streams[id] = s
 				q.next++
 			}
 			more := len(q.order) > 0
@@ -103,7 +112,7 @@ func (q *FairQueue[T]) Len() int {
 	defer q.mu.Unlock()
 	n := 0
 	for _, s := range q.streams {
-		n += len(s)
+		n += len(s.items) - s.head
 	}
 	return n
 }

@@ -378,3 +378,37 @@ func TestFairQueueConcurrentStress(t *testing.T) {
 		}
 	}
 }
+
+// A warm queue pushes and pops without allocating: a stream serves from
+// a head index instead of reslicing, so later pushes do not regrow it,
+// and a drained stream's slice goes, with its capacity, to the next new
+// stream. Four streams interleave, each cycle under new ids as the
+// operations of a session come and go, and order and Len hold.
+func TestFairQueueSteadyStateAllocatesNothing(t *testing.T) {
+	q := NewFairQueue[int]()
+	var base uint32
+	cycle := func() {
+		for i := 0; i < 24; i++ {
+			q.Push(base+uint32(i%4), i)
+			if i%3 == 2 {
+				q.Pop()
+			}
+		}
+		if n := q.Len(); n != 16 {
+			t.Fatalf("Len = %d after 24 pushes and 8 pops, want 16", n)
+		}
+		last := [4]int{-1, -1, -1, -1}
+		for q.Len() > 0 {
+			v, _ := q.Pop()
+			if v <= last[v%4] {
+				t.Fatalf("stream %d served %d after %d", v%4, v, last[v%4])
+			}
+			last[v%4] = v
+		}
+		base += 4
+	}
+	cycle()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("%v objects per warm push/pop cycle, want 0", n)
+	}
+}

@@ -216,14 +216,18 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window i
 // no sealed blob — its send loop seals each segment into the sender's
 // one segment buffer and writes it from there — with the race build at
 // up to 12 331 KB (11 runs, four beside two CPU-bound loops), so the
-// byte gate fell from 18 116 KB to that maximum plus 10 %.
+// byte gate fell from 18 116 KB to that maximum plus 10 %. Objects: about
+// 93 since each rank draws its algorithm's lists from an arena its slot
+// keeps and results are assembled into storage the op owns, up to 100
+// under the race build (11 runs, four beside two CPU-bound loops), so
+// the object gate fell from 248 to 110.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 13564 << 10
-		objectsBudget = 248
+		objectsBudget = 110
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, 0, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -248,20 +252,25 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // request or result slices, and about 224 since a session keeps its rank
 // slots from op to op and a whole seal gathers its payload slices into
 // rank scratch, and about 210 since the gathered views share one backing
-// array. Bytes: about 261 KB while every sealed blob and received
-// ciphertext was a fresh make, about 142 KB since they are recycled per
-// operation and same-node pairs skip the socket, about 106 KB since, and
-// about 92 KB with the rank slots. The race build allocated up to 108 KB
-// before the rank slots (93 KB since), and up to 243 objects with the
-// rank slots and 230 since the views share one array (11 runs, four
-// beside two CPU-bound loops); each gate is such a maximum plus 10 %.
+// array, and about 74 since each rank draws O-RD's working set, chunk
+// and block lists from an arena its slot keeps, the world group is built
+// once per session, results are assembled into storage the op owns, and
+// the send queue and the ciphertext list stop regrowing. Bytes: about
+// 261 KB while every sealed blob and received ciphertext was a fresh
+// make, about 142 KB since they are recycled per operation and same-node
+// pairs skip the socket, about 106 KB since, about 92 KB with the rank
+// slots, and about 69 KB with the arenas. The race build allocated up to
+// 108 KB before the rank slots (93 KB since, 71 KB with the arenas), and
+// up to 243 objects with the rank slots, 230 since the views share one
+// array and 74 with the arenas (11 runs, four beside two CPU-bound
+// loops); each gate is such a maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 119 << 10
-		objectsBudget = 253
+		budget        = 79 << 10
+		objectsBudget = 82
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -295,14 +304,17 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // and waited for oldest first, is gated on objects too: 90–94 per op
 // with a scheduler goroutine, closure and future per Start, up to 100
 // under the race build (11 runs, five beside two CPU-bound loops), so
-// the ceiling is 110.
+// the ceiling was 110; about 44 since each rank draws from an arena its
+// slot keeps and results are assembled into storage the op owns, 44 at
+// most under the race build (11 runs, four beside two CPU-bound loops),
+// so the ceiling is 49.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget         = 731 << 10
-		startedObjects = 110
+		startedObjects = 49
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
@@ -330,17 +342,21 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 // shared views, receive queues keep their memory and a blocking exchange
 // allocates no request or result slices, about 82 since a session
 // keeps its rank slots from op to op, and about 76 since the gathered
-// views share one backing array; bytes about 652 KB, 646 KB with the
-// rank slots. The race build allocates 652 KB and up to 88 objects with
-// the rank slots, 83 since the views share one array; each gate is that
-// maximum plus 10 %.
+// views share one backing array, and about 28 since each rank draws its
+// chunk and block lists from an arena its slot keeps, group lists are
+// built once per session, results are assembled into storage the op
+// owns, and the send queue and the ciphertext list stop regrowing; bytes
+// about 652 KB, 646 KB with the rank slots. The race build allocates
+// 652 KB and up to 88 objects with the rank slots, 83 since the views
+// share one array and 29 with the arenas (11 runs, four beside two
+// CPU-bound loops); each gate is that maximum plus 10 %.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 718 << 10
-		objectsBudget = 92
+		objectsBudget = 32
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 100, 0, WithEngine(EngineChan))
 	t.Logf("%d KB and %d objects allocated per 64 KiB chan o-ring op (budgets %d KB, %d)",
@@ -388,9 +404,14 @@ func simAllocs(t *testing.T, alg Alg, msgSize int64, sims int) uint64 {
 // block lists were copied per split, working sets were maps and shm keys
 // were formatted strings; about 21 440 and 9 900 since, and about
 // 21 150 and 9 650 since the validation's views share one backing array
-// instead of two objects per rank. The race build allocates up to
-// 21 239 and 9 699 (21 464 and 9 957 before); each gate is that plus
-// 10 %.
+// instead of two objects per rank, and about 20 270 and 7 990 since
+// each rank draws its lists from an arena and groups are built once per
+// session (a Simulate's Procs are fresh, so its arenas start empty and
+// spill every draw to the heap; what fell is regrowth, per-call group
+// lists and per-member result lists). The race build allocates up to
+// 20 347 and 8 048 (21 239 and 9 699 before, 21 464 and 9 957 before
+// that; 22 runs, eight beside two CPU-bound loops); each gate is that
+// plus 10 %.
 func TestSimAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -400,13 +421,40 @@ func TestSimAllocBudget(t *testing.T) {
 		size   int64
 		budget uint64
 	}{
-		{AlgORD2, 1 << 10, 23363},
-		{AlgHS2, 16 << 10, 10669},
+		{AlgORD2, 1 << 10, 22382},
+		{AlgHS2, 16 << 10, 8853},
 	} {
 		objects := simAllocs(t, c.alg, c.size, 5)
 		t.Logf("%d objects allocated per %s Simulate at %d B (budget %d)", objects, c.alg, c.size, c.budget)
 		if objects >= c.budget {
 			t.Fatalf("%s at %d B: %d heap objects per Simulate, budget %d", c.alg, c.size, objects, c.budget)
+		}
+	}
+}
+
+// Allocation gate for the paper's eight algorithms in steady state on
+// the chan engine (8 ranks on 4 nodes, 1 KiB): heap objects per
+// blocking operation. Each rank draws its algorithm's working state,
+// chunk lists and group lists from its arena, which the rank slot keeps
+// from op to op, and assembles its result into storage the result owns,
+// so what is left is the operation's own: its runtime, inputs, opened
+// plaintext and gathered views: 42 (o-rd2, hs1) to 90 (naive) objects,
+// against 157 (hs1) to 235 (naive) before the arenas. Each ceiling is
+// the race build's maximum over 22 runs, eight of them beside two
+// CPU-bound loops, plus 10 %.
+func TestPaperAlgorithmsSteadyStateAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	budgets := map[Alg]uint64{
+		AlgNaive: 105, AlgORing: 65, AlgORD: 60, AlgORD2: 52,
+		AlgCRing: 68, AlgCRD: 69, AlgHS1: 50, AlgHS2: 63,
+	}
+	for _, alg := range PaperAlgorithms() {
+		_, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, alg, 1<<10, 50, 0, WithEngine(EngineChan))
+		t.Logf("%d objects allocated per 1 KiB chan %s op (budget %d)", objects, alg, budgets[alg])
+		if objects >= budgets[alg] {
+			t.Errorf("%s: %d heap objects allocated per op, budget %d", alg, objects, budgets[alg])
 		}
 	}
 }
