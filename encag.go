@@ -91,7 +91,8 @@ type TraceEvent = cluster.TraceEvent
 type TraceKind = cluster.TraceKind
 
 // BoundSet carries Table I / Table II style metric tuples (pure
-// analysis; no engine involved).
+// analysis; no engine involved). It is Metrics under the name the
+// bounds API uses.
 type BoundSet = bounds.Metrics
 
 // Spec describes a job: Procs ranks over Nodes nodes, with a "block",

@@ -8,21 +8,16 @@ import (
 	"fmt"
 	"math"
 
+	"encag/internal/cluster"
 	"encag/internal/collective"
 )
 
-// Metrics is a six-tuple of the paper's cost metrics.
-type Metrics struct {
-	Rc int   // communication rounds
-	Sc int64 // communication bytes on the critical path
-	Re int   // encryption rounds
-	Se int64 // encrypted bytes
-	Rd int   // decryption rounds
-	Sd int64 // decrypted bytes
-}
+// Metrics is the six-tuple of the paper's cost metrics a run measures.
+type Metrics = cluster.Critical
 
-func (m Metrics) String() string {
-	return fmt.Sprintf("rc=%d sc=%d re=%d se=%d rd=%d sd=%d", m.Rc, m.Sc, m.Re, m.Se, m.Rd, m.Sd)
+// six builds a Metrics from the six values in Table II's column order.
+func six(rc int, sc int64, re int, se int64, rd int, sd int64) Metrics {
+	return Metrics{Rc: rc, Sc: sc, Re: re, Se: se, Rd: rd, Sd: sd}
 }
 
 // ceilLog2 returns ceil(log2(n)) for n >= 1.
@@ -54,14 +49,7 @@ func Lower(p, n int, m int64) Metrics {
 			rd = 1
 		}
 	}
-	return Metrics{
-		Rc: ceilLog2(p),
-		Sc: int64(p-1) * m,
-		Re: 1,
-		Se: m,
-		Rd: rd,
-		Sd: int64(n-1) * m,
-	}
+	return six(ceilLog2(p), int64(p-1)*m, 1, m, rd, int64(n-1)*m)
 }
 
 // Predict returns the Table II closed forms for an algorithm under
@@ -86,22 +74,22 @@ func Predict(alg string, p, n int, m int64) (Metrics, error) {
 		if m >= collective.DefaultRingThreshold {
 			rc = p - 1
 		}
-		return Metrics{rc, (P - 1) * m, 1, m, p - 1, (P - 1) * m}, nil
+		return six(rc, (P-1)*m, 1, m, p-1, (P-1)*m), nil
 	case "o-ring":
-		return Metrics{p - 1, (P - 1) * m, p - 1, (P - 1) * m, p - 1, (P - 1) * m}, nil
+		return six(p-1, (P-1)*m, p-1, (P-1)*m, p-1, (P-1)*m), nil
 	case "o-rd":
-		return Metrics{lgP, (P - 1) * m, 1, L * m, n - 1, (P - L) * m}, nil
+		return six(lgP, (P-1)*m, 1, L*m, n-1, (P-L)*m), nil
 	case "o-rd2":
-		return Metrics{lgP, (P - 1) * m, lgN, (P - L) * m, lgN, (P - L) * m}, nil
+		return six(lgP, (P-1)*m, lgN, (P-L)*m, lgN, (P-L)*m), nil
 	case "c-ring":
-		return Metrics{n + l - 2, (P - 1) * m, 1, m, n - 1, (N - 1) * m}, nil
+		return six(n+l-2, (P-1)*m, 1, m, n-1, (N-1)*m), nil
 	case "c-rd":
-		return Metrics{lgP, (P - 1) * m, 1, m, n - 1, (N - 1) * m}, nil
+		return six(lgP, (P-1)*m, 1, m, n-1, (N-1)*m), nil
 	case "hs1":
 		rd := ceilDiv(n-1, l)
-		return Metrics{lgN, (P - L) * m, 1, L * m, rd, int64(rd) * L * m}, nil
+		return six(lgN, (P-L)*m, 1, L*m, rd, int64(rd)*L*m), nil
 	case "hs2":
-		return Metrics{lgN, (P - L) * m, 1, m, n - 1, (N - 1) * m}, nil
+		return six(lgN, (P-L)*m, 1, m, n-1, (N-1)*m), nil
 	}
 	return Metrics{}, fmt.Errorf("bounds: no Table II entry for %q", alg)
 }
@@ -136,9 +124,9 @@ func PredictCyclic(alg string, p, n int, m int64) (Metrics, error) {
 	P, N := int64(p), int64(n)
 	switch alg {
 	case "o-rd":
-		return Metrics{lgP, (P - 1) * m, 1, m, n - 1, (N - 1) * m}, nil
+		return six(lgP, (P-1)*m, 1, m, n-1, (N-1)*m), nil
 	case "o-rd2":
-		return Metrics{lgP, (P - 1) * m, lgN, (N - 1) * m, lgN, (N - 1) * m}, nil
+		return six(lgP, (P-1)*m, lgN, (N-1)*m, lgN, (N-1)*m), nil
 	case "naive", "o-ring", "c-ring", "c-rd", "hs1", "hs2":
 		return Predict(alg, p, n, m)
 	}

@@ -145,9 +145,9 @@ func sealThen(fail bool) Algorithm {
 // back: the free list is exactly as idle after it as before. A successful
 // one gives its buffers back.
 func TestUnsuccessfulOpReturnsNoBuffers(t *testing.T) {
-	oldTimeout := RealTimeout
-	RealTimeout = 300 * time.Millisecond
-	defer func() { RealTimeout = oldTimeout }()
+	oldTimeout := realTimeout
+	realTimeout = 300 * time.Millisecond
+	defer func() { realTimeout = oldTimeout }()
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, engine := range opEngines {
 		s := openRecycling(t, spec, engine)

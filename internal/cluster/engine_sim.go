@@ -269,13 +269,8 @@ func relaxGC(delta int) {
 // with the same metrics and logical results as the real engine (payloads
 // are symbolic). A tracer receives every send, receive, encryption,
 // decryption, copy and barrier interval of every rank, in virtual time.
+// OpenSession validated spec and prof once for the session.
 func runSim(spec Spec, lay *layout, prof cost.Profile, sizes []int64, algo Algorithm, tracer Tracer) (*SimResult, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
 	relaxGC(1)
 	defer relaxGC(-1)
 	env := sim.NewEnv()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"encag/internal/block"
@@ -206,4 +207,25 @@ func TestPlainModeDisablesCrypto(t *testing.T) {
 	if math.Abs(res.Latency-want) > want*1e-9 {
 		t.Fatalf("latency = %g, want pure transfer %g", res.Latency, want)
 	}
+}
+
+// An EngineSim session validates its profile once, at open: one with a
+// zero field never opens, so Sim need not check it per run.
+func TestSimSessionValidatesProfileAtOpen(t *testing.T) {
+	prof := uniformProfile()
+	prof.CoreBW = 0
+	s, err := OpenSession(Spec{P: 4, N: 2, Mapping: BlockMapping}, SessionConfig{Engine: EngineSim, Profile: prof})
+	if err == nil {
+		s.Close()
+		t.Fatal("sim session with a zero CoreBW opened")
+	}
+	if !strings.Contains(err.Error(), "CoreBW") {
+		t.Fatalf("error %q does not name the zero field", err)
+	}
+	// The real engines ignore the profile.
+	s, err = OpenSession(Spec{P: 2, N: 1, Mapping: BlockMapping}, SessionConfig{Engine: EngineChan, Profile: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
 }

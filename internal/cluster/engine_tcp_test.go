@@ -79,23 +79,27 @@ func TestTCPSnifferPositiveControl(t *testing.T) {
 }
 
 func TestTCPWireSnifferCap(t *testing.T) {
-	s := &WireSniffer{MaxKeep: 16}
-	s.record(bytes.Repeat([]byte{1}, 10))
+	s := &WireSniffer{}
+	s.record(make([]byte, sniffKeep-6))
 	s.record(bytes.Repeat([]byte{2}, 10))
-	if s.Total() != 20 {
+	if s.Total() != sniffKeep+4 {
 		t.Fatalf("total = %d", s.Total())
 	}
-	if got := len(s.Bytes()); got != 16 {
-		t.Fatalf("kept %d bytes, want 16", got)
+	if got := s.buf.Len(); got != sniffKeep {
+		t.Fatalf("kept %d bytes, want %d", got, sniffKeep)
 	}
 }
 
 func TestTCPWireSnifferTruncated(t *testing.T) {
-	s := &WireSniffer{MaxKeep: 4}
+	s := &WireSniffer{}
 	if s.Truncated() {
 		t.Fatal("fresh sniffer marked truncated")
 	}
-	s.record(bytes.Repeat([]byte{9}, 10))
+	s.record(make([]byte, sniffKeep))
+	if s.Truncated() {
+		t.Fatal("capture marked truncated at exactly the cap")
+	}
+	s.record([]byte{9})
 	if !s.Truncated() {
 		t.Fatal("over-cap capture not marked truncated")
 	}

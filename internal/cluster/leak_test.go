@@ -152,11 +152,11 @@ func TestRecvDeadline(t *testing.T) {
 // Regression test for the old behavior where the timeout arm returned
 // immediately, abandoning blocked ranks.
 func TestTimeoutPathDrainsGoroutines(t *testing.T) {
-	oldTimeout := RealTimeout
-	RealTimeout = 400 * time.Millisecond
-	defer func() { RealTimeout = oldTimeout }()
+	oldTimeout := realTimeout
+	realTimeout = 400 * time.Millisecond
+	defer func() { realTimeout = oldTimeout }()
 
-	// RecvTimeout far beyond RealTimeout so the run-level timeout is the
+	// RecvTimeout far beyond realTimeout so the run-level timeout is the
 	// arm that fires.
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: time.Hour}
 	stuck := func(p *Proc, mine block.Message) block.Message {
@@ -261,7 +261,7 @@ func TestSnifferCountsOnlyWrittenBytes(t *testing.T) {
 		t.Fatalf("sniffer recorded %d bytes, want the 4 actually written", got)
 	}
 	if !s.Contains([]byte("abcd")) || s.Contains([]byte("abcde")) {
-		t.Fatalf("sniffer capture mismatch: %q", s.Bytes())
+		t.Fatalf("sniffer capture mismatch: %q", s.buf.String())
 	}
 	// A full write is recorded whole.
 	if _, err := c.Write([]byte("xy")); err != nil {

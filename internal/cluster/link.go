@@ -23,26 +23,24 @@ import (
 // run does expose them) demonstrates the security property on real
 // sockets, not just at the per-send check in Proc.Isend. On a persistent
 // session the capture is cumulative over every collective run on the
-// mesh.
+// mesh, and keeps at most sniffKeep bytes.
 type WireSniffer struct {
-	mu      sync.Mutex
-	buf     bytes.Buffer
-	total   int64
-	capped  bool
-	MaxKeep int64 // capture cap in bytes (default 8 MiB)
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	total  int64
+	capped bool
 }
+
+// sniffKeep caps a WireSniffer's capture in bytes.
+const sniffKeep = 8 << 20
 
 func (s *WireSniffer) record(p []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.total += int64(len(p))
-	max := s.MaxKeep
-	if max == 0 {
-		max = 8 << 20
-	}
-	if int64(s.buf.Len()) < max {
-		room := max - int64(s.buf.Len())
-		if int64(len(p)) > room {
+	if s.buf.Len() < sniffKeep {
+		room := sniffKeep - s.buf.Len()
+		if len(p) > room {
 			p = p[:room]
 			s.capped = true
 		}
@@ -52,14 +50,6 @@ func (s *WireSniffer) record(p []byte) {
 	}
 }
 
-// Bytes returns the captured inter-node wire bytes (possibly truncated
-// at MaxKeep).
-func (s *WireSniffer) Bytes() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]byte(nil), s.buf.Bytes()...)
-}
-
 // Total returns how many inter-node bytes crossed the wire in total.
 func (s *WireSniffer) Total() int64 {
 	s.mu.Lock()
@@ -67,7 +57,7 @@ func (s *WireSniffer) Total() int64 {
 	return s.total
 }
 
-// Truncated reports whether the capture hit MaxKeep and dropped bytes.
+// Truncated reports whether the capture hit sniffKeep and dropped bytes.
 func (s *WireSniffer) Truncated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -19,6 +19,8 @@ const (
 	MetricWireBytes      = "encag_session_wire_bytes_total"
 	MetricOpLatency      = "encag_session_op_latency_ns"
 	MetricInflight       = "encag_sched_inflight"
+	MetricWindow         = "encag_sched_window"
+	MetricWindowWaits    = "encag_sched_window_waits_total"
 	MetricQueueDepth     = "encag_sched_queue_depth"
 	MetricSegmentsSealed = "encag_seal_segments_sealed_total"
 	MetricSegmentsOpened = "encag_seal_segments_opened_total"
@@ -51,10 +53,11 @@ var faultKinds = []fault.Kind{
 // liveMetrics holds a session's pre-resolved metric handles so the hot
 // paths (send loops, connection readers, the collective coordinator)
 // touch only atomics — registration cost is paid once at session open.
-// Per-peer transport counters are resolved into [src][dst] arrays for
-// the same reason. Callback-backed families (in-flight, queue depth,
-// pool and sealer stats, wire bytes) are registered by the session once
-// the subsystems they read exist.
+// Transport counters are per directed pair, resolved into [src][dst]
+// arrays for the same reason; a transport total is the sum of its pair
+// series, kept nowhere else. Callback-backed families (window, in-flight,
+// queue depth, pool and sealer stats, wire bytes) are registered by the
+// session once the subsystems they read exist.
 type liveMetrics struct {
 	reg *metrics.Registry
 
@@ -73,14 +76,10 @@ type liveMetrics struct {
 	recvTimeouts *metrics.Counter
 	stragglers   *metrics.Counter
 
-	framesSentTotal *metrics.Counter
-	framesRecvTotal *metrics.Counter
-	bytesSentTotal  *metrics.Counter
-	bytesRecvTotal  *metrics.Counter
-	framesSent      [][]*metrics.Counter // [src][dst]; nil on the diagonal
-	framesRecv      [][]*metrics.Counter
-	bytesSent       [][]*metrics.Counter
-	bytesRecv       [][]*metrics.Counter
+	framesSent [][]*metrics.Counter // [src][dst]; nil on the diagonal
+	framesRecv [][]*metrics.Counter
+	bytesSent  [][]*metrics.Counter
+	bytesRecv  [][]*metrics.Counter
 
 	pipeStreams        *metrics.Counter
 	pipeSegmentsSent   *metrics.Counter
@@ -121,42 +120,34 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
 	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
 
-	lm.framesSentTotal = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.")
-	lm.framesRecvTotal = reg.Counter(MetricFramesRecv, "Frames delivered, by directed rank pair.")
-	lm.bytesSentTotal = reg.Counter(MetricBytesSent, "Payload bytes sent, by directed rank pair.")
-	lm.bytesRecvTotal = reg.Counter(MetricBytesRecv, "Payload bytes delivered, by directed rank pair.")
-	lm.framesSent = make([][]*metrics.Counter, spec.P)
-	lm.framesRecv = make([][]*metrics.Counter, spec.P)
-	lm.bytesSent = make([][]*metrics.Counter, spec.P)
-	lm.bytesRecv = make([][]*metrics.Counter, spec.P)
-	for s := 0; s < spec.P; s++ {
-		lm.framesSent[s] = make([]*metrics.Counter, spec.P)
-		lm.framesRecv[s] = make([]*metrics.Counter, spec.P)
-		lm.bytesSent[s] = make([]*metrics.Counter, spec.P)
-		lm.bytesRecv[s] = make([]*metrics.Counter, spec.P)
-		for d := 0; d < spec.P; d++ {
-			if s == d {
-				continue
+	lm.framesSent = pairCounters(reg, MetricFramesSent, "Frames sent, by directed rank pair.", spec.P)
+	lm.framesRecv = pairCounters(reg, MetricFramesRecv, "Frames delivered, by directed rank pair.", spec.P)
+	lm.bytesSent = pairCounters(reg, MetricBytesSent, "Payload bytes sent, by directed rank pair.", spec.P)
+	lm.bytesRecv = pairCounters(reg, MetricBytesRecv, "Payload bytes delivered, by directed rank pair.", spec.P)
+	return lm
+}
+
+// pairCounters registers one {src,dst}-labelled series of a family per
+// directed rank pair and returns them as a [src][dst] matrix, nil on the
+// diagonal.
+func pairCounters(reg *metrics.Registry, name, help string, p int) [][]*metrics.Counter {
+	m := make([][]*metrics.Counter, p)
+	for s := range m {
+		m[s] = make([]*metrics.Counter, p)
+		for d := range m[s] {
+			if s != d {
+				m[s][d] = reg.Counter(name, help,
+					metrics.L("src", strconv.Itoa(s)), metrics.L("dst", strconv.Itoa(d)))
 			}
-			ls := []metrics.Label{
-				metrics.L("src", strconv.Itoa(s)),
-				metrics.L("dst", strconv.Itoa(d)),
-			}
-			lm.framesSent[s][d] = reg.Counter(MetricFramesSent, "Frames sent, by directed rank pair.", ls...)
-			lm.framesRecv[s][d] = reg.Counter(MetricFramesRecv, "Frames delivered, by directed rank pair.", ls...)
-			lm.bytesSent[s][d] = reg.Counter(MetricBytesSent, "Payload bytes sent, by directed rank pair.", ls...)
-			lm.bytesRecv[s][d] = reg.Counter(MetricBytesRecv, "Payload bytes delivered, by directed rank pair.", ls...)
 		}
 	}
-	return lm
+	return m
 }
 
 // countSent charges one sent frame of n payload-wire bytes to src->dst.
 func (lm *liveMetrics) countSent(src, dst int, n int64) {
 	lm.framesSent[src][dst].Inc()
 	lm.bytesSent[src][dst].Add(n)
-	lm.framesSentTotal.Inc()
-	lm.bytesSentTotal.Add(n)
 }
 
 // countRecv charges one delivered frame of n payload-wire bytes on the
@@ -164,8 +155,19 @@ func (lm *liveMetrics) countSent(src, dst int, n int64) {
 func (lm *liveMetrics) countRecv(src, dst int, n int64) {
 	lm.framesRecv[src][dst].Inc()
 	lm.bytesRecv[src][dst].Add(n)
-	lm.framesRecvTotal.Inc()
-	lm.bytesRecvTotal.Add(n)
+}
+
+// pairSum totals a [src][dst] counter matrix, skipping the nil diagonal.
+func pairSum(m [][]*metrics.Counter) int64 {
+	var n int64
+	for _, row := range m {
+		for _, c := range row {
+			if c != nil {
+				n += c.Value()
+			}
+		}
+	}
+	return n
 }
 
 // observeFault is the fault.Injector observer: one call per applied
@@ -178,10 +180,9 @@ func (lm *liveMetrics) observeFault(k fault.Kind) {
 
 // SessionSnapshot is the typed point-in-time view of a session's live
 // metrics — the programmatic twin of the Prometheus exposition.
-// Transport totals aggregate over all rank pairs; the per-pair split is
-// available from the registry. Window* fields describe the in-flight
-// window, the session's pool of rank slots: WindowInFlight is InFlight,
-// under the name the window's metric family has.
+// Transport totals are the sums of the per-pair series the registry
+// exposes. InFlight, Window and WindowWaits describe the in-flight
+// window, the session's pool of rank slots.
 type SessionSnapshot struct {
 	Engine string
 
@@ -225,21 +226,19 @@ type SessionSnapshot struct {
 	// Pipeline* fields describe intra-collective segment streaming
 	// (zero everywhere unless a TCP session has pipelining on).
 	// PipelineStreams counts streamed messages, each one sealed chunk.
-	// PipelineInlineOpens equals PipelineSegmentsRecv, read from the
-	// same counter: every received segment opens on its connection's
-	// reader goroutine as it lands.
+	// PipelineInlineOpens counts the segments delivered into receive
+	// streams: every received segment opens on its connection's reader
+	// goroutine as it lands.
 	PipelineStreams      int64
 	PipelineSegmentsSent int64
-	PipelineSegmentsRecv int64
 	PipelineInlineOpens  int64
 
 	// PipelineStreamSegments distributes segments per completed
 	// receive stream.
 	PipelineStreamSegments metrics.HistSnapshot
 
-	Window         int
-	WindowInFlight int
-	WindowWaits    int64
+	Window      int
+	WindowWaits int64
 
 	// AutoSelected counts alg=auto resolutions by chosen algorithm
 	// name. Filled by the facade layer (selection happens there); nil
@@ -266,7 +265,6 @@ func (s *Session) Snapshot() SessionSnapshot {
 		Window:       s.MaxInFlight(),
 		WindowWaits:  s.WindowWaits(),
 	}
-	snap.WindowInFlight = snap.InFlight
 	if s.cfg.Engine == EngineSim {
 		return snap
 	}
@@ -274,7 +272,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.Poisonings = lm.poisonings.Value()
 	snap.OpLatency = lm.opLatency.Snapshot()
 	snap.QueueDepth = int(s.tr.queueDepth())
-	snap.SegmentsSealed, snap.SegmentsOpened = s.cryptoTotals()
+	snap.SegmentsSealed, snap.SegmentsOpened = s.tally.Sealed(), s.tally.Opened()
 	ps := s.Sealer().Pool().Stats()
 	snap.PoolSize = ps.Size
 	snap.PoolWorkers = ps.Workers
@@ -289,14 +287,13 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.DedupDrops = lm.dedupDrops.Value()
 	snap.RecvTimeouts = lm.recvTimeouts.Value()
 	snap.Stragglers = lm.stragglers.Value()
-	snap.FramesSent = lm.framesSentTotal.Value()
-	snap.FramesRecv = lm.framesRecvTotal.Value()
-	snap.BytesSent = lm.bytesSentTotal.Value()
-	snap.BytesRecv = lm.bytesRecvTotal.Value()
+	snap.FramesSent = pairSum(lm.framesSent)
+	snap.FramesRecv = pairSum(lm.framesRecv)
+	snap.BytesSent = pairSum(lm.bytesSent)
+	snap.BytesRecv = pairSum(lm.bytesRecv)
 	snap.PipelineStreams = lm.pipeStreams.Value()
 	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
-	snap.PipelineSegmentsRecv = lm.pipeSegmentsRecv.Value()
-	snap.PipelineInlineOpens = snap.PipelineSegmentsRecv
+	snap.PipelineInlineOpens = lm.pipeSegmentsRecv.Value()
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
 	if sn := s.tr.sniff; sn != nil {
 		snap.WireBytes = sn.Total()
@@ -305,25 +302,27 @@ func (s *Session) Snapshot() SessionSnapshot {
 }
 
 // registerRuntimeMetrics wires the callback-backed families that read
-// live subsystem state at scrape time: scheduler depth and in-flight,
-// sealer and pool stats (tracking the current sealer across rekeys),
-// and — on TCP — the sniffer's cumulative wire bytes.
+// live subsystem state at scrape time: the in-flight window (every
+// engine), and on chan and tcp the send queue depth, the session's seal
+// tally, the current sealer's pool stats and — on TCP — the sniffer's
+// cumulative wire bytes.
 func (s *Session) registerRuntimeMetrics() {
 	reg := s.lm.reg
 	reg.GaugeFunc(MetricInflight, "Collectives currently in flight on the session.",
 		func() int64 { return int64(s.InFlight()) })
+	reg.GaugeFunc(MetricWindow, "In-flight window size (rank slots).",
+		func() int64 { return int64(s.MaxInFlight()) })
+	reg.CounterFunc(MetricWindowWaits, "Collectives that found the window full and waited.",
+		s.WindowWaits)
+	if s.tr == nil {
+		return
+	}
 	reg.GaugeFunc(MetricQueueDepth, "Frames queued on the per-rank send schedulers.",
 		s.tr.queueDepth)
 	reg.CounterFunc(MetricSegmentsSealed, "AES-GCM segments sealed over the session lifetime.",
-		func() int64 {
-			sealed, _ := s.cryptoTotals()
-			return sealed
-		})
+		s.tally.Sealed)
 	reg.CounterFunc(MetricSegmentsOpened, "AES-GCM segments opened over the session lifetime.",
-		func() int64 {
-			_, opened := s.cryptoTotals()
-			return opened
-		})
+		s.tally.Opened)
 	reg.GaugeFunc(MetricPoolSize, "Crypto worker pool size (worker cap).",
 		func() int64 { return int64(s.Sealer().Pool().Stats().Size) })
 	reg.GaugeFunc(MetricPoolWorkers, "Crypto pool workers currently alive.",

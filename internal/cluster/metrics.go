@@ -70,17 +70,18 @@ func (m Metrics) CommBytes() int64 {
 	return m.BytesRecv
 }
 
-// Critical summarises a whole run by the paper's six metrics: each is the
-// maximum over ranks (the per-metric critical path, matching how Table II
-// reports, e.g., O-Ring's r_e from the exit process and r_d from the
-// entry process).
+// Critical is the paper's six metrics (Section IV.A), the one type for
+// them: a run's critical path, each metric the maximum over ranks
+// (matching how Table II reports, e.g., O-Ring's r_e from the exit
+// process and r_d from the entry process), and also the closed forms
+// and lower bounds of package bounds.
 type Critical struct {
-	Rc int   // communication rounds
-	Sc int64 // communication bytes
-	Re int   // encryption rounds
-	Se int64 // encrypted bytes
-	Rd int   // decryption rounds
-	Sd int64 // decrypted bytes
+	Rc int   `json:"rc"` // communication rounds
+	Sc int64 `json:"sc"` // communication bytes
+	Re int   `json:"re"` // encryption rounds
+	Se int64 `json:"se"` // encrypted bytes
+	Rd int   `json:"rd"` // decryption rounds
+	Sd int64 `json:"sd"` // decrypted bytes
 }
 
 // CriticalPath folds per-rank metrics into the six paper metrics.

@@ -163,7 +163,7 @@ func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 	if streams := s.lm.pipeStreams.Value(); streams != 2 {
 		t.Fatalf("%d streams, want one per rank", streams)
 	}
-	if whole := s.lm.framesSentTotal.Value() - s.lm.pipeSegmentsSent.Value(); whole != 4 {
+	if whole := pairSum(s.lm.framesSent) - s.lm.pipeSegmentsSent.Value(); whole != 4 {
 		t.Fatalf("%d whole frames, want two per rank", whole)
 	}
 }
@@ -188,7 +188,7 @@ func gatherCountingFrames(t *testing.T, algo Algorithm, streams, whole int64) {
 		t.Fatalf("%d streams, want %d", got, streams)
 	}
 	segs := s.lm.pipeSegmentsSent.Value()
-	if got := s.lm.framesSentTotal.Value() - segs; got != whole {
+	if got := pairSum(s.lm.framesSent) - segs; got != whole {
 		t.Fatalf("%d whole frames beside %d sub-frames, want %d", got, segs, whole)
 	}
 	for r := 0; r < spec.P; r++ {
@@ -343,7 +343,7 @@ func TestPipelinePartialWriteInsideSegmentRecovers(t *testing.T) {
 		if n := s.lm.resends.Value(); n < 1 {
 			t.Fatalf("cut inside segment %d: %d resends, the fault never fired", frame, n)
 		}
-		if sent, recv := s.lm.framesSentTotal.Value(), s.lm.framesRecvTotal.Value(); sent != recv {
+		if sent, recv := pairSum(s.lm.framesSent), pairSum(s.lm.framesRecv); sent != recv {
 			t.Fatalf("cut inside segment %d: %d frames sent, %d received", frame, sent, recv)
 		}
 	}

@@ -58,7 +58,8 @@ type SessionConfig struct {
 	// counters restart each run and plans of concurrent operations stay
 	// fully isolated from one another.
 	Plan *fault.Plan
-	// Profile is the machine model used by EngineSim; ignored otherwise.
+	// Profile is the machine model used by EngineSim, which OpenSession
+	// validates; ignored otherwise.
 	Profile cost.Profile
 	// CryptoPool is the worker pool the session's sealer runs segmented
 	// crypto on; nil selects the process-wide shared pool. Handing one
@@ -123,9 +124,10 @@ var (
 // error instead of deadlocking until the run-level timeout.
 const DefaultRecvTimeout = 30 * time.Second
 
-// RealTimeout bounds one collective's wall-clock execution; a
+// realTimeout bounds one collective's wall-clock execution; a
 // deadlocked algorithm surfaces as an error instead of a hung process.
-var RealTimeout = 60 * time.Second
+// A variable so tests can make the bound fire.
+var realTimeout = 60 * time.Second
 
 // RealResult is the outcome of one Collective. Its Results' chunk and
 // block lists are the result's own (see Proc.Assemble), not a rank's.
@@ -195,17 +197,15 @@ type Session struct {
 	lm    *liveMetrics
 	pipe  bool // segment streaming on (cfg.Pipelining on EngineTCP)
 
+	// tally counts the segments every sealer of the session sealed and
+	// opened, rekeyed ones included: the session-lifetime totals.
+	tally seal.Tally
+
 	mu     sync.Mutex
 	closed bool
 	broken error
 	slr    *seal.Sealer
-	refs   map[*seal.Sealer]int // per sealer: ops in flight, +1 while current
-	tr     *transport           // nil for EngineSim
-	// sealedBase/openedBase accumulate the segment counts of retired
-	// sealers whose last op has ended, keeping the session-lifetime totals
-	// monotone across rekeys.
-	sealedBase int64
-	openedBase int64
+	tr     *transport // nil for EngineSim
 }
 
 // keyBudget is how many seals a session key may make before admit
@@ -213,13 +213,19 @@ type Session struct {
 // key. A variable so tests can force rotations.
 var keyBudget uint64 = 1 << 31
 
-// OpenSession validates the spec, stands up the persistent engine state
-// (sealer and send schedulers for chan/tcp; for tcp also one listener
-// per rank and one dialed connection per ordered inter-node pair,
-// P·(P−ℓ) in all) and returns the ready session.
+// OpenSession validates the spec (and, for EngineSim, the profile),
+// stands up the persistent engine state (sealer and send schedulers for
+// chan/tcp; for tcp also one listener per rank and one dialed connection
+// per ordered inter-node pair, P·(P−ℓ) in all) and returns the ready
+// session.
 func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Engine == EngineSim {
+		if err := cfg.Profile.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	s := &Session{spec: spec, cfg: cfg, recvTO: spec.RecvTimeout}
 	if s.recvTO <= 0 {
@@ -231,31 +237,33 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 	}
 	s.slots = newSlotPool(spec, window)
 	s.lm = newLiveMetrics(metrics.NewRegistry(), spec, cfg.Engine)
-	if cfg.Engine == EngineSim {
-		return s, nil
+	if cfg.Engine != EngineSim {
+		slr, err := s.newSealer()
+		if err != nil {
+			return nil, err
+		}
+		lnk, err := newLink(spec, s.lm, newOpRegistry(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.slr = slr
+		s.pipe = cfg.Pipelining && cfg.Engine == EngineTCP
+		s.tr = newTransport(lnk)
 	}
-	slr, err := newSessionSealer(spec, cfg.CryptoPool)
-	if err != nil {
-		return nil, err
-	}
-	s.slr, s.refs = slr, map[*seal.Sealer]int{slr: 1}
-	lnk, err := newLink(spec, s.lm, newOpRegistry(), cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.pipe = cfg.Pipelining && cfg.Engine == EngineTCP
-	s.tr = newTransport(lnk)
 	s.registerRuntimeMetrics()
 	return s, nil
 }
 
-func newSessionSealer(spec Spec, pool *seal.Pool) (*seal.Sealer, error) {
+// newSealer makes a sealer under a fresh random key that counts into
+// the session's tally.
+func (s *Session) newSealer() (*seal.Sealer, error) {
 	slr, err := seal.NewRandomSealer()
 	if err != nil {
 		return nil, err
 	}
-	slr.SetSegmentSize(int(spec.SegmentSize))
-	slr.SetPool(pool)
+	slr.SetSegmentSize(int(s.spec.SegmentSize))
+	slr.SetPool(s.cfg.CryptoPool)
+	slr.SetTally(&s.tally)
 	return slr, nil
 }
 
@@ -312,8 +320,8 @@ func (s *Session) AwaitIdle(ctx context.Context) error { return s.slots.awaitIdl
 // Rekey replaces the session's AES-GCM key with a fresh random one. It
 // never waits: operations admitted from now on seal under the new key,
 // and operations already in flight finish on the key they were admitted
-// with, so no operation is split across keys. The retired sealer's
-// counts fold into the session totals when its last operation ends.
+// with, so no operation is split across keys. Every sealer counts into
+// the session's one tally, so the totals span every key.
 func (s *Session) Rekey() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -330,39 +338,13 @@ func (s *Session) Rekey() error {
 
 // rekeyLocked swaps in a fresh sealer; the caller holds s.mu.
 func (s *Session) rekeyLocked() error {
-	slr, err := newSessionSealer(s.spec, s.cfg.CryptoPool)
+	slr, err := s.newSealer()
 	if err != nil {
 		return err
 	}
-	s.unrefLocked(s.slr)
-	s.slr, s.refs[slr] = slr, 1
+	s.slr = slr
 	s.lm.rekeys.Inc()
 	return nil
-}
-
-// unrefLocked drops one reference to slr. The last one, taken when slr
-// is retired and its last op has ended, folds its final counts into the
-// session bases.
-func (s *Session) unrefLocked(slr *seal.Sealer) {
-	if s.refs[slr]--; s.refs[slr] == 0 {
-		delete(s.refs, slr)
-		sealed, opened := slr.Counts()
-		s.sealedBase += sealed
-		s.openedBase += opened
-	}
-}
-
-// cryptoTotals returns the session-lifetime sealed/opened segment
-// counts: the folded bases plus every sealer still referenced.
-func (s *Session) cryptoTotals() (sealed, opened int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sealed, opened = s.sealedBase, s.openedBase
-	for slr := range s.refs {
-		ds, do := slr.Counts()
-		sealed, opened = sealed+ds, opened+do
-	}
-	return sealed, opened
 }
 
 // Close tears down the persistent engine state: in-flight operations
@@ -471,10 +453,10 @@ func (f *patternFill) fill(i int) {
 
 // admit gates a new collective: it checks the session's state, waits
 // outside s.mu for a rank slot (Close takes s.mu), checks again, rotates
-// the key once it has used its seal budget, and accounts the collective
-// on the sealer it returns. A caller whose ctx ends while it waits gets
+// the key once it has used its seal budget, and returns the sealer the
+// collective seals with. A caller whose ctx ends while it waits gets
 // the "cancel" RankError a cancelled ctx gets at once. The caller
-// releases the sealer with release and the slot through its op.
+// releases the slot through its op.
 func (s *Session) admit(ctx context.Context) (*seal.Sealer, *rankSlot, error) {
 	if err := s.refusal(ctx, false); err != nil {
 		return nil, nil, err
@@ -495,7 +477,6 @@ func (s *Session) admit(ctx context.Context) (*seal.Sealer, *rankSlot, error) {
 		s.slots.put(slot)
 		return nil, nil, err
 	}
-	s.refs[s.slr]++
 	return s.slr, slot, nil
 }
 
@@ -528,12 +509,6 @@ func (s *Session) refusalLocked(ctx context.Context, sim bool) error {
 		return &RankError{Rank: -1, Peer: -1, Op: "cancel", Err: context.Cause(ctx)}
 	}
 	return nil
-}
-
-func (s *Session) release(slr *seal.Sealer) {
-	s.mu.Lock()
-	s.unrefLocked(slr)
-	s.mu.Unlock()
 }
 
 // noteFailure decides whether a failed collective poisons the session.
@@ -610,7 +585,6 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 	sizes, err := op.resolve(s.spec)
 	if err != nil {
 		s.slots.put(slot)
-		s.release(slr)
 		s.lm.opsFailed.Inc()
 		return nil, err
 	}
@@ -641,9 +615,9 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 	// The run bound records its cause and aborts, as a parked rank does
 	// when ctx ends; every blocking point observes the abort, so the ranks
 	// unwind and the op ends, leaking no goroutine.
-	o.deadline = time.AfterFunc(RealTimeout, func() {
+	o.deadline = time.AfterFunc(realTimeout, func() {
 		o.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
-			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, RealTimeout, s.spec)})
+			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, realTimeout, s.spec)})
 		o.abort()
 	})
 	slot.start()
@@ -689,7 +663,6 @@ func (s *Session) end(o *opRuntime) (*RealResult, error) {
 		res.OpID = o.id
 		res.Critical = CriticalPath(res.PerRank)
 	}
-	s.release(o.slr)
 	if then != nil {
 		then(res, err)
 	}

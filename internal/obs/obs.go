@@ -97,17 +97,6 @@ func WriteChromeTrace(w io.Writer, events []cluster.TraceEvent) error {
 	return enc.Encode(out)
 }
 
-// MetricsSummary is the JSON shape of the paper's six critical-path
-// metrics (Section IV.A).
-type MetricsSummary struct {
-	Rc int   `json:"rc"` // communication rounds
-	Sc int64 `json:"sc"` // communication bytes
-	Re int   `json:"re"` // encryption rounds
-	Se int64 `json:"se"` // encrypted bytes
-	Rd int   `json:"rd"` // decryption rounds
-	Sd int64 `json:"sd"` // decrypted bytes
-}
-
 // WireSummary reports what the TCP engine's WireSniffer captured, so a
 // truncated capture is visible instead of silently passing.
 type WireSummary struct {
@@ -127,7 +116,7 @@ type RunSummary struct {
 	Mapping      string             `json:"mapping"`
 	MsgSize      int64              `json:"msg_size"`
 	ElapsedSec   float64            `json:"elapsed_sec"` // virtual latency (sim) or wall clock
-	Metrics      MetricsSummary     `json:"metrics"`
+	Metrics      cluster.Critical   `json:"metrics"`
 	PhaseSec     map[string]float64 `json:"phase_sec,omitempty"`
 	PhaseBytes   map[string]int64   `json:"phase_bytes,omitempty"`
 	CritRank     int                `json:"crit_rank"`
@@ -182,10 +171,7 @@ func Summarize(engine, algorithm string, spec cluster.Spec, msgSize int64, elaps
 		Mapping:    spec.Mapping.String(),
 		MsgSize:    msgSize,
 		ElapsedSec: elapsedSec,
-		Metrics: MetricsSummary{
-			Rc: crit.Rc, Sc: crit.Sc, Re: crit.Re,
-			Se: crit.Se, Rd: crit.Rd, Sd: crit.Sd,
-		},
+		Metrics:    crit,
 	}
 	if len(events) == 0 {
 		return s

@@ -45,7 +45,7 @@ var ErrAuth = errors.New("seal: message authentication failed")
 // Sealer encrypts and decrypts with a single shared AES-GCM-128 key, the
 // deployment model of the paper (one key per MPI job, distributed out of
 // band). It is safe for concurrent use. Configuration (SetSegmentSize,
-// SetPool) must happen before concurrent use. Nonces
+// SetPool, SetTally) must happen before concurrent use. Nonces
 // are unique among one Sealer's seals: every user of a key must share
 // that key's one Sealer.
 type Sealer struct {
@@ -55,11 +55,27 @@ type Sealer struct {
 	// sealed counts GCM seal invocations; its value after each increment
 	// is the invocation field of that seal's nonce.
 	sealed atomic.Uint64
-	opened atomic.Int64 // number of successful GCM open operations
+
+	own   Tally
+	tally *Tally // where seals and successful opens count: &own unless SetTally
 
 	segSize int   // segmented-seal split size; 0 means DefaultSegmentSize
 	pool    *Pool // worker pool for segmented crypto; nil means the shared pool
 }
+
+// Tally counts GCM segments sealed and successfully opened, by any
+// number of sealers: a session points every sealer it creates, rekeyed
+// ones included, at its one tally. It is bookkeeping only; the per-key
+// invocation counter that forms nonces is the Sealer's own.
+type Tally struct {
+	sealed, opened atomic.Int64
+}
+
+// Sealed returns how many segments were sealed into t.
+func (t *Tally) Sealed() int64 { return t.sealed.Load() }
+
+// Opened returns how many segments were opened into t.
+func (t *Tally) Opened() int64 { return t.opened.Load() }
 
 // NewSealer creates a Sealer from a 16-byte AES-128 key and draws its
 // random fixed nonce field.
@@ -76,6 +92,7 @@ func NewSealer(key []byte) (*Sealer, error) {
 		return nil, err
 	}
 	s := &Sealer{aead: aead}
+	s.tally = &s.own
 	if _, err := rand.Read(s.fixed[:]); err != nil {
 		return nil, err
 	}
@@ -91,10 +108,15 @@ func NewRandomSealer() (*Sealer, error) {
 	return NewSealer(key)
 }
 
+// SetTally makes the sealer count its seals and successful opens into t
+// instead of its own tally.
+func (s *Sealer) SetTally(t *Tally) { s.tally = t }
+
 // Counts returns the number of GCM seal operations and successful GCM
-// open operations (a segmented blob counts one per segment).
+// open operations (a segmented blob counts one per segment) in the
+// sealer's tally: its own, unless SetTally shares one.
 func (s *Sealer) Counts() (sealed, opened int64) {
-	return int64(s.sealed.Load()), s.opened.Load()
+	return s.tally.Sealed(), s.tally.Opened()
 }
 
 // Invocations returns how many times the key has sealed: the count SP
@@ -111,6 +133,7 @@ func (s *Sealer) sealInto(out, plaintext, aad []byte) {
 	copy(nonce, s.fixed[:])
 	binary.BigEndian.PutUint64(nonce[len(s.fixed):], s.sealed.Add(1))
 	s.aead.Seal(out[NonceSize:NonceSize], nonce, plaintext, aad)
+	s.tally.sealed.Add(1)
 }
 
 // openInto authenticates and decrypts blob (nonce||ct||tag) into dst,
@@ -123,7 +146,7 @@ func (s *Sealer) openInto(dst, blob, aad []byte) error {
 	if _, err := s.aead.Open(dst, blob[:NonceSize], blob[NonceSize:], aad); err != nil {
 		return ErrAuth
 	}
-	s.opened.Add(1)
+	s.tally.opened.Add(1)
 	return nil
 }
 

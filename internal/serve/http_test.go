@@ -135,7 +135,7 @@ func TestServerHTTPSurface(t *testing.T) {
 		"encag_session_wire_bytes_total",
 		"encag_sched_inflight",
 		"encag_sched_queue_depth",
-		"encag_sched_window_inflight",
+		"encag_sched_window",
 		"encag_sched_window_waits_total",
 		"encag_seal_pool_size",
 		"encag_seal_pool_busy",

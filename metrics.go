@@ -22,17 +22,16 @@ type MetricsSnapshot = cluster.SessionSnapshot
 // nearest-rank quantiles (see MetricsSnapshot.OpLatency).
 type HistogramSnapshot = metrics.HistSnapshot
 
-// Names of the nonblocking-window metric families, registered by
-// OpenSession alongside the cluster runtime's families (whose names are
-// exported from the same schema: encag_session_*, encag_sched_*,
-// encag_seal_*, encag_fault_*, encag_transport_*).
+// Names of the in-flight window's metric families, registered by the
+// cluster runtime with the rest of its schema (encag_session_*,
+// encag_sched_*, encag_seal_*, encag_fault_*, encag_transport_*), and of
+// the one family the facade adds.
 const (
 	// MetricWindow is the configured in-flight window size.
-	MetricWindow = "encag_sched_window"
-	// MetricWindowInFlight is how many Start operations hold a slot.
-	MetricWindowInFlight = "encag_sched_window_inflight"
-	// MetricWindowWaits counts Start calls that blocked on a full window.
-	MetricWindowWaits = "encag_sched_window_waits_total"
+	MetricWindow = cluster.MetricWindow
+	// MetricWindowWaits counts collectives that found the window full
+	// and waited.
+	MetricWindowWaits = cluster.MetricWindowWaits
 	// MetricAutoSelected counts AlgAuto resolutions by the concrete
 	// algorithm chosen, as encag_auto_selected_total{alg="..."}.
 	MetricAutoSelected = "encag_auto_selected_total"

@@ -59,9 +59,8 @@ func TestSessionMetricsConcurrent(t *testing.T) {
 				t.Errorf("failed=%d cancelled=%d poisonings=%d, want 0",
 					snap.OpsFailed, snap.OpsCancelled, snap.Poisonings)
 			}
-			if snap.InFlight != 0 || snap.WindowInFlight != 0 {
-				t.Errorf("inflight=%d window inflight=%d after WaitAll, want 0",
-					snap.InFlight, snap.WindowInFlight)
+			if snap.InFlight != 0 {
+				t.Errorf("inflight=%d after WaitAll, want 0", snap.InFlight)
 			}
 			if snap.Window != 3 {
 				t.Errorf("window=%d, want 3", snap.Window)
@@ -295,7 +294,7 @@ func TestDebugServerLiveTCP(t *testing.T) {
 		"encag_session_wire_bytes_total",
 		"encag_sched_inflight",
 		"encag_sched_queue_depth",
-		"encag_sched_window_inflight",
+		"encag_sched_window",
 		"encag_sched_window_waits_total",
 		"encag_seal_pool_size",
 		"encag_seal_pool_busy",

@@ -73,9 +73,9 @@ func TestSessionPipelining(t *testing.T) {
 			if snap.PipelineStreams == 0 {
 				t.Fatalf("%s: pipelined session never streamed", name)
 			}
-			if snap.PipelineSegmentsSent == 0 || snap.PipelineSegmentsSent != snap.PipelineSegmentsRecv {
+			if snap.PipelineSegmentsSent == 0 || snap.PipelineSegmentsSent != snap.PipelineInlineOpens {
 				t.Fatalf("%s: segment counters sent=%d recv=%d", name,
-					snap.PipelineSegmentsSent, snap.PipelineSegmentsRecv)
+					snap.PipelineSegmentsSent, snap.PipelineInlineOpens)
 			}
 			if sn := serial.Snapshot(); sn.PipelineStreams != 0 {
 				t.Fatalf("%s: serial session streamed %d times", name, sn.PipelineStreams)

@@ -135,7 +135,8 @@ func WithFaultPlan(plan *FaultPlan) Option {
 }
 
 // WithProfile sets the machine model for EngineSim (session-level only;
-// required for sim sessions, ignored by the real engines).
+// required for sim sessions, which OpenSession refuses unless
+// prof.Validate passes; ignored by the real engines).
 func WithProfile(prof Profile) Option {
 	return sessionLevel("WithProfile", func(o *sessionOptions) { o.profile, o.profileSet = prof, true })
 }
@@ -282,15 +283,6 @@ func OpenSession(ctx context.Context, spec Spec, opts ...Option) (*Session, erro
 		pipelined: o.pipelining,
 		autoSel:   make(map[Alg]*metrics.Counter),
 	}
-	// The window families keep the names this package exports; they
-	// read the cluster session's rank-slot pool, which is the window.
-	reg := inner.Metrics()
-	reg.GaugeFunc(MetricWindow, "In-flight window size (WithMaxInFlight).",
-		func() int64 { return int64(inner.MaxInFlight()) })
-	reg.GaugeFunc(MetricWindowInFlight, "Collectives currently holding a window slot.",
-		func() int64 { return int64(inner.InFlight()) })
-	reg.CounterFunc(MetricWindowWaits, "Collectives that found the window full and waited.",
-		inner.WindowWaits)
 	return s, nil
 }
 

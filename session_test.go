@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -95,6 +96,13 @@ func TestSessionEngineOptionErrors(t *testing.T) {
 	}
 	if _, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2}, WithEngine("quantum")); err == nil {
 		t.Fatal("unknown engine accepted")
+	}
+	// The profile is validated once, at open, not on every Simulate.
+	bad := Noleland()
+	bad.EncBW = 0
+	if _, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2},
+		WithEngine(EngineSim), WithProfile(bad)); err == nil || !strings.Contains(err.Error(), "EncBW") {
+		t.Fatalf("sim session with a zero EncBW opened: err = %v", err)
 	}
 	s, err := OpenSession(context.Background(), Spec{Procs: 4, Nodes: 2})
 	if err != nil {
