@@ -113,8 +113,8 @@ type Spec struct {
 	// RecvTimeout bounds every single receive wait in the chan and tcp
 	// engines: a rank waiting longer than this for a message (peer died,
 	// frame lost to an injected fault) fails with a structured RankError
-	// instead of hanging until the run-level timeout. 0 selects the
-	// 30-second default. The simulator ignores it.
+	// instead of hanging; cap a whole operation with its context. 0
+	// selects the 30-second default. The simulator ignores it.
 	RecvTimeout time.Duration
 }
 

@@ -143,12 +143,10 @@ func sealThen(fail bool) Algorithm {
 
 // A failed, cancelled or timed-out operation gives none of its ciphertext
 // back: the free list is exactly as idle after it as before. A successful
-// one gives its buffers back.
+// one gives its buffers back, on the slot that ran the unsuccessful
+// ones. The timed-out op times out on the session's receive deadline.
 func TestUnsuccessfulOpReturnsNoBuffers(t *testing.T) {
-	oldTimeout := realTimeout
-	realTimeout = 300 * time.Millisecond
-	defer func() { realTimeout = oldTimeout }()
-	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping, RecvTimeout: 300 * time.Millisecond}
 	for _, engine := range opEngines {
 		s := openRecycling(t, spec, engine)
 		drainCipherBufs()

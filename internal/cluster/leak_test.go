@@ -121,7 +121,7 @@ func TestRankFailureSurfacesRootCause(t *testing.T) {
 }
 
 // A message that never arrives must fail the starved rank with a bounded
-// structured recv error, not hang until the run-level timeout.
+// structured recv error, not hang.
 func TestRecvDeadline(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: 200 * time.Millisecond}
 	silent := func(p *Proc, mine block.Message) block.Message {
@@ -147,39 +147,70 @@ func TestRecvDeadline(t *testing.T) {
 	}
 }
 
-// The run-level timeout path must drain the rank goroutines (and the TCP
-// engine's readers) instead of leaking them into the caller's process.
-// Regression test for the old behavior where the timeout arm returned
-// immediately, abandoning blocked ranks.
-func TestTimeoutPathDrainsGoroutines(t *testing.T) {
-	oldTimeout := realTimeout
-	realTimeout = 400 * time.Millisecond
-	defer func() { realTimeout = oldTimeout }()
-
-	// RecvTimeout far beyond realTimeout so the run-level timeout is the
-	// arm that fires.
-	spec := Spec{P: 2, N: 1, Mapping: BlockMapping, RecvTimeout: time.Hour}
-	stuck := func(p *Proc, mine block.Message) block.Message {
-		if p.Rank() == 0 {
-			p.Recv(1)
-		} else {
-			p.Recv(0)
-		}
-		return mine
+// A node barrier that can never complete fails its op at once, with no
+// clock behind it: every receive may wait an hour. On node 1 of four
+// ranks on two nodes, rank 2 either returns without the barrier its
+// peer waits in, or waits in one more barrier than its peer. The op
+// fails with Op "barrier" naming a rank of node 1, in well under a
+// second, leaves no goroutine behind, and the slot it ran on serves the
+// next op. The simulator reports the same algorithms as its deadlock.
+func TestBarrierMismatchFailsAtOnce(t *testing.T) {
+	spec := Spec{P: 4, N: 2, Mapping: BlockMapping, RecvTimeout: time.Hour}
+	mismatches := []struct {
+		name string
+		algo Algorithm
+	}{
+		{"returns early", func(p *Proc, mine block.Message) block.Message {
+			if p.Rank() != 2 {
+				p.NodeBarrier()
+			}
+			return mine
+		}},
+		{"one extra barrier", func(p *Proc, mine block.Message) block.Message {
+			p.NodeBarrier()
+			if p.Rank() == 2 {
+				p.NodeBarrier()
+			}
+			return mine
+		}},
 	}
-
 	for _, engine := range opEngines {
 		before := runtime.NumGoroutine()
-		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: stuck, MsgSize: 64})
-		var re *RankError
-		if err == nil || !errors.As(err, &re) || re.Op != "timeout" {
-			t.Fatalf("%v: err = %v, want *RankError with Op timeout", engine, err)
+		s, err := OpenSession(spec, SessionConfig{Engine: engine, MaxInFlight: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if want := engine.String() + " run exceeded"; !strings.Contains(err.Error(), want) {
-			t.Fatalf("timeout error %q does not name its engine (%q)", err, want)
+		for _, m := range mismatches {
+			for i := 0; i < 4; i++ {
+				start := time.Now()
+				_, err := s.Collective(context.Background(), Op{Algo: m.algo, MsgSize: 64})
+				elapsed := time.Since(start)
+				var re *RankError
+				if !errors.As(err, &re) || re.Op != "barrier" || re.Peer != -1 || spec.NodeOf(re.Rank) != 1 {
+					t.Fatalf("%v %s: err = %v, want a barrier RankError naming rank 2 or 3", engine, m.name, err)
+				}
+				if !strings.Contains(err.Error(), "node 1: ") {
+					t.Fatalf("%v %s: barrier error %q does not name its node", engine, m.name, err)
+				}
+				if elapsed > time.Second {
+					t.Fatalf("%v %s: the mismatch took %v to fail", engine, m.name, elapsed)
+				}
+			}
 		}
-		// Rank goroutines, readers and the deadline callback must be gone.
+		res, err := s.Collective(context.Background(), Op{Algo: leaderShmGather, MsgSize: 64})
+		if err == nil {
+			err = ValidateGather(spec, 64, res.Results, true)
+		}
+		if err != nil {
+			t.Fatalf("%v: op after the mismatches: %v", engine, err)
+		}
+		s.Close()
 		awaitGoroutines(t, engine, before)
+	}
+	for _, m := range mismatches {
+		if _, err := SimOnce(spec, cost.Noleland(), Op{Algo: m.algo, MsgSize: 64}); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("sim %s: err = %v, want a deadlock error", m.name, err)
+		}
 	}
 }
 
@@ -191,12 +222,22 @@ func awaitGoroutines(t *testing.T, engine EngineKind, before int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
 			t.Fatalf("%v: %d goroutines before run, %d after\n%s",
-				engine, before, runtime.NumGoroutine(), buf)
+				engine, before, runtime.NumGoroutine(), allStacks())
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// allStacks returns the stacks of every goroutine, however many there
+// are.
+func allStacks() []byte {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -304,8 +304,8 @@ func (s *Session) Snapshot() SessionSnapshot {
 // registerRuntimeMetrics wires the callback-backed families that read
 // live subsystem state at scrape time: the in-flight window (every
 // engine), and on chan and tcp the send queue depth, the session's seal
-// tally, the current sealer's pool stats and — on TCP — the sniffer's
-// cumulative wire bytes.
+// tally, the process-wide crypto pool's stats and — on TCP — the
+// sniffer's cumulative wire bytes.
 func (s *Session) registerRuntimeMetrics() {
 	reg := s.lm.reg
 	reg.GaugeFunc(MetricInflight, "Collectives currently in flight on the session.",
@@ -323,14 +323,16 @@ func (s *Session) registerRuntimeMetrics() {
 		s.tally.Sealed)
 	reg.CounterFunc(MetricSegmentsOpened, "AES-GCM segments opened over the session lifetime.",
 		s.tally.Opened)
-	reg.GaugeFunc(MetricPoolSize, "Crypto worker pool size (worker cap).",
-		func() int64 { return int64(s.Sealer().Pool().Stats().Size) })
-	reg.GaugeFunc(MetricPoolWorkers, "Crypto pool workers currently alive.",
-		func() int64 { return int64(s.Sealer().Pool().Stats().Workers) })
-	reg.GaugeFunc(MetricPoolBusy, "Crypto pool workers executing a task right now.",
-		func() int64 { return int64(s.Sealer().Pool().Stats().Busy) })
-	reg.CounterFunc(MetricPoolSaturated, "Segmented operations that degraded to serial on a saturated pool.",
-		func() int64 { return s.Sealer().Pool().Stats().Saturated })
+	if s.cfg.CryptoPool == nil { // an injected pool is its owner's to report, once
+		reg.GaugeFunc(MetricPoolSize, "Crypto worker pool size (worker cap).",
+			func() int64 { return int64(s.Sealer().Pool().Stats().Size) })
+		reg.GaugeFunc(MetricPoolWorkers, "Crypto pool workers currently alive.",
+			func() int64 { return int64(s.Sealer().Pool().Stats().Workers) })
+		reg.GaugeFunc(MetricPoolBusy, "Crypto pool workers executing a task right now.",
+			func() int64 { return int64(s.Sealer().Pool().Stats().Busy) })
+		reg.CounterFunc(MetricPoolSaturated, "Segmented operations that degraded to serial on a saturated pool.",
+			func() int64 { return s.Sealer().Pool().Stats().Saturated })
+	}
 	if sn := s.tr.sniff; sn != nil {
 		reg.CounterFunc(MetricWireBytes, "Cumulative inter-node bytes observed on the wire.",
 			sn.Total)

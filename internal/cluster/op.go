@@ -42,18 +42,16 @@ type opRuntime struct {
 	sendQ []*sched.FairQueue[sendJob] // the transport's per-rank send schedulers
 
 	// Every rank runs algo on its own payload, into res; the op ends in
-	// Session.end, which stops deadline and hands res to then, if set.
+	// Session.end, which hands res to then, if set.
 	algo     Algorithm
 	payloads [][]byte
 	sizes    []int64
 	res      *RealResult
 	out      results // the storage res.Results is assembled into
 	sess     *Session
-	deadline *time.Timer
 	then     func(*RealResult, error)
 
 	inj       *fault.Injector
-	recvTO    time.Duration
 	wt        wallTrace // wall-clock tracing; inert unless a tracer is set
 	fails     failState
 	aborted   chan struct{} // closed when any rank fails: unblocks peers
@@ -72,7 +70,7 @@ type opRuntime struct {
 // on the rank slot it was admitted with and registers it as a live
 // operation, making its op-id routable by the link. Unpipelined, it
 // allocates the runtime and its abort channel, nothing else.
-func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *seal.Sealer, inj *fault.Injector, recvTO time.Duration, tracer Tracer, pipe bool) *opRuntime {
+func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *seal.Sealer, inj *fault.Injector, tracer Tracer, pipe bool) *opRuntime {
 	spec := t.spec
 	o := &opRuntime{
 		ctx:     ctx,
@@ -83,7 +81,6 @@ func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *s
 		lm:      t.lm,
 		sendQ:   t.sendQ,
 		inj:     inj,
-		recvTO:  recvTO,
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
 		bufs:    opBufs{refs: 1, held: slot.held[:0], home: &slot.held}, // the running op's own reference
@@ -107,6 +104,7 @@ func (o *opRuntime) runRank(r int) {
 		pl = []byte{} // nil means sim mode
 	}
 	o.res.Results[r] = o.algo(p, p.contribution(pl, int64(len(pl))))
+	o.leaveBarrier(r)
 }
 
 // release drops one reference on the op's ciphertext buffers. The last
@@ -240,11 +238,13 @@ type opShm struct {
 
 // opBarrier is one node's barrier. It keeps no wait state of its own:
 // a rank that is not last parks, as a receive does, and the last rank
-// to arrive advances the generation and nudges the others.
+// to arrive advances the generation and nudges the others. gone counts
+// the ranks returned from the algorithm, which never arrive again.
 type opBarrier struct {
-	mu      sync.Mutex // guards arrived
+	mu      sync.Mutex // guards arrived and gone
 	n       int
 	arrived int
+	gone    int
 	gen     atomic.Uint32
 }
 
@@ -256,6 +256,10 @@ func (o *opRuntime) awaitBarrier(rank int) {
 	node := o.spec.NodeOf(rank)
 	b := &o.bars[node]
 	b.mu.Lock()
+	if gone := b.gone; gone > 0 {
+		b.mu.Unlock()
+		o.fail(&RankError{Rank: rank, Peer: -1, Op: "barrier", Err: fmt.Errorf("node %d: %d of its ranks already returned", node, gone)})
+	}
 	gen := b.gen.Load()
 	if b.arrived++; b.arrived == b.n {
 		b.arrived = 0
@@ -271,6 +275,19 @@ func (o *opRuntime) awaitBarrier(rank int) {
 	b.mu.Unlock()
 	for b.gen.Load() == gen {
 		o.park(rank, nil)
+	}
+}
+
+// leaveBarrier counts rank out of its node's barrier once it returns: a
+// peer parked there, or arriving later (awaitBarrier), would wait forever.
+func (o *opRuntime) leaveBarrier(rank int) {
+	b := &o.bars[o.spec.NodeOf(rank)]
+	b.mu.Lock()
+	b.gone++
+	waiting := b.arrived
+	b.mu.Unlock()
+	if waiting > 0 && !o.isAborted() { // an aborted op's parked ranks are unwinding
+		o.fail(&RankError{Rank: rank, Peer: -1, Op: "barrier", Err: fmt.Errorf("node %d: returned while %d of its ranks wait", o.spec.NodeOf(rank), waiting)})
 	}
 }
 
@@ -356,7 +373,7 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 	var deadline <-chan time.Time // armed when the receive first has to wait
 	defer func() {
 		if deadline != nil {
-			o.disarmRecvDeadline(rank)
+			o.recvTimer[rank].Stop()
 		}
 	}()
 	for {
@@ -367,34 +384,27 @@ func (o *opRuntime) recvFrom(rank, src int) block.Message {
 			deadline = o.armRecvDeadline(rank)
 		}
 		if o.park(rank, deadline) {
+			if o.recvTimer[rank].Stop() { // still pending: an earlier receive's tick
+				o.recvTimer[rank].Reset(o.spec.RecvTimeout)
+				continue
+			}
 			o.lm.recvTimeouts.Inc()
 			o.fail(&RankError{Rank: rank, Peer: src, Op: "recv",
-				Err: fmt.Errorf("no message within %v", o.recvTO)})
+				Err: fmt.Errorf("no message within %v", o.spec.RecvTimeout)})
 		}
 	}
 }
 
 // armRecvDeadline starts rank's receive deadline: the slot's timer for
 // the rank, re-armed per receive, never a new one. Only the rank's
-// goroutine touches it. Between receives the timer is stopped and its
-// channel empty (disarmRecvDeadline), which is what Reset needs under go
-// 1.22 timer semantics.
+// goroutine touches it, and stops it when the receive ends. Under go
+// 1.22 timer semantics a tick that fired as the timer stopped stays in
+// its channel for the rank's next receive, which takes it for its own
+// deadline only once its timer is no longer pending (recvFrom).
 func (o *opRuntime) armRecvDeadline(rank int) <-chan time.Time {
 	t := o.recvTimer[rank]
-	t.Reset(o.recvTO)
+	t.Reset(o.spec.RecvTimeout)
 	return t.C
-}
-
-// disarmRecvDeadline stops rank's receive deadline and drains a tick
-// that fired but was not received.
-func (o *opRuntime) disarmRecvDeadline(rank int) {
-	t := o.recvTimer[rank]
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }
 
 func (o *opRuntime) span(p *Proc, kind TraceKind, n int64) func() {
@@ -420,13 +430,9 @@ func (o *opRuntime) shmGet(p *Proc, key ShmKey) (block.Message, bool) {
 }
 
 func (o *opRuntime) nodeBarrier(p *Proc) {
-	if !o.wt.active() {
-		o.awaitBarrier(p.rank)
-		return
-	}
-	start := o.wt.now()
+	end := o.wt.span(p.rank, TraceBarrier, 0)
 	o.awaitBarrier(p.rank)
-	o.wt.emit(p.rank, TraceBarrier, start, 0, -1)
+	end()
 }
 
 func (o *opRuntime) sealer() *seal.Sealer { return o.slr }

@@ -34,7 +34,9 @@ func (p *slotPool) takeOp(t *transport, id uint32, inj *fault.Injector, recvTO t
 	if err != nil {
 		panic(err)
 	}
-	return t.newOp(context.Background(), slot, id, nil, inj, recvTO, nil, false)
+	o := t.newOp(context.Background(), slot, id, nil, inj, nil, false)
+	o.spec.RecvTimeout = recvTO
+	return o
 }
 
 // An operation admitted before its session closed can register after
@@ -136,6 +138,54 @@ func TestOpRuntimeAbortUnblocksRecvAndBarrier(t *testing.T) {
 	}
 }
 
+// A node barrier that a returned rank would have to reach fails the op
+// at once, in both orders: a rank that arrives after a node peer has
+// returned, and a rank that returns while a node peer waits. The failing
+// rank is named with Op "barrier", and the waiting peer unwinds.
+func TestOpRuntimeBarrierFailsOnceAPeerReturned(t *testing.T) {
+	t.Run("arrive after return", func(t *testing.T) {
+		o := newBareOp(Spec{P: 2, N: 1}, time.Hour)
+		if rec := <-recovered(func() { o.leaveBarrier(1) }); rec != nil {
+			t.Fatalf("returning with no peer in the barrier panicked: %v", rec)
+		}
+		rec := <-recovered(func() { o.awaitBarrier(0) })
+		if re, ok := rec.(*RankError); !ok || re.Rank != 0 || re.Peer != -1 || re.Op != "barrier" {
+			t.Fatalf("barrier after a peer returned unwound with %v, want RankError{Rank:0 Peer:-1 Op:barrier}", rec)
+		}
+		if !o.isAborted() || o.fails.err() == nil {
+			t.Fatal("the mismatch did not fail the operation")
+		}
+	})
+	t.Run("return while a peer waits", func(t *testing.T) {
+		o := newBareOp(Spec{P: 2, N: 1}, time.Hour)
+		bar := recovered(func() { o.awaitBarrier(0) })
+		for b := &o.bars[0]; ; time.Sleep(time.Millisecond) {
+			b.mu.Lock()
+			arrived := b.arrived
+			b.mu.Unlock()
+			if arrived == 1 {
+				break
+			}
+		}
+		rec := <-recovered(func() { o.leaveBarrier(1) })
+		re, ok := rec.(*RankError)
+		if !ok || re.Rank != 1 || re.Peer != -1 || re.Op != "barrier" {
+			t.Fatalf("return while a peer waits unwound with %v, want RankError{Rank:1 Peer:-1 Op:barrier}", rec)
+		}
+		select {
+		case rec := <-bar:
+			if rec != errRunAborted {
+				t.Fatalf("the waiting peer unwound with %v, want errRunAborted", rec)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the waiting peer is still parked")
+		}
+		if err := o.fails.err(); err != error(re) {
+			t.Fatalf("root cause = %v, want %v", err, re)
+		}
+	})
+}
+
 // A barrier wait shares its rank's wake channel with receives. A
 // delivery nudge already in the slot must not let the wait return before
 // the node's last rank arrives, and the receive that follows still gets
@@ -169,6 +219,30 @@ func TestOpRuntimeBarrierSharesWakeWithRecv(t *testing.T) {
 		}
 	}); rec != nil {
 		t.Fatalf("receive after the barrier panicked: %v", rec)
+	}
+}
+
+// A deadline tick left in the rank's timer channel, as one that fired as
+// its receive ended is (go 1.22 timer semantics), does not end the
+// rank's next receive: that receive waits out its own deadline and gets
+// the message delivered within it.
+func TestOpRuntimeRecvIgnoresALeftoverTick(t *testing.T) {
+	o := newBareOp(Spec{P: 2, N: 1}, time.Second)
+	o.recvTimer[1].Reset(time.Nanosecond)
+	time.Sleep(10 * time.Millisecond) // the tick fires; nothing takes it
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		o.deliver(0, 1, plainMsg(0, 'A'))
+	}()
+	if rec := <-recovered(func() {
+		if b := payloadOf(o.recvFrom(1, 0)); b != 'A' {
+			t.Errorf("receive after a leftover tick = %q, want 'A'", b)
+		}
+	}); rec != nil {
+		t.Fatalf("receive after a leftover tick unwound with %v", rec)
+	}
+	if n := o.lm.recvTimeouts.Value(); n != 0 {
+		t.Fatalf("%d receive timeouts counted, want 0", n)
 	}
 }
 

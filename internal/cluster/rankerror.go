@@ -13,9 +13,9 @@ import (
 // discarded, so callers always see the first root cause rather than a
 // cascade of closed-connection noise.
 type RankError struct {
-	Rank int    // failing rank; -1 for run-level failures (e.g. timeout)
+	Rank int    // failing rank; -1 for op-level failures (e.g. cancel)
 	Peer int    // other rank of the failing operation; -1 when none
-	Op   string // "send", "recv", "dial", "open", "run", "timeout", ...
+	Op   string // "send", "recv", "barrier", "dial", "open", "run", "cancel", ...
 	Err  error
 }
 

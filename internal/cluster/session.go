@@ -121,13 +121,8 @@ var (
 // DefaultRecvTimeout bounds a single receive wait when Spec.RecvTimeout
 // is zero: a rank stuck waiting for a message that will never arrive
 // (lost to a fault, or a peer that died) surfaces a structured recv
-// error instead of deadlocking until the run-level timeout.
+// error instead of deadlocking; a whole operation is capped by its context.
 const DefaultRecvTimeout = 30 * time.Second
-
-// realTimeout bounds one collective's wall-clock execution; a
-// deadlocked algorithm surfaces as an error instead of a hung process.
-// A variable so tests can make the bound fire.
-var realTimeout = 60 * time.Second
 
 // RealResult is the outcome of one Collective. Its Results' chunk and
 // block lists are the result's own (see Proc.Assemble), not a rank's.
@@ -188,10 +183,9 @@ func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
 // (ErrSessionBroken) only when the transport mesh itself is
 // unrecoverable.
 type Session struct {
-	spec   Spec
-	cfg    SessionConfig
-	recvTO time.Duration
-	slots  *slotPool // the in-flight window; never taken on EngineSim
+	spec  Spec
+	cfg   SessionConfig
+	slots *slotPool // the in-flight window; never taken on EngineSim
 
 	opSeq atomic.Uint32 // op-id allocator; ids start at 1
 	lm    *liveMetrics
@@ -227,10 +221,10 @@ func OpenSession(spec Spec, cfg SessionConfig) (*Session, error) {
 			return nil, err
 		}
 	}
-	s := &Session{spec: spec, cfg: cfg, recvTO: spec.RecvTimeout}
-	if s.recvTO <= 0 {
-		s.recvTO = DefaultRecvTimeout
+	if spec.RecvTimeout == 0 {
+		spec.RecvTimeout = DefaultRecvTimeout
 	}
+	s := &Session{spec: spec, cfg: cfg}
 	window := cfg.MaxInFlight
 	if window <= 0 {
 		window = DefaultMaxInFlight
@@ -267,7 +261,8 @@ func (s *Session) newSealer() (*seal.Sealer, error) {
 	return slr, nil
 }
 
-// Spec returns the session's world layout.
+// Spec returns the session's world layout, with RecvTimeout resolved:
+// DefaultRecvTimeout where the caller left it zero.
 func (s *Session) Spec() Spec { return s.spec }
 
 // Engine returns the session's execution backend.
@@ -603,7 +598,7 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 	inj := fault.NewInjector(plan)
 	inj.SetObserver(s.lm.observeFault)
 
-	o := s.tr.newOp(ctx, slot, id, slr, inj, s.recvTO, tracer, s.pipe)
+	o := s.tr.newOp(ctx, slot, id, slr, inj, tracer, s.pipe)
 	o.algo, o.payloads, o.sizes, o.out = op.Algo, payloads, sizes, newResults(sizes)
 	o.sess, o.then = s, then
 	o.res = &RealResult{
@@ -612,14 +607,6 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 		Sniffer: s.tr.sniff,
 	}
 	o.wt.epoch = time.Now()
-	// The run bound records its cause and aborts, as a parked rank does
-	// when ctx ends; every blocking point observes the abort, so the ranks
-	// unwind and the op ends, leaking no goroutine.
-	o.deadline = time.AfterFunc(realTimeout, func() {
-		o.fails.record(&RankError{Rank: -1, Peer: -1, Op: "timeout",
-			Err: fmt.Errorf("%v run exceeded %v (algorithm deadlock?) on %v", s.cfg.Engine, realTimeout, s.spec)})
-		o.abort()
-	})
 	slot.start()
 	return o, nil
 }
@@ -629,9 +616,8 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 // last rank. It settles the outcome, hands it to then, if any, and only
 // then drops the op's own reference on its slot.
 func (s *Session) end(o *opRuntime) (*RealResult, error) {
-	o.deadline.Stop()
-	// The stopped run bound can keep o reachable for a while: drop what
-	// is the caller's now.
+	// Queued send jobs still reach o until the send loops release them:
+	// drop what is the caller's now.
 	res, then := o.res, o.then
 	o.res, o.out, o.payloads, o.then = nil, results{}, nil, nil
 	res.Elapsed = time.Since(o.wt.epoch)

@@ -34,7 +34,7 @@ type rankSlot struct {
 
 	fifos     []msgFIFO       // [rank*P+src]: src's delivered messages to rank, oldest first
 	wake      []chan struct{} // [rank]: cap 1, a coalesced "delivered" signal
-	recvTimer []*time.Timer   // [rank] receive deadline, stopped and drained between receives
+	recvTimer []*time.Timer   // [rank] receive deadline, stopped between receives
 	shm       []opShm         // [node]
 	bars      []opBarrier     // [node]
 	procs     []Proc          // [rank]
@@ -128,7 +128,7 @@ func (s *rankSlot) retire() {
 		clear(s.shm[n].m)
 	}
 	for n := range s.bars {
-		s.bars[n].arrived = 0 // an aborted op can leave ranks counted
+		s.bars[n].arrived, s.bars[n].gone = 0, 0 // an aborted op can leave ranks counted
 	}
 	for r := range s.procs {
 		s.procs[r].retire()

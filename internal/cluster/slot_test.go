@@ -156,17 +156,9 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 // after OpenSession has returned.
 func awaitSocketReaders(t *testing.T, n int) {
 	t.Helper()
-	buf := make([]byte, 1<<20)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		for {
-			buf = buf[:runtime.Stack(buf[:cap(buf)], true)]
-			if len(buf) < cap(buf) {
-				break
-			}
-			buf = make([]byte, 2*cap(buf))
-		}
-		got := strings.Count(string(buf), "(*link).serveConn(")
+		got := strings.Count(string(allStacks()), "(*link).serveConn(")
 		if got >= n {
 			return
 		}
@@ -214,6 +206,7 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 		done := make(chan struct{})
 		go func() { wg.Wait(); close(done) }()
 		peak := 0
+		var peakStacks []byte // every goroutine at the highest peak above the bound
 		for sampling := true; sampling; {
 			select {
 			case <-done:
@@ -224,6 +217,9 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 			// The waiter above is one more goroutine than the callers.
 			if n := runtime.NumGoroutine() - 1; n > peak {
 				peak = n
+				if peak > bound {
+					peakStacks = allStacks()
+				}
 			}
 		}
 		close(errs)
@@ -233,8 +229,8 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 			}
 		}
 		if peak > bound {
-			t.Fatalf("%v: %d goroutines at peak, want at most %d (baseline + %d callers + %d × %d ranks)",
-				engine, peak, bound, callers, window, spec.P)
+			t.Fatalf("%v: %d goroutines at peak, want at most %d (baseline + %d callers + %d × %d ranks)\n%s",
+				engine, peak, bound, callers, window, spec.P, peakStacks)
 		}
 		if waits := s.WindowWaits(); waits == 0 {
 			t.Fatalf("%v: %d callers through a window of %d never waited", engine, callers, window)

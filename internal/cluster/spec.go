@@ -66,12 +66,12 @@ type Spec struct {
 	// processed concurrently.
 	SegmentSize int64
 
-	// RecvTimeout bounds every single receive wait in the real and TCP
+	// RecvTimeout bounds every single receive wait in the chan and TCP
 	// engines: a rank waiting longer than this for a message (peer died,
 	// frame lost to an injected fault) fails with a structured recv
-	// error instead of deadlocking until the run-level timeout. 0
-	// selects DefaultRecvTimeout. Ignored by the sim engine, whose
-	// virtual time already surfaces deadlocks deterministically.
+	// error instead of deadlocking; a whole operation is capped by its
+	// context. 0 selects DefaultRecvTimeout. Ignored by the sim engine,
+	// whose virtual time already surfaces deadlocks deterministically.
 	RecvTimeout time.Duration
 }
 

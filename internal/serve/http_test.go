@@ -112,14 +112,20 @@ func TestServerHTTPSurface(t *testing.T) {
 		Best:      "hs2",
 		LatencyNS: map[string]float64{"o-ring": 500, "o-rd2": 500, "c-rd": 500, "hs2": 100},
 	}}}
-	_, srv := openServer(t, encag.WithEngine(encag.EngineTCP), encag.WithPipelining(true),
+	m, srv := openServer(t, encag.WithEngine(encag.EngineTCP), encag.WithPipelining(true),
 		encag.WithTuningTable(table))
+	if err := m.Register("t1", encag.Spec{Procs: 4, Nodes: 2}); err != nil {
+		t.Fatal(err)
+	}
 
 	if r := step(t, srv, "tenant=t0&alg=o-ring&size=65536", http.StatusOK); !r.OK {
 		t.Fatalf("o-ring step: %+v", r)
 	}
 	if r := step(t, srv, "tenant=t0&alg=auto&size=65536", http.StatusOK); !r.OK {
 		t.Fatalf("auto step: %+v", r)
+	}
+	if r := step(t, srv, "tenant=t1&alg=o-ring&size=4096", http.StatusOK); !r.OK {
+		t.Fatalf("t1 step: %+v", r)
 	}
 
 	code, text := get(t, srv, "/metrics")
@@ -128,27 +134,44 @@ func TestServerHTTPSurface(t *testing.T) {
 	}
 	samples := tenantSamples(t, text, "t0")
 	// The session families encag's TestDebugServerLiveTCP asserts on
-	// WritePrometheus, here through the host's merged exposition.
-	for _, family := range []string{
-		"encag_session_ops_started_total",
-		"encag_session_op_latency_ns_count",
-		"encag_session_wire_bytes_total",
-		"encag_sched_inflight",
-		"encag_sched_queue_depth",
-		"encag_sched_window",
-		"encag_sched_window_waits_total",
-		"encag_seal_pool_size",
-		"encag_seal_pool_busy",
-		"encag_seal_segments_sealed_total",
-		"encag_transport_frames_sent_total",
-		"encag_transport_bytes_recv_total",
-		"encag_fault_injected_total",
-		"encag_fault_reconnects_total",
-		"encag_fault_recv_timeouts_total",
+	// WritePrometheus, here through the host's merged exposition. The
+	// tenants seal on the host's one pool, which the host reports once
+	// (encag_serve_pool_*): no tenant session exports it again.
+	for _, f := range []struct {
+		family  string
+		present bool
+	}{
+		{"encag_session_ops_started_total", true},
+		{"encag_session_op_latency_ns_count", true},
+		{"encag_session_wire_bytes_total", true},
+		{"encag_sched_inflight", true},
+		{"encag_sched_queue_depth", true},
+		{"encag_sched_window", true},
+		{"encag_sched_window_waits_total", true},
+		{"encag_seal_pool_size", false},
+		{"encag_seal_pool_busy", false},
+		{"encag_seal_segments_sealed_total", true},
+		{"encag_transport_frames_sent_total", true},
+		{"encag_transport_bytes_recv_total", true},
+		{"encag_fault_injected_total", true},
+		{"encag_fault_reconnects_total", true},
+		{"encag_fault_recv_timeouts_total", true},
 	} {
-		if len(samples[family]) == 0 {
-			t.Errorf("/metrics has no tenant-labelled %s", family)
+		if got := len(samples[f.family]) > 0; got != f.present {
+			t.Errorf("/metrics has tenant-labelled %s: %v, want %v", f.family, got, f.present)
 		}
+	}
+	if t1 := tenantSamples(t, text, "t1"); len(t1["encag_session_ops_started_total"]) == 0 || len(t1["encag_seal_pool_size"]) != 0 {
+		t.Errorf("tenant t1's families: ops started %v, pool size %v; want the first only", t1["encag_session_ops_started_total"], t1["encag_seal_pool_size"])
+	}
+	var poolSizes []string
+	for _, line := range strings.Split(text, "\n") {
+		if name, _, _ := strings.Cut(line, " "); strings.HasPrefix(name, "encag_serve_pool_size") {
+			poolSizes = append(poolSizes, line)
+		}
+	}
+	if want := fmt.Sprintf("encag_serve_pool_size %d", m.Pool().Size()); len(poolSizes) != 1 || poolSizes[0] != want {
+		t.Errorf("/metrics pool size samples %q, want exactly %q", poolSizes, want)
 	}
 	if v := samples["encag_session_ops_started_total"][`tenant="t0"}`]; v != 2 {
 		t.Errorf("ops started = %v, want 2", v)

@@ -179,7 +179,7 @@ func TestStartPerOpFaultIsolationTCP(t *testing.T) {
 	// The root cause is the injection itself: either the sender exhausts
 	// its retries on the dropped frame or the receiver starves.
 	var fe *fault.Error
-	if !errors.As(ferr, &fe) && re.Op != "recv" && re.Op != "timeout" {
+	if !errors.As(ferr, &fe) && re.Op != "recv" {
 		t.Fatalf("faulted op root cause = %q (%v), want injected-fault exhaustion or recv starvation", re.Op, ferr)
 	}
 

@@ -220,7 +220,9 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window i
 // 93 since each rank draws its algorithm's lists from an arena its slot
 // keeps and results are assembled into storage the op owns, up to 100
 // under the race build (11 runs, four beside two CPU-bound loops), so
-// the object gate fell from 248 to 110.
+// the object gate fell from 248 to 110; about 90 since an op has no run
+// bound (no timer and closure per op), up to 95 under the race build (3
+// runs).
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -255,7 +257,8 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // array, and about 74 since each rank draws O-RD's working set, chunk
 // and block lists from an arena its slot keeps, the world group is built
 // once per session, results are assembled into storage the op owns, and
-// the send queue and the ciphertext list stop regrowing. Bytes: about
+// the send queue and the ciphertext list stop regrowing, and about 72
+// since an op has no run bound (its timer and closure). Bytes: about
 // 261 KB while every sealed blob and received ciphertext was a fresh
 // make, about 142 KB since they are recycled per operation and same-node
 // pairs skip the socket, about 106 KB since, about 92 KB with the rank
@@ -263,7 +266,8 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // 108 KB before the rank slots (93 KB since, 71 KB with the arenas), and
 // up to 243 objects with the rank slots, 230 since the views share one
 // array and 74 with the arenas (11 runs, four beside two CPU-bound
-// loops); each gate is such a maximum plus 10 %.
+// loops), 72 without the run bound (3 runs); each gate is such a
+// maximum plus 10 %.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -307,7 +311,8 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // the ceiling was 110; about 44 since each rank draws from an arena its
 // slot keeps and results are assembled into storage the op owns, 44 at
 // most under the race build (11 runs, four beside two CPU-bound loops),
-// so the ceiling is 49.
+// so the ceiling is 49; about 42 since an op has no run bound, 42 at
+// most under the race build (3 runs).
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -345,11 +350,13 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 // views share one backing array, and about 28 since each rank draws its
 // chunk and block lists from an arena its slot keeps, group lists are
 // built once per session, results are assembled into storage the op
-// owns, and the send queue and the ciphertext list stop regrowing; bytes
+// owns, and the send queue and the ciphertext list stop regrowing, and
+// about 26 since an op has no run bound (its timer and closure); bytes
 // about 652 KB, 646 KB with the rank slots. The race build allocates
 // 652 KB and up to 88 objects with the rank slots, 83 since the views
-// share one array and 29 with the arenas (11 runs, four beside two
-// CPU-bound loops); each gate is that maximum plus 10 %.
+// share one array, 29 with the arenas (11 runs, four beside two
+// CPU-bound loops) and 26 without the run bound (3 runs); each gate is
+// that maximum plus 10 %.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -438,8 +445,9 @@ func TestSimAllocBudget(t *testing.T) {
 // chunk lists and group lists from its arena, which the rank slot keeps
 // from op to op, and assembles its result into storage the result owns,
 // so what is left is the operation's own: its runtime, inputs, opened
-// plaintext and gathered views: 42 (o-rd2, hs1) to 90 (naive) objects,
-// against 157 (hs1) to 235 (naive) before the arenas. Each ceiling is
+// plaintext and gathered views: 40 (o-rd2, hs1) to 88 (naive) objects
+// since an op has no run bound, 42 to 90 with it, against 157 (hs1) to
+// 235 (naive) before the arenas. Each ceiling is
 // the race build's maximum over 22 runs, eight of them beside two
 // CPU-bound loops, plus 10 %.
 func TestPaperAlgorithmsSteadyStateAllocBudget(t *testing.T) {
