@@ -60,7 +60,7 @@ func cmdLoad(args []string) error {
 	mix := fs.Float64("mix", 1.0, "fraction of steps that are all-gather (rest all-reduce)")
 	sizesStr := fs.String("sizes", "4KB,16KB,64KB", "comma-separated step size distribution (uniform pick)")
 	algName := fs.String("alg", "o-ring", "all-gather algorithm name sent to the host")
-	faultRate := fs.Float64("faults", 0, "fraction of steps carrying a deterministic fault seed")
+	faultRate := fs.Float64("faults", 0, "fraction of steps carrying a deterministic fault seed (the host must run serve -chaos)")
 	seed := fs.Int64("seed", 1, "RNG seed (fault seeds and pick order derive from it)")
 	duration := fs.Duration("duration", 10*time.Second, "how long to generate load")
 	fs.Parse(args)

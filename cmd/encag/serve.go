@@ -43,6 +43,7 @@ func cmdServe(args []string) error {
 	warm := fs.Bool("warm", false, "open every registered tenant's session at startup")
 	addr := fs.String("addr", "", "HTTP listen address (empty = ephemeral loopback port)")
 	duration := fs.Duration("duration", 0, "how long to serve (0 = until SIGINT)")
+	chaos := fs.Bool("chaos", false, "let /v1/step's faultseed parameter arm fault plans on tenant sessions (off: 403)")
 	fs.Parse(args)
 
 	engine, err := realEngine(*engineStr)
@@ -66,6 +67,7 @@ func cmdServe(args []string) error {
 		MaxSteps:       *maxSteps,
 		MaxQueue:       *maxQueue,
 		QueueTimeout:   *queueTimeout,
+		Chaos:          *chaos,
 	}
 	m, err := serve.Open(cfg)
 	if err != nil {

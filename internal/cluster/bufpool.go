@@ -4,11 +4,13 @@ import "sync"
 
 // Ciphertext is transient in the paper's cost model: a block is sealed,
 // sent and opened, and only the gathered plaintext outlives the
-// operation. The runtime gives ciphertext the same lifetime. Two kinds
+// operation. The runtime gives ciphertext the same lifetime. Three kinds
 // of buffer come from one process-wide free list, and nothing else does:
-// the blobs Proc.Encrypt seals, and the payloads of encrypted chunks a
-// TCP connection reader receives. Each operation records the buffers it
-// drew (opBufs) and hands them back once nothing can touch them again.
+// the blobs Proc.Encrypt seals, the payloads of encrypted chunks a TCP
+// connection reader receives whole, and the blobs of the streams it
+// receives for a relay (a stream opened in place keeps no ciphertext).
+// Each operation records the buffers it drew (opBufs) and hands them
+// back once nothing can touch them again.
 // The list is process-wide so that the tenants of one host share its
 // cap, as they share seal.SharedPool.
 const (
@@ -104,7 +106,8 @@ func (p *bufPool) idleBytes() int {
 // holds gathered plaintext before it is encrypted in place, and a
 // received payload is written by the connection reader; once the count
 // is zero no sender can still be writing or reading either, and bytes
-// past a buffer's length are never sent.
+// past a buffer's length are never sent. A relayed stream's blob is the
+// same: the reader fills it, the relay's send job reads it.
 //
 // The last release also returns the operation's rank slot (see
 // rankSlot). A connection reader that found the operation just before

@@ -213,7 +213,7 @@ func TestPendingSendHoldsCiphertext(t *testing.T) {
 	defer s.tr.reg.deregister(1)
 	drainCipherBufs()
 	blob := o.alloc(5000)
-	o.isend(&Proc{rank: 0, spec: spec}, 1, block.Message{Chunks: []block.Chunk{{Enc: true, Payload: blob}}}, nil)
+	o.isend(&Proc{rank: 0, spec: spec}, 1, block.Message{Chunks: []block.Chunk{{Enc: true, Payload: blob}}}, nil, false)
 	<-sending
 	held := time.Now()
 	o.bufs.finish(true)

@@ -128,7 +128,7 @@ func (e *simEngine) queue(dst, src int) *msgQueue {
 	return q
 }
 
-func (e *simEngine) isend(p *Proc, dst int, msg block.Message, _ *seal.SealStream) Request {
+func (e *simEngine) isend(p *Proc, dst int, msg block.Message, _ *seal.SealStream, _ bool) Request {
 	sp := e.sproc(p)
 	src := p.rank
 	srcNode, dstNode := e.spec.NodeOf(src), e.spec.NodeOf(dst)

@@ -445,9 +445,10 @@ func (l *link) close() {
 // into src's segment buffer right before it goes on the wire, so segment
 // i travels while segment i+1 is still under AES-GCM and the receiver is
 // already authenticating segment i-1. The first sub-frame carries the
-// chunk's metadata. Every sub-frame takes its own sequence number and
-// rides the same resend recovery as whole-message frames, which resends
-// the buffer as sealed: each segment is sealed once.
+// chunk's metadata and whether the receiver relays it. Every sub-frame
+// takes its own sequence number and rides the same resend recovery as
+// whole-message frames, which resends the buffer as sealed: each segment
+// is sealed once.
 func (l *link) send(src int, job sendJob) {
 	o, st := job.op, job.st
 	if st == nil {
@@ -456,6 +457,9 @@ func (l *link) send(src int, job sendJob) {
 	}
 	c, sid, k := job.msg.Chunks[0], o.streamSeq.Add(1), st.K()
 	l.lm.pipeStreams.Inc()
+	if job.relay {
+		l.lm.pipeRelayStreams.Inc()
+	}
 	for i := 0; i < k; i++ {
 		if o.isAborted() {
 			return
@@ -464,7 +468,7 @@ func (l *link) send(src int, job sendJob) {
 		l.segBufs[src] = seg
 		sf := wire.SegFrame{Stream: sid, Index: uint32(i), Count: uint32(k), Payload: seg}
 		if i == 0 {
-			sf.Meta = &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks, Header: st.Header()}
+			sf.Meta = &wire.SegMeta{Tag: c.Tag, Blocks: c.Blocks, Header: st.Header(), Relay: job.relay}
 		}
 		if !l.writeFrame(o, src, job.dst, block.Message{}, &sf) {
 			return
@@ -856,7 +860,8 @@ func (l *link) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, don
 // its metadata and starts the pair's stream, which is installed only
 // once that sub-frame's payload is in: a first sub-frame cut short on a
 // dropped connection is simply resent. Each payload is read straight
-// into the stream's next in-blob slot — no staging copy. A protocol
+// into the stream's next slot, its nonce and then its ciphertext||tag,
+// where the segment opens — no staging copy. A protocol
 // violation inside a parseable sub-frame (a stream started over an
 // incomplete one, a segment out of order or mis-sized) fails the owning
 // operation and drops the stream, whose remaining sub-frames are then
@@ -887,16 +892,19 @@ func (l *link) readSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.
 		l.lm.stragglers.Inc()
 		return discard()
 	}
-	var slot []byte
+	var nonce, body []byte
 	if err == nil {
-		slot, err = sr.slot(sf)
+		nonce, body, err = sr.slot(sf)
 	}
 	if err != nil {
 		*pair = nil
 		o.failAsync(&RankError{Rank: dst, Peer: src, Op: "recv", Err: err})
 		return discard()
 	}
-	if _, err := io.ReadFull(tc, slot); err != nil {
+	if _, err := io.ReadFull(tc, nonce); err != nil {
+		return nil, err
+	}
+	if _, err := io.ReadFull(tc, body); err != nil {
 		return nil, err
 	}
 	tc.frameDone()

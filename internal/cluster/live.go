@@ -42,6 +42,7 @@ const (
 	MetricPipeStreams        = "encag_pipeline_streams_total"
 	MetricPipeSegmentsSent   = "encag_pipeline_segments_sent_total"
 	MetricPipeSegmentsRecv   = "encag_pipeline_segments_recv_total"
+	MetricPipeRelayStreams   = "encag_pipeline_relay_streams_total"
 	MetricPipeStreamSegments = "encag_pipeline_stream_segments"
 )
 
@@ -85,6 +86,7 @@ type liveMetrics struct {
 	pipeSegmentsSent   *metrics.Counter
 	pipeSegmentsRecv   *metrics.Counter
 	pipeStreamSegments *metrics.Histogram
+	pipeRelayStreams   *metrics.Counter
 }
 
 // newLiveMetrics registers the session's static families on reg and
@@ -119,6 +121,7 @@ func newLiveMetrics(reg *metrics.Registry, spec Spec, kind EngineKind) *liveMetr
 	lm.pipeSegmentsSent = reg.Counter(MetricPipeSegmentsSent, "Sealed segments put on the wire by pipelined sends.")
 	lm.pipeSegmentsRecv = reg.Counter(MetricPipeSegmentsRecv, "Sealed segments delivered into receive streams.")
 	lm.pipeStreamSegments = reg.Histogram(MetricPipeStreamSegments, "Segments per completed receive stream.")
+	lm.pipeRelayStreams = reg.Counter(MetricPipeRelayStreams, "Streamed messages whose receiver relays the sealed chunk on, so it keeps their sealed segments.")
 
 	lm.framesSent = pairCounters(reg, MetricFramesSent, "Frames sent, by directed rank pair.", spec.P)
 	lm.framesRecv = pairCounters(reg, MetricFramesRecv, "Frames delivered, by directed rank pair.", spec.P)
@@ -236,6 +239,11 @@ type SessionSnapshot struct {
 	// PipelineStreamSegments distributes segments per completed
 	// receive stream.
 	PipelineStreamSegments metrics.HistSnapshot
+	// PipelineRelayStreams counts the streamed messages whose receiver
+	// relays the sealed chunk on: it keeps their sealed segments in a
+	// blob. The receiver of every other stream opens each segment in
+	// the plaintext buffer it lands in and keeps no ciphertext.
+	PipelineRelayStreams int64
 
 	Window      int
 	WindowWaits int64
@@ -295,6 +303,7 @@ func (s *Session) Snapshot() SessionSnapshot {
 	snap.PipelineSegmentsSent = lm.pipeSegmentsSent.Value()
 	snap.PipelineInlineOpens = lm.pipeSegmentsRecv.Value()
 	snap.PipelineStreamSegments = lm.pipeStreamSegments.Snapshot()
+	snap.PipelineRelayStreams = lm.pipeRelayStreams.Value()
 	if sn := s.tr.sniff; sn != nil {
 		snap.WireBytes = sn.Total()
 	}

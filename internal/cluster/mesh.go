@@ -24,10 +24,11 @@ var ErrMeshDown = errors.New("cluster: transport mesh is down")
 // message's one chunk: the link seals and ships one segment at a time,
 // overlapping crypto with transport.
 type sendJob struct {
-	op  *opRuntime
-	dst int
-	msg block.Message
-	st  *seal.SealStream // non-nil: stream msg's one chunk, sealing it as it goes
+	op    *opRuntime
+	dst   int
+	msg   block.Message
+	st    *seal.SealStream // non-nil: stream msg's one chunk, sealing it as it goes
+	relay bool             // with st: dst relays the chunk on sealed (see Proc.SealIsend)
 }
 
 // transport is the persistent state of a chan or tcp session: one fair

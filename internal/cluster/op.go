@@ -323,11 +323,11 @@ func (recvReq) isRequest() {}
 // holds a reference on the op's ciphertext buffers (and so on its slot)
 // until the send loop is done with it; a job the closed queue refuses
 // gives its reference back at once.
-func (o *opRuntime) isend(p *Proc, dst int, msg block.Message, st *seal.SealStream) Request {
+func (o *opRuntime) isend(p *Proc, dst int, msg block.Message, st *seal.SealStream, relay bool) Request {
 	if o.isAborted() {
 		panic(errRunAborted)
 	}
-	job := sendJob{op: o, dst: dst, msg: msg, st: st}
+	job := sendJob{op: o, dst: dst, msg: msg, st: st, relay: relay}
 	o.bufs.hold()
 	if !o.sendQ[p.rank].Push(o.id, job) {
 		o.release()

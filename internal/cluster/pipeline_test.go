@@ -30,7 +30,7 @@ func ringEncrypted(p *Proc, mine block.Message) block.Message {
 	next := (p.Rank() + 1) % p.P()
 	prev := (p.Rank() - 1 + p.P()) % p.P()
 	for i := 0; i < p.P()-1; i++ {
-		in := p.Wait(p.SealIsend(next, cur.Chunks...), p.Irecv(prev))[1]
+		in := p.Wait(p.SealIsend(next, false, cur.Chunks...), p.Irecv(prev))[1]
 		cur = p.DecryptAll(in)
 		result = block.Concat(result, cur)
 	}
@@ -42,7 +42,7 @@ func ringEncrypted(p *Proc, mine block.Message) block.Message {
 // its peer is the pair's only traffic).
 func exchangeEncrypted(p *Proc, mine block.Message) block.Message {
 	other := 1 - p.Rank()
-	in := p.Wait(p.SealIsend(other, mine.Chunks...), p.Irecv(other))[1]
+	in := p.Wait(p.SealIsend(other, false, mine.Chunks...), p.Irecv(other))[1]
 	return block.Concat(mine, p.DecryptAll(in))
 }
 
@@ -133,7 +133,7 @@ func TestPipelineOrderingUnderMixedTraffic(t *testing.T) {
 		// The stream first, two small plaintext frames right behind it on
 		// the same pair; receives must observe the same order.
 		reqs := []Request{
-			p.SealIsend(other, mine.Chunks...),
+			p.SealIsend(other, false, mine.Chunks...),
 			p.Isend(other, small),
 			p.Isend(other, small),
 		}
@@ -213,15 +213,15 @@ func TestPipelineMultiChunkByteExact(t *testing.T) {
 }
 
 // A forwarded multi-segment blob goes out as one whole frame: each rank
-// streams its fresh ciphertext, the peer sends the received blob back
-// unopened, and it returns as one frame and opens to the sender's own
-// bytes.
+// streams its fresh ciphertext for a relay, the peer sends the received
+// blob back unopened, and it returns as one frame and opens to the
+// sender's own bytes.
 func TestPipelineForwardedBlobByteExact(t *testing.T) {
 	gatherCountingFrames(t, func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
-		in := p.Wait(p.SealIsend(other, mine.Chunks...), p.Irecv(other))[1]
-		if seal.BlobSegments(in.Chunks[0].Payload) < 2 {
-			panic("received blob is a single segment")
+		in := p.Wait(p.SealIsend(other, true, mine.Chunks...), p.Irecv(other))[1]
+		if in.Chunks[0].Payload == nil {
+			panic("a stream received for a relay kept no blob")
 		}
 		fwd := block.Message{Chunks: []block.Chunk{{Enc: true, Blocks: in.Chunks[0].Blocks, Payload: in.Chunks[0].Payload}}}
 		back := p.SendRecv(other, fwd, other)
@@ -230,6 +230,35 @@ func TestPipelineForwardedBlobByteExact(t *testing.T) {
 		}
 		return block.Concat(mine, p.DecryptAll(in))
 	}, 2, 2)
+}
+
+// A chunk its receiver opened in place has no ciphertext left to send:
+// forwarding it, when its sender did not seal it for a relay, fails the
+// operation at the forwarding rank instead of putting an empty
+// ciphertext on the wire, and the session serves the next operation.
+func TestPipelineForwardingAnInPlaceChunkFails(t *testing.T) {
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
+	s := openPipelined(t, spec)
+	defer s.Close()
+	_, err := s.Collective(context.Background(), Op{MsgSize: pipeSize, Algo: func(p *Proc, mine block.Message) block.Message {
+		other := 1 - p.Rank()
+		in := p.Wait(p.SealIsend(other, false, mine.Chunks...), p.Irecv(other))[1]
+		back := p.SendRecv(other, in, other)
+		return block.Concat(mine, p.DecryptAll(back))
+	}})
+	if err == nil || !strings.Contains(err.Error(), "opened in place") {
+		t.Fatalf("forwarding an in-place chunk: %v, want the forward refused", err)
+	}
+	if s.Err() != nil {
+		t.Fatalf("the refused forward broke the session: %v", s.Err())
+	}
+	res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // A corrupted segment index on a sub-frame fails only its operation: the
@@ -262,36 +291,55 @@ func TestPipelineCorruptSubFrameIndexFailsOp(t *testing.T) {
 	}
 }
 
-// Corrupting one in-flight segment on the TCP wire must fail exactly
-// that operation closed — the receiver's per-segment authentication
-// rejects the bytes — while the mesh survives for the next collective.
+// Corrupting one in-flight segment on the TCP wire fails exactly that
+// operation closed: the receiver's per-segment authentication rejects
+// the bytes where they land, in the plaintext buffer a 1 MiB stream
+// opens in place. Whether the corrupted sub-frame is the first (behind
+// the chunk metadata), a middle one, or the last one's final byte — a
+// tag byte that lands in the slack past the plaintext — the op fails
+// with an open error and delivers nothing, and the mesh serves the next
+// operation byte-exact.
 func TestPipelineTCPCorruptSegmentFailsClosed(t *testing.T) {
+	const m = 1 << 20
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping, RecvTimeout: 5 * time.Second}
 	s := openPipelined(t, spec)
 	defer s.Close()
-	// Frame 1 on the 0->1 pair is the stream's second segment sub-frame
-	// (no metadata section: its payload starts 37 bytes in), so offset
-	// 100 lands inside the sealed segment bytes.
-	plan := &fault.Plan{Rules: []fault.Rule{
-		{Src: 0, Dst: 1, Frame: 1, Kind: fault.Corrupt, Offset: 100},
-	}}
-	_, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize, Plan: plan})
-	var re *RankError
-	if !errors.As(err, &re) {
-		t.Fatalf("corrupted segment yielded %v, want a structured rank error", err)
+	k := s.Sealer().StreamSegments(m)
+	if k < 3 || m%k != 0 {
+		t.Fatalf("a 1 MiB stream cuts into %d segments, want at least 3 of one size", k)
 	}
-	if re.Op != "open" && re.Op != "recv" {
-		t.Fatalf("corrupted segment failed with op %q, want open or recv", re.Op)
-	}
-	if s.Err() != nil {
-		t.Fatalf("segment corruption poisoned the mesh: %v", s.Err())
-	}
-	res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: pipeSize})
-	if err != nil {
-		t.Fatalf("follow-up collective failed: %v", err)
-	}
-	if err := ValidateGather(spec, pipeSize, res.Results, true); err != nil {
-		t.Fatalf("follow-up gather corrupted: %v", err)
+	// A sub-frame without metadata puts its payload 37 bytes in.
+	const payloadAt = 37
+	segLen := m/k + seal.Overhead
+	for _, c := range []struct {
+		name          string
+		frame, offset int
+	}{
+		{"first", 0, 4 << 10},
+		{"middle", k / 2, payloadAt + seal.NonceSize + 100},
+		{"last tag", k - 1, payloadAt + segLen - 1},
+	} {
+		plan := &fault.Plan{Rules: []fault.Rule{
+			{Src: 0, Dst: 1, Frame: c.frame, Kind: fault.Corrupt, Offset: c.offset},
+		}}
+		res, err := s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: m, Plan: plan})
+		var re *RankError
+		if !errors.As(err, &re) || re.Op != "open" || re.Rank != 1 {
+			t.Fatalf("%s segment corrupted: %v, want an open error at rank 1", c.name, err)
+		}
+		if res != nil {
+			t.Fatalf("%s segment corrupted: the failed op delivered a result", c.name)
+		}
+		if s.Err() != nil {
+			t.Fatalf("%s segment corrupted: the session broke: %v", c.name, s.Err())
+		}
+		res, err = s.Collective(context.Background(), Op{Algo: exchangeEncrypted, MsgSize: m})
+		if err != nil {
+			t.Fatalf("after the %s segment: %v", c.name, err)
+		}
+		if err := ValidateGather(spec, m, res.Results, true); err != nil {
+			t.Fatalf("after the %s segment: %v", c.name, err)
+		}
 	}
 }
 
@@ -389,9 +437,9 @@ func TestPipelineQualification(t *testing.T) {
 		case 0:
 			small := block.NewPlain(0, mine.Chunks[0].Payload[:defaultMinStreamBytes-1])
 			p.Wait(
-				p.SealIsend(2, mine.Chunks...),
-				p.SealIsend(1, mine.Chunks...),
-				p.SealIsend(2, small.Chunks...),
+				p.SealIsend(2, false, mine.Chunks...),
+				p.SealIsend(1, false, mine.Chunks...),
+				p.SealIsend(2, false, small.Chunks...),
 				p.Isend(2, block.Message{Chunks: []block.Chunk{p.Encrypt(mine.Chunks...)}}),
 			)
 		case 1:
@@ -423,9 +471,10 @@ func TestPipelineQualification(t *testing.T) {
 }
 
 // streamRecv takes the segments of its stream in index order only,
-// opening each as it lands, and delivers the blob and plaintext once the
-// last one authenticated. Another stream's sub-frame, a skipped or
-// repeated index and a mis-sized payload are refused.
+// opening each as it lands, and delivers the plaintext once the last one
+// authenticated: opened in place with no blob, or, relayed, beside the
+// blob it kept. Another stream's sub-frame, a skipped or repeated index
+// and a mis-sized payload are refused.
 func TestStreamRecvAssembly(t *testing.T) {
 	slr, err := seal.NewRandomSealer()
 	if err != nil {
@@ -438,45 +487,58 @@ func TestStreamRecvAssembly(t *testing.T) {
 	if st == nil {
 		t.Fatal("no seal stream")
 	}
-	os, err := slr.NewOpenStream(st.Header(), aad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := &streamRecv{id: 7, os: os}
-	k := uint32(st.K())
-	sub := func(stream, i uint32) wire.SegFrame {
-		return wire.SegFrame{Stream: stream, Index: i, Count: k, PayloadLen: os.SegmentLen(int(i))}
-	}
-	for _, bad := range []wire.SegFrame{sub(7, 1), sub(8, 0), {Stream: 7, Count: k, PayloadLen: 1}} {
-		if _, err := sr.slot(bad); err == nil {
-			t.Fatalf("sub-frame %+v accepted as the stream's first", bad)
-		}
-	}
-	for i := uint32(0); i < k; i++ {
-		slot, err := sr.slot(sub(7, i))
-		if err != nil {
-			t.Fatalf("segment %d: %v", i, err)
-		}
-		seg, err := st.Segment(int(i))
+	for _, relay := range []bool{false, true} {
+		os, err := slr.NewOpenStream(st.Header(), aad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(slot, seg)
-		c, done, err := sr.open()
-		if err != nil || done != (i == k-1) {
-			t.Fatalf("segment %d: done %v, err %v", i, done, err)
+		sr := &streamRecv{id: 7, os: os}
+		if relay {
+			sr.blob = make([]byte, os.SealedLen())
+			os.KeepSealed(sr.blob)
 		}
-		if _, err := sr.slot(sub(7, i)); err == nil {
-			t.Fatalf("segment %d accepted twice", i)
+		k := uint32(st.K())
+		sub := func(stream, i uint32) wire.SegFrame {
+			return wire.SegFrame{Stream: stream, Index: i, Count: k, PayloadLen: os.SegmentLen(int(i))}
 		}
-		if !done {
-			continue
+		for _, bad := range []wire.SegFrame{sub(7, 1), sub(8, 0), {Stream: 7, Count: k, PayloadLen: 1}} {
+			if _, _, err := sr.slot(bad); err == nil {
+				t.Fatalf("relay %v: sub-frame %+v accepted as the stream's first", relay, bad)
+			}
 		}
-		if !bytes.Equal(c.Opened, pt) {
-			t.Fatal("assembled plaintext diverged")
-		}
-		if got, _, err := slr.OpenSegmented(c.Payload, aad); err != nil || !bytes.Equal(got, pt) {
-			t.Fatalf("assembled blob does not open: %v", err)
+		for i := uint32(0); i < k; i++ {
+			nonce, body, err := sr.slot(sub(7, i))
+			if err != nil {
+				t.Fatalf("relay %v: segment %d: %v", relay, i, err)
+			}
+			seg, err := st.Segment(int(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(nonce, seg)
+			copy(body, seg[seal.NonceSize:])
+			c, done, err := sr.open()
+			if err != nil || done != (i == k-1) {
+				t.Fatalf("relay %v: segment %d: done %v, err %v", relay, i, done, err)
+			}
+			if _, _, err := sr.slot(sub(7, i)); err == nil {
+				t.Fatalf("relay %v: segment %d accepted twice", relay, i)
+			}
+			if !done {
+				continue
+			}
+			if !bytes.Equal(c.Opened, pt) || cap(c.Opened) != len(pt) {
+				t.Fatalf("relay %v: assembled plaintext diverged", relay)
+			}
+			if !relay {
+				if c.Payload != nil {
+					t.Fatal("an in-place stream delivered a blob")
+				}
+				continue
+			}
+			if got, _, err := slr.OpenSegmented(c.Payload, aad); err != nil || !bytes.Equal(got, pt) {
+				t.Fatalf("relayed blob does not open: %v", err)
+			}
 		}
 	}
 }

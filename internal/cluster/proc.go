@@ -16,8 +16,9 @@ type Request interface{ isRequest() }
 // or discrete-event simulation) behind the rank-level API.
 type engine interface {
 	// isend starts a send of msg; st, when non-nil, is the pending seal
-	// of msg's one chunk, which the engine seals as the chunk goes out.
-	isend(p *Proc, dst int, msg block.Message, st *seal.SealStream) Request
+	// of msg's one chunk, which the engine seals as the chunk goes out,
+	// and relay says dst forwards that chunk on sealed.
+	isend(p *Proc, dst int, msg block.Message, st *seal.SealStream, relay bool) Request
 	irecv(p *Proc, src int) Request
 	// wait completes one request: the received message for a receive,
 	// an empty one for a send.
@@ -227,13 +228,16 @@ func (p *Proc) Metrics() *Metrics { return p.met }
 // here, so this is where the paper's security property is checked: a
 // message to another node that carries a plaintext chunk is counted in
 // PlainInterMsgs and described in Violations.
-func (p *Proc) Isend(dst int, msg block.Message) Request { return p.isend(dst, msg, nil) }
+func (p *Proc) Isend(dst int, msg block.Message) Request { return p.isend(dst, msg, nil, false) }
 
 // isend is Isend of a message whose one chunk is still to be sealed
-// when st is non-nil.
-func (p *Proc) isend(dst int, msg block.Message, st *seal.SealStream) Request {
+// when st is non-nil, relayed on by dst when relay is set.
+func (p *Proc) isend(dst int, msg block.Message, st *seal.SealStream, relay bool) Request {
 	if dst == p.rank {
 		panic(fmt.Sprintf("cluster: rank %d sending to itself", p.rank))
+	}
+	if p.eng.pipeline() {
+		p.checkSealed(msg)
 	}
 	n := msg.WireLen()
 	p.met.BytesSent += n
@@ -245,7 +249,19 @@ func (p *Proc) isend(dst int, msg block.Message, st *seal.SealStream) Request {
 		p.met.InterMsgs++
 		p.checkInterNode(dst, msg)
 	}
-	return p.eng.isend(p, dst, msg, st)
+	return p.eng.isend(p, dst, msg, st, relay)
+}
+
+// checkSealed panics on a ciphertext chunk msg cannot carry: one the
+// transport opened in place as it landed, which kept no sealed bytes
+// because its sender sealed it for this rank alone (SealIsend without
+// relay).
+func (p *Proc) checkSealed(msg block.Message) {
+	for _, c := range msg.Chunks {
+		if c.Enc && c.Payload == nil && c.Opened != nil {
+			panic(fmt.Sprintf("cluster: rank %d forwarding a chunk it opened in place: its sender did not seal it for a relay", p.rank))
+		}
+	}
 }
 
 // checkInterNode records msg, bound for another node, as a violation if
@@ -348,17 +364,20 @@ func (p *Proc) Encrypt(chunks ...block.Chunk) block.Chunk {
 
 // SealIsend seals the given plaintext chunks into one ciphertext chunk,
 // charged exactly as Encrypt charges it, and starts that chunk's one
-// send to dst — its only reader. Where sealing can overlap the wire (a
+// send to dst, which either opens it or, when relay is set, forwards it
+// on sealed (and may open it too). Where sealing can overlap the wire (a
 // pipelined session, dst on another node, a chunk of at least
 // defaultMinStreamBytes) the chunk is left to the send loop, which seals
 // each segment straight into the buffer it writes it from, right before
 // it goes out, so the encrypt span closes at once and the crypto cost
-// shows up overlapped with transport. Everywhere else it is sealed whole
-// here, as Encrypt seals it. A ciphertext sent more than once is sealed
-// once, by Encrypt.
-func (p *Proc) SealIsend(dst int, chunks ...block.Chunk) Request {
+// shows up overlapped with transport. dst then opens each segment in the
+// plaintext buffer it lands in and keeps no ciphertext, unless it relays
+// the chunk. Everywhere else the chunk is sealed whole here, as Encrypt
+// seals it. A ciphertext the sender itself sends more than once is
+// sealed once, by Encrypt.
+func (p *Proc) SealIsend(dst int, relay bool, chunks ...block.Chunk) Request {
 	c, st := p.encrypt(chunks, p.eng.pipeline() && !p.SameNode(p.rank, dst))
-	return p.isend(dst, block.Message{Chunks: append(p.Chunks(1), c)}, st)
+	return p.isend(dst, block.Message{Chunks: append(p.Chunks(1), c)}, st, relay)
 }
 
 // encrypt is Encrypt, leaving a chunk that qualifies to a seal stream
@@ -431,8 +450,10 @@ func (p *Proc) Decrypt(c block.Chunk) block.Chunk {
 			// per-segment AAD construction; a second GCM pass would only
 			// re-verify bytes that cannot have changed since. The
 			// decrypt round is still charged here — the work simply
-			// happened overlapped with transport.
-			p.met.DecSegments += seal.BlobSegments(c.Payload)
+			// happened overlapped with transport — for the segments the
+			// sender's stream plan cut (it kept no blob when opened in
+			// place).
+			p.met.DecSegments += s.StreamSegments(int64(len(c.Opened)))
 			out.Payload = c.Opened
 			done()
 			return out

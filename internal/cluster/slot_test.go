@@ -91,7 +91,7 @@ func TestRefusedSendReleasesSlot(t *testing.T) {
 	s := openRecycling(t, Spec{P: 2, N: 1}, EngineChan)
 	o := s.slots.takeOp(s.tr, 1, nil, time.Second)
 	s.tr.sendQ[0].Close()
-	o.isend(&o.procs[0], 1, plainMsg(0, 'X'), nil)
+	o.isend(&o.procs[0], 1, plainMsg(0, 'X'), nil, false)
 	s.tr.reg.deregister(1)
 	o.finish(true)
 	if n := len(s.slots.idleSlots()); n != 1 {

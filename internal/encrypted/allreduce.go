@@ -132,8 +132,9 @@ func AllreduceHS(op Combine) func(p *cluster.Proc, mine block.Message) block.Mes
 		// Binomial reduce toward group index 0.
 		for mask := 1; mask < n; mask <<= 1 {
 			if idx&mask != 0 {
-				// Sealed for this one send: the partial is handed off.
-				p.Wait(p.SealIsend(g.Ranks[idx-mask], partial))
+				// Sealed for this one send: the partial is handed off,
+				// and its receiver opens it.
+				p.Wait(p.SealIsend(g.Ranks[idx-mask], false, partial))
 				partial = block.Chunk{}
 				break
 			}

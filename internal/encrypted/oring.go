@@ -53,8 +53,11 @@ func ORing(p *cluster.Proc, g Group, mine block.Message) block.Message {
 			in = p.SendRecv(succ, cur, pred)
 		} else {
 			// Leaving the node: seal a copy for its one send, keep the
-			// plaintext locally.
-			in = p.Wait(p.SealIsend(succ, cur.Chunks...), p.Irecv(pred))[1]
+			// plaintext locally. succ forwards it on sealed when it has a
+			// hop left and its own successor is on another node (it is
+			// alone on its node in the ring); otherwise it opens it.
+			relay := t < n-1 && !p.SameNode(succ, g.Ranks[order[(i+2)%n]])
+			in = p.Wait(p.SealIsend(succ, relay, cur.Chunks...), p.Irecv(pred))[1]
 		}
 		curIdx = order[((i-t)%n+n)%n]
 		res[curIdx] = in.Chunks[0]

@@ -36,9 +36,13 @@ func FuzzOpen(f *testing.F) {
 
 // FuzzSegmentedFraming feeds arbitrary bytes to the segmented codec.
 // OpenSegmented must never panic and never accept anything but the seed
-// blob; it opens only what BlobSegments calls framed, and NewOpenStream
+// blob; it opens only what blobLayout calls framed, and NewOpenStream
 // must accept the header prefix exactly when the blob is framed or only
-// its length is wrong: one parser decides all of them.
+// its length is wrong: one parser decides all of them. A framed blob fed
+// to an OpenStream segment by segment, opened in place, gives
+// OpenSegmented's plaintext byte for byte (its length and capacity the
+// total), or fails at the first segment that does not authenticate on
+// its own, exactly when OpenSegmented fails.
 func FuzzSegmentedFraming(f *testing.F) {
 	s, err := NewRandomSealer()
 	if err != nil {
@@ -66,8 +70,8 @@ func FuzzSegmentedFraming(f *testing.F) {
 		if openErr == nil && (!bytes.Equal(blob, good) || !bytes.Equal(pt, plain)) {
 			t.Fatalf("forged blob accepted (%d bytes, %d segments)", len(blob), segs)
 		}
-		k := BlobSegments(blob)
-		framed := k > 0
+		l, layoutErr := blobLayout(blob)
+		k, framed := l.k, layoutErr == nil
 		if openErr == nil && (!framed || segs != k) {
 			t.Fatalf("verdicts disagree: %d segments framed, open %v with %d", k, openErr, segs)
 		}
@@ -87,6 +91,33 @@ func FuzzSegmentedFraming(f *testing.F) {
 		case !framed && hdrErr == nil &&
 			int64(len(blob)) == int64(len(hdr))+os.Total()+int64(os.K())*Overhead:
 			t.Fatal("header accepted and blob length matches it, but the blob was refused")
+		}
+		if !framed {
+			return
+		}
+		// The first segment that fails alone, as OpenSegmented opens it.
+		firstBad := k
+		scratch := make([]byte, os.Total())
+		for i := 0; i < k && firstBad == k; i++ {
+			if s.openSegment(l, blob, scratch, aad, i) != nil {
+				firstBad = i
+			}
+		}
+		var streamErr error
+		for i := 0; i < k && streamErr == nil; i++ {
+			seg := l.segment(blob, i)
+			nonce, body := os.Slot()
+			copy(nonce, seg)
+			copy(body, seg[NonceSize:])
+			streamErr = os.OpenNext()
+		}
+		switch got := os.Plaintext(); {
+		case (streamErr == nil) != (openErr == nil):
+			t.Fatalf("in-place open %v, OpenSegmented %v", streamErr, openErr)
+		case streamErr != nil && os.Next() != firstBad:
+			t.Fatalf("in-place open failed at segment %d, the first bad segment is %d", os.Next(), firstBad)
+		case streamErr == nil && (!bytes.Equal(got, pt) || int64(cap(got)) != os.Total()):
+			t.Fatalf("in-place plaintext differs from OpenSegmented's (len %d, cap %d)", len(got), cap(got))
 		}
 	})
 }

@@ -136,14 +136,12 @@ func (s *Sealer) sealInto(out, plaintext, aad []byte) {
 	s.tally.sealed.Add(1)
 }
 
-// openInto authenticates and decrypts blob (nonce||ct||tag) into dst,
-// which must be empty with capacity PlainLen(len(blob)). dst must not
-// alias blob.
-func (s *Sealer) openInto(dst, blob, aad []byte) error {
-	if len(blob) < Overhead {
-		return fmt.Errorf("seal: blob too short: %d bytes", len(blob))
-	}
-	if _, err := s.aead.Open(dst, blob[:NonceSize], blob[NonceSize:], aad); err != nil {
+// openInto authenticates and decrypts body (ciphertext||tag), sealed
+// under nonce, into dst, which must be empty with room for the
+// plaintext: either body[:0], opening in place, or a buffer that does
+// not overlap body.
+func (s *Sealer) openInto(dst, nonce, body, aad []byte) error {
+	if _, err := s.aead.Open(dst, nonce, body, aad); err != nil {
 		return ErrAuth
 	}
 	s.tally.opened.Add(1)
@@ -168,7 +166,7 @@ func (s *Sealer) Open(blob, aad []byte) ([]byte, error) {
 	// Allocate non-nil even for empty plaintext: callers use nil payloads
 	// to mean "simulation mode, no bytes".
 	pt := make([]byte, 0, n)
-	if err := s.openInto(pt, blob, aad); err != nil {
+	if err := s.openInto(pt, blob[:NonceSize], blob[NonceSize:], aad); err != nil {
 		return nil, err
 	}
 	return pt[:n], nil

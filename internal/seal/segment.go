@@ -26,11 +26,12 @@ import (
 //
 // One codec serves two shapes of use. The bulk calls (SealSegmented,
 // OpenSegmented) run its per-segment seal and open across the worker
-// pool. The streaming views (SealStream, OpenStream) run the same two
-// functions one segment at a time, so a transport can put segment i on
-// the wire while segment i+1 is still being sealed, and open segments as
-// they land. The bytes are identical either way: a blob assembled from a
-// stream's segments opens with OpenSegmented and vice versa.
+// pool. The streaming views (SealStream, OpenStream) seal and open one
+// segment at a time, so a transport can put segment i on the wire while
+// segment i+1 is still being sealed, and open each segment in the
+// plaintext buffer it lands in. The bytes are identical either way: a
+// blob assembled from a stream's segments opens with OpenSegmented and
+// vice versa.
 const (
 	segMagic = 0x45414753 // "EAGS"
 	// DefaultSegmentSize is the split size for segmented sealing:
@@ -328,8 +329,9 @@ func (s *Sealer) sealSegment(l segLayout, hdr, dst []byte, parts [][]byte, poffs
 // place in pt; any failure is ErrAuth.
 func (s *Sealer) openSegment(l segLayout, blob, pt, aad []byte, i int) error {
 	pos := l.plainStart(i)
+	seg := l.segment(blob, i)
 	ap := segAAD(blob[:l.hdrLen], i, aad)
-	err := s.openInto(pt[pos:pos:pos+l.plainLen(i)], l.segment(blob, i), *ap)
+	err := s.openInto(pt[pos:pos:pos+l.plainLen(i)], seg[:NonceSize], seg[NonceSize:], *ap)
 	putBuf(ap)
 	return err
 }
@@ -403,16 +405,6 @@ func (s *Sealer) OpenSegmented(blob, aad []byte) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	return pt, l.k, nil
-}
-
-// BlobSegments reports how many segments a segmented blob declares, or
-// 0 if blob does not carry the segmented framing. It is a framing peek
-// only — nothing about the blob is authenticated.
-func BlobSegments(blob []byte) int {
-	if l, err := blobLayout(blob); err == nil {
-		return l.k
-	}
-	return 0
 }
 
 // partOffsets appends to dst the prefix byte offsets of parts: offs[j]
@@ -515,19 +507,27 @@ func (st *SealStream) AppendSegment(dst []byte, i int) ([]byte, error) {
 func (st *SealStream) Segment(i int) ([]byte, error) { return st.AppendSegment(nil, i) }
 
 // OpenStream incrementally authenticates and decrypts a segmented blob
-// as its segments arrive. The receive buffer (the blob) and plaintext
-// are allocated once from the framing header; SegmentSlot hands the
-// transport the exact in-blob destination for segment i so arriving
-// ciphertext needs no staging copy. The transport fills and opens one
-// segment at a time, on the connection reader that receives it; each
-// segment must be fully filled before it is opened (nothing here
-// re-checks it: an unfilled slot simply fails authentication).
+// as its segments arrive, in index order, on the one goroutine that
+// receives them. It keeps no sealed bytes of its own: Slot hands the
+// transport the next segment's destination, its nonce into a scratch
+// field and its ciphertext||tag straight into the plaintext buffer at
+// the segment's own plaintext offset, and OpenNext opens it there. The
+// buffer is TagSize bytes longer than the plaintext, so the last
+// segment's tag has room; every other tag lands where the next
+// segment's ciphertext goes, which is why each segment must be opened
+// before the next is filled. A stream whose sealed bytes are still
+// needed (KeepSealed) instead lands each segment in the caller's blob
+// and opens it from there into the plaintext buffer. Nothing here
+// checks that a slot was filled: an unfilled slot simply fails
+// authentication.
 type OpenStream struct {
-	s    *Sealer
-	aad  []byte
-	blob []byte
-	pt   []byte
-	l    segLayout
+	s     *Sealer
+	l     segLayout
+	aad   []byte // header || u32 index of the next segment || caller aad
+	pt    []byte // the plaintext, then TagSize bytes of slack
+	blob  []byte // the kept sealed blob (KeepSealed), else nil
+	nonce [NonceSize]byte
+	next  int
 }
 
 // NewOpenStream prepares streaming open of a blob whose framing header
@@ -544,10 +544,17 @@ func (s *Sealer) NewOpenStream(header, aad []byte) (*OpenStream, error) {
 	case l.total > maxStreamTotal:
 		return nil, fmt.Errorf("seal: segmented stream declares %d plaintext bytes", l.total)
 	}
-	blob := make([]byte, l.blobLen())
-	copy(blob, header)
-	return &OpenStream{s: s, aad: append([]byte(nil), aad...), blob: blob, pt: make([]byte, l.total), l: l}, nil
+	// Every segment's AAD is header || index || aad: one buffer, its
+	// index rewritten as each segment opens.
+	segAAD := make([]byte, l.hdrLen+4+len(aad))
+	copy(segAAD, header)
+	copy(segAAD[l.hdrLen+4:], aad)
+	return &OpenStream{s: s, l: l, aad: segAAD, pt: make([]byte, l.total+TagSize)}, nil
 }
+
+// StreamSegments returns how many segments NewSealStream cuts an n-byte
+// plaintext into, and so how many an OpenStream of it opens.
+func (s *Sealer) StreamSegments(n int64) int { return s.streamLayout(n).k }
 
 // K returns the stream's segment count.
 func (os *OpenStream) K() int { return os.l.k }
@@ -555,28 +562,70 @@ func (os *OpenStream) K() int { return os.l.k }
 // Total returns the stream's plaintext length.
 func (os *OpenStream) Total() int64 { return os.l.total }
 
+// Next returns the index of the segment the stream takes next: K once
+// every segment is open.
+func (os *OpenStream) Next() int { return os.next }
+
 // SegmentLen returns the sealed length of segment i — exactly how many
-// bytes the transport must deliver into SegmentSlot(i).
+// bytes the transport must deliver into its slot.
 func (os *OpenStream) SegmentLen(i int) int { return int(os.l.plainLen(i)) + Overhead }
 
-// SegmentSlot returns segment i's destination slot in the blob
-// (nonce || ciphertext || tag) for the transport to fill.
-func (os *OpenStream) SegmentSlot(i int) []byte { return os.l.segment(os.blob, i) }
+// SealedLen returns the length of the whole segmented blob the header
+// declares: what KeepSealed takes.
+func (os *OpenStream) SealedLen() int { return int(os.l.blobLen()) }
 
-// OpenSegment authenticates and decrypts the filled segment i into the
-// stream's plaintext. Any tampered byte, wrong index, wrong AAD or
-// foreign segment fails with ErrAuth.
-func (os *OpenStream) OpenSegment(i int) error {
+// KeepSealed makes the stream keep its sealed bytes in blob, which must
+// be SealedLen bytes long, before the first segment arrives. The
+// framing header goes into blob now and every segment as it lands, so
+// once the last one is in, blob is the segmented blob OpenSegmented
+// opens; each segment opens from there into the plaintext buffer.
+func (os *OpenStream) KeepSealed(blob []byte) {
+	if len(blob) != os.SealedLen() || os.next != 0 {
+		panic(fmt.Sprintf("seal: KeepSealed given %d bytes at segment %d, want %d before the first",
+			len(blob), os.next, os.SealedLen()))
+	}
+	copy(blob, os.aad[:os.l.hdrLen])
+	os.blob = blob
+}
+
+// Slot returns where the next segment's sealed bytes go: its nonce, then
+// its ciphertext||tag, SegmentLen(Next()) bytes between them. Next must
+// be below K.
+func (os *OpenStream) Slot() (nonce, body []byte) {
+	i := os.next
+	if os.blob != nil {
+		seg := os.l.segment(os.blob, i)
+		return seg[:NonceSize:NonceSize], seg[NonceSize:]
+	}
+	pos := os.l.plainStart(i)
+	end := pos + os.l.plainLen(i) + TagSize
+	return os.nonce[:], os.pt[pos:end:end]
+}
+
+// OpenNext authenticates and decrypts the filled next segment into its
+// place in the plaintext and moves on to the segment after it. Any
+// tampered byte, wrong index, wrong AAD or foreign segment fails with
+// ErrAuth, and the stream stays at the failed segment.
+func (os *OpenStream) OpenNext() error {
+	i := os.next
 	if err := os.l.checkIndex(i); err != nil {
 		return err
 	}
-	return os.s.openSegment(os.l, os.blob, os.pt, os.aad, i)
+	binary.BigEndian.PutUint32(os.aad[os.l.hdrLen:], uint32(i))
+	nonce, body := os.Slot()
+	dst := body[:0] // in place
+	if os.blob != nil {
+		pos := os.l.plainStart(i)
+		dst = os.pt[pos : pos : pos+os.l.plainLen(i)]
+	}
+	if err := os.s.openInto(dst, nonce, body, os.aad); err != nil {
+		return err
+	}
+	os.next++
+	return nil
 }
 
-// Blob returns the assembled segmented blob. Valid once every slot has
-// been filled.
-func (os *OpenStream) Blob() []byte { return os.blob }
-
-// Plaintext returns the decrypted payload. Valid once every segment has
-// been opened successfully.
-func (os *OpenStream) Plaintext() []byte { return os.pt }
+// Plaintext returns the decrypted payload, its length and capacity the
+// plaintext's: the tag slack is out of its reach. Valid once every
+// segment has been opened successfully.
+func (os *OpenStream) Plaintext() []byte { return os.pt[:os.l.total:os.l.total] }

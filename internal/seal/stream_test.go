@@ -6,9 +6,25 @@ import (
 	"testing"
 )
 
-// Stream-sealed segments must reassemble into a blob the bulk opener
-// accepts, and a stream opener fed those segments must recover the
-// plaintext — for both regular and straggling last-segment geometries.
+// fillSlot copies one sealed segment (nonce || ciphertext || tag) into
+// the stream's slot for its next segment, as a transport reads it: the
+// nonce first, then the body.
+func fillSlot(t *testing.T, os *OpenStream, seg []byte) {
+	t.Helper()
+	nonce, body := os.Slot()
+	if len(nonce) != NonceSize || len(nonce)+len(body) != len(seg) {
+		t.Fatalf("segment %d: slot %d+%d bytes, segment %d", os.Next(), len(nonce), len(body), len(seg))
+	}
+	copy(nonce, seg)
+	copy(body, seg[NonceSize:])
+}
+
+// Stream-sealed segments reassemble into a blob the bulk opener
+// accepts, and a stream opener fed those segments recovers the
+// plaintext — opened in place, or kept sealed, for both regular and
+// straggling last-segment geometries. An in-place stream's plaintext has
+// no room past its length (the last tag's slack is out of reach); a
+// kept stream's blob is the sent blob byte for byte.
 func TestStreamRoundTrip(t *testing.T) {
 	s := newTestSealer(t)
 	aad := []byte("header-bytes")
@@ -18,51 +34,115 @@ func TestStreamRoundTrip(t *testing.T) {
 		if st == nil {
 			t.Fatalf("n=%d: NewSealStream returned nil", n)
 		}
-		if st.K() < 2 {
-			t.Fatalf("n=%d: stream plan has %d segments, want >= 2", n, st.K())
+		if st.K() < 2 || st.K() != s.StreamSegments(int64(n)) {
+			t.Fatalf("n=%d: stream plan has %d segments, StreamSegments %d", n, st.K(), s.StreamSegments(int64(n)))
 		}
 		if st.Total() != int64(n) {
 			t.Fatalf("n=%d: Total=%d", n, st.Total())
 		}
-
-		os, err := s.NewOpenStream(st.Header(), aad)
-		if err != nil {
-			t.Fatalf("n=%d: NewOpenStream: %v", n, err)
-		}
-		if os.K() != st.K() || os.Total() != st.Total() {
-			t.Fatalf("n=%d: open stream geometry mismatch", n)
-		}
 		sent := append([]byte(nil), st.Header()...)
-		for i := 0; i < st.K(); i++ {
+		segs := make([][]byte, st.K())
+		for i := range segs {
 			seg, err := st.Segment(i)
 			if err != nil {
 				t.Fatalf("n=%d: Segment(%d): %v", n, i, err)
 			}
-			if len(seg) != os.SegmentLen(i) {
-				t.Fatalf("n=%d: segment %d is %d bytes, receiver expects %d",
-					n, i, len(seg), os.SegmentLen(i))
-			}
+			segs[i] = seg
 			sent = append(sent, seg...)
-			copy(os.SegmentSlot(i), seg)
-			if err := os.OpenSegment(i); err != nil {
-				t.Fatalf("n=%d: OpenSegment(%d): %v", n, i, err)
-			}
 		}
-		if !bytes.Equal(os.Plaintext(), pt) {
-			t.Fatalf("n=%d: streamed plaintext differs", n)
+		if got, _, err := s.OpenSegmented(sent, aad); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("n=%d: OpenSegmented(sent blob): %v", n, err)
 		}
 
-		// The assembled blobs must satisfy the bulk opener too.
-		for name, blob := range map[string][]byte{"send": sent, "recv": os.Blob()} {
-			got, _, err := s.OpenSegmented(blob, aad)
+		for _, keep := range []bool{false, true} {
+			os, err := s.NewOpenStream(st.Header(), aad)
 			if err != nil {
-				t.Fatalf("n=%d: OpenSegmented(%s blob): %v", n, name, err)
+				t.Fatalf("n=%d: NewOpenStream: %v", n, err)
 			}
-			if !bytes.Equal(got, pt) {
-				t.Fatalf("n=%d: %s blob plaintext differs", n, name)
+			if os.K() != st.K() || os.Total() != st.Total() || os.SealedLen() != len(sent) {
+				t.Fatalf("n=%d: open stream geometry mismatch", n)
+			}
+			var blob []byte
+			if keep {
+				blob = make([]byte, os.SealedLen())
+				os.KeepSealed(blob)
+			}
+			for i, seg := range segs {
+				if len(seg) != os.SegmentLen(i) {
+					t.Fatalf("n=%d: segment %d is %d bytes, receiver expects %d", n, i, len(seg), os.SegmentLen(i))
+				}
+				fillSlot(t, os, seg)
+				if err := os.OpenNext(); err != nil {
+					t.Fatalf("n=%d keep=%v: OpenNext(%d): %v", n, keep, i, err)
+				}
+			}
+			got := os.Plaintext()
+			if !bytes.Equal(got, pt) || cap(got) != n || os.Next() != os.K() {
+				t.Fatalf("n=%d keep=%v: plaintext differs (len %d, cap %d, next %d)", n, keep, len(got), cap(got), os.Next())
+			}
+			if err := os.OpenNext(); err == nil {
+				t.Fatalf("n=%d keep=%v: segment K opened", n, keep)
+			}
+			if keep && !bytes.Equal(blob, sent) {
+				t.Fatalf("n=%d: kept blob differs from the sent one", n)
 			}
 		}
 	}
+}
+
+// An in-place stream allocates only when it is made — its handle, its
+// AAD and its plaintext — and opens every segment without allocating.
+func TestOpenStreamInPlaceAllocs(t *testing.T) {
+	s := newTestSealer(t)
+	aad := []byte("allocs")
+	pt := randBytes(t, 256<<10)
+	st := s.NewSealStream([][]byte{pt}, aad)
+	var segs [][]byte
+	for i := 0; i < st.K(); i++ {
+		seg, _ := st.Segment(i)
+		segs = append(segs, seg)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		os, err := s.NewOpenStream(st.Header(), aad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range segs {
+			nonce, body := os.Slot()
+			copy(nonce, seg)
+			copy(body, seg[NonceSize:])
+			if err := os.OpenNext(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("an in-place open of %d segments allocated %.1f objects, want 3", st.K(), allocs)
+	}
+}
+
+// KeepSealed takes a blob of exactly SealedLen bytes, before the first
+// segment only.
+func TestKeepSealedMisuse(t *testing.T) {
+	s := newTestSealer(t)
+	st := s.NewSealStream([][]byte{randBytes(t, 64<<10)}, nil)
+	seg0, _ := st.Segment(0)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	os, _ := s.NewOpenStream(st.Header(), nil)
+	mustPanic("short blob", func() { os.KeepSealed(make([]byte, os.SealedLen()-1)) })
+	fillSlot(t, os, seg0)
+	if err := os.OpenNext(); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("after the first segment", func() { os.KeepSealed(make([]byte, os.SealedLen())) })
 }
 
 // Sub-blob plans: too-small payloads refuse to stream.
@@ -79,9 +159,12 @@ func TestStreamRefusesSmallPayloads(t *testing.T) {
 	}
 }
 
-// Mid-stream tampering: corrupting, reordering or splicing individual
-// segments fails that segment's authentication while honest segments
-// still open.
+// Mid-stream tampering: a segment corrupted anywhere — the first, a
+// middle one, the last, its tag (which an in-place stream keeps in the
+// slack past the plaintext) — or reordered, spliced from another key,
+// opened under the wrong AAD or never filled fails its own
+// authentication with ErrAuth, after every segment before it opened, and
+// the stream stays at it.
 func TestStreamSegmentTamper(t *testing.T) {
 	s := newTestSealer(t)
 	aad := []byte("aad")
@@ -90,60 +173,61 @@ func TestStreamSegmentTamper(t *testing.T) {
 	if st == nil || st.K() < 3 {
 		t.Fatalf("need >= 3 segments, got %v", st)
 	}
-
-	// Corrupt one in-flight byte of segment 1.
-	os, err := s.NewOpenStream(st.Header(), aad)
-	if err != nil {
-		t.Fatalf("NewOpenStream: %v", err)
+	k := st.K()
+	segs := make([][]byte, k)
+	for i := range segs {
+		segs[i], _ = st.Segment(i)
 	}
-	for i := 0; i < st.K(); i++ {
-		seg, err := st.Segment(i)
-		if err != nil {
-			t.Fatalf("Segment(%d): %v", i, err)
-		}
-		copy(os.SegmentSlot(i), seg)
-	}
-	os.SegmentSlot(1)[NonceSize+5] ^= 0x01
-	for i := 0; i < st.K(); i++ {
-		err := os.OpenSegment(i)
-		if i == 1 && !errors.Is(err, ErrAuth) {
-			t.Fatalf("corrupted segment opened: %v", err)
-		}
-		if i != 1 && err != nil {
-			t.Fatalf("honest segment %d failed: %v", i, err)
-		}
-	}
-
-	// Reorder: deliver segment 2's bytes into slot 0.
-	os2, _ := s.NewOpenStream(st.Header(), aad)
-	seg2, _ := st.Segment(2)
-	copy(os2.SegmentSlot(0), seg2[:os2.SegmentLen(0)])
-	if err := os2.OpenSegment(0); !errors.Is(err, ErrAuth) {
-		t.Fatalf("reordered segment opened: %v", err)
-	}
-
-	// Splice: a same-geometry segment sealed under a different key.
 	other := newTestSealer(t)
-	st2 := other.NewSealStream([][]byte{pt}, aad)
-	os3, _ := s.NewOpenStream(st.Header(), aad)
-	alien, _ := st2.Segment(0)
-	copy(os3.SegmentSlot(0), alien)
-	if err := os3.OpenSegment(0); !errors.Is(err, ErrAuth) {
-		t.Fatalf("spliced segment opened: %v", err)
+	alien, _ := other.NewSealStream([][]byte{pt}, aad).Segment(0)
+	flip := func(i, at int) [][]byte {
+		out := append([][]byte(nil), segs...)
+		out[i] = append([]byte(nil), segs[i]...)
+		out[i][at] ^= 0x01
+		return out
 	}
-
-	// Wrong AAD fails every segment.
-	os4, _ := s.NewOpenStream(st.Header(), []byte("different"))
-	seg0, _ := st.Segment(0)
-	copy(os4.SegmentSlot(0), seg0)
-	if err := os4.OpenSegment(0); !errors.Is(err, ErrAuth) {
-		t.Fatalf("wrong-AAD segment opened: %v", err)
+	last := len(segs[k-1]) - 1
+	cases := []struct {
+		name   string
+		aad    []byte
+		feed   [][]byte // nil: the failing slot is left unfilled
+		failAt int
+	}{
+		{"first segment", aad, flip(0, NonceSize+5), 0},
+		{"middle segment", aad, flip(1, NonceSize+5), 1},
+		{"last segment", aad, flip(k-1, NonceSize+5), k - 1},
+		{"last tag", aad, flip(k-1, last), k - 1},
+		{"nonce", aad, flip(1, 0), 1},
+		{"reordered", aad, append([][]byte{segs[2][:len(segs[0])]}, segs[1:]...), 0},
+		{"spliced", aad, append([][]byte{alien}, segs[1:]...), 0},
+		{"wrong aad", []byte("different"), segs, 0},
+		{"unfilled", aad, nil, 0},
 	}
-
-	// An unfilled (all-zero) slot is just another failed authentication.
-	os5, _ := s.NewOpenStream(st.Header(), aad)
-	if err := os5.OpenSegment(0); !errors.Is(err, ErrAuth) {
-		t.Fatalf("unfilled slot opened: %v", err)
+	for _, c := range cases {
+		for _, keep := range []bool{false, true} {
+			os, err := s.NewOpenStream(st.Header(), c.aad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if keep {
+				os.KeepSealed(make([]byte, os.SealedLen()))
+			}
+			for i := 0; i <= c.failAt; i++ {
+				if c.feed != nil {
+					fillSlot(t, os, c.feed[i])
+				}
+				err := os.OpenNext()
+				if i < c.failAt && err != nil {
+					t.Fatalf("%s keep=%v: honest segment %d failed: %v", c.name, keep, i, err)
+				}
+				if i == c.failAt && !errors.Is(err, ErrAuth) {
+					t.Fatalf("%s keep=%v: segment %d opened: %v", c.name, keep, i, err)
+				}
+			}
+			if os.Next() != c.failAt {
+				t.Fatalf("%s keep=%v: stream moved on to %d past the failed segment %d", c.name, keep, os.Next(), c.failAt)
+			}
+		}
 	}
 }
 
@@ -212,10 +296,10 @@ func TestStreamSegmentsIntoCallerBuffer(t *testing.T) {
 	}
 	rest := buf
 	for i := 0; i < os.K(); i++ {
-		n := copy(os.SegmentSlot(i), rest[:os.SegmentLen(i)])
-		rest = rest[n:]
-		if err := os.OpenSegment(i); err != nil {
-			t.Fatalf("OpenSegment(%d): %v", i, err)
+		fillSlot(t, os, rest[:os.SegmentLen(i)])
+		rest = rest[os.SegmentLen(i):]
+		if err := os.OpenNext(); err != nil {
+			t.Fatalf("OpenNext(%d): %v", i, err)
 		}
 	}
 	if len(rest) != 0 || !bytes.Equal(os.Plaintext(), pt) {
@@ -259,20 +343,5 @@ func TestAdaptiveSegmentPlan(t *testing.T) {
 	s.SetSegmentSize(0)
 	if _, segs, _ := s.SealSegmented([][]byte{pt}, nil); segs > 4 {
 		t.Fatalf("adaptive plan not restored: %d segments", segs)
-	}
-}
-
-func TestBlobSegments(t *testing.T) {
-	s := newTestSealer(t)
-	s.SetSegmentSize(16 << 10)
-	blob, segs, err := s.SealSegmented([][]byte{make([]byte, 64<<10)}, nil)
-	if err != nil {
-		t.Fatalf("SealSegmented: %v", err)
-	}
-	if got := BlobSegments(blob); got != segs {
-		t.Fatalf("BlobSegments=%d want %d", got, segs)
-	}
-	if got := BlobSegments([]byte("junk")); got != 0 {
-		t.Fatalf("BlobSegments(junk)=%d want 0", got)
 	}
 }

@@ -126,7 +126,8 @@ const maxStepSize = 16 << 20
 //	alg        encrypted algorithm name or auto for allgather (default
 //	           o-ring); a plaintext algorithm answers 400
 //	size       per-rank payload bytes (default 4096, at most maxStepSize)
-//	faultseed  nonzero arms a transient fault plan with that seed
+//	faultseed  nonzero arms a transient fault plan with that seed, on a
+//	           host that allows it (Config.Chaos); elsewhere 403
 //
 // Admission rejections answer 429 with the structured reason; other
 // step failures, a step that was not SecurityOK among them, answer 500;
@@ -165,6 +166,11 @@ func handleStep(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 	var opts []encag.Option
 	if v := q.Get("faultseed"); v != "" && v != "0" {
+		if !m.cfg.Chaos {
+			httpJSON(w, http.StatusForbidden, stepResponse{Tenant: resp.Tenant,
+				Error: "fault injection is off on this host (serve -chaos turns it on)"})
+			return
+		}
 		seed, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			httpJSON(w, http.StatusBadRequest, stepResponse{Tenant: resp.Tenant, Error: "bad faultseed parameter"})

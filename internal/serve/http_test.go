@@ -20,8 +20,16 @@ import (
 // loopback port.
 func openServer(t *testing.T, opts ...encag.Option) (*Manager, *Server) {
 	t.Helper()
+	return openServerConfig(t, Config{SessionOptions: opts})
+}
+
+// openServerConfig is openServer on a host configured by cfg, whose
+// Spec it sets.
+func openServerConfig(t *testing.T, cfg Config) (*Manager, *Server) {
+	t.Helper()
 	spec := encag.Spec{Procs: 4, Nodes: 2}
-	m, err := Open(Config{Spec: spec, SessionOptions: opts})
+	cfg.Spec = spec
+	m, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +275,53 @@ func TestServerRefusesPlaintextAlgorithms(t *testing.T) {
 	for _, alg := range []string{"o-ring", "auto"} {
 		if r := step(t, srv, "tenant=t0&alg="+alg, http.StatusOK); !r.OK {
 			t.Fatalf("alg=%s: %+v", alg, r)
+		}
+	}
+}
+
+// A step's faultseed arms a fault plan on its tenant's session only on a
+// host that consented (Config.Chaos, serve -chaos). Elsewhere it answers
+// 403 before any session opens, and a step without one still runs; on
+// a chaos host the seeded step runs, its transient faults injected and
+// recovered.
+func TestServerFaultSeedNeedsChaos(t *testing.T) {
+	injected := func(srv *Server) float64 {
+		_, text := get(t, srv, "/metrics")
+		var n float64
+		for _, v := range tenantSamples(t, text, "t0")["encag_fault_injected_total"] {
+			n += v
+		}
+		return n
+	}
+	for _, chaos := range []bool{false, true} {
+		m, srv := openServerConfig(t, Config{Chaos: chaos})
+		if !chaos {
+			for _, q := range []string{"tenant=t0&faultseed=7", "tenant=t0&op=allreduce&faultseed=9", "tenant=t0&faultseed=bad"} {
+				if r := step(t, srv, q, http.StatusForbidden); !strings.Contains(r.Error, "serve -chaos") {
+					t.Errorf("step %s: error %q, want it to name serve -chaos", q, r.Error)
+				}
+			}
+			if n := m.Resident(); n != 0 {
+				t.Fatalf("refused fault steps opened %d sessions", n)
+			}
+			if r := step(t, srv, "tenant=t0&faultseed=0", http.StatusOK); !r.OK {
+				t.Fatalf("a zero faultseed arms nothing and runs: %+v", r)
+			}
+			if n := injected(srv); n != 0 {
+				t.Fatalf("%v faults injected on a host without chaos", n)
+			}
+			continue
+		}
+		if r := step(t, srv, "tenant=t0&faultseed=bad", http.StatusBadRequest); r.Error != "bad faultseed parameter" {
+			t.Errorf("chaos host: bad seed answered %q", r.Error)
+		}
+		for seed := 1; injected(srv) == 0; seed++ {
+			if seed > 20 {
+				t.Fatal("20 seeded steps on a chaos host injected no fault")
+			}
+			if r := step(t, srv, fmt.Sprintf("tenant=t0&faultseed=%d", seed), http.StatusOK); !r.OK {
+				t.Fatalf("seeded step %d on a chaos host: %+v", seed, r)
+			}
 		}
 	}
 }

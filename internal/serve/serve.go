@@ -102,6 +102,11 @@ type Config struct {
 	// a GOMAXPROCS-sized pool, closed with the manager; an injected
 	// pool belongs to the caller and is left open.
 	Pool *seal.Pool
+
+	// Chaos lets a /v1/step request arm a fault plan on its tenant's
+	// session (the faultseed parameter). Fault injection needs the
+	// host's consent: off, the default, such a step answers 403.
+	Chaos bool
 }
 
 // Manager hosts many tenant sessions in one process. All methods are

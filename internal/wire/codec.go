@@ -91,6 +91,9 @@ func (fw *FrameWriter) WriteSeg(w io.Writer, src int, op uint32, seq uint64, sf 
 	var flags byte
 	if sf.Meta != nil {
 		flags = flagChunkMeta
+		if sf.Meta.Relay {
+			flags |= flagRelay
+		}
 	}
 	b := appendPrefix(fw.hdr[:0], segFrameMagic, src, seq, op)
 	b = be.AppendUint32(b, sf.Stream)
@@ -269,13 +272,16 @@ func (d *FrameReader) readSeg() (SegFrame, error) {
 	if sf.Index >= sf.Count {
 		return sf, fmt.Errorf("%w: segment index %d of %d", ErrBadFrame, sf.Index, sf.Count)
 	}
-	if flags&^byte(flagChunkMeta) != 0 {
+	switch {
+	case flags&^byte(flagChunkMeta|flagRelay) != 0:
 		return sf, fmt.Errorf("%w: unknown sub-frame flags %#x", ErrBadFrame, flags)
-	}
-	if flags != 0 {
+	case flags == flagRelay:
+		return sf, fmt.Errorf("%w: relay flag on a sub-frame without chunk metadata", ErrBadFrame)
+	case flags != 0:
 		if sf.Meta, err = d.readSegMeta(); err != nil {
 			return sf, err
 		}
+		sf.Meta.Relay = flags&flagRelay != 0
 	}
 	if b, err = d.fill(4); err != nil {
 		return sf, err

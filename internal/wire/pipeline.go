@@ -20,12 +20,16 @@
 //	             sub-frame: int32 chunk tag, length-prefixed encoded
 //	             block header, length-prefixed segmented-seal framing
 //	             header
+//	       bit1: relay — the receiver forwards the sealed chunk on
+//	             unopened, so it keeps the sealed segments; only on a
+//	             first sub-frame, beside bit0
 //	uint32 payload length, payload bytes (one sealed segment
 //	       nonce || ciphertext || tag)
 //
 // FrameReader.Next deliberately stops before the payload: the transport
-// reads the payload bytes straight into the receive stream's in-blob
-// segment slot, so an arriving segment costs no staging copy.
+// reads each segment's nonce and ciphertext||tag straight to where the
+// receive stream opens it (the plaintext buffer, or a relayed stream's
+// blob), so an arriving segment costs no staging copy.
 package wire
 
 import "encag/internal/block"
@@ -37,8 +41,10 @@ const (
 	// maxCount bounds that already apply to both headers.
 	maxSegMeta = 1 << 24
 
-	// flagChunkMeta is the one sub-frame flag bit: chunk metadata present.
+	// flagChunkMeta marks a first sub-frame: chunk metadata present.
 	flagChunkMeta = 1 << 0
+	// flagRelay marks a first sub-frame whose stream the receiver relays.
+	flagRelay = 1 << 1
 )
 
 // SegMeta is the chunk-level metadata carried by a stream's first
@@ -48,6 +54,9 @@ type SegMeta struct {
 	Tag    int
 	Blocks []block.Block
 	Header []byte // segmented-seal framing header
+	// Relay says the receiver forwards the sealed chunk on unopened, so
+	// it must keep the sealed segments (flag bit 1).
+	Relay bool
 }
 
 // SegFrame is one segment sub-frame. On the write side Payload holds

@@ -133,7 +133,15 @@ func TestSegFrameRejectsMalformed(t *testing.T) {
 			return b
 		}),
 		"retired flag bits": withMeta(func(b []byte) []byte {
-			b[offFlags] |= 0x0E
+			b[offFlags] |= 0x0C
+			return b
+		}),
+		"unknown flag bit beside relay": withMeta(func(b []byte) []byte {
+			b[offFlags] |= flagRelay | 0x10
+			return b
+		}),
+		"relay flag without metadata": encode(sampleSeg(false), func(b []byte) []byte {
+			b[offFlags] |= flagRelay
 			return b
 		}),
 		"block header garbage": withMeta(func(b []byte) []byte {
@@ -145,6 +153,23 @@ func TestSegFrameRejectsMalformed(t *testing.T) {
 		if _, err := ReadFrameStart(bytes.NewReader(data)); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
+	}
+
+	// The relay flag (bit 1) is accepted on a first sub-frame, and only
+	// there; it round-trips as SegMeta.Relay.
+	relay := sampleSeg(true)
+	relay.Meta.Relay = true
+	fr, err := ReadFrameStart(bytes.NewReader(encode(relay, func(b []byte) []byte {
+		if b[offFlags] != flagChunkMeta|flagRelay {
+			t.Fatalf("relay first sub-frame written with flags %#x", b[offFlags])
+		}
+		return b
+	})))
+	if err != nil || fr.Seg.Meta == nil || !fr.Seg.Meta.Relay {
+		t.Fatalf("relay first sub-frame: %+v, %v", fr.Seg.Meta, err)
+	}
+	if fr, err := ReadFrameStart(bytes.NewReader(withMeta(func(b []byte) []byte { return b }))); err != nil || fr.Seg.Meta.Relay {
+		t.Fatalf("plain first sub-frame read as relayed: %v", err)
 	}
 
 	// Oversized payload length declared.
