@@ -213,24 +213,47 @@ func AppendHeader(dst []byte, blocks []Block) []byte {
 
 // DecodeHeader parses a header produced by EncodeHeader.
 func DecodeHeader(buf []byte) ([]Block, error) {
+	n, err := headerCount(buf)
+	if err != nil {
+		return nil, err
+	}
+	return appendBlocks(make([]Block, 0, n), buf), nil
+}
+
+// DecodeHeaderInto is DecodeHeader appending to dst, for a decoder that
+// draws its block lists from storage of its own: HeaderBlocks sizes it.
+func DecodeHeaderInto(dst []Block, buf []byte) ([]Block, error) {
+	if _, err := headerCount(buf); err != nil {
+		return nil, err
+	}
+	return appendBlocks(dst, buf), nil
+}
+
+// HeaderBlocks inverts HeaderLen: the blocks a header of hl bytes
+// holds, 0 for one too short to hold any.
+func HeaderBlocks(hl int) int { return max(0, (hl-8)/12) }
+
+// headerCount validates an encoded header and returns its block count.
+func headerCount(buf []byte) (int, error) {
 	if len(buf) < 8 {
-		return nil, fmt.Errorf("block: header too short: %d bytes", len(buf))
+		return 0, fmt.Errorf("block: header too short: %d bytes", len(buf))
 	}
 	if binary.BigEndian.Uint32(buf[0:]) != headerMagic {
-		return nil, fmt.Errorf("block: bad header magic")
+		return 0, fmt.Errorf("block: bad header magic")
 	}
 	n := int(binary.BigEndian.Uint32(buf[4:]))
 	if len(buf) != HeaderLen(n) {
-		return nil, fmt.Errorf("block: header length %d does not match count %d", len(buf), n)
+		return 0, fmt.Errorf("block: header length %d does not match count %d", len(buf), n)
 	}
-	blocks := make([]Block, n)
-	off := 8
-	for i := range blocks {
-		blocks[i].Origin = int(binary.BigEndian.Uint32(buf[off:]))
-		blocks[i].Len = int64(binary.BigEndian.Uint64(buf[off+4:]))
-		off += 12
+	return n, nil
+}
+
+// appendBlocks appends the blocks of a header headerCount accepted.
+func appendBlocks(dst []Block, buf []byte) []Block {
+	for off := 8; off < len(buf); off += 12 {
+		dst = append(dst, Block{Origin: int(binary.BigEndian.Uint32(buf[off:])), Len: int64(binary.BigEndian.Uint64(buf[off+4:]))})
 	}
-	return blocks, nil
+	return dst
 }
 
 // Pattern returns the deterministic test payload byte at index i of the

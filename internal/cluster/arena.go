@@ -36,18 +36,54 @@ func (s *slab[T]) reset() {
 // of a sender's list stays correct until the operation ends, and reset
 // frees all of it at once.
 type arena struct {
-	chunks slab[block.Chunk]
-	blocks slab[block.Block]
-	ints   slab[int]
+	chunks   slab[block.Chunk]
+	blocks   slab[block.Block]
+	ints     slab[int]
+	messages slab[block.Message]
 }
 
-// reset frees everything drawn. Only chunks point, at payloads, so only
-// they are cleared: an idle rank pins no payload.
+// reset frees everything drawn. Only chunks and messages point, at
+// payloads, so only they are cleared: an idle rank pins no payload.
 func (a *arena) reset() {
 	clear(a.chunks.buf)
+	clear(a.messages.buf)
 	a.chunks.reset()
 	a.blocks.reset()
 	a.ints.reset()
+	a.messages.reset()
+}
+
+// recvArena is one socket pair's receive storage on a rank slot
+// (rankSlot.recv): the pair's reader decodes each frame of the slot's op
+// into it (a wire.MsgAlloc), lists from its slabs and encrypted payloads
+// from the op's ciphertext buffers. Only the pair's readers, which run
+// one after another, touch it, so it needs no lock; the reference the
+// reader holds on the op keeps the slot from retiring under it. A
+// reader's own recvArena, with no op, takes what it drops: stragglers
+// and duplicates, their payloads straight from cipherBufs.
+type recvArena struct {
+	chunks slab[block.Chunk]
+	blocks slab[block.Block]
+	o      *opRuntime // the op being decoded into; nil for a reader's own
+	aad    []byte     // a received stream's associated data (newStreamRecv)
+}
+
+func (a *recvArena) Chunks(n int) []block.Chunk { return a.chunks.take(n) }
+func (a *recvArena) Blocks(n int) []block.Block { return a.blocks.take(n) }
+
+func (a *recvArena) Cipher(n int) []byte {
+	if a.o == nil {
+		return cipherBufs.get(n)
+	}
+	return a.o.alloc(n)
+}
+
+// reset frees everything drawn, clearing the chunks, which point at
+// payloads: an idle slot pins none.
+func (a *recvArena) reset() {
+	clear(a.chunks.buf)
+	a.chunks.reset()
+	a.blocks.reset()
 }
 
 // results is the storage an operation's assembled results live in,

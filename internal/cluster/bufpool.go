@@ -1,16 +1,22 @@
 package cluster
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Ciphertext is transient in the paper's cost model: a block is sealed,
 // sent and opened, and only the gathered plaintext outlives the
 // operation. The runtime gives ciphertext the same lifetime. Three kinds
-// of buffer come from one process-wide free list, and nothing else does:
-// the blobs Proc.Encrypt seals, the payloads of encrypted chunks a TCP
-// connection reader receives whole, and the blobs of the streams it
+// of buffer come from one process-wide free list, and nothing else does,
+// each through its operation's opRuntime.alloc: the blobs Proc.Encrypt
+// seals, the payloads of encrypted chunks a TCP connection reader
+// decodes into the op's pair arena, and the blobs of the streams it
 // receives for a relay (a stream opened in place keeps no ciphertext).
 // Each operation records the buffers it drew (opBufs) and hands them
-// back once nothing can touch them again.
+// back once nothing can touch them again. A frame no operation takes (a
+// straggler or a duplicate) draws its encrypted payloads from the list
+// directly and hands them straight back.
 // The list is process-wide so that the tenants of one host share its
 // cap, as they share seal.SharedPool.
 const (
@@ -96,29 +102,30 @@ func (p *bufPool) idleBytes() int {
 
 // opBufs is the ciphertext memory of one operation and the reference
 // count that decides when it is safe to reuse. The running operation
-// holds one reference and every queued send job one more, released once
-// the send loop has written or dropped the job. The last release hands
-// the buffers back only if the operation succeeded: a failed, cancelled
-// or timed-out operation may still have a buffer in a place nothing
-// tracks, so its memory is left to the collector.
+// holds one reference, every queued send job one more, released once
+// the send loop has written or dropped the job, and a socket reader one
+// while it decodes and delivers a frame of the op (opRegistry.acquire).
+// The last release hands the buffers back only if the operation
+// succeeded: a failed, cancelled or timed-out operation may still have a
+// buffer in a place nothing tracks, so its memory is left to the
+// collector.
 //
 // This is also what keeps the reuse sound. A sealed blob's slot briefly
 // holds gathered plaintext before it is encrypted in place, and a
 // received payload is written by the connection reader; once the count
-// is zero no sender can still be writing or reading either, and bytes
-// past a buffer's length are never sent. A relayed stream's blob is the
-// same: the reader fills it, the relay's send job reads it.
+// is zero no sender or reader can still be writing or reading either,
+// and bytes past a buffer's length are never sent. A relayed stream's
+// blob is the same: the reader fills it, the relay's send job reads it.
 //
 // The last release also returns the operation's rank slot (see
-// rankSlot). A connection reader that found the operation just before
-// its deregistration can still hand it a frame after the count reached
-// zero; that buffer is kept on a list nobody returns, and the collector
-// takes it.
+// rankSlot). A reader takes its reference under the registry's lock,
+// and the op leaves the registry before it drops its own, so a reader
+// never finds an op whose count reached zero.
 type opBufs struct {
+	refs atomic.Int32
 	mu   sync.Mutex
 	held [][]byte
 	home *[][]byte // the rank slot's list, which held came from and goes back to
-	refs int
 	ok   bool
 }
 
@@ -129,21 +136,16 @@ func (b *opBufs) keep(buf []byte) {
 	b.mu.Unlock()
 }
 
-// hold takes one more reference, for a queued send job.
-func (b *opBufs) hold() {
-	b.mu.Lock()
-	b.refs++
-	b.mu.Unlock()
-}
+// hold takes one more reference, for a queued send job or a reader.
+func (b *opBufs) hold() { b.refs.Add(1) }
 
 // release drops one reference and reports whether it was the last. The
 // last one returns the buffers when the operation succeeded.
 func (b *opBufs) release() (last bool) {
-	b.mu.Lock()
-	if b.refs--; b.refs != 0 {
-		b.mu.Unlock()
+	if b.refs.Add(-1) != 0 {
 		return false
 	}
+	b.mu.Lock()
 	held := b.held
 	b.held = nil
 	ok := b.ok
@@ -153,8 +155,6 @@ func (b *opBufs) release() (last bool) {
 			cipherBufs.put(buf)
 		}
 	}
-	// The slot is retaken only after this release; a straggler's keep
-	// from now on appends to a list of its own.
 	clear(held)
 	*b.home = held[:0]
 	return true

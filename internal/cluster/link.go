@@ -751,16 +751,9 @@ func connDied(err error) bool {
 // serveConn handles one accepted connection from src, whose hello the
 // accept loop has read: once the reader of the pair's previous conn has
 // exited (after is closed), it demuxes sequence-deduplicated frames to
-// the in-flight operation each frame's op-id names, until the connection
-// dies (teardown, or a transient fault — the sender reconnects and a
-// fresh accepted conn takes over). Frames whose op-id is not registered
-// — stragglers resent from a completed or aborted collective, or frames
-// with a corrupted op-id — are dropped after passing the sequence gate:
-// they can be lost, never misrouted. Every frame, whole message or
-// sub-frame, is admitted at one point: gate check, op lookup, drop
-// counters and the owning operation's read stall (so one op's read
-// stalls never bill another op's plan). It moves the gate and counts as
-// received only once read in full.
+// the in-flight operation each frame's op-id names (readFrame), until
+// the connection dies (teardown, or a transient fault — the sender
+// reconnects and a fresh accepted conn takes over).
 //
 // A frame that fails to parse (or arrives bearing the wrong source
 // rank) is wire-level corruption of an established stream: past it the
@@ -779,7 +772,6 @@ func (l *link) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, don
 	// decoder → tracker → read buffer → conn: see readTracker.
 	tc := &readTracker{r: bufio.NewReaderSize(conn, connReadBuf), src: src, dst: dst}
 	dec := wire.NewFrameReader(tc)
-	dec.Alloc = cipherBufs.get
 	l.trackMu.Lock()
 	l.tracked[tc] = struct{}{}
 	l.trackMu.Unlock()
@@ -788,72 +780,90 @@ func (l *link) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, don
 		delete(l.tracked, tc)
 		l.trackMu.Unlock()
 	}()
-	gate := &l.socks[src][dst].gate
+	var own recvArena // the frames no operation takes, one at a time
 	for {
 		fr, err := dec.Next()
+		if err == nil && fr.Src != src {
+			err = fmt.Errorf("frame claims src %d", fr.Src)
+		}
+		if err == nil {
+			err = l.readFrame(tc, dec, &own, src, dst, fr)
+		}
 		if err != nil {
 			if !connDied(err) {
 				l.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
 			}
 			return
 		}
-		if fr.Src != src {
-			l.fail(fmt.Errorf("frame on the %d->%d stream claims src %d", src, dst, fr.Src))
-			return
-		}
-		// Admit the frame once, whatever its kind: o stays nil for a
-		// duplicate of a frame resent over a newer conn and for a
-		// straggler of a retired operation, and the frame is dropped.
-		var o *opRuntime
-		fresh := fr.Seq >= gate.Load()
-		if !fresh {
-			l.lm.dedupDrops.Inc()
-		} else if o, _ = l.reg.get(fr.Op); o == nil {
-			l.lm.stragglers.Inc()
-		} else {
-			tc.stall(l, o, o.inj.ReadDelay(src, dst))
-		}
-		if fr.Kind == wire.FrameSeg {
-			// A sub-frame's payload is still on the stream.
-			sr, err := l.readSegment(tc, o, src, dst, fr.Seg)
-			if err != nil {
-				if !connDied(err) {
-					l.fail(fmt.Errorf("frame stream %d->%d corrupted: %v", src, dst, err))
-				}
-				return
-			}
-			if fresh {
-				gate.Store(fr.Seq + 1)
-			}
-			if sr != nil {
-				l.lm.countRecv(src, dst, int64(fr.Seg.PayloadLen))
-				l.openSegment(o, src, dst, sr)
-			}
-			continue
-		}
-		tc.frameDone()
-		if fresh {
-			gate.Store(fr.Seq + 1)
-		}
-		// The encrypted payloads came from cipherBufs: they belong to o
-		// from here on, or, for a frame nobody will read, go straight back.
-		for _, c := range fr.Msg.Chunks {
-			switch {
-			case !c.Enc:
-			case o != nil:
-				o.bufs.keep(c.Payload)
-			default:
-				cipherBufs.put(c.Payload)
-			}
-		}
-		if o != nil {
-			l.lm.countRecv(src, dst, fr.Msg.WireLen())
-			o.deliver(src, dst, fr.Msg)
-		}
 	}
 }
 
-// readSegment reads the payload of one segment sub-frame that serveConn
+// readFrame reads the body of the frame whose prefix dec just read and
+// routes it. Every frame, whole message or sub-frame, is admitted at one
+// point: gate check, op lookup, drop counters and the owning operation's
+// read stall (so one op's read stalls never bill another op's plan).
+// The op is taken with a reference, held until the frame is delivered,
+// and the body is decoded into the op's arena for the pair, so its lists
+// and ciphertext live exactly as long as the op's rank slot. A duplicate
+// of a frame resent over a newer conn, and a straggler — a frame of a
+// retired operation, or one whose op-id was corrupted — is decoded into
+// own and dropped, its ciphertext straight back to cipherBufs: it can be
+// lost, never misrouted. The gate moves past a frame, and the frame
+// counts as received, only once it has been read in full. Only a read
+// failure (returned) is connection-fatal.
+func (l *link) readFrame(tc *readTracker, dec *wire.FrameReader, own *recvArena, src, dst int, fr wire.Frame) error {
+	gate := &l.socks[src][dst].gate
+	fresh := fr.Seq >= gate.Load()
+	a := own
+	var o *opRuntime
+	if !fresh {
+		l.lm.dedupDrops.Inc()
+	} else if o = l.reg.acquire(fr.Op); o == nil {
+		l.lm.stragglers.Inc()
+	} else {
+		defer o.release()
+		tc.stall(l, o, o.inj.ReadDelay(src, dst))
+		a = &o.recv[src*l.spec.P+dst]
+		a.o = o
+	}
+	var msg block.Message
+	var sf wire.SegFrame
+	var sr *streamRecv
+	var err error
+	if fr.Kind == wire.FrameSeg {
+		// A sub-frame's payload is still on the stream.
+		if sf, err = dec.ReadSeg(a); err == nil {
+			sr, err = l.readSegment(tc, o, a, src, dst, sf)
+		}
+	} else if msg, err = dec.ReadMsg(a); err == nil {
+		tc.frameDone()
+	}
+	a.o = nil
+	if err != nil {
+		return err
+	}
+	if fresh {
+		gate.Store(fr.Seq + 1)
+	}
+	switch {
+	case o == nil:
+		for _, c := range msg.Chunks {
+			if c.Enc {
+				cipherBufs.put(c.Payload)
+			}
+		}
+		own.reset()
+	case sr != nil:
+		l.lm.countRecv(src, dst, int64(sf.PayloadLen))
+		l.openSegment(o, a, src, dst, sr)
+	case fr.Kind == wire.FrameMsg:
+		l.lm.countRecv(src, dst, msg.WireLen())
+		o.deliver(src, dst, msg)
+	}
+	return nil
+}
+
+// readSegment reads the payload of one segment sub-frame that readFrame
 // admitted for o into its slot in the pair's incoming stream, and
 // returns that stream; it reads past the payload, returning nil, when o
 // is nil or the sub-frame is refused. A stream's first sub-frame carries
@@ -868,7 +878,7 @@ func (l *link) serveConn(src, dst int, conn net.Conn, after <-chan struct{}, don
 // read past as stragglers; the connection and the link's other
 // operations are left alone. Only a read failure (returned) is
 // connection-fatal.
-func (l *link) readSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.SegFrame) (*streamRecv, error) {
+func (l *link) readSegment(tc *readTracker, o *opRuntime, a *recvArena, src, dst int, sf wire.SegFrame) (*streamRecv, error) {
 	discard := func() (*streamRecv, error) {
 		// Through the tracker, so a long discard counts as progress;
 		// io.Discard copies through a pooled buffer, so it retains nothing.
@@ -886,7 +896,7 @@ func (l *link) readSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.
 	case sf.Meta != nil && sr != nil:
 		err = fmt.Errorf("stream %d started while stream %d is incomplete", sf.Stream, sr.id)
 	case sf.Meta != nil:
-		sr, err = newStreamRecv(o, sf)
+		sr, err = newStreamRecv(o, a, sf)
 	case sr == nil:
 		// The pair's stream failed earlier: the rest of it is stragglers.
 		l.lm.stragglers.Inc()
@@ -914,9 +924,9 @@ func (l *link) readSegment(tc *readTracker, o *opRuntime, src, dst int, sf wire.
 
 // openSegment authenticates and decrypts the segment readSegment just
 // placed, on this reader goroutine, and delivers the message once its
-// last segment is open. A failed open fails the owning operation and
-// drops the stream.
-func (l *link) openSegment(o *opRuntime, src, dst int, sr *streamRecv) {
+// last segment is open, its chunk list from the pair's arena a. A failed
+// open fails the owning operation and drops the stream.
+func (l *link) openSegment(o *opRuntime, a *recvArena, src, dst int, sr *streamRecv) {
 	l.lm.pipeSegmentsRecv.Inc()
 	pair := &o.streams[src*l.spec.P+dst]
 	c, done, err := sr.open()
@@ -927,6 +937,6 @@ func (l *link) openSegment(o *opRuntime, src, dst int, sr *streamRecv) {
 	case done:
 		*pair = nil
 		l.lm.pipeStreamSegments.Observe(int64(sr.os.K()))
-		o.deliver(src, dst, block.Message{Chunks: []block.Chunk{c}})
+		o.deliver(src, dst, block.Message{Chunks: append(a.Chunks(1), c)})
 	}
 }

@@ -137,11 +137,19 @@ func (r *opRegistry) deregister(id uint32) {
 	r.mu.Unlock()
 }
 
-func (r *opRegistry) get(id uint32) (*opRuntime, bool) {
+// acquire returns the live op registered under id with one more
+// reference on it (opBufs.hold), which the caller releases, or nil when
+// none is. The reference is taken under the lock, and Session.end
+// deregisters an op before it drops the op's own reference, so a live
+// entry's count is never zero.
+func (r *opRegistry) acquire(id uint32) *opRuntime {
 	r.mu.RLock()
-	o, ok := r.ops[id]
+	o := r.ops[id]
+	if o != nil {
+		o.bufs.hold()
+	}
 	r.mu.RUnlock()
-	return o, ok
+	return o
 }
 
 // each snapshots the live operations and calls fn for every one —

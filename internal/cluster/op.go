@@ -83,8 +83,9 @@ func (t *transport) newOp(ctx context.Context, slot *rankSlot, id uint32, slr *s
 		inj:     inj,
 		wt:      wallTrace{tracer: tracer, op: id},
 		aborted: make(chan struct{}),
-		bufs:    opBufs{refs: 1, held: slot.held[:0], home: &slot.held}, // the running op's own reference
+		bufs:    opBufs{held: slot.held[:0], home: &slot.held},
 	}
+	o.bufs.refs.Store(1) // the running op's own reference
 	if pipe {
 		o.streams = make([]*streamRecv, spec.P*spec.P)
 	}
@@ -130,10 +131,9 @@ func (o *opRuntime) finish(ok bool) {
 // carries frames of others. Each src->dst pair has one delivering
 // goroutine — src's sender on a memory pair, the pair's reader on a
 // socket pair (its readers run one after another) — which delivers the
-// pair's messages in send order, streamed ones included. A reader can
-// find an op in the registry just before it is deregistered and deliver
-// after its slot was retired or taken by the next op: the owner check,
-// under the FIFO's lock, drops that straggler.
+// pair's messages in send order, streamed ones included. Both hold a
+// reference on the op as they deliver (opBufs), so its slot cannot have
+// retired; the owner check, under the FIFO's lock, guards that.
 func (o *opRuntime) deliver(src, dst int, msg block.Message) {
 	f := &o.fifos[dst*o.spec.P+src]
 	f.mu.Lock()

@@ -47,11 +47,13 @@ type streamRecv struct {
 
 // newStreamRecv starts the stream a first sub-frame announces: the open
 // stream (its plaintext allocated once) built from the seal header its
-// metadata carries, under the op's AAD for the chunk's blocks. A relayed
+// metadata carries, under the op's AAD for the chunk's blocks, which is
+// built in the pair arena a's scratch (the stream copies it). A relayed
 // stream also keeps its sealed bytes, in a blob from the op's ciphertext
 // buffers.
-func newStreamRecv(o *opRuntime, sf wire.SegFrame) (*streamRecv, error) {
-	os, err := o.slr.NewOpenStream(sf.Meta.Header, o.aad(nil, sf.Meta.Blocks))
+func newStreamRecv(o *opRuntime, a *recvArena, sf wire.SegFrame) (*streamRecv, error) {
+	a.aad = o.aad(a.aad[:0], sf.Meta.Blocks)
+	os, err := o.slr.NewOpenStream(sf.Meta.Header, a.aad)
 	if err != nil {
 		return nil, err
 	}

@@ -70,9 +70,9 @@ type Algorithm func(p *Proc, mine block.Message) block.Message
 //
 // Its arena holds the rank's contribution, Encrypt's block lists,
 // SealIsend's and DecryptAll's chunk lists and what an algorithm draws
-// with Chunks and Ints, for one operation. The rank's slot keeps it and
-// resets it as it retires: a warm rank draws without allocating, and an
-// idle one pins no payload.
+// with Chunks, Ints and Messages, for one operation. The rank's slot
+// keeps it and resets it as it retires: a warm rank draws without
+// allocating, and an idle one pins no payload.
 type Proc struct {
 	rank      int
 	spec      Spec
@@ -116,6 +116,10 @@ func (p *Proc) Chunks(n int) []block.Chunk { return p.ar.chunks.take(n) }
 
 // Ints is Chunks for an index list, which is not zeroed: append to it.
 func (p *Proc) Ints(n int) []int { return p.ar.ints.take(n) }
+
+// Messages is Chunks for a message list, a collective's member-indexed
+// working set: reslice it to n for n empty messages.
+func (p *Proc) Messages(n int) []block.Message { return p.ar.messages.take(n) }
 
 // Grow returns list with room for n more chunks: list itself if it has
 // it, else a copy in a larger arena draw.

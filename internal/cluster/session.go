@@ -652,9 +652,9 @@ func (s *Session) end(o *opRuntime) (*RealResult, error) {
 	if then != nil {
 		then(res, err)
 	}
-	// The ranks are done and the op is deregistered; queued sends still
-	// hold the ciphertext, and the slot, until the send loops have
-	// written or dropped them.
+	// The ranks are done and the op is deregistered; queued sends and a
+	// socket reader still decoding a frame of the op hold the
+	// ciphertext, and the slot, until they are done with it.
 	o.finish(err == nil)
 	return res, err
 }

@@ -16,15 +16,16 @@ import (
 //
 //  1. every rank has returned, and the op has ended (Session.end);
 //  2. the op is deregistered, so no reader can newly find it;
-//  3. the op's last ciphertext reference is released (opBufs), so no
-//     queued send job still points at it.
+//  3. the op's last reference is released (opBufs), so no queued send
+//     job and no socket reader still points at it.
 //
 // The third is the last by construction, so the release that drops it
-// returns the slot, often on a send loop after the op has ended.
-// Returning retires the slot: it clears the owner, the FIFOs, the shared
-// memory and every Proc but its scratch, so an idle slot pins no
-// payload. A delivery that reaches a retired or re-taken slot through
-// the old op's runtime is dropped (see opRuntime.deliver).
+// returns the slot, often on a send loop or a socket reader after the op
+// has ended. Returning retires the slot: it clears the owner, the FIFOs,
+// the shared memory, the pair arenas and every Proc but its scratch, so
+// an idle slot pins no payload. Everything that delivers to the op holds
+// one of its references, so nothing delivers to a retired or re-taken
+// slot through the old op's runtime.
 type rankSlot struct {
 	pool *slotPool
 	// owner is the op running on the slot, nil while idle: the job its
@@ -38,6 +39,7 @@ type rankSlot struct {
 	shm       []opShm         // [node]
 	bars      []opBarrier     // [node]
 	procs     []Proc          // [rank]
+	recv      []recvArena     // [src*P+dst]: a socket pair's decoded frames (link.serveConn)
 	held      [][]byte        // the owner's ciphertext buffer list (opBufs), kept for the next owner
 
 	// left counts the owner's ranks still running. ranks hands each
@@ -60,6 +62,7 @@ func newRankSlot(pool *slotPool, spec Spec) *rankSlot {
 		shm:       make([]opShm, spec.N),
 		bars:      make([]opBarrier, spec.N),
 		procs:     make([]Proc, spec.P),
+		recv:      make([]recvArena, spec.P*spec.P),
 		finished:  make(chan struct{}, 1),
 	}
 	for r := range s.wake {
@@ -132,6 +135,9 @@ func (s *rankSlot) retire() {
 	}
 	for r := range s.procs {
 		s.procs[r].retire()
+	}
+	for i := range s.recv {
+		s.recv[i].reset()
 	}
 }
 

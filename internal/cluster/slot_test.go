@@ -40,9 +40,10 @@ func awaitIdle(t *testing.T, s *Session, n int) []*rankSlot {
 }
 
 // An op that has handed its slot back cannot reach the next op through
-// it: a delivery through the old op's runtime, as a reader that found it
-// just before its deregistration makes, is dropped and never reaches the
-// new owner's FIFO, and what the old op left queued is gone.
+// it: a delivery through the old op's runtime — which nothing that holds
+// a reference on the op can make, but the owner check guards — is
+// dropped and never reaches the new owner's FIFO, and what the old op
+// left queued is gone.
 func TestRetiredSlotDropsStragglers(t *testing.T) {
 	tr := newBareTransport(Spec{P: 2, N: 1})
 	pool := newSlotPool(tr.spec, DefaultMaxInFlight)
@@ -141,13 +142,106 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 		}
 	}
 	awaitIdle(t, s, 1)
+	awaitCollected(t, &freed, 10)
+
+	// On TCP an inter-node frame is decoded into its op's arena for the
+	// pair (rankSlot.recv), which must not pin the payload either.
+	tcp, err := OpenSession(Spec{P: 2, N: 2, Mapping: BlockMapping}, SessionConfig{Engine: EngineTCP, MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	var freedTCP atomic.Int32
+	recvd := func(p *Proc, mine block.Message) block.Message {
+		if p.Rank() == 0 {
+			p.Send(1, block.NewPlain(0, make([]byte, 4<<10)))
+		} else {
+			b := p.Recv(0).Chunks[0].Payload // the reader's own make
+			runtime.SetFinalizer(&b[0], func(*byte) { freedTCP.Add(1) })
+		}
+		return mine
+	}
+	for op := 0; op < 2; op++ {
+		if _, err := tcp.Collective(context.Background(), Op{Algo: recvd, MsgSize: 8}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitIdle(t, tcp, 1)
+	awaitCollected(t, &freedTCP, 2)
+}
+
+// awaitCollected runs the collector until freed reaches n.
+func awaitCollected(t *testing.T, freed *atomic.Int32, n int32) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for freed.Load() != 10 {
+	for freed.Load() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of 10 payloads collected while the slot is idle", freed.Load())
+			t.Fatalf("%d of %d payloads collected while the slot is idle", freed.Load(), n)
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Frames that reach a socket reader after their op has ended — held
+// back by a read stall, behind one the reader took while the op was
+// live — are stragglers (all but the first behind it, which the reader
+// may still take while the op ends): decoded into the reader's own storage and
+// dropped. At one op in flight the next op runs on the same slot and
+// pair, and no straggler draws from its pair arena or delivers into its
+// FIFOs: the pair arena holds exactly the next op's one frame from rank
+// 0 when rank 1 has received it, and its result is byte-exact.
+func TestStragglerFramesMissTheNextOp(t *testing.T) {
+	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
+	s, err := OpenSession(spec, SessionConfig{Engine: EngineTCP, MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const spray = 4
+	stall := &fault.Plan{Rules: []fault.Rule{{Src: 0, Dst: 1, Kind: fault.StallRead, Delay: 20 * time.Millisecond, Times: -1}}}
+	// Rank 1 receives the first frame, which the reader takes while the
+	// op is live and stalls; the spray behind it arrives once rank 1 has
+	// returned.
+	leave := func(p *Proc, mine block.Message) block.Message {
+		if p.Rank() == 1 {
+			p.Recv(0)
+			return mine
+		}
+		for range 1 + spray {
+			p.Isend(1, block.Message{Chunks: []block.Chunk{p.Encrypt(mine.Chunks...)}})
+		}
+		return mine
+	}
+	var drew atomic.Value
+	checked := func(p *Proc, mine block.Message) block.Message {
+		res := encRing(p, mine)
+		if p.Rank() == 1 {
+			// Rank 0 sends rank 1 one one-chunk frame, delivered before
+			// this: the pair's reader has drawn all it will for this op.
+			a := &p.eng.(*opRuntime).recv[0*spec.P+1]
+			drew.Store([2]int{len(a.chunks.buf) + a.chunks.spilt, len(a.blocks.buf) + a.blocks.spilt})
+		}
+		return res
+	}
+	const m = 3000
+	for i := 0; i < 5; i++ {
+		if _, err := s.Collective(context.Background(), Op{Algo: leave, MsgSize: m, Plan: stall}); err != nil {
+			t.Fatalf("round %d: stalled op: %v", i, err)
+		}
+		res, err := s.Collective(context.Background(), Op{Algo: checked, MsgSize: m})
+		if err != nil {
+			t.Fatalf("round %d: next op: %v", i, err)
+		}
+		if err := ValidateGather(spec, m, res.Results, true); err != nil {
+			t.Fatalf("round %d: next op: %v", i, err)
+		}
+		if got := drew.Load().([2]int); got != [2]int{1, 1} {
+			t.Fatalf("round %d: the next op's pair arena drew %d chunks and %d blocks, want 1 and 1", i, got[0], got[1])
+		}
+	}
+	if n := s.lm.stragglers.Value(); n < 5*(spray-1) {
+		t.Fatalf("%d stragglers dropped, want at least %d", n, 5*(spray-1))
 	}
 }
 

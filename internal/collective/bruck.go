@@ -16,9 +16,8 @@ import (
 func Bruck(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 	n := g.Size()
 	i := g.Index(p.Rank())
-	list := make([]block.Message, 1, n)
-	list[0] = tagged(p, mine, i)
-	held := make([]block.Message, n)
+	list := append(p.Messages(n), tagged(p, mine, i))
+	held := p.Messages(n)[:n]
 	for k := 1; k < n; k <<= 1 {
 		cnt := k
 		if n-k < cnt {
@@ -39,7 +38,7 @@ func Bruck(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 			list = append(list, m)
 		}
 	}
-	res := make([]block.Message, n)
+	res := p.Messages(n)[:n]
 	for j, m := range list {
 		res[(i+j)%n] = m
 	}

@@ -69,7 +69,7 @@ func concat(p *cluster.Proc, msgs []block.Message) block.Message {
 // newHeld is a member-indexed working set of n contributions holding
 // only member i's own; a member is held once its message has chunks.
 func newHeld(p *cluster.Proc, n, i int, mine block.Message) []block.Message {
-	held := make([]block.Message, n)
+	held := p.Messages(n)[:n]
 	held[i] = tagged(p, mine, i)
 	return held
 }

@@ -28,15 +28,17 @@ func Hierarchical(p *cluster.Proc, g Group, mine block.Message) []block.Message 
 	full = Bcast(p, nodeGroup, 0, full)
 
 	// Split the flat result back into per-rank contributions by origin.
-	res := make([]block.Message, p.P())
-	for _, c := range full.Chunks {
+	// A rank's first chunk joins as a capacity-capped view of the list.
+	res := p.Messages(p.P())[:p.P()]
+	for k, c := range full.Chunks {
 		if len(c.Blocks) != 1 {
 			panic(fmt.Sprintf("collective: Hierarchical needs single-block contributions, got chunk with %d blocks", len(c.Blocks)))
 		}
-		origin := c.Blocks[0].Origin
-		m := res[origin]
-		m.Append(c)
-		res[origin] = m
+		if m := &res[c.Blocks[0].Origin]; len(m.Chunks) == 0 {
+			m.Chunks = full.Chunks[k : k+1 : k+1]
+		} else {
+			m.Append(c)
+		}
 	}
 	for r, m := range res {
 		if len(m.Chunks) == 0 {

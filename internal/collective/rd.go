@@ -29,7 +29,7 @@ func RD(p *cluster.Proc, g Group, mine block.Message) []block.Message {
 		// (which includes a copy of our own contribution).
 		p.Send(g.Ranks[i-pof2], concat(p, held))
 		in := p.Recv(g.Ranks[i-pof2])
-		held = make([]block.Message, n)
+		held = p.Messages(n)[:n]
 		mergeByTag(held, in)
 		return collectHeld(held)
 	}

@@ -26,7 +26,7 @@ func ringOver(p *cluster.Proc, g Group, order []int, mine block.Message) []block
 	if gi < 0 {
 		panic(fmt.Sprintf("collective: rank %d not in group", p.Rank()))
 	}
-	res := make([]block.Message, n)
+	res := p.Messages(n)[:n]
 	cur := tagged(p, mine, gi)
 	res[gi] = cur
 	if n == 1 {

@@ -120,50 +120,89 @@ func (fw *FrameWriter) WriteSeg(w io.Writer, src int, op uint32, seq uint64, sf 
 type FrameKind int
 
 const (
-	// FrameMsg is a whole-message frame ("EAGM"); Frame.Msg holds the
-	// fully read message.
+	// FrameMsg is a whole-message frame ("EAGM"), its body read by
+	// FrameReader.ReadMsg.
 	FrameMsg FrameKind = iota
-	// FrameSeg is a segment sub-frame ("EAGP"); Frame.Seg describes it
-	// and its payload is still unread on the stream.
+	// FrameSeg is a segment sub-frame ("EAGP"), its header read by
+	// FrameReader.ReadSeg; its payload is left on the stream.
 	FrameSeg
 )
 
-// Frame is the header-level view of one incoming frame.
+// Frame is one incoming frame as FrameReader.Next finds it: its kind
+// and prefix. ReadFrameStart also reads the rest of its header onto the
+// heap, into Msg or Seg.
 type Frame struct {
 	Kind FrameKind
 	Src  int
 	Op   uint32
 	Seq  uint64
-	Msg  block.Message // FrameMsg only
-	Seg  SegFrame      // FrameSeg only; Payload nil, PayloadLen set
+	Msg  block.Message // FrameMsg, from ReadFrameStart only
+	Seg  SegFrame      // FrameSeg, from ReadFrameStart only; Payload nil, PayloadLen set
 }
 
-// FrameReader decodes frames of both kinds from one stream: the mirror
-// of FrameWriter. Every fixed-width group of a header is read with one
-// io.ReadFull into scratch the reader owns, so decoding a header
-// allocates only what the frame carries (chunk list, block lists,
-// payloads, sub-frame metadata). It buffers nothing itself — over a
-// socket, give it a bufio.Reader — so the bytes after a segment
-// sub-frame's header are still on the underlying reader, for the caller
-// to consume. Not safe for concurrent use: each connection's reader
-// goroutine owns one.
-type FrameReader struct {
-	// Alloc, when set, supplies the payload buffer of every encrypted
-	// chunk of a message frame: exactly n bytes, which the reader
-	// overwrites. Plaintext payloads are always made fresh.
-	Alloc func(n int) []byte
+// MsgAlloc supplies the storage a FrameReader decodes a frame's lists
+// and ciphertext into, so a transport that knows the frame's owner
+// before it reads the body can decode into that owner's memory.
+type MsgAlloc interface {
+	// Chunks returns an empty chunk list with room for n.
+	Chunks(n int) []block.Chunk
+	// Blocks returns an empty block list with room for n.
+	Blocks(n int) []block.Block
+	// Cipher returns an n-byte buffer for an encrypted chunk's payload;
+	// the reader overwrites all of it.
+	Cipher(n int) []byte
+}
 
+// heapAlloc decodes onto the heap: the one-shot readers' MsgAlloc.
+type heapAlloc struct{}
+
+func (heapAlloc) Chunks(n int) []block.Chunk { return make([]block.Chunk, 0, n) }
+func (heapAlloc) Blocks(n int) []block.Block { return make([]block.Block, 0, n) }
+func (heapAlloc) Cipher(n int) []byte        { return make([]byte, n) }
+
+// FrameReader decodes frames of both kinds from one stream: the mirror
+// of FrameWriter. Next reads a frame's prefix, so the caller knows the
+// frame's operation before it reads the body, with ReadMsg or ReadSeg,
+// into storage the caller supplies. Every fixed-width group of a header
+// is read with one io.ReadFull into scratch the reader owns, so a body
+// allocates only its plaintext payloads and, on a stream's first
+// sub-frame, its SegMeta. It buffers nothing itself — over a socket,
+// give it a bufio.Reader — so the bytes after a segment sub-frame's
+// header are still on the underlying reader, for the caller to consume.
+// Not safe for concurrent use: each connection's reader goroutine owns
+// one.
+type FrameReader struct {
 	r   io.Reader
 	hdr [prefixLen]byte // the largest fixed-width group
 	bh  []byte          // encoded block-header scratch, grown on demand
+	sh  []byte          // seal-header scratch: the last SegMeta's Header
 }
 
 // NewFrameReader returns a reader decoding frames from r.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // ReadFrameStart reads one frame of either kind with a one-shot
-// FrameReader: see FrameReader.Next.
-func ReadFrameStart(r io.Reader) (Frame, error) { return NewFrameReader(r).Next() }
+// FrameReader, onto the heap: a message frame whole, a segment
+// sub-frame up to — but not including — its payload, of which the
+// caller must consume exactly Seg.PayloadLen bytes.
+func ReadFrameStart(r io.Reader) (Frame, error) { return NewFrameReader(r).next(heapAlloc{}) }
+
+// next reads one frame of either kind, its lists and ciphertext from a.
+func (d *FrameReader) next(a MsgAlloc) (Frame, error) {
+	f, err := d.Next()
+	if err != nil {
+		return Frame{}, err
+	}
+	if f.Kind == FrameMsg {
+		f.Msg, err = d.ReadMsg(a)
+	} else {
+		f.Seg, err = d.ReadSeg(a)
+	}
+	if err != nil {
+		return Frame{}, err
+	}
+	return f, nil
+}
 
 // fill reads the next n header bytes into the scratch.
 func (d *FrameReader) fill(n int) ([]byte, error) {
@@ -172,12 +211,11 @@ func (d *FrameReader) fill(n int) ([]byte, error) {
 	return b, err
 }
 
-// Next reads one frame of either kind. A message frame is read whole. A
-// segment sub-frame is read and validated up to — but not including —
-// its payload: the caller must consume exactly Seg.PayloadLen bytes from
-// the underlying reader (into whatever buffer it chooses) before calling
+// Next reads one frame's prefix: its kind, source, sequence number and
+// operation id. The caller then reads the body, with ReadMsg for a
+// message frame and ReadSeg for a segment sub-frame, before it calls
 // Next again. A stream that ends inside a frame yields
-// io.ErrUnexpectedEOF, never ErrBadFrame.
+// io.ErrUnexpectedEOF, never ErrBadFrame, here and in the body readers.
 func (d *FrameReader) Next() (Frame, error) {
 	b, err := d.fill(prefixLen)
 	if err != nil {
@@ -186,24 +224,32 @@ func (d *FrameReader) Next() (Frame, error) {
 	f := Frame{Src: int(be.Uint32(b[4:])), Seq: be.Uint64(b[8:]), Op: be.Uint32(b[16:])}
 	switch m := be.Uint32(b); m {
 	case magic:
-		f.Msg, err = d.readMsg()
 	case segFrameMagic:
 		f.Kind = FrameSeg
-		f.Seg, err = d.readSeg()
 	default:
 		return Frame{}, fmt.Errorf("%w: bad magic %#x", ErrBadFrame, m)
-	}
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF // the frame had begun
-	}
-	if err != nil {
-		return Frame{}, err
 	}
 	return f, nil
 }
 
-// readMsg decodes a message frame's body after its prefix.
-func (d *FrameReader) readMsg() (block.Message, error) {
+// begun reports a body read's error: the frame had begun, so a stream
+// that ends here ends mid-frame.
+func begun(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// ReadMsg reads the body of the message frame Next found, its chunk
+// list, block lists and encrypted payloads from a. Plaintext payloads
+// are made fresh.
+func (d *FrameReader) ReadMsg(a MsgAlloc) (block.Message, error) {
+	msg, err := d.readMsg(a)
+	return msg, begun(err)
+}
+
+func (d *FrameReader) readMsg(a MsgAlloc) (block.Message, error) {
 	var msg block.Message
 	b, err := d.fill(4)
 	if err != nil {
@@ -214,7 +260,7 @@ func (d *FrameReader) readMsg() (block.Message, error) {
 		return msg, fmt.Errorf("%w: %d chunks exceeds limit", ErrBadFrame, nChunks)
 	}
 	var total uint64
-	msg.Chunks = make([]block.Chunk, 0, nChunks)
+	msg.Chunks = a.Chunks(int(nChunks))
 	for i := uint32(0); i < nChunks; i++ {
 		b, err := d.fill(chunkFixedLen)
 		if err != nil {
@@ -225,12 +271,12 @@ func (d *FrameReader) readMsg() (block.Message, error) {
 		if nBlocks > maxCount {
 			return msg, fmt.Errorf("%w: %d blocks exceeds limit", ErrBadFrame, nBlocks)
 		}
-		c.Blocks = make([]block.Block, nBlocks)
-		for j := range c.Blocks {
+		c.Blocks = a.Blocks(int(nBlocks))
+		for j := uint32(0); j < nBlocks; j++ {
 			if b, err = d.fill(blockLen); err != nil {
 				return msg, err
 			}
-			c.Blocks[j] = block.Block{Origin: int(be.Uint32(b)), Len: int64(be.Uint64(b[4:]))}
+			c.Blocks = append(c.Blocks, block.Block{Origin: int(be.Uint32(b)), Len: int64(be.Uint64(b[4:]))})
 		}
 		if b, err = d.fill(4); err != nil {
 			return msg, err
@@ -243,8 +289,8 @@ func (d *FrameReader) readMsg() (block.Message, error) {
 		if total > MaxFrame {
 			return msg, fmt.Errorf("%w: frame exceeds %d bytes", ErrBadFrame, MaxFrame)
 		}
-		if c.Enc && d.Alloc != nil {
-			c.Payload = d.Alloc(int(plen))
+		if c.Enc {
+			c.Payload = a.Cipher(int(plen))
 		} else {
 			c.Payload = make([]byte, plen)
 		}
@@ -256,9 +302,18 @@ func (d *FrameReader) readMsg() (block.Message, error) {
 	return msg, nil
 }
 
-// readSeg decodes a segment sub-frame's header after its prefix,
-// stopping before the payload.
-func (d *FrameReader) readSeg() (SegFrame, error) {
+// ReadSeg reads the header of the segment sub-frame Next found, up to —
+// but not including — its payload: the caller must consume exactly
+// PayloadLen bytes from the underlying reader (into whatever buffer it
+// chooses) before it calls Next again. A stream's first sub-frame
+// carries a SegMeta, whose block list comes from a and whose Header is
+// the reader's scratch, valid until the next ReadSeg.
+func (d *FrameReader) ReadSeg(a MsgAlloc) (SegFrame, error) {
+	sf, err := d.readSeg(a)
+	return sf, begun(err)
+}
+
+func (d *FrameReader) readSeg(a MsgAlloc) (SegFrame, error) {
 	var sf SegFrame
 	b, err := d.fill(segFixedLen)
 	if err != nil {
@@ -278,7 +333,7 @@ func (d *FrameReader) readSeg() (SegFrame, error) {
 	case flags == flagRelay:
 		return sf, fmt.Errorf("%w: relay flag on a sub-frame without chunk metadata", ErrBadFrame)
 	case flags != 0:
-		if sf.Meta, err = d.readSegMeta(); err != nil {
+		if sf.Meta, err = d.readSegMeta(a); err != nil {
 			return sf, err
 		}
 		sf.Meta.Relay = flags&flagRelay != 0
@@ -294,10 +349,10 @@ func (d *FrameReader) readSeg() (SegFrame, error) {
 	return sf, nil
 }
 
-// readSegMeta decodes a stream's first-sub-frame metadata. The encoded
-// block header is only parsed, so it goes through the reader's scratch;
-// the seal header is handed to the caller, so it gets its own slice.
-func (d *FrameReader) readSegMeta() (*SegMeta, error) {
+// readSegMeta decodes a stream's first-sub-frame metadata. Both encoded
+// headers go through the reader's scratch: the block header is parsed
+// into a list from a, and the seal header is handed to the caller as is.
+func (d *FrameReader) readSegMeta(a MsgAlloc) (*SegMeta, error) {
 	b, err := d.fill(segMetaLen)
 	if err != nil {
 		return nil, err
@@ -306,14 +361,11 @@ func (d *FrameReader) readSegMeta() (*SegMeta, error) {
 	if bhLen > maxSegMeta {
 		return nil, fmt.Errorf("%w: block header of %d bytes", ErrBadFrame, bhLen)
 	}
-	if cap(d.bh) < int(bhLen) {
-		d.bh = make([]byte, bhLen)
-	}
-	bh := d.bh[:bhLen]
-	if _, err := io.ReadFull(d.r, bh); err != nil {
+	bh, err := d.readScratch(&d.bh, bhLen)
+	if err != nil {
 		return nil, err
 	}
-	blocks, err := block.DecodeHeader(bh)
+	blocks, err := block.DecodeHeaderInto(a.Blocks(block.HeaderBlocks(len(bh))), bh)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadFrame, err)
 	}
@@ -324,9 +376,19 @@ func (d *FrameReader) readSegMeta() (*SegMeta, error) {
 	if shLen > maxSegMeta {
 		return nil, fmt.Errorf("%w: segment header of %d bytes", ErrBadFrame, shLen)
 	}
-	sh := make([]byte, shLen)
-	if _, err := io.ReadFull(d.r, sh); err != nil {
+	sh, err := d.readScratch(&d.sh, shLen)
+	if err != nil {
 		return nil, err
 	}
 	return &SegMeta{Tag: tag, Blocks: blocks, Header: sh}, nil
+}
+
+// readScratch reads the next n bytes into *buf, grown on demand.
+func (d *FrameReader) readScratch(buf *[]byte, n uint32) ([]byte, error) {
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	_, err := io.ReadFull(d.r, b)
+	return b, err
 }

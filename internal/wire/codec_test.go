@@ -85,28 +85,52 @@ func TestFrameWriterGoldenBytes(t *testing.T) {
 	}
 }
 
-// FrameReader.Alloc supplies the payload of every encrypted chunk and of
-// nothing else; a stale buffer it hands out is overwritten.
+// sliceAlloc is a MsgAlloc that records every request and hands out
+// stale buffers, which the reader must overwrite.
+type sliceAlloc struct {
+	chunks, blocks, cipher []int
+}
+
+func (a *sliceAlloc) Chunks(n int) []block.Chunk {
+	a.chunks = append(a.chunks, n)
+	return make([]block.Chunk, 0, n)
+}
+
+func (a *sliceAlloc) Blocks(n int) []block.Block {
+	a.blocks = append(a.blocks, n)
+	return make([]block.Block, 0, n)
+}
+
+func (a *sliceAlloc) Cipher(n int) []byte {
+	a.cipher = append(a.cipher, n)
+	return bytes.Repeat([]byte{0xA5}, n)
+}
+
+// ReadMsg takes the payload of every encrypted chunk, and of nothing
+// else, from its MsgAlloc, and the chunk list and every block list too;
+// a stale buffer it hands out is overwritten.
 func TestFrameReaderAllocEncryptedOnly(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, 3, 9, 1, goldenMsg()); err != nil {
 		t.Fatal(err)
 	}
-	var asked []int
+	a := &sliceAlloc{}
 	d := NewFrameReader(&buf)
-	d.Alloc = func(n int) []byte {
-		asked = append(asked, n)
-		return bytes.Repeat([]byte{0xA5}, n)
+	if _, err := d.Next(); err != nil {
+		t.Fatal(err)
 	}
-	f, err := d.Next()
+	msg, err := d.ReadMsg(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(asked, []int{4}) {
-		t.Fatalf("Alloc asked for %v, want only the encrypted chunk's 4 bytes", asked)
+	if !reflect.DeepEqual(a.cipher, []int{4}) {
+		t.Fatalf("Cipher asked for %v, want only the encrypted chunk's 4 bytes", a.cipher)
+	}
+	if !reflect.DeepEqual(a.chunks, []int{3}) || !reflect.DeepEqual(a.blocks, []int{1, 2, 0}) {
+		t.Fatalf("Chunks asked for %v and Blocks for %v, want [3] and [1 2 0]", a.chunks, a.blocks)
 	}
 	for i, c := range goldenMsg().Chunks {
-		if got := f.Msg.Chunks[i].Payload; !bytes.Equal(got, c.Payload) {
+		if got := msg.Chunks[i].Payload; !bytes.Equal(got, c.Payload) {
 			t.Fatalf("chunk %d payload %x, want %x", i, got, c.Payload)
 		}
 	}
@@ -154,12 +178,13 @@ type decodedFrame struct {
 
 // decodeStream reads frames off r with one FrameReader until the stream
 // ends, consuming each sub-frame's payload from r the way the transport
-// does. A clean end between frames is not an error.
+// does. A clean end between frames is not an error. A seal header is
+// the reader's scratch, so each kept one is copied.
 func decodeStream(r io.Reader) ([]decodedFrame, error) {
 	d := NewFrameReader(r)
 	var out []decodedFrame
 	for {
-		f, err := d.Next()
+		f, err := d.next(heapAlloc{})
 		if err == io.EOF {
 			return out, nil
 		}
@@ -168,6 +193,9 @@ func decodeStream(r io.Reader) ([]decodedFrame, error) {
 		}
 		var payload []byte
 		if f.Kind == FrameSeg {
+			if m := f.Seg.Meta; m != nil {
+				m.Header = bytes.Clone(m.Header)
+			}
 			var buf bytes.Buffer
 			if _, err := io.CopyN(&buf, r, int64(f.Seg.PayloadLen)); err != nil {
 				return out, err
@@ -264,8 +292,38 @@ func TestFrameReaderTruncation(t *testing.T) {
 	}
 }
 
-// Steady-state writes allocate nothing, and header decoding allocates
-// only what the frame carries.
+// stockAlloc is a MsgAlloc over storage it keeps from frame to frame,
+// as a transport's arena does: once warm, it allocates nothing.
+type stockAlloc struct {
+	chunks []block.Chunk
+	blocks []block.Block
+	cipher []byte
+}
+
+func (a *stockAlloc) Chunks(n int) []block.Chunk {
+	if cap(a.chunks) < n {
+		a.chunks = make([]block.Chunk, n)
+	}
+	return a.chunks[:0:n]
+}
+
+func (a *stockAlloc) Blocks(n int) []block.Block {
+	if cap(a.blocks) < n {
+		a.blocks = make([]block.Block, n)
+	}
+	return a.blocks[:0:n] // the test keeps no decoded list, so one run serves every list
+}
+
+func (a *stockAlloc) Cipher(n int) []byte {
+	if cap(a.cipher) < n {
+		a.cipher = make([]byte, n)
+	}
+	return a.cipher[:n]
+}
+
+// Steady-state writes allocate nothing, and with storage the caller
+// reuses, reading a frame allocates only its plaintext payloads and a
+// stream's first sub-frame its SegMeta.
 func TestFrameCodecAllocs(t *testing.T) {
 	fw := NewFrameWriter()
 	msg, seg := goldenMsg(), sampleSeg(true)
@@ -278,24 +336,25 @@ func TestFrameCodecAllocs(t *testing.T) {
 
 	rd := bytes.NewReader(nil)
 	d := NewFrameReader(rd)
+	a := &stockAlloc{}
 	cases := []struct {
 		name  string
 		hex   string
 		allow float64
 	}{
-		// The chunk list, two non-empty block lists, two non-empty
-		// payloads (empty slices do not allocate).
-		{"message", goldenFrames[0].hex, 5},
+		// The one non-empty plaintext payload (an empty one does not
+		// allocate); the encrypted payload and every list are a's.
+		{"message", goldenFrames[0].hex, 1},
 		{"segment, no metadata", goldenFrames[3].hex, 0},
-		// SegMeta, its block list and its seal header; the encoded block
-		// header goes through the reader's scratch.
-		{"segment with metadata", goldenFrames[2].hex, 3},
+		// The SegMeta; its block list is a's, both encoded headers go
+		// through the reader's scratch.
+		{"segment with metadata", goldenFrames[2].hex, 1},
 	}
 	for _, c := range cases {
 		raw, _ := hex.DecodeString(c.hex)
 		n := testing.AllocsPerRun(100, func() {
 			rd.Reset(raw)
-			if _, err := d.Next(); err != nil {
+			if _, err := d.next(a); err != nil {
 				t.Fatal(err)
 			}
 		})

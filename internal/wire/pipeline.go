@@ -26,7 +26,7 @@
 //	uint32 payload length, payload bytes (one sealed segment
 //	       nonce || ciphertext || tag)
 //
-// FrameReader.Next deliberately stops before the payload: the transport
+// FrameReader.ReadSeg deliberately stops before the payload: the transport
 // reads each segment's nonce and ciphertext||tag straight to where the
 // receive stream opens it (the plaintext buffer, or a relayed stream's
 // blob), so an arriving segment costs no staging copy.

@@ -34,8 +34,11 @@
 // prefix, the sub-frame's fixed fields, each chunk's flags/tag/count,
 // each block entry — one io.ReadFull each into reusable scratch, and
 // buffers nothing itself: the TCP link reads through a bufio.Reader, so
-// a frame costs one read(2) in the steady state. WriteFrame, ReadFrame
-// and ReadFrameStart are one-shot wrappers over the two.
+// a frame costs one read(2) in the steady state. It reads the prefix
+// first (Next), so the link finds the frame's operation before it
+// decodes the body into that operation's storage (ReadMsg, ReadSeg and
+// a MsgAlloc). WriteFrame, ReadFrame and ReadFrameStart are one-shot
+// wrappers over the two, which decode onto the heap.
 package wire
 
 import (
@@ -89,9 +92,13 @@ func WriteFrame(w io.Writer, src int, op uint32, seq uint64, msg block.Message) 
 // operation claims is simply dropped: readable or rejected, never
 // misrouted.
 func ReadFrame(r io.Reader) (src int, op uint32, seq uint64, msg block.Message, err error) {
-	f, err := NewFrameReader(r).Next()
+	d := NewFrameReader(r)
+	f, err := d.Next()
 	if err == nil && f.Kind != FrameMsg {
 		err = fmt.Errorf("%w: bad magic %#x", ErrBadFrame, segFrameMagic)
+	}
+	if err == nil {
+		f.Msg, err = d.ReadMsg(heapAlloc{})
 	}
 	if err != nil {
 		return 0, 0, 0, block.Message{}, err

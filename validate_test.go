@@ -228,14 +228,19 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window i
 // (11 runs, four beside two CPU-bound loops), so the byte gate fell
 // from 13 564 KB to that maximum plus 10 %; objects about 86 (one AAD
 // buffer per stream instead of a pooled one per segment), up to 102
-// under the race build.
+// under the race build. Objects: about 68 since a socket reader decodes
+// each frame into its op's arena for the pair (a stream's first
+// sub-frame's block list and delivered chunk list, its AAD and seal
+// header through reader scratch), up to 84 under the race build (22
+// runs, eight beside two CPU-bound loops), so the object gate fell from
+// 110 to 93.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget        = 9056 << 10
-		objectsBudget = 110
+		objectsBudget = 93
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgCRing, 1<<20, 8, 0, WithEngine(EngineTCP), WithPipelining(true))
 	t.Logf("%d KB and %d objects allocated per 1 MiB pipelined TCP c-ring op (budgets %d KB, %d)",
@@ -273,14 +278,18 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 // up to 243 objects with the rank slots, 230 since the views share one
 // array and 74 with the arenas (11 runs, four beside two CPU-bound
 // loops), 72 without the run bound (3 runs); each gate is such a
-// maximum plus 10 %.
+// maximum plus 10 %. About 40 objects and 66 KB since a socket reader
+// decodes each frame into its op's arena for the pair instead of a
+// fresh chunk list and block list per frame, up to 40 and 67 KB under
+// the race build (22 runs, eight beside two CPU-bound loops), so the
+// gates fell from 82 objects and 79 KB to 44 and 74 KB.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
-		budget        = 79 << 10
-		objectsBudget = 82
+		budget        = 74 << 10
+		objectsBudget = 44
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, AlgORD2, 1<<10, 50, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 1 KiB TCP o-rd2 op (budgets %d KB, %d)",
@@ -318,14 +327,17 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 // slot keeps and results are assembled into storage the op owns, 44 at
 // most under the race build (11 runs, four beside two CPU-bound loops),
 // so the ceiling is 49; about 42 since an op has no run bound, 42 at
-// most under the race build (3 runs).
+// most under the race build (3 runs); 30 since a socket reader decodes
+// each frame into its op's arena for the pair, 30 at most under the race
+// build (22 runs, eight beside two CPU-bound loops), so the ceiling is
+// 33.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	const (
 		budget         = 731 << 10
-		startedObjects = 49
+		startedObjects = 33
 	)
 	perOp, objects := allocsPerRun(t, Spec{Procs: 4, Nodes: 2}, AlgORing, 64<<10, 40, 0, WithEngine(EngineTCP))
 	t.Logf("%d KB and %d objects allocated per 64 KiB TCP o-ring op (budget %d KB)",
@@ -451,9 +463,10 @@ func TestSimAllocBudget(t *testing.T) {
 // chunk lists and group lists from its arena, which the rank slot keeps
 // from op to op, and assembles its result into storage the result owns,
 // so what is left is the operation's own: its runtime, inputs, opened
-// plaintext and gathered views: 40 (o-rd2, hs1) to 88 (naive) objects
-// since an op has no run bound, 42 to 90 with it, against 157 (hs1) to
-// 235 (naive) before the arenas. Each ceiling is
+// plaintext and gathered views: 36 (hs1) to 80 (naive) objects since
+// the collectives' member-indexed message lists come from the arena too,
+// 40 (o-rd2, hs1) to 88 (naive) before, 42 to 90 with the run bound,
+// against 157 (hs1) to 235 (naive) before the arenas. Each ceiling is
 // the race build's maximum over 22 runs, eight of them beside two
 // CPU-bound loops, plus 10 %.
 func TestPaperAlgorithmsSteadyStateAllocBudget(t *testing.T) {
@@ -461,8 +474,8 @@ func TestPaperAlgorithmsSteadyStateAllocBudget(t *testing.T) {
 		t.Skip("short mode")
 	}
 	budgets := map[Alg]uint64{
-		AlgNaive: 105, AlgORing: 65, AlgORD: 60, AlgORD2: 52,
-		AlgCRing: 68, AlgCRD: 69, AlgHS1: 50, AlgHS2: 63,
+		AlgNaive: 93, AlgORing: 63, AlgORD: 58, AlgORD2: 49,
+		AlgCRing: 58, AlgCRD: 58, AlgHS1: 43, AlgHS2: 58,
 	}
 	for _, alg := range PaperAlgorithms() {
 		_, objects := allocsPerRun(t, Spec{Procs: 8, Nodes: 4}, alg, 1<<10, 50, 0, WithEngine(EngineChan))
