@@ -113,8 +113,8 @@ func newTracked(rank int, freed *atomic.Int32) block.Message {
 
 // An idle slot pins no payload: what its last op left in a receive
 // FIFO, in shared memory, in a rank's Wait and seal scratch and in its
-// arena's chunk slab is collectable while the session, and the slot,
-// live on.
+// arena's chunk and message slabs is collectable while the session, and
+// the slot, live on.
 func TestIdleSlotPinsNoPayload(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
 	s, err := OpenSession(spec, SessionConfig{Engine: EngineChan, MaxInFlight: 1})
@@ -130,6 +130,7 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 			p.ShmPut(shmKey("left", 0), newTracked(0, &freed))
 			p.Encrypt(newTracked(0, &freed).Chunks...) // gathered from rank 0's scratch
 			_ = append(p.Chunks(1), newTracked(0, &freed).Chunks...)
+			_ = append(p.Messages(1), newTracked(0, &freed))
 		} else {
 			p.Recv(0)
 		}
@@ -142,7 +143,7 @@ func TestIdleSlotPinsNoPayload(t *testing.T) {
 		}
 	}
 	awaitIdle(t, s, 1)
-	awaitCollected(t, &freed, 10)
+	awaitCollected(t, &freed, 12)
 
 	// On TCP an inter-node frame is decoded into its op's arena for the
 	// pair (rankSlot.recv), which must not pin the payload either.
