@@ -159,7 +159,7 @@ func TestAutoFollowsTableAcrossBuckets(t *testing.T) {
 // build no longer has is skipped the same way.
 func TestAutoNeverSelectsUnencrypted(t *testing.T) {
 	// An algorithm tables swept before PR 24 can name; written in two
-	// halves because CI greps the tree for the retired name.
+	// halves because TestDesignRules greps the tree for the retired name.
 	const retired = "c-ring" + "-pipe"
 	tab := &tune.Table{Version: tune.Version, Cells: []tune.Cell{{
 		Key:  tune.Key{Bucket: 12, P: 4, N: 2, Engine: "chan"},

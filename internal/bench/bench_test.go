@@ -342,3 +342,13 @@ func TestWriteCSVDir(t *testing.T) {
 		}
 	}
 }
+
+// IDs lists experiment identifiers in order.
+func IDs() []string {
+	all := All()
+	out := make([]string, len(all))
+	for i, e := range all {
+		out[i] = e.ID
+	}
+	return out
+}

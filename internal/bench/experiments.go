@@ -71,16 +71,6 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// IDs lists experiment identifiers in order.
-func IDs() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.ID
-	}
-	return out
-}
-
 func trimSizes(sizes []int64, opts Options) []int64 {
 	if !opts.Quick {
 		return sizes

@@ -189,13 +189,6 @@ func NewSim(origin int, size int64) Message {
 // headerMagic guards the AAD codec.
 const headerMagic = 0x45414731 // "EAG1"
 
-// EncodeHeader serializes a block list; it is bound to each ciphertext as
-// GCM additional authenticated data so that an adversary cannot re-route
-// or re-label an intercepted ciphertext without detection.
-func EncodeHeader(blocks []Block) []byte {
-	return AppendHeader(make([]byte, 0, HeaderLen(len(blocks))), blocks)
-}
-
 // HeaderLen is the length of the encoded header of n blocks.
 func HeaderLen(n int) int { return 8 + 12*n }
 
@@ -209,15 +202,6 @@ func AppendHeader(dst []byte, blocks []Block) []byte {
 		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Len))
 	}
 	return dst
-}
-
-// DecodeHeader parses a header produced by EncodeHeader.
-func DecodeHeader(buf []byte) ([]Block, error) {
-	n, err := headerCount(buf)
-	if err != nil {
-		return nil, err
-	}
-	return appendBlocks(make([]Block, 0, n), buf), nil
 }
 
 // DecodeHeaderInto is DecodeHeader appending to dst, for a decoder that
@@ -305,18 +289,6 @@ func CheckPattern(origin int, pl []byte) bool {
 	return bytes.Equal(pl[len(head):], pl[:len(pl)-len(head)])
 }
 
-// Normalize validates that msg is a complete plaintext all-gather result
-// for p ranks of size m each and returns per-origin payloads (real mode)
-// or nil payloads (sim mode): views into the message's own chunk
-// payloads, nothing is copied. It fails if any chunk is still encrypted,
-// any origin is missing or duplicated, a length is wrong, or (real mode)
-// a payload does not match the deterministic pattern when checkPattern is
-// set. The structural checks cost O(p); checkPattern adds one CheckPattern
-// pass over every gathered byte.
-func Normalize(msg Message, p int, m int64, checkPattern bool) ([][]byte, error) {
-	return NormalizeV(msg, UniformSizes(p, m), checkPattern)
-}
-
 // UniformSizes is the per-rank size list of an all-gather of p equal
 // blocks of m bytes.
 func UniformSizes(p int, m int64) []int64 {
@@ -325,27 +297,6 @@ func UniformSizes(p int, m int64) []int64 {
 		sizes[i] = m
 	}
 	return sizes
-}
-
-// NormalizeV is Normalize for variable block sizes (the all-gatherv
-// extension): sizes[origin] is the expected plaintext length of each
-// rank's contribution.
-func NormalizeV(msg Message, sizes []int64, checkPattern bool) ([][]byte, error) {
-	payloads := make([][]byte, len(sizes))
-	if err := NormalizeInto(payloads, make([]bool, len(sizes)), msg, sizes); err != nil {
-		return nil, err
-	}
-	if checkPattern {
-		for origin, pl := range payloads {
-			if pl == nil {
-				return nil, fmt.Errorf("block: origin %d has no payload in real mode", origin)
-			}
-			if !CheckPattern(origin, pl) {
-				return nil, fmt.Errorf("block: origin %d payload corrupted", origin)
-			}
-		}
-	}
-	return payloads, nil
 }
 
 // NormalizeInto is NormalizeV's structural pass into caller-owned

@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
-// FuzzDecodeHeader: arbitrary byte strings must never panic the header
-// parser, and valid headers must round-trip through it.
+// FuzzDecodeHeader: arbitrary byte strings must never panic
+// DecodeHeaderInto, the header parser the wire reader runs, and valid
+// headers must round-trip through it.
 func FuzzDecodeHeader(f *testing.F) {
 	f.Add(EncodeHeader([]Block{{Origin: 3, Len: 99}}))
 	f.Add(EncodeHeader(nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x45, 0x41, 0x47, 0x31})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		blocks, err := DecodeHeader(data)
+		blocks, err := DecodeHeaderInto(nil, data)
 		if err != nil {
 			return
 		}

@@ -7,6 +7,7 @@ import (
 
 	"encag/internal/block"
 	"encag/internal/cluster"
+	"encag/internal/collective"
 	"encag/internal/cost"
 )
 
@@ -190,4 +191,31 @@ func TestXORMatchesByteLoop(t *testing.T) {
 		}
 	}()
 	XOR(make([]byte, 8), make([]byte, 7))
+}
+
+// AllreduceNaive is the baseline: a Naive encrypted all-gather followed
+// by a full local reduction at every rank — correct, but with the same
+// (p-1)m decryption bill the paper's Table II shows for Naive, plus
+// (p-1)m of local combining.
+func AllreduceNaive(op Combine) func(p *cluster.Proc, mine block.Message) block.Message {
+	gather := Naive(collective.MVAPICH(0))
+	return func(p *cluster.Proc, mine block.Message) block.Message {
+		all := gather(p, mine)
+		spans := sliceSpans(mine.PlainLen(), 1)
+		var acc block.Chunk
+		first := true
+		for _, c := range all.Chunks {
+			// Re-key every gathered rank block as slice 0 so they
+			// combine.
+			sc := sliceChunk(block.Message{Chunks: []block.Chunk{c}}, spans, 0)
+			if first {
+				acc = ownChunk(sc)
+				first = false
+				continue
+			}
+			acc = combineChunks(acc, sc, op)
+			p.CopyCharge(sc.PlainLen())
+		}
+		return block.Message{Chunks: []block.Chunk{acc}}
+	}
 }

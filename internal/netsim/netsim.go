@@ -213,9 +213,6 @@ func (n *Network) fastFinish(f *Flow) {
 	f.done.Fire()
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return n.active }
-
 func (n *Network) scheduleRecalc(domain int) {
 	d := n.domains[domain]
 	if d.pending {

@@ -321,3 +321,6 @@ func TestDomainIndependence(t *testing.T) {
 		t.Errorf("inter flow end = %g, want 1.0 (unaffected by memory pools)", inter.end)
 	}
 }
+
+// ActiveFlows returns the number of in-flight flows.
+func (n *Network) ActiveFlows() int { return n.active }

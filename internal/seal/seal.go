@@ -112,13 +112,6 @@ func NewRandomSealer() (*Sealer, error) {
 // instead of its own tally.
 func (s *Sealer) SetTally(t *Tally) { s.tally = t }
 
-// Counts returns the number of GCM seal operations and successful GCM
-// open operations (a segmented blob counts one per segment) in the
-// sealer's tally: its own, unless SetTally shares one.
-func (s *Sealer) Counts() (sealed, opened int64) {
-	return s.tally.Sealed(), s.tally.Opened()
-}
-
 // Invocations returns how many times the key has sealed: the count SP
 // 800-38D §8.3 bounds per key.
 func (s *Sealer) Invocations() uint64 { return s.sealed.Load() }

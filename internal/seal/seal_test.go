@@ -205,3 +205,10 @@ func TestQuickNondeterministicCiphertexts(t *testing.T) {
 		t.Fatal("two seals of the same plaintext produced identical blobs")
 	}
 }
+
+// Counts returns the number of GCM seal operations and successful GCM
+// open operations (a segmented blob counts one per segment) in the
+// sealer's tally: its own, unless SetTally shares one.
+func (s *Sealer) Counts() (sealed, opened int64) {
+	return s.tally.Sealed(), s.tally.Opened()
+}

@@ -123,12 +123,6 @@ func SegmentCount(n int64, segSize int) int {
 	return int((n + int64(segSize) - 1) / int64(segSize))
 }
 
-// SegmentedLen returns the sealed size of an n-byte plaintext under the
-// segmented framing with the given segment size.
-func SegmentedLen(n int64, segSize int) int64 {
-	return newLayout(n, int64(segSize)).blobLen()
-}
-
 // segLayout is the geometry of a segmented blob: every segment holds
 // segSize plaintext bytes except the last, which holds the rest. The
 // sealer writes only this regular geometry and readLayout accepts

@@ -333,3 +333,9 @@ func TestSegmentedLenMatchesBlob(t *testing.T) {
 		}
 	}
 }
+
+// SegmentedLen returns the sealed size of an n-byte plaintext under the
+// segmented framing with the given segment size.
+func SegmentedLen(n int64, segSize int) int64 {
+	return newLayout(n, int64(segSize)).blobLen()
+}

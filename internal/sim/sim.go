@@ -16,7 +16,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Event is a scheduled callback. It can be cancelled before it fires.
@@ -26,9 +25,6 @@ type Event struct {
 	fn    func()
 	index int // heap index, -1 when not queued
 }
-
-// Cancelled reports whether the event was removed before firing.
-func (ev *Event) Cancelled() bool { return ev.index == -2 }
 
 // Time returns the virtual time at which the event is scheduled to fire.
 func (ev *Event) Time() float64 { return ev.at }
@@ -82,11 +78,6 @@ func NewEnv() *Env {
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
-
-// NowDuration returns the current virtual time as a time.Duration.
-func (e *Env) NowDuration() time.Duration {
-	return time.Duration(e.now * float64(time.Second))
-}
 
 // Schedule registers fn to run at now+delay. A negative delay is clamped
 // to zero. The returned Event may be passed to Cancel.
@@ -144,22 +135,6 @@ func (e *Env) kill(err error) error {
 		}
 	}
 	return err
-}
-
-// RunUntil executes events with timestamps <= deadline.
-func (e *Env) RunUntil(deadline float64) error {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		ev := heap.Pop(&e.queue).(*Event)
-		e.now = ev.at
-		ev.fn()
-		if e.fatal != nil {
-			return e.kill(e.fatal)
-		}
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return nil
 }
 
 // Proc is a simulated process. Its methods must only be called from the

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrder(t *testing.T) {
@@ -362,4 +364,28 @@ func TestNowDuration(t *testing.T) {
 	if d := e.NowDuration(); d.Microseconds() != 1500 {
 		t.Fatalf("NowDuration = %v", d)
 	}
+}
+
+// Cancelled reports whether the event was removed before firing.
+func (ev *Event) Cancelled() bool { return ev.index == -2 }
+
+// NowDuration returns the current virtual time as a time.Duration.
+func (e *Env) NowDuration() time.Duration {
+	return time.Duration(e.now * float64(time.Second))
+}
+
+// RunUntil executes events with timestamps <= deadline.
+func (e *Env) RunUntil(deadline float64) error {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+		ev := heap.Pop(&e.queue).(*Event)
+		e.now = ev.at
+		ev.fn()
+		if e.fatal != nil {
+			return e.kill(e.fatal)
+		}
+	}
+	if e.now < deadline {
+		e.now = deadline
+	}
+	return nil
 }

@@ -24,10 +24,25 @@ func TestSessionMetricsConcurrent(t *testing.T) {
 			}
 			defer s.Close()
 
+			// The first three ops hold the window of 3 until the next Start
+			// waits for it, so backpressure happens by construction.
 			const ops = 12
+			held, open := gated(t, "gated", nil)
+			defer open()
 			var wg sync.WaitGroup
 			for i := 0; i < ops; i++ {
-				h, err := s.Start(context.Background(), "hs2", 2048)
+				alg := Alg("hs2")
+				if i < 3 {
+					alg = held
+				} else if i == 3 {
+					go func() {
+						for s.Snapshot().WindowWaits == 0 {
+							time.Sleep(time.Millisecond)
+						}
+						open()
+					}()
+				}
+				h, err := s.Start(context.Background(), alg, 2048)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,8 +80,6 @@ func TestSessionMetricsConcurrent(t *testing.T) {
 			if snap.Window != 3 {
 				t.Errorf("window=%d, want 3", snap.Window)
 			}
-			// 12 back-to-back Starts through a window of 3 must have hit
-			// backpressure at least once.
 			if snap.WindowWaits <= 0 {
 				t.Errorf("window waits=%d, want > 0", snap.WindowWaits)
 			}

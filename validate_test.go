@@ -191,49 +191,10 @@ func allocsPerRun(t *testing.T, spec Spec, alg Alg, msgSize int64, ops, window i
 
 // Allocation gate for the bandwidth-bound shape the benchmark calls
 // tcp-large-pipe (EngineTCP, 4 ranks on 2 nodes, c-ring, 1 MiB,
-// pipelined). In the benchmark's unit (alloc_KB_per_op, KB = 1024 B):
-// 41 075 while validation regenerated every origin's pattern for every
-// rank, about 24 700 since it checks the gathered bytes in place; the
-// gate is 27 000. Heap objects: about 1 940 while the frame codec read
-// and wrote field by field through interfaces and discards went through
-// a scratch ring, about 545 since, about 490 once ciphertext buffers were
-// recycled, about 440 once a streamed message was one sealed chunk (no
-// send plan, message assembly or seen-bitmap per stream), and about 416
-// since same-node pairs deliver in memory, which also took the bytes to
-// about 16 475 KB (no intra-node frame is encoded, read back and copied),
-// and about 343 since each rank counts its own sends instead of a per-op
-// audit and receives from per-source FIFOs, and about 192 since block
-// lists are shared views, working sets member-indexed slices, each AAD
-// one buffer and the crypto pool hands helpers a pooled job record, and
-// about 154 since a session keeps its rank slots (goroutines, FIFOs,
-// wake channels, timers and Procs) from op to op, and about 150 since
-// the gathered views share one backing array and the payload fill and
-// check take their per-call records from free lists. The race build,
-// which runs every test, allocates up to 16 469 KB and, since the views
-// share one array, 225 objects (11 runs, four of them beside two
-// CPU-bound loops; 226 with the rank slots alone); each gate is that
-// maximum plus 10 %. Bytes: about 12 330 KB since a streamed message has
-// no sealed blob — its send loop seals each segment into the sender's
-// one segment buffer and writes it from there — with the race build at
-// up to 12 331 KB (11 runs, four beside two CPU-bound loops), so the
-// byte gate fell from 18 116 KB to that maximum plus 10 %. Objects: about
-// 93 since each rank draws its algorithm's lists from an arena its slot
-// keeps and results are assembled into storage the op owns, up to 100
-// under the race build (11 runs, four beside two CPU-bound loops), so
-// the object gate fell from 248 to 110; about 90 since an op has no run
-// bound (no timer and closure per op), up to 95 under the race build (3
-// runs). Bytes: about 8 232 KB since a received stream opens each
-// segment in the plaintext buffer it lands in and keeps no sealed blob
-// unless its receiver relays it, up to 8 233 KB under the race build
-// (11 runs, four beside two CPU-bound loops), so the byte gate fell
-// from 13 564 KB to that maximum plus 10 %; objects about 86 (one AAD
-// buffer per stream instead of a pooled one per segment), up to 102
-// under the race build. Objects: about 68 since a socket reader decodes
-// each frame into its op's arena for the pair (a stream's first
-// sub-frame's block list and delivered chunk list, its AAD and seal
-// header through reader scratch), up to 84 under the race build (22
-// runs, eight beside two CPU-bound loops), so the object gate fell from
-// 110 to 93.
+// pipelined), in the benchmark's unit (KB = 1024 B): about 8 232 KB and
+// 68 heap objects per op. The race build allocates up to 8 233 KB and 84
+// objects (22 runs, eight beside two CPU-bound loops); each gate is that
+// maximum plus 10 %. CHANGES.md holds the history.
 func TestTCPLargePipeAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -254,35 +215,10 @@ func TestTCPLargePipeAllocBudget(t *testing.T) {
 }
 
 // Allocation gate for the latency-bound shape the benchmark calls
-// tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB). Heap objects
-// per blocking operation: about 1 800 while the frame codec read and
-// wrote field by field through interfaces and every receive made its
-// own deadline timer, about 1 120 since, about 936 since same-node
-// pairs deliver in memory, about 911 since each rank counts its own
-// sends and receives from per-source FIFOs, and about 315 since block
-// lists are shared views, the O-RD working set a member-indexed slice,
-// each AAD one rank-owned buffer and blocking exchanges allocate no
-// request or result slices, and about 224 since a session keeps its rank
-// slots from op to op and a whole seal gathers its payload slices into
-// rank scratch, and about 210 since the gathered views share one backing
-// array, and about 74 since each rank draws O-RD's working set, chunk
-// and block lists from an arena its slot keeps, the world group is built
-// once per session, results are assembled into storage the op owns, and
-// the send queue and the ciphertext list stop regrowing, and about 72
-// since an op has no run bound (its timer and closure). Bytes: about
-// 261 KB while every sealed blob and received ciphertext was a fresh
-// make, about 142 KB since they are recycled per operation and same-node
-// pairs skip the socket, about 106 KB since, about 92 KB with the rank
-// slots, and about 69 KB with the arenas. The race build allocated up to
-// 108 KB before the rank slots (93 KB since, 71 KB with the arenas), and
-// up to 243 objects with the rank slots, 230 since the views share one
-// array and 74 with the arenas (11 runs, four beside two CPU-bound
-// loops), 72 without the run bound (3 runs); each gate is such a
-// maximum plus 10 %. About 40 objects and 66 KB since a socket reader
-// decodes each frame into its op's arena for the pair instead of a
-// fresh chunk list and block list per frame, up to 40 and 67 KB under
-// the race build (22 runs, eight beside two CPU-bound loops), so the
-// gates fell from 82 objects and 79 KB to 44 and 74 KB.
+// tcp-small (EngineTCP, 8 ranks on 4 nodes, o-rd2, 1 KiB): about 66 KB
+// and 40 heap objects per blocking op. The race build allocates up to
+// 67 KB and 40 objects (22 runs, eight beside two CPU-bound loops); each
+// gate is that maximum plus 10 %. CHANGES.md holds the history.
 func TestTCPSmallAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -303,34 +239,17 @@ func TestTCPSmallAllocBudget(t *testing.T) {
 }
 
 // Allocation gate for the shape the benchmark calls tcp-overlap
-// (EngineTCP, 4 ranks on 2 nodes, o-ring, 64 KiB), run blocking: bytes
-// per operation. About 1 917 KB while every sealed blob and received
-// ciphertext was a fresh make, about 1 045 KB since they are recycled
-// per operation, 659–672 KB since same-node pairs deliver in memory, and
-// 653–666 KB (about 143 objects) since block lists are shared views, and
-// about 647 KB (about 93 objects) since a session keeps its rank slots.
-// The race build allocates up to 664 KB; the gate is that plus 10 %.
-// Bytes per op have a second mode, about 660 KB in some runs: the op in
-// which, for the first time, an op's last send is still queued when the
-// next op seals, so the next op's ciphertext buffers miss the free list
-// and are made once; later ones find them. A longer warm-up makes the
-// mode rarer, not gone. Earlier tests of the same process also used to
-// fill the free list with sizes this op does not seal, so its buffers
-// were refused and made fresh every time (837 KB here); the list now
-// drops idle buffers of other sizes to keep the one in use.
+// (EngineTCP, 4 ranks on 2 nodes, o-ring, 64 KiB), run blocking: about
+// 647 KB per op, up to 664 KB under the race build. Bytes per op have a
+// second mode, about 660 KB in some runs: the op in which, for the first
+// time, an op's last send is still queued when the next op seals, so the
+// next op's ciphertext buffers miss the free list and are made once.
 //
 // The same shape run as the benchmark runs it, started four in flight
-// and waited for oldest first, is gated on objects too: 90–94 per op
-// with a scheduler goroutine, closure and future per Start, up to 100
-// under the race build (11 runs, five beside two CPU-bound loops), so
-// the ceiling was 110; about 44 since each rank draws from an arena its
-// slot keeps and results are assembled into storage the op owns, 44 at
-// most under the race build (11 runs, four beside two CPU-bound loops),
-// so the ceiling is 49; about 42 since an op has no run bound, 42 at
-// most under the race build (3 runs); 30 since a socket reader decodes
-// each frame into its op's arena for the pair, 30 at most under the race
-// build (22 runs, eight beside two CPU-bound loops), so the ceiling is
-// 33.
+// and waited for oldest first, is gated on objects too: about 30 per op,
+// 30 at most under the race build (22 runs, eight beside two CPU-bound
+// loops). Each gate is the race build's maximum plus 10 %; CHANGES.md
+// holds the history.
 func TestTCPOverlapAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -357,24 +276,11 @@ func TestTCPOverlapAllocBudget(t *testing.T) {
 }
 
 // Allocation gate for the steady state BenchmarkSessionSteadyState
-// calls chan/serial (EngineChan, 4 ranks on 2 nodes, o-ring, 64 KiB).
-// Heap objects per blocking operation: about 439 when this gate was a
-// benchmark run that CI parsed against a ceiling of 480, 290 at its
-// move here, about 283 since each rank counts its own sends and
-// receives from per-source FIFOs, and about 131 since block lists are
-// shared views, receive queues keep their memory and a blocking exchange
-// allocates no request or result slices, about 82 since a session
-// keeps its rank slots from op to op, and about 76 since the gathered
-// views share one backing array, and about 28 since each rank draws its
-// chunk and block lists from an arena its slot keeps, group lists are
-// built once per session, results are assembled into storage the op
-// owns, and the send queue and the ciphertext list stop regrowing, and
-// about 26 since an op has no run bound (its timer and closure); bytes
-// about 652 KB, 646 KB with the rank slots. The race build allocates
-// 652 KB and up to 88 objects with the rank slots, 83 since the views
-// share one array, 29 with the arenas (11 runs, four beside two
-// CPU-bound loops) and 26 without the run bound (3 runs); each gate is
-// that maximum plus 10 %.
+// calls chan/serial (EngineChan, 4 ranks on 2 nodes, o-ring, 64 KiB):
+// about 646 KB and 26 heap objects per blocking op. The race build
+// allocates up to 652 KB and 29 objects (11 runs, four beside two
+// CPU-bound loops; 26 in later runs); each gate is that maximum plus
+// 10 %. CHANGES.md holds the history.
 func TestChanSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -425,18 +331,11 @@ func simAllocs(t *testing.T, alg Alg, msgSize int64, sims int) uint64 {
 // kernel, the network model and the algorithms' block lists, working
 // sets and shared-memory keys. The per-byte payload patterns Session.Sim
 // builds and discards are deliberately included: dropping them is a
-// separate change. About 96 700 (o-rd2) and 66 800 (hs2) objects while
-// block lists were copied per split, working sets were maps and shm keys
-// were formatted strings; about 21 440 and 9 900 since, and about
-// 21 150 and 9 650 since the validation's views share one backing array
-// instead of two objects per rank, and about 20 270 and 7 990 since
-// each rank draws its lists from an arena and groups are built once per
-// session (a Simulate's Procs are fresh, so its arenas start empty and
-// spill every draw to the heap; what fell is regrowth, per-call group
-// lists and per-member result lists). The race build allocates up to
-// 20 347 and 8 048 (21 239 and 9 699 before, 21 464 and 9 957 before
-// that; 22 runs, eight beside two CPU-bound loops); each gate is that
-// plus 10 %.
+// separate change. A Simulate's Procs are fresh, so their arenas start
+// empty and spill every draw to the heap. About 20 270 and 7 990
+// objects; the race build allocates up to 20 347 and 8 048 (22 runs,
+// eight beside two CPU-bound loops); each gate is that maximum plus
+// 10 %. CHANGES.md holds the history.
 func TestSimAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -460,15 +359,12 @@ func TestSimAllocBudget(t *testing.T) {
 // Allocation gate for the paper's eight algorithms in steady state on
 // the chan engine (8 ranks on 4 nodes, 1 KiB): heap objects per
 // blocking operation. Each rank draws its algorithm's working state,
-// chunk lists and group lists from its arena, which the rank slot keeps
-// from op to op, and assembles its result into storage the result owns,
-// so what is left is the operation's own: its runtime, inputs, opened
-// plaintext and gathered views: 36 (hs1) to 80 (naive) objects since
-// the collectives' member-indexed message lists come from the arena too,
-// 40 (o-rd2, hs1) to 88 (naive) before, 42 to 90 with the run bound,
-// against 157 (hs1) to 235 (naive) before the arenas. Each ceiling is
-// the race build's maximum over 22 runs, eight of them beside two
-// CPU-bound loops, plus 10 %.
+// chunk, group and message lists from its arena, which the rank slot
+// keeps from op to op, and assembles its result into storage the result
+// owns, so what is left is the operation's own: its runtime, inputs,
+// opened plaintext and gathered views, 36 (hs1) to 80 (naive) objects.
+// Each ceiling is the race build's maximum over 22 runs, eight of them
+// beside two CPU-bound loops, plus 10 %.
 func TestPaperAlgorithmsSteadyStateAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
