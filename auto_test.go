@@ -40,9 +40,7 @@ func TestAutoDefaultThresholdBoundaries(t *testing.T) {
 			if res.Algorithm != c.want {
 				t.Errorf("%s auto @%d selected %s, want %s", engine, c.size, res.Algorithm, c.want)
 			}
-			if !res.SecurityOK {
-				t.Errorf("%s auto @%d: security violations %v", engine, c.size, res.Violations)
-			}
+			contract(t, s, res, patterns(4, c.size))
 		}
 		s.Close()
 	}
@@ -69,14 +67,9 @@ func TestAutoMatchesExplicitRun(t *testing.T) {
 		if explicit.Algorithm != auto.Algorithm {
 			t.Fatalf("explicit run of %s reports algorithm %s", auto.Algorithm, explicit.Algorithm)
 		}
-		for r := range auto.Gathered {
-			for o := range auto.Gathered[r] {
-				if !bytes.Equal(auto.Gathered[r][o], explicit.Gathered[r][o]) {
-					t.Fatalf("auto(%s) @%d rank %d origin %d differs from explicit run",
-						auto.Algorithm, size, r, o)
-				}
-			}
-		}
+		// Both byte-exact: the auto gather is the explicit one.
+		contract(t, s, auto, patterns(8, size))
+		contract(t, s, explicit, patterns(8, size))
 	}
 }
 
@@ -120,7 +113,7 @@ func TestAutoFollowsTableAcrossBuckets(t *testing.T) {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		for bucket, want := range picks {
-			for _, size := range []int64{tune.BucketMin(bucket), tune.BucketMin(bucket) + 7} {
+			for _, size := range []int64{1 << bucket, 1<<bucket + 7} {
 				res, err := s.Run(context.Background(), AlgAuto, size)
 				if err != nil {
 					t.Fatalf("%s auto @%d: %v", engine, size, err)
@@ -133,7 +126,7 @@ func TestAutoFollowsTableAcrossBuckets(t *testing.T) {
 		}
 		// A size in an uncovered bucket falls back to the nearest cell of
 		// the same engine rather than the built-in thresholds.
-		res, err := s.Run(context.Background(), AlgAuto, tune.BucketMin(17))
+		res, err := s.Run(context.Background(), AlgAuto, 1<<17)
 		if err != nil {
 			t.Fatalf("%s auto nearest: %v", engine, err)
 		}
@@ -178,16 +171,14 @@ func TestAutoNeverSelectsUnencrypted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.Run(context.Background(), AlgAuto, tune.BucketMin(12))
+	res, err := s.Run(context.Background(), AlgAuto, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Algorithm != AlgHS2 {
 		t.Fatalf("auto selected %s, want hs2 (cheapest encrypted candidate)", res.Algorithm)
 	}
-	if !res.SecurityOK {
-		t.Fatalf("security violations %v", res.Violations)
-	}
+	contract(t, s, res, patterns(4, 1<<12))
 }
 
 // AllgatherV dispatches AlgAuto on the operation's maximum block size —
@@ -221,13 +212,7 @@ func TestAutoAllgatherVDispatchesOnMax(t *testing.T) {
 				t.Errorf("%s allgatherv max=%d selected %s, want %s",
 					engine, c.sizes[maxIdx(c.sizes)], res.Algorithm, c.want)
 			}
-			for r := range res.Gathered {
-				for o, blk := range res.Gathered[r] {
-					if !bytes.Equal(blk, data[o]) {
-						t.Fatalf("%s allgatherv: rank %d origin %d corrupted", engine, r, o)
-					}
-				}
-			}
+			contract(t, s, res, data)
 		}
 		s.Close()
 	}
@@ -263,7 +248,7 @@ func TestTuningTableEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(context.Background(), AlgAuto, tune.BucketMin(12))
+	res, err := s.Run(context.Background(), AlgAuto, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +263,7 @@ func TestTuningTableEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s2.Run(context.Background(), AlgAuto, tune.BucketMin(12))
+	res, err = s2.Run(context.Background(), AlgAuto, 1<<12)
 	if err != nil {
 		t.Fatal(err)
 	}

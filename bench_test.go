@@ -88,7 +88,7 @@ func BenchmarkAblationRankOrderedRing(b *testing.B)  { runExperiment(b, "ablatio
 // BenchmarkSimulate measures raw simulator throughput for one mid-size
 // configuration per algorithm.
 func BenchmarkSimulate(b *testing.B) {
-	s := open(b, encag.Spec{Procs: 128, Nodes: 8}, encag.WithEngine(encag.EngineSim), encag.WithProfile(encag.Noleland()))
+	s := encag.OpenTest(b, encag.Spec{Procs: 128, Nodes: 8}, encag.WithEngine(encag.EngineSim), encag.WithProfile(encag.Noleland()))
 	for _, alg := range append([]encag.Alg{encag.AlgMPI}, encag.PaperAlgorithms()...) {
 		alg := alg
 		b.Run(string(alg), func(b *testing.B) {
@@ -143,7 +143,7 @@ func BenchmarkSessionSteadyState(b *testing.B) {
 // BenchmarkRealAllgather measures the real execution engine (goroutines
 // + channels + real AES-GCM) for each algorithm.
 func BenchmarkRealAllgather(b *testing.B) {
-	s := open(b, encag.Spec{Procs: 32, Nodes: 4})
+	s := encag.OpenTest(b, encag.Spec{Procs: 32, Nodes: 4})
 	for _, alg := range encag.PaperAlgorithms() {
 		alg := alg
 		b.Run(string(alg), func(b *testing.B) {

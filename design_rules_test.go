@@ -66,7 +66,7 @@ type fx map[string]string
 // srcFile is one file of the tree; only Go files are read and parsed.
 type srcFile struct {
 	path string // slash-separated, from the module root
-	test bool
+	test bool   // a _test.go file, or internal/testkit's
 	text string
 	ast  *ast.File
 	imp  map[string]string // import path by the name the file gives it
@@ -76,7 +76,7 @@ var designFset = token.NewFileSet()
 
 func (src fx) parse(t *testing.T) (tree []*srcFile) {
 	for path, text := range src {
-		f := &srcFile{path: path, test: strings.HasSuffix(path, "_test.go"), text: text, imp: map[string]string{}}
+		f := &srcFile{path: path, test: strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/testkit/"), text: text, imp: map[string]string{}}
 		tree = append(tree, f)
 		if !strings.HasSuffix(path, ".go") {
 			continue
@@ -140,11 +140,15 @@ func (f *srcFile) qualified(n ast.Node) string {
 	return ""
 }
 
-// forbid: no file in scope names names; fixtures alias the first, at bad and good.
+// forbid: no file in scope names or imports names; fixtures alias the first, at bad and good.
 func forbid(name string, scope func(*srcFile) bool, bad, good string, names ...string) designRule {
 	check := func(tree []*srcFile) []string {
 		return walk(tree, scope, func(f *srcFile, n ast.Node) string {
-			if q := f.qualified(n); q != "" && slices.Contains(names, q) {
+			q := f.qualified(n)
+			if is, ok := n.(*ast.ImportSpec); ok {
+				q, _ = strconv.Unquote(is.Path.Value)
+			}
+			if q != "" && slices.Contains(names, q) {
 				return q
 			}
 			return ""
@@ -189,6 +193,8 @@ var designRules = []designRule{
 	forbid("NoCondInOpOrScheduler", all("internal/cluster/op.go", "internal/sched/sched.go"), "internal/sched/sched.go", "internal/sched/queue.go", "sync.Cond"),
 	// A rank slot makes its receive timers once and re-arms them with Reset.
 	forbid("NoTimerPerOp", all("internal/cluster/op.go"), "internal/cluster/op.go", "internal/cluster/slot.go", "time.NewTimer"),
+	// Test scaffolding stays out of the product: only tests import testkit.
+	forbid("TestkitOnlyInTests", under(""), "internal/serve/serve.go", "internal/serve/serve_test.go", mod+"testkit.Run", mod+"testkit"),
 	// One command: cmd/encag and its subcommands, no second binary.
 	{"OneCommand", checkOneCommand, fx{"cmd/mon/main.go": "package main"}, fx{"cmd/encag/main.go": "package main"}},
 	{"Tombstones", checkTombstones,
@@ -232,18 +238,13 @@ func checkMessageMake(tree []*srcFile) []string {
 	})
 }
 
-func checkOneCommand(tree []*srcFile) []string {
-	var cmds []string
+func checkOneCommand(tree []*srcFile) (out []string) {
 	for _, f := range tree {
-		if dir, ok := strings.CutPrefix(f.path, "cmd/"); ok {
-			cmds = append(cmds, strings.Split(dir, "/")[0])
+		if strings.HasPrefix(f.path, "cmd/") && !strings.HasPrefix(f.path, "cmd/encag/") {
+			out = append(out, f.path)
 		}
 	}
-	slices.Sort(cmds)
-	if cmds = slices.Compact(cmds); !slices.Equal(cmds, []string{"encag"}) {
-		return cmds
-	}
-	return nil
+	return out
 }
 
 // tombstones are retired names and shapes, matched as text, so a comment
@@ -310,15 +311,14 @@ var stdMethods = []string{"Error", "Unwrap", "String", "Format", "Len", "Less", 
 // testOnly names the exports only tests call that stay in the product,
 // each with why. It may only shrink.
 var testOnly = map[string]string{
-	"cluster.RunOnce": shared, "cluster.SimOnce": shared, "cluster.ValidateGather": shared,
-	"block.Concat": shared, "block.NewSim": shared, "tune.BucketMin": shared, "seal.Pool.Closed": shared,
 	"metrics.Registry.WritePrometheus": public, "metrics.Registry.ExpvarFunc": public, "metrics.Gauge.Dec": public,
 }
 
-const shared, public = "the tests of several packages share it", "public through encag.MetricsRegistry"
+const public = "public through encag.MetricsRegistry"
 
 // checkExports: an export of non-test internal/ is named in a non-test file
-// (benchmark/ too) away from its declaration: test-only code is in tests.
+// (benchmark/ too) away from its declaration: test-only code is in tests,
+// or in internal/testkit when several packages' tests share it.
 func checkExports(tree []*srcFile) []string {
 	named := map[string]int{}
 	for _, f := range tree {

@@ -3,9 +3,11 @@ package encag
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
+	"encag/internal/block"
 	"encag/internal/cluster"
 )
 
@@ -25,18 +27,58 @@ func openTest(t testing.TB, spec Spec, opts ...Option) *Session {
 	return s
 }
 
+// contract fails t unless res, an all-gather on s to which origin o
+// contributed want[o], kept the paper's contract: every rank gathered
+// every block byte-exact, no inter-node send carried plaintext and, on
+// TCP across nodes, the wire capture saw traffic and holds no block of
+// 16 bytes or more. It reports with t.Errorf, so a test's worker
+// goroutines may call it. Goroutines drained after Close are
+// testkit.Drained's to check.
+func contract(t testing.TB, s *Session, res *RunResult, want [][]byte) {
+	t.Helper()
+	if len(res.Gathered) != len(want) {
+		t.Errorf("%s: %d ranks gathered, want %d", res.Algorithm, len(res.Gathered), len(want))
+	}
+	for r, view := range res.Gathered {
+		if !slices.EqualFunc(view, want, bytes.Equal) {
+			t.Errorf("%s: rank %d did not gather every block byte-exact", res.Algorithm, r)
+		}
+	}
+	if !res.SecurityOK {
+		t.Errorf("%s: plaintext crossed nodes: %v", res.Algorithm, res.Violations)
+	}
+	if w := s.Wire(); w != nil && s.Spec().Nodes > 1 {
+		if w.Bytes == 0 {
+			t.Errorf("%s: the wire capture saw no inter-node traffic", res.Algorithm)
+		}
+		for o, b := range want {
+			// A 64-byte needle scans at memory speed, and the whole block
+			// can only be where its first 64 bytes are.
+			if len(b) >= 16 && w.Observed(b[:min(len(b), 64)]) && w.Observed(b) {
+				t.Errorf("%s: origin %d's block is on the wire", res.Algorithm, o)
+			}
+		}
+	}
+}
+
+// patterns is what the p origins of a Run of m bytes contribute: their
+// test patterns.
+func patterns(p int, m int64) [][]byte {
+	want := make([][]byte, p)
+	for o := range want {
+		want[o] = block.FillPattern(o, m)
+	}
+	return want
+}
+
 func TestRunQuickstartPath(t *testing.T) {
 	spec := Spec{Procs: 8, Nodes: 2}
-	res, err := openTest(t, spec).Run(bg, "hs2", 64)
+	s := openTest(t, spec)
+	res, err := s.Run(bg, "hs2", 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK {
-		t.Fatalf("security audit failed: %v", res.Violations)
-	}
-	if len(res.Gathered) != 8 || len(res.Gathered[0]) != 8 {
-		t.Fatal("gathered shape wrong")
-	}
+	contract(t, s, res, patterns(8, 64))
 }
 
 func TestAllgatherUserData(t *testing.T) {
@@ -47,20 +89,12 @@ func TestAllgatherUserData(t *testing.T) {
 		[]byte("gamma-secret-22x"),
 		[]byte("delta-secret-333"),
 	}
-	res, err := openTest(t, spec).Allgather(bg, "c-ring", data)
+	s := openTest(t, spec)
+	res, err := s.Allgather(bg, "c-ring", data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 0; r < 4; r++ {
-		for o := 0; o < 4; o++ {
-			if !bytes.Equal(res.Gathered[r][o], data[o]) {
-				t.Fatalf("rank %d origin %d mismatch", r, o)
-			}
-		}
-	}
-	if !res.SecurityOK {
-		t.Fatalf("violations: %v", res.Violations)
-	}
+	contract(t, s, res, data)
 }
 
 func TestSimulatePaperScale(t *testing.T) {
@@ -193,9 +227,7 @@ func TestRunTracedTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK {
-		t.Fatalf("violations: %v", res.Violations)
-	}
+	contract(t, s, res, patterns(8, 4096))
 	// A sender traces its send after delivering it, possibly after the
 	// receiver finished: Close drains the senders before the events are read.
 	s.Close()
@@ -245,14 +277,8 @@ func TestRunOverTCPTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK || !s.WireClean(1024) {
-		t.Fatalf("security failed: %v", res.Violations)
-	}
-	wire := s.Wire()
-	if wire.Bytes == 0 {
-		t.Fatal("no wire bytes recorded")
-	}
-	if wire.Truncated {
+	contract(t, s, res, patterns(8, 1024))
+	if s.Wire().Truncated {
 		t.Fatal("small capture unexpectedly truncated")
 	}
 	s.Close() // drains the senders, which trace each send after its write returns

@@ -12,31 +12,18 @@ import (
 
 var bg = context.Background()
 
-// open opens a session that lives as long as the test does.
-func open(t testing.TB, spec encag.Spec, opts ...encag.Option) *encag.Session {
-	t.Helper()
-	s, err := encag.OpenSession(bg, spec, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
-}
-
 // The public fault-injection surface: transient plans recover over TCP,
 // random plans complete or fail closed with a structured RankError, and
 // hand-built plans hit the exact frame they target.
 func TestRunTCPFaultyTransientRecovers(t *testing.T) {
 	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 10 * time.Second}
 	plan := encag.TransientFaultPlan(7, spec.Procs, 5)
-	s := open(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan))
+	s := encag.OpenTest(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan))
 	res, err := s.Run(bg, "o-ring", 1024)
 	if err != nil {
 		t.Fatalf("transient plan must recover: %v\nplan: %v", err, plan)
 	}
-	if !res.SecurityOK || !s.WireClean(1024) {
-		t.Fatal("recovered run lost the security property")
-	}
+	encag.Contract(t, s, res, encag.Patterns(spec.Procs, 1024))
 }
 
 func TestRunTCPFaultyFailsClosed(t *testing.T) {
@@ -48,7 +35,7 @@ func TestRunTCPFaultyFailsClosed(t *testing.T) {
 	plan := &encag.FaultPlan{Rules: []encag.FaultRule{
 		{Src: 0, Dst: 2, Frame: -1, Kind: encag.FaultCorrupt, Offset: 90, Times: -1},
 	}}
-	_, err := open(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan)).Run(bg, "naive", 1024)
+	_, err := encag.OpenTest(t, spec, encag.WithEngine(encag.EngineTCP), encag.WithFaultPlan(plan)).Run(bg, "naive", 1024)
 	if err != nil {
 		var re *encag.RankError
 		if !errors.As(err, &re) {
@@ -59,7 +46,7 @@ func TestRunTCPFaultyFailsClosed(t *testing.T) {
 
 func TestRunFaultyChannelEngine(t *testing.T) {
 	spec := encag.Spec{Procs: 4, Nodes: 2, RecvTimeout: 2 * time.Second}
-	s := open(t, spec)
+	s := encag.OpenTest(t, spec)
 	// Every chan pair is a memory pair, and a dropped message is resent
 	// like a dropped frame on a socket: one drop recovers. Naive is
 	// all-to-all, so the 1->0 pair is guaranteed to carry a message.
@@ -70,9 +57,7 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("one dropped message did not recover: %v", err)
 	}
-	if !res.SecurityOK {
-		t.Fatal("recovered run lost the security property")
-	}
+	encag.Contract(t, s, res, encag.Patterns(spec.Procs, 512))
 	// A pair that drops every attempt runs out of resends: the sender
 	// fails the operation with the injected fault, long before the
 	// starved peer's receive deadline.
@@ -93,9 +78,7 @@ func TestRunFaultyChannelEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK {
-		t.Fatal("clean faulty run lost the security property")
-	}
+	encag.Contract(t, s, res, encag.Patterns(spec.Procs, 512))
 }
 
 // A fault plan can inflate a TCP sequence gate in a frame whose operation
@@ -113,7 +96,7 @@ func TestPlannedSuccessCannotHideGateDesync(t *testing.T) {
 		{encag.EngineChan, false},
 		{encag.EngineTCP, true},
 	} {
-		s := open(t, spec, encag.WithEngine(c.engine))
+		s := encag.OpenTest(t, spec, encag.WithEngine(c.engine))
 		plan := encag.RandomFaultPlan(2, spec.Procs, 6)
 		_, err := s.Run(bg, "o-rd", 2048, encag.WithFaultPlan(plan))
 		var re *encag.RankError

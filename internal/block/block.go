@@ -153,19 +153,6 @@ func (m *Message) Append(chunks ...Chunk) {
 	m.Chunks = append(m.Chunks, chunks...)
 }
 
-// Concat concatenates messages into one, allocating its chunk list once.
-func Concat(msgs ...Message) Message {
-	n := 0
-	for _, m := range msgs {
-		n += len(m.Chunks)
-	}
-	out := Message{Chunks: make([]Chunk, 0, n)}
-	for _, m := range msgs {
-		out.Chunks = append(out.Chunks, m.Chunks...)
-	}
-	return out
-}
-
 // NewPlain builds a real-mode single-block plaintext message. A nil
 // payload is normalized to an empty one: nil means "sim mode" elsewhere.
 func NewPlain(origin int, payload []byte) Message {
@@ -178,22 +165,14 @@ func NewPlain(origin int, payload []byte) Message {
 	}}}
 }
 
-// NewSim builds a sim-mode single-block plaintext message of the given
-// size with no payload.
-func NewSim(origin int, size int64) Message {
-	return Message{Chunks: []Chunk{{
-		Blocks: []Block{{Origin: origin, Len: size}},
-	}}}
-}
-
 // headerMagic guards the AAD codec.
 const headerMagic = 0x45414731 // "EAG1"
 
 // HeaderLen is the length of the encoded header of n blocks.
 func HeaderLen(n int) int { return 8 + 12*n }
 
-// AppendHeader appends EncodeHeader(blocks) to dst, so an encoder with a
-// reusable buffer serializes a block list without allocating.
+// AppendHeader appends the encoded header of blocks to dst, so an encoder
+// with a reusable buffer serializes a block list without allocating.
 func AppendHeader(dst []byte, blocks []Block) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, headerMagic)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(blocks)))
@@ -204,8 +183,8 @@ func AppendHeader(dst []byte, blocks []Block) []byte {
 	return dst
 }
 
-// DecodeHeaderInto is DecodeHeader appending to dst, for a decoder that
-// draws its block lists from storage of its own: HeaderBlocks sizes it.
+// DecodeHeaderInto validates an encoded header and appends its blocks to
+// dst, for a decoder with block storage of its own: HeaderBlocks sizes it.
 func DecodeHeaderInto(dst []Block, buf []byte) ([]Block, error) {
 	if _, err := headerCount(buf); err != nil {
 		return nil, err
@@ -299,8 +278,8 @@ func UniformSizes(p int, m int64) []int64 {
 	return sizes
 }
 
-// NormalizeInto is NormalizeV's structural pass into caller-owned
-// scratch, so a caller that validates many results allocates once: it
+// NormalizeInto checks that msg holds each of len(sizes) origins once, in
+// plaintext, at its size, into scratch a caller reuses across results: it
 // sets payloads[origin] (nil in sim mode) and uses have as its seen-set,
 // both len(sizes) long and cleared first. It checks no pattern.
 func NormalizeInto(payloads [][]byte, have []bool, msg Message, sizes []int64) error {

@@ -148,7 +148,7 @@ func TestNormalizeSimMode(t *testing.T) {
 	const p, m = 8, 1024
 	var msg Message
 	for o := p - 1; o >= 0; o-- {
-		msg.Append(NewSim(o, m).Chunks...)
+		msg.Append(Chunk{Blocks: []Block{{o, m}}})
 	}
 	if _, err := Normalize(msg, p, m, false); err != nil {
 		t.Fatal(err)
@@ -170,12 +170,10 @@ func TestSortChunksByOrigin(t *testing.T) {
 	}
 }
 
-func TestConcatAndClone(t *testing.T) {
-	a := NewSim(0, 10)
-	b := NewSim(1, 20)
-	c := Concat(a, b)
+func TestClone(t *testing.T) {
+	c := Message{Chunks: []Chunk{{Blocks: []Block{{0, 10}}}, {Blocks: []Block{{1, 20}}}}}
 	if c.NumBlocks() != 2 || c.WireLen() != 30 {
-		t.Fatal("concat wrong")
+		t.Fatal("message sizes wrong")
 	}
 	d := c.Clone()
 	d.Chunks[0].Blocks[0].Origin = 99

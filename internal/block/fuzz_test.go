@@ -143,7 +143,10 @@ func FuzzAssembleByOrigin(f *testing.F) {
 				want[j], want[j-1] = want[j-1], want[j]
 			}
 		}
-		before := Concat(msgs...).Clone()
+		var before, after Message
+		for _, m := range msgs {
+			before.Append(m.Clone().Chunks...)
+		}
 
 		got := AssembleByOrigin(nil, msgs...)
 		if len(got.Chunks) != len(want) {
@@ -156,7 +159,9 @@ func FuzzAssembleByOrigin(f *testing.F) {
 			}
 			_ = append(c.Blocks, Block{Origin: -1, Len: -1})
 		}
-		after := Concat(msgs...)
+		for _, m := range msgs {
+			after.Append(m.Chunks...)
+		}
 		for i, c := range before.Chunks {
 			for j, b := range c.Blocks {
 				if after.Chunks[i].Blocks[j] != b {

@@ -7,6 +7,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/cost"
 	"encag/internal/encrypted"
+	"encag/internal/testkit"
 )
 
 func TestLowerTableI(t *testing.T) {
@@ -109,7 +110,7 @@ func TestPredictMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
+			res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", alg, spec, err)
 			}
@@ -142,7 +143,7 @@ func TestPredictCyclicMatchesMeasured(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
+			res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", alg, spec, err)
 			}

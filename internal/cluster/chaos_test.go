@@ -12,9 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/encrypted"
 	"encag/internal/fault"
+	"encag/internal/testkit"
 )
 
 var chaosSpecs = []cluster.Spec{
@@ -33,7 +35,7 @@ const chaosRecvTimeout = 2 * time.Second
 func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, res *cluster.RealResult, err error) {
 	t.Helper()
 	if err == nil {
-		if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+		if verr := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, chaosMsgSize), res.Results, true); verr != nil {
 			t.Fatalf("run completed but results are wrong: %v", verr)
 		}
 		return
@@ -50,12 +52,12 @@ func requireCompleteOrRankError(t *testing.T, spec cluster.Spec, res *cluster.Re
 // traffic, header fields that still parse) is a structured failure,
 // never a silent success.
 func runFaulty(engine cluster.EngineKind, spec cluster.Spec, algo cluster.Algorithm, plan *fault.Plan) (*cluster.RealResult, error) {
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: engine},
+	res, err := testkit.Run(spec, cluster.SessionConfig{Engine: engine},
 		cluster.Op{Algo: algo, MsgSize: chaosMsgSize, Plan: plan})
 	if err != nil {
 		return nil, err
 	}
-	if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+	if verr := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, chaosMsgSize), res.Results, true); verr != nil {
 		return nil, &cluster.RankError{Rank: -1, Peer: -1, Op: "validate",
 			Err: fmt.Errorf("fault corrupted the gathered result: %w", verr)}
 	}
@@ -94,7 +96,7 @@ func TestChaosTCPTransientPlansComplete(t *testing.T) {
 						if err != nil {
 							t.Fatalf("transient plan must be recoverable, got: %v\nplan: %v", err, plan)
 						}
-						if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+						if verr := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, chaosMsgSize), res.Results, true); verr != nil {
 							t.Fatalf("recovered run has wrong buffers: %v\nplan: %v", verr, plan)
 						}
 					})
@@ -231,7 +233,7 @@ func TestChaosCorruptionNeverDeliversWrongBytes(t *testing.T) {
 			}
 			// Some algorithms never route 0->2 directly; then the run must
 			// be fully correct.
-			if verr := cluster.ValidateGather(spec, chaosMsgSize, res.Results, true); verr != nil {
+			if verr := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, chaosMsgSize), res.Results, true); verr != nil {
 				t.Fatalf("corruption slipped through undetected: %v", verr)
 			}
 		})

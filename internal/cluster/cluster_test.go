@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"runtime/debug"
 	"slices"
@@ -14,32 +12,6 @@ import (
 	"encag/internal/cost"
 )
 
-// auditedRunOnce is RunOnce that also checks that every seal of the
-// op drew its nonce from the session sealer's one counter: the sealer's
-// invocation count grows by exactly the op's summed EncSegments. A nonce
-// is the sealer's fixed field plus that counter, so no two seals of the
-// op share one.
-func auditedRunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
-	s, err := OpenSession(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	before := s.Sealer().Invocations()
-	res, err := s.Collective(context.Background(), op)
-	if err != nil {
-		return nil, err
-	}
-	var segs uint64
-	for _, m := range res.PerRank {
-		segs += uint64(m.EncSegments)
-	}
-	if got := s.Sealer().Invocations() - before; got != segs {
-		return nil, fmt.Errorf("sealer invoked %d times for %d sealed segments", got, segs)
-	}
-	return res, nil
-}
-
 // ringPlain is a minimal unencrypted ring all-gather used to exercise the
 // engines; the production algorithms live in internal/collective.
 func ringPlain(p *Proc, mine block.Message) block.Message {
@@ -49,7 +21,7 @@ func ringPlain(p *Proc, mine block.Message) block.Message {
 	prev := (p.Rank() - 1 + p.P()) % p.P()
 	for i := 0; i < p.P()-1; i++ {
 		cur = p.SendRecv(next, cur, prev)
-		result = block.Concat(result, cur)
+		result.Append(cur.Chunks...)
 	}
 	return result
 }
@@ -135,11 +107,11 @@ func TestSpecValidate(t *testing.T) {
 
 func TestRealRingAllgather(t *testing.T) {
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	res, err := RunOnce(spec, SessionConfig{}, Op{Algo: ringPlain, MsgSize: 64})
+	res, err := runOnce(spec, SessionConfig{}, Op{Algo: ringPlain, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateGather(spec, 64, res.Results, true); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 64), res.Results, true); err != nil {
 		t.Fatal(err)
 	}
 	// Every rank: p-1 rounds, (p-1)*64 bytes each direction.
@@ -176,7 +148,7 @@ func TestSimRingMatchesHockney(t *testing.T) {
 	}
 	const m = 1 << 20
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	res, err := SimOnce(spec, prof, Op{Algo: ringPlain, MsgSize: m})
+	res, err := simOnce(spec, prof, Op{Algo: ringPlain, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +156,7 @@ func TestSimRingMatchesHockney(t *testing.T) {
 	if math.Abs(res.Latency-want) > want*1e-9 {
 		t.Fatalf("ring latency = %g, want %g", res.Latency, want)
 	}
-	if err := ValidateGather(spec, m, res.Results, false); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, m), res.Results, false); err != nil {
 		t.Fatal(err)
 	}
 	if res.Critical.Rc != 7 || res.Critical.Sc != 7*m {
@@ -194,11 +166,11 @@ func TestSimRingMatchesHockney(t *testing.T) {
 
 func TestSimDeterministic(t *testing.T) {
 	spec := Spec{P: 16, N: 4, Mapping: CyclicMapping}
-	a, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
+	a, err := simOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
+	b, err := simOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,21 +191,11 @@ func TestEncryptDecryptRealRoundTrip(t *testing.T) {
 			p.Metrics() // no-op; just avoid unused warnings in odd paths
 			panic("expected ciphertext")
 		}
-		pt := p.DecryptAll(in)
-		return block.Concat(mine, pt)
+		return p.Assemble(mine, p.DecryptAll(in))
 	}
-	res, err := auditedRunOnce(spec, SessionConfig{}, Op{Algo: algo, MsgSize: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, 128, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	msgs := MessageTotals(res.PerRank)
-	if msgs.PlainInterMsgs != 0 {
-		t.Fatalf("audit flagged violations: %v", msgs.Violations)
-	}
-	if msgs.InterMsgs != 2 || msgs.IntraMsgs != 0 {
+	s, res := once(t, spec, SessionConfig{}, Op{Algo: algo, MsgSize: 128})
+	contract(t, s, block.UniformSizes(spec.P, 128), res)
+	if msgs := MessageTotals(res.PerRank); msgs.InterMsgs != 2 || msgs.IntraMsgs != 0 {
 		t.Fatalf("InterMsgs/IntraMsgs = %d/%d, want 2/0", msgs.InterMsgs, msgs.IntraMsgs)
 	}
 	for r, m := range res.PerRank {
@@ -258,9 +220,9 @@ func TestSimCryptoCharges(t *testing.T) {
 		other := 1 - p.Rank()
 		ct := p.Encrypt(mine.Chunks...)
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-		return block.Concat(mine, p.DecryptAll(in))
+		return p.Assemble(mine, p.DecryptAll(in))
 	}
-	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: m})
+	res, err := simOnce(spec, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +241,7 @@ func leaderShmGather(p *Proc, mine block.Message) block.Message {
 	p.NodeBarrier()
 	var node block.Message
 	for _, r := range p.Spec().RanksOnNode(p.Node()) {
-		node = block.Concat(node, p.ShmGet(shmKey("own", r)))
+		node.Append(p.ShmGet(shmKey("own", r)).Chunks...)
 	}
 	if p.IsLeader() {
 		ct := p.Encrypt(node.Chunks...)
@@ -288,38 +250,28 @@ func leaderShmGather(p *Proc, mine block.Message) block.Message {
 		p.ShmPut(shmKey("remote", -1), p.DecryptAll(in))
 	}
 	p.NodeBarrier()
-	remote := p.ShmGet(shmKey("remote", -1))
-	return block.Concat(node, remote)
+	return p.Assemble(node, p.ShmGet(shmKey("remote", -1)))
 }
 
 func TestShmAndNodeBarrier(t *testing.T) {
 	spec := Spec{P: 8, N: 2, Mapping: BlockMapping}
-	algo := leaderShmGather
 	for _, engine := range opEngines {
-		res, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: algo, MsgSize: 32})
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		if err := ValidateGather(spec, 32, res.Results, true); err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		if MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-			t.Fatalf("%v: violations: %v", engine, MessageTotals(res.PerRank).Violations)
-		}
+		s, res := once(t, spec, SessionConfig{Engine: engine}, Op{Algo: leaderShmGather, MsgSize: 32})
+		contract(t, s, block.UniformSizes(spec.P, 32), res)
 	}
 	// The same algorithm must run in the sim engine.
-	sres, err := SimOnce(spec, cost.Noleland(), Op{Algo: algo, MsgSize: 32})
+	sres, err := simOnce(spec, cost.Noleland(), Op{Algo: leaderShmGather, MsgSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateGather(spec, 32, sres.Results, false); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 32), sres.Results, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestShmMissingKeyPanics(t *testing.T) {
 	spec := Spec{P: 2, N: 1, Mapping: BlockMapping}
-	_, err := RunOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
+	_, err := runOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		p.ShmGet(ShmKey{Kind: "hs/pt", Node: 1, Index: -1})
 		return mine
 	}, MsgSize: 8})
@@ -342,7 +294,7 @@ func TestConcurrentSimsRestoreGCPercent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, err := SimOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 64}); err != nil {
+				if _, err := simOnce(spec, cost.Noleland(), Op{Algo: ringPlain, MsgSize: 64}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -357,7 +309,7 @@ func TestConcurrentSimsRestoreGCPercent(t *testing.T) {
 
 func TestSimDeadlockSurfacesAsError(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	_, err := SimOnce(spec, cost.Noleland(), Op{Algo: func(p *Proc, mine block.Message) block.Message {
+	_, err := simOnce(spec, cost.Noleland(), Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		if p.Rank() == 0 {
 			p.Recv(1) // rank 1 never sends
 		}
@@ -370,7 +322,7 @@ func TestSimDeadlockSurfacesAsError(t *testing.T) {
 
 func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 	spec := Spec{P: 2, N: 2, Mapping: BlockMapping}
-	_, err := RunOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
+	_, err := runOnce(spec, SessionConfig{}, Op{Algo: func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
 		ct := p.Encrypt(mine.Chunks...)
 		if p.Rank() == 0 {
@@ -380,7 +332,7 @@ func TestTamperedCiphertextCaughtEndToEnd(t *testing.T) {
 			ct.Payload = tampered
 		}
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-		return block.Concat(mine, p.DecryptAll(in))
+		return p.Assemble(mine, p.DecryptAll(in))
 	}, MsgSize: 64})
 	if err == nil {
 		t.Fatal("tampered ciphertext must fail authentication")
@@ -391,12 +343,12 @@ func shmKey(kind string, rank int) ShmKey {
 	return ShmKey{Kind: kind, Node: -1, Index: rank}
 }
 
-func TestCriticalPathFold(t *testing.T) {
+func TestMaxOverRanks(t *testing.T) {
 	per := []Metrics{
 		{CommRounds: 3, BytesSent: 10, BytesRecv: 40, EncRounds: 1, EncBytes: 5},
 		{CommRounds: 7, BytesSent: 90, BytesRecv: 20, DecRounds: 4, DecBytes: 100},
 	}
-	c := CriticalPath(per)
+	c := MaxOverRanks(per)
 	if c.Rc != 7 || c.Sc != 90 || c.Re != 1 || c.Se != 5 || c.Rd != 4 || c.Sd != 100 {
 		t.Fatalf("critical = %+v", c)
 	}

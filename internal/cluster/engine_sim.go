@@ -322,7 +322,7 @@ func runSim(spec Spec, lay *layout, prof cost.Profile, sizes []int64, algo Algor
 		res.Latency = math.Max(res.Latency, end)
 	}
 	res.LatencyD = time.Duration(res.Latency * float64(time.Second))
-	res.Critical = CriticalPath(res.PerRank)
+	res.Critical = MaxOverRanks(res.PerRank)
 	res.InterBytes = net.InterBytes
 	res.IntraBytes = net.IntraBytes
 	return res, nil

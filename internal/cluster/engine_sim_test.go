@@ -33,7 +33,7 @@ func TestSimOverlapSemantics(t *testing.T) {
 		other := 1 - p.Rank()
 		ct := p.Encrypt(mine.Chunks...)
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-		return block.Concat(mine, p.DecryptAll(in))
+		return p.Assemble(mine, p.DecryptAll(in))
 	}
 	overlapped := func(p *Proc, mine block.Message) block.Message {
 		other := 1 - p.Rank()
@@ -44,13 +44,13 @@ func TestSimOverlapSemantics(t *testing.T) {
 		dummy := p.Encrypt(mine.Chunks...)
 		p.Decrypt(dummy)
 		in := p.Wait(s, r)[1]
-		return block.Concat(mine, p.DecryptAll(in))
+		return p.Assemble(mine, p.DecryptAll(in))
 	}
-	rs, err := SimOnce(spec, prof, Op{Algo: serial, MsgSize: m})
+	rs, err := simOnce(spec, prof, Op{Algo: serial, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := SimOnce(spec, prof, Op{Algo: overlapped, MsgSize: m})
+	ro, err := simOnce(spec, prof, Op{Algo: overlapped, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSimIsendAlphaSerialization(t *testing.T) {
 		if p.Rank() == 0 {
 			reqs := make([]Request, 0, k)
 			for i := 0; i < k; i++ {
-				reqs = append(reqs, p.Isend(1, block.NewSim(0, 0)))
+				reqs = append(reqs, p.Isend(1, block.Message{Chunks: []block.Chunk{simBlock(0, 0)}}))
 			}
 			p.Wait(reqs...)
 		} else {
@@ -86,13 +86,9 @@ func TestSimIsendAlphaSerialization(t *testing.T) {
 			}
 			p.Wait(reqs...)
 		}
-		// Return a full gather so validation passes.
-		if p.Rank() == 0 {
-			return block.Concat(mine, block.NewSim(1, 64))
-		}
-		return block.Concat(block.NewSim(0, 64), mine)
+		return allBlocks(p, mine)
 	}
-	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 64})
+	res, err := simOnce(spec, prof, Op{Algo: algo, MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +110,7 @@ func TestSimBarrierCostAndSync(t *testing.T) {
 		p.NodeBarrier()
 		return allBlocks(p, mine)
 	}
-	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 16})
+	res, err := simOnce(spec, prof, Op{Algo: algo, MsgSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,21 +124,6 @@ func TestSimBarrierCostAndSync(t *testing.T) {
 	}
 }
 
-// allBlocks fabricates a complete gather result so ValidateGather-style
-// bookkeeping is satisfied in micro-tests.
-func allBlocks(p *Proc, mine block.Message) block.Message {
-	out := block.Message{}
-	m := mine.PlainLen()
-	for r := 0; r < p.P(); r++ {
-		if r == p.Rank() {
-			out = block.Concat(out, mine)
-		} else {
-			out = block.Concat(out, block.NewSim(r, m))
-		}
-	}
-	return out
-}
-
 // Inter/intra byte accounting separates correctly by mapping.
 func TestSimInterIntraAccounting(t *testing.T) {
 	prof := uniformProfile()
@@ -154,7 +135,7 @@ func TestSimInterIntraAccounting(t *testing.T) {
 	}
 	const m = 1000
 	block4 := Spec{P: 4, N: 2, Mapping: BlockMapping}
-	res, err := SimOnce(block4, prof, Op{Algo: algo, MsgSize: m})
+	res, err := simOnce(block4, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +147,7 @@ func TestSimInterIntraAccounting(t *testing.T) {
 		t.Fatalf("block intra bytes = %g, want %d", res.IntraBytes, 2*m)
 	}
 	cyc := Spec{P: 4, N: 2, Mapping: CyclicMapping}
-	res, err = SimOnce(cyc, prof, Op{Algo: algo, MsgSize: m})
+	res, err = simOnce(cyc, prof, Op{Algo: algo, MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +174,9 @@ func TestPlainModeDisablesCrypto(t *testing.T) {
 			panic("plain mode produced a ciphertext")
 		}
 		in := p.SendRecv(other, block.Message{Chunks: []block.Chunk{ct}}, other)
-		return block.Concat(mine, p.DecryptAll(in))
+		return p.Assemble(mine, p.DecryptAll(in))
 	})
-	res, err := SimOnce(spec, prof, Op{Algo: algo, MsgSize: 1 << 20})
+	res, err := simOnce(spec, prof, Op{Algo: algo, MsgSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

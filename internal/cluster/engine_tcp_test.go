@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"encag/internal/block"
 )
 
-// sendRecvExchange is a minimal two-phase encrypted exchange used to
-// smoke-test the TCP engine directly.
+// encRing is a minimal encrypted ring all-gather that smoke-tests the
+// engines directly: a rank seals only what it forwards to another node.
 func encRing(p *Proc, mine block.Message) block.Message {
 	result := mine.Clone()
 	cur := mine
@@ -27,34 +28,15 @@ func encRing(p *Proc, mine block.Message) block.Message {
 			out = block.Message{Chunks: []block.Chunk{p.Encrypt(cur.Chunks...)}}
 		}
 		cur = p.SendRecv(next, out, prev)
-		result = block.Concat(result, cur)
+		result.Append(cur.Chunks...)
 	}
 	return p.Assemble(p.DecryptAll(result))
 }
 
 func TestTCPEngineEncryptedRing(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
-	const m = 128
-	res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: encRing, MsgSize: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, m, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-		t.Fatalf("audit violations: %v", MessageTotals(res.PerRank).Violations)
-	}
-	if res.Sniffer.Total() == 0 {
-		t.Fatal("sniffer captured nothing despite inter-node traffic")
-	}
-	// The eavesdropper's view must not contain any rank's plaintext.
-	for r := 0; r < spec.P; r++ {
-		needle := block.FillPattern(r, m)
-		if res.Sniffer.Contains(needle) {
-			t.Fatalf("rank %d plaintext visible on the wire", r)
-		}
-	}
+	s, res := once(t, spec, SessionConfig{Engine: EngineTCP}, Op{Algo: encRing, MsgSize: 128})
+	contract(t, s, block.UniformSizes(spec.P, 128), res)
 }
 
 // Positive control: with crypto disabled, plaintext IS visible on the
@@ -62,13 +44,18 @@ func TestTCPEngineEncryptedRing(t *testing.T) {
 func TestTCPSnifferPositiveControl(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	const m = 128
-	res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: Plain(encRing), MsgSize: m})
+	s, err := OpenSession(spec, SessionConfig{Engine: EngineTCP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Collective(context.Background(), Op{Algo: Plain(encRing), MsgSize: m})
+	s.Close() // the wire capture is final once the send loops stop
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
 	for r := 0; r < spec.P; r++ {
-		if res.Sniffer.Contains(block.FillPattern(r, m)) {
+		if s.Sniffer().Contains(block.FillPattern(r, m)) {
 			found = true
 			break
 		}

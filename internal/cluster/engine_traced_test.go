@@ -79,13 +79,8 @@ func TestEngineTraced(t *testing.T) {
 	spec := Spec{P: 8, N: 4, Mapping: BlockMapping}
 	for _, engine := range opEngines {
 		tr := &lockedTrace{}
-		res, err := RunOnce(spec, SessionConfig{Engine: engine, Tracer: tr}, Op{Algo: encRing, MsgSize: 256})
-		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
-		if err := ValidateGather(spec, 256, res.Results, true); err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
+		s, res := once(t, spec, SessionConfig{Engine: engine, Tracer: tr}, Op{Algo: encRing, MsgSize: 256})
+		contract(t, s, block.UniformSizes(spec.P, 256), res)
 		checkTracedRun(t, spec, res, tr)
 	}
 }
@@ -100,7 +95,7 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 		p.NodeBarrier()
 		var node block.Message
 		for _, r := range p.Spec().RanksOnNode(p.Node()) {
-			node = block.Concat(node, p.ShmGet(shmKey("trc", r)))
+			node.Append(p.ShmGet(shmKey("trc", r)).Chunks...)
 		}
 		if p.IsLeader() {
 			ct := p.Encrypt(node.Chunks...)
@@ -109,16 +104,11 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 			p.ShmPut(shmKey("trc-remote", -1), p.DecryptAll(in))
 		}
 		p.NodeBarrier()
-		return block.Concat(node, p.ShmGet(shmKey("trc-remote", -1)))
+		return p.Assemble(node, p.ShmGet(shmKey("trc-remote", -1)))
 	}
 	tr := &lockedTrace{}
-	res, err := RunOnce(spec, SessionConfig{Tracer: tr}, Op{Algo: algo, MsgSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateGather(spec, 64, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
+	s, res := once(t, spec, SessionConfig{Tracer: tr}, Op{Algo: algo, MsgSize: 64})
+	contract(t, s, block.UniformSizes(spec.P, 64), res)
 	byKind := tr.byKind()
 	if got := len(byKind[TraceBarrier]); got != 2*spec.P {
 		t.Errorf("traced %d barrier events, want %d (two per rank)", got, 2*spec.P)
@@ -132,8 +122,7 @@ func TestRealEngineTracedBarrierAndCopy(t *testing.T) {
 func TestUntracedRunsStillWork(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, engine := range opEngines {
-		if _, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: encRing, MsgSize: 128}); err != nil {
-			t.Fatalf("%v: %v", engine, err)
-		}
+		s, res := once(t, spec, SessionConfig{Engine: engine}, Op{Algo: encRing, MsgSize: 128})
+		contract(t, s, block.UniformSizes(spec.P, 128), res)
 	}
 }

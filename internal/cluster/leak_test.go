@@ -46,7 +46,7 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// A deadlocked simulation unwinds its blocked ranks: SimOnce returns
+// A deadlocked simulation unwinds its blocked ranks: the simulation returns
 // the deadlock error and leaves no goroutine behind.
 func TestSimDeadlockLeaksNoGoroutine(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
@@ -56,19 +56,13 @@ func TestSimDeadlockLeaksNoGoroutine(t *testing.T) {
 		}
 		return mine
 	}, MsgSize: 8}
-	base := runtime.NumGoroutine()
+	before := live()
 	for i := 0; i < 4; i++ {
-		if _, err := SimOnce(spec, cost.Noleland(), op); err == nil || !strings.Contains(err.Error(), "deadlock") {
-			t.Fatalf("SimOnce = %v, want a deadlock error", err)
+		if _, err := simOnce(spec, cost.Noleland(), op); err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("simulation error %v, want a deadlock error", err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the deadlocked simulations, baseline %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	drained(t, before)
 }
 
 // ringStep keeps every rank mid-communication so failures land while
@@ -100,7 +94,7 @@ func TestRankFailureSurfacesRootCause(t *testing.T) {
 		return ringStep(p, mine, 6)
 	}
 	for _, engine := range opEngines {
-		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: boom, MsgSize: 512})
+		_, err := runOnce(spec, SessionConfig{Engine: engine}, Op{Algo: boom, MsgSize: 512})
 		if err == nil {
 			t.Fatalf("%v: run with a panicking rank reported success", engine)
 		}
@@ -132,7 +126,7 @@ func TestRecvDeadline(t *testing.T) {
 	}
 	for _, engine := range opEngines {
 		start := time.Now()
-		_, err := RunOnce(spec, SessionConfig{Engine: engine}, Op{Algo: silent, MsgSize: 64})
+		_, err := runOnce(spec, SessionConfig{Engine: engine}, Op{Algo: silent, MsgSize: 64})
 		elapsed := time.Since(start)
 		var re *RankError
 		if err == nil || !errors.As(err, &re) {
@@ -175,7 +169,7 @@ func TestBarrierMismatchFailsAtOnce(t *testing.T) {
 		}},
 	}
 	for _, engine := range opEngines {
-		before := runtime.NumGoroutine()
+		before := live()
 		s, err := OpenSession(spec, SessionConfig{Engine: engine, MaxInFlight: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -198,46 +192,17 @@ func TestBarrierMismatchFailsAtOnce(t *testing.T) {
 			}
 		}
 		res, err := s.Collective(context.Background(), Op{Algo: leaderShmGather, MsgSize: 64})
-		if err == nil {
-			err = ValidateGather(spec, 64, res.Results, true)
-		}
 		if err != nil {
 			t.Fatalf("%v: op after the mismatches: %v", engine, err)
 		}
+		contract(t, s, block.UniformSizes(spec.P, 64), res)
 		s.Close()
-		awaitGoroutines(t, engine, before)
+		drained(t, before)
 	}
 	for _, m := range mismatches {
-		if _, err := SimOnce(spec, cost.Noleland(), Op{Algo: m.algo, MsgSize: 64}); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		if _, err := simOnce(spec, cost.Noleland(), Op{Algo: m.algo, MsgSize: 64}); err == nil || !strings.Contains(err.Error(), "deadlock") {
 			t.Fatalf("sim %s: err = %v, want a deadlock error", m.name, err)
 		}
-	}
-}
-
-// awaitGoroutines fails the test unless the process drains back to at
-// most before+2 goroutines within five seconds, which leaves the crypto
-// pool's idle workers time to wind down.
-func awaitGoroutines(t *testing.T, engine EngineKind, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%v: %d goroutines before run, %d after\n%s",
-				engine, before, runtime.NumGoroutine(), allStacks())
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// allStacks returns the stacks of every goroutine, however many there
-// are.
-func allStacks() []byte {
-	buf := make([]byte, 1<<20)
-	for {
-		if n := runtime.Stack(buf, true); n < len(buf) {
-			return buf[:n]
-		}
-		buf = make([]byte, 2*len(buf))
 	}
 }
 
@@ -255,7 +220,7 @@ func TestCancelUnblocksRecvAndBarrierWaits(t *testing.T) {
 		return mine
 	}
 	for _, engine := range opEngines {
-		before := runtime.NumGoroutine()
+		before := live()
 		s, err := OpenSession(spec, SessionConfig{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
@@ -268,7 +233,7 @@ func TestCancelUnblocksRecvAndBarrierWaits(t *testing.T) {
 		if !errors.As(err, &re) || re.Op != "cancel" || !errors.Is(err, context.Canceled) {
 			t.Fatalf("%v: err = %v, want *RankError with Op cancel wrapping context.Canceled", engine, err)
 		}
-		awaitGoroutines(t, engine, before)
+		drained(t, before)
 	}
 }
 
@@ -317,15 +282,7 @@ func TestSnifferCountsOnlyWrittenBytes(t *testing.T) {
 func TestFaultyRunWithEmptyPlanIsClean(t *testing.T) {
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping}
 	for _, plan := range []*fault.Plan{nil, {}} {
-		res, err := RunOnce(spec, SessionConfig{Engine: EngineTCP}, Op{Algo: ringPlain, MsgSize: 1024, Plan: plan})
-		if err != nil {
-			t.Fatalf("plan %v: %v", plan, err)
-		}
-		if err := ValidateGather(spec, 1024, res.Results, true); err != nil {
-			t.Fatalf("plan %v: %v", plan, err)
-		}
-		if res.Sniffer == nil {
-			t.Fatal("no sniffer on faulty run result")
-		}
+		s, res := once(t, spec, SessionConfig{Engine: EngineTCP}, Op{Algo: encRing, MsgSize: 1024, Plan: plan})
+		contract(t, s, block.UniformSizes(spec.P, 1024), res)
 	}
 }

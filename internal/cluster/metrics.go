@@ -84,8 +84,8 @@ type Critical struct {
 	Sd int64 `json:"sd"` // decrypted bytes
 }
 
-// CriticalPath folds per-rank metrics into the six paper metrics.
-func CriticalPath(per []Metrics) Critical {
+// MaxOverRanks folds per-rank metrics into the six paper metrics, each a maximum.
+func MaxOverRanks(per []Metrics) Critical {
 	var c Critical
 	for _, m := range per {
 		if m.CommRounds > c.Rc {

@@ -11,6 +11,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/encrypted"
 	"encag/internal/fault"
+	"encag/internal/testkit"
 )
 
 // Rekey never waits. Four collectives stay in flight on a TCP session
@@ -66,12 +67,7 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 					t.Errorf("worker %d %s op %d: %v", w, name, i, err)
 					return
 				}
-				if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-					t.Errorf("worker %d %s op %d: %v", w, name, i, err)
-				}
-				if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-					t.Errorf("worker %d %s op %d leaked plaintext: %v", w, name, i, cluster.MessageTotals(res.PerRank).Violations)
-				}
+				testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
 				for _, pm := range res.PerRank {
 					sealed.Add(int64(pm.EncSegments))
 					opened.Add(int64(pm.DecSegments))
@@ -86,11 +82,6 @@ func TestRekeyUnderConcurrentTCPLoad(t *testing.T) {
 		return
 	}
 
-	for r := 0; r < spec.P; r++ {
-		if s.Sniffer().Contains(block.FillPattern(r, m)) {
-			t.Fatalf("rank %d plaintext visible on the wire", r)
-		}
-	}
 	snap := s.Snapshot()
 	if explicit.Load() < 1 {
 		t.Fatal("the rekey loop never ran")
@@ -144,9 +135,7 @@ func TestSealTotalsConserveAcrossRekey(t *testing.T) {
 			before := s.Snapshot()
 			var sealed, opened int64
 			count := func(res *cluster.RealResult) {
-				if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-					t.Error(err)
-				}
+				testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
 				for _, pm := range res.PerRank {
 					sealed += int64(pm.EncSegments)
 					opened += int64(pm.DecSegments)

@@ -130,39 +130,10 @@ type RealResult struct {
 	Results  []block.Message // per-rank gathered result
 	PerRank  []Metrics
 	Critical Critical
-	// Sniffer is the session-lifetime capture of the inter-node wire —
-	// every byte of the P·(P−ℓ) inter-node sockets, cumulative over every
-	// collective run on the session; nil on EngineChan, which has no wire.
-	Sniffer *WireSniffer
-	Elapsed time.Duration
+	Elapsed  time.Duration
 	// OpID is the session-unique operation id the collective's frames
 	// carried; ids start at 1, so 0 means "no id" (zero-valued result).
 	OpID uint32
-}
-
-// RunOnce opens a session, runs the one operation on it and closes it
-// again, re-paying the full setup (for EngineTCP the dialed sockets) on
-// every call — for tests and one-off checks; anything that runs more
-// than one collective should hold a Session.
-func RunOnce(spec Spec, cfg SessionConfig, op Op) (*RealResult, error) {
-	s, err := OpenSession(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Collective(context.Background(), op)
-}
-
-// SimOnce is RunOnce on the discrete-event model: one EngineSim session
-// under prof, one Sim of op (op.Tracer traces it, op.Sizes makes it an
-// all-gatherv), closed again.
-func SimOnce(spec Spec, prof cost.Profile, op Op) (*SimResult, error) {
-	s, err := OpenSession(spec, SessionConfig{Engine: EngineSim, Profile: prof})
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Sim(context.Background(), op)
 }
 
 // Session is a persistent collective runtime: open once, run many
@@ -604,7 +575,6 @@ func (s *Session) begin(ctx context.Context, op Op, then func(*RealResult, error
 	o.res = &RealResult{
 		Results: make([]block.Message, s.spec.P),
 		PerRank: make([]Metrics, s.spec.P),
-		Sniffer: s.tr.sniff,
 	}
 	o.wt.epoch = time.Now()
 	slot.start()
@@ -647,7 +617,7 @@ func (s *Session) end(o *opRuntime) (*RealResult, error) {
 		s.lm.opsCompleted.Inc()
 		s.lm.opLatency.Observe(res.Elapsed.Nanoseconds())
 		res.OpID = o.id
-		res.Critical = CriticalPath(res.PerRank)
+		res.Critical = MaxOverRanks(res.PerRank)
 	}
 	if then != nil {
 		then(res, err)

@@ -34,7 +34,7 @@ func TestSessionReuseTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if err := ValidateGather(spec, 256, res.Results, true); err != nil {
+		if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 256), res.Results, true); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 		// The sniffer is session-lifetime: volume must grow monotonically.
@@ -58,7 +58,7 @@ func TestSessionReuseChan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if err := ValidateGather(spec, 128, res.Results, true); err != nil {
+		if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 128), res.Results, true); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestSessionContextCancelTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("post-cancel collective failed: %v", err)
 	}
-	if err := ValidateGather(spec, 64, res.Results, true); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 64), res.Results, true); err != nil {
 		t.Fatalf("post-cancel gather corrupted: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestSessionFaultPlanOnIterationK(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if err := ValidateGather(spec, 512, res.Results, true); err != nil {
+		if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 512), res.Results, true); err != nil {
 			t.Fatalf("iteration %d gather corrupted: %v", i, err)
 		}
 	}
@@ -199,7 +199,7 @@ func TestSessionRandomPlanBreaksOrCompletes(t *testing.T) {
 		res, ferr := s.Collective(context.Background(), Op{Algo: ringPlain, MsgSize: 256})
 		switch {
 		case ferr == nil:
-			if err := ValidateGather(spec, 256, res.Results, true); err != nil {
+			if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 256), res.Results, true); err != nil {
 				t.Fatalf("seed %d: follow-up gather corrupted: %v", seed, err)
 			}
 		case errors.Is(ferr, ErrSessionBroken):
@@ -239,7 +239,7 @@ func TestSessionRekey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateGather(spec, 64, res.Results, true); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 64), res.Results, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -278,7 +278,7 @@ func TestSessionClosedAndEngineMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateGather(spec, 8, res.Results, false); err != nil {
+	if err := ValidateGatherV(spec, block.UniformSizes(spec.P, 8), res.Results, false); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -234,9 +234,7 @@ func TestStragglerFramesMissTheNextOp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: next op: %v", i, err)
 		}
-		if err := ValidateGather(spec, m, res.Results, true); err != nil {
-			t.Fatalf("round %d: next op: %v", i, err)
-		}
+		contract(t, s, block.UniformSizes(spec.P, m), res)
 		if got := drew.Load().([2]int); got != [2]int{1, 1} {
 			t.Fatalf("round %d: the next op's pair arena drew %d chunks and %d blocks, want 1 and 1", i, got[0], got[1])
 		}
@@ -253,7 +251,7 @@ func awaitSocketReaders(t *testing.T, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		got := strings.Count(string(allStacks()), "(*link).serveConn(")
+		got := strings.Count(string(stacks()), "(*link).serveConn(")
 		if got >= n {
 			return
 		}
@@ -274,7 +272,7 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 	const window, callers = 2, 64
 	spec := Spec{P: 4, N: 2, Mapping: BlockMapping, RecvTimeout: time.Hour}
 	for _, engine := range opEngines {
-		before := runtime.NumGoroutine()
+		before := live()
 		s, err := OpenSession(spec, SessionConfig{Engine: engine, MaxInFlight: window})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +291,7 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 				defer wg.Done()
 				res, err := s.Collective(context.Background(), Op{Algo: encRing, MsgSize: 1000})
 				if err == nil {
-					err = ValidateGather(spec, 1000, res.Results, true)
+					contract(t, s, block.UniformSizes(spec.P, 1000), res)
 				}
 				errs <- err
 			}()
@@ -313,7 +311,7 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 			if n := runtime.NumGoroutine() - 1; n > peak {
 				peak = n
 				if peak > bound {
-					peakStacks = allStacks()
+					peakStacks = stacks()
 				}
 			}
 		}
@@ -359,7 +357,7 @@ func TestSlotGoroutinesBoundedAndGoneAfterClose(t *testing.T) {
 		if err := <-parked; !errors.As(err, &re) || re.Op != "closed" || !errors.Is(err, ErrSessionClosed) {
 			t.Fatalf("%v: op in flight at Close = %v, want Op closed wrapping ErrSessionClosed", engine, err)
 		}
-		awaitGoroutines(t, engine, before)
+		drained(t, before)
 	}
 }
 
@@ -458,9 +456,7 @@ func TestFailedOpLeavesSlotClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %s: %v", engine, when, err)
 			}
-			if err := ValidateGather(spec, 64, res.Results, true); err != nil {
-				t.Fatalf("%v %s: %v", engine, when, err)
-			}
+			contract(t, s, block.UniformSizes(spec.P, 64), res)
 		}
 		check("first op")
 		slot := awaitIdle(t, s, 1)[0]

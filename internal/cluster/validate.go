@@ -10,19 +10,12 @@ import (
 	"encag/internal/seal"
 )
 
-// ValidateGather checks that every rank's result is a complete, fully
-// decrypted all-gather of p blocks of msgSize bytes: no chunk still
-// encrypted, every origin present exactly once with the right length.
-// With checkPayload (real results only) every gathered byte is also
-// compared with the deterministic test pattern of its origin — one
-// pass over each distinct gathered buffer (block.CheckPattern), no
-// allocation — so corruption that no AEAD covers (intra-node plaintext,
-// an aliased buffer) is caught on either link.
-func ValidateGather(spec Spec, msgSize int64, results []block.Message, checkPayload bool) error {
-	return ValidateGatherV(spec, block.UniformSizes(spec.P, msgSize), results, checkPayload)
-}
-
-// ValidateGatherV is ValidateGather for variable block sizes.
+// ValidateGatherV checks that every rank's result is a complete, fully
+// decrypted all-gather of blocks of sizes: no chunk encrypted, every
+// origin once at its size. With checkPayload (real results only) every
+// gathered byte must also be its origin's test pattern, one pass over
+// each distinct buffer (block.CheckPattern), so corruption no AEAD covers
+// (intra-node plaintext, an aliased buffer) is caught on either link.
 func ValidateGatherV(spec Spec, sizes []int64, results []block.Message, checkPayload bool) error {
 	_, err := GatherViews(spec, sizes, results, checkPayload, nil)
 	return err

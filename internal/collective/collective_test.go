@@ -9,6 +9,7 @@ import (
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/cost"
+	"encag/internal/testkit"
 )
 
 var allAlgs = map[string]Allgather{
@@ -41,11 +42,11 @@ func specs() []cluster.Spec {
 func TestAllAlgorithmsCorrectReal(t *testing.T) {
 	for _, spec := range specs() {
 		for name, alg := range allAlgs {
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 48})
+			res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 48})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
-			if err := cluster.ValidateGather(spec, 48, res.Results, true); err != nil {
+			if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 48), res.Results, true); err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
 		}
@@ -55,11 +56,11 @@ func TestAllAlgorithmsCorrectReal(t *testing.T) {
 func TestAllAlgorithmsCorrectSim(t *testing.T) {
 	for _, spec := range specs() {
 		for name, alg := range allAlgs {
-			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 4096})
+			res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: 4096})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
-			if err := cluster.ValidateGather(spec, 4096, res.Results, false); err != nil {
+			if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 4096), res.Results, false); err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
 			if spec.P > 1 && res.Latency <= 0 {
@@ -72,7 +73,7 @@ func TestAllAlgorithmsCorrectSim(t *testing.T) {
 func TestRingRoundsAndBytes(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
 	const m = 256
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRingRoundsAndBytes(t *testing.T) {
 func TestRDRounds(t *testing.T) {
 	// Power of two: exactly lg(p) rounds.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.BlockMapping}
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRDRounds(t *testing.T) {
 	}
 	// Non power of two: bounded by 2*lg(p).
 	spec = cluster.Spec{P: 12, N: 3, Mapping: cluster.BlockMapping}
-	res, err = cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
+	res, err = testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RD), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestRDRounds(t *testing.T) {
 func TestBruckRounds(t *testing.T) {
 	for _, p := range []int{2, 3, 5, 8, 12, 16} {
 		spec := cluster.Spec{P: p, N: 1, Mapping: cluster.BlockMapping}
-		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Bruck), MsgSize: 64})
+		res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Bruck), MsgSize: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestHierarchicalLeaderRounds(t *testing.T) {
 	// rank (leader) must stay within lg(l)+lg(N)+lg(l) rounds for powers
 	// of two.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.BlockMapping}
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Hierarchical), MsgSize: 64})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Hierarchical), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestRankOrderedRingCrossesOncePerNodePair(t *testing.T) {
 	// inter-node bytes.
 	spec := cluster.Spec{P: 16, N: 4, Mapping: cluster.CyclicMapping}
 	const m = 1 << 10
-	natural, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
+	natural, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(Ring), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ordered, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RankOrderedRing), MsgSize: m})
+	ordered, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(RankOrderedRing), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +165,14 @@ func TestRankOrderedRingCrossesOncePerNodePair(t *testing.T) {
 
 func TestMVAPICHDispatch(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
-	small, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64})
+	small, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if small.Critical.Rc != 3 { // lg 8: recursive doubling
 		t.Errorf("small-message dispatch rc = %d, want 3 (RD)", small.Critical.Rc)
 	}
-	large, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64 << 10})
+	large, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(MVAPICH(0)), MsgSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +189,16 @@ func TestGatherBcastRoundTrip(t *testing.T) {
 		var full block.Message
 		if g.Index(p.Rank()) == 5 {
 			for _, part := range parts {
-				full = block.Concat(full, part)
+				full.Append(part.Chunks...)
 			}
 		}
 		return Bcast(p, g, 5, full)
 	}
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 32})
+	res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.ValidateGather(spec, 32, res.Results, true); err != nil {
+	if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 32), res.Results, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,11 +215,11 @@ func TestSubGroupAllgather(t *testing.T) {
 		parts := RD(p, sub, mine)
 		var out block.Message
 		for _, part := range parts {
-			out = block.Concat(out, part)
+			out.Append(part.Chunks...)
 		}
 		return out
 	}
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 16})
+	res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +248,11 @@ func TestQuickAlgorithmsAgree(t *testing.T) {
 		}
 		spec := cluster.Spec{P: p, N: n, Mapping: mapping}
 		for _, alg := range allAlgs {
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
+			res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
 			if err != nil {
 				return false
 			}
-			if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
+			if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, m), res.Results, true); err != nil {
 				return false
 			}
 		}
@@ -271,7 +272,7 @@ func TestQuickVolumeOptimal(t *testing.T) {
 		m := int64(m16) + 1
 		spec := cluster.Spec{P: n * l, N: n, Mapping: cluster.BlockMapping}
 		for _, alg := range []Allgather{Ring, RD} {
-			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
+			res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(alg), MsgSize: m})
 			if err != nil {
 				return false
 			}
@@ -290,7 +291,7 @@ func TestNeighborExchangeRounds(t *testing.T) {
 	// Even group: n/2 rounds — half the ring's. Odd group: ring fallback.
 	for _, p := range []int{2, 4, 8, 16} {
 		spec := cluster.Spec{P: p, N: 1, Mapping: cluster.BlockMapping}
-		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
+		res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +303,7 @@ func TestNeighborExchangeRounds(t *testing.T) {
 		}
 	}
 	spec := cluster.Spec{P: 5, N: 1, Mapping: cluster.BlockMapping}
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AsAlgorithm(NeighborExchange), MsgSize: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,23 +322,23 @@ func TestGatherBcastNonzeroRootsAllEngines(t *testing.T) {
 			var full block.Message
 			if p.Rank() == root {
 				for _, part := range parts {
-					full = block.Concat(full, part)
+					full.Append(part.Chunks...)
 				}
 			}
 			return Bcast(p, g, root, full)
 		}
-		res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 24})
+		res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 24})
 		if err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
-		if err := cluster.ValidateGather(spec, 24, res.Results, true); err != nil {
+		if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 24), res.Results, true); err != nil {
 			t.Fatalf("root %d: %v", root, err)
 		}
-		sres, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 24})
+		sres, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 24})
 		if err != nil {
 			t.Fatalf("root %d sim: %v", root, err)
 		}
-		if err := cluster.ValidateGather(spec, 24, sres.Results, false); err != nil {
+		if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 24), sres.Results, false); err != nil {
 			t.Fatalf("root %d sim: %v", root, err)
 		}
 	}

@@ -53,7 +53,7 @@ func tagged(p *cluster.Proc, msg block.Message, idx int) block.Message {
 	return out
 }
 
-// concat is block.Concat into p's arena.
+// concat joins msgs' chunk lists into one message whose list p's arena holds.
 func concat(p *cluster.Proc, msgs []block.Message) block.Message {
 	n := 0
 	for _, m := range msgs {

@@ -9,6 +9,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/fault"
 	"encag/internal/seal"
+	"encag/internal/testkit"
 )
 
 // The network adversary of the paper's threat model is a fault.Corrupt
@@ -109,23 +110,7 @@ func TestPassiveObserverSeesOnlyCiphertext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cluster.RunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP}, cluster.Op{Algo: alg, MsgSize: m})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if n := cluster.MessageTotals(res.PerRank).PlainInterMsgs; n > 0 {
-			t.Errorf("%s: %d inter-node sends carried plaintext", name, n)
-		}
-		if res.Sniffer.Total() == 0 {
-			t.Fatalf("%s: the observer saw no inter-node bytes", name)
-		}
-		for r := 0; r < spec.P; r++ {
-			if res.Sniffer.Contains(block.FillPattern(r, m)) {
-				t.Errorf("%s: rank %d's plaintext visible on the wire", name, r)
-			}
-		}
+		s, res := testkit.Once(t, spec, cluster.SessionConfig{Engine: cluster.EngineTCP}, cluster.Op{Algo: alg, MsgSize: m})
+		testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
 	}
 }

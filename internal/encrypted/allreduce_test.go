@@ -9,6 +9,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/collective"
 	"encag/internal/cost"
+	"encag/internal/testkit"
 )
 
 // expectedXOR computes the reference all-reduce result for the
@@ -50,7 +51,7 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 		{P: 6, N: 1, Mapping: cluster.BlockMapping},  // single node: no crypto at all
 	} {
 		for _, m := range []int64{1, 13, 64, 1000} {
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
+			res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
 			if err != nil {
 				t.Fatalf("%v m=%d: %v", spec, m, err)
 			}
@@ -68,7 +69,7 @@ func TestAllreduceHSCorrectAndSecure(t *testing.T) {
 func TestAllreduceNaiveCorrect(t *testing.T) {
 	spec := cluster.Spec{P: 8, N: 4, Mapping: cluster.BlockMapping}
 	const m = 256
-	res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
+	res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +84,11 @@ func TestAllreduceNaiveCorrect(t *testing.T) {
 func TestAllreduceDecryptionEconomics(t *testing.T) {
 	spec := cluster.Spec{P: 32, N: 4, Mapping: cluster.BlockMapping}
 	const m = 64 << 10
-	hs, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
+	hs, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AllreduceHS(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
+	naive, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: AllreduceNaive(XOR), MsgSize: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestQuickAllreduce(t *testing.T) {
 		}
 		want := expectedXOR(spec.P, m)
 		for _, alg := range []cluster.Algorithm{AllreduceHS(XOR), AllreduceNaive(XOR)} {
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
+			res, err := testkit.Run(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
 			if err != nil || cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
 				return false
 			}

@@ -7,35 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/cost"
+	"encag/internal/testkit"
 )
-
-// auditedRunOnce is cluster.RunOnce that also checks that every seal of the
-// op drew its nonce from the session sealer's one counter: the sealer's
-// invocation count grows by exactly the op's summed EncSegments. A nonce
-// is the sealer's fixed field plus that counter, so no two seals of the
-// op share one.
-func auditedRunOnce(spec cluster.Spec, cfg cluster.SessionConfig, op cluster.Op) (*cluster.RealResult, error) {
-	s, err := cluster.OpenSession(spec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	before := s.Sealer().Invocations()
-	res, err := s.Collective(context.Background(), op)
-	if err != nil {
-		return nil, err
-	}
-	var segs uint64
-	for _, m := range res.PerRank {
-		segs += uint64(m.EncSegments)
-	}
-	if got := s.Sealer().Invocations() - before; got != segs {
-		return nil, fmt.Errorf("sealer invoked %d times for %d sealed segments", got, segs)
-	}
-	return res, nil
-}
 
 func testSpecs() []cluster.Spec {
 	return []cluster.Spec{
@@ -57,27 +33,20 @@ func testSpecs() []cluster.Spec {
 // test: every algorithm, on every spec, must produce the right plaintext
 // at every rank AND never let plaintext cross a node boundary.
 func TestAllEncryptedCorrectAndSecure(t *testing.T) {
-	for _, spec := range testSpecs() {
-		for _, name := range Names() {
-			alg, err := Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := auditedRunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 40})
-			if err != nil {
-				t.Fatalf("%s on %v: %v", name, spec, err)
-			}
-			if err := cluster.ValidateGather(spec, 40, res.Results, true); err != nil {
-				t.Fatalf("%s on %v: %v", name, spec, err)
-			}
-			msgs := cluster.MessageTotals(res.PerRank)
-			if msgs.PlainInterMsgs != 0 {
-				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, msgs.Violations)
-			}
-			if spec.N > 1 && msgs.InterMsgs == 0 {
-				t.Fatalf("%s on %v: no inter-node messages at all?", name, spec)
-			}
+	for _, name := range Names() {
+		alg, err := Get(name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Run(name, func(t *testing.T) {
+			for _, spec := range testSpecs() {
+				s, res := testkit.Once(t, spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: 40})
+				testkit.Contract(t, s, block.UniformSizes(spec.P, 40), res)
+				if spec.N > 1 && cluster.MessageTotals(res.PerRank).InterMsgs == 0 {
+					t.Fatalf("%v: no inter-node messages at all?", spec)
+				}
+			}
+		})
 	}
 }
 
@@ -88,11 +57,11 @@ func TestAllEncryptedCorrectSim(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 2048})
+			res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 2048})
 			if err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
-			if err := cluster.ValidateGather(spec, 2048, res.Results, false); err != nil {
+			if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 2048), res.Results, false); err != nil {
 				t.Fatalf("%s on %v: %v", name, spec, err)
 			}
 			if res.Latency <= 0 {
@@ -127,7 +96,7 @@ func TestSimNoPlaintextCrossesNodes(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, m := range c.sizes {
-				res, err := cluster.SimOnce(c.spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
+				res, err := testkit.Sim(c.spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
 				if err != nil {
 					t.Fatalf("%s m=%d on %v: %v", name, m, c.spec, err)
 				}
@@ -136,7 +105,7 @@ func TestSimNoPlaintextCrossesNodes(t *testing.T) {
 						name, m, c.spec, msgs.PlainInterMsgs, msgs.InterMsgs, msgs.Violations)
 				}
 			}
-			res, err := cluster.SimOnce(c.spec, cost.Noleland(), cluster.Op{Algo: cluster.Plain(alg), MsgSize: 1 << 10})
+			res, err := testkit.Sim(c.spec, cost.Noleland(), cluster.Op{Algo: cluster.Plain(alg), MsgSize: 1 << 10})
 			if err != nil {
 				t.Fatalf("plain-%s on %v: %v", name, c.spec, err)
 			}
@@ -179,7 +148,7 @@ func TestTableIISignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
+		res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -230,7 +199,7 @@ func TestLowerBoundsRespected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
+		res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: m})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -271,18 +240,10 @@ func TestQuickEncryptedCorrect(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
-			if err != nil {
-				return false
-			}
-			if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-				return false
-			}
-			if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-				return false
-			}
+			s, res := testkit.Once(t, spec, cluster.SessionConfig{}, cluster.Op{Algo: alg, MsgSize: m})
+			testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
 		}
-		return true
+		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -346,7 +307,7 @@ func TestResultsOutliveTheirOperation(t *testing.T) {
 	}
 	check := func(name string, m int64, res *cluster.RealResult) error {
 		if name != "allreduce-hs" {
-			return cluster.ValidateGather(spec, m, res.Results, true)
+			return cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, m), res.Results, true)
 		}
 		want := expectedXOR(spec.P, m)
 		for r, msg := range res.Results {

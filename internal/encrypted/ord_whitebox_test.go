@@ -7,6 +7,7 @@ import (
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/cost"
+	"encag/internal/testkit"
 )
 
 // White-box tests of the O-RD working-set state machine, run through a
@@ -37,19 +38,9 @@ func TestOrdStateCacheReuse(t *testing.T) {
 			s.absorb(in)
 			s.openAll()
 		}
-		// Fabricate a complete result for validation bookkeeping.
-		var out block.Message
-		m := mine.PlainLen()
-		for r := 0; r < p.P(); r++ {
-			if r == p.Rank() {
-				out = block.Concat(out, mine)
-			} else {
-				out = block.Concat(out, block.NewSim(r, m))
-			}
-		}
-		return out
+		return testkit.AllBlocks(p, mine)
 	}
-	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 512}); err != nil {
+	if _, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 512}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -77,18 +68,9 @@ func TestOrdStateIntraSendsPlain(t *testing.T) {
 				intraPayloadEnc = true
 			}
 		}
-		var out block.Message
-		m := mine.PlainLen()
-		for r := 0; r < p.P(); r++ {
-			if r == p.Rank() {
-				out = block.Concat(out, mine)
-			} else {
-				out = block.Concat(out, block.NewSim(r, m))
-			}
-		}
-		return out
+		return testkit.AllBlocks(p, mine)
 	}
-	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 256}); err != nil {
+	if _, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 256}); err != nil {
 		t.Fatal(err)
 	}
 	if intraPayloadEnc {
@@ -116,11 +98,11 @@ func TestOrdStateMergePath(t *testing.T) {
 		}
 		return res
 	}
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 128})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: algo, MsgSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cluster.ValidateGather(spec, 128, res.Results, false); err != nil {
+	if err := cluster.ValidateGatherV(spec, block.UniformSizes(spec.P, 128), res.Results, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +110,7 @@ func TestOrdStateMergePath(t *testing.T) {
 // finish must fail loudly when a contribution is missing.
 func TestOrdStateFinishIncomplete(t *testing.T) {
 	spec := cluster.Spec{P: 2, N: 2, Mapping: cluster.BlockMapping}
-	_, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: func(p *cluster.Proc, mine block.Message) block.Message {
+	_, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: func(p *cluster.Proc, mine block.Message) block.Message {
 		g := Group{Ranks: []int{0, 1}}
 		s := newOrdState(p, g, mine, false)
 		return s.finish() // never exchanged: member missing
@@ -156,12 +138,9 @@ func TestOrdResultsAreCappedOneChunkViews(t *testing.T) {
 			}
 			return p.Assemble(res)
 		}
-		res, err := cluster.RunOnce(spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 64})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := cluster.ValidateGather(spec, 64, res.Results, true); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			s, res := testkit.Once(t, spec, cluster.SessionConfig{}, cluster.Op{Algo: algo, MsgSize: 64})
+			testkit.Contract(t, s, block.UniformSizes(spec.P, 64), res)
+		})
 	}
 }

@@ -1,11 +1,13 @@
 package encrypted
 
 import (
+	"fmt"
 	"testing"
 
 	"encag/internal/block"
 	"encag/internal/cluster"
 	"encag/internal/seal"
+	"encag/internal/testkit"
 )
 
 // cryptoPool gives a test a dedicated crypto pool of n workers, closed
@@ -36,31 +38,23 @@ func TestAllEncryptedSecureWithSegmentation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := auditedRunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
-			if err != nil {
-				t.Fatalf("%s on %v: %v", name, spec, err)
-			}
-			if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-				t.Fatalf("%s on %v: %v", name, spec, err)
-			}
-			if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-				t.Fatalf("%s on %v leaked plaintext across nodes: %v", name, spec, cluster.MessageTotals(res.PerRank).Violations)
-			}
-			var segs int
-			for r, pm := range res.PerRank {
-				segs += pm.EncSegments
-				if pm.EncSegments < pm.EncRounds {
-					t.Fatalf("%s on %v rank %d: EncSegments %d < EncRounds %d",
-						name, spec, r, pm.EncSegments, pm.EncRounds)
+			t.Run(fmt.Sprintf("%d-%d/%s", spec.P, spec.N, name), func(t *testing.T) {
+				s, res := testkit.Once(t, spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
+				testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
+				var segs int
+				for r, pm := range res.PerRank {
+					segs += pm.EncSegments
+					if pm.EncSegments < pm.EncRounds {
+						t.Fatalf("rank %d: EncSegments %d < EncRounds %d", r, pm.EncSegments, pm.EncRounds)
+					}
+					if pm.DecSegments < pm.DecRounds {
+						t.Fatalf("rank %d: DecSegments %d < DecRounds %d", r, pm.DecSegments, pm.DecRounds)
+					}
 				}
-				if pm.DecSegments < pm.DecRounds {
-					t.Fatalf("%s on %v rank %d: DecSegments %d < DecRounds %d",
-						name, spec, r, pm.DecSegments, pm.DecRounds)
+				if segs == 0 {
+					t.Fatal("no segments counted")
 				}
-			}
-			if segs == 0 {
-				t.Fatalf("%s on %v: no segments counted", name, spec)
-			}
+			})
 		}
 	}
 }
@@ -75,10 +69,7 @@ func TestSegmentationKeepsRoundSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auditedRunOnce(spec, cluster.SessionConfig{CryptoPool: cryptoPool(t, 2)}, cluster.Op{Algo: alg, MsgSize: m})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := testkit.Once(t, spec, cluster.SessionConfig{CryptoPool: cryptoPool(t, 2)}, cluster.Op{Algo: alg, MsgSize: m})
 	for r, pm := range res.PerRank {
 		if pm.EncRounds != 1 {
 			t.Fatalf("rank %d: EncRounds = %d, want 1", r, pm.EncRounds)
@@ -103,27 +94,9 @@ func TestSegmentedTCPWireClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := auditedRunOnce(spec, cluster.SessionConfig{Engine: cluster.EngineTCP, CryptoPool: cryptoPool(t, 2)},
+	s, res := testkit.Once(t, spec, cluster.SessionConfig{Engine: cluster.EngineTCP, CryptoPool: cryptoPool(t, 2)},
 		cluster.Op{Algo: alg, MsgSize: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-		t.Fatal(err)
-	}
-	if cluster.MessageTotals(res.PerRank).PlainInterMsgs != 0 {
-		t.Fatalf("audit violations: %v", cluster.MessageTotals(res.PerRank).Violations)
-	}
-	for r := 0; r < spec.P; r++ {
-		if res.Sniffer.Contains(block.FillPattern(r, m)) {
-			t.Fatalf("rank %d plaintext visible on the wire", r)
-		}
-	}
-	// Segmented framing costs wire bytes: the sniffer must have seen at
-	// least the logical inter-node volume.
-	if res.Sniffer.Total() == 0 {
-		t.Fatal("sniffer saw no inter-node bytes")
-	}
+	testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
 }
 
 // Tampering with a single segment of a multi-segment ciphertext in
@@ -172,15 +145,14 @@ func TestSealOnceOnPipelinedTCP(t *testing.T) {
 				if name != "allreduce-hs" {
 					alg, _ = Get(name)
 				}
-				res, err := auditedRunOnce(spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
-				if err != nil {
-					t.Fatalf("%s on %v at %d B: %v", name, spec, m, err)
-				}
-				if name == "allreduce-hs" {
-					checkAllreduce(t, spec, m, res)
-				} else if err := cluster.ValidateGather(spec, m, res.Results, true); err != nil {
-					t.Fatalf("%s on %v at %d B: %v", name, spec, m, err)
-				}
+				t.Run(fmt.Sprintf("%d-%d/%d/%s", spec.P, spec.N, m, name), func(t *testing.T) {
+					s, res := testkit.Once(t, spec, cfg, cluster.Op{Algo: alg, MsgSize: m})
+					if name == "allreduce-hs" {
+						checkAllreduce(t, spec, m, res)
+					} else {
+						testkit.Contract(t, s, block.UniformSizes(spec.P, m), res)
+					}
+				})
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/cost"
 	"encag/internal/encrypted"
+	"encag/internal/testkit"
 	"encag/internal/trace"
 )
 
@@ -235,7 +236,7 @@ func TestChromeTraceFromSimRun(t *testing.T) {
 	}
 	spec := cluster.Spec{P: 8, N: 2, Mapping: cluster.BlockMapping}
 	col := &trace.Collector{}
-	if _, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 4096, Tracer: col}); err != nil {
+	if _, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: alg, MsgSize: 4096, Tracer: col}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

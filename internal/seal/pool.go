@@ -56,9 +56,6 @@ func NewPool(size int) *Pool {
 // Size returns the worker cap.
 func (p *Pool) Size() int { return p.size }
 
-// Closed reports whether Close has been called.
-func (p *Pool) Closed() bool { return p.closed.Load() }
-
 // Close drains the pool: new offers are refused (callers degrade to
 // serial execution, exactly as on saturation), idle workers exit
 // immediately, busy workers exit after finishing their current task, and

@@ -22,17 +22,16 @@ func TestPoolCloseDrainsWorkers(t *testing.T) {
 	if got := p.Stats().Workers; got != 0 {
 		t.Fatalf("workers alive after Close: %d", got)
 	}
-	if !p.Closed() {
-		t.Fatal("Closed() = false after Close")
-	}
-	// Serial degradation: Run still completes, spawning no workers.
+	// Serial degradation: Run still completes, dispatching nothing and
+	// spawning no workers.
 	ran.Store(0)
+	dispatched := p.Stats().Dispatched
 	p.Run(32, func(int) { ran.Add(1) })
 	if ran.Load() != 32 {
 		t.Fatalf("closed pool ran %d tasks, want 32", ran.Load())
 	}
-	if got := p.Stats().Workers; got != 0 {
-		t.Fatalf("closed pool spawned %d workers", got)
+	if got := p.Stats(); got.Workers != 0 || got.Dispatched != dispatched {
+		t.Fatalf("closed pool spawned %d workers and dispatched %d tasks", got.Workers, got.Dispatched-dispatched)
 	}
 }
 

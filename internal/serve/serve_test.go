@@ -445,8 +445,10 @@ func TestManagerSharedPoolAcrossTenants(t *testing.T) {
 		t.Fatalf("shared pool dispatched %d tasks, want growth over %d", got, before)
 	}
 	m.Close()
-	// The manager must not close a caller-owned pool.
-	if pool.Closed() {
+	// The manager must not close a caller-owned pool: it still dispatches.
+	before = pool.Stats().Dispatched
+	pool.Run(2, func(int) {})
+	if pool.Stats().Dispatched == before {
 		t.Fatal("manager closed the injected pool")
 	}
 }

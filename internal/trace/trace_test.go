@@ -9,6 +9,7 @@ import (
 	"encag/internal/cluster"
 	"encag/internal/cost"
 	"encag/internal/encrypted"
+	"encag/internal/testkit"
 )
 
 func runTraced(t *testing.T, alg string, spec cluster.Spec, m int64) (*Collector, *cluster.SimResult) {
@@ -18,7 +19,7 @@ func runTraced(t *testing.T, alg string, spec cluster.Spec, m int64) (*Collector
 		t.Fatal(err)
 	}
 	col := &Collector{}
-	res, err := cluster.SimOnce(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m, Tracer: col})
+	res, err := testkit.Sim(spec, cost.Noleland(), cluster.Op{Algo: a, MsgSize: m, Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}

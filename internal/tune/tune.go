@@ -55,17 +55,6 @@ func BucketOf(m int64) int {
 	return b
 }
 
-// BucketMin returns the smallest message size in bucket b.
-func BucketMin(b int) int64 {
-	if b <= 0 {
-		return 1
-	}
-	if b >= 62 {
-		return 1 << 62
-	}
-	return 1 << b
-}
-
 // Cell is one measured table entry: the per-algorithm latency estimates
 // for a Key and the sweep's winner.
 type Cell struct {

@@ -18,9 +18,9 @@ func TestBucketOf(t *testing.T) {
 			t.Errorf("BucketOf(%d) = %d, want %d", c.m, got, c.want)
 		}
 	}
-	for b := 0; b < 30; b++ {
-		if got := BucketOf(BucketMin(b)); got != b {
-			t.Errorf("BucketOf(BucketMin(%d)) = %d", b, got)
+	for b := 1; b < 30; b++ {
+		if lo := int64(1) << b; BucketOf(lo) != b || BucketOf(lo-1) != b-1 {
+			t.Errorf("BucketOf(%d) = %d, BucketOf(%d) = %d: bucket %d starts elsewhere", lo, BucketOf(lo), lo-1, BucketOf(lo-1), b)
 		}
 	}
 }

@@ -1,33 +1,16 @@
 package encag_test
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"encag"
-	"encag/internal/block"
 	"encag/internal/fault"
+	"encag/internal/testkit"
 )
-
-// sameGather fails the test unless two gathered tensors are byte-equal.
-func sameGather(t *testing.T, label string, got, want [][][]byte) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d ranks, want %d", label, len(got), len(want))
-	}
-	for r := range want {
-		for o := range want[r] {
-			if !bytes.Equal(got[r][o], want[r][o]) {
-				t.Fatalf("%s: rank %d origin %d differs from serialized run", label, r, o)
-			}
-		}
-	}
-}
 
 // The headline acceptance: four concurrent all-gathers with distinct
 // algorithms multiplexed over ONE TCP session must each produce exactly
@@ -47,14 +30,15 @@ func TestStartConcurrentDistinctAlgorithmsTCP(t *testing.T) {
 		t.Fatalf("MaxInFlight() = %d, want %d", got, len(algos))
 	}
 
-	// Serialized baseline over the same mesh.
-	want := make(map[encag.Alg][][][]byte, len(algos))
+	// Serialized baseline over the same mesh: both it and the concurrent
+	// runs must be byte-exact, so they are the same bytes.
+	want := encag.Patterns(spec.Procs, msgSize)
 	for _, algo := range algos {
 		res, err := s.Run(context.Background(), algo, msgSize)
 		if err != nil {
 			t.Fatalf("serialized %s: %v", algo, err)
 		}
-		want[algo] = res.Gathered
+		encag.Contract(t, s, res, want)
 	}
 
 	// All four in flight at once, interleaving on the shared links.
@@ -71,16 +55,10 @@ func TestStartConcurrentDistinctAlgorithmsTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concurrent %s: %v", algo, err)
 		}
-		if !res.SecurityOK {
-			t.Fatalf("concurrent %s: security violations %v", algo, res.Violations)
-		}
-		sameGather(t, "concurrent "+string(algo), res.Gathered, want[algo])
+		encag.Contract(t, s, res, want)
 	}
 	if err := s.WaitAll(context.Background()); err != nil {
 		t.Fatalf("WaitAll after drain: %v", err)
-	}
-	if !s.WireClean(msgSize) {
-		t.Fatal("plaintext pattern observed on the wire during concurrent ops")
 	}
 }
 
@@ -92,10 +70,7 @@ func TestStartConcurrentDistinctAlgorithmsTCP(t *testing.T) {
 func TestRecycledCiphertextStress(t *testing.T) {
 	const ops, window, msgSize = 200, 4, 3000
 	spec := encag.Spec{Procs: 6, Nodes: 3}
-	want := make([][]byte, spec.Procs)
-	for r := range want {
-		want[r] = block.FillPattern(r, msgSize)
-	}
+	want := encag.Patterns(spec.Procs, msgSize)
 	for _, engine := range []encag.Engine{encag.EngineTCP, encag.EngineChan} {
 		s, err := encag.OpenSession(context.Background(), spec,
 			encag.WithEngine(engine), encag.WithMaxInFlight(window))
@@ -113,21 +88,13 @@ func TestRecycledCiphertextStress(t *testing.T) {
 		if err := s.WaitAll(context.Background()); err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
+		// Every op is checked after all the later ones reused its buffers.
 		for i, h := range handles {
 			res, err := h.Wait()
 			if err != nil {
 				t.Fatalf("%s: op %d: %v", engine, i, err)
 			}
-			for r, view := range res.Gathered {
-				for o, got := range view {
-					if !bytes.Equal(got, want[o]) {
-						t.Fatalf("%s: op %d: rank %d's block of origin %d changed after its buffers were recycled", engine, i, r, o)
-					}
-				}
-			}
-		}
-		if !s.WireClean(msgSize) {
-			t.Fatalf("%s: plaintext pattern observed on the wire", engine)
+			encag.Contract(t, s, res, want)
 		}
 		s.Close()
 	}
@@ -144,10 +111,12 @@ func TestStartPerOpFaultIsolationTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	want := encag.Patterns(spec.Procs, 512)
 	baseline, err := s.Run(context.Background(), "naive", 512)
 	if err != nil {
 		t.Fatal(err)
 	}
+	encag.Contract(t, s, baseline, want)
 
 	// Drop EVERY 1->0 frame of the faulted op. Naive is all-to-all, so
 	// the pair is guaranteed to carry traffic: the faulted op must starve
@@ -169,7 +138,7 @@ func TestStartPerOpFaultIsolationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean sibling caught the sibling's faults: %v", err)
 	}
-	sameGather(t, "clean sibling", res.Gathered, baseline.Gathered)
+	encag.Contract(t, s, res, want)
 
 	ferr := faulted.Err()
 	var re *encag.RankError
@@ -191,7 +160,7 @@ func TestStartPerOpFaultIsolationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session unusable after op-scoped fault: %v", err)
 	}
-	sameGather(t, "post-fault run", after.Gathered, baseline.Gathered)
+	encag.Contract(t, s, after, want)
 }
 
 // Cancelling one in-flight operation fails only its own handle: the
@@ -203,10 +172,12 @@ func TestStartCancelOneInFlightTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	want := encag.Patterns(spec.Procs, 1024)
 	baseline, err := s.Run(context.Background(), "hs1", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
+	encag.Contract(t, s, baseline, want)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	// The doomed op's first frame stalls, so it is still in flight when the
@@ -235,7 +206,7 @@ func TestStartCancelOneInFlightTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sibling %d failed after unrelated cancel: %v", i, err)
 		}
-		sameGather(t, "sibling", res.Gathered, baseline.Gathered)
+		encag.Contract(t, s, res, want)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("session poisoned by a cancel: %v", err)
@@ -244,14 +215,14 @@ func TestStartCancelOneInFlightTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session unusable after cancel: %v", err)
 	}
-	sameGather(t, "post-cancel run", after.Gathered, baseline.Gathered)
+	encag.Contract(t, s, after, want)
 }
 
 // Cancelling a batch of concurrent operations mid-flight and closing
 // the session must drain every scheduler, rank and reader goroutine —
 // nothing may leak into the caller's process.
 func TestStartCancelDrainsGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := testkit.Live()
 	for _, eng := range []encag.Engine{encag.EngineChan, encag.EngineTCP} {
 		s, err := encag.OpenSession(context.Background(), encag.Spec{Procs: 4, Nodes: 2},
 			encag.WithEngine(eng), encag.WithMaxInFlight(8))
@@ -273,17 +244,7 @@ func TestStartCancelDrainsGoroutines(t *testing.T) {
 		}
 		s.Close()
 	}
-	// Crypto pool workers idle-exit on their own schedule; poll.
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > before+2 {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("goroutine leak: %d live, baseline %d\n%s",
-				runtime.NumGoroutine(), before, buf)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	testkit.Drained(t, before)
 }
 
 // With a window of one, a second Start queues behind the first instead
@@ -298,10 +259,12 @@ func TestStartBackpressureWindowOfOne(t *testing.T) {
 	if got := s.MaxInFlight(); got != 1 {
 		t.Fatalf("MaxInFlight() = %d, want 1", got)
 	}
+	want := encag.Patterns(4, 256)
 	baseline, err := s.Run(context.Background(), "hs2", 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	encag.Contract(t, s, baseline, want)
 	var handles []*encag.Handle
 	for i := 0; i < 3; i++ {
 		h, err := s.Start(context.Background(), "hs2", 256)
@@ -315,7 +278,7 @@ func TestStartBackpressureWindowOfOne(t *testing.T) {
 		if err != nil {
 			t.Fatalf("queued op %d: %v", i, err)
 		}
-		sameGather(t, "queued op", res.Gathered, baseline.Gathered)
+		encag.Contract(t, s, res, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package encag
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -43,19 +42,9 @@ func TestSessionPipelining(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s pipelined: %v", name, algo, err)
 				}
-				if !got.SecurityOK {
-					t.Fatalf("%s/%s pipelined: security violations %v", name, algo, got.Violations)
-				}
-				for r := range got.Gathered {
-					for o := range got.Gathered[r] {
-						if !bytes.Equal(got.Gathered[r][o], want.Gathered[r][o]) {
-							t.Fatalf("%s/%s: rank %d origin %d diverges from the serial gather", name, algo, r, o)
-						}
-					}
-				}
-				if !piped.WireClean(msgSize) {
-					t.Fatalf("%s/%s: plaintext pattern observed on the pipelined wire", name, algo)
-				}
+				// Both byte-exact: the pipelined gather is the serial one.
+				contract(t, serial, want, patterns(sh.spec.Procs, msgSize))
+				contract(t, piped, got, patterns(sh.spec.Procs, msgSize))
 			}
 			// Close drains the send schedulers: a TCP sender counts a
 			// segment after its write returns, possibly after the receiver

@@ -21,38 +21,16 @@ func TestSessionReuseAllAlgorithms(t *testing.T) {
 			t.Fatalf("%s: %v", engine, err)
 		}
 		for _, algo := range PaperAlgorithms() {
-			var first [][][]byte
 			for i := 0; i < iters; i++ {
 				res, err := s.Run(context.Background(), algo, msgSize)
 				if err != nil {
 					t.Fatalf("%s/%s iteration %d: %v", engine, algo, i, err)
 				}
-				if !res.SecurityOK {
-					t.Fatalf("%s/%s iteration %d: security violations %v", engine, algo, i, res.Violations)
-				}
-				if first == nil {
-					first = res.Gathered
-					continue
-				}
-				for r := range res.Gathered {
-					for o := range res.Gathered[r] {
-						if !bytes.Equal(res.Gathered[r][o], first[r][o]) {
-							t.Fatalf("%s/%s iteration %d: rank %d origin %d differs from iteration 0",
-								engine, algo, i, r, o)
-						}
-					}
-				}
+				contract(t, s, res, patterns(spec.Procs, msgSize))
 			}
 		}
-		if engine == EngineTCP {
-			if w := s.Wire(); w == nil || w.Bytes == 0 {
-				t.Fatalf("tcp session wire report = %+v", w)
-			}
-			if !s.WireClean(msgSize) {
-				t.Fatal("plaintext pattern observed on the wire")
-			}
-		} else if s.Wire() != nil {
-			t.Fatal("chan session has a wire report")
+		if w := s.Wire(); (w != nil) != (engine == EngineTCP) {
+			t.Fatalf("%s session wire report = %+v", engine, w)
 		}
 		s.Close()
 	}
@@ -138,13 +116,7 @@ func TestSessionUserDataAndV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range data {
-		for o, want := range data {
-			if !bytes.Equal(res.Gathered[r][o], want) {
-				t.Fatalf("rank %d origin %d = %q, want %q", r, o, res.Gathered[r][o], want)
-			}
-		}
-	}
+	contract(t, s, res, data)
 	if _, err := s.Allgather(context.Background(), "hs2", data[:2]); err == nil {
 		t.Fatal("contribution count mismatch accepted")
 	}
@@ -154,13 +126,7 @@ func TestSessionUserDataAndV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range vdata {
-		for o, want := range vdata {
-			if !bytes.Equal(vres.Gathered[r][o], want) {
-				t.Fatalf("gatherv rank %d origin %d = %q, want %q", r, o, vres.Gathered[r][o], want)
-			}
-		}
-	}
+	contract(t, s, vres, vdata)
 
 	sum := make([]byte, 8)
 	red := [][]byte{make([]byte, 8), make([]byte, 8), make([]byte, 8), make([]byte, 8)}
@@ -215,16 +181,8 @@ func TestSessionRekeyPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := range a.Gathered {
-		for o := range a.Gathered[r] {
-			if !bytes.Equal(a.Gathered[r][o], b.Gathered[r][o]) {
-				t.Fatalf("rank %d origin %d differs across rekey", r, o)
-			}
-		}
-	}
-	if !a.SecurityOK || !b.SecurityOK {
-		t.Fatal("security violations across rekey")
-	}
+	contract(t, s, a, patterns(4, 64))
+	contract(t, s, b, patterns(4, 64))
 }
 
 // A per-operation transient fault plan on iteration k must recover
@@ -235,7 +193,6 @@ func TestSessionFaultPlanIteration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var first [][][]byte
 	for i := 0; i < 4; i++ {
 		var opts []Option
 		if i == 2 {
@@ -245,16 +202,6 @@ func TestSessionFaultPlanIteration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
-		if first == nil {
-			first = res.Gathered
-			continue
-		}
-		for r := range res.Gathered {
-			for o := range res.Gathered[r] {
-				if !bytes.Equal(res.Gathered[r][o], first[r][o]) {
-					t.Fatalf("iteration %d: rank %d origin %d differs", i, r, o)
-				}
-			}
-		}
+		contract(t, s, res, patterns(4, 256))
 	}
 }

@@ -18,12 +18,7 @@ func TestAllAlgorithmsOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
-		if !res.SecurityOK {
-			t.Errorf("%s: audit violations: %v", alg, res.Violations)
-		}
-		if !s.WireClean(m) {
-			t.Fatalf("%s: plaintext visible on the TCP wire", alg)
-		}
+		contract(t, s, res, patterns(spec.Procs, m))
 		if now := s.Wire().Bytes; now == seen {
 			t.Errorf("%s: no inter-node wire traffic captured", alg)
 		} else {
@@ -50,7 +45,5 @@ func TestTCPCyclicMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.SecurityOK || !s.WireClean(64) {
-		t.Fatal("hs2 over TCP with cyclic mapping failed the security checks")
-	}
+	contract(t, s, res, patterns(8, 64))
 }
